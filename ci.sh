@@ -6,8 +6,11 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test --workspace -q"
+cargo test --workspace -q
+
+echo "==> benchmark harness tests (the library signatures benchmark/ pins)"
+cargo test --manifest-path benchmark/Cargo.toml --offline -q
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy -- -D warnings

@@ -1,7 +1,7 @@
 //! cache_loadgen: a pipelined Zipf get/set load generator for the cache
 //! data plane.
 //!
-//! Starts the in-process worker-pool [`CacheServer`], prefills a Zipf key
+//! Starts the in-process reactor [`CacheServer`], prefills a Zipf key
 //! space, then drives two phases over real TCP connections:
 //!
 //! 1. **baseline** — one command per write/read round trip (the

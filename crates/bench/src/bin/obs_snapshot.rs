@@ -13,15 +13,15 @@
 use std::sync::Arc;
 
 use spotcache_bench::heading;
-use spotcache_cache::server::{CacheClient, CacheServer, LogicalClock};
+use spotcache_cache::server::{CacheClient, CacheServer, LogicalClock, ServerConfig};
 use spotcache_cache::store::{Store, StoreConfig};
 use spotcache_cloud::catalog::find_type;
 use spotcache_cloud::tracegen::paper_traces;
-use spotcache_core::simulation::{simulate_observed, SimConfig};
+use spotcache_core::simulation::{simulate_traced, SimConfig};
 use spotcache_core::Approach;
 use spotcache_obs::export::validate_json;
 use spotcache_obs::Obs;
-use spotcache_sim::recovery::{simulate_recovery_observed, BackupChoice, RecoveryConfig};
+use spotcache_sim::recovery::{simulate_recovery_traced, BackupChoice, RecoveryConfig};
 
 fn main() {
     let out_path = metrics_out_path();
@@ -34,7 +34,7 @@ fn main() {
     //    revocation counters and journal events too.
     let traces = paper_traces(21);
     let cfg = SimConfig::paper_default(Approach::OdSpotCdf, 500_000.0, 100.0, 2.0);
-    let sim = simulate_observed(&cfg, &traces, Some(Arc::clone(&obs))).expect("simulation");
+    let sim = simulate_traced(&cfg, &traces, Some(Arc::clone(&obs)), None).expect("simulation");
     println!(
         "sim: 21 days, total cost ${:.2}, {} revocation slots",
         sim.total_cost(),
@@ -47,7 +47,7 @@ fn main() {
     let rcfg = RecoveryConfig::figure11(BackupChoice::Instance(
         find_type("t2.medium").expect("t2.medium in catalog"),
     ));
-    let tl = simulate_recovery_observed(&rcfg, Some(&obs));
+    let tl = simulate_recovery_traced(&rcfg, Some(&obs), None);
     println!(
         "recovery: recovered_at={:?}, overall p95 {:.0} us",
         tl.recovered_at,
@@ -57,7 +57,7 @@ fn main() {
     let mut rcfg2 = RecoveryConfig::figure11(BackupChoice::Instance(small));
     rcfg2.lost_hot_gb = small.ram_gb * 0.85;
     rcfg2.backup_credits_fraction = 0.01;
-    let tl2 = simulate_recovery_observed(&rcfg2, Some(&obs));
+    let tl2 = simulate_recovery_traced(&rcfg2, Some(&obs), None);
     println!(
         "recovery (t2.small, oversized): recovered_at={:?}",
         tl2.recovered_at
@@ -67,9 +67,14 @@ fn main() {
     let store = Arc::new(Store::new(StoreConfig::default()));
     let clock = LogicalClock::new();
     clock.set(1_000);
-    let mut server =
-        CacheServer::start_observed(store, clock, "127.0.0.1:0", Some(Arc::clone(&obs)))
-            .expect("start cache server");
+    let mut server = CacheServer::start_with(
+        store,
+        clock,
+        "127.0.0.1:0",
+        ServerConfig::default(),
+        Some(Arc::clone(&obs)),
+    )
+    .expect("start cache server");
     {
         let mut client = CacheClient::connect(server.addr()).expect("connect");
         client.set("alpha", b"1", 0).expect("set");

@@ -3,7 +3,7 @@
 //!
 //! Runs, against a single shared [`Tracer`]:
 //!
-//! 1. the **data plane** — a worker-pool [`CacheServer`] driven over real
+//! 1. the **data plane** — a reactor [`CacheServer`] driven over real
 //!    TCP (`server.*` spans) whose protocol loop records per-request
 //!    `protocol.*` spans,
 //! 2. the **control plane** — a short hourly simulation (`control.*`

@@ -22,12 +22,12 @@
 //!   and
 //! * [`protocol`] — the memcached text protocol (parse / execute / encode)
 //!   so a node can be driven with real wire traffic, and
-//! * [`reactor`] (Linux) — a raw-syscall epoll/eventfd readiness layer:
-//!   `Poller` + `WakeFd`, no external deps, and
+//! * [`reactor`] — a raw-syscall epoll/eventfd readiness layer:
+//!   `Poller` + `WakeFd`, no external deps (Linux system calls; the
+//!   constructors return `Unsupported` elsewhere), and
 //! * [`server`] — a TCP server multiplexing nonblocking connections over
-//!   the protocol codec; its default data plane is a readiness-driven
-//!   reactor (idle connections cost zero CPU), with the old worker pool
-//!   kept as the portable fallback, and
+//!   the protocol codec on a readiness-driven reactor (idle connections
+//!   cost zero CPU); Linux-only, and
 //! * [`replication`] — a hot-key mutation tap + bounded queue + TCP
 //!   shipper keeping a passive backup warm (paper §3.3; see
 //!   DESIGN.md §"Revocation drills").
@@ -41,7 +41,6 @@
 pub mod lru;
 pub mod node;
 pub mod protocol;
-#[cfg(target_os = "linux")]
 pub mod reactor;
 pub mod replication;
 pub mod server;
@@ -53,16 +52,14 @@ pub mod wheel;
 pub use lru::LruList;
 pub use node::CacheNode;
 pub use protocol::{
-    execute, execute_into, parse, parse_request, serve, serve_into, serve_observed,
-    serve_observed_into, Command, ParseError, ProtocolObs, Request, StoreVerb,
+    parse_request, serve, serve_instrumented_into, serve_into, ParseError, ProtocolObs, Request,
+    StoreVerb,
 };
 pub use replication::{
     jittered_backoff, next_jitter_seed, ship_batch, Mutation, ReplicationConfig, ReplicationQueue,
     ReplicationStats, Replicator,
 };
-pub use server::{
-    CacheClient, CacheServer, Clock, DataPlane, LogicalClock, ServerConfig, SystemClock,
-};
+pub use server::{CacheClient, CacheServer, Clock, LogicalClock, ServerConfig, SystemClock};
 pub use slab::{slab_efficiency, SlabAllocator, SlabClasses, SlabError};
 pub use store::{
     CacheStats, FlushReport, MutationSink, ReadPath, ReadPathConfig, SetOutcome, SetPolicy, Store,

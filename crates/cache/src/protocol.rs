@@ -25,9 +25,8 @@
 //!
 //! * [`parse_request`] yields a **borrowed** [`Request`] whose keys and
 //!   data are slices of the input buffer — no copies, no allocations.
-//!   The owned [`Command`] (and [`parse`]) remain for callers that need
-//!   to keep a request beyond its buffer.
-//! * [`serve_into`] / [`serve_observed_into`] append responses to a
+//!   It is the only request representation.
+//! * [`serve_into`] / [`serve_instrumented_into`] append responses to a
 //!   caller-owned `&mut Vec<u8>`, so a connection reuses one output
 //!   buffer for its whole lifetime.
 //! * Consecutive pipelined `get` commands are executed **as one batch**
@@ -68,64 +67,6 @@ pub const MAX_KEY_LEN: usize = 250;
 /// TTLs (the memcached text protocol's 30-day cutoff).
 pub const EXPTIME_ABSOLUTE_CUTOFF: u64 = 60 * 60 * 24 * 30;
 
-/// A parsed request that owns its keys and data (survives the input
-/// buffer). The serving hot path uses the borrowed [`Request`] instead.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Command {
-    /// `get`/`gets` over one or more keys.
-    Get {
-        /// The requested keys.
-        keys: Vec<Bytes>,
-    },
-    /// A storage command (`set`, `add`, `replace`).
-    Store {
-        /// Which storage semantic.
-        verb: StoreVerb,
-        /// The key.
-        key: Bytes,
-        /// Opaque client flags.
-        flags: u32,
-        /// Expiry in seconds (0 = never).
-        exptime: u64,
-        /// The value payload.
-        data: Bytes,
-        /// `noreply` suppression.
-        noreply: bool,
-    },
-    /// `delete <key>`.
-    Delete {
-        /// The key.
-        key: Bytes,
-        /// `noreply` suppression.
-        noreply: bool,
-    },
-    /// `incr`/`decr <key> <delta>`.
-    Arith {
-        /// The key.
-        key: Bytes,
-        /// Delta magnitude.
-        delta: u64,
-        /// `true` for incr, `false` for decr.
-        increment: bool,
-        /// `noreply` suppression.
-        noreply: bool,
-    },
-    /// `flush_all`.
-    FlushAll,
-    /// `version`.
-    Version,
-    /// `stats`.
-    Stats,
-    /// `trace <token>` — cross-process trace propagation. Carries an
-    /// encoded [`TraceContext`] that spans opened while serving the rest
-    /// of the batch adopt. Produces **no response bytes**, so response
-    /// and ack counting (replication shippers, loadgens) are unaffected.
-    Trace {
-        /// The encoded context token (see [`TraceContext::decode`]).
-        token: Bytes,
-    },
-}
-
 /// Storage command semantics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreVerb {
@@ -138,9 +79,7 @@ pub enum StoreVerb {
 }
 
 /// A request parsed without copying: every key and data block is a slice
-/// of the input buffer. This is what the pipelined serving loop executes;
-/// convert with [`Request::to_command`] when the request must outlive its
-/// buffer.
+/// of the input buffer. This is what the pipelined serving loop executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Request<'a> {
     /// `get`/`gets`: the raw space-separated key list (already validated;
@@ -188,58 +127,15 @@ pub enum Request<'a> {
     Version,
     /// `stats`.
     Stats,
-    /// `trace <token>` — cross-process trace propagation (no response).
+    /// `trace <token>` — cross-process trace propagation. Carries an
+    /// encoded [`TraceContext`] that spans opened while serving the rest
+    /// of the batch adopt. Produces **no response bytes**, so response
+    /// and ack counting (replication shippers, loadgens) are unaffected.
     Trace {
-        /// The encoded context token, borrowed from the input.
+        /// The encoded context token (see [`TraceContext::decode`]),
+        /// borrowed from the input.
         token: &'a [u8],
     },
-}
-
-impl Request<'_> {
-    /// Deep-copies into an owned [`Command`].
-    pub fn to_command(&self) -> Command {
-        match *self {
-            Request::Get { keys } => Command::Get {
-                keys: request_keys(keys).map(Bytes::copy_from_slice).collect(),
-            },
-            Request::Store {
-                verb,
-                key,
-                flags,
-                exptime,
-                data,
-                noreply,
-            } => Command::Store {
-                verb,
-                key: Bytes::copy_from_slice(key),
-                flags,
-                exptime,
-                data: Bytes::copy_from_slice(data),
-                noreply,
-            },
-            Request::Delete { key, noreply } => Command::Delete {
-                key: Bytes::copy_from_slice(key),
-                noreply,
-            },
-            Request::Arith {
-                key,
-                delta,
-                increment,
-                noreply,
-            } => Command::Arith {
-                key: Bytes::copy_from_slice(key),
-                delta,
-                increment,
-                noreply,
-            },
-            Request::FlushAll => Command::FlushAll,
-            Request::Version => Command::Version,
-            Request::Stats => Command::Stats,
-            Request::Trace { token } => Command::Trace {
-                token: Bytes::copy_from_slice(token),
-            },
-        }
-    }
 }
 
 /// Iterates the keys of a `get` key-list tail (as produced by
@@ -382,15 +278,6 @@ pub fn parse_request(input: &[u8]) -> Result<(Request<'_>, usize), ParseError> {
         }
         _ => Err(ParseError::UnknownCommand),
     }
-}
-
-/// Parses one request from `input` into an owned [`Command`].
-///
-/// Returns the command and the number of bytes consumed, or
-/// [`ParseError::Incomplete`] when more input is needed.
-pub fn parse(input: &[u8]) -> Result<(Command, usize), ParseError> {
-    let (req, n) = parse_request(input)?;
-    Ok((req.to_command(), n))
 }
 
 fn find_crlf(input: &[u8]) -> Option<usize> {
@@ -552,9 +439,9 @@ fn write_registry_stats(out: &mut Vec<u8>, obs: &Obs) {
 }
 
 /// Executes a single non-`get` request, appending its response to `out`.
-/// (`get`s are executed in batches by the serving loop; [`execute_into`]
-/// has its own per-key path for the owned API.) `obs` extends the `stats`
-/// response with the registry's series.
+/// (`get`s are executed in batches and `trace` lines consumed by the
+/// serving loop.) `obs` extends the `stats` response with the registry's
+/// series.
 fn exec_mutation(
     store: &Store,
     req: &Request<'_>,
@@ -563,19 +450,9 @@ fn exec_mutation(
     out: &mut Vec<u8>,
 ) -> OpReport {
     match *req {
-        Request::Get { .. } => {
-            debug_assert!(false, "gets are executed via the batch path");
-            OpReport {
-                op: "get",
-                hit: false,
-            }
+        Request::Get { .. } | Request::Trace { .. } => {
+            unreachable!("serve_loop batches gets and consumes trace lines itself")
         }
-        // Context lines are consumed by the serving loop before execution;
-        // reaching here (owned-command path) they are a silent no-op.
-        Request::Trace { .. } => OpReport {
-            op: "other",
-            hit: true,
-        },
         Request::Store {
             verb,
             key,
@@ -729,95 +606,6 @@ fn exec_mutation(
     }
 }
 
-/// Executes a command against a store at logical time `now`, returning the
-/// encoded response (empty for `noreply` commands).
-pub fn execute(store: &Store, cmd: &Command, now: u64) -> Vec<u8> {
-    let mut out = Vec::new();
-    execute_into(store, cmd, now, &mut out);
-    out
-}
-
-/// [`execute`], appending the response to a caller-owned buffer.
-pub fn execute_into(store: &Store, cmd: &Command, now: u64, out: &mut Vec<u8>) {
-    match cmd {
-        Command::Get { keys } => {
-            for key in keys {
-                if let Some(raw) = store.get_at(key, now) {
-                    if let Some((flags, data)) = decode_value(&raw) {
-                        write_value_line(out, key, flags, data);
-                    }
-                }
-            }
-            out.extend_from_slice(b"END\r\n");
-        }
-        Command::Store {
-            verb,
-            key,
-            flags,
-            exptime,
-            data,
-            noreply,
-        } => {
-            exec_mutation(
-                store,
-                &Request::Store {
-                    verb: *verb,
-                    key,
-                    flags: *flags,
-                    exptime: *exptime,
-                    data,
-                    noreply: *noreply,
-                },
-                now,
-                None,
-                out,
-            );
-        }
-        Command::Delete { key, noreply } => {
-            exec_mutation(
-                store,
-                &Request::Delete {
-                    key,
-                    noreply: *noreply,
-                },
-                now,
-                None,
-                out,
-            );
-        }
-        Command::Arith {
-            key,
-            delta,
-            increment,
-            noreply,
-        } => {
-            exec_mutation(
-                store,
-                &Request::Arith {
-                    key,
-                    delta: *delta,
-                    increment: *increment,
-                    noreply: *noreply,
-                },
-                now,
-                None,
-                out,
-            );
-        }
-        Command::FlushAll => {
-            exec_mutation(store, &Request::FlushAll, now, None, out);
-        }
-        Command::Version => {
-            exec_mutation(store, &Request::Version, now, None, out);
-        }
-        Command::Stats => {
-            exec_mutation(store, &Request::Stats, now, None, out);
-        }
-        // Trace context lines produce no response.
-        Command::Trace { .. } => {}
-    }
-}
-
 /// Per-operation recording handles for the protocol layer.
 ///
 /// One instance is shared by every connection of a server (the handles
@@ -826,7 +614,6 @@ pub fn execute_into(store: &Store, cmd: &Command, now: u64, out: &mut Vec<u8>) {
 /// logical `now`, keeping event streams replayable.
 pub struct ProtocolObs {
     obs: Arc<Obs>,
-    tracer: Option<Arc<Tracer>>,
     get: Counter,
     store: Counter,
     delete: Counter,
@@ -871,21 +658,8 @@ impl ProtocolObs {
             stage_ready_us: obs.histogram("stage_ready_us"),
             stage_read_us: obs.histogram("stage_read_us"),
             stage_write_us: obs.histogram("stage_write_us"),
-            tracer: None,
             obs,
         }
-    }
-
-    /// Attaches a span tracer: serving through this handle opens
-    /// `protocol.*` spans (parse, batched lookup, serialize, mutations).
-    pub fn with_tracer(mut self, tracer: Arc<Tracer>) -> Self {
-        self.tracer = Some(tracer);
-        self
-    }
-
-    /// The attached tracer, if any.
-    pub fn tracer(&self) -> Option<&Tracer> {
-        self.tracer.as_deref()
     }
 
     /// The underlying bundle (for snapshotting).
@@ -1118,55 +892,30 @@ pub fn serve(store: &Store, input: &[u8], now: u64) -> (Vec<u8>, usize) {
 /// [`serve`], appending responses to a caller-owned buffer (the buffer is
 /// not cleared, so a connection can keep unflushed output in it).
 pub fn serve_into(store: &Store, input: &[u8], now: u64, out: &mut Vec<u8>) -> usize {
-    serve_observed_into(store, input, now, None, out)
-}
-
-/// [`serve`], recording per-op counters, latency, and `CacheOp` journal
-/// events when `obs` is supplied.
-pub fn serve_observed(
-    store: &Store,
-    input: &[u8],
-    now: u64,
-    obs: Option<&ProtocolObs>,
-) -> (Vec<u8>, usize) {
-    let mut out = Vec::new();
-    let consumed = serve_observed_into(store, input, now, obs, &mut out);
-    (out, consumed)
+    serve_instrumented_into(store, input, now, None, None, out)
 }
 
 /// The full serving entry point: pipelined batch execution into a
-/// caller-owned output buffer, with optional observability. Returns the
-/// bytes consumed; everything after that is an incomplete trailing
-/// command the caller should retain and retry with more input.
-pub fn serve_observed_into(
+/// caller-owned output buffer. Returns the bytes consumed; everything
+/// after that is an incomplete trailing command the caller should retain
+/// and retry with more input.
+///
+/// `obs` records per-op counters, latency, stage histograms and `CacheOp`
+/// journal events; `tracer` records `protocol.*` spans. The two are
+/// independent and neither changes the wire output. With `obs` `None` and
+/// `tracer` disabled (or `None`) this is the [`serve_into`] hot path and
+/// performs **zero heap allocations** per op in steady state —
+/// `tests/zero_alloc.rs` proves it with a counting allocator.
+pub fn serve_instrumented_into(
     store: &Store,
     input: &[u8],
     now: u64,
     obs: Option<&ProtocolObs>,
-    out: &mut Vec<u8>,
-) -> usize {
-    let tracer = obs.and_then(|po| po.tracer());
-    let mut scratch = SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
-    let consumed = serve_loop(store, input, now, obs, tracer, out, &mut scratch);
-    SCRATCH.with(|s| *s.borrow_mut() = scratch);
-    consumed
-}
-
-/// [`serve_into`] with span tracing but no metric/journal recording: the
-/// leanest instrumented path. With `tracer` disabled (or `None`) this is
-/// byte-for-byte the [`serve_into`] hot path and performs **zero heap
-/// allocations** per op in steady state — `tests/zero_alloc.rs` proves it
-/// with a counting allocator. With tracing enabled the wire output is
-/// byte-identical; only spans are recorded on the side.
-pub fn serve_traced_into(
-    store: &Store,
-    input: &[u8],
-    now: u64,
     tracer: Option<&Tracer>,
     out: &mut Vec<u8>,
 ) -> usize {
     let mut scratch = SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
-    let consumed = serve_loop(store, input, now, None, tracer, out, &mut scratch);
+    let consumed = serve_loop(store, input, now, obs, tracer, out, &mut scratch);
     SCRATCH.with(|s| *s.borrow_mut() = scratch);
     consumed
 }
@@ -1183,6 +932,12 @@ mod tests {
         let (out, consumed) = serve(s, req.as_bytes(), 0);
         assert_eq!(consumed, req.len(), "whole request consumed");
         String::from_utf8(out).unwrap()
+    }
+
+    fn run_observed(s: &Store, input: &[u8], now: u64, po: &ProtocolObs) -> (Vec<u8>, usize) {
+        let mut out = Vec::new();
+        let consumed = serve_instrumented_into(s, input, now, Some(po), None, &mut out);
+        (out, consumed)
     }
 
     #[test]
@@ -1290,7 +1045,7 @@ mod tests {
         let obs = Arc::new(Obs::new());
         let po = ProtocolObs::new(Arc::clone(&obs));
         let input = b"set a 0 0 1\r\nx\r\nget a b\r\ndelete a\r\nbogus\r\n";
-        let (_, consumed) = serve_observed(&s, input, 7, Some(&po));
+        let (_, consumed) = run_observed(&s, input, 7, &po);
         assert_eq!(consumed, input.len());
         assert_eq!(obs.counter("cache_store_total").get(), 1);
         assert_eq!(obs.counter("cache_get_total").get(), 1);
@@ -1315,8 +1070,8 @@ mod tests {
         obs.gauge("bad_gauge").set(f64::NAN);
         let po = ProtocolObs::new(Arc::clone(&obs));
         // Drive some traffic so the cache_* series have values.
-        serve_observed(&s, b"set a 0 0 1\r\nx\r\nget a\r\nget zz\r\n", 0, Some(&po));
-        let (out, _) = serve_observed(&s, b"stats\r\n", 0, Some(&po));
+        run_observed(&s, b"set a 0 0 1\r\nx\r\nget a\r\nget zz\r\n", 0, &po);
+        let (out, _) = run_observed(&s, b"stats\r\n", 0, &po);
         let text = String::from_utf8(out).unwrap();
         // Every line is `STAT <name> <value>` (value parses as f64) until
         // the END terminator — the memcached stats contract.
@@ -1360,7 +1115,7 @@ mod tests {
         let input: &[u8] = b"set a 0 0 1\r\nx\r\nget a\r\nget a missing\r\ndelete a\r\nbogus\r\n";
         let mut traced = Vec::new();
         let mut plain = Vec::new();
-        let n1 = serve_traced_into(&s, input, 0, Some(&tracer), &mut traced);
+        let n1 = serve_instrumented_into(&s, input, 0, None, Some(&tracer), &mut traced);
         let n2 = serve_into(&s2, input, 0, &mut plain);
         assert_eq!(n1, n2);
         assert_eq!(traced, plain, "tracing must not perturb wire output");
@@ -1459,7 +1214,10 @@ mod tests {
         let s = store();
         let long = "k".repeat(251);
         assert!(run(&s, &format!("get {long}\r\n")).starts_with("CLIENT_ERROR"));
-        assert_eq!(parse(b"get \x01bad\r\n").unwrap_err(), ParseError::BadKey);
+        assert_eq!(
+            parse_request(b"get \x01bad\r\n").unwrap_err(),
+            ParseError::BadKey
+        );
     }
 
     #[test]
@@ -1481,29 +1239,6 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_parse_matches_owned_parse() {
-        for req in [
-            "get a bb ccc\r\n".to_string(),
-            "gets one\r\n".to_string(),
-            "set k 42 99 3\r\nxyz\r\n".to_string(),
-            "add k 0 0 0 noreply\r\n\r\n".to_string(),
-            "replace k 1 2 1\r\nz\r\n".to_string(),
-            "delete k noreply\r\n".to_string(),
-            "incr k 10\r\n".to_string(),
-            "decr k 3 noreply\r\n".to_string(),
-            "flush_all\r\n".to_string(),
-            "version\r\n".to_string(),
-            "stats\r\n".to_string(),
-            "trace 0000000000000001-0000000000000002-1\r\n".to_string(),
-        ] {
-            let (borrowed, n1) = parse_request(req.as_bytes()).unwrap();
-            let (owned, n2) = parse(req.as_bytes()).unwrap();
-            assert_eq!(n1, n2, "{req:?}");
-            assert_eq!(borrowed.to_command(), owned, "{req:?}");
-        }
-    }
-
-    #[test]
     fn trace_command_is_silent_and_propagates_context() {
         let s = store();
         let tracer = spotcache_obs::Tracer::all(1024);
@@ -1514,7 +1249,7 @@ mod tests {
         };
         let input = format!("trace {}\r\nset a 0 0 1\r\nx\r\nget a\r\n", ctx.encode());
         let mut out = Vec::new();
-        let n = serve_traced_into(&s, input.as_bytes(), 0, Some(&tracer), &mut out);
+        let n = serve_instrumented_into(&s, input.as_bytes(), 0, None, Some(&tracer), &mut out);
         assert_eq!(n, input.len(), "trace line fully consumed");
         assert_eq!(out, b"STORED\r\nVALUE a 0 1\r\nx\r\nEND\r\n");
         let spans = tracer.spans();
@@ -1558,7 +1293,7 @@ mod tests {
         };
         let input = format!("trace {}\r\nget missing\r\n", ctx.encode());
         let mut out = Vec::new();
-        serve_traced_into(&s, input.as_bytes(), 0, Some(&tracer), &mut out);
+        serve_instrumented_into(&s, input.as_bytes(), 0, None, Some(&tracer), &mut out);
         assert_eq!(out, b"END\r\n");
         assert!(
             tracer.spans().is_empty(),
@@ -1571,7 +1306,7 @@ mod tests {
         let s = store();
         let obs = Arc::new(Obs::new());
         let po = ProtocolObs::new(Arc::clone(&obs));
-        serve_observed(&s, b"set a 0 0 1\r\nx\r\nget a\r\n", 0, Some(&po));
+        run_observed(&s, b"set a 0 0 1\r\nx\r\nget a\r\n", 0, &po);
         assert!(obs.histogram("stage_parse_us").count() >= 2);
         assert_eq!(obs.histogram("stage_lock_us").count(), 1);
         assert_eq!(obs.histogram("stage_serialize_us").count(), 1);

@@ -27,8 +27,10 @@
 //!   rearming ([`Interest`]) keeps the loop quiet instead: a connection
 //!   with nothing to write is simply not armed for writability.
 //!
-//! Everything here is Linux-only (`cfg(target_os = "linux")`); the server
-//! falls back to its portable worker-pool data plane elsewhere.
+//! epoll and eventfd are Linux system calls. Elsewhere the module still
+//! compiles, but [`Poller::new`] and [`WakeFd::new`] return
+//! [`io::ErrorKind::Unsupported`] — which is what the server's start
+//! reports there; it has no other data plane.
 
 use std::io;
 use std::os::unix::io::RawFd;
@@ -68,6 +70,7 @@ mod sys {
         pub data: u64,
     }
 
+    #[cfg(target_os = "linux")]
     extern "C" {
         pub fn epoll_create1(flags: c_int) -> c_int;
         pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
@@ -78,6 +81,32 @@ mod sys {
             timeout: c_int,
         ) -> c_int;
         pub fn eventfd(initval: u32, flags: c_int) -> c_int;
+    }
+
+    /// Off Linux the four symbols above do not exist. These stand-ins keep
+    /// the crate linking; `require_linux` fails every constructor first,
+    /// so none of them is ever called.
+    #[cfg(not(target_os = "linux"))]
+    mod absent {
+        use super::{c_int, EpollEvent};
+
+        pub unsafe fn epoll_create1(_: c_int) -> c_int {
+            -1
+        }
+        pub unsafe fn epoll_ctl(_: c_int, _: c_int, _: c_int, _: *mut EpollEvent) -> c_int {
+            -1
+        }
+        pub unsafe fn epoll_wait(_: c_int, _: *mut EpollEvent, _: c_int, _: c_int) -> c_int {
+            -1
+        }
+        pub unsafe fn eventfd(_: u32, _: c_int) -> c_int {
+            -1
+        }
+    }
+    #[cfg(not(target_os = "linux"))]
+    pub use absent::*;
+
+    extern "C" {
         pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
         pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
         pub fn close(fd: c_int) -> c_int;
@@ -196,6 +225,18 @@ pub struct Poller {
 unsafe impl Send for Poller {}
 unsafe impl Sync for Poller {}
 
+/// Fails with `Unsupported` where the kernel has no epoll/eventfd.
+fn require_linux() -> io::Result<()> {
+    if cfg!(target_os = "linux") {
+        Ok(())
+    } else {
+        Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "epoll and eventfd need Linux",
+        ))
+    }
+}
+
 fn cvt(ret: i32) -> io::Result<i32> {
     if ret < 0 {
         Err(io::Error::last_os_error())
@@ -207,6 +248,7 @@ fn cvt(ret: i32) -> io::Result<i32> {
 impl Poller {
     /// Creates an epoll instance (close-on-exec).
     pub fn new() -> io::Result<Self> {
+        require_linux()?;
         let epfd = cvt(unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) })?;
         Ok(Self { epfd })
     }
@@ -282,6 +324,7 @@ unsafe impl Sync for WakeFd {}
 impl WakeFd {
     /// Creates a nonblocking eventfd.
     pub fn new() -> io::Result<Self> {
+        require_linux()?;
         let fd = cvt(unsafe { sys::eventfd(0, sys::EFD_CLOEXEC | sys::EFD_NONBLOCK) })?;
         Ok(Self { fd })
     }
@@ -319,7 +362,7 @@ impl Drop for WakeFd {
     }
 }
 
-#[cfg(test)]
+#[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
     use std::io::{Read, Write};

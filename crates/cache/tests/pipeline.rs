@@ -1,7 +1,7 @@
 //! Data-plane integration tests: the pipelined serving path must be
 //! invisible to clients. Splitting a command stream at arbitrary byte
 //! boundaries, batching runs of `get`s, and multiplexing connections
-//! across the worker pool may change *how* commands execute, but never
+//! across the reactor workers may change *how* commands execute, but never
 //! the bytes that come back or the store state left behind.
 
 use std::io::{Read, Write};
@@ -9,10 +9,10 @@ use std::net::TcpStream;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use spotcache_cache::protocol::{serve, serve_into, serve_traced_into};
-use spotcache_cache::server::{CacheServer, DataPlane, LogicalClock, ServerConfig};
+use spotcache_cache::protocol::{serve, serve_instrumented_into, serve_into, ProtocolObs};
+use spotcache_cache::server::{CacheServer, LogicalClock, ServerConfig};
 use spotcache_cache::store::{Store, StoreConfig};
-use spotcache_obs::Tracer;
+use spotcache_obs::{Obs, Tracer};
 
 fn fresh_store() -> Store {
     Store::new(StoreConfig {
@@ -91,9 +91,10 @@ proptest! {
         prop_assert_eq!(s2.used_bytes(), s1.used_bytes());
     }
 
-    /// The same chunk-boundary property with span tracing ENABLED: the
-    /// tracer records on the side, and the wire bytes, consumed count,
-    /// and store state stay byte-identical to the untraced single shot.
+    /// The same chunk-boundary property through the instrumented entry
+    /// under every `(obs, tracer)` combination: metrics and spans are
+    /// recorded on the side, and the wire bytes, consumed count, and
+    /// store state stay byte-identical to the uninstrumented single shot.
     #[test]
     fn chunked_serving_with_tracing_matches_single_shot(
         ops in proptest::collection::vec((0u8..7, 0u8..12, 0u8..=255u8), 1..40),
@@ -111,35 +112,54 @@ proptest! {
         points.push(input.len());
         points.sort_unstable();
 
-        let tracer = Tracer::all(1 << 16);
-        let s2 = fresh_store();
-        let mut pending: Vec<u8> = Vec::new();
-        let mut out = Vec::new();
-        let mut fed = 0usize;
-        for &p in &points {
-            if p > fed {
-                pending.extend_from_slice(&input[fed..p]);
-                fed = p;
+        for (observed, traced) in [(false, false), (true, false), (false, true), (true, true)] {
+            let obs = Arc::new(Obs::new());
+            let po = observed.then(|| ProtocolObs::new(Arc::clone(&obs)));
+            let tracer = traced.then(|| Tracer::all(1 << 16));
+            let s2 = fresh_store();
+            let mut pending: Vec<u8> = Vec::new();
+            let mut out = Vec::new();
+            let mut fed = 0usize;
+            for &p in &points {
+                if p > fed {
+                    pending.extend_from_slice(&input[fed..p]);
+                    fed = p;
+                }
+                let n = serve_instrumented_into(
+                    &s2, &pending, 0, po.as_ref(), tracer.as_deref(), &mut out,
+                );
+                pending.drain(..n);
             }
-            let n = serve_traced_into(&s2, &pending, 0, Some(&tracer), &mut out);
-            pending.drain(..n);
-        }
 
-        prop_assert_eq!(&out, &expect, "tracing perturbed the wire output");
-        prop_assert_eq!(input.len() - pending.len(), consumed_single);
-        prop_assert_eq!(s2.stats(), s1.stats());
-        prop_assert!(tracer.len() > 0, "enabled tracer recorded nothing");
-        prop_assert!(tracer.spans().iter().all(|r| r.cat == "protocol"));
+            prop_assert_eq!(
+                &out, &expect,
+                "obs={} tracer={} perturbed the wire output", observed, traced
+            );
+            prop_assert_eq!(input.len() - pending.len(), consumed_single);
+            prop_assert_eq!(s2.stats(), s1.stats());
+            prop_assert_eq!(s2.len(), s1.len());
+            prop_assert_eq!(s2.used_bytes(), s1.used_bytes());
+            if let Some(tracer) = &tracer {
+                prop_assert!(!tracer.is_empty(), "enabled tracer recorded nothing");
+                prop_assert!(tracer.spans().iter().all(|r| r.cat == "protocol"));
+            }
+            // Every complete command is either counted as an op or as a
+            // parse error; without obs the registry stays empty.
+            let counted: u64 = ["get", "store", "delete", "arith", "other"]
+                .iter()
+                .map(|op| obs.counter(&format!("cache_{op}_total")).get())
+                .sum::<u64>()
+                + obs.counter("cache_parse_errors_total").get();
+            prop_assert_eq!(counted, if observed { ops.len() as u64 } else { 0 });
+        }
     }
 
-    /// The readiness reactor and the legacy thread pool are
-    /// interchangeable data planes: the same op stream, written over TCP
-    /// at the same arbitrary chunk boundaries, comes back byte-identical
-    /// from both — and identical to single-shot `serve` — leaving
-    /// identical store state behind. (Off Linux both requests resolve to
-    /// the pool and the property degenerates to self-consistency.)
+    /// The TCP data plane is invisible: the same op stream, written over a
+    /// socket at arbitrary chunk boundaries, comes back byte-identical to
+    /// single-shot in-process `serve`, leaving identical store state
+    /// behind.
     #[test]
-    fn reactor_and_thread_pool_planes_are_byte_identical(
+    fn tcp_serving_is_byte_identical_to_in_process_serve(
         ops in proptest::collection::vec((0u8..7, 0u8..12, 0u8..=255u8), 1..40),
         cuts in proptest::collection::vec(0u32..1000, 0..6),
     ) {
@@ -155,61 +175,46 @@ proptest! {
         points.push(input.len());
         points.sort_unstable();
 
-        let run = |plane: DataPlane| {
-            let store = Arc::new(fresh_store());
-            let clock = LogicalClock::new();
-            let mut server = CacheServer::start_full(
-                Arc::clone(&store),
-                clock,
-                "127.0.0.1:0",
-                ServerConfig { workers: 1, data_plane: plane, ..ServerConfig::default() },
-                None,
-                None,
-            )
+        let store = Arc::new(fresh_store());
+        let clock = LogicalClock::new();
+        let mut server = CacheServer::start_full(
+            Arc::clone(&store),
+            clock,
+            "127.0.0.1:0",
+            ServerConfig { workers: 1, ..ServerConfig::default() },
+            None,
+            None,
+        )
+        .unwrap();
+        let mut sock = TcpStream::connect(server.addr()).unwrap();
+        sock.set_nodelay(true).unwrap();
+        sock.set_read_timeout(Some(std::time::Duration::from_secs(10)))
             .unwrap();
-            let mut sock = TcpStream::connect(server.addr()).unwrap();
-            sock.set_nodelay(true).unwrap();
-            sock.set_read_timeout(Some(std::time::Duration::from_secs(10)))
-                .unwrap();
-            let mut fed = 0usize;
-            for &p in &points {
-                if p > fed {
-                    sock.write_all(&input[fed..p]).unwrap();
-                    fed = p;
-                }
+        let mut fed = 0usize;
+        for &p in &points {
+            if p > fed {
+                sock.write_all(&input[fed..p]).unwrap();
+                fed = p;
             }
-            let mut got = vec![0u8; expect.len()];
-            sock.read_exact(&mut got).expect("server under-delivered");
-            drop(sock);
-            server.stop();
-            (got, store)
-        };
+        }
+        let mut got = vec![0u8; expect.len()];
+        sock.read_exact(&mut got).expect("server under-delivered");
+        drop(sock);
+        server.stop();
 
-        let (got_reactor, store_reactor) = run(DataPlane::Reactor);
-        let (got_pool, store_pool) = run(DataPlane::ThreadPool);
-
-        prop_assert_eq!(&got_reactor, &expect, "reactor diverged from serve()");
-        prop_assert_eq!(&got_pool, &expect, "thread pool diverged from serve()");
-        prop_assert_eq!(&got_reactor, &got_pool, "planes diverged from each other");
-        prop_assert_eq!(store_reactor.stats(), store_pool.stats());
-        prop_assert_eq!(store_reactor.stats(), s1.stats());
-        prop_assert_eq!(store_reactor.len(), s1.len());
-        prop_assert_eq!(store_reactor.used_bytes(), s1.used_bytes());
+        prop_assert_eq!(&got, &expect, "reactor diverged from serve()");
+        prop_assert_eq!(store.stats(), s1.stats());
+        prop_assert_eq!(store.len(), s1.len());
+        prop_assert_eq!(store.used_bytes(), s1.used_bytes());
     }
 }
 
-/// N concurrent clients hammer the (default: reactor) server with
+/// N concurrent clients hammer the server with
 /// pipelined batches on thread-unique keys; every batch's response must
 /// come back complete, in order, with nothing lost or duplicated.
 #[test]
 fn hammer_pipelined_clients_lose_nothing() {
-    hammer(None, DataPlane::default());
-}
-
-/// The same hammer against the legacy thread-pool plane.
-#[test]
-fn hammer_thread_pool_plane_loses_nothing() {
-    hammer(None, DataPlane::ThreadPool);
+    hammer(None);
 }
 
 /// The same hammer with span tracing enabled on the server: responses
@@ -217,14 +222,14 @@ fn hammer_thread_pool_plane_loses_nothing() {
 #[test]
 fn hammer_with_tracing_enabled_stays_byte_exact() {
     let tracer = Tracer::all(1 << 16);
-    hammer(Some(Arc::clone(&tracer)), DataPlane::default());
+    hammer(Some(Arc::clone(&tracer)));
     let cats = tracer.categories();
     assert!(cats.contains(&"protocol"), "{cats:?}");
     assert!(cats.contains(&"server"), "{cats:?}");
     spotcache_obs::export::validate_json(&tracer.chrome_trace_json()).unwrap();
 }
 
-fn hammer(tracer: Option<Arc<Tracer>>, data_plane: DataPlane) {
+fn hammer(tracer: Option<Arc<Tracer>>) {
     let store = Arc::new(fresh_store());
     let clock = LogicalClock::new();
     let mut server = CacheServer::start_full(
@@ -233,7 +238,6 @@ fn hammer(tracer: Option<Arc<Tracer>>, data_plane: DataPlane) {
         "127.0.0.1:0",
         ServerConfig {
             workers: 2,
-            data_plane,
             ..ServerConfig::default()
         },
         None,

@@ -14,7 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use spotcache_cache::protocol::{serve_into, serve_traced_into};
+use spotcache_cache::protocol::{serve_instrumented_into, serve_into};
 use spotcache_cache::store::{Store, StoreConfig};
 use spotcache_obs::Tracer;
 
@@ -105,17 +105,17 @@ fn response_path_is_allocation_free_in_steady_state() {
     );
 
     // Tracing compiled in but disabled must keep the guarantee: the
-    // traced entry point with a switched-off tracer is the same hot path
-    // plus one relaxed atomic load per span point.
+    // instrumented entry point with no obs and a switched-off tracer is
+    // the same hot path plus one relaxed atomic load per span point.
     let tracer = Tracer::disabled();
     for _ in 0..3 {
         out.clear();
-        serve_traced_into(&store, &input, 0, Some(&tracer), &mut out);
+        serve_instrumented_into(&store, &input, 0, None, Some(&tracer), &mut out);
     }
     let before = allocs();
     for _ in 0..100 {
         out.clear();
-        let consumed = serve_traced_into(&store, &input, 0, Some(&tracer), &mut out);
+        let consumed = serve_instrumented_into(&store, &input, 0, None, Some(&tracer), &mut out);
         assert_eq!(consumed, input.len());
     }
     assert_eq!(

@@ -290,17 +290,4 @@ mod tests {
         let cfg = GeoBaselineConfig::paper_default(2, 1_000.0, 1.0);
         simulate_geo_baseline(&cfg, &[]);
     }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_aliases_still_resolve() {
-        // One release of compatibility: the old `core::replication` names
-        // must keep compiling for downstream callers.
-        let mut cfg: crate::replication::ReplicationConfig =
-            crate::replication::ReplicationConfig::paper_default(1, 1_000.0, 1.0);
-        cfg.days = 8; // one billed day past the 7 training days
-        let r: crate::replication::ReplicationResult =
-            crate::replication::simulate_replication(&cfg, &paper_traces(8));
-        assert!(r.total_cost() >= 0.0);
-    }
 }

@@ -19,10 +19,8 @@
 //! * [`geo_baseline`] — the active geo-replication simulation baseline
 //!   (Xu et al., the paper's reference \[50\]).
 //!
-//! The live warm-up pump that used to live here as `core::drill` now
-//! lives in `spotcache_recovery::replay`, the Replay arm of the unified
-//! recovery layer (its deprecation-period alias shim has been removed);
-//! [`replication`] is a deprecated alias module kept for one release.
+//! The live warm-up pump is `spotcache_recovery::replay`, the Replay arm
+//! of the unified recovery layer.
 
 pub mod approaches;
 pub mod backup;
@@ -32,7 +30,6 @@ pub mod controlplane;
 pub mod geo_baseline;
 pub mod prototype;
 pub mod reactive;
-pub mod replication;
 pub mod simulation;
 
 pub use approaches::Approach;
@@ -46,8 +43,4 @@ pub use controlplane::{
 pub use geo_baseline::{simulate_geo_baseline, GeoBaselineConfig, GeoBaselineResult};
 pub use prototype::{run_prototype, MinutePrototype, PrototypeConfig, PrototypeResult};
 pub use reactive::{ReactiveConfig, ReactiveController};
-// Deprecated compat re-export (one release): the geo baseline now
-// lives in `geo_baseline`.
-#[allow(deprecated)]
-pub use replication::{simulate_replication, ReplicationConfig, ReplicationResult};
 pub use simulation::{simulate, FlashCrowd, HourlySim, SimConfig, SimResult};

@@ -372,20 +372,12 @@ impl Substrate for HourlySim {
 
 /// Runs the simulation of one approach over the given spot markets.
 pub fn simulate(cfg: &SimConfig, markets: &[SpotTrace]) -> Result<SimResult, SolveError> {
-    simulate_observed(cfg, markets, None)
+    simulate_traced(cfg, markets, None, None)
 }
 
-/// [`simulate`], optionally recording into an observability bundle.
-pub fn simulate_observed(
-    cfg: &SimConfig,
-    markets: &[SpotTrace],
-    obs: Option<Arc<Obs>>,
-) -> Result<SimResult, SolveError> {
-    simulate_traced(cfg, markets, obs, None)
-}
-
-/// [`simulate_observed`] plus control-plane span tracing: per-cycle
-/// `control.*` spans land in `tracer` stamped with logical slot times.
+/// [`simulate`] with instrumentation: `obs` records into an observability
+/// bundle, and per-cycle `control.*` spans land in `tracer` stamped with
+/// logical slot times.
 pub fn simulate_traced(
     cfg: &SimConfig,
     markets: &[SpotTrace],

@@ -265,21 +265,16 @@ const WARMUP_PROGRESS_EVERY_SECS: u64 = 30;
 
 /// Runs the recovery simulation.
 pub fn simulate_recovery(cfg: &RecoveryConfig) -> RecoveryTimeline {
-    simulate_recovery_observed(cfg, None)
+    simulate_recovery_traced(cfg, None, None)
 }
 
-/// [`simulate_recovery`], optionally recording per-second warmed mass,
-/// pump rate, and backup token-bucket levels into an observability
-/// bundle. Timestamps are the timeline's own seconds, so observed runs
-/// replay deterministically.
-pub fn simulate_recovery_observed(cfg: &RecoveryConfig, obs: Option<&Obs>) -> RecoveryTimeline {
-    simulate_recovery_traced(cfg, obs, None)
-}
-
-/// [`simulate_recovery_observed`] plus span tracing: each timeline second
-/// emits `recovery.*` spans for the phase that ran — the warm-up copy
-/// pump (`warmup_pump`), the idle token-bucket refill (`token_refill`),
-/// and the organic fill (`organic_fill`). Span timestamps are the
+/// [`simulate_recovery`] with instrumentation. `obs` records per-second
+/// warmed mass, pump rate, and backup token-bucket levels; timestamps are
+/// the timeline's own seconds, so observed runs replay deterministically.
+/// With `tracer`, each timeline second emits `recovery.*` spans for the
+/// phase that ran — the warm-up copy pump (`warmup_pump`), the idle
+/// token-bucket refill (`token_refill`), and the organic fill
+/// (`organic_fill`). Span timestamps are the
 /// timeline's **logical** seconds; durations are the wall time the phase
 /// computation took, so traces overlay cleanly on the control plane's
 /// slot clock without perturbing determinism.
