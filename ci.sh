@@ -214,6 +214,24 @@ assert len(scenarios["cascade"]["killed"]) > len(w["killed"]), \
     "cascade must out-kill a single wave"
 PY
 
+echo "==> results byte-identity (planner outputs vs results/*.txt)"
+# The hourly simulator and the spot models are bit-deterministic, so the
+# checked-in tables must reproduce exactly: a changed pivot, rounding or
+# prediction anywhere in the planner shows up here as a diff.
+for bin in table2 fig7 fig12; do
+    cargo run --release -q -p spotcache-bench --bin "$bin" | diff - "results/$bin.txt" \
+        || { echo "results/$bin.txt no longer reproduces"; exit 1; }
+done
+
+echo "==> benchmark plan_90d smoke (traced; correct, nothing failed)"
+bash benchmark/run.sh --workload plan_90d --seed 42 --seconds 2 --trace 1 | tail -n 1 \
+    | python3 -c '
+import json, sys
+doc = json.loads(sys.stdin.read())
+assert doc["correct"] is True, "plan_90d output check failed"
+assert doc["failed"] == 0, "plan_90d: %d failed operations" % doc["failed"]
+'
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

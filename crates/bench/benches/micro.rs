@@ -1,19 +1,22 @@
 //! Criterion micro-benchmarks over the core data structures: the routing
 //! fabric (consistent hashing, sketches), the cache substrate (LRU store),
-//! workload generation (Zipfian sampling), the spot models, and the
-//! metrics path — the per-request-scale building blocks of the system.
+//! workload generation (Zipfian sampling), the spot models, the planner's
+//! kernels and the metrics path — the per-request-scale and per-slot-scale
+//! building blocks of the system.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use spotcache_bench::controller_problem;
 use spotcache_cache::protocol::serve;
 use spotcache_cache::slab::SlabAllocator;
 use spotcache_cache::store::{Store, StoreConfig};
 use spotcache_cloud::burstable::BurstableCpu;
 use spotcache_cloud::catalog::find_type;
 use spotcache_cloud::spot::Bid;
-use spotcache_cloud::tracegen::{paper_markets, TraceGenerator};
+use spotcache_cloud::tracegen::{paper_markets, paper_traces, TraceGenerator};
+use spotcache_cloud::SpotTrace;
 use spotcache_router::hashring::HashRing;
 use spotcache_router::levels::MultiLevelPartitioner;
 use spotcache_router::partitioner::KeyPartitioner;
@@ -175,6 +178,30 @@ fn bench_spotmodel(c: &mut Criterion) {
     g.finish();
 }
 
+/// The kernels one `GlobalController::plan` spends its time in, on the
+/// benchmark's `plan_90d` demand (500 k ops/s, 100 GiB, Zipf 0.99) and the
+/// controller's own 15 offers. The fourth kernel, `TemporalPredictor::
+/// predict` over its 7-day window, is `spotmodel/temporal_predict_full`.
+fn bench_optimizer(c: &mut Criterion) {
+    let mut g = c.benchmark_group("optimizer");
+    let traces = paper_traces(30);
+    let refs: Vec<&SpotTrace> = traces.iter().collect();
+    let problem = controller_problem(&refs, 10 * spotcache_cloud::DAY, 500_000.0, 100.0, 0.99);
+    assert_eq!(problem.offers.len(), 15);
+    let relaxation = problem.relaxation();
+    g.bench_function("lp_solve_15_offer_relaxation", |b| {
+        b.iter(|| black_box(&relaxation).solve())
+    });
+    g.bench_function("procurement_solve_15_offers", |b| {
+        b.iter(|| black_box(&problem).solve())
+    });
+    let model = PopularityModel::new(26_000_000, 0.99);
+    g.bench_function("hot_fraction_26m_items", |b| {
+        b.iter(|| model.hot_fraction(black_box(0.9)))
+    });
+    g.finish();
+}
+
 fn bench_protocol_and_slab(c: &mut Criterion) {
     let mut g = c.benchmark_group("protocol");
     g.throughput(Throughput::Elements(1));
@@ -245,6 +272,7 @@ criterion_group!(
     bench_store,
     bench_workload,
     bench_spotmodel,
+    bench_optimizer,
     bench_protocol_and_slab,
     bench_metrics_and_buckets
 );

@@ -8,12 +8,9 @@
 
 use std::time::Instant;
 
-use spotcache_bench::{heading, print_table};
+use spotcache_bench::{controller_problem, heading, print_table};
 use spotcache_cloud::tracegen::paper_traces;
 use spotcache_cloud::{SpotTrace, DAY};
-use spotcache_core::controller::{ControllerConfig, GlobalController};
-use spotcache_core::Approach;
-use spotcache_optimizer::problem::{CostModel, ProcurementProblem};
 
 fn main() {
     let traces = paper_traces(30);
@@ -28,29 +25,8 @@ fn main() {
         (320_000.0, 60.0, 2.0),
         (1_000_000.0, 500.0, 2.0),
     ] {
-        let mut ctl =
-            GlobalController::new(ControllerConfig::paper_default(Approach::PropNoBackup));
         // Build the exact problem the controller would solve.
-        let offers = ctl.build_offers(&refs, 10 * DAY);
-        let (h, f_hot) = ctl.hot_fraction(wss, theta);
-        let workload = spotcache_optimizer::problem::WorkloadForecast {
-            rate,
-            wss_gb: wss,
-            alpha: 1.0,
-            hot_frac: h.min(1.0),
-            f_hot: f_hot.min(1.0),
-            f_alpha: 1.0,
-        };
-        let mut cost = CostModel::paper_default();
-        cost.beta_hot *= f_hot / h;
-        cost.beta_cold *= (1.0 - f_hot) / (1.0 - h);
-        let problem = ProcurementProblem {
-            offers,
-            workload,
-            cost,
-            force_hot_on_od: false,
-            force_cold_on_spot: false,
-        };
+        let problem = controller_problem(&refs, 10 * DAY, rate, wss, theta);
         let t0 = Instant::now();
         let plan = problem.solve().expect("solvable");
         let elapsed = t0.elapsed();

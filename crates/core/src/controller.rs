@@ -93,8 +93,8 @@ pub struct GlobalController {
     /// Running instance counts per offer label (`N_t` in the paper).
     existing: HashMap<String, u32>,
     /// Cache of hot-fraction computations keyed by (rounded item count,
-    /// theta in millis) — the binary search over harmonic sums is the only
-    /// hot spot in long simulations. Values are `(H, F(H))`.
+    /// theta in millis) — each miss builds a `PopularityModel`, which sums
+    /// a 100 000-term harmonic head. Values are `(H, F(H))`.
     hot_frac_cache: HashMap<(u64, u64), (f64, f64)>,
 }
 

@@ -214,7 +214,8 @@ impl ProcurementProblem {
         }
     }
 
-    /// Builds and solves the LP relaxation.
+    /// Builds the LP relaxation (integer counts relaxed to reals) that
+    /// [`Self::solve`] starts from.
     ///
     /// For numerical conditioning the placement variables are *normalized*:
     /// `X = x/H` and `Y = y/(α−H)` live in `[0, 1]` regardless of how tiny
@@ -222,8 +223,8 @@ impl ProcurementProblem {
     /// put eleven orders of magnitude between LP coefficients).
     ///
     /// Variable layout (k = offers): `[X_0..X_k, Y_0..Y_k, n_0..n_k,
-    /// d_0..d_k]`; the returned vector is converted back to `x`, `y`.
-    fn solve_relaxation(&self) -> Result<Vec<f64>, SolveError> {
+    /// d_0..d_k]`.
+    pub fn relaxation(&self) -> LinearProgram {
         let k = self.offers.len();
         let w = &self.workload;
         let (r_h, r_c) = self.rate_coefficients();
@@ -312,13 +313,21 @@ impl ProcurementProblem {
             }
             lp = lp.subject_to(Constraint::le(sep, 0.0));
         }
+        lp
+    }
 
-        match lp.solve() {
+    /// Solves [`Self::relaxation`], converting the normalized placement
+    /// variables back to `x`, `y`.
+    fn solve_relaxation(&self) -> Result<Vec<f64>, SolveError> {
+        let k = self.offers.len();
+        let w = &self.workload;
+        let cold_span = (w.alpha - w.hot_frac).max(0.0);
+        match self.relaxation().solve() {
             Ok(s) => {
                 let mut out = s.x;
                 for o in 0..k {
-                    out[xi(o)] *= h_scale;
-                    out[yi(o)] *= if cold_span > 1e-12 { c_scale } else { 0.0 };
+                    out[o] *= w.hot_frac;
+                    out[k + o] *= if cold_span > 1e-12 { cold_span } else { 0.0 };
                 }
                 Ok(out)
             }

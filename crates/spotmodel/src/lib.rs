@@ -96,8 +96,16 @@ impl TemporalPredictor {
 
 impl SpotPredictor for TemporalPredictor {
     fn predict(&self, trace: &SpotTrace, now: u64, bid: Bid) -> Option<SpotFeatures> {
-        let lifetime = self.lifetime.predict(trace, now, bid)?;
-        let avg_price = self.price.predict(trace, now, bid)?;
+        // Both models read the same below-bid runs; extract them once
+        // unless the two windows differ.
+        let from = now.saturating_sub(self.lifetime.window);
+        let runs = below_bid_runs(trace, from, now, bid);
+        let lifetime = self.lifetime.predict_from_runs(&runs)?;
+        let avg_price = if self.price.window == self.lifetime.window {
+            self.price.predict_from_runs(&runs, now)?
+        } else {
+            self.price.predict(trace, now, bid)?
+        };
         Some(SpotFeatures {
             lifetime,
             avg_price,
@@ -140,5 +148,42 @@ mod tests {
         let t = trace(vec![0.5; 100]);
         let p = TemporalPredictor::paper_default();
         assert!(p.predict(&t, t.end(), Bid(0.1)).is_none());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 128, ..Default::default() })]
+
+        /// Extracting the runs once changes nothing: the combined
+        /// predictor equals the two models called on their own, to the bit,
+        /// whether or not their windows agree, with or without a signal.
+        #[test]
+        fn temporal_predictor_equals_its_two_models(
+            prices in proptest::collection::vec(0.01f64..0.6, 1..300),
+            (bid_kind, bid_price) in (0usize..4, 0.01f64..0.7),
+            (lifetime_window, price_window) in (1u64..100_000, 1u64..100_000),
+            same_window in proptest::arbitrary::any::<bool>(),
+            percentile in 0.0f64..=1.0,
+            now_frac in 0.0f64..1.2,
+        ) {
+            use proptest::prelude::*;
+            let t = trace(prices);
+            let now = t.start + (now_frac * t.duration() as f64) as u64;
+            // A quarter of the bids sit below every price: no run, no signal.
+            let bid = Bid(if bid_kind == 0 { 0.001 } else { bid_price });
+            let price_window = if same_window { lifetime_window } else { price_window };
+            let p = TemporalPredictor {
+                lifetime: LifetimeModel::new(lifetime_window, percentile),
+                price: AvgPriceModel::new(price_window),
+            };
+            let apart = p
+                .lifetime
+                .predict(&t, now, bid)
+                .zip(p.price.predict(&t, now, bid))
+                .map(|(l, a)| (l.to_bits(), a.to_bits()));
+            let together = p
+                .predict(&t, now, bid)
+                .map(|f| (f.lifetime.to_bits(), f.avg_price.to_bits()));
+            prop_assert_eq!(together, apart);
+        }
     }
 }

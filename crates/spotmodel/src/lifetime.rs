@@ -15,7 +15,7 @@
 
 use spotcache_cloud::spot::{Bid, SpotTrace};
 
-use crate::runs::below_bid_runs;
+use crate::runs::{below_bid_runs, Run};
 
 /// Residual-lifetime percentile predictor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,14 +39,18 @@ impl LifetimeModel {
     /// Predicts the residual lifetime (seconds) of a `bid` placed at `now`,
     /// from history in `[now - window, now)`.
     ///
-    /// Censored runs (cut by the window edges) are included at their
-    /// observed length: they under-state true run lengths, which only makes
-    /// the low-percentile prediction more conservative.
-    ///
     /// Returns `None` when the window contains no below-bid run at all.
     pub fn predict(&self, trace: &SpotTrace, now: u64, bid: Bid) -> Option<f64> {
         let from = now.saturating_sub(self.window);
-        let runs = below_bid_runs(trace, from, now, bid);
+        self.predict_from_runs(&below_bid_runs(trace, from, now, bid))
+    }
+
+    /// [`Self::predict`] over the window's already-extracted `runs`.
+    ///
+    /// Censored runs (cut by the window edges) are included at their
+    /// observed length: they under-state true run lengths, which only makes
+    /// the low-percentile prediction more conservative.
+    pub(crate) fn predict_from_runs(&self, runs: &[Run]) -> Option<f64> {
         if runs.is_empty() {
             return None;
         }

@@ -11,7 +11,7 @@
 
 use spotcache_cloud::spot::{Bid, SpotTrace};
 
-use crate::runs::below_bid_runs;
+use crate::runs::{below_bid_runs, Run};
 
 /// Recency- and length-weighted per-run average-price predictor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,12 +43,16 @@ impl AvgPriceModel {
     /// Returns `None` when the window contains no below-bid run.
     pub fn predict(&self, trace: &SpotTrace, now: u64, bid: Bid) -> Option<f64> {
         let from = now.saturating_sub(self.window);
-        let runs = below_bid_runs(trace, from, now, bid);
+        self.predict_from_runs(&below_bid_runs(trace, from, now, bid), now)
+    }
+
+    /// [`Self::predict`] over the window's already-extracted `runs`.
+    pub(crate) fn predict_from_runs(&self, runs: &[Run], now: u64) -> Option<f64> {
         if runs.is_empty() {
             return None;
         }
         let (mut num, mut den) = (0.0f64, 0.0f64);
-        for r in &runs {
+        for r in runs {
             let age = now.saturating_sub(r.end()) as f64;
             let w = 0.5f64.powf(age / self.half_life as f64) * r.len as f64;
             num += w * r.avg_price;

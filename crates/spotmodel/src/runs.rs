@@ -37,9 +37,7 @@ pub fn below_bid_runs(trace: &SpotTrace, from: u64, to: u64, bid: Bid) -> Vec<Ru
     let mut runs = Vec::new();
     let mut current: Option<(u64, f64, u64)> = None; // (start, price_sum, count)
     let step = trace.step;
-    let mut last_t = None;
     for (t, p) in trace.samples(from, to) {
-        last_t = Some(t);
         if bid.covers(p) {
             match &mut current {
                 Some((_, sum, n)) => {
@@ -59,7 +57,6 @@ pub fn below_bid_runs(trace: &SpotTrace, from: u64, to: u64, bid: Bid) -> Vec<Ru
     }
     if let Some((start, sum, n)) = current {
         // Right-censored: still running at the window end.
-        let _ = last_t;
         runs.push(Run {
             start,
             len: n * step,

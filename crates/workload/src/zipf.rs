@@ -147,27 +147,41 @@ fn fnv_mix(x: u64) -> u64 {
     h
 }
 
+/// Terms of a generalized harmonic number that are summed exactly; the
+/// rest is an integral tail.
+const HARMONIC_CUTOFF: u64 = 100_000;
+
 /// Generalized harmonic number `H_{n,θ} = Σ_{k=1..n} k^{-θ}`.
 ///
 /// Exact summation up to a cutoff, then an Euler–Maclaurin integral tail —
 /// accurate to ~1e-9 relative error, fast for `n` in the billions.
 pub fn generalized_harmonic(n: u64, theta: f64) -> f64 {
-    const CUTOFF: u64 = 100_000;
-    let m = n.min(CUTOFF);
+    harmonic_with_tail(harmonic_head(n.min(HARMONIC_CUTOFF), theta), n, theta)
+}
+
+/// `Σ_{k=1..m} k^{-θ}`, term by term in ascending `k`.
+fn harmonic_head(m: u64, theta: f64) -> f64 {
     let mut sum = 0.0;
     for k in 1..=m {
         sum += 1.0 / (k as f64).powf(theta);
     }
-    if n > m {
-        // ∫ x^{-θ} dx from m+1/2 to n+1/2 (midpoint-corrected tail).
-        let (a, b) = (m as f64 + 0.5, n as f64 + 0.5);
-        sum += if (theta - 1.0).abs() < 1e-12 {
-            (b / a).ln()
-        } else {
-            (b.powf(1.0 - theta) - a.powf(1.0 - theta)) / (1.0 - theta)
-        };
-    }
     sum
+}
+
+/// `H_{n,θ}` given `head`, the exact sum of its first
+/// `min(n, HARMONIC_CUTOFF)` terms.
+fn harmonic_with_tail(head: f64, n: u64, theta: f64) -> f64 {
+    let m = HARMONIC_CUTOFF;
+    if n <= m {
+        return head;
+    }
+    // ∫ x^{-θ} dx from m+1/2 to n+1/2 (midpoint-corrected tail).
+    let (a, b) = (m as f64 + 0.5, n as f64 + 0.5);
+    head + if (theta - 1.0).abs() < 1e-12 {
+        (b / a).ln()
+    } else {
+        (b.powf(1.0 - theta) - a.powf(1.0 - theta)) / (1.0 - theta)
+    }
 }
 
 /// Closed-form popularity CDF over a Zipfian working set — the paper's
@@ -178,6 +192,9 @@ pub struct PopularityModel {
     pub n: u64,
     /// Zipf skew.
     pub theta: f64,
+    /// Exact sum of the first `min(n, HARMONIC_CUTOFF)` terms, summed once
+    /// here and shared by every `H_{k,θ}` with `k` at or past the cutoff.
+    head: f64,
     h_n: f64,
 }
 
@@ -190,10 +207,21 @@ impl PopularityModel {
     pub fn new(n: u64, theta: f64) -> Self {
         assert!(n > 0, "empty working set");
         assert!(theta >= 0.0, "negative skew");
+        let head = harmonic_head(n.min(HARMONIC_CUTOFF), theta);
         Self {
             n,
             theta,
-            h_n: generalized_harmonic(n, theta),
+            head,
+            h_n: harmonic_with_tail(head, n, theta),
+        }
+    }
+
+    /// `generalized_harmonic(k, θ)` for `k ≤ n`, to the bit.
+    fn harmonic(&self, k: u64) -> f64 {
+        if k >= HARMONIC_CUTOFF {
+            harmonic_with_tail(self.head, k, self.theta)
+        } else {
+            harmonic_head(k, self.theta)
         }
     }
 
@@ -208,7 +236,7 @@ impl PopularityModel {
         if k == 0 {
             return 0.0;
         }
-        (generalized_harmonic(k, self.theta) / self.h_n).min(1.0)
+        (self.harmonic(k) / self.h_n).min(1.0)
     }
 
     /// Inverse of [`Self::access_mass`]: the smallest item fraction whose
@@ -222,7 +250,7 @@ impl PopularityModel {
             let m = if mid == 0 {
                 0.0
             } else {
-                generalized_harmonic(mid, self.theta) / self.h_n
+                self.harmonic(mid) / self.h_n
             };
             if m >= target {
                 hi = mid;
@@ -328,6 +356,54 @@ mod tests {
         // One item fewer must be below the target.
         let h_minus = (h * m.n as f64 - 1.0).max(0.0) / m.n as f64;
         assert!(m.access_mass(h_minus) < 0.9 + 1e-9);
+    }
+
+    /// The bisection of `hot_fraction` with every harmonic number summed
+    /// from scratch — what the model did before it kept its head sum.
+    fn from_scratch_hot_fraction(n: u64, theta: f64, mass: f64) -> f64 {
+        let h_n = generalized_harmonic(n, theta);
+        let (mut lo, mut hi) = (0u64, n);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let m = if mid == 0 {
+                0.0
+            } else {
+                generalized_harmonic(mid, theta) / h_n
+            };
+            if m >= mass {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo as f64 / n as f64
+    }
+
+    #[test]
+    fn shared_head_sum_matches_from_scratch_harmonics_bit_for_bit() {
+        const C: u64 = HARMONIC_CUTOFF;
+        // θ = 1 takes the logarithmic tail; n below, at and above the cutoff.
+        for theta in [0.5, 0.99, 1.0, 2.0] {
+            for n in [C - 1, C, C + 1, 3 * C] {
+                let model = PopularityModel::new(n, theta);
+                let h_n = generalized_harmonic(n, theta);
+                for k in [1, C - 1, C, C + 1, 2 * C, n - 1, n] {
+                    if k > n {
+                        continue;
+                    }
+                    let want = (generalized_harmonic(k, theta) / h_n).min(1.0);
+                    let got = model.access_mass(k as f64 / n as f64);
+                    assert_eq!(got.to_bits(), want.to_bits(), "θ {theta} n {n} k {k}");
+                }
+                for mass in [0.5, 0.9, 1.0] {
+                    assert_eq!(
+                        model.hot_fraction(mass).to_bits(),
+                        from_scratch_hot_fraction(n, theta, mass).to_bits(),
+                        "θ {theta} n {n} mass {mass}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

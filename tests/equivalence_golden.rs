@@ -56,6 +56,46 @@ fn hourly_sim_reproduces_pre_refactor_cdf_run() {
     assert_eq!(r.revocations, 315);
 }
 
+/// The benchmark's `plan_90d` configuration over the paper's traces, and
+/// the other three spot approaches at 21 days. Captured from the planner
+/// as it stood before its simplex tableau, harmonic sums and run extraction
+/// were replaced by arithmetic-identical faster ones, and compared exactly
+/// — cost by `to_bits()`, allocations by count — so one changed pivot or
+/// rounding anywhere in a run fails.
+#[test]
+fn hourly_sim_is_bit_identical_to_pre_optimisation_planner() {
+    // (approach, days, total_cost bits, revocations, Σ od_count, Σ spot counts)
+    #[rustfmt::skip]
+    let golden: [(Approach, u64, u64, u32, u64, u64); 5] = [
+        (Approach::Prop,         90, 0x40a75c65566cf420,   6,  1_992, 78_408),
+        (Approach::OdOnly,       90, 0x40bded88f5c28f56,   0, 72_967,      0),
+        (Approach::PropNoBackup, 21, 0x407a133814c0c8f3,   0,    336, 13_239),
+        (Approach::OdSpotSep,    21, 0x40938e3cefc0a606,   4, 11_052,  1_880),
+        (Approach::OdSpotCdf,    21, 0x4078d529d8f39348, 313,    336, 13_239),
+    ];
+    for (approach, days, cost_bits, revocations, od, spot) in golden {
+        let mut cfg = SimConfig::paper_default(approach, 500_000.0, 100.0, 0.99);
+        cfg.days = days;
+        let r = simulate(&cfg, &paper_traces(days)).unwrap();
+        let what = format!("{approach:?}/{days}d");
+        assert_eq!(
+            r.total_cost().to_bits(),
+            cost_bits,
+            "{what}: total cost {:.17e}",
+            r.total_cost()
+        );
+        assert_eq!(r.revocations, revocations, "{what}: revocations");
+        let od_sum: u64 = r.slots.iter().map(|s| u64::from(s.od_count)).sum();
+        let spot_sum: u64 = r
+            .slots
+            .iter()
+            .flat_map(|s| &s.spot_counts)
+            .map(|(_, n)| u64::from(*n))
+            .sum();
+        assert_eq!((od_sum, spot_sum), (od, spot), "{what}: Σ od, Σ spot");
+    }
+}
+
 /// Figure 9 setup: `Prop_NoBackup` on m4.XL-c day 51.
 #[test]
 fn prototype_reproduces_pre_refactor_fig9_run() {
