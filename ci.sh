@@ -232,6 +232,15 @@ assert doc["correct"] is True, "plan_90d output check failed"
 assert doc["failed"] == 0, "plan_90d: %d failed operations" % doc["failed"]
 '
 
+echo "==> benchmark revocation smoke (traced; correct, nothing failed)"
+bash benchmark/run.sh --workload revocation --seed 42 --seconds 6 --trace 1 | tail -n 1 \
+    | python3 -c '
+import json, sys
+doc = json.loads(sys.stdin.read())
+assert doc["correct"] is True, "revocation output check failed"
+assert doc["failed"] == 0, "revocation: %d failed operations" % doc["failed"]
+'
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

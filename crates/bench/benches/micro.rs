@@ -17,6 +17,9 @@ use spotcache_cloud::catalog::find_type;
 use spotcache_cloud::spot::Bid;
 use spotcache_cloud::tracegen::{paper_markets, paper_traces, TraceGenerator};
 use spotcache_cloud::SpotTrace;
+use spotcache_recovery::checkpoint::{
+    crc32, restore_checkpoint, write_checkpoint, CheckpointConfig,
+};
 use spotcache_router::hashring::HashRing;
 use spotcache_router::levels::MultiLevelPartitioner;
 use spotcache_router::partitioner::KeyPartitioner;
@@ -265,6 +268,53 @@ fn bench_metrics_and_buckets(c: &mut Criterion) {
     g.finish();
 }
 
+/// The checkpoint data path at the `revocation` workload's size: 300 k
+/// items of an 8-byte key and a 104-byte value (100 B and the protocol's
+/// flag prefix) over 8 shards, a 39 MB stream.
+fn bench_recovery(c: &mut Criterion) {
+    let mut g = c.benchmark_group("recovery");
+    let mib = vec![0xA5u8; 1 << 20];
+    g.throughput(Throughput::Bytes(1 << 20));
+    g.bench_function("crc32_1mib", |b| b.iter(|| crc32(black_box(&mib))));
+
+    let config = StoreConfig {
+        capacity_bytes: 256 << 20,
+        shards: 8,
+    };
+    let source = Store::new(config);
+    for i in 0..300_000u64 {
+        source.set(i.to_be_bytes().to_vec(), vec![i as u8; 104]);
+    }
+    let mut stream = Vec::new();
+    write_checkpoint(&source, 0, &mut stream, None, None).expect("cut");
+    g.throughput(Throughput::Bytes(stream.len() as u64));
+    g.bench_function("ckpt_cut_300k", |b| {
+        b.iter(|| {
+            stream.clear();
+            write_checkpoint(&source, 0, &mut stream, None, None).expect("cut")
+        })
+    });
+    g.throughput(Throughput::Elements(300_000));
+    g.bench_function("ckpt_load_300k", |b| {
+        // A load takes far longer than the harness's 5 ms sample floor, so
+        // every sample is one iteration into this empty target; building
+        // and dropping the target stay outside the timed region.
+        let target = Store::new(config);
+        b.iter(|| {
+            restore_checkpoint(
+                &mut stream.as_slice(),
+                &target,
+                0,
+                &CheckpointConfig::default(),
+                None,
+                None,
+            )
+            .expect("load")
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_hashring,
@@ -274,6 +324,7 @@ criterion_group!(
     bench_spotmodel,
     bench_optimizer,
     bench_protocol_and_slab,
-    bench_metrics_and_buckets
+    bench_metrics_and_buckets,
+    bench_recovery
 );
 criterion_main!(benches);

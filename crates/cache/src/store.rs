@@ -349,15 +349,16 @@ impl ShardData {
         now: u64,
         ttl: Option<u64>,
     ) -> SetOutcome {
-        if self
-            .map
-            .get(&key)
-            .is_some_and(|e| Self::entry_expired(e, now))
-        {
-            self.remove_present(&key);
-            self.wstats.expirations += 1;
-        }
-        let exists = self.map.contains_key(&key);
+        // One probe decides presence: absent, live, or expired-and-purged.
+        let exists = match self.map.get(&key).map(|e| Self::entry_expired(e, now)) {
+            Some(true) => {
+                self.remove_present(&key);
+                self.wstats.expirations += 1;
+                false
+            }
+            Some(false) => true,
+            None => false,
+        };
         let store_it = match policy {
             SetPolicy::Always => true,
             SetPolicy::IfAbsent => !exists,
@@ -366,7 +367,14 @@ impl ShardData {
         if !store_it {
             return SetOutcome::NotStored;
         }
-        if self.set(key, value, now, ttl) {
+        // A key the probe found absent needs no second look for an old
+        // value to replace.
+        let stored = if exists {
+            self.set(key, value, now, ttl)
+        } else {
+            self.insert_absent(key, value, now, ttl)
+        };
+        if stored {
             SetOutcome::Stored
         } else {
             SetOutcome::TooLarge
@@ -376,12 +384,17 @@ impl ShardData {
     /// Inserts an item; returns `false` when it exceeds the shard budget
     /// (the item is rejected and any previous value is removed).
     fn set(&mut self, key: Bytes, value: Bytes, now: u64, ttl: Option<u64>) -> bool {
-        self.wstats.sets += 1;
-        let bytes = key.len() + value.len() + ITEM_OVERHEAD;
         if let Some(old) = self.map.remove(&key) {
             self.lru.remove(old.lru_idx);
             self.used_bytes -= old.bytes;
         }
+        self.insert_absent(key, value, now, ttl)
+    }
+
+    /// [`set`](Self::set) for a key the map is known not to hold.
+    fn insert_absent(&mut self, key: Bytes, value: Bytes, now: u64, ttl: Option<u64>) -> bool {
+        self.wstats.sets += 1;
+        let bytes = key.len() + value.len() + ITEM_OVERHEAD;
         // memcached rejects items larger than the slab limit; we reject
         // items larger than the whole shard the same way (silently dropping
         // would corrupt accounting; callers can check `contains`).
@@ -965,55 +978,76 @@ impl Store {
     /// matches sequential `set_at` calls. Returns how many items were
     /// stored (an item is rejected only when it exceeds its shard budget).
     pub fn set_many_at(&self, items: Vec<(Bytes, Bytes, Option<u64>)>, now: u64) -> usize {
+        self.set_many_policy_at(items, now, SetPolicy::Always)
+    }
+
+    /// [`set_many_at`](Self::set_many_at) under a [`SetPolicy`]: each item
+    /// goes through the same presence check, under the same single lock
+    /// acquisition, as [`set_policy_at`](Self::set_policy_at). Returns how
+    /// many items were stored; one the policy turned away is not counted.
+    ///
+    /// The checkpoint bulk load uses [`SetPolicy::IfAbsent`]: whatever the
+    /// replacement already holds was acknowledged after the cut.
+    ///
+    /// Keys and values are moved into the shard. A batch whose keys all map
+    /// to one shard (a checkpoint frame loaded into a store of the cut's
+    /// shard count, or any single-shard store) takes that lock once and
+    /// is consumed in place; a mixed batch is sorted out per shard.
+    pub fn set_many_policy_at(
+        &self,
+        items: Vec<(Bytes, Bytes, Option<u64>)>,
+        now: u64,
+        policy: SetPolicy,
+    ) -> usize {
+        if items.is_empty() {
+            return 0;
+        }
         // The tap fires outside the shard locks; stored items are staged
         // only when a sink is installed (refcount clones, no byte copies).
         let tapping = self.sink_installed();
         let mut tapped: Vec<(Bytes, Bytes, Option<u64>)> = Vec::new();
-        let mut stored = 0usize;
-        if self.shards.len() == 1 {
-            let sh = &self.shards[0];
-            stored = sh.write_op(now, |d| {
-                let mut stored = 0usize;
-                for (k, v, ttl) in items {
-                    let ok = d.set(k.clone(), v.clone(), now, ttl);
-                    if ok && tapping {
-                        tapped.push((k, v, ttl));
-                    }
-                    stored += ok as usize;
-                }
-                stored
-            });
-            for (k, v, ttl) in &tapped {
-                self.tap_set(k, v, *ttl);
+        let mut put = |d: &mut ShardData, (k, v, ttl): (Bytes, Bytes, Option<u64>)| {
+            let staged = tapping.then(|| (k.clone(), v.clone(), ttl));
+            let ok = match policy {
+                SetPolicy::Always => d.set(k, v, now, ttl),
+                _ => d.apply(policy, k, v, now, ttl) == SetOutcome::Stored,
+            };
+            if ok {
+                tapped.extend(staged);
             }
-            return stored;
+            ok as usize
+        };
+        let mut ids = SHARD_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
+        ids.clear();
+        if self.shards.len() > 1 {
+            ids.extend(items.iter().map(|(k, _, _)| self.shard_idx(k) as u32));
         }
-        let ids: Vec<u32> = items
-            .iter()
-            .map(|(k, _, _)| self.shard_idx(k) as u32)
-            .collect();
-        let mut slots: Vec<Option<(Bytes, Bytes, Option<u64>)>> =
-            items.into_iter().map(Some).collect();
-        for s in 0..self.shards.len() as u32 {
-            if !ids.contains(&s) {
-                continue;
-            }
-            let sh = &self.shards[s as usize];
-            stored += sh.write_op(now, |d| {
-                let mut stored = 0usize;
-                for (slot, &id) in slots.iter_mut().zip(ids.iter()) {
-                    if id == s {
-                        let (k, v, ttl) = slot.take().expect("each slot is taken exactly once");
-                        let ok = d.set(k.clone(), v.clone(), now, ttl);
-                        if ok && tapping {
-                            tapped.push((k, v, ttl));
+        let first = ids.first().copied().unwrap_or(0);
+        let stored = if ids.iter().all(|&s| s == first) {
+            self.shards[first as usize]
+                .write_op(now, |d| items.into_iter().map(|item| put(d, item)).sum())
+        } else {
+            let mut slots: Vec<Option<(Bytes, Bytes, Option<u64>)>> =
+                items.into_iter().map(Some).collect();
+            let mut stored = 0usize;
+            for s in 0..self.shards.len() as u32 {
+                if !ids.contains(&s) {
+                    continue;
+                }
+                stored += self.shards[s as usize].write_op(now, |d| {
+                    let mut stored = 0usize;
+                    for (slot, &id) in slots.iter_mut().zip(ids.iter()) {
+                        if id == s {
+                            let item = slot.take().expect("each slot is taken exactly once");
+                            stored += put(d, item);
                         }
-                        stored += ok as usize;
                     }
-                }
-                stored
-            });
-        }
+                    stored
+                });
+            }
+            stored
+        };
+        SHARD_SCRATCH.with(|s| *s.borrow_mut() = ids);
         for (k, v, ttl) in &tapped {
             self.tap_set(k, v, *ttl);
         }
@@ -1194,32 +1228,38 @@ impl Store {
         self.shard_idx(key)
     }
 
-    /// Snapshot of one shard's live, unexpired items in LRU recency order
+    /// Visits one shard's live, unexpired items in LRU recency order
     /// (most-recently-used first), flushing that shard's pending touches
-    /// first and holding only that shard's lock.
+    /// first and holding only that shard's lock. Returns how many items
+    /// `visit` saw.
     ///
-    /// This is the checkpoint writer's walk (`spotcache-recovery`): full
-    /// shard state, one framed shard at a time, so peak memory during a
-    /// checkpoint is one shard's items rather than the whole store. The
-    /// TTL is the remaining TTL at `now`, exactly as
-    /// [`hot_snapshot_at`](Self::hot_snapshot_at) reports it.
+    /// This is the checkpoint writer's walk (`spotcache-recovery`): `visit`
+    /// gets the key, the raw stored value and the TTL remaining at `now`
+    /// (as [`hot_snapshot_at`](Self::hot_snapshot_at) reports it) by
+    /// reference, so a record is encoded straight from the shard with no
+    /// intermediate copy. `visit` runs under the shard's write lock and
+    /// must not call back into the store.
     ///
     /// # Panics
     ///
     /// Panics if `shard >= self.shard_count()`.
-    pub fn shard_snapshot_at(&self, shard: usize, now: u64) -> Vec<(Bytes, Bytes, Option<u64>)> {
-        let sh = &self.shards[shard];
-        sh.write_op(now, |d| {
-            let mut items = Vec::with_capacity(d.map.len());
+    pub fn visit_shard_at(
+        &self,
+        shard: usize,
+        now: u64,
+        mut visit: impl FnMut(&[u8], &[u8], Option<u64>),
+    ) -> usize {
+        self.shards[shard].write_op(now, |d| {
+            let mut seen = 0usize;
             for key in d.lru.iter() {
                 let Some(e) = d.map.get(key) else { continue };
                 if ShardData::entry_expired(e, now) {
                     continue;
                 }
-                let ttl = e.expires_at.map(|t| t - now);
-                items.push((key.clone(), e.value.clone(), ttl));
+                visit(key, &e.value, e.expires_at.map(|t| t - now));
+                seen += 1;
             }
-            items
+            seen
         })
     }
 
@@ -1730,6 +1770,126 @@ mod tests {
             "TTL applies through the batch"
         );
         assert_eq!(s.stats().sets, 4);
+    }
+
+    type Walked = Vec<(Vec<u8>, Vec<u8>, Option<u64>)>;
+
+    /// One shard's `(key, value, ttl)` in visitor order.
+    fn walk(s: &Store, shard: usize, now: u64) -> Walked {
+        let mut seen = Vec::new();
+        let n = s.visit_shard_at(shard, now, |k, v, ttl| {
+            seen.push((k.to_vec(), v.to_vec(), ttl));
+        });
+        assert_eq!(n, seen.len());
+        seen
+    }
+
+    #[test]
+    fn set_many_takes_one_shard_batches_and_mixed_batches_alike() {
+        #[derive(Default)]
+        struct Tap(Mutex<Vec<Vec<u8>>>);
+        impl MutationSink for Tap {
+            fn on_set(&self, key: &Bytes, _: &Bytes, _: Option<u64>) {
+                self.0.lock().push(key.to_vec());
+            }
+            fn on_delete(&self, _: &[u8]) {}
+        }
+        let config = StoreConfig {
+            capacity_bytes: 1 << 20,
+            shards: 4,
+        };
+        let (batched, sequential) = (Store::new(config), Store::new(config));
+        let tap = Arc::new(Tap::default());
+        batched.set_mutation_sink(Some(tap.clone()));
+        let keys: Vec<String> = (0..200).map(|i| format!("k{i}")).collect();
+        let item = |k: &String, v: &str| {
+            (
+                Bytes::from(k.clone().into_bytes()),
+                Bytes::from(v.as_bytes().to_vec()),
+                None,
+            )
+        };
+        // Every key of the first batch lives in shard 2; the second batch
+        // is spread over all four and writes some of those keys again.
+        let one_shard: Vec<_> = keys
+            .iter()
+            .filter(|k| batched.shard_of(k.as_bytes()) == 2)
+            .map(|k| item(k, "old"))
+            .collect();
+        let mixed: Vec<_> = keys.iter().step_by(3).map(|k| item(k, "new")).collect();
+        assert!(one_shard.len() > 20);
+        for batch in [one_shard, mixed] {
+            for (k, v, ttl) in batch.clone() {
+                sequential.set_at(k, v, 0, ttl);
+            }
+            let n = batch.len();
+            assert_eq!(batched.set_many_at(batch, 0), n);
+            assert_eq!(tap.0.lock().len(), n, "every stored item is tapped");
+            tap.0.lock().clear();
+        }
+        for shard in 0..4 {
+            assert_eq!(walk(&batched, shard, 0), walk(&sequential, shard, 0));
+        }
+        assert_eq!(batched.stats(), sequential.stats());
+        assert_eq!(batched.set_many_at(Vec::new(), 0), 0);
+    }
+
+    #[test]
+    fn set_many_if_absent_keeps_what_the_store_already_holds() {
+        let s = Store::new(StoreConfig {
+            capacity_bytes: 1 << 20,
+            shards: 2,
+        });
+        s.set_at("live", "newer", 0, None);
+        s.set_at("dying", "stale", 0, Some(10));
+        let b = |x: &str| Bytes::copy_from_slice(x.as_bytes());
+        let batch = || {
+            vec![
+                (b("live"), b("older"), None),
+                (b("dying"), b("fresh"), Some(5)),
+                (b("absent"), b("loaded"), None),
+            ]
+        };
+        // At 20 `dying` has expired, unreaped: it counts as absent.
+        assert_eq!(s.set_many_policy_at(batch(), 20, SetPolicy::IfAbsent), 2);
+        assert_eq!(s.get_at(b"live", 20).as_deref(), Some(b"newer".as_ref()));
+        assert_eq!(s.get_at(b"dying", 20).as_deref(), Some(b"fresh".as_ref()));
+        assert_eq!(s.get_at(b"absent", 20).as_deref(), Some(b"loaded".as_ref()));
+        assert!(s.get_at(b"dying", 25).is_none(), "the batch's TTL applies");
+        // A second pass finds everything present and changes nothing.
+        assert_eq!(s.set_many_policy_at(batch(), 20, SetPolicy::IfAbsent), 0);
+        assert_eq!(s.set_many_policy_at(batch(), 20, SetPolicy::IfPresent), 3);
+        assert_eq!(s.get_at(b"live", 20).as_deref(), Some(b"older".as_ref()));
+    }
+
+    #[test]
+    fn visit_shard_walks_live_items_hottest_first() {
+        let s = Store::new(StoreConfig {
+            capacity_bytes: 1 << 20,
+            shards: 2,
+        });
+        for i in 0..10 {
+            let ttl = match i {
+                3 => Some(5),  // gone by the walk at 10
+                4 => Some(40), // 30 left
+                _ => None,
+            };
+            s.set_at(format!("k{i}"), format!("v{i}"), 0, ttl);
+        }
+        // A read through the touch ring: the walk must flush it first.
+        assert!(s.get_at(b"k0", 1).is_some());
+        let mut expect: Vec<Walked> = vec![Vec::new(); 2];
+        for i in [0, 9, 8, 7, 6, 5, 4, 2, 1] {
+            let key = format!("k{i}");
+            expect[s.shard_of(key.as_bytes())].push((
+                key.into_bytes(),
+                format!("v{i}").into_bytes(),
+                (i == 4).then_some(30),
+            ));
+        }
+        for (shard, want) in expect.iter().enumerate() {
+            assert_eq!(&walk(&s, shard, 10), want);
+        }
     }
 
     #[test]

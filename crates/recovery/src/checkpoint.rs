@@ -44,6 +44,62 @@
 //! * The trailer cross-checks the total record count; a truncated file
 //!   fails with [`CkptError::Truncated`] rather than loading silently
 //!   short.
+//!
+//! # Data path
+//!
+//! How long a replacement stays cold after an unwarned revocation is the
+//! time this module takes, so each record is copied as few times as the
+//! format allows.
+//!
+//! **Cut** (`Cutter`): [`Store::visit_shard_at`] walks one shard under
+//! its lock and hands every live record to the encoder by reference; the
+//! encoder appends it to one payload buffer reused from frame to frame.
+//! The frame leaves as three writes — 24-byte head, payload, CRC — with
+//! no second buffer to assemble it in. One pass from the shard to the
+//! stream.
+//!
+//! **Load** (`Loader`): the frame's payload is read into one reused
+//! buffer (the declared length, at most `MAX_PAYLOAD`, only caps the
+//! read; nothing is zero-filled or allocated on its say-so). Then, in
+//! this order: the CRC is verified; the whole payload is walked checking
+//! every record's bounds and the absence of trailing bytes, which
+//! allocates nothing beyond a reused index of where each batch starts;
+//! and only a frame that passed both is decoded, `restore_batch` records
+//! at a time, straight into the `Vec` handed to
+//! [`Store::set_many_policy_at`], which moves keys and values into the
+//! shard. Stored values are copies: nothing in the store aliases the
+//! frame buffer, so eviction keeps freeing what the accounting says it
+//! frees. One pass from the stream to the store.
+//!
+//! **Coldest first.** The wire order is hottest first, but a `set` puts
+//! its item at the LRU head, so the loader applies each validated frame
+//! back to front: the hottest record is stored last and the target shard
+//! ends in the source's recency order. Loaded front to back, the hottest
+//! item of every shard would be the first eviction victim, and a target
+//! smaller than the cut would keep the coldest items.
+//!
+//! **If absent.** A record is stored only where the target holds no live
+//! item under its key ([`SetPolicy::IfAbsent`], TTL-aware, one probe
+//! under the shard lock). A replacement takes writes while it is being
+//! restored; whatever it holds was acknowledged after the cut, and the
+//! older copy must not replace it. The Hybrid top-up tail is exempt: it
+//! ships plain `set`s over the wire like any replication batch, and a
+//! tail entry can still land on a key the client has rewritten since
+//! (ordering the tail against live writes needs versions the protocol
+//! does not carry).
+//!
+//! **One frame in flight.** An unwarned restore
+//! ([`RecoveryStrategy`](crate::strategy::RecoveryStrategy) with no
+//! pre-cut stream) cuts a frame, loads it from the cutter's buffer, and
+//! reuses the buffer for the next. Head, CRC and trailer go through the
+//! same `FrameHead::parse` / `Loader` checks a stream read from a socket
+//! does, so the extra memory of a restore is one shard's payload, not a
+//! second copy of the hot set.
+//!
+//! **CRC32** is slice-by-8: eight `const` tables, eight bytes per step,
+//! a bytewise tail, safe Rust. The polynomial is the IEEE one the format
+//! has always used (not the Castagnoli polynomial of the hardware CRC32C
+//! instruction), so every stream ever cut still verifies.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -51,8 +107,8 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use spotcache_cache::slab::SlabClasses;
-use spotcache_cache::store::{Store, ITEM_OVERHEAD};
-use spotcache_obs::{Obs, Tracer};
+use spotcache_cache::store::{SetPolicy, Store, ITEM_OVERHEAD};
+use spotcache_obs::{Counter, Obs, Tracer};
 
 /// Checkpoint stream magic, first bytes of the header.
 pub const MAGIC: &[u8; 6] = b"SPCKPT";
@@ -158,31 +214,60 @@ impl From<CkptError> for io::Error {
     }
 }
 
-/// CRC32 (IEEE 802.3, reflected) over `bytes` — the same polynomial
-/// zlib and memcached's binary protocol use.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
+/// Reflected IEEE 802.3 polynomial — the one zlib and memcached's binary
+/// protocol use.
+const POLY: u32 = 0xEDB8_8320;
+
+/// Slice-by-8 tables: `CRC_TABLES[0]` is the classic bytewise table,
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
+            k += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
         let mut i = 0;
         while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
             i += 1;
         }
-        table
-    };
+        k += 1;
+    }
+    t
+};
+
+/// CRC32 (IEEE 802.3, reflected) over `bytes`, eight bytes per step
+/// (slice-by-8) with a bytewise tail. Same polynomial and same values as
+/// the one-table loop it replaced; the tests keep that loop as the
+/// reference.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -190,7 +275,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// Knobs for checkpoint restore.
 #[derive(Debug, Clone)]
 pub struct CheckpointConfig {
-    /// Items per [`Store::set_many_at`] bulk-load batch on restore.
+    /// Items per [`Store::set_many_policy_at`] bulk-load batch on restore.
     /// Bounds how long each shard lock is held during the load.
     pub restore_batch: usize,
 }
@@ -224,8 +309,9 @@ pub struct CkptRestoreReport {
     pub shards: u32,
     /// Records decoded from the stream.
     pub items_decoded: u64,
-    /// Records accepted by the target store (an item is rejected only
-    /// when it exceeds its shard budget).
+    /// Records stored in the target. A record is not stored when the
+    /// target already holds a live item under its key (that item is
+    /// newer than the cut), or when it exceeds its shard budget.
     pub items_stored: u64,
     /// Stream bytes consumed.
     pub bytes: u64,
@@ -235,25 +321,225 @@ pub struct CkptRestoreReport {
     pub elapsed: Duration,
 }
 
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
+const HEADER_LEN: usize = 24;
+const FRAME_HEAD_LEN: usize = 24;
+const RECORD_HEAD_LEN: usize = 18;
+const TRAILER_LEN: usize = 16;
+/// Frame bytes around the payload: the head and the CRC.
+const FRAME_OVERHEAD: u64 = FRAME_HEAD_LEN as u64 + 4;
+
+/// Declared payload sizes beyond this are treated as malformed rather
+/// than attempted — a corrupted length field must not become an
+/// unbounded allocation.
+const MAX_PAYLOAD: u64 = 1 << 32;
+
+fn u32_at(b: &[u8], off: usize) -> u32 {
+    u32::from_le_bytes(b[off..off + 4].try_into().expect("4 bytes"))
 }
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+fn u64_at(b: &[u8], off: usize) -> u64 {
+    u64::from_le_bytes(b[off..off + 8].try_into().expect("8 bytes"))
 }
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+
+fn encode_header(shards: u32, now: u64) -> [u8; HEADER_LEN] {
+    let mut h = [0u8; HEADER_LEN];
+    h[..6].copy_from_slice(MAGIC);
+    h[6..8].copy_from_slice(&VERSION.to_le_bytes());
+    // h[8..12]: flags, zero.
+    h[12..16].copy_from_slice(&shards.to_le_bytes());
+    h[16..24].copy_from_slice(&now.to_le_bytes());
+    h
+}
+
+/// Checks magic and version; returns the shard count.
+fn parse_header(h: &[u8; HEADER_LEN]) -> Result<u32, CkptError> {
+    if &h[..6] != MAGIC {
+        return Err(CkptError::BadMagic);
+    }
+    let version = u16::from_le_bytes([h[6], h[7]]);
+    if version != VERSION {
+        return Err(CkptError::BadVersion(version));
+    }
+    Ok(u32_at(h, 12))
+}
+
+fn encode_trailer(items: u64) -> [u8; TRAILER_LEN] {
+    let mut t = [0u8; TRAILER_LEN];
+    t[..8].copy_from_slice(TRAILER_MAGIC);
+    t[8..].copy_from_slice(&items.to_le_bytes());
+    t
+}
+
+/// Checks the magic; returns the declared item count.
+fn parse_trailer(t: &[u8; TRAILER_LEN]) -> Result<u64, CkptError> {
+    if &t[..8] != TRAILER_MAGIC {
+        return Err(CkptError::BadMagic);
+    }
+    Ok(u64_at(t, 8))
+}
+
+/// A shard frame's head. [`FrameHead::parse`] is the only way to get one
+/// from bytes, so a `FrameHead` a loader holds has passed the magic and
+/// both bounds checks.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FrameHead {
+    shard: u32,
+    records: u64,
+    payload_len: u64,
+}
+
+impl FrameHead {
+    fn encode(shard: u32, records: u64, payload_len: usize) -> [u8; FRAME_HEAD_LEN] {
+        let mut h = [0u8; FRAME_HEAD_LEN];
+        h[..4].copy_from_slice(SHARD_MAGIC);
+        h[4..8].copy_from_slice(&shard.to_le_bytes());
+        h[8..16].copy_from_slice(&records.to_le_bytes());
+        h[16..24].copy_from_slice(&(payload_len as u64).to_le_bytes());
+        h
+    }
+
+    pub(crate) fn parse(h: &[u8; FRAME_HEAD_LEN]) -> Result<Self, CkptError> {
+        if &h[..4] != SHARD_MAGIC {
+            return Err(CkptError::BadMagic);
+        }
+        let records = u64_at(h, 8);
+        let payload_len = u64_at(h, 16);
+        if payload_len > MAX_PAYLOAD {
+            return Err(CkptError::BadFrame("payload length implausibly large"));
+        }
+        if records > payload_len.div_ceil(RECORD_HEAD_LEN as u64).max(1) {
+            // Each record costs at least its fixed header.
+            return Err(CkptError::BadFrame("record count exceeds payload capacity"));
+        }
+        Ok(Self {
+            shard: u32_at(h, 4),
+            records,
+            payload_len,
+        })
+    }
+}
+
+/// Slot of `class` in a `per_class` histogram of `slots` entries (the
+/// last one counts classless items).
+fn class_slot(class: u16, slots: usize) -> usize {
+    (class as usize).min(slots - 1)
+}
+
+/// The cut side: encodes one shard at a time into a reused payload
+/// buffer and keeps the running [`CkptWriteReport`]. The report counts
+/// the bytes of the stream the frames make up, whether a caller writes
+/// them out ([`write_checkpoint`]) or hands each payload straight to a
+/// [`Loader`] (the unwarned restore).
+pub(crate) struct Cutter<'a> {
+    store: &'a Store,
+    now: u64,
+    classes: SlabClasses,
+    tracer: Option<&'a Tracer>,
+    c_items: Option<Counter>,
+    c_bytes: Option<Counter>,
+    payload: Vec<u8>,
+    report: CkptWriteReport,
+}
+
+impl<'a> Cutter<'a> {
+    pub(crate) fn new(
+        store: &'a Store,
+        now: u64,
+        obs: Option<&Obs>,
+        tracer: Option<&'a Tracer>,
+    ) -> Self {
+        let classes = SlabClasses::default_ladder();
+        let mut cutter = Self {
+            store,
+            now,
+            tracer,
+            c_items: obs.map(|o| o.counter("ckpt_items_written_total")),
+            c_bytes: obs.map(|o| o.counter("ckpt_bytes_written_total")),
+            payload: Vec::new(),
+            report: CkptWriteReport {
+                shards: store.shard_count() as u32,
+                items: 0,
+                bytes: 0,
+                per_class: vec![0; classes.count() + 1],
+                elapsed: Duration::ZERO,
+            },
+            classes,
+        };
+        cutter.account(HEADER_LEN as u64);
+        cutter
+    }
+
+    pub(crate) fn header(&self) -> [u8; HEADER_LEN] {
+        encode_header(self.report.shards, self.now)
+    }
+
+    /// Encodes `shard`'s live records, hottest first, straight from the
+    /// shard into the payload buffer (replacing the previous frame's) and
+    /// returns the frame's head and the payload's CRC.
+    pub(crate) fn cut_frame(&mut self, shard: usize) -> ([u8; FRAME_HEAD_LEN], u32) {
+        let _span = self.tracer.map(|t| t.span("checkpoint", "write_shard"));
+        let (classes, per_class) = (&self.classes, &mut self.report.per_class);
+        let slots = per_class.len();
+        let payload = &mut self.payload;
+        payload.clear();
+        let records = self
+            .store
+            .visit_shard_at(shard, self.now, |key, value, ttl| {
+                let class = classes
+                    .class_for(key.len() + value.len() + ITEM_OVERHEAD)
+                    .map_or(NO_SLAB_CLASS, |c| c as u16);
+                per_class[class_slot(class, slots)] += 1;
+                payload.extend_from_slice(&(key.len() as u32).to_le_bytes());
+                payload.extend_from_slice(&(value.len() as u32).to_le_bytes());
+                payload.extend_from_slice(&class.to_le_bytes());
+                payload.extend_from_slice(&ttl.unwrap_or(NO_TTL).to_le_bytes());
+                payload.extend_from_slice(key);
+                payload.extend_from_slice(value);
+            }) as u64;
+        self.report.items += records;
+        if let Some(c) = &self.c_items {
+            c.add(records);
+        }
+        self.account(FRAME_OVERHEAD + self.payload.len() as u64);
+        (
+            FrameHead::encode(shard as u32, records, self.payload.len()),
+            crc32(&self.payload),
+        )
+    }
+
+    fn account(&mut self, bytes: u64) {
+        self.report.bytes += bytes;
+        if let Some(c) = &self.c_bytes {
+            c.add(bytes);
+        }
+    }
+
+    /// The payload of the frame last cut.
+    pub(crate) fn payload(&self) -> &[u8] {
+        &self.payload
+    }
+
+    pub(crate) fn trailer(&self) -> [u8; TRAILER_LEN] {
+        encode_trailer(self.report.items)
+    }
+
+    /// Accounts the trailer and closes the report over `elapsed`.
+    pub(crate) fn finish(mut self, elapsed: Duration) -> CkptWriteReport {
+        self.account(TRAILER_LEN as u64);
+        self.report.elapsed = elapsed;
+        self.report
+    }
 }
 
 /// Snapshots `store`'s full live state at `now` into `out` as a
 /// `spotcache-ckpt-v1` stream, one shard frame at a time.
 ///
 /// Peak memory is one shard's encoded payload, not the whole store: the
-/// writer takes [`Store::shard_snapshot_at`] per shard, encodes it,
-/// flushes the frame, and drops it before locking the next shard. The
+/// writer walks a shard with [`Store::visit_shard_at`], encoding each
+/// record straight into a reused payload buffer, and sends the frame as
+/// three writes (head, payload, CRC) before locking the next shard. The
 /// store stays live throughout — each shard lock is held only for its
-/// snapshot walk, so a checkpoint cut during the revocation warning
-/// does not stall the write path.
+/// walk, so a checkpoint cut during the revocation warning does not
+/// stall the write path.
 ///
 /// With `obs`, progress surfaces as `ckpt_items_written_total` and
 /// `ckpt_bytes_written_total`; with `tracer`, each shard frame is a
@@ -266,125 +552,208 @@ pub fn write_checkpoint(
     tracer: Option<&Tracer>,
 ) -> Result<CkptWriteReport, CkptError> {
     let start = Instant::now();
-    let classes = SlabClasses::default_ladder();
-    let mut per_class = vec![0u64; classes.count() + 1];
-    let shards = store.shard_count() as u32;
-
-    let mut header = Vec::with_capacity(24);
-    header.extend_from_slice(MAGIC);
-    put_u16(&mut header, VERSION);
-    put_u32(&mut header, 0); // flags
-    put_u32(&mut header, shards);
-    put_u64(&mut header, now);
-    out.write_all(&header)?;
-    let mut total_bytes = header.len() as u64;
-    let mut total_items = 0u64;
-
-    let c_items = obs.map(|o| o.counter("ckpt_items_written_total"));
-    let c_bytes = obs.map(|o| o.counter("ckpt_bytes_written_total"));
-    if let Some(c) = &c_bytes {
-        c.add(header.len() as u64);
-    }
-
-    let mut payload = Vec::new();
-    let mut frame = Vec::new();
+    let mut cutter = Cutter::new(store, now, obs, tracer);
+    out.write_all(&cutter.header())?;
     for shard in 0..store.shard_count() {
-        let span = tracer.map(|t| t.span("checkpoint", "write_shard"));
-        let items = store.shard_snapshot_at(shard, now);
-        payload.clear();
-        for (key, value, ttl) in &items {
-            let class = classes
-                .class_for(key.len() + value.len() + ITEM_OVERHEAD)
-                .map_or(NO_SLAB_CLASS, |c| c as u16);
-            let slot = if class == NO_SLAB_CLASS {
-                per_class.len() - 1
-            } else {
-                class as usize
-            };
-            per_class[slot] += 1;
-            put_u32(&mut payload, key.len() as u32);
-            put_u32(&mut payload, value.len() as u32);
-            put_u16(&mut payload, class);
-            put_u64(&mut payload, ttl.unwrap_or(NO_TTL));
-            payload.extend_from_slice(key);
-            payload.extend_from_slice(value);
-        }
-        frame.clear();
-        frame.extend_from_slice(SHARD_MAGIC);
-        put_u32(&mut frame, shard as u32);
-        put_u64(&mut frame, items.len() as u64);
-        put_u64(&mut frame, payload.len() as u64);
-        frame.extend_from_slice(&payload);
-        put_u32(&mut frame, crc32(&payload));
-        out.write_all(&frame)?;
-        total_bytes += frame.len() as u64;
-        total_items += items.len() as u64;
-        if let Some(c) = &c_items {
-            c.add(items.len() as u64);
-        }
-        if let Some(c) = &c_bytes {
-            c.add(frame.len() as u64);
-        }
-        drop(span);
+        let (head, crc) = cutter.cut_frame(shard);
+        out.write_all(&head)?;
+        out.write_all(cutter.payload())?;
+        out.write_all(&crc.to_le_bytes())?;
     }
-
-    let mut trailer = Vec::with_capacity(16);
-    trailer.extend_from_slice(TRAILER_MAGIC);
-    put_u64(&mut trailer, total_items);
-    out.write_all(&trailer)?;
+    out.write_all(&cutter.trailer())?;
     out.flush()?;
-    total_bytes += trailer.len() as u64;
-    if let Some(c) = &c_bytes {
-        c.add(trailer.len() as u64);
+    Ok(cutter.finish(start.elapsed()))
+}
+
+/// The load side: verifies, validates and applies one frame at a time
+/// and keeps the running [`CkptRestoreReport`]. Frames come from a
+/// stream ([`restore_checkpoint`]) or straight from a [`Cutter`] (the
+/// unwarned restore); the checks are the same code either way.
+pub(crate) struct Loader<'a> {
+    store: &'a Store,
+    now: u64,
+    batch_cap: usize,
+    tracer: Option<&'a Tracer>,
+    c_items: Option<Counter>,
+    c_bytes: Option<Counter>,
+    /// Payload offset of every `batch_cap`-th record of the frame being
+    /// loaded, filled by the validation pass.
+    batch_starts: Vec<usize>,
+    report: CkptRestoreReport,
+}
+
+impl<'a> Loader<'a> {
+    /// Checks the stream header and starts a load into `store`.
+    pub(crate) fn new(
+        header: &[u8; HEADER_LEN],
+        store: &'a Store,
+        now: u64,
+        cfg: &CheckpointConfig,
+        obs: Option<&Obs>,
+        tracer: Option<&'a Tracer>,
+    ) -> Result<Self, CkptError> {
+        let shards = parse_header(header)?;
+        let mut loader = Self {
+            store,
+            now,
+            batch_cap: cfg.restore_batch.max(1),
+            tracer,
+            c_items: obs.map(|o| o.counter("ckpt_items_restored_total")),
+            c_bytes: obs.map(|o| o.counter("ckpt_bytes_restored_total")),
+            batch_starts: Vec::new(),
+            report: CkptRestoreReport {
+                shards,
+                items_decoded: 0,
+                items_stored: 0,
+                bytes: 0,
+                per_class: vec![0; SlabClasses::default_ladder().count() + 1],
+                elapsed: Duration::ZERO,
+            },
+        };
+        loader.account(HEADER_LEN as u64);
+        Ok(loader)
     }
 
-    Ok(CkptWriteReport {
-        shards,
-        items: total_items,
-        bytes: total_bytes,
-        per_class,
-        elapsed: start.elapsed(),
-    })
+    /// Frames the header declared.
+    pub(crate) fn shards(&self) -> u32 {
+        self.report.shards
+    }
+
+    /// Loads one frame: verifies `declared_crc` over `payload`, walks the
+    /// whole payload checking every record's bounds (allocating nothing
+    /// but a batch-start index), and only then stores the records, coldest
+    /// first, `restore_batch` at a time and only where the target holds
+    /// no live item under the key. A frame that fails any check leaves the
+    /// target untouched.
+    pub(crate) fn load_frame(
+        &mut self,
+        head: &FrameHead,
+        payload: &[u8],
+        declared_crc: u32,
+    ) -> Result<(), CkptError> {
+        let _span = self.tracer.map(|t| t.span("checkpoint", "restore_shard"));
+        if payload.len() as u64 != head.payload_len {
+            return Err(CkptError::Truncated);
+        }
+        let actual_crc = crc32(payload);
+        if declared_crc != actual_crc {
+            return Err(CkptError::CrcMismatch {
+                shard: head.shard,
+                expected: declared_crc,
+                actual: actual_crc,
+            });
+        }
+
+        let slots = self.report.per_class.len();
+        self.batch_starts.clear();
+        let mut off = 0usize;
+        for i in 0..head.records {
+            if i % self.batch_cap as u64 == 0 {
+                self.batch_starts.push(off);
+            }
+            if payload.len() - off < RECORD_HEAD_LEN {
+                return Err(CkptError::BadFrame("record header overruns payload"));
+            }
+            let body = u64::from(u32_at(payload, off)) + u64::from(u32_at(payload, off + 4));
+            let class = u16::from_le_bytes([payload[off + 8], payload[off + 9]]);
+            off += RECORD_HEAD_LEN;
+            if ((payload.len() - off) as u64) < body {
+                return Err(CkptError::BadFrame("record body overruns payload"));
+            }
+            off += body as usize;
+            self.report.per_class[class_slot(class, slots)] += 1;
+        }
+        if off != payload.len() {
+            return Err(CkptError::BadFrame("trailing bytes after last record"));
+        }
+
+        // Valid throughout: apply back to front, so the record that
+        // travelled first (the hottest) is stored last and ends at the
+        // LRU head, as it was in the source; a target too small for the
+        // frame then evicts the coldest records, not the hottest.
+        let mut remaining = head.records as usize;
+        for &start in self.batch_starts.iter().rev() {
+            let n = (remaining - 1) % self.batch_cap + 1;
+            remaining -= n;
+            let mut batch = Vec::with_capacity(n);
+            let mut off = start;
+            for _ in 0..n {
+                let key_len = u32_at(payload, off) as usize;
+                let val_len = u32_at(payload, off + 4) as usize;
+                let ttl = u64_at(payload, off + 10);
+                off += RECORD_HEAD_LEN;
+                let key = Bytes::copy_from_slice(&payload[off..off + key_len]);
+                off += key_len;
+                let value = Bytes::copy_from_slice(&payload[off..off + val_len]);
+                off += val_len;
+                batch.push((key, value, (ttl != NO_TTL).then_some(ttl)));
+            }
+            batch.reverse();
+            let stored = self
+                .store
+                .set_many_policy_at(batch, self.now, SetPolicy::IfAbsent)
+                as u64;
+            self.report.items_stored += stored;
+            if let Some(c) = &self.c_items {
+                c.add(stored);
+            }
+        }
+        self.report.items_decoded += head.records;
+        self.account(FRAME_OVERHEAD + payload.len() as u64);
+        Ok(())
+    }
+
+    fn account(&mut self, bytes: u64) {
+        self.report.bytes += bytes;
+        if let Some(c) = &self.c_bytes {
+            c.add(bytes);
+        }
+    }
+
+    /// Checks the trailer against the records decoded and closes the
+    /// report over `elapsed`.
+    pub(crate) fn finish(
+        mut self,
+        trailer: &[u8; TRAILER_LEN],
+        elapsed: Duration,
+    ) -> Result<CkptRestoreReport, CkptError> {
+        let declared = parse_trailer(trailer)?;
+        self.account(TRAILER_LEN as u64);
+        if declared != self.report.items_decoded {
+            return Err(CkptError::CountMismatch {
+                declared,
+                decoded: self.report.items_decoded,
+            });
+        }
+        self.report.elapsed = elapsed;
+        Ok(self.report)
+    }
 }
 
-fn read_exact_buf(r: &mut impl Read, n: usize) -> Result<Vec<u8>, CkptError> {
-    let mut buf = vec![0u8; n];
-    r.read_exact(&mut buf)?;
-    Ok(buf)
-}
-
-fn read_u16(r: &mut impl Read) -> Result<u16, CkptError> {
-    let mut b = [0u8; 2];
+fn read_array<const N: usize>(r: &mut impl Read) -> Result<[u8; N], CkptError> {
+    let mut b = [0u8; N];
     r.read_exact(&mut b)?;
-    Ok(u16::from_le_bytes(b))
+    Ok(b)
 }
-fn read_u32(r: &mut impl Read) -> Result<u32, CkptError> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-fn read_u64(r: &mut impl Read) -> Result<u64, CkptError> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-/// Declared payload sizes beyond this are treated as malformed rather
-/// than attempted — a corrupted length field must not become an
-/// unbounded allocation.
-const MAX_PAYLOAD: u64 = 1 << 32;
 
 /// Restores a `spotcache-ckpt-v1` stream from `input` into `store`,
-/// bulk-loading via [`Store::set_many_at`] in batches of
+/// bulk-loading via [`Store::set_many_policy_at`] in batches of
 /// `cfg.restore_batch`.
+///
+/// Each frame is read into one reused buffer, its CRC verified and its
+/// whole structure validated before any of its records is applied; on any
+/// decode error the restore stops with records from fully-validated
+/// frames already loaded. Within a frame records are applied coldest
+/// first, so each target shard ends in the source's recency order.
+///
+/// A record is stored only where the target holds no live item under its
+/// key ([`SetPolicy::IfAbsent`]): a replacement that is already taking
+/// writes acknowledged them after the cut, and an older copy must not
+/// replace them. Re-running a restore is therefore still idempotent.
 ///
 /// TTLs are re-based against `now`: a record checkpointed with 30
 /// seconds remaining expires 30 seconds after the *restore*, matching
-/// how the replay pump ships residual TTLs. Each shard frame's CRC is
-/// verified before any of its records are applied; on any decode error
-/// the restore stops with records from fully-validated frames already
-/// loaded (sets are idempotent — re-running the restore on a pristine
-/// copy is safe).
+/// how the replay pump ships residual TTLs.
 ///
 /// With `obs`, progress surfaces as `ckpt_items_restored_total` and
 /// `ckpt_bytes_restored_total`; with `tracer`, each shard frame is a
@@ -398,137 +767,21 @@ pub fn restore_checkpoint(
     tracer: Option<&Tracer>,
 ) -> Result<CkptRestoreReport, CkptError> {
     let start = Instant::now();
-    let classes = SlabClasses::default_ladder();
-    let mut per_class = vec![0u64; classes.count() + 1];
-    let batch_cap = cfg.restore_batch.max(1);
-
-    let magic = read_exact_buf(input, MAGIC.len())?;
-    if magic != MAGIC {
-        return Err(CkptError::BadMagic);
+    let mut loader = Loader::new(&read_array(input)?, store, now, cfg, obs, tracer)?;
+    let mut payload = Vec::new();
+    for _ in 0..loader.shards() {
+        let head = FrameHead::parse(&read_array(input)?)?;
+        // The declared length only caps the read: the buffer grows with
+        // the bytes that actually arrive, and nothing is zero-filled.
+        payload.clear();
+        input
+            .by_ref()
+            .take(head.payload_len)
+            .read_to_end(&mut payload)?;
+        let declared_crc = u32::from_le_bytes(read_array(input)?);
+        loader.load_frame(&head, &payload, declared_crc)?;
     }
-    let version = read_u16(input)?;
-    if version != VERSION {
-        return Err(CkptError::BadVersion(version));
-    }
-    let _flags = read_u32(input)?;
-    let shard_count = read_u32(input)?;
-    let _snapshot_now = read_u64(input)?;
-    let mut bytes = (MAGIC.len() + 2 + 4 + 4 + 8) as u64;
-
-    let c_items = obs.map(|o| o.counter("ckpt_items_restored_total"));
-    let c_bytes = obs.map(|o| o.counter("ckpt_bytes_restored_total"));
-    if let Some(c) = &c_bytes {
-        c.add(bytes);
-    }
-
-    let mut items_decoded = 0u64;
-    let mut items_stored = 0u64;
-    for _ in 0..shard_count {
-        let span = tracer.map(|t| t.span("checkpoint", "restore_shard"));
-        let magic = read_exact_buf(input, SHARD_MAGIC.len())?;
-        if magic != SHARD_MAGIC {
-            return Err(CkptError::BadMagic);
-        }
-        let shard_idx = read_u32(input)?;
-        let record_count = read_u64(input)?;
-        let payload_len = read_u64(input)?;
-        if payload_len > MAX_PAYLOAD {
-            return Err(CkptError::BadFrame("payload length implausibly large"));
-        }
-        if record_count > payload_len.div_ceil(18).max(1) {
-            // Each record costs at least its 18-byte fixed header.
-            return Err(CkptError::BadFrame("record count exceeds payload capacity"));
-        }
-        let payload = read_exact_buf(input, payload_len as usize)?;
-        let declared_crc = read_u32(input)?;
-        let actual_crc = crc32(&payload);
-        if declared_crc != actual_crc {
-            return Err(CkptError::CrcMismatch {
-                shard: shard_idx,
-                expected: declared_crc,
-                actual: actual_crc,
-            });
-        }
-        bytes += (SHARD_MAGIC.len() + 4 + 8 + 8 + 4) as u64 + payload_len;
-
-        // CRC verified: decode the whole frame before applying anything,
-        // so a structurally-bad frame also never half-applies.
-        let mut records: Vec<(Bytes, Bytes, Option<u64>)> =
-            Vec::with_capacity((record_count as usize).min(batch_cap));
-        let mut off = 0usize;
-        for _ in 0..record_count {
-            if payload.len() - off < 18 {
-                return Err(CkptError::BadFrame("record header overruns payload"));
-            }
-            let key_len =
-                u32::from_le_bytes(payload[off..off + 4].try_into().expect("4 bytes")) as usize;
-            let val_len =
-                u32::from_le_bytes(payload[off + 4..off + 8].try_into().expect("4 bytes")) as usize;
-            let class = u16::from_le_bytes(payload[off + 8..off + 10].try_into().expect("2 bytes"));
-            let ttl = u64::from_le_bytes(payload[off + 10..off + 18].try_into().expect("8 bytes"));
-            off += 18;
-            if payload.len() - off < key_len + val_len {
-                return Err(CkptError::BadFrame("record body overruns payload"));
-            }
-            let key = Bytes::copy_from_slice(&payload[off..off + key_len]);
-            off += key_len;
-            let value = Bytes::copy_from_slice(&payload[off..off + val_len]);
-            off += val_len;
-            let slot = if class == NO_SLAB_CLASS || class as usize >= classes.count() {
-                per_class.len() - 1
-            } else {
-                class as usize
-            };
-            per_class[slot] += 1;
-            let ttl = (ttl != NO_TTL).then_some(ttl);
-            records.push((key, value, ttl));
-        }
-        if off != payload.len() {
-            return Err(CkptError::BadFrame("trailing bytes after last record"));
-        }
-        items_decoded += records.len() as u64;
-        let mut iter = records.into_iter();
-        loop {
-            let batch: Vec<_> = iter.by_ref().take(batch_cap).collect();
-            if batch.is_empty() {
-                break;
-            }
-            let stored = store.set_many_at(batch, now) as u64;
-            items_stored += stored;
-            if let Some(c) = &c_items {
-                c.add(stored);
-            }
-        }
-        if let Some(c) = &c_bytes {
-            c.add((SHARD_MAGIC.len() + 4 + 8 + 8 + 4) as u64 + payload_len);
-        }
-        drop(span);
-    }
-
-    let magic = read_exact_buf(input, TRAILER_MAGIC.len())?;
-    if magic != TRAILER_MAGIC {
-        return Err(CkptError::BadMagic);
-    }
-    let declared = read_u64(input)?;
-    bytes += (TRAILER_MAGIC.len() + 8) as u64;
-    if let Some(c) = &c_bytes {
-        c.add((TRAILER_MAGIC.len() + 8) as u64);
-    }
-    if declared != items_decoded {
-        return Err(CkptError::CountMismatch {
-            declared,
-            decoded: items_decoded,
-        });
-    }
-
-    Ok(CkptRestoreReport {
-        shards: shard_count,
-        items_decoded,
-        items_stored,
-        bytes,
-        per_class,
-        elapsed: start.elapsed(),
-    })
+    loader.finish(&read_array(input)?, start.elapsed())
 }
 
 #[cfg(test)]
@@ -727,10 +980,194 @@ mod tests {
         assert!(tracer.categories().contains(&"checkpoint"));
     }
 
+    /// The one-table bytewise loop [`crc32`] was before slice-by-8.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // IEEE CRC32 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_at_every_length_and_alignment() {
+        let bytes: Vec<u8> = (0..64 + 8).map(|i| (i * 37 + 11) as u8).collect();
+        for align in 0..8 {
+            for len in 0..=64 {
+                let slice = &bytes[align..align + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "len {len} at offset {align}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn crc32_matches_bytewise_on_random_buffers(
+            bytes in proptest::collection::vec(0u8..=255u8, 0..2_000),
+            skip in 0usize..8,
+        ) {
+            let slice = &bytes[skip.min(bytes.len())..];
+            proptest::prop_assert_eq!(crc32(slice), crc32_bytewise(slice));
+        }
+    }
+
+    /// Every shard's keys in visitor (hottest-first) order.
+    fn recency(s: &Store) -> Vec<Vec<Vec<u8>>> {
+        (0..s.shard_count())
+            .map(|shard| {
+                let mut keys = Vec::new();
+                s.visit_shard_at(shard, 0, |k, _, _| keys.push(k.to_vec()));
+                keys
+            })
+            .collect()
+    }
+
+    fn restore(buf: &[u8], dst: &Store) -> CkptRestoreReport {
+        restore_checkpoint(
+            &mut &buf[..],
+            dst,
+            0,
+            &CheckpointConfig { restore_batch: 7 },
+            None,
+            None,
+        )
+        .expect("restore")
+    }
+
+    /// `n` keys, then reads that pull every third one back to the front.
+    fn fill_and_touch(s: &Store, n: u32) {
+        fill(s, n);
+        for i in (0..n).step_by(3) {
+            assert!(s.get(format!("key-{i}").as_bytes()).is_some());
+        }
+    }
+
+    #[test]
+    fn restore_keeps_each_shards_recency_order() {
+        let src = store(4);
+        fill_and_touch(&src, 200);
+        let (buf, _) = cut(&src, 0);
+        let dst = store(4);
+        restore(&buf, &dst);
+        assert_eq!(recency(&dst), recency(&src));
+    }
+
+    #[test]
+    fn restore_into_more_shards_keeps_relative_order() {
+        let src = store(4);
+        fill_and_touch(&src, 200);
+        let (buf, _) = cut(&src, 0);
+        let dst = store(8);
+        restore(&buf, &dst);
+        // hash % 8 == t implies hash % 4 == t % 4: target shard t holds a
+        // subsequence of source shard t % 4, and must hold it in order.
+        let src_order = recency(&src);
+        for (t, got) in recency(&dst).iter().enumerate() {
+            let want: Vec<_> = src_order[t % 4]
+                .iter()
+                .filter(|k| dst.shard_of(k) == t)
+                .cloned()
+                .collect();
+            assert!(!want.is_empty());
+            assert_eq!(got, &want, "target shard {t}");
+        }
+    }
+
+    #[test]
+    fn restore_into_half_the_memory_keeps_the_hottest_prefix() {
+        // Equal-sized items, so a shard's budget is a whole number of them.
+        let item = 6 + 10 + ITEM_OVERHEAD;
+        let sized = |items_per_shard: usize| {
+            Store::new(StoreConfig {
+                capacity_bytes: 2 * items_per_shard * item,
+                shards: 2,
+            })
+        };
+        let src = sized(100);
+        for i in 100..300u32 {
+            src.set(format!("key{i}").into_bytes(), vec![i as u8; 10]);
+        }
+        for i in (100..300u32).step_by(3) {
+            assert!(src.get(format!("key{i}").as_bytes()).is_some());
+        }
+        let (buf, wrote) = cut(&src, 0);
+        let dst = sized(40);
+        let restored = restore(&buf, &dst);
+        assert_eq!(restored.items_stored, wrote.items, "evicted, not refused");
+        let src_order = recency(&src);
+        for (shard, got) in recency(&dst).iter().enumerate() {
+            assert_eq!(got.len(), 40.min(src_order[shard].len()));
+            assert_eq!(got[..], src_order[shard][..got.len()], "shard {shard}");
+        }
+    }
+
+    #[test]
+    fn restore_does_not_write_over_what_the_target_holds() {
+        let src = store(2);
+        src.set("k", "cut-time");
+        src.set("j", "only-in-the-cut");
+        let (buf, _) = cut(&src, 0);
+        let dst = store(2);
+        dst.set("k", "acknowledged-after-the-cut");
+        let first = restore(&buf, &dst);
+        assert_eq!(first.items_decoded, 2);
+        assert_eq!(first.items_stored, 1, "only `j` was absent");
+        assert_eq!(
+            dst.get(b"k").as_deref(),
+            Some(b"acknowledged-after-the-cut".as_ref())
+        );
+        assert_eq!(dst.get(b"j").as_deref(), Some(b"only-in-the-cut".as_ref()));
+        // Loading the same stream again changes nothing.
+        let before = recency(&dst);
+        assert_eq!(restore(&buf, &dst).items_stored, 0);
+        assert_eq!(recency(&dst), before);
+        assert_eq!(dst.len(), 2);
+    }
+
+    #[test]
+    fn forged_frame_lengths_neither_allocate_nor_apply() {
+        let src = store(1);
+        fill(&src, 10);
+        let (buf, _) = cut(&src, 0);
+        let forge = |records: u64, payload_len: u64| {
+            let mut b = buf.clone();
+            b[HEADER_LEN + 8..HEADER_LEN + 16].copy_from_slice(&records.to_le_bytes());
+            b[HEADER_LEN + 16..HEADER_LEN + 24].copy_from_slice(&payload_len.to_le_bytes());
+            let dst = store(1);
+            let err = restore_checkpoint(
+                &mut b.as_slice(),
+                &dst,
+                0,
+                &CheckpointConfig::default(),
+                None,
+                None,
+            )
+            .expect_err("must reject");
+            assert_eq!(dst.len(), 0);
+            err
+        };
+        assert!(matches!(forge(10, MAX_PAYLOAD + 1), CkptError::BadFrame(_)));
+        assert!(matches!(forge(u64::MAX, 400), CkptError::BadFrame(_)));
+        // A length within bounds that the stream cannot back is read only
+        // as far as the bytes go: truncation, not a 4 GiB buffer.
+        assert!(matches!(forge(10, MAX_PAYLOAD), CkptError::Truncated));
+        // One record fewer than the payload holds: the CRC passes, the
+        // structure check does not.
+        assert!(matches!(
+            forge(9, (buf.len() - HEADER_LEN - 28 - TRAILER_LEN) as u64),
+            CkptError::BadFrame(_)
+        ));
     }
 }

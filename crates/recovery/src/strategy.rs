@@ -30,7 +30,8 @@ use spotcache_obs::{Obs, Tracer};
 use spotcache_router::degraded::RecoveryMode;
 
 use crate::checkpoint::{
-    restore_checkpoint, write_checkpoint, CheckpointConfig, CkptRestoreReport, CkptWriteReport,
+    restore_checkpoint, CheckpointConfig, CkptRestoreReport, CkptWriteReport, Cutter, FrameHead,
+    Loader,
 };
 use crate::replay::{pump_hot_set, WarmupConfig, WarmupReport};
 
@@ -99,9 +100,11 @@ impl RecoveryStrategy {
     /// * `Replay` pumps `ctx.backup`'s hot set to `ctx.target_addr`.
     /// * `Checkpoint` bulk-loads `ctx.checkpoint` into
     ///   `ctx.target_store`; when no pre-cut checkpoint is supplied
-    ///   (unwarned revocation) it cuts one from `ctx.backup` first —
-    ///   the cut is part of the measured restore, exactly the cost an
-    ///   unwarned operator pays.
+    ///   (unwarned revocation) it cuts one from `ctx.backup` inside the
+    ///   restore, a frame at a time, loading each frame before cutting
+    ///   the next — the cut is part of the measured restore, exactly the
+    ///   cost an unwarned operator pays, and `ckpt_cut` / `ckpt` report
+    ///   what a whole stream would have, with `elapsed` summed per phase.
     /// * `Hybrid` does the checkpoint step, then ships `ctx.tail` to
     ///   `ctx.target_addr` as acked memcached commands.
     pub fn restore(&self, ctx: &RestoreContext<'_>) -> io::Result<RestoreReport> {
@@ -159,26 +162,44 @@ impl RecoveryStrategy {
         ctx: &RestoreContext<'_>,
         cfg: &CheckpointConfig,
     ) -> io::Result<(Option<CkptWriteReport>, CkptRestoreReport)> {
-        let mut cut_buf = Vec::new();
-        let (stream, cut) = match ctx.checkpoint {
-            Some(bytes) => (bytes, None),
-            None => {
-                let report =
-                    write_checkpoint(ctx.backup, ctx.now, &mut cut_buf, ctx.obs, ctx.tracer)
-                        .map_err(io::Error::from)?;
-                (cut_buf.as_slice(), Some(report))
-            }
-        };
-        let restored = restore_checkpoint(
-            &mut &stream[..],
+        if let Some(mut stream) = ctx.checkpoint {
+            let restored = restore_checkpoint(
+                &mut stream,
+                ctx.target_store,
+                ctx.now,
+                cfg,
+                ctx.obs,
+                ctx.tracer,
+            )?;
+            return Ok((None, restored));
+        }
+        // Unwarned: cut and load one frame at a time. The frame never
+        // leaves the cutter's buffer, which the next frame reuses, so the
+        // extra memory is one shard's payload rather than a second copy
+        // of the hot set. Head, CRC and trailer still go through the
+        // loader's checks, exactly as if they had crossed a wire.
+        let mut cutter = Cutter::new(ctx.backup, ctx.now, ctx.obs, ctx.tracer);
+        let mut loader = Loader::new(
+            &cutter.header(),
             ctx.target_store,
             ctx.now,
             cfg,
             ctx.obs,
             ctx.tracer,
-        )
-        .map_err(io::Error::from)?;
-        Ok((cut, restored))
+        )?;
+        let (mut cut_time, mut load_time) = (Duration::ZERO, Duration::ZERO);
+        for shard in 0..ctx.backup.shard_count() {
+            let start = Instant::now();
+            let (head, crc) = cutter.cut_frame(shard);
+            let cut_done = Instant::now();
+            loader.load_frame(&FrameHead::parse(&head)?, cutter.payload(), crc)?;
+            cut_time += cut_done - start;
+            load_time += cut_done.elapsed();
+        }
+        let trailer = cutter.trailer();
+        let cut = cutter.finish(cut_time);
+        let restored = loader.finish(&trailer, load_time)?;
+        Ok((Some(cut), restored))
     }
 }
 
@@ -293,6 +314,7 @@ fn ship_tail(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::write_checkpoint;
     use spotcache_cache::protocol::encode_value;
     use spotcache_cache::server::{CacheServer, LogicalClock};
     use spotcache_cache::store::StoreConfig;
@@ -409,13 +431,65 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_strategy_cuts_when_unwarned() {
-        let r = rig(80);
+    fn unwarned_checkpoint_reports_what_a_whole_stream_would() {
+        let r = rig(300);
+        let mut buf = Vec::new();
+        let whole_cut = write_checkpoint(&r.backup, 0, &mut buf, None, None).expect("cut");
+        let whole_load = restore_checkpoint(
+            &mut buf.as_slice(),
+            &store(),
+            0,
+            &CheckpointConfig::default(),
+            None,
+            None,
+        )
+        .expect("load");
+
+        let obs = Obs::new();
         let strategy = RecoveryStrategy::Checkpoint(CheckpointConfig::default());
-        let report = strategy.restore(&ctx(&r, None, &[])).expect("restore");
-        assert_eq!(report.items_restored, 80);
+        let report = strategy
+            .restore(&RestoreContext {
+                obs: Some(&obs),
+                ..ctx(&r, None, &[])
+            })
+            .expect("restore");
+        assert_eq!(report.items_restored, 300);
+        // Frame by frame, nothing written out — and yet the reports of a
+        // 300-item stream, byte for byte.
         let cut = report.ckpt_cut.expect("unwarned restore cuts inline");
-        assert_eq!(cut.items, 80);
+        assert_eq!(
+            CkptWriteReport {
+                elapsed: whole_cut.elapsed,
+                ..cut
+            },
+            whole_cut
+        );
+        let load = report.ckpt.expect("checkpoint restore report");
+        assert_eq!(
+            CkptRestoreReport {
+                elapsed: whole_load.elapsed,
+                ..load
+            },
+            whole_load
+        );
+        assert_eq!(
+            obs.counter("ckpt_bytes_written_total").get(),
+            buf.len() as u64
+        );
+        assert_eq!(
+            obs.counter("ckpt_bytes_restored_total").get(),
+            buf.len() as u64
+        );
+        assert_eq!(obs.counter("ckpt_items_restored_total").get(), 300);
+        // The replacement is the backup, shard by shard, hottest first.
+        for shard in 0..r.backup.shard_count() {
+            let walk = |s: &Store| {
+                let mut items = Vec::new();
+                s.visit_shard_at(shard, 0, |k, v, _| items.push((k.to_vec(), v.to_vec())));
+                items
+            };
+            assert_eq!(walk(&r.replacement), walk(&r.backup), "shard {shard}");
+        }
     }
 
     #[test]

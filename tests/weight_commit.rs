@@ -87,29 +87,38 @@ fn replicas_converge_to_identical_routing() {
 
 #[test]
 fn concurrent_controller_and_replicas() {
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
     let ledger = WeightLedger::new();
+    let done = Arc::new(AtomicBool::new(false));
     let publisher = {
         let ledger = Arc::clone(&ledger);
+        let done = Arc::clone(&done);
         std::thread::spawn(move || {
             for i in 0..500u64 {
                 let w = if i % 2 == 0 { weights_a() } else { weights_b() };
                 ledger.publish(w, vec![100]);
             }
+            done.store(true, Ordering::SeqCst);
         })
     };
     let replicas: Vec<_> = (0..3)
         .map(|_| {
             let mut sub = ledger.subscribe();
+            let done = Arc::clone(&done);
             std::thread::spawn(move || {
                 let mut lb = LoadBalancer::new();
-                let mut applied = 0u32;
-                for _ in 0..20_000 {
+                let mut last = 0u64;
+                // Poll for as long as the publisher runs — a poll budget can
+                // run out before the first epoch on a busy host — and once
+                // more after it has finished, for the final table.
+                loop {
+                    let finished = done.load(Ordering::SeqCst);
                     if let Some(e) = sub.poll() {
                         lb.set_weights(&e.weights);
                         lb.set_backups(&e.backups);
-                        applied += 1;
+                        last = e.epoch;
                         // The balancer is always in a coherent state: any
                         // routed node is one of this epoch's nodes.
                         use spotcache::router::balancer::Route;
@@ -120,14 +129,20 @@ fn concurrent_controller_and_replicas() {
                             }
                         }
                     }
+                    if finished {
+                        return last;
+                    }
                 }
-                applied
             })
         })
         .collect();
     publisher.join().unwrap();
     for r in replicas {
-        assert!(r.join().unwrap() > 0);
+        assert_eq!(
+            r.join().unwrap(),
+            500,
+            "every replica ends on the final table"
+        );
     }
     assert_eq!(ledger.latest_epoch(), 500);
 }
