@@ -23,31 +23,29 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
 echo "==> obs snapshot smoke test"
 snap="$(mktemp /tmp/obs_snapshot.XXXXXX.json)"
-lg="$(mktemp /tmp/cache_loadgen.XXXXXX.json)"
-trap 'rm -f "$snap" "$lg"' EXIT
+hs="$(mktemp /tmp/hot_shard_ab.XXXXXX.json)"
+trap 'rm -f "$snap" "$hs"' EXIT
 cargo run --release -q -p spotcache-bench --bin obs_snapshot -- --metrics-out "$snap" \
     | grep -q "snapshot OK"
 python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$snap" 2>/dev/null \
     || { echo "obs snapshot is not valid JSON"; exit 1; }
 
-echo "==> cache_loadgen smoke test (incl. hot-key contention A/B)"
-# The smoke run drives the hot-shard read-path A/B itself (4 readers,
-# single hot shard) and asserts deferred >= inline in-process; re-check
-# the extended snapshot schema and the A/B invariant here so the gate
-# does not rely on the bin's asserts alone.
-cargo run --release -q -p spotcache-bench --bin cache_loadgen -- --smoke --out "$lg" \
-    | grep -q "loadgen OK"
-python3 - "$lg" <<'PY'
+echo "==> hot-shard read-path A/B smoke test (4 readers, one hot shard)"
+# The bin asserts deferred >= inline itself; re-check the snapshot schema
+# and the A/B invariant here so the gate does not rely on the bin's
+# asserts alone. (Single-server traffic over real sockets is driven, with
+# replies verified, by the benchmark smokes at the end of this script.)
+cargo run --release -q -p spotcache-bench --bin hot_shard_ab -- --smoke --out "$hs" \
+    | grep -q "hot-shard A/B OK"
+python3 - "$hs" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 g = doc["gauges"]
 for key in (
-    "loadgen_baseline_ops_per_sec", "loadgen_pipelined_ops_per_sec",
-    "loadgen_pipeline_speedup", "loadgen_hot_inline_ops_per_sec",
-    "loadgen_hot_deferred_ops_per_sec", "loadgen_hot_speedup",
-    "loadgen_hot_keys", "loadgen_hot_readers",
+    "loadgen_hot_inline_ops_per_sec", "loadgen_hot_deferred_ops_per_sec",
+    "loadgen_hot_speedup", "loadgen_hot_keys", "loadgen_hot_readers",
 ):
-    assert key in g, f"BENCH_cache schema: missing gauge {key}"
+    assert key in g, f"BENCH_hot_shard schema: missing gauge {key}"
 assert g["loadgen_hot_readers"] >= 4, "hot-shard A/B needs >=4 reader threads"
 assert g["loadgen_hot_deferred_ops_per_sec"] >= g["loadgen_hot_inline_ops_per_sec"], \
     "deferred read path lost the hot-key contention smoke"
@@ -55,8 +53,7 @@ PY
 
 echo "==> trace smoke test (spans from every instrumented layer)"
 tr="$(mktemp /tmp/trace_dump.XXXXXX.json)"
-lgtr="$(mktemp /tmp/loadgen_trace.XXXXXX.json)"
-trap 'rm -f "$snap" "$lg" "$tr" "$lgtr"' EXIT
+trap 'rm -f "$snap" "$hs" "$tr"' EXIT
 # trace_dump exercises protocol, server, control, and recovery against one
 # tracer and asserts >=1 span per layer itself; re-check the JSON and the
 # per-layer coverage here so the gate does not rely on the bin's asserts.
@@ -69,21 +66,6 @@ cats = {e["cat"] for e in events}
 missing = {"protocol", "server", "control", "recovery"} - cats
 assert not missing, f"trace is missing layers: {missing}"
 PY
-# The loadgen path with sampling on: trace must validate and cover the
-# data plane while the run still passes its throughput floors. The
-# scrape leg polls the live admin endpoint mid-run and must land its
-# snapshots in the artifact.
-cargo run --release -q -p spotcache-bench --bin cache_loadgen -- --smoke --out "$lg" \
-    --trace-out "$lgtr" --scrape-interval 0.1 | grep -q "loadgen OK"
-python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$lgtr" 2>/dev/null \
-    || { echo "loadgen trace is not valid JSON"; exit 1; }
-python3 - "$lg" <<'PY'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-scrapes = doc.get("scrapes")
-assert scrapes, "--scrape-interval run must embed live /metrics snapshots"
-assert all("t_s" in s and "cache_get_total" in s for s in scrapes), scrapes
-PY
 
 echo "==> telemetry endpoint smoke test (live /metrics /healthz /trace /journal)"
 cargo run --release -q -p spotcache-bench --bin telemetry_smoke | grep -q "telemetry OK"
@@ -95,7 +77,7 @@ cargo run --release -q -p spotcache-bench --bin ckpt_smoke \
 echo "==> revocation drill smoke test (all strategies + link faults)"
 dr="$(mktemp /tmp/revocation_drill.XXXXXX.json)"
 drtr="$(mktemp /tmp/drill_trace.XXXXXX.json)"
-trap 'rm -f "$snap" "$lg" "$tr" "$lgtr" "$dr" "$drtr"' EXIT
+trap 'rm -f "$snap" "$hs" "$tr" "$dr" "$drtr"' EXIT
 # The bin asserts the recovery orderings (per-strategy warned <= warning
 # window, replay unwarned > warned, checkpoint beating replay) and the
 # link-fault healing itself; re-check the artifact's schema and the
@@ -147,7 +129,7 @@ PY
 
 echo "==> cluster loadgen smoke test (reactor data plane, multi-node ring)"
 cl="$(mktemp /tmp/cluster_loadgen.XXXXXX.json)"
-trap 'rm -f "$snap" "$lg" "$tr" "$lgtr" "$dr" "$drtr" "$cl"' EXIT
+trap 'rm -f "$snap" "$hs" "$tr" "$dr" "$drtr" "$cl"' EXIT
 # The bin asserts its own smoke throughput floor; re-check the artifact's
 # schema and the cluster-shape invariants here so the gate does not rely
 # on the bin's asserts alone. The scrape leg polls node 0's live admin
@@ -169,7 +151,7 @@ PY
 
 echo "==> storm drill smoke test (correlated revocation waves, decay curves)"
 st="$(mktemp /tmp/storm_drill.XXXXXX.json)"
-trap 'rm -f "$snap" "$lg" "$tr" "$lgtr" "$dr" "$drtr" "$cl" "$st"' EXIT
+trap 'rm -f "$snap" "$hs" "$tr" "$dr" "$drtr" "$cl" "$st"' EXIT
 # The bin asserts the recovery-ordering invariants itself (warned <=
 # unwarned for the identical kill-set, no permanent floor loss, trigger
 # before the first burn breach); re-check the artifact's schema and the
@@ -223,23 +205,21 @@ for bin in table2 fig7 fig12; do
         || { echo "results/$bin.txt no longer reproduces"; exit 1; }
 done
 
-echo "==> benchmark plan_90d smoke (traced; correct, nothing failed)"
-bash benchmark/run.sh --workload plan_90d --seed 42 --seconds 2 --trace 1 | tail -n 1 \
-    | python3 -c '
+# One short traced run per benchmark workload: the output check passes
+# and no operation failed. paced_get / pipelined_mix / write_evict drive a
+# single server over real sockets with every reply verified; revocation
+# needs 6 s to fit its kill-and-restore round.
+for spec in paced_get:2 pipelined_mix:2 write_evict:2 revocation:6 plan_90d:2; do
+    w="${spec%%:*}"
+    echo "==> benchmark $w smoke (traced; correct, nothing failed)"
+    bash benchmark/run.sh --workload "$w" --seed 42 --seconds "${spec##*:}" --trace 1 \
+        | tail -n 1 | python3 -c '
 import json, sys
 doc = json.loads(sys.stdin.read())
-assert doc["correct"] is True, "plan_90d output check failed"
-assert doc["failed"] == 0, "plan_90d: %d failed operations" % doc["failed"]
-'
-
-echo "==> benchmark revocation smoke (traced; correct, nothing failed)"
-bash benchmark/run.sh --workload revocation --seed 42 --seconds 6 --trace 1 | tail -n 1 \
-    | python3 -c '
-import json, sys
-doc = json.loads(sys.stdin.read())
-assert doc["correct"] is True, "revocation output check failed"
-assert doc["failed"] == 0, "revocation: %d failed operations" % doc["failed"]
-'
+assert doc["correct"] is True, "%s output check failed" % sys.argv[1]
+assert doc["failed"] == 0, "%s: %d failed operations" % (sys.argv[1], doc["failed"])
+' "$w"
+done
 
 echo "==> cargo fmt --check"
 cargo fmt --check

@@ -1,5 +1,6 @@
-//! cluster_loadgen: the first cluster-level benchmark — N reactor-backed
-//! [`CacheServer`]s fronted by the `router` crate on real sockets.
+//! cluster_loadgen: the cluster-level benchmark — N reactor-backed
+//! [`CacheServer`]s fronted by the `router` crate on real sockets, measured
+//! against a one-node reference taken in the same run.
 //!
 //! Launches `--nodes` in-process cache servers (each with its own store
 //! and observability registry), places the Zipf key space over them with
@@ -13,17 +14,22 @@
 //!    owning node, written to every touched node, responses drained in
 //!    bulk (the batch-and-shard path, now cluster-wide).
 //!
-//! Results land in `BENCH_cluster.json` (schema `spotcache-cluster-v1`,
-//! checked in) with per-node and aggregate ops/s and p50/p95/p99. The
-//! full run must beat the single-server pipelined figure recorded in
-//! `BENCH_cache.json` in aggregate — the point of a cluster.
+//! The **one-node reference** is a second cluster of exactly one node,
+//! driven by the same driver at the same depth, multiget cap and seed
+//! ladder; its pipelined slices alternate with the N-node ones so host
+//! drift is charged to both. Results land in `BENCH_cluster.json` (schema
+//! `spotcache-cluster-v1`, checked in) with per-node and aggregate ops/s,
+//! p50/p95/p99, the reference figure and `scaleout_ratio`. The full run
+//! asserts aggregate > reference only where the host can resolve it
+//! (`host_cores ≥ nodes + conns`) and prints *unresolved* where it cannot.
 //!
 //! Flags: `--smoke` (small fixed-seed run with an ops/s floor for CI),
 //! `--out PATH` (default `BENCH_cluster.json`), `--seed N`, `--conns N`
 //! (driver threads, each holding one connection per node), `--nodes N`,
-//! and `--scrape-interval SECS` (attach a live `/metrics` endpoint to
-//! node 0 and poll it on that cadence while the load runs; snapshots
-//! land under `"scrapes"` in the JSON artifact).
+//! `--depth N`, `--batches N`, `--multiget N`, and `--scrape-interval
+//! SECS` (attach a live `/metrics` endpoint to node 0 and poll it on that
+//! cadence while the load runs; snapshots land under `"scrapes"` in the
+//! JSON artifact).
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -35,12 +41,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use spotcache_bench::heading;
+use spotcache_bench::live::{prefill_hot, start_server, write_artifact, Flags};
 use spotcache_bench::scrape::{scrapes_json, Scraper};
-use spotcache_cache::protocol::serve;
-use spotcache_cache::server::{CacheServer, LogicalClock, ServerConfig};
+use spotcache_cache::server::{CacheServer, ServerConfig};
 use spotcache_cache::store::{Store, StoreConfig};
-use spotcache_obs::export::validate_json;
-use spotcache_obs::Obs;
+use spotcache_obs::{Histogram, Obs};
 use spotcache_router::{HashRing, HotReplicaSet, NodeId};
 use spotcache_workload::zipf::ScrambledZipfian;
 
@@ -71,92 +76,42 @@ struct Config {
 
 impl Config {
     fn from_args() -> Self {
-        let mut smoke = false;
-        let mut out = "BENCH_cluster.json".to_string();
-        let mut seed = 42u64;
-        let mut nodes: Option<usize> = None;
-        let mut conns: Option<usize> = None;
-        let mut depth: Option<usize> = None;
-        let mut batches: Option<usize> = None;
-        let mut multiget = MULTIGET_CAP;
-        let mut scrape_interval: Option<f64> = None;
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--smoke" => smoke = true,
-                "--out" => out = args.next().expect("--out needs a path"),
-                "--seed" => seed = args.next().expect("--seed needs a value").parse().unwrap(),
-                "--nodes" => {
-                    nodes = Some(args.next().expect("--nodes needs a value").parse().unwrap())
-                }
-                "--conns" => {
-                    conns = Some(args.next().expect("--conns needs a value").parse().unwrap())
-                }
-                "--depth" => {
-                    depth = Some(args.next().expect("--depth needs a value").parse().unwrap())
-                }
-                "--batches" => {
-                    batches = Some(
-                        args.next()
-                            .expect("--batches needs a value")
-                            .parse()
-                            .unwrap(),
-                    )
-                }
-                "--multiget" => {
-                    multiget = args
-                        .next()
-                        .expect("--multiget needs a value")
-                        .parse::<usize>()
-                        .unwrap()
-                        .max(1)
-                }
-                "--scrape-interval" => {
-                    scrape_interval = Some(
-                        args.next()
-                            .expect("--scrape-interval needs seconds")
-                            .parse()
-                            .unwrap(),
-                    )
-                }
-                other => panic!("unknown flag {other}"),
-            }
-        }
-        if smoke {
-            Self {
-                smoke,
-                out,
-                seed,
-                nodes: nodes.unwrap_or(2).max(1),
-                conns: conns.unwrap_or(2),
-                key_space: 2_000,
-                baseline_ops: 200,
-                pipelined_batches: batches.unwrap_or(15),
-                pipeline_depth: depth.unwrap_or(64),
-                multiget_cap: multiget,
-                scrape_interval,
-            }
+        let mut flags = Flags::from_env();
+        let (smoke, out, seed) = flags.artifact_run("BENCH_cluster.json");
+        let nodes: Option<usize> = flags.value("--nodes", "a value");
+        let conns: Option<usize> = flags.value("--conns", "a value");
+        let depth: Option<usize> = flags.value("--depth", "a value");
+        let batches: Option<usize> = flags.value("--batches", "a value");
+        let multiget = flags
+            .value("--multiget", "a value")
+            .unwrap_or(MULTIGET_CAP)
+            .max(1);
+        let scrape_interval: Option<f64> = flags.value("--scrape-interval", "seconds");
+        flags.finish();
+        // (nodes, conns, key space, baseline ops, batches, depth)
+        let d = if smoke {
+            (2, 2, 2_000, 200, 15, 64)
         } else {
-            Self {
-                smoke,
-                out,
-                seed,
-                nodes: nodes.unwrap_or(3).max(1),
-                conns: conns.unwrap_or(3),
-                key_space: 10_000,
-                baseline_ops: 1_000,
-                pipelined_batches: batches.unwrap_or(400),
-                pipeline_depth: depth.unwrap_or(384),
-                multiget_cap: multiget,
-                scrape_interval,
-            }
+            (3, 3, 10_000, 1_000, 400, 384)
+        };
+        Self {
+            smoke,
+            out,
+            seed,
+            nodes: nodes.unwrap_or(d.0).max(1),
+            conns: conns.unwrap_or(d.1),
+            key_space: d.2,
+            baseline_ops: d.3,
+            pipelined_batches: batches.unwrap_or(d.4),
+            pipeline_depth: depth.unwrap_or(d.5),
+            multiget_cap: multiget,
+            scrape_interval,
         }
     }
 }
 
 /// One cache node: its store, its server, and its own metric registry.
 struct Node {
-    id: NodeId,
     store: Arc<Store>,
     obs: Arc<Obs>,
     server: CacheServer,
@@ -201,7 +156,7 @@ impl Fabric {
             .collect();
         Self {
             hot,
-            node_ids: nodes.iter().map(|n| n.id).collect(),
+            node_ids: (0..nodes.len() as NodeId).collect(),
             addrs: nodes.iter().map(|n| n.server.addr()).collect(),
             key_space,
             owner_of,
@@ -229,9 +184,9 @@ impl Fabric {
     }
 }
 
-/// Counts complete responses in `resp` (same framing argument as
-/// cache_loadgen: `END\r\n` and `STORED\r\n` cannot occur inside keys or
-/// the CRLF-free filler values).
+/// Counts complete responses in `resp`: every command produces exactly one
+/// `END\r\n` (get) or `STORED\r\n` (set) terminator, and neither string can
+/// occur inside keys or the CRLF-free filler values.
 fn count_responses(resp: &[u8]) -> usize {
     let count = |pat: &[u8]| resp.windows(pat.len()).filter(|w| *w == pat).count();
     count(b"END\r\n") + count(b"STORED\r\n")
@@ -369,20 +324,18 @@ struct PhaseStats {
     node_ops_per_sec: Vec<f64>,
 }
 
-/// Runs one phase across `conns` driver threads; each holds a connection
-/// to every node.
-#[allow(clippy::too_many_arguments)]
+/// Runs one phase across `cfg.conns` driver threads; each holds a
+/// connection to every node.
 fn run_phase(
     name: &str,
     fabric: &Arc<Fabric>,
-    obs: &Obs,
+    cfg: &Config,
     seed: u64,
-    conns: usize,
     batches: usize,
     depth: usize,
-    multiget_cap: usize,
 ) -> PhaseStats {
-    let hist = obs.histogram(&format!("cluster_{name}_op_us"));
+    let (conns, multiget_cap) = (cfg.conns, cfg.multiget_cap);
+    let hist = Histogram::new();
     let start = Instant::now();
     let handles: Vec<_> = (0..conns)
         .map(|t| {
@@ -446,98 +399,94 @@ fn build_hot_set(key_space: u64, seed: u64) -> HotReplicaSet {
     hot
 }
 
-/// The single-server pipelined figure this cluster must beat, read from
-/// the checked-in `BENCH_cache.json` snapshot.
-fn single_server_figure() -> Option<f64> {
-    let text = std::fs::read_to_string("BENCH_cache.json").ok()?;
-    let key = "\"loadgen_pipelined_ops_per_sec\":";
-    let at = text.find(key)? + key.len();
-    let rest = &text[at..];
-    let end = rest.find([',', '}'])?;
-    rest[..end].trim().parse().ok()
+/// A live cluster: its nodes and the routing fabric over them.
+struct Cluster {
+    nodes: Vec<Node>,
+    fabric: Arc<Fabric>,
+    /// Resolved reactor pool size of every node.
+    workers_per_node: usize,
+}
+
+impl Cluster {
+    /// Stands up `n` nodes (one store + reactor server + registry each),
+    /// builds the ring and hot set over them, and prefills every key onto
+    /// its owner and every hot key onto every node.
+    fn start(cfg: &Config, n: usize) -> Self {
+        let workers_per_node = ServerConfig::default().effective_workers_for(SHARDS_PER_NODE);
+        let nodes: Vec<Node> = (0..n)
+            .map(|i| {
+                let store = Arc::new(Store::new(StoreConfig {
+                    capacity_bytes: if cfg.smoke { 32 << 20 } else { 256 << 20 },
+                    shards: SHARDS_PER_NODE,
+                }));
+                let obs = Arc::new(Obs::new());
+                let server = start_server(&store, Some(&obs), None);
+                // The resolved pool size is part of the benchmark's metadata
+                // contract: what we report must be what actually ran.
+                assert_eq!(
+                    server.workers(),
+                    workers_per_node,
+                    "node {i}: resolved worker pool diverged from effective_workers_for"
+                );
+                Node { store, obs, server }
+            })
+            .collect();
+        println!("{n} node(s) up, {workers_per_node} worker(s) x {SHARDS_PER_NODE} shards each");
+
+        // Routing fabric: equal ring weights, hottest keys replicated.
+        let weights: Vec<(NodeId, f64)> = (0..n as NodeId).map(|id| (id, 1.0)).collect();
+        let ring = HashRing::build(&weights);
+        let hot = build_hot_set(cfg.key_space, cfg.seed);
+        println!(
+            "hot set: {:?}",
+            hot.replicated_keys()
+                .iter()
+                .map(|k| String::from_utf8_lossy(k).into_owned())
+                .collect::<Vec<_>>()
+        );
+        let fabric = Arc::new(Fabric::build(&ring, hot, &nodes, cfg.key_space));
+        for (i, node) in nodes.iter().enumerate() {
+            let owned = (0..cfg.key_space)
+                .filter(|&kid| fabric.is_hot[kid as usize] || fabric.owner_of[kid as usize] == i);
+            prefill_hot(&node.store, "key", owned, VALUE_LEN);
+        }
+        println!(
+            "prefilled {} keys x {VALUE_LEN}B across the ring",
+            cfg.key_space
+        );
+        Self {
+            nodes,
+            fabric,
+            workers_per_node,
+        }
+    }
+
+    fn stop(&mut self) {
+        for node in &mut self.nodes {
+            node.server.stop();
+        }
+    }
+}
+
+fn best(runs: &[PhaseStats]) -> &PhaseStats {
+    runs.iter()
+        .max_by(|a, b| a.ops_per_sec.total_cmp(&b.ops_per_sec))
+        .expect("at least one pipelined run")
 }
 
 fn main() {
     let cfg = Config::from_args();
     heading("Cluster load generator (hashring + hot replicas over N reactors)");
 
-    // Stand up the cluster: one store + reactor server + registry each.
-    let server_cfg = ServerConfig::default();
-    let workers_per_node = server_cfg.effective_workers_for(SHARDS_PER_NODE);
-    let mut nodes: Vec<Node> = (0..cfg.nodes)
-        .map(|i| {
-            let store = Arc::new(Store::new(StoreConfig {
-                capacity_bytes: if cfg.smoke { 32 << 20 } else { 256 << 20 },
-                shards: SHARDS_PER_NODE,
-            }));
-            let obs = Arc::new(Obs::new());
-            let server = CacheServer::start_with(
-                Arc::clone(&store),
-                LogicalClock::new(),
-                "127.0.0.1:0",
-                server_cfg.clone(),
-                Some(Arc::clone(&obs)),
-            )
-            .expect("start node");
-            // The resolved pool size is part of the benchmark's metadata
-            // contract: what we report must be what actually ran.
-            assert_eq!(
-                server.workers(),
-                workers_per_node,
-                "node {i}: resolved worker pool diverged from effective_workers_for"
-            );
-            Node {
-                id: i as NodeId,
-                store,
-                obs,
-                server,
-            }
-        })
-        .collect();
-    println!(
-        "{} nodes up, {workers_per_node} worker(s) x {SHARDS_PER_NODE} shards each",
-        nodes.len()
-    );
-
-    // Routing fabric: equal ring weights, hottest keys replicated.
-    let weights: Vec<(NodeId, f64)> = nodes.iter().map(|n| (n.id, 1.0)).collect();
-    let ring = HashRing::build(&weights);
-    let hot = build_hot_set(cfg.key_space, cfg.seed);
-    println!(
-        "hot set: {:?}",
-        hot.replicated_keys()
-            .iter()
-            .map(|k| String::from_utf8_lossy(k).into_owned())
-            .collect::<Vec<_>>()
-    );
-    let fabric = Arc::new(Fabric::build(&ring, hot, &nodes, cfg.key_space));
-
-    // Prefill through the protocol (values carry the wire flag prefix):
-    // every key onto its owner, hot keys onto every node.
-    let value = "x".repeat(VALUE_LEN);
-    let mut prefills: Vec<Vec<u8>> = vec![Vec::new(); nodes.len()];
-    let mut targets = Vec::new();
-    for kid in 0..cfg.key_space {
-        let line = format!("set key{kid} 0 0 {VALUE_LEN}\r\n{value}\r\n");
-        fabric.route(kid, false, &mut targets);
-        for &t in &targets {
-            prefills[t].extend_from_slice(line.as_bytes());
-        }
-    }
-    for (node, buf) in nodes.iter().zip(&prefills) {
-        let (_, consumed) = serve(&node.store, buf, 0);
-        assert_eq!(consumed, buf.len(), "prefill must parse cleanly");
-    }
-    println!(
-        "prefilled {} keys x {VALUE_LEN}B across the ring",
-        cfg.key_space
-    );
+    let mut cluster = Cluster::start(&cfg, cfg.nodes);
+    // The one-node reference: the same set-up over a ring of one.
+    let mut single = Cluster::start(&cfg, 1);
 
     // Live-telemetry leg: expose node 0's registry over an admin
     // endpoint and poll it while the phases run, proving the scrape
     // path answers under cluster load (snapshots land in the JSON).
     let scraper = cfg.scrape_interval.map(|secs| {
-        let admin = nodes[0]
+        let admin = cluster.nodes[0]
             .server
             .start_admin("127.0.0.1:0")
             .expect("start admin endpoint on node 0");
@@ -553,38 +502,34 @@ fn main() {
         )
     });
 
-    let obs = Obs::new();
     let baseline = run_phase(
         "baseline",
-        &fabric,
-        &obs,
+        &cluster.fabric,
+        &cfg,
         cfg.seed,
-        cfg.conns,
         cfg.baseline_ops,
         1,
-        cfg.multiget_cap,
     );
     // The pipelined phase is scheduler-noise dominated on a small box
     // (every server, worker, and driver shares the cores), so the full
-    // run reports best-of-3; smoke keeps a single cheap run.
-    let pipelined_runs: Vec<PhaseStats> = (0..if cfg.smoke { 1 } else { 3 })
-        .map(|r| {
-            run_phase(
-                &format!("pipelined_r{r}"),
-                &fabric,
-                &obs,
-                cfg.seed + 1 + r as u64,
-                cfg.conns,
-                cfg.pipelined_batches,
-                cfg.pipeline_depth,
-                cfg.multiget_cap,
-            )
-        })
-        .collect();
-    let pipelined = pipelined_runs
-        .iter()
-        .max_by(|a, b| a.ops_per_sec.total_cmp(&b.ops_per_sec))
-        .expect("at least one pipelined run");
+    // run takes 3 slices per side and reports the best of each; the
+    // reference and the cluster alternate so drift hits both alike.
+    let mut single_runs = Vec::new();
+    let mut pipelined_runs = Vec::new();
+    for r in 0..if cfg.smoke { 1 } else { 3 } {
+        let seed = cfg.seed + 1 + r;
+        let (batches, depth) = (cfg.pipelined_batches, cfg.pipeline_depth);
+        for (label, side, runs) in [
+            ("single", &single, &mut single_runs),
+            ("pipelined", &cluster, &mut pipelined_runs),
+        ] {
+            let name = format!("{label}_r{r}");
+            runs.push(run_phase(&name, &side.fabric, &cfg, seed, batches, depth));
+        }
+    }
+    let pipelined = best(&pipelined_runs);
+    let reference = best(&single_runs).ops_per_sec;
+    let scaleout = pipelined.ops_per_sec / reference;
     let scrapes = scraper.map(|s| {
         let scrapes = s.stop();
         println!("scraped node0 /metrics {} times mid-run", scrapes.len());
@@ -594,11 +539,12 @@ fn main() {
         );
         scrapes
     });
-    for node in &mut nodes {
-        node.server.stop();
-    }
+    cluster.stop();
+    single.stop();
 
-    let reference = single_server_figure();
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let nodes = &cluster.nodes;
+    let workers_per_node = cluster.workers_per_node;
     let per_node_json: Vec<String> = nodes
         .iter()
         .enumerate()
@@ -632,17 +578,25 @@ fn main() {
             p.ops_per_sec, p.p50_us, p.p95_us, p.p99_us
         )
     };
+    let runs_json = |runs: &[PhaseStats]| {
+        runs.iter()
+            .map(|p| format!("{:.1}", p.ops_per_sec))
+            .collect::<Vec<_>>()
+            .join(",")
+    };
     // Which store read plane the nodes ran — benchmark metadata so a
     // figure can always be tied to the concurrency plane that produced it.
     let read_path = format!("{:?}", nodes[0].store.read_path().mode).to_lowercase();
     let mut json = format!(
         "{{\"schema\":\"spotcache-cluster-v1\",\"smoke\":{},\"seed\":{},\
-         \"nodes\":{},\"conns\":{},\"pipeline_depth\":{},\"key_space\":{},\
+         \"nodes\":{},\"conns\":{},\"host_cores\":{host_cores},\
+         \"pipeline_depth\":{},\"key_space\":{},\
          \"get_ratio\":{GET_RATIO},\"value_len\":{VALUE_LEN},\
          \"hot_replicas\":{HOT_REPLICAS},\"shards_per_node\":{SHARDS_PER_NODE},\
          \"workers_per_node\":{workers_per_node},\
          \"read_path\":\"{read_path}\",\
-         \"single_server_pipelined_ops_per_sec\":{},\
+         \"single_server_pipelined_ops_per_sec\":{reference:.1},\
+         \"single_server_runs\":[{}],\"scaleout_ratio\":{scaleout:.3},\
          \"baseline\":{},\"pipelined\":{},\"pipelined_runs\":[{}],\
          \"per_node\":[{}]}}",
         cfg.smoke,
@@ -651,23 +605,22 @@ fn main() {
         cfg.conns,
         cfg.pipeline_depth,
         cfg.key_space,
-        reference.map_or("null".to_string(), |r| format!("{r:.1}")),
+        runs_json(&single_runs),
         phase_json(&baseline),
         phase_json(pipelined),
-        pipelined_runs
-            .iter()
-            .map(|p| format!("{:.1}", p.ops_per_sec))
-            .collect::<Vec<_>>()
-            .join(","),
+        runs_json(&pipelined_runs),
         per_node_json.join(","),
     );
     if let Some(scrapes) = &scrapes {
         json = format!("{{\"scrapes\":{},{}", scrapes_json(scrapes), &json[1..]);
     }
-    validate_json(&json).unwrap_or_else(|at| panic!("cluster JSON invalid at byte {at}"));
-    std::fs::write(&cfg.out, &json).expect("write snapshot");
-    println!("wrote {}", cfg.out);
+    write_artifact(&cfg.out, &json);
 
+    println!(
+        "aggregate {:.0} ops/s over {} node(s) vs one-node reference {reference:.0} ops/s: \
+         {scaleout:.2}x",
+        pipelined.ops_per_sec, cfg.nodes
+    );
     if cfg.smoke {
         // Conservative floor for a loaded single-core CI box.
         assert!(
@@ -675,19 +628,21 @@ fn main() {
             "cluster pipelined floor violated: {:.0} ops/s",
             pipelined.ops_per_sec
         );
-    } else {
-        let reference =
-            reference.expect("BENCH_cache.json with loadgen_pipelined_ops_per_sec is checked in");
+    } else if cfg.nodes > 1 && host_cores >= cfg.nodes + cfg.conns {
+        // Every node and every driver has a core of its own: scale-out
+        // must actually scale.
         assert!(
-            pipelined.ops_per_sec > reference,
-            "cluster aggregate ({:.0} ops/s) must beat the single-server \
-             pipelined figure ({reference:.0} ops/s)",
+            scaleout > 1.0,
+            "cluster aggregate ({:.0} ops/s) must beat the one-node \
+             reference ({reference:.0} ops/s) on {host_cores} cores",
             pipelined.ops_per_sec
         );
+    } else {
+        // Nodes and drivers time-share the cores (or the "cluster" is the
+        // reference itself): the ratio is recorded, not judged.
         println!(
-            "aggregate {:.0} ops/s beats single-server {reference:.0} ops/s ({:.2}x)",
-            pipelined.ops_per_sec,
-            pipelined.ops_per_sec / reference
+            "scale-out unresolved on {host_cores} cores ({} nodes + {} drivers)",
+            cfg.nodes, cfg.conns
         );
     }
     println!("cluster loadgen OK");

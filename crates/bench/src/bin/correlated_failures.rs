@@ -7,13 +7,14 @@
 //! markets coupled by a regional shock schedule, where the on-demand floor
 //! becomes genuine insurance.
 
+use spotcache_bench::live::Flags;
 use spotcache_bench::{heading, pct, print_table};
 use spotcache_cloud::tracegen::{correlated_paper_traces, paper_traces};
 use spotcache_core::simulation::{simulate, SimConfig};
 use spotcache_core::Approach;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let [quick] = Flags::switches(["--quick"]);
     let days = if quick { 30 } else { 90 };
 
     for (name, traces) in [

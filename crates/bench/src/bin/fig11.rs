@@ -9,17 +9,18 @@
 //! * `--cases`: the Figure 4 recovery cases (replacement ready before /
 //!   after revocation).
 
+use spotcache_bench::live::Flags;
 use spotcache_bench::{heading, print_table};
 use spotcache_cloud::burstable::BurstableState;
 use spotcache_cloud::catalog::find_type;
 use spotcache_sim::recovery::{simulate_recovery, BackupChoice, RecoveryConfig};
 
 fn main() {
-    let warmup = std::env::args().any(|a| a == "--warmup");
-    let cases = std::env::args().any(|a| a == "--cases");
+    let [warmup, cases] = Flags::switches(["--warmup", "--cases"]);
 
     figure11a();
-    if warmup || std::env::args().count() == 1 {
+    // No flags at all also prints the warm-up panel.
+    if warmup || !cases {
         figure11b();
     }
     if cases {

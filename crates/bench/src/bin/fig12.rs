@@ -3,6 +3,7 @@
 //! reference workload (500 kops peak, 100 GB working set), for Zipf 1.0 and
 //! 2.0, with all four spot markets available.
 
+use spotcache_bench::live::Flags;
 use spotcache_bench::{dollars, heading, pct, print_table};
 use spotcache_cloud::billing::CostCategory;
 use spotcache_cloud::tracegen::paper_traces;
@@ -10,7 +11,7 @@ use spotcache_core::simulation::{simulate, SimConfig};
 use spotcache_core::Approach;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let [quick] = Flags::switches(["--quick"]);
     let days = if quick { 30 } else { 90 };
     let traces = paper_traces(days);
 

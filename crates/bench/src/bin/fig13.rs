@@ -3,13 +3,14 @@
 //! maximum working set ∈ {10, 100, 500} GB × Zipf ∈ {1.0, 2.0} — for every
 //! approach, normalized by `ODOnly`.
 
+use spotcache_bench::live::Flags;
 use spotcache_bench::{heading, print_table};
 use spotcache_cloud::tracegen::paper_traces;
 use spotcache_core::simulation::{simulate, SimConfig};
 use spotcache_core::Approach;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let [quick] = Flags::switches(["--quick"]);
     let days = if quick { 21 } else { 90 };
     let traces = paper_traces(days);
 

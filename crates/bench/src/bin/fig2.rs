@@ -3,6 +3,7 @@
 //! series. With `--lifetimes`, also demonstrates the Figure 1 definitions by
 //! extracting below-bid runs from one trace.
 
+use spotcache_bench::live::Flags;
 use spotcache_bench::{heading, print_table};
 use spotcache_cloud::spot::Bid;
 use spotcache_cloud::tracegen::paper_traces;
@@ -10,7 +11,7 @@ use spotcache_cloud::DAY;
 use spotcache_spotmodel::below_bid_runs;
 
 fn main() {
-    let show_lifetimes = std::env::args().any(|a| a == "--lifetimes");
+    let [show_lifetimes] = Flags::switches(["--lifetimes"]);
     let traces = paper_traces(90);
 
     heading("Figure 2: 90-day spot price traces (summary)");

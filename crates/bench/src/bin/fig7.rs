@@ -5,13 +5,14 @@
 //!
 //! Paper setup: 500 kops peak, 100 GB working set, Zipf 2.0, 90-day traces.
 
+use spotcache_bench::live::Flags;
 use spotcache_bench::{heading, pct, print_table};
 use spotcache_cloud::tracegen::paper_traces;
 use spotcache_core::simulation::{simulate, SimConfig};
 use spotcache_core::Approach;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let [quick] = Flags::switches(["--quick"]);
     let days = if quick { 30 } else { 90 };
     let traces = paper_traces(days);
 

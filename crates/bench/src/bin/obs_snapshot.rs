@@ -13,18 +13,22 @@
 use std::sync::Arc;
 
 use spotcache_bench::heading;
+use spotcache_bench::live::{write_artifact, Flags};
 use spotcache_cache::server::{CacheClient, CacheServer, LogicalClock, ServerConfig};
 use spotcache_cache::store::{Store, StoreConfig};
 use spotcache_cloud::catalog::find_type;
 use spotcache_cloud::tracegen::paper_traces;
 use spotcache_core::simulation::{simulate_traced, SimConfig};
 use spotcache_core::Approach;
-use spotcache_obs::export::validate_json;
 use spotcache_obs::Obs;
 use spotcache_sim::recovery::{simulate_recovery_traced, BackupChoice, RecoveryConfig};
 
 fn main() {
-    let out_path = metrics_out_path();
+    let mut flags = Flags::from_env();
+    let out_path = flags
+        .value("--metrics-out", "a path")
+        .unwrap_or_else(|| "BENCH_obs.json".to_string());
+    flags.finish();
     let obs = Arc::new(Obs::new());
 
     heading("Observability snapshot");
@@ -91,7 +95,6 @@ fn main() {
 
     // Export, validate, and write.
     let json = obs.json_snapshot();
-    validate_json(&json).unwrap_or_else(|at| panic!("snapshot JSON invalid at byte {at}"));
     let prom = obs.prometheus_text();
     for series in [
         "control_plan_cost_dollars",
@@ -102,21 +105,12 @@ fn main() {
     ] {
         assert!(prom.contains(series), "missing series {series}");
     }
-    std::fs::write(&out_path, &json).expect("write snapshot");
+    write_artifact(&out_path, &json);
     println!(
-        "wrote {out_path}: {} bytes, {} metrics, {} journal events",
+        "{out_path}: {} bytes, {} metrics, {} journal events",
         json.len(),
         obs.registry().len(),
         obs.journal().len()
     );
     println!("snapshot OK");
-}
-
-fn metrics_out_path() -> String {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--metrics-out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_obs.json".to_string())
 }

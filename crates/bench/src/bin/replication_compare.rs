@@ -5,6 +5,7 @@
 //! over the same markets and workloads, across RAM-bound and rate-bound
 //! operating points, showing when each design wins.
 
+use spotcache_bench::live::Flags;
 use spotcache_bench::{dollars, heading, pct, print_table};
 use spotcache_cloud::tracegen::paper_traces;
 use spotcache_core::geo_baseline::{simulate_geo_baseline, GeoBaselineConfig};
@@ -12,7 +13,7 @@ use spotcache_core::simulation::{simulate, SimConfig};
 use spotcache_core::Approach;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let [quick] = Flags::switches(["--quick"]);
     let days = if quick { 21 } else { 90 };
     let traces = paper_traces(days);
 

@@ -3,7 +3,7 @@
 //! ADR-003).
 //!
 //! Stands up a primary / backup / replacement trio of in-process
-//! [`CacheServer`]s wired the way the paper wires spot nodes to their
+//! `CacheServer`s wired the way the paper wires spot nodes to their
 //! burstable backups: the primary's hot-key mutations replicate through a
 //! fault-injectable proxy into the backup, and on revocation a
 //! [`RecoveryStrategy`] restores the replacement while a
@@ -40,7 +40,6 @@
 //! pump; every injected link fault is observed and healed.
 
 use std::collections::BTreeSet;
-use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -49,11 +48,13 @@ use rand::SeedableRng;
 
 use spotcache_bench::faults::{FaultMode, FaultProxy};
 use spotcache_bench::heading;
-use spotcache_cache::protocol::serve;
+use spotcache_bench::live::{
+    prefill_hot, read_window, start_server, write_artifact, write_trace, Flags, RoutedTiers, Tier,
+    WindowTally,
+};
 use spotcache_cache::replication::{Mutation, ReplicationConfig, ReplicationQueue, Replicator};
-use spotcache_cache::server::{CacheClient, CacheServer, LogicalClock, ServerConfig};
 use spotcache_cache::store::{Store, StoreConfig};
-use spotcache_obs::export::{validate_json, validate_prometheus_text};
+use spotcache_obs::export::validate_prometheus_text;
 use spotcache_obs::http::http_get;
 use spotcache_obs::{
     trace, Obs, SloWindow, TraceConfig, TraceContext, Tracer, DEFAULT_TRACE_CAPACITY,
@@ -112,64 +113,46 @@ struct Config {
 
 impl Config {
     fn from_args() -> Self {
-        let mut smoke = false;
-        let mut out = "BENCH_drill.json".to_string();
-        let mut trace_out = None;
-        let mut seed = 42u64;
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--smoke" => smoke = true,
-                "--out" => out = args.next().expect("--out needs a path"),
-                "--trace-out" => trace_out = Some(args.next().expect("--trace-out needs a path")),
-                "--seed" => seed = args.next().expect("--seed needs a value").parse().unwrap(),
-                other => panic!("unknown flag {other}"),
-            }
-        }
+        let mut flags = Flags::from_env();
+        let (smoke, out, seed) = flags.artifact_run("BENCH_drill.json");
+        let trace_out: Option<String> = flags.value("--trace-out", "a path");
+        flags.finish();
         // The 2-minute warning is time-scaled: full mode compresses 120 s
         // to 2 s (60×), smoke to 0.6 s. The pump rate is chosen so an
         // unwarned copy takes noticeably longer than one warning window
         // but still completes inside the observation period.
-        if smoke {
-            Self {
-                smoke,
-                out,
-                trace_out,
-                seed,
-                hot_keys: 400,
-                ops_per_window: 150,
-                window: Duration::from_millis(50),
-                steady_windows: 6,
-                warning_windows: 12, // 0.6 s scaled warning
-                observe_windows: 40, // 2 s
-                pump: WarmupConfig {
-                    max_items: 1_000,
-                    base_rate: 600.0,
-                    peak_rate: 600.0,
-                    initial_credits: 0.0,
-                    ..WarmupConfig::default()
-                },
-            }
-        } else {
-            Self {
-                smoke,
-                out,
-                trace_out,
-                seed,
-                hot_keys: 2_000,
-                ops_per_window: 400,
-                window: Duration::from_millis(100),
-                steady_windows: 10,
-                warning_windows: 20, // 2 s scaled warning
-                observe_windows: 60, // 6 s
-                pump: WarmupConfig {
-                    max_items: 4_000,
-                    base_rate: 1_000.0,
-                    peak_rate: 1_000.0,
-                    initial_credits: 0.0,
-                    ..WarmupConfig::default()
-                },
-            }
+        let pump = |max_items, rate| WarmupConfig {
+            max_items,
+            base_rate: rate,
+            peak_rate: rate,
+            initial_credits: 0.0,
+            ..WarmupConfig::default()
+        };
+        let full = Self {
+            smoke,
+            out,
+            trace_out,
+            seed,
+            hot_keys: 2_000,
+            ops_per_window: 400,
+            window: Duration::from_millis(100),
+            steady_windows: 10,
+            warning_windows: 20, // 2 s scaled warning
+            observe_windows: 60, // 6 s
+            pump: pump(4_000, 1_000.0),
+        };
+        if !smoke {
+            return full;
+        }
+        Self {
+            hot_keys: 400,
+            ops_per_window: 150,
+            window: Duration::from_millis(50),
+            steady_windows: 6,
+            warning_windows: 12, // 0.6 s scaled warning
+            observe_windows: 40, // 2 s
+            pump: pump(1_000, 600.0),
+            ..full
         }
     }
 
@@ -186,151 +169,13 @@ impl Config {
     }
 }
 
-/// Lazily-connected clients for the three drill targets.
-struct Targets {
-    addrs: [SocketAddr; 3],
-    conns: [Option<CacheClient>; 3],
-    /// Trace context announced on every fresh connection (stitched runs
-    /// only): the server stitches the first request batch into this
-    /// trace, so client-side serve spans join the drill's trace tree.
-    ctx: Option<TraceContext>,
-}
-
-impl Targets {
-    fn new(
-        primary: SocketAddr,
-        backup: SocketAddr,
-        replacement: SocketAddr,
-        ctx: Option<TraceContext>,
-    ) -> Self {
-        Self {
-            addrs: [primary, backup, replacement],
-            conns: [None, None, None],
-            ctx,
-        }
-    }
-
-    fn slot(t: ServeTarget) -> usize {
-        match t {
-            ServeTarget::Primary => 0,
-            ServeTarget::BackupStale => 1,
-            ServeTarget::Replacement => 2,
-        }
-    }
-
-    fn conn(&mut self, t: ServeTarget) -> Option<&mut CacheClient> {
-        let i = Self::slot(t);
-        if self.conns[i].is_none() {
-            self.conns[i] = CacheClient::connect(self.addrs[i]).ok();
-            if let (Some(c), Some(ctx)) = (self.conns[i].as_mut(), self.ctx) {
-                if c.send_trace(ctx).is_err() {
-                    self.conns[i] = None;
-                }
-            }
-        }
-        self.conns[i].as_mut()
-    }
-
-    /// A get against one target; any error reads as a miss (and drops the
-    /// connection — a dead primary must not wedge the driver).
-    fn get(&mut self, t: ServeTarget, key: &str) -> Option<Vec<u8>> {
-        let i = Self::slot(t);
-        match self.conn(t).map(|c| c.get(key)) {
-            Some(Ok(v)) => v,
-            _ => {
-                self.conns[i] = None;
-                None
-            }
-        }
-    }
-
-    /// A set against one target; errors are dropped the same way.
-    fn set(&mut self, t: ServeTarget, key: &str, value: &[u8]) {
-        let i = Self::slot(t);
-        if self
-            .conn(t)
-            .map(|c| c.set(key, value, 0))
-            .is_none_or(|r| r.is_err())
-        {
-            self.conns[i] = None;
-        }
-    }
-}
-
-/// Per-window hit rates: `fresh` counts primary/replacement answers,
-/// `stale` counts stale-from-backup answers; `fresh + stale` is the
-/// served (availability) rate.
-#[derive(Clone, Copy)]
-struct WindowSample {
-    fresh: f64,
-    stale: f64,
-}
-
-impl WindowSample {
-    fn served(&self) -> f64 {
-        self.fresh + self.stale
-    }
-}
-
-/// Drives one window of Zipf reads through the router's current plan,
-/// write-through-refilling misses at the router's write target. Which
-/// target counts as fresh vs stale follows the answering target, not
-/// the plan order — so checkpoint-mode (stale-first) windows score
-/// exactly like replay-mode ones.
-fn drive_window(
-    cfg: &Config,
-    router: &DegradedRouter,
-    slo: &SloWindow,
-    targets: &mut Targets,
-    zipf: &ScrambledZipfian,
-    rng: &mut StdRng,
-    value: &str,
-) -> WindowSample {
-    let deadline = Instant::now() + cfg.window;
-    let mut fresh = 0usize;
-    let mut stale = 0usize;
-    let mut tally = |t: ServeTarget| match t {
-        ServeTarget::BackupStale => stale += 1,
-        _ => fresh += 1,
-    };
-    for _ in 0..cfg.ops_per_window {
-        let key = format!("h{}", zipf.sample(rng));
-        let plan = router.read_plan();
-        if targets.get(plan.first, &key).is_some() {
-            router.note_served(Some(plan.first));
-            slo.record(true);
-            tally(plan.first);
-            continue;
-        }
-        if let Some(fb) = plan.fallback {
-            if targets.get(fb, &key).is_some() {
-                router.note_served(Some(fb));
-                slo.record(true);
-                tally(fb);
-                continue;
-            }
-        }
-        // Miss everywhere: fetch from the (simulated) backend and refill
-        // the cache tier at the router's write target.
-        router.note_served(None);
-        slo.record(false);
-        targets.set(router.write_target(), &key, value.as_bytes());
-    }
-    if let Some(rest) = deadline.checked_duration_since(Instant::now()) {
-        std::thread::sleep(rest);
-    }
-    let n = cfg.ops_per_window as f64;
-    WindowSample {
-        fresh: fresh as f64 / n,
-        stale: stale as f64 / n,
-    }
-}
-
 struct DrillResult {
     strategy: &'static str,
     steady_fresh: f64,
     kill_window: usize,
-    samples: Vec<WindowSample>,
+    /// Per-window tallies; `fresh + stale` is the served (availability)
+    /// count.
+    samples: Vec<WindowTally>,
     recovery_windows: Option<usize>,
     restore: RestoreReport,
     repl_shipped: u64,
@@ -376,22 +221,15 @@ fn run_drill(
 
     // Each server's threads inherit the logical pid set at spawn time,
     // giving every component its own Chrome-trace process lane.
-    let start_server = |pid: u32, store: &Arc<Store>| {
+    let start_in_lane = |pid: u32, store: &Arc<Store>| {
         trace::set_thread_pid(pid);
-        let srv = CacheServer::start_full(
-            Arc::clone(store),
-            LogicalClock::new(),
-            "127.0.0.1:0",
-            ServerConfig::default(),
-            Some(Arc::clone(obs)),
-            Some(Arc::clone(tracer)),
-        );
+        let srv = start_server(store, Some(obs), Some(tracer));
         trace::set_thread_pid(PID_DRIVER);
         srv
     };
-    let mut primary_srv = start_server(PID_PRIMARY, &primary).expect("primary server");
-    let mut backup_srv = start_server(PID_BACKUP, &backup).expect("backup server");
-    let replacement_srv = start_server(PID_REPLACEMENT, &replacement).expect("replacement server");
+    let mut primary_srv = start_in_lane(PID_PRIMARY, &primary);
+    let mut backup_srv = start_in_lane(PID_BACKUP, &backup);
+    let replacement_srv = start_in_lane(PID_REPLACEMENT, &replacement);
 
     // The stitched run installs its root context only now — after the
     // servers spawned, so their workers do NOT inherit it (they stitch
@@ -417,13 +255,7 @@ fn run_drill(
 
     // Prefill the hot set through the protocol so every value carries the
     // wire framing and every set replicates to the backup.
-    let value = "x".repeat(VALUE_LEN);
-    let mut prefill = Vec::new();
-    for k in 0..cfg.hot_keys {
-        prefill.extend_from_slice(format!("set h{k} 0 0 {VALUE_LEN}\r\n{value}\r\n").as_bytes());
-    }
-    let (_, consumed) = serve(&primary, &prefill, 0);
-    assert_eq!(consumed, prefill.len(), "prefill must parse cleanly");
+    prefill_hot(&primary, "h", 0..cfg.hot_keys, VALUE_LEN);
     assert!(
         repl.flush(Duration::from_secs(30)),
         "prefill replication must drain"
@@ -468,30 +300,40 @@ fn run_drill(
         )
         .expect("drill admin endpoint");
 
-    let mut targets = Targets::new(
-        primary_srv.addr(),
-        backup_srv.addr(),
-        replacement_srv.addr(),
-        root_ctx,
+    // One routed node; the stitched run announces its root context on
+    // every fresh connection so client-side serve spans join the trace.
+    let mut tiers = RoutedTiers::new(Arc::clone(&router), root_ctx);
+    tiers.set_tier(ServeTarget::Primary, Tier::Remote(primary_srv.addr()));
+    tiers.set_tier(ServeTarget::BackupStale, Tier::Remote(backup_srv.addr()));
+    tiers.set_tier(
+        ServeTarget::Replacement,
+        Tier::Remote(replacement_srv.addr()),
     );
     let zipf = ScrambledZipfian::new(cfg.hot_keys, THETA);
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ warned as u64);
     let mut samples = Vec::new();
+    // One paced window of Zipf reads; any tier answering is good for the
+    // availability SLO.
+    let value = "x".repeat(VALUE_LEN);
+    let mut drive_window = || {
+        read_window(
+            std::slice::from_mut(&mut tiers),
+            |t| t,
+            cfg.ops_per_window,
+            || (0, format!("h{}", zipf.sample(&mut rng))),
+            value.as_bytes(),
+            |answered| slo.record(answered.is_some()),
+            Instant::now() + cfg.window,
+        )
+    };
+    let rate = |count: usize| count as f64 / cfg.ops_per_window as f64;
 
     // Steady state.
     for _ in 0..cfg.steady_windows {
-        samples.push(drive_window(
-            cfg,
-            &router,
-            &slo,
-            &mut targets,
-            &zipf,
-            &mut rng,
-            &value,
-        ));
+        samples.push(drive_window());
     }
     let steady_fresh =
-        samples.iter().map(|s| s.fresh).sum::<f64>() / cfg.steady_windows.max(1) as f64;
+        samples.iter().map(|s| rate(s.fresh)).sum::<f64>() / cfg.steady_windows.max(1) as f64;
     println!("steady-state fresh hit rate: {steady_fresh:.3}");
 
     // The restore runs on its own thread through the strategy layer.
@@ -543,9 +385,9 @@ fn run_drill(
             RecoveryStrategy::Replay(_) => {
                 restore_handle = Some(spawn_restore(None, Vec::new()));
             }
-            // Checkpoint burst-snapshots the primary's full state while
-            // it still lives, then bulk-loads it into the replacement.
-            RecoveryStrategy::Checkpoint(_) => {
+            // Checkpoint and Hybrid burst-snapshot the primary's full
+            // state while it still lives.
+            RecoveryStrategy::Checkpoint(_) | RecoveryStrategy::Hybrid { .. } => {
                 let mut buf = Vec::new();
                 let cut = write_checkpoint(&primary, 0, &mut buf, Some(obs), Some(tracer))
                     .expect("warning-window checkpoint cut");
@@ -555,37 +397,22 @@ fn run_drill(
                     cut.bytes,
                     cut.elapsed.as_secs_f64()
                 );
-                restore_handle = Some(spawn_restore(Some(buf), Vec::new()));
-            }
-            // Hybrid cuts the checkpoint and re-points the primary's tap
-            // at a fresh queue so everything mutated after the cut
-            // becomes the top-up tail, shipped at the kill.
-            RecoveryStrategy::Hybrid { .. } => {
-                let mut buf = Vec::new();
-                let cut = write_checkpoint(&primary, 0, &mut buf, Some(obs), Some(tracer))
-                    .expect("warning-window checkpoint cut");
-                println!(
-                    "checkpoint cut at warning: {} items, {} bytes in {:.3}s",
-                    cut.items,
-                    cut.bytes,
-                    cut.elapsed.as_secs_f64()
-                );
-                precut = Some(buf);
-                let tq = ReplicationQueue::new(65_536, Some(HOT_PREFIX.to_vec()));
-                primary.set_mutation_sink(Some(tq.clone()));
-                tail_queue = Some(tq);
+                if matches!(strategy, RecoveryStrategy::Checkpoint(_)) {
+                    // Bulk-load it into the replacement right away.
+                    restore_handle = Some(spawn_restore(Some(buf), Vec::new()));
+                } else {
+                    // Hybrid keeps the cut for the kill and re-points the
+                    // primary's tap at a fresh queue, so everything mutated
+                    // after the cut becomes the top-up tail.
+                    precut = Some(buf);
+                    let tq = ReplicationQueue::new(65_536, Some(HOT_PREFIX.to_vec()));
+                    primary.set_mutation_sink(Some(tq.clone()));
+                    tail_queue = Some(tq);
+                }
             }
         }
         for _ in 0..cfg.warning_windows {
-            samples.push(drive_window(
-                cfg,
-                &router,
-                &slo,
-                &mut targets,
-                &zipf,
-                &mut rng,
-                &value,
-            ));
+            samples.push(drive_window());
         }
     }
 
@@ -630,15 +457,7 @@ fn run_drill(
 
     let mut restore_report = None;
     for _ in 0..cfg.observe_windows {
-        samples.push(drive_window(
-            cfg,
-            &router,
-            &slo,
-            &mut targets,
-            &zipf,
-            &mut rng,
-            &value,
-        ));
+        samples.push(drive_window());
         if restore_handle.as_ref().is_some_and(|h| h.is_finished()) {
             restore_report = Some(
                 restore_handle
@@ -665,7 +484,7 @@ fn run_drill(
     let threshold = RECOVERY_FRACTION * steady_fresh;
     let recovery_windows = samples[kill_window..]
         .iter()
-        .position(|s| s.fresh >= threshold)
+        .position(|s| rate(s.fresh) >= threshold)
         .map(|w| w + 1);
     let stats = repl.stats();
     println!(
@@ -730,22 +549,11 @@ fn run_full_set_race(cfg: &Config, obs: &Arc<Obs>, tracer: &Arc<Tracer>) -> Full
         shards: 8,
     };
     let backup = Arc::new(Store::new(store_cfg));
-    let value = "x".repeat(VALUE_LEN);
-    let mut prefill = Vec::new();
-    for k in 0..cfg.hot_keys {
-        prefill.extend_from_slice(format!("set h{k} 0 0 {VALUE_LEN}\r\n{value}\r\n").as_bytes());
-    }
-    let (_, consumed) = serve(&backup, &prefill, 0);
-    assert_eq!(consumed, prefill.len(), "prefill must parse cleanly");
+    prefill_hot(&backup, "h", 0..cfg.hot_keys, VALUE_LEN);
 
     // Replay leg: full set over the wire at the paced pump rate.
     let replay_store = Arc::new(Store::new(store_cfg));
-    let replay_srv = CacheServer::start(
-        Arc::clone(&replay_store),
-        LogicalClock::new(),
-        "127.0.0.1:0",
-    )
-    .expect("replay target server");
+    let replay_srv = start_server(&replay_store, None, None);
     let pump_cfg = WarmupConfig {
         max_items: cfg.hot_keys as usize,
         ..cfg.pump.clone()
@@ -822,8 +630,7 @@ fn run_link_faults(obs: &Arc<Obs>, tracer: &Arc<Tracer>) -> Vec<LinkFaultOutcome
     };
     let source = Arc::new(Store::new(store_cfg));
     let backup = Arc::new(Store::new(store_cfg));
-    let backup_srv = CacheServer::start(Arc::clone(&backup), LogicalClock::new(), "127.0.0.1:0")
-        .expect("backup server");
+    let backup_srv = start_server(&backup, None, None);
     let mut proxy = FaultProxy::start(backup_srv.addr()).expect("proxy");
     let queue = ReplicationQueue::new(16_384, None);
     source.set_mutation_sink(Some(queue.clone()));
@@ -899,8 +706,13 @@ fn model_recovery_secs(cfg: &Config) -> f64 {
     t
 }
 
-fn curve_json(samples: &[WindowSample], pick: impl Fn(&WindowSample) -> f64) -> String {
-    let vals: Vec<String> = samples.iter().map(|s| format!("{:.4}", pick(s))).collect();
+fn curve_json(r: &DrillResult, cfg: &Config, pick: impl Fn(&WindowTally) -> usize) -> String {
+    let n = cfg.ops_per_window as f64;
+    let vals: Vec<String> = r
+        .samples
+        .iter()
+        .map(|s| format!("{:.4}", pick(s) as f64 / n))
+        .collect();
     format!("[{}]", vals.join(","))
 }
 
@@ -914,22 +726,15 @@ fn drill_json(r: &DrillResult, cfg: &Config) -> String {
             p.io_errors
         )
     });
-    let ckpt = r.restore.ckpt.as_ref().map_or("null".into(), |c| {
-        format!(
-            "{{\"items\":{},\"bytes\":{},\"elapsed_s\":{:.4}}}",
-            c.items_stored,
-            c.bytes,
-            c.elapsed.as_secs_f64()
-        )
+    let ckpt_cell = |items: u64, bytes: u64, elapsed: Duration| {
+        let secs = elapsed.as_secs_f64();
+        format!("{{\"items\":{items},\"bytes\":{bytes},\"elapsed_s\":{secs:.4}}}")
+    };
+    let (ckpt, ckpt_cut) = (r.restore.ckpt.as_ref(), r.restore.ckpt_cut.as_ref());
+    let ckpt = ckpt.map_or("null".into(), |c| {
+        ckpt_cell(c.items_stored, c.bytes, c.elapsed)
     });
-    let ckpt_cut = r.restore.ckpt_cut.as_ref().map_or("null".into(), |c| {
-        format!(
-            "{{\"items\":{},\"bytes\":{},\"elapsed_s\":{:.4}}}",
-            c.items,
-            c.bytes,
-            c.elapsed.as_secs_f64()
-        )
-    });
+    let ckpt_cut = ckpt_cut.map_or("null".into(), |c| ckpt_cell(c.items, c.bytes, c.elapsed));
     format!(
         "{{\"strategy\":\"{}\",\"steady_fresh_rate\":{:.4},\"kill_window\":{},\
          \"recovery_windows\":{},\"recovery_s\":{},\
@@ -951,9 +756,9 @@ fn drill_json(r: &DrillResult, cfg: &Config) -> String {
         ckpt_cut,
         r.repl_shipped,
         r.repl_errors,
-        curve_json(&r.samples, |s| s.fresh),
-        curve_json(&r.samples, |s| s.served()),
-        curve_json(&r.samples, |s| s.stale),
+        curve_json(r, cfg, |s| s.fresh),
+        curve_json(r, cfg, |s| s.fresh + s.stale),
+        curve_json(r, cfg, |s| s.stale),
     )
 }
 
@@ -1150,22 +955,9 @@ fn main() {
         fault_cells.join(","),
         obs.json_snapshot(),
     );
-    validate_json(&json).unwrap_or_else(|at| panic!("drill JSON invalid at byte {at}"));
-    std::fs::write(&cfg.out, &json).expect("write drill snapshot");
-    println!("wrote {}", cfg.out);
-
+    write_artifact(&cfg.out, &json);
     if let Some(path) = &cfg.trace_out {
-        let trace = tracer.chrome_trace_json();
-        validate_json(&trace).unwrap_or_else(|at| panic!("trace JSON invalid at byte {at}"));
-        let cats = tracer.categories();
-        for layer in ["drill", "replication", "checkpoint"] {
-            assert!(
-                cats.contains(&layer),
-                "trace missing {layer} spans: {cats:?}"
-            );
-        }
-        std::fs::write(path, &trace).expect("write trace");
-        println!("wrote {path}: {} spans across {cats:?}", tracer.len());
+        write_trace(path, &tracer, &["drill", "replication", "checkpoint"]);
     }
     println!("revocation drill OK");
 }

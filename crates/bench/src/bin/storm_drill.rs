@@ -28,9 +28,9 @@
 //! [`StormDetector`]: spotcache_obs::StormDetector
 //! [`BreachTracker`]: spotcache_obs::BreachTracker
 
+use spotcache_bench::live::{write_artifact, Flags};
 use spotcache_bench::storm::{default_scenarios, run_scenario, ScenarioResult, StormConfig};
 use spotcache_bench::{heading, print_table};
-use spotcache_obs::export::validate_json;
 use spotcache_obs::Obs;
 use spotcache_recovery::replay::WarmupConfig;
 use std::sync::Arc;
@@ -44,18 +44,9 @@ struct Config {
 
 impl Config {
     fn from_args() -> Self {
-        let mut smoke = false;
-        let mut out = "BENCH_storm.json".to_string();
-        let mut seed = 42u64;
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--smoke" => smoke = true,
-                "--out" => out = args.next().expect("--out needs a path"),
-                "--seed" => seed = args.next().expect("--seed needs a value").parse().unwrap(),
-                other => panic!("unknown flag {other}"),
-            }
-        }
+        let mut flags = Flags::from_env();
+        let (smoke, out, seed) = flags.artifact_run("BENCH_storm.json");
+        flags.finish();
         // Sizing notes: the pump rate is picked so a warned pre-warm
         // finishes comfortably inside the warning window while an
         // unwarned recovery pays restart_delay + several pump windows —
@@ -63,69 +54,53 @@ impl Config {
         // window spans several driver windows so a single revocation
         // cannot breach before the detector's threshold (2 kills) is
         // reachable; see RUNBOOK.md §"Storm drills".
-        let storm = if smoke {
-            StormConfig {
+        let pump = |max_items| WarmupConfig {
+            max_items,
+            base_rate: 2_000.0,
+            peak_rate: 2_000.0,
+            initial_credits: 0.0,
+            ..WarmupConfig::default()
+        };
+        let mut storm = StormConfig {
+            nodes: 6,
+            key_space: 1_800,
+            theta: 0.99,
+            ops_per_window: 240,
+            window: Duration::from_millis(50),
+            steady_windows: 8,
+            storm_lead: 18,
+            observe_windows: 48,
+            warning_windows: 16,
+            spread: 2,
+            restart_delay: 6,
+            restart_jitter: 0.4,
+            cascade_delay: 12,
+            slo_target: 0.8,
+            slo_window_factor: 6,
+            detector_window: 4,
+            detector_threshold: 2,
+            recovery_fraction: 0.9,
+            pump: pump(1_800),
+            store_bytes: 32 << 20,
+            store_shards: 4,
+            seed,
+        };
+        if smoke {
+            storm = StormConfig {
                 nodes: 4,
                 key_space: 800,
-                theta: 0.99,
                 ops_per_window: 120,
                 window: Duration::from_millis(30),
                 steady_windows: 6,
                 storm_lead: 14,
                 observe_windows: 30,
                 warning_windows: 12,
-                spread: 2,
                 restart_delay: 5,
-                restart_jitter: 0.4,
                 cascade_delay: 10,
-                slo_target: 0.8,
-                slo_window_factor: 6,
-                detector_window: 4,
-                detector_threshold: 2,
-                recovery_fraction: 0.9,
-                pump: WarmupConfig {
-                    max_items: 800,
-                    base_rate: 2_000.0,
-                    peak_rate: 2_000.0,
-                    initial_credits: 0.0,
-                    ..WarmupConfig::default()
-                },
-                store_bytes: 32 << 20,
-                store_shards: 4,
-                seed,
-            }
-        } else {
-            StormConfig {
-                nodes: 6,
-                key_space: 1_800,
-                theta: 0.99,
-                ops_per_window: 240,
-                window: Duration::from_millis(50),
-                steady_windows: 8,
-                storm_lead: 18,
-                observe_windows: 48,
-                warning_windows: 16,
-                spread: 2,
-                restart_delay: 6,
-                restart_jitter: 0.4,
-                cascade_delay: 12,
-                slo_target: 0.8,
-                slo_window_factor: 6,
-                detector_window: 4,
-                detector_threshold: 2,
-                recovery_fraction: 0.9,
-                pump: WarmupConfig {
-                    max_items: 1_800,
-                    base_rate: 2_000.0,
-                    peak_rate: 2_000.0,
-                    initial_credits: 0.0,
-                    ..WarmupConfig::default()
-                },
-                store_bytes: 32 << 20,
-                store_shards: 4,
-                seed,
-            }
-        };
+                pump: pump(800),
+                ..storm
+            };
+        }
         Self { out, storm, smoke }
     }
 }
@@ -144,7 +119,6 @@ fn breaches_json(bs: &[(u64, Option<u64>)]) -> String {
 }
 
 fn scenario_json(r: &ScenarioResult) -> String {
-    let ids: Vec<u64> = r.killed.clone();
     format!(
         "{{\"warned\":{},\"cascade\":{},\
          \"killed\":{},\"kill_windows\":{},\"restart_windows\":{},\
@@ -155,7 +129,7 @@ fn scenario_json(r: &ScenarioResult) -> String {
          \"series\":{{\"fresh\":{},\"served\":{},\"stale\":{},\"burn\":{},\"degraded\":{}}}}}",
         r.warned,
         r.cascade,
-        u64s_json(&ids),
+        u64s_json(&r.killed),
         u64s_json(&r.kill_windows),
         u64s_json(&r.restart_windows),
         r.last_kill,
@@ -218,12 +192,11 @@ fn main() {
             r.name,
             r.steady_fresh
         );
-        let recovery = r.recovery_windows.unwrap_or_else(|| {
-            panic!(
-                "{}: fleet must recover within the observation period",
-                r.name
-            )
-        });
+        assert!(
+            r.recovery_windows.is_some(),
+            "{}: fleet must recover within the observation period",
+            r.name
+        );
         // No permanent hit-rate floor loss: the tail of the fresh curve
         // is back above the recovery bar, not just one lucky window.
         assert!(
@@ -256,7 +229,6 @@ fn main() {
                 r.name
             );
         }
-        let _ = recovery;
     }
     let by_name = |name: &str| {
         results
@@ -350,8 +322,6 @@ fn main() {
         scenario_cells.join(","),
         obs.json_snapshot(),
     );
-    validate_json(&json).unwrap_or_else(|at| panic!("storm JSON invalid at byte {at}"));
-    std::fs::write(&cfg.out, &json).expect("write storm snapshot");
-    println!("wrote {}", cfg.out);
+    write_artifact(&cfg.out, &json);
     println!("storm drill OK");
 }

@@ -1,6 +1,6 @@
 //! telemetry_smoke: CI gate for the live telemetry endpoint.
 //!
-//! Stands up one observed + traced reactor [`CacheServer`] with its
+//! Stands up one observed + traced reactor `CacheServer` with its
 //! admin listener attached, drives a few commands through a traced
 //! client connection, then scrapes **all four admin routes over real
 //! HTTP** and validates every body with the in-tree validators:
@@ -20,7 +20,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use spotcache_bench::heading;
-use spotcache_cache::server::{CacheClient, CacheServer, LogicalClock, ServerConfig};
+use spotcache_bench::live::start_server;
+use spotcache_cache::server::CacheClient;
 use spotcache_cache::store::{Store, StoreConfig};
 use spotcache_obs::export::{validate_json, validate_prometheus_text};
 use spotcache_obs::http::http_get;
@@ -47,15 +48,7 @@ fn main() {
         capacity_bytes: 32 << 20,
         shards: 4,
     }));
-    let mut server = CacheServer::start_full(
-        Arc::clone(&store),
-        LogicalClock::new(),
-        "127.0.0.1:0",
-        ServerConfig::default(),
-        Some(Arc::clone(&obs)),
-        Some(Arc::clone(&tracer)),
-    )
-    .expect("start server");
+    let mut server = start_server(&store, Some(&obs), Some(&tracer));
     let admin = server
         .start_admin_with(
             "127.0.0.1:0",

@@ -3,7 +3,7 @@
 //!
 //! Runs, against a single shared [`Tracer`]:
 //!
-//! 1. the **data plane** — a reactor [`CacheServer`] driven over real
+//! 1. the **data plane** — a reactor `CacheServer` driven over real
 //!    TCP (`server.*` spans) whose protocol loop records per-request
 //!    `protocol.*` spans,
 //! 2. the **control plane** — a short hourly simulation (`control.*`
@@ -20,18 +20,16 @@
 //! Flags: `--out PATH` (default `trace_dump.json`), `--smoke` (accepted
 //! for gate symmetry; the run is always smoke-sized).
 
-use std::io::Write;
-use std::net::TcpStream;
 use std::sync::Arc;
 
 use spotcache_bench::heading;
-use spotcache_cache::server::{CacheServer, LogicalClock, ServerConfig};
+use spotcache_bench::live::{start_server, write_trace, Flags};
+use spotcache_cache::server::CacheClient;
 use spotcache_cache::store::{Store, StoreConfig};
 use spotcache_cloud::catalog::find_type;
 use spotcache_cloud::tracegen::paper_traces;
 use spotcache_core::simulation::{simulate_traced, SimConfig};
 use spotcache_core::Approach;
-use spotcache_obs::export::validate_json;
 use spotcache_obs::{Obs, Tracer, DEFAULT_TRACE_CAPACITY};
 use spotcache_sim::recovery::{simulate_recovery_traced, BackupChoice, RecoveryConfig};
 
@@ -39,15 +37,12 @@ use spotcache_sim::recovery::{simulate_recovery_traced, BackupChoice, RecoveryCo
 const LAYERS: [&str; 4] = ["control", "protocol", "recovery", "server"];
 
 fn main() {
-    let mut out = "trace_dump.json".to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--out" => out = args.next().expect("--out needs a path"),
-            "--smoke" => {}
-            other => panic!("unknown flag {other}"),
-        }
-    }
+    let mut flags = Flags::from_env();
+    flags.switch("--smoke");
+    let out = flags
+        .value("--out", "a path")
+        .unwrap_or_else(|| "trace_dump.json".to_string());
+    flags.finish();
     heading("Span-trace dump across all instrumented layers");
     let tracer = Tracer::all(DEFAULT_TRACE_CAPACITY);
 
@@ -56,31 +51,13 @@ fn main() {
         capacity_bytes: 16 << 20,
         shards: 4,
     }));
-    let mut server = CacheServer::start_full(
-        Arc::clone(&store),
-        LogicalClock::new(),
-        "127.0.0.1:0",
-        ServerConfig::default(),
-        None,
-        Some(Arc::clone(&tracer)),
-    )
-    .expect("start server");
+    let mut server = start_server(&store, None, Some(&tracer));
     {
-        let mut s = TcpStream::connect(server.addr()).expect("connect");
-        s.set_nodelay(true).expect("nodelay");
-        let mut req = Vec::new();
+        let mut client = CacheClient::connect(server.addr()).expect("connect");
         for i in 0..200 {
-            req.extend_from_slice(format!("set key{i} 0 0 4\r\nabcd\r\nget key{i}\r\n").as_bytes());
-        }
-        s.write_all(&req).expect("write");
-        // Drain until every command has answered (200 STORED + 200 END).
-        let mut resp = Vec::new();
-        let mut chunk = [0u8; 16 * 1024];
-        while resp.windows(5).filter(|w| *w == b"END\r\n").count() < 200 {
-            use std::io::Read;
-            let n = s.read(&mut chunk).expect("read");
-            assert!(n > 0, "server closed early");
-            resp.extend_from_slice(&chunk[..n]);
+            let key = format!("key{i}");
+            client.set(&key, b"abcd", 0).expect("set");
+            assert!(client.get(&key).expect("get").is_some());
         }
     }
     server.stop();
@@ -106,17 +83,6 @@ fn main() {
     simulate_recovery_traced(&rcfg, None, Some(&tracer));
     println!("recovery: {} spans total", tracer.len());
 
-    let trace = tracer.chrome_trace_json();
-    validate_json(&trace).unwrap_or_else(|at| panic!("trace JSON invalid at byte {at}"));
-    let cats = tracer.categories();
-    for layer in LAYERS {
-        assert!(cats.contains(&layer), "no {layer} spans in {cats:?}");
-    }
-    std::fs::write(&out, &trace).expect("write trace");
-    println!(
-        "wrote {out}: {} spans across {cats:?} ({} dropped)",
-        tracer.len(),
-        tracer.dropped()
-    );
+    write_trace(&out, &tracer, &LAYERS);
     println!("trace OK");
 }

@@ -280,22 +280,6 @@ impl StormSchedule {
     pub fn nodes(&self) -> Vec<NodeId> {
         self.events.iter().map(|e| e.node).collect()
     }
-
-    /// Window of the first kill, if any node dies.
-    pub fn first_kill(&self) -> Option<u64> {
-        self.events.iter().map(|e| e.kill_at).min()
-    }
-
-    /// Window of the last kill, if any node dies.
-    pub fn last_kill(&self) -> Option<u64> {
-        self.events.iter().map(|e| e.kill_at).max()
-    }
-
-    /// Window of the last scheduled event of any kind (the horizon a
-    /// driver must run past before tacking on observation windows).
-    pub fn horizon(&self) -> Option<u64> {
-        self.events.iter().map(|e| e.restart_at).max()
-    }
 }
 
 /// Draws one correlated revocation wave against `ring`.
@@ -462,8 +446,6 @@ mod storm_tests {
         nodes.sort_unstable();
         nodes.dedup();
         assert_eq!(nodes.len(), 3, "distinct victims");
-        assert!(s.first_kill().unwrap() <= s.last_kill().unwrap());
-        assert!(s.horizon().unwrap() > s.last_kill().unwrap());
     }
 
     #[test]

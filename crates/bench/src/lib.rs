@@ -6,11 +6,13 @@
 //! `src/bin/` that regenerates it (see DESIGN.md for the index), and
 //! `benches/` holds Criterion micro-benchmarks over the core data
 //! structures. This library crate carries small output helpers shared by
-//! the binaries plus [`faults`], the fault-injecting TCP proxy the
+//! the binaries plus [`live`], what every live bin shares (flag parsing,
+//! artifact writing, hot-set prefill, per-tier clients and the routed
+//! read window), [`faults`], the fault-injecting TCP proxy the
 //! `revocation_drill` bin aims replication links through (plus the
 //! correlated-storm scheduler), [`storm`], the fleet-scale churn
 //! engine behind `storm_drill`, and [`scrape`], the live-telemetry
-//! poller behind the loadgens' `--scrape-interval` flag.
+//! poller behind `cluster_loadgen --scrape-interval`.
 
 use spotcache_cloud::SpotTrace;
 use spotcache_core::controller::{ControllerConfig, GlobalController};
@@ -18,6 +20,7 @@ use spotcache_core::Approach;
 use spotcache_optimizer::problem::{CostModel, ProcurementProblem, WorkloadForecast};
 
 pub mod faults;
+pub mod live;
 pub mod scrape;
 pub mod storm;
 

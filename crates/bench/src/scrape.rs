@@ -1,6 +1,6 @@
 //! Background poller for a live telemetry endpoint.
 //!
-//! The loadgens' `--scrape-interval` flag attaches one of these to the
+//! `cluster_loadgen --scrape-interval` attaches one of these to the
 //! server's admin endpoint: a thread polls `/metrics` on the given
 //! cadence *while the load runs*, validates every exposition against
 //! the in-tree Prometheus validator, samples a handful of named series,

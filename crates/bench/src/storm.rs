@@ -29,16 +29,15 @@
 //! before the storm detector has fired.
 
 use crate::faults::{schedule_storm, StormEvent, StormSpec};
+use crate::live::{prefill_hot, read_window, start_server, RoutedTiers, Tier};
 use rand::{rngs::StdRng, SeedableRng};
-use spotcache_cache::protocol::serve;
-use spotcache_cache::server::{CacheClient, CacheServer, LogicalClock, ServerConfig};
+use spotcache_cache::server::CacheServer;
 use spotcache_cache::store::{Store, StoreConfig};
 use spotcache_obs::{BreachTracker, DecaySeries, Obs, SloWindow, StormDetector};
 use spotcache_recovery::replay::{pump_hot_set, WarmupConfig, WarmupReport};
 use spotcache_router::degraded::{DegradedRouter, DrillPhase, RecoveryMode, ServeTarget};
 use spotcache_router::hashring::{HashRing, NodeId};
 use spotcache_workload::zipf::ScrambledZipfian;
-use std::net::SocketAddr;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -206,108 +205,23 @@ pub struct ScenarioResult {
 /// A replacement instance being warmed for one dead primary.
 struct Replacement {
     srv: CacheServer,
-    addr: SocketAddr,
-    conn: Option<CacheClient>,
     pump: Option<JoinHandle<std::io::Result<WarmupReport>>>,
 }
 
-/// One ring slot: a primary server, its passive backup, its router, and
-/// (once the storm hits) its replacement.
+/// One ring slot: a primary server, its passive backup, its router with
+/// a client per serve tier, and (once the storm hits) its replacement.
 struct FleetNode {
-    router: DegradedRouter,
+    tiers: RoutedTiers,
     backup: Arc<Store>,
-    primary_addr: SocketAddr,
     primary_srv: Option<CacheServer>,
-    primary_conn: Option<CacheClient>,
     replacement: Option<Replacement>,
     /// Pump finished before the kill (warned pre-warm): the router can
     /// jump straight to `Warmed` at revocation time.
     prewarmed: bool,
-    killed: bool,
     pumped: usize,
 }
 
 impl FleetNode {
-    /// A get against one serve tier; any transport error reads as a
-    /// miss (and drops the connection, so a dead server cannot wedge
-    /// the driver).
-    fn get(&mut self, target: ServeTarget, key: &str) -> bool {
-        match target {
-            ServeTarget::Primary => {
-                if self.primary_srv.is_none() {
-                    return false;
-                }
-                if self.primary_conn.is_none() {
-                    self.primary_conn = CacheClient::connect(self.primary_addr).ok();
-                }
-                match self.primary_conn.as_mut().map(|c| c.get(key)) {
-                    Some(Ok(v)) => v.is_some(),
-                    _ => {
-                        self.primary_conn = None;
-                        false
-                    }
-                }
-            }
-            ServeTarget::BackupStale => self.backup.get_at(key.as_bytes(), 0).is_some(),
-            ServeTarget::Replacement => {
-                let Some(rep) = self.replacement.as_mut() else {
-                    return false;
-                };
-                if rep.conn.is_none() {
-                    rep.conn = CacheClient::connect(rep.addr).ok();
-                }
-                match rep.conn.as_mut().map(|c| c.get(key)) {
-                    Some(Ok(v)) => v.is_some(),
-                    _ => {
-                        rep.conn = None;
-                        false
-                    }
-                }
-            }
-        }
-    }
-
-    /// A set against one serve tier; errors are dropped the same way.
-    fn set(&mut self, target: ServeTarget, key: &str, value: &[u8]) {
-        match target {
-            ServeTarget::Primary => {
-                if self.primary_srv.is_none() {
-                    return;
-                }
-                if self.primary_conn.is_none() {
-                    self.primary_conn = CacheClient::connect(self.primary_addr).ok();
-                }
-                if self
-                    .primary_conn
-                    .as_mut()
-                    .map(|c| c.set(key, value, 0))
-                    .is_none_or(|r| r.is_err())
-                {
-                    self.primary_conn = None;
-                }
-            }
-            // The backup only mirrors replication; the router never
-            // writes there.
-            ServeTarget::BackupStale => {}
-            ServeTarget::Replacement => {
-                let Some(rep) = self.replacement.as_mut() else {
-                    return;
-                };
-                if rep.conn.is_none() {
-                    rep.conn = CacheClient::connect(rep.addr).ok();
-                }
-                if rep
-                    .conn
-                    .as_mut()
-                    .map(|c| c.set(key, value, 0))
-                    .is_none_or(|r| r.is_err())
-                {
-                    rep.conn = None;
-                }
-            }
-        }
-    }
-
     /// Launches the replacement server and starts pumping the backup's
     /// hot set into it. Idempotent: a node warned *and* scheduled for
     /// restart warms only once.
@@ -319,15 +233,10 @@ impl FleetNode {
             capacity_bytes: cfg.store_bytes,
             shards: cfg.store_shards,
         }));
-        let srv = CacheServer::start_with(
-            store,
-            LogicalClock::new(),
-            "127.0.0.1:0",
-            ServerConfig::default(),
-            Some(Arc::clone(obs)),
-        )
-        .expect("replacement server");
+        let srv = start_server(&store, Some(obs), None);
         let addr = srv.addr();
+        self.tiers
+            .set_tier(ServeTarget::Replacement, Tier::Remote(addr));
         let backup = Arc::clone(&self.backup);
         let pump_cfg = cfg.pump.clone();
         let pump_obs = Arc::clone(obs);
@@ -337,8 +246,6 @@ impl FleetNode {
             .expect("spawn warm-up pump");
         self.replacement = Some(Replacement {
             srv,
-            addr,
-            conn: None,
             pump: Some(pump),
         });
     }
@@ -360,8 +267,8 @@ impl FleetNode {
             if let Ok(Ok(report)) = handle.join() {
                 self.pumped += report.items_pumped;
             }
-            if self.killed && self.router.phase() == DrillPhase::Degraded {
-                self.router.on_warmed();
+            if self.tiers.router.phase() == DrillPhase::Degraded {
+                self.tiers.router.on_warmed();
             } else {
                 self.prewarmed = true;
             }
@@ -396,38 +303,26 @@ pub fn run_scenario(cfg: &StormConfig, sc: &Scenario, obs: &Arc<Obs>) -> Scenari
     // keys, through the protocol parser so values carry the wire framing
     // the warm-up pump's replication framing round-trips.
     let value = "x".repeat(VALUE_LEN);
-    let mut prefill: Vec<Vec<u8>> = vec![Vec::new(); cfg.nodes];
-    for kid in 0..cfg.key_space {
-        prefill[owner_of[kid as usize]]
-            .extend_from_slice(format!("set h{kid} 0 0 {VALUE_LEN}\r\n{value}\r\n").as_bytes());
-    }
     let mut nodes: Vec<FleetNode> = Vec::with_capacity(cfg.nodes);
-    for buf in &prefill {
+    for i in 0..cfg.nodes {
         let primary = Arc::new(Store::new(store_cfg));
         let backup = Arc::new(Store::new(store_cfg));
-        let (_, consumed) = serve(&primary, buf, 0);
-        assert_eq!(consumed, buf.len(), "prefill must parse cleanly");
-        let (_, consumed) = serve(&backup, buf, 0);
-        assert_eq!(consumed, buf.len(), "backup prefill must parse cleanly");
-        let srv = CacheServer::start_with(
-            primary,
-            LogicalClock::new(),
-            "127.0.0.1:0",
-            ServerConfig::default(),
-            Some(Arc::clone(obs)),
-        )
-        .expect("primary server");
-        let router = DegradedRouter::new();
+        for store in [&primary, &backup] {
+            let owned = (0..cfg.key_space).filter(|&kid| owner_of[kid as usize] == i);
+            prefill_hot(store, "h", owned, VALUE_LEN);
+        }
+        let srv = start_server(&primary, Some(obs), None);
+        let router = Arc::new(DegradedRouter::new());
         router.set_mode(RecoveryMode::Replay);
+        let mut tiers = RoutedTiers::new(router, None);
+        tiers.set_tier(ServeTarget::Primary, Tier::Remote(srv.addr()));
+        tiers.set_tier(ServeTarget::BackupStale, Tier::Local(Arc::clone(&backup)));
         nodes.push(FleetNode {
-            router,
+            tiers,
             backup,
-            primary_addr: srv.addr(),
             primary_srv: Some(srv),
-            primary_conn: None,
             replacement: None,
             prewarmed: false,
-            killed: false,
             pumped: 0,
         });
     }
@@ -486,7 +381,7 @@ pub fn run_scenario(cfg: &StormConfig, sc: &Scenario, obs: &Arc<Obs>) -> Scenari
         // 1. Warnings: phase to Warning and start the pre-warm.
         for e in events.iter().filter(|e| e.warn_at == Some(w)) {
             let node = &mut nodes[e.node as usize];
-            node.router.on_warning();
+            node.tiers.router.on_warning();
             node.launch_replacement(cfg, obs);
         }
         // 2. Kills: stop the real server, degrade the router, feed the
@@ -496,11 +391,10 @@ pub fn run_scenario(cfg: &StormConfig, sc: &Scenario, obs: &Arc<Obs>) -> Scenari
             if let Some(mut srv) = node.primary_srv.take() {
                 srv.stop();
             }
-            node.primary_conn = None;
-            node.killed = true;
-            node.router.on_revoked();
+            node.tiers.set_tier(ServeTarget::Primary, Tier::Absent);
+            node.tiers.router.on_revoked();
             if node.prewarmed {
-                node.router.on_warmed();
+                node.tiers.router.on_warmed();
             }
             detector.record(w, 1);
             kills_total.inc();
@@ -517,56 +411,41 @@ pub fn run_scenario(cfg: &StormConfig, sc: &Scenario, obs: &Arc<Obs>) -> Scenari
             node.poll_pump();
         }
         // 5. One window of Zipf reads through each owner's read plan,
-        //    write-through-refilling misses at the write target.
-        let mut n_fresh = 0usize;
-        let mut n_stale = 0usize;
-        for _ in 0..cfg.ops_per_window {
-            let kid = zipf.sample(&mut ops_rng);
-            let key = format!("h{kid}");
-            let node = &mut nodes[owner_of[kid as usize]];
-            let plan = node.router.read_plan();
-            let answered = if node.get(plan.first, &key) {
-                Some(plan.first)
-            } else {
-                plan.fallback.filter(|&fb| node.get(fb, &key))
-            };
-            match answered {
-                Some(ServeTarget::BackupStale) => {
-                    node.router.note_served(Some(ServeTarget::BackupStale));
-                    slo.record(false); // stale serve burns freshness budget
-                    n_stale += 1;
-                }
-                Some(t) => {
-                    node.router.note_served(Some(t));
-                    slo.record(true);
-                    n_fresh += 1;
-                }
-                None => {
-                    node.router.note_served(None);
-                    slo.record(false);
-                    let wt = node.router.write_target();
-                    node.set(wt, &key, value.as_bytes());
-                }
-            }
-        }
+        //    write-through-refilling misses at the write target. Only a
+        //    primary or replacement answer is good for the freshness SLO:
+        //    a stale serve burns budget just like a miss.
+        let tally = read_window(
+            &mut nodes,
+            |node| &mut node.tiers,
+            cfg.ops_per_window,
+            || {
+                let kid = zipf.sample(&mut ops_rng);
+                (owner_of[kid as usize], format!("h{kid}"))
+            },
+            value.as_bytes(),
+            |answered| {
+                slo.record(matches!(
+                    answered,
+                    Some(ServeTarget::Primary | ServeTarget::Replacement)
+                ))
+            },
+            deadline,
+        );
         // 6. Close the window: decay curves, burn breaches, degraded
-        //    census, pacing.
+        //    census.
         let n = cfg.ops_per_window as f64;
-        fresh.push(w, n_fresh as f64 / n);
-        stale.push(w, n_stale as f64 / n);
-        served.push(w, (n_fresh + n_stale) as f64 / n);
+        fresh.push(w, tally.fresh as f64 / n);
+        stale.push(w, tally.stale as f64 / n);
+        served.push(w, (tally.fresh + tally.stale) as f64 / n);
         let rate = slo.burn_rate();
         burn.push(w, rate.min(1e6)); // saturated burn stays JSON-finite
         breach.observe(w, rate);
         let deg = nodes
             .iter()
-            .filter(|nd| nd.router.phase() == DrillPhase::Degraded)
+            .filter(|nd| nd.tiers.router.phase() == DrillPhase::Degraded)
             .count();
         degraded.push(w, deg as f64);
         max_degraded = max_degraded.max(deg);
-        if let Some(rest) = deadline.checked_duration_since(Instant::now()) {
-            std::thread::sleep(rest);
-        }
     }
 
     // Tear-down: collect stragglers, stop every live server.

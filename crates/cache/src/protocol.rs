@@ -44,7 +44,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
-use spotcache_obs::{Counter, EventKind, Histogram, Obs, SpanGuard, TraceContext, Tracer};
+use spotcache_obs::{Counter, Histogram, Obs, SpanGuard, TraceContext, Tracer};
 
 use crate::store::{SetOutcome, SetPolicy, Store};
 
@@ -383,12 +383,6 @@ fn ttl_from_exptime(exptime: u64, now: u64) -> Option<u64> {
     }
 }
 
-/// What an executed command was, for observability recording.
-struct OpReport {
-    op: &'static str,
-    hit: bool,
-}
-
 /// Appends one `STAT <name> <value>\r\n` line with an `f64` value.
 /// Non-finite values render as `0` so the output stays parseable.
 fn write_stat_f64(out: &mut Vec<u8>, name: &str, suffix: &str, v: f64) {
@@ -441,14 +435,14 @@ fn write_registry_stats(out: &mut Vec<u8>, obs: &Obs) {
 /// Executes a single non-`get` request, appending its response to `out`.
 /// (`get`s are executed in batches and `trace` lines consumed by the
 /// serving loop.) `obs` extends the `stats` response with the registry's
-/// series.
+/// series. Returns the command's class for [`ProtocolObs::record`].
 fn exec_mutation(
     store: &Store,
     req: &Request<'_>,
     now: u64,
     obs: Option<&ProtocolObs>,
     out: &mut Vec<u8>,
-) -> OpReport {
+) -> &'static str {
     match *req {
         Request::Get { .. } | Request::Trace { .. } => {
             unreachable!("serve_loop batches gets and consumes trace lines itself")
@@ -483,10 +477,7 @@ fn exec_mutation(
                     SetOutcome::TooLarge => b"SERVER_ERROR object too large for cache\r\n".as_ref(),
                 });
             }
-            OpReport {
-                op: "store",
-                hit: outcome == SetOutcome::Stored,
-            }
+            "store"
         }
         Request::Delete { key, noreply } => {
             // TTL-aware: deleting an expired-but-unreaped item purges it
@@ -499,10 +490,7 @@ fn exec_mutation(
                     b"NOT_FOUND\r\n".as_ref()
                 });
             }
-            OpReport {
-                op: "delete",
-                hit: found,
-            }
+            "delete"
         }
         Request::Arith {
             key,
@@ -510,7 +498,6 @@ fn exec_mutation(
             increment,
             noreply,
         } => {
-            let mut ok = false;
             match store.get_at(key, now) {
                 Some(raw) => {
                     let numeric = decode_value(&raw).and_then(|(f, d)| {
@@ -537,7 +524,6 @@ fn exec_mutation(
                                 out.extend_from_slice(digits.as_slice());
                                 out.extend_from_slice(b"\r\n");
                             }
-                            ok = true;
                         }
                         None => {
                             if !noreply {
@@ -554,25 +540,16 @@ fn exec_mutation(
                     }
                 }
             }
-            OpReport {
-                op: "arith",
-                hit: ok,
-            }
+            "arith"
         }
         Request::FlushAll => {
             store.clear();
             out.extend_from_slice(b"OK\r\n");
-            OpReport {
-                op: "other",
-                hit: true,
-            }
+            "other"
         }
         Request::Version => {
             out.extend_from_slice(b"VERSION spotcache-1.0\r\n");
-            OpReport {
-                op: "other",
-                hit: true,
-            }
+            "other"
         }
         Request::Stats => {
             // One sweep over the shard locks for every aggregate field;
@@ -598,10 +575,7 @@ fn exec_mutation(
                 write_registry_stats(out, po.bundle());
             }
             out.extend_from_slice(b"END\r\n");
-            OpReport {
-                op: "other",
-                hit: true,
-            }
+            "other"
         }
     }
 }
@@ -667,7 +641,12 @@ impl ProtocolObs {
         &self.obs
     }
 
-    fn record(&self, op: &'static str, hit: bool, now: u64, latency_us: f64) {
+    /// Counts one served command of class `op` and its service latency.
+    /// Deliberately no journal event: per-op data lives in these
+    /// counters and the histogram, and the bounded journal is kept for
+    /// the rare events (revocations, bids, warm-up) an operator opens
+    /// `/journal` to find.
+    fn record(&self, op: &'static str, latency_us: f64) {
         let counter = match op {
             "get" => &self.get,
             "store" => &self.store,
@@ -677,14 +656,6 @@ impl ProtocolObs {
         };
         counter.inc();
         self.latency_us.record(latency_us);
-        self.obs.event(
-            now,
-            EventKind::CacheOp {
-                op: op.to_string(),
-                hit,
-                latency_us,
-            },
-        );
     }
 }
 
@@ -769,7 +740,7 @@ fn flush_gets(
             let hits = scratch.cmd_hits[i];
             po.hits.add(hits as u64);
             po.misses.add((nk - hits) as u64);
-            po.record("get", hits > 0, now, share);
+            po.record("get", share);
         }
     }
     scratch.key_ranges.clear();
@@ -849,11 +820,11 @@ fn serve_loop(
                 flush_gets(store, input, scratch, now, obs, tracer, out);
                 let _exec_span = maybe_span(tracer, "protocol", "execute");
                 let start = obs.map(|_| Instant::now());
-                let report = exec_mutation(store, &req, now, obs, out);
+                let op = exec_mutation(store, &req, now, obs, out);
                 if let (Some(po), Some(start)) = (obs, start) {
                     let us = start.elapsed().as_secs_f64() * 1e6;
                     po.stage_execute_us.record(us);
-                    po.record(report.op, report.hit, now, us);
+                    po.record(op, us);
                 }
                 consumed += n;
             }
@@ -900,8 +871,8 @@ pub fn serve_into(store: &Store, input: &[u8], now: u64, out: &mut Vec<u8>) -> u
 /// after that is an incomplete trailing command the caller should retain
 /// and retry with more input.
 ///
-/// `obs` records per-op counters, latency, stage histograms and `CacheOp`
-/// journal events; `tracer` records `protocol.*` spans. The two are
+/// `obs` records per-op counters, latency and stage histograms (no
+/// journal events); `tracer` records `protocol.*` spans. The two are
 /// independent and neither changes the wire output. With `obs` `None` and
 /// `tracer` disabled (or `None`) this is the [`serve_into`] hot path and
 /// performs **zero heap allocations** per op in steady state —
@@ -1054,12 +1025,34 @@ mod tests {
         assert_eq!(obs.counter("cache_get_misses_total").get(), 1);
         assert_eq!(obs.counter("cache_parse_errors_total").get(), 1);
         assert_eq!(obs.histogram("cache_op_latency_us").count(), 3);
+        assert!(obs.journal().is_empty(), "ops never enter the journal");
+    }
+
+    #[test]
+    fn observed_ops_do_not_evict_journal_events() {
+        let s = store();
+        let obs = Arc::new(Obs::new());
+        let po = ProtocolObs::new(Arc::clone(&obs));
+        obs.event(
+            3,
+            spotcache_obs::EventKind::Revocation {
+                label: "m4.large".into(),
+                count: 1,
+                warned: false,
+            },
+        );
+        run_observed(&s, b"set k 0 0 1\r\nv\r\n", 4, &po);
+        // More gets than the journal holds, one command each.
+        let gets = b"get k\r\n".repeat(10_000);
+        let (_, consumed) = run_observed(&s, &gets, 5, &po);
+        assert_eq!(consumed, gets.len());
         let events = obs.journal().events();
-        assert_eq!(events.len(), 3);
-        assert!(events.iter().all(|e| e.t == 7), "logical timestamps");
-        assert!(events
-            .iter()
-            .all(|e| matches!(e.kind, spotcache_obs::EventKind::CacheOp { .. })));
+        assert_eq!(events.len(), 1, "only the revocation");
+        assert_eq!(events[0].kind.tag(), "revocation");
+        assert_eq!(obs.counter("journal_dropped_total").get(), 0);
+        assert_eq!(obs.counter("cache_get_total").get(), 10_000);
+        assert_eq!(obs.counter("cache_get_hits_total").get(), 10_000);
+        assert_eq!(obs.histogram("cache_op_latency_us").count(), 10_001);
     }
 
     #[test]

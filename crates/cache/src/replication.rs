@@ -2,10 +2,9 @@
 //!
 //! The paper's robustness story (§3.3) keeps a cheap burstable *backup*
 //! holding every hot item that lives on revocable spot nodes. This module
-//! is the streaming leg of the unified recovery layer (re-exported as
-//! `spotcache_recovery::stream`; the simulated geo-replication baseline
-//! lives separately in `spotcache_core::geo_baseline`): a source
-//! [`Store`] tails its hot-key
+//! is the streaming leg of the unified recovery layer (the simulated
+//! geo-replication baseline lives separately in
+//! `spotcache_core::geo_baseline`): a source [`Store`] tails its hot-key
 //! mutations through a [`MutationSink`] tap into a bounded
 //! [`ReplicationQueue`], and a [`Replicator`] thread ships them to a real
 //! backup server as memcached `set`/`delete` commands over TCP.
@@ -56,8 +55,6 @@ use crate::store::{MutationSink, Store};
 /// Tuning knobs for the replication stream.
 #[derive(Debug, Clone)]
 pub struct ReplicationConfig {
-    /// Queue capacity in mutations; beyond it the oldest entry is dropped.
-    pub queue_capacity: usize,
     /// Mutations shipped per batch (one write + one ack read per batch).
     pub batch_max: usize,
     /// Per-link read/write timeout — a stalled backup trips this rather
@@ -84,7 +81,6 @@ pub struct ReplicationConfig {
 impl Default for ReplicationConfig {
     fn default() -> Self {
         Self {
-            queue_capacity: 16_384,
             batch_max: 64,
             io_timeout: Duration::from_millis(500),
             backoff_base: Duration::from_millis(10),
@@ -504,6 +500,18 @@ pub fn jittered_backoff(base: Duration, jitter: f64, state: &mut u64) -> Duratio
     base.mul_f64(factor.max(0.0))
 }
 
+/// Opens a replication/restore link to `addr` with the discipline every
+/// shipper uses: bounded connect, no Nagle delay, and `io_timeout` on
+/// reads and writes so a stalled peer trips a timeout instead of hanging
+/// the shipper.
+pub fn connect_link(addr: SocketAddr, io_timeout: Duration) -> std::io::Result<TcpStream> {
+    let s = TcpStream::connect_timeout(&addr, io_timeout)?;
+    let _ = s.set_nodelay(true);
+    let _ = s.set_read_timeout(Some(io_timeout));
+    let _ = s.set_write_timeout(Some(io_timeout));
+    Ok(s)
+}
+
 fn ship_loop(
     addr: SocketAddr,
     queue: Arc<ReplicationQueue>,
@@ -563,11 +571,8 @@ fn ship_loop(
         // Connect (or reconnect) with backoff.
         if conn.is_none() {
             let _span = tracer.as_deref().map(|t| t.span("replication", "connect"));
-            match TcpStream::connect_timeout(&addr, cfg.io_timeout) {
+            match connect_link(addr, cfg.io_timeout) {
                 Ok(s) => {
-                    let _ = s.set_nodelay(true);
-                    let _ = s.set_read_timeout(Some(cfg.io_timeout));
-                    let _ = s.set_write_timeout(Some(cfg.io_timeout));
                     if ever_connected {
                         shared.reconnects.fetch_add(1, Ordering::Relaxed);
                         if let Some(c) = &c_reconn {

@@ -1337,8 +1337,7 @@ mod tests {
         assert!(obs.gauge("reactor_workers").get() >= 1.0);
         assert!(obs.counter("reactor_epoll_waits_total").get() >= 1);
         assert!(obs.counter("reactor_wakeups_total").get() >= 1);
-        // Journal timestamps come from the logical clock, not wall time.
-        assert!(obs.journal().events().iter().all(|e| e.t == 42));
+        assert!(obs.journal().is_empty(), "ops never enter the journal");
     }
 
     #[test]

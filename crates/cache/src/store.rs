@@ -934,13 +934,6 @@ impl Store {
         SHARD_SCRATCH.with(|s| *s.borrow_mut() = ids);
     }
 
-    /// [`get_many_into`](Self::get_many_into) into a fresh vector.
-    pub fn get_many(&self, keys: &[&[u8]], now: u64) -> Vec<Option<Bytes>> {
-        let mut out = Vec::with_capacity(keys.len());
-        self.get_many_into(keys.iter().copied(), now, &mut out);
-        out
-    }
-
     /// Drains every shard's touch rings and advances every TTL wheel to
     /// `now`, under each shard's write lock in turn. The data planes call
     /// this between event batches; shards with empty rings and no due
@@ -1223,7 +1216,7 @@ impl Store {
 
     /// Stable shard index for `key`. Exposed so benchmarks and tests can
     /// construct deliberately skewed key sets (e.g. the single-hot-shard
-    /// read-path A/B in `cache_loadgen`).
+    /// read-path A/B in `hot_shard_ab`).
     pub fn shard_of(&self, key: &[u8]) -> usize {
         self.shard_idx(key)
     }
@@ -1319,11 +1312,6 @@ impl Store {
     /// filtered.
     pub fn snapshot(&self) -> StoreSnapshot {
         self.snapshot_at(0)
-    }
-
-    /// Bytes accounted to items live at `now` (keys + values + overhead).
-    pub fn used_bytes_at(&self, now: u64) -> usize {
-        self.snapshot_at(now).used_bytes
     }
 
     /// Total bytes accounted to items, ignoring TTLs (logical time 0).
@@ -1644,7 +1632,6 @@ mod tests {
             assert_eq!(after.items, 1, "expired item leaves the counts");
             assert_eq!(after.used_bytes, 1 + 100 + ITEM_OVERHEAD);
             assert_eq!(s.len_at(10), 1);
-            assert_eq!(s.used_bytes_at(10), after.used_bytes);
         }
     }
 
@@ -1716,12 +1703,13 @@ mod tests {
         }
         let keys: Vec<Vec<u8>> = (0..64u32).map(|i| i.to_be_bytes().to_vec()).collect();
         let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-        let batched = s.get_many(&refs, 50);
+        let mut batched = Vec::new();
+        s.get_many_into(refs.iter().copied(), 50, &mut batched);
         let sequential: Vec<Option<Bytes>> = refs.iter().map(|k| t.get_at(k, 50)).collect();
         assert_eq!(batched, sequential);
         assert_eq!(s.stats(), t.stats(), "batched stats must match sequential");
         // Expired items behave identically too (TTL 100 at t=200).
-        let batched = s.get_many(&refs, 200);
+        s.get_many_into(refs.iter().copied(), 200, &mut batched);
         assert!(batched.iter().all(|v| v.is_none()));
         assert_eq!(s.stats(), {
             refs.iter().for_each(|k| {

@@ -3,9 +3,8 @@
 //!
 //! Formerly `core::replication`; renamed so the geo-replication
 //! *simulation baseline* no longer shares a name with the live
-//! replication stream ([`spotcache_cache::replication`], re-exported as
-//! `spotcache_recovery::stream`), which is part of the recovery stack,
-//! not a procurement approach.
+//! replication stream ([`spotcache_cache::replication`]), which is part
+//! of the recovery stack, not a procurement approach.
 //!
 //! Instead of hot-cold placement with a passive backup, that design keeps
 //! `k` *full replicas* of the cache in weakly-correlated spot markets and

@@ -135,15 +135,6 @@ fn json_event(ev: &Event) -> String {
             fields.push(format!("\"demand\":{}", json_f64(*demand)));
             fields.push(format!("\"achieved\":{}", json_f64(*achieved)));
         }
-        EventKind::CacheOp {
-            op,
-            hit,
-            latency_us,
-        } => {
-            fields.push(format!("\"op\":\"{}\"", json_escape(op)));
-            fields.push(format!("\"hit\":{hit}"));
-            fields.push(format!("\"latency_us\":{}", json_f64(*latency_us)));
-        }
     }
     format!("{{{}}}", fields.join(","))
 }
@@ -518,10 +509,10 @@ mod tests {
         );
         j.record(
             7200,
-            EventKind::CacheOp {
-                op: "get".into(),
-                hit: false,
-                latency_us: 12.5,
+            EventKind::BucketThrottled {
+                bucket: "cpu".into(),
+                demand: 2.0,
+                achieved: 0.5,
             },
         );
         (r, j)
@@ -548,7 +539,7 @@ mod tests {
         assert!(json.contains("\"bucket_cpu_level\":43.5"));
         assert!(json.contains("\"count\":3"));
         assert!(json.contains("\"kind\":\"bid_placed\""));
-        assert!(json.contains("\"kind\":\"cache_op\""));
+        assert!(json.contains("\"kind\":\"bucket_throttled\""));
         assert!(json.contains("\"events_dropped\":0"));
     }
 

@@ -242,10 +242,10 @@ mod tests {
         obs.gauge("phase").set(1.0);
         obs.event(
             7,
-            EventKind::CacheOp {
-                op: "get".into(),
-                hit: true,
-                latency_us: 9.5,
+            EventKind::Revocation {
+                label: "m4.large".into(),
+                count: 1,
+                warned: true,
             },
         );
         obs

@@ -67,15 +67,6 @@ pub enum EventKind {
         /// Rate actually achieved.
         achieved: f64,
     },
-    /// A cache operation completed.
-    CacheOp {
-        /// Operation name (`get`, `set`, `delete`, ...).
-        op: String,
-        /// Whether it succeeded (for `get`: whether any key hit).
-        hit: bool,
-        /// Service latency in microseconds.
-        latency_us: f64,
-    },
 }
 
 impl EventKind {
@@ -88,7 +79,6 @@ impl EventKind {
             EventKind::NodeDeallocated { .. } => "node_deallocated",
             EventKind::BackupWarmupProgress { .. } => "backup_warmup_progress",
             EventKind::BucketThrottled { .. } => "bucket_throttled",
-            EventKind::CacheOp { .. } => "cache_op",
         }
     }
 }
@@ -214,10 +204,9 @@ mod tests {
         for t in 0..5u64 {
             j.record(
                 t,
-                EventKind::CacheOp {
-                    op: "get".into(),
-                    hit: true,
-                    latency_us: 1.0,
+                EventKind::NodeLaunched {
+                    label: "m4.large".into(),
+                    count: 1,
                 },
             );
         }

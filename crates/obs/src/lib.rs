@@ -173,10 +173,9 @@ mod tests {
         for t in 0..4 {
             obs.event(
                 t,
-                EventKind::CacheOp {
-                    op: "set".into(),
-                    hit: true,
-                    latency_us: 1.0,
+                EventKind::NodeDeallocated {
+                    label: "m4.large".into(),
+                    count: 1,
                 },
             );
         }
@@ -192,10 +191,9 @@ mod tests {
         for t in 0..5 {
             obs.event(
                 t,
-                EventKind::CacheOp {
-                    op: "get".into(),
-                    hit: true,
-                    latency_us: 1.0,
+                EventKind::NodeDeallocated {
+                    label: "m4.large".into(),
+                    count: 1,
                 },
             );
         }
@@ -216,10 +214,10 @@ mod tests {
         );
         obs.event(
             2,
-            EventKind::CacheOp {
-                op: "set".into(),
-                hit: true,
-                latency_us: 3.5,
+            EventKind::BucketThrottled {
+                bucket: "net".into(),
+                demand: 3.5,
+                achieved: 1.0,
             },
         );
         let body = obs.journal_ndjson();
@@ -229,6 +227,6 @@ mod tests {
             export::validate_json(line).unwrap_or_else(|at| panic!("bad line at {at}: {line}"));
         }
         assert!(lines[0].contains("\"kind\":\"node_launched\""));
-        assert!(lines[1].contains("\"kind\":\"cache_op\""));
+        assert!(lines[1].contains("\"kind\":\"bucket_throttled\""));
     }
 }

@@ -11,10 +11,9 @@
 //! checkpoint/resume pattern the spot literature favors. This crate
 //! pulls the restore path under one roof:
 //!
-//! * [`stream`] — the live replication primitives (mutation tap, queue,
-//!   acked shipper), re-exported from `spotcache_cache::replication`,
-//!   which stays physically in the cache crate because the tap is wired
-//!   into the store's write path.
+//! * the live replication primitives (mutation tap, queue, acked
+//!   shipper) are [`spotcache_cache::replication`]: they stay in the
+//!   cache crate because the tap is wired into the store's write path.
 //! * [`replay`] — the token-bucket warm-up pump (moved here from
 //!   `core::drill`, whose deprecation-period shim has since been
 //!   removed; this is now its only home).
@@ -33,17 +32,6 @@
 pub mod checkpoint;
 pub mod replay;
 pub mod strategy;
-
-/// Live replication primitives (mutation tap, bounded queue, acked
-/// shipper), re-exported from [`spotcache_cache::replication`].
-///
-/// They live physically in the cache crate — the [`MutationSink`] tap
-/// is wired into the store's write path, and the cache crate cannot
-/// depend on this one — but logically they are the streaming leg of the
-/// recovery stack, so the recovery layer names them too.
-///
-/// [`MutationSink`]: spotcache_cache::store::MutationSink
-pub use spotcache_cache::replication as stream;
 
 pub use checkpoint::{
     restore_checkpoint, write_checkpoint, CheckpointConfig, CkptError, CkptRestoreReport,

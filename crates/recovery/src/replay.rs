@@ -21,14 +21,14 @@
 //! fraction of a core indefinitely and a full core while credits last, so
 //! the pump's defaults are `peak = 1 300`, `base = baseline × peak`, with
 //! enough initial credits for a one-minute burst. Network framing is
-//! identical to live replication ([`crate::stream`]): acked memcached
+//! identical to live replication ([`spotcache_cache::replication`]): acked memcached
 //! `set`s, flag prefixes preserved, so a corrupted pump link surfaces as
 //! an error — never a silently cold replacement.
 
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use spotcache_cache::replication::{ship_batch, Mutation};
+use spotcache_cache::replication::{connect_link, ship_batch, Mutation};
 use spotcache_cache::store::Store;
 use spotcache_cloud::burstable::TokenBucket;
 use spotcache_obs::{Obs, Tracer};
@@ -164,13 +164,8 @@ pub fn pump_hot_set(
         let end = (idx + quota).min(total);
 
         if conn.is_none() {
-            match TcpStream::connect_timeout(&target, cfg.io_timeout) {
-                Ok(s) => {
-                    let _ = s.set_nodelay(true);
-                    let _ = s.set_read_timeout(Some(cfg.io_timeout));
-                    let _ = s.set_write_timeout(Some(cfg.io_timeout));
-                    conn = Some(s);
-                }
+            match connect_link(target, cfg.io_timeout) {
+                Ok(s) => conn = Some(s),
                 Err(e) => {
                     io_errors += 1;
                     if let Some(c) = &c_errors {

@@ -12,7 +12,7 @@
 //!   rather than at the pump rate.
 //! * **Hybrid** — restore from the checkpoint, then top up whatever
 //!   mutated after the cut by shipping the replication-stream tail
-//!   ([`crate::stream`]) to the replacement.
+//!   ([`spotcache_cache::replication`]) to the replacement.
 //!
 //! The strategy also names the serve posture the router should take
 //! while the restore runs ([`RecoveryStrategy::mode`]): a replaying
@@ -20,11 +20,13 @@
 //! while a checkpoint-restoring replacement is empty until the bulk
 //! load lands — `DegradedRouter` uses this to pick read plans.
 
-use std::io::{self, Write};
+use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use spotcache_cache::replication::{ship_batch, Mutation};
+use spotcache_cache::replication::{
+    connect_link, jittered_backoff, next_jitter_seed, ship_batch, Mutation, ReplicationConfig,
+};
 use spotcache_cache::store::Store;
 use spotcache_obs::{Obs, Tracer};
 use spotcache_router::degraded::RecoveryMode;
@@ -248,7 +250,11 @@ pub struct RestoreReport {
 }
 
 /// Ships `tail` to `target` in acked batches, reconnecting on link
-/// errors up to `cfg.max_retries`. Returns mutations shipped.
+/// errors up to `cfg.max_retries`, pausing between attempts on the
+/// replicator's own schedule (`ReplicationConfig::default()`: 10 ms
+/// doubling to 500 ms, ±25 % jitter) — a replacement whose listener is a
+/// few milliseconds late must not burn every retry before it is up.
+/// Returns mutations shipped.
 fn ship_tail(
     tail: &[Mutation],
     target: SocketAddr,
@@ -258,42 +264,34 @@ fn ship_tail(
     if tail.is_empty() {
         return Ok(0);
     }
+    let link = ReplicationConfig::default();
+    let mut jitter_state = next_jitter_seed();
     let mut conn: Option<TcpStream> = None;
     let mut idx = 0usize;
     let mut attempts = 0u32;
+    let mut backoff = link.backoff_base;
     let mut req = Vec::new();
     let mut ack_buf = Vec::new();
     while idx < tail.len() {
-        if conn.is_none() {
-            match TcpStream::connect_timeout(&target, cfg.io_timeout) {
-                Ok(s) => {
-                    let _ = s.set_nodelay(true);
-                    let _ = s.set_read_timeout(Some(cfg.io_timeout));
-                    let _ = s.set_write_timeout(Some(cfg.io_timeout));
-                    conn = Some(s);
-                }
-                Err(e) => {
-                    attempts += 1;
-                    if attempts > cfg.max_retries {
-                        return Err(e);
-                    }
-                    continue;
-                }
-            }
-        }
         let end = (idx + cfg.batch_max.max(1)).min(tail.len());
-        let stream = conn.as_mut().expect("connected above");
-        let span = tracer.map(|t| t.span("checkpoint", "top_up_batch"));
-        let ctx = span
-            .as_ref()
-            .and_then(|s| s.context())
-            .or_else(spotcache_obs::trace::thread_context);
-        let result = ship_batch(stream, &tail[idx..end], &mut req, &mut ack_buf, ctx);
-        drop(span);
-        match result {
+        // One attempt: (re)connect if the link is down, then ship.
+        let attempt = (|| {
+            if conn.is_none() {
+                conn = Some(connect_link(target, cfg.io_timeout)?);
+            }
+            let stream = conn.as_mut().expect("connected above");
+            let span = tracer.map(|t| t.span("checkpoint", "top_up_batch"));
+            let ctx = span
+                .as_ref()
+                .and_then(|s| s.context())
+                .or_else(spotcache_obs::trace::thread_context);
+            ship_batch(stream, &tail[idx..end], &mut req, &mut ack_buf, ctx)
+        })();
+        match attempt {
             Ok(()) => {
                 idx = end;
                 attempts = 0;
+                backoff = link.backoff_base;
             }
             Err(e) => {
                 conn = None; // mutations are idempotent; re-ship the batch
@@ -301,12 +299,14 @@ fn ship_tail(
                 if attempts > cfg.max_retries {
                     return Err(e);
                 }
+                std::thread::sleep(jittered_backoff(
+                    backoff,
+                    link.backoff_jitter,
+                    &mut jitter_state,
+                ));
+                backoff = (backoff * 2).min(link.backoff_max);
             }
         }
-    }
-    // ship_batch already flushed per batch; be explicit for clarity.
-    if let Some(s) = conn.as_mut() {
-        let _ = s.flush();
     }
     Ok(idx as u64)
 }
@@ -530,6 +530,50 @@ mod tests {
         assert!(r.replacement.get(b"tail-key").is_some());
         assert!(r.replacement.get(b"k1").is_none(), "tail delete applied");
         assert_eq!(r.replacement.get(b"k2"), r.backup.get(b"k2"));
+    }
+
+    #[test]
+    fn hybrid_tops_up_a_target_that_listens_late() {
+        let r = rig(10);
+        // Reserve a port, free it, and bring the replacement's server up
+        // on it only 30 ms after the restore has started.
+        let addr = std::net::TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let late_store = Arc::clone(&r.replacement);
+        let late = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(30));
+            CacheServer::start(late_store, LogicalClock::new(), &addr.to_string())
+                .expect("late listener")
+        });
+        let tail: Vec<Mutation> = (0..5)
+            .map(|i| Mutation::Set {
+                key: bytes::Bytes::from(format!("t{i}")),
+                raw_value: bytes::Bytes::from(encode_value(0, b"v")),
+                ttl: None,
+            })
+            .collect();
+        let strategy = RecoveryStrategy::Hybrid {
+            checkpoint: CheckpointConfig::default(),
+            top_up: TopUpConfig::default(),
+        };
+        let ctx = RestoreContext {
+            backup: &r.backup,
+            target_addr: addr,
+            target_store: &r.replacement,
+            checkpoint: None,
+            tail: &tail,
+            now: 0,
+            obs: None,
+            tracer: None,
+        };
+        let report = strategy.restore(&ctx);
+        let mut srv = late.join().expect("late listener thread");
+        srv.stop();
+        let report = report.expect("the top-up must wait out a late listener");
+        assert_eq!(report.topped_up, tail.len() as u64);
+        assert!(r.replacement.get(b"t4").is_some());
     }
 
     #[test]
