@@ -70,10 +70,6 @@ PY
 echo "==> telemetry endpoint smoke test (live /metrics /healthz /trace /journal)"
 cargo run --release -q -p spotcache-bench --bin telemetry_smoke | grep -q "telemetry OK"
 
-echo "==> checkpoint smoke test (cut -> corrupt-reject -> pristine restore)"
-cargo run --release -q -p spotcache-bench --bin ckpt_smoke \
-    | grep -q "checkpoint smoke OK"
-
 echo "==> revocation drill smoke test (all strategies + link faults)"
 dr="$(mktemp /tmp/revocation_drill.XXXXXX.json)"
 drtr="$(mktemp /tmp/drill_trace.XXXXXX.json)"
@@ -196,14 +192,25 @@ assert len(scenarios["cascade"]["killed"]) > len(w["killed"]), \
     "cascade must out-kill a single wave"
 PY
 
-echo "==> results byte-identity (planner outputs vs results/*.txt)"
-# The hourly simulator and the spot models are bit-deterministic, so the
-# checked-in tables must reproduce exactly: a changed pivot, rounding or
-# prediction anywhere in the planner shows up here as a diff.
-for bin in table2 fig7 fig12; do
-    cargo run --release -q -p spotcache-bench --bin "$bin" | diff - "results/$bin.txt" \
-        || { echo "results/$bin.txt no longer reproduces"; exit 1; }
-done
+echo "==> results byte-identity (every experiment in 'repro --list' vs results/<name>.txt)"
+# The hourly simulator and the spot models are bit-deterministic, so every
+# checked-in table must reproduce exactly: a changed pivot, rounding or
+# prediction anywhere in the planner shows up here as a diff. Runs
+# $(nproc) experiments at a time; fig13 alone is about a minute.
+cargo build --release -q -p spotcache-bench --bin repro
+repro=target/release/repro
+gate_start=$(date +%s)
+"$repro" --list | xargs -P "$(nproc)" -I{} bash -c '
+    set -o pipefail
+    t0=$(date +%s%N)
+    if delta=$("$0" "$1" | diff - "results/$1.txt"); then verdict=ok; else verdict="results/$1.txt no longer reproduces"; fi
+    ms=$(( ($(date +%s%N) - t0) / 1000000 ))
+    printf "    %-20s %3d.%d s  %s\n" "$1" $((ms / 1000)) $((ms % 1000 / 100)) "$verdict"
+    [ "$verdict" = ok ] || { printf "%s\n" "$delta"; exit 1; }
+' "$repro" {} || { echo "results/ no longer reproduces (files named above)"; exit 1; }
+gate_s=$(( $(date +%s) - gate_start ))
+echo "    results gate: ${gate_s} s wall"
+[ "$gate_s" -le 120 ] || { echo "results gate took ${gate_s} s, over its 120 s budget"; exit 1; }
 
 # One short traced run per benchmark workload: the output check passes
 # and no operation failed. paced_get / pipelined_mix / write_evict drive a

@@ -488,7 +488,7 @@ fn main() {
     let scraper = cfg.scrape_interval.map(|secs| {
         let admin = cluster.nodes[0]
             .server
-            .start_admin("127.0.0.1:0")
+            .start_admin("127.0.0.1:0", None)
             .expect("start admin endpoint on node 0");
         println!("admin endpoint on node0 at {admin}, scraping /metrics every {secs}s");
         Scraper::start(

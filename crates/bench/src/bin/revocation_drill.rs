@@ -279,7 +279,7 @@ fn run_drill(
     let hz_router = Arc::clone(&router);
     let hz_slo = Arc::clone(&slo);
     let admin_addr = backup_srv
-        .start_admin_with(
+        .start_admin(
             "127.0.0.1:0",
             Some(Box::new(move || {
                 format!(

@@ -50,7 +50,7 @@ fn main() {
     }));
     let mut server = start_server(&store, Some(&obs), Some(&tracer));
     let admin = server
-        .start_admin_with(
+        .start_admin(
             "127.0.0.1:0",
             Some(Box::new(|| {
                 "{\"status\":\"ok\",\"phase\":\"healthy\"}".to_string()

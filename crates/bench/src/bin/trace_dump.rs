@@ -31,7 +31,7 @@ use spotcache_cloud::tracegen::paper_traces;
 use spotcache_core::simulation::{simulate_traced, SimConfig};
 use spotcache_core::Approach;
 use spotcache_obs::{Obs, Tracer, DEFAULT_TRACE_CAPACITY};
-use spotcache_sim::recovery::{simulate_recovery_traced, BackupChoice, RecoveryConfig};
+use spotcache_sim::recovery::{simulate_recovery, BackupChoice, RecoveryConfig};
 
 /// The four span categories the dump must cover, one per layer.
 const LAYERS: [&str; 4] = ["control", "protocol", "recovery", "server"];
@@ -80,7 +80,7 @@ fn main() {
     let rcfg = RecoveryConfig::figure11(BackupChoice::Instance(
         find_type("t2.medium").expect("t2.medium in catalog"),
     ));
-    simulate_recovery_traced(&rcfg, None, Some(&tracer));
+    simulate_recovery(&rcfg, None, Some(&tracer));
     println!("recovery: {} spans total", tracer.len());
 
     write_trace(&out, &tracer, &LAYERS);

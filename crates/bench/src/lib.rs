@@ -2,8 +2,10 @@
 
 //! Experiment regenerators and benchmark harness for `spotcache`.
 //!
-//! Every table and figure of the paper's evaluation has a binary under
-//! `src/bin/` that regenerates it (see DESIGN.md for the index), and
+//! Every table, figure, ablation and extension experiment of the
+//! evaluation is a function of the one `repro` binary under `src/bin/`
+//! (`repro <name>` prints `results/<name>.txt`; see DESIGN.md for the
+//! index), the other bins there are live drills and smokes, and
 //! `benches/` holds Criterion micro-benchmarks over the core data
 //! structures. This library crate carries small output helpers shared by
 //! the binaries plus [`live`], what every live bin shares (flag parsing,

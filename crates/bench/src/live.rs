@@ -33,15 +33,6 @@ impl Flags {
         Self(std::env::args().skip(1).collect())
     }
 
-    /// For a bin that takes nothing but switches: whether each of `names`
-    /// was given; anything else panics as in [`finish`](Self::finish).
-    pub fn switches<const N: usize>(names: [&str; N]) -> [bool; N] {
-        let mut flags = Self::from_env();
-        let given = names.map(|name| flags.switch(name));
-        flags.finish();
-        given
-    }
-
     /// The three flags every artifact-writing bin takes: `--smoke`,
     /// `--out PATH` (default `default_out`) and `--seed N` (default 42).
     pub fn artifact_run(&mut self, default_out: &str) -> (bool, String, u64) {
@@ -325,7 +316,7 @@ mod tests {
         let mut f = flags(&[
             "--seed", "7", "--smoke", "--out", "x.json", "--rate", "0.5", "--seed", "9",
         ]);
-        assert!(!f.switch("--quick"));
+        assert!(!f.switch("--verbose"));
         let (smoke, out, seed) = f.artifact_run("default.json");
         assert_eq!(
             (smoke, out.as_str(), seed),

@@ -810,14 +810,10 @@ impl CacheServer {
     /// `/trace` (drains the span buffer as Chrome-trace JSON), and
     /// `/journal` (NDJSON). Use port 0 in `bind` for an ephemeral port;
     /// returns the bound address. Requires a server started with `obs`.
-    pub fn start_admin(&mut self, bind: &str) -> std::io::Result<SocketAddr> {
-        self.start_admin_with(bind, None)
-    }
-
-    /// [`start_admin`](Self::start_admin) with a caller-assembled
-    /// `/healthz` body — the binary layer composes the phase machine and
-    /// SLO burn state there (the server itself knows neither).
-    pub fn start_admin_with(
+    /// `healthz` is a caller-assembled `/healthz` body — the binary layer
+    /// composes the phase machine and SLO burn state there (the server
+    /// itself knows neither); `None` serves the default body.
+    pub fn start_admin(
         &mut self,
         bind: &str,
         healthz: Option<Box<dyn Fn() -> String + Send + Sync>>,
@@ -1429,7 +1425,7 @@ mod tests {
             Some(Arc::clone(&tracer)),
         )
         .unwrap();
-        let admin = server.start_admin("127.0.0.1:0").unwrap();
+        let admin = server.start_admin("127.0.0.1:0", None).unwrap();
         assert_eq!(server.admin_addr(), Some(admin));
         let mut client = CacheClient::connect(server.addr()).unwrap();
         client.set("k", b"v", 0).unwrap();
@@ -1494,7 +1490,7 @@ mod tests {
     #[test]
     fn start_admin_requires_obs() {
         let (mut server, _store, _clock) = start_server();
-        assert!(server.start_admin("127.0.0.1:0").is_err());
+        assert!(server.start_admin("127.0.0.1:0", None).is_err());
         server.stop();
     }
 }

@@ -84,11 +84,6 @@ impl InstanceType {
         }
     }
 
-    /// Whether this is a burstable (t2) type.
-    pub fn is_burstable(&self) -> bool {
-        self.class == InstanceClass::Burstable
-    }
-
     /// Hourly price of this type's capacity if bought as regular on-demand
     /// resources at the regressed unit prices (paper Table 3, "OD price").
     pub fn od_equivalent_price(&self, vcpu_unit: f64, ram_unit: f64) -> f64 {

@@ -19,8 +19,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-/// Warning GCE gives before preempting (30 seconds).
-pub const PREEMPTION_WARNING: u64 = 30;
 
 /// Hard lifetime cap of a preemptible VM (24 hours).
 pub const MAX_LIFETIME: u64 = 24 * crate::HOUR;

@@ -235,23 +235,6 @@ impl CloudProvider {
         self.instances.get(&id)
     }
 
-    /// Mutable access to an instance (e.g. to drive its token buckets).
-    pub fn instance_mut(&mut self, id: InstanceId) -> Option<&mut Instance> {
-        self.instances.get_mut(&id)
-    }
-
-    /// All usable (running or warned) instances.
-    pub fn usable_instances(&self) -> impl Iterator<Item = &Instance> {
-        self.instances.values().filter(|i| i.state.is_usable())
-    }
-
-    /// All non-terminated instances (including pending).
-    pub fn live_instances(&self) -> impl Iterator<Item = &Instance> {
-        self.instances
-            .values()
-            .filter(|i| i.state != InstanceState::Terminated)
-    }
-
     /// Advances simulated time to `t`, billing usage and emitting lifecycle
     /// events in time order.
     pub fn advance_to(&mut self, t: u64) -> Vec<ProviderEvent> {

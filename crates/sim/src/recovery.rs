@@ -263,12 +263,8 @@ impl WarmupModel {
 /// recovery run.
 const WARMUP_PROGRESS_EVERY_SECS: u64 = 30;
 
-/// Runs the recovery simulation.
-pub fn simulate_recovery(cfg: &RecoveryConfig) -> RecoveryTimeline {
-    simulate_recovery_traced(cfg, None, None)
-}
-
-/// [`simulate_recovery`] with instrumentation. `obs` records per-second
+/// Runs the recovery simulation; `obs` and `tracer` instrument it and
+/// never change the timeline. `obs` records per-second
 /// warmed mass, pump rate, and backup token-bucket levels; timestamps are
 /// the timeline's own seconds, so observed runs replay deterministically.
 /// With `tracer`, each timeline second emits `recovery.*` spans for the
@@ -278,7 +274,7 @@ pub fn simulate_recovery(cfg: &RecoveryConfig) -> RecoveryTimeline {
 /// timeline's **logical** seconds; durations are the wall time the phase
 /// computation took, so traces overlay cleanly on the control plane's
 /// slot clock without perturbing determinism.
-pub fn simulate_recovery_traced(
+pub fn simulate_recovery(
     cfg: &RecoveryConfig,
     obs: Option<&Obs>,
     tracer: Option<&Tracer>,
@@ -549,7 +545,7 @@ mod tests {
     use spotcache_cloud::catalog::find_type;
 
     fn run(backup: BackupChoice) -> RecoveryTimeline {
-        simulate_recovery(&RecoveryConfig::figure11(backup))
+        simulate_recovery(&RecoveryConfig::figure11(backup), None, None)
     }
 
     #[test]
@@ -611,7 +607,7 @@ mod tests {
         cfg.lost_hot_gb = 0.0;
         cfg.cold_mass_lost = 0.04;
         cfg.lost_cold_gb = 7.0;
-        let sep = simulate_recovery(&cfg);
+        let sep = simulate_recovery(&cfg, None, None);
         let prop_nb = run(BackupChoice::None);
         assert!(sep.points[10].avg_us < prop_nb.points[10].avg_us / 2.0);
     }
@@ -625,8 +621,12 @@ mod tests {
         flat.theta = 0.5;
         let mut skewed = flat.clone();
         skewed.theta = 2.0;
-        let f = simulate_recovery(&flat).recovered_at.unwrap_or(u64::MAX);
-        let s = simulate_recovery(&skewed).recovered_at.unwrap_or(u64::MAX);
+        let f = simulate_recovery(&flat, None, None)
+            .recovered_at
+            .unwrap_or(u64::MAX);
+        let s = simulate_recovery(&skewed, None, None)
+            .recovered_at
+            .unwrap_or(u64::MAX);
         assert!(s < f, "skewed {s} vs flat {f}");
     }
 
@@ -636,8 +636,8 @@ mod tests {
         let mut serving = RecoveryConfig::figure11(BackupChoice::Instance(itype));
         serving.serve_from_backup = true;
         let quiet = RecoveryConfig::figure11(BackupChoice::Instance(itype));
-        let s = simulate_recovery(&serving);
-        let q = simulate_recovery(&quiet);
+        let s = simulate_recovery(&serving, None, None);
+        let q = simulate_recovery(&quiet, None, None);
         assert!(
             s.points[5].avg_us < q.points[5].avg_us,
             "{} vs {}",
@@ -652,8 +652,10 @@ mod tests {
         let mut late = RecoveryConfig::figure11(BackupChoice::Instance(itype));
         late.replacement_ready_at = 120; // Figure 4 case 2
         let on_time = RecoveryConfig::figure11(BackupChoice::Instance(itype));
-        let l = simulate_recovery(&late).recovered_at.unwrap();
-        let o = simulate_recovery(&on_time).recovered_at.unwrap();
+        let l = simulate_recovery(&late, None, None).recovered_at.unwrap();
+        let o = simulate_recovery(&on_time, None, None)
+            .recovered_at
+            .unwrap();
         assert!(l >= o + 100, "late {l} vs on-time {o}");
     }
 
@@ -693,8 +695,8 @@ mod tests {
     fn traced_recovery_emits_phase_spans_on_the_logical_clock() {
         let tracer = Tracer::all(8_192);
         let cfg = RecoveryConfig::figure11(BackupChoice::Instance(find_type("t2.medium").unwrap()));
-        let traced = simulate_recovery_traced(&cfg, None, Some(&tracer));
-        let plain = simulate_recovery(&cfg);
+        let traced = simulate_recovery(&cfg, None, Some(&tracer));
+        let plain = simulate_recovery(&cfg, None, None);
         // Tracing never perturbs the simulation.
         assert_eq!(traced.recovered_at, plain.recovered_at);
         assert_eq!(tracer.categories(), vec!["recovery"]);

@@ -60,11 +60,6 @@ impl RequestGenerator {
         self
     }
 
-    /// Number of distinct keys.
-    pub fn key_count(&self) -> u64 {
-        self.keys.inner().n()
-    }
-
     /// Draws the next request.
     pub fn next_request<R: Rng + ?Sized>(&self, rng: &mut R) -> Request {
         Request {

@@ -35,7 +35,7 @@ fn main() {
         ("no backup (Prop_NoBackup)", BackupChoice::None),
     ] {
         let cfg = RecoveryConfig::figure11(backup);
-        let tl = simulate_recovery(&cfg);
+        let tl = simulate_recovery(&cfg, None, None);
         println!("== {name}");
         println!("   healthy average latency: {:.0} us", tl.healthy_avg_us);
         println!(

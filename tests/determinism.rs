@@ -129,7 +129,7 @@ proptest::proptest! {
 fn recovery_timeline_is_deterministic() {
     let run = || {
         let cfg = RecoveryConfig::figure11(BackupChoice::Instance(find_type("t2.medium").unwrap()));
-        let tl = simulate_recovery(&cfg);
+        let tl = simulate_recovery(&cfg, None, None);
         (
             tl.recovered_at,
             tl.points

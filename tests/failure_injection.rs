@@ -58,10 +58,14 @@ fn correlated_failures_hurt_more_than_independent() {
 #[test]
 fn depleted_backup_degrades_gracefully() {
     let t2 = find_type("t2.medium").unwrap();
-    let fresh = simulate_recovery(&RecoveryConfig::figure11(BackupChoice::Instance(t2)));
+    let fresh = simulate_recovery(
+        &RecoveryConfig::figure11(BackupChoice::Instance(t2)),
+        None,
+        None,
+    );
     let mut drained_cfg = RecoveryConfig::figure11(BackupChoice::Instance(t2));
     drained_cfg.backup_credits_fraction = 0.0;
-    let drained = simulate_recovery(&drained_cfg);
+    let drained = simulate_recovery(&drained_cfg, None, None);
     let f = fresh.recovered_at.expect("fresh backup recovers");
     if let Some(d) = drained.recovered_at {
         // (`None` is even slower: not recovered within the horizon.)

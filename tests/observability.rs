@@ -11,7 +11,7 @@ use spotcache::core::simulation::{simulate_traced, SimConfig};
 use spotcache::core::Approach;
 use spotcache::obs::export::validate_json;
 use spotcache::obs::Obs;
-use spotcache::sim::recovery::{simulate_recovery_traced, BackupChoice, RecoveryConfig};
+use spotcache::sim::recovery::{simulate_recovery, BackupChoice, RecoveryConfig};
 
 fn assert_close(got: f64, want: f64, what: &str) {
     let tol = 1e-9 * want.abs().max(1.0);
@@ -57,7 +57,7 @@ fn observed_snapshots_are_deterministic() {
         let sim = observed_golden_run(Some(Arc::clone(&obs)));
         assert_eq!(sim.revocations, 315);
         let rcfg = RecoveryConfig::figure11(BackupChoice::None);
-        simulate_recovery_traced(&rcfg, Some(&obs), None);
+        simulate_recovery(&rcfg, Some(&obs), None);
         (obs.prometheus_text(), obs.json_snapshot())
     };
     let (prom_a, json_a) = snap(0);
@@ -75,7 +75,7 @@ fn snapshot_covers_all_instrumented_layers() {
     let rcfg = RecoveryConfig::figure11(BackupChoice::Instance(
         spotcache::cloud::catalog::find_type("t2.medium").unwrap(),
     ));
-    simulate_recovery_traced(&rcfg, Some(&obs), None);
+    simulate_recovery(&rcfg, Some(&obs), None);
     let prom = obs.prometheus_text();
     for series in [
         "control_replans_total",

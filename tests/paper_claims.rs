@@ -120,19 +120,23 @@ fn backup_cost_shrinks_with_skew() {
 /// backup of similar price (m3.medium).
 #[test]
 fn burstable_backup_beats_regular_backup_tail() {
-    let t2 = simulate_recovery(&RecoveryConfig::figure11(BackupChoice::Instance(
-        find_type("t2.medium").unwrap(),
-    )));
-    let m3 = simulate_recovery(&RecoveryConfig::figure11(BackupChoice::Instance(
-        find_type("m3.medium").unwrap(),
-    )));
+    let t2 = simulate_recovery(
+        &RecoveryConfig::figure11(BackupChoice::Instance(find_type("t2.medium").unwrap())),
+        None,
+        None,
+    );
+    let m3 = simulate_recovery(
+        &RecoveryConfig::figure11(BackupChoice::Instance(find_type("m3.medium").unwrap())),
+        None,
+        None,
+    );
     let improvement = 1.0 - t2.overall_p95() / m3.overall_p95();
     assert!(
         (0.10..=0.60).contains(&improvement),
         "p95 improvement {improvement}"
     );
     // And the no-backup configuration is far worse than either.
-    let none = simulate_recovery(&RecoveryConfig::figure11(BackupChoice::None));
+    let none = simulate_recovery(&RecoveryConfig::figure11(BackupChoice::None), None, None);
     assert!(none.overall_p95() > m3.overall_p95());
 }
 
