@@ -6,8 +6,9 @@
 //! The paper's system stores its cache contents in stock memcached; this
 //! crate provides the equivalent building block in Rust:
 //!
-//! * [`lru`] — an index-based intrusive LRU list (no `unsafe`) with
-//!   per-slot generation counters, and
+//! * `arena` (private) — the per-shard item arena: key index, LRU links
+//!   and entries addressed by one `u32` slot with a per-slot generation
+//!   (no `unsafe`), and
 //! * [`touch`] — lock-free bounded recency rings for the deferred read
 //!   path (per-worker lanes, drop-oldest overflow), and
 //! * [`wheel`] — a hierarchical timer wheel for proactive TTL expiry,
@@ -38,7 +39,7 @@
 //! `get`s execute through [`store::Store::get_many_into`] taking each
 //! shard lock once per batch (see DESIGN.md §"data plane").
 
-pub mod lru;
+mod arena;
 pub mod node;
 pub mod protocol;
 pub mod reactor;
@@ -49,7 +50,6 @@ pub mod store;
 pub mod touch;
 pub mod wheel;
 
-pub use lru::LruList;
 pub use node::CacheNode;
 pub use protocol::{
     parse_request, serve, serve_instrumented_into, serve_into, ParseError, ProtocolObs, Request,

@@ -301,6 +301,12 @@ pub fn encode_value(flags: u32, data: &[u8]) -> Vec<u8> {
     v
 }
 
+/// [`encode_value`] straight into the store's value type: one allocation
+/// and one copy of `data` (none at all when the value fits inline).
+fn stored_value(flags: u32, data: &[u8]) -> Bytes {
+    Bytes::from_parts(&flags.to_be_bytes(), data)
+}
+
 /// Splits a raw stored value into its client flags and data payload; `None`
 /// when the value was stored without the protocol's flag prefix (a direct
 /// [`Store`] write).
@@ -463,7 +469,7 @@ fn exec_mutation(
             // Presence check and insertion happen under one shard lock.
             let outcome = store.set_policy_at(
                 Bytes::copy_from_slice(key),
-                encode_value(flags, data),
+                stored_value(flags, data),
                 now,
                 ttl_from_exptime(exptime, now),
                 policy,
@@ -498,46 +504,32 @@ fn exec_mutation(
             increment,
             noreply,
         } => {
-            match store.get_at(key, now) {
-                Some(raw) => {
-                    let numeric = decode_value(&raw).and_then(|(f, d)| {
-                        std::str::from_utf8(d)
-                            .ok()
-                            .and_then(|s| s.trim().parse::<u64>().ok())
-                            .map(|v| (f, v))
-                    });
-                    match numeric {
-                        Some((flags, value)) => {
-                            let newv = if increment {
-                                value.wrapping_add(delta)
-                            } else {
-                                value.saturating_sub(delta)
-                            };
-                            let digits = U64Digits::new(newv);
-                            store.set_at(
-                                Bytes::copy_from_slice(key),
-                                encode_value(flags, digits.as_slice()),
-                                now,
-                                None,
-                            );
-                            if !noreply {
-                                out.extend_from_slice(digits.as_slice());
-                                out.extend_from_slice(b"\r\n");
-                            }
-                        }
-                        None => {
-                            if !noreply {
-                                out.extend_from_slice(
-                                    b"CLIENT_ERROR cannot increment or decrement non-numeric value\r\n",
-                                );
-                            }
-                        }
+            // Read, rewrite and re-file under one shard lock: concurrent
+            // `incr`s cannot both read *n*, and the item keeps its exptime.
+            let mut digits = None;
+            let outcome = store.update_at(key, now, |raw| {
+                let (flags, data) = decode_value(raw)?;
+                let value: u64 = std::str::from_utf8(data).ok()?.trim().parse().ok()?;
+                let d = digits.insert(U64Digits::new(if increment {
+                    value.wrapping_add(delta)
+                } else {
+                    value.saturating_sub(delta)
+                }));
+                Some(stored_value(flags, d.as_slice()))
+            });
+            if !noreply {
+                match (outcome, &digits) {
+                    (Some(SetOutcome::Stored), Some(d)) => {
+                        out.extend_from_slice(d.as_slice());
+                        out.extend_from_slice(b"\r\n");
                     }
-                }
-                None => {
-                    if !noreply {
-                        out.extend_from_slice(b"NOT_FOUND\r\n");
+                    (Some(SetOutcome::TooLarge), _) => {
+                        out.extend_from_slice(b"SERVER_ERROR object too large for cache\r\n")
                     }
+                    (Some(_), _) => out.extend_from_slice(
+                        b"CLIENT_ERROR cannot increment or decrement non-numeric value\r\n",
+                    ),
+                    (None, _) => out.extend_from_slice(b"NOT_FOUND\r\n"),
                 }
             }
             "arith"
@@ -956,6 +948,54 @@ mod tests {
         assert!(run(&s, "incr t 1\r\n").starts_with("CLIENT_ERROR"));
         // Flags survive arithmetic.
         assert_eq!(run(&s, "get n\r\n"), "VALUE n 7 1\r\n0\r\nEND\r\n");
+    }
+
+    #[test]
+    fn incr_keeps_the_exptime() {
+        #[derive(Default)]
+        struct Tap(parking_lot::Mutex<Vec<(Vec<u8>, Option<u64>)>>);
+        impl crate::store::MutationSink for Tap {
+            fn on_set(&self, _: &Bytes, raw: &Bytes, ttl: Option<u64>) {
+                self.0.lock().push((raw.to_vec(), ttl));
+            }
+            fn on_delete(&self, _: &[u8]) {}
+        }
+        let s = store();
+        serve(&s, b"set n 3 60 2\r\n10\r\n", 100);
+        let tap = Arc::new(Tap::default());
+        s.set_mutation_sink(Some(tap.clone()));
+        assert_eq!(serve(&s, b"incr n 1\r\n", 120).0, b"11\r\n");
+        // The tap sees the rewritten value with the TTL that is left.
+        assert_eq!(*tap.0.lock(), [(encode_value(3, b"11"), Some(40))]);
+        assert_eq!(
+            serve(&s, b"get n\r\n", 159).0,
+            b"VALUE n 3 2\r\n11\r\nEND\r\n"
+        );
+        assert_eq!(serve(&s, b"get n\r\n", 160).0, b"END\r\n");
+        // And the wheel still reaps it on time: the rewrite re-filed it.
+        assert_eq!(s.flush_touches(160).expired, 1);
+        assert_eq!(serve(&s, b"incr n 1\r\n", 161).0, b"NOT_FOUND\r\n");
+        assert_eq!(tap.0.lock().len(), 1, "a refused incr taps nothing");
+    }
+
+    #[test]
+    fn concurrent_incrs_lose_no_increment() {
+        let s = store();
+        run(&s, "set n 0 0 1\r\n0\r\n");
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    let mut out = Vec::new();
+                    start.wait();
+                    for _ in 0..10_000 {
+                        out.clear();
+                        serve_into(&s, b"incr n 1\r\n", 0, &mut out);
+                    }
+                });
+            }
+        });
+        assert_eq!(run(&s, "get n\r\n"), "VALUE n 0 5\r\n20000\r\nEND\r\n");
     }
 
     #[test]

@@ -5,11 +5,28 @@
 //! optional TTLs (against a caller-supplied logical clock so simulations
 //! stay deterministic), and hit/miss/eviction counters.
 //!
+//! # Layout and accounting
+//!
+//! Each shard keeps its items in one slot-indexed arena (`cache::arena`,
+//! DESIGN.md §"The cache data plane"): a `u32` slot names an item in the
+//! key index, the LRU links and every touch / TTL-wheel record. A key is
+//! hashed **once** per operation — raw FNV-1a picks the shard, its
+//! finalised form is the arena tag — and a `set` of a present key
+//! overwrites in place under a fresh slot generation.
+//!
+//! The arena is a layout, not an allocator: a value over
+//! `bytes::INLINE_CAP` is still its own heap block, and `used_bytes` is
+//! still the `key + value + ITEM_OVERHEAD` **model** that picks victims,
+//! not the bytes held. Making the two agree (slab chunks in the arena)
+//! changes what is evicted; it is the open half of ROADMAP 1(a). Measured
+//! for whoever sizes it: `malloc` + `free` were ≈ 0.1 of `write_evict`'s
+//! 1.24 µs per command, the rest of a `set` dependent cache misses.
+//!
 //! # Read-path concurrency
 //!
 //! Steady-state GETs take only a **shared** lock. Each shard is an
 //! `RwLock<ShardData>`: a reader looks its key up under the read lock and,
-//! on a hit, records recency by pushing a `(lru_idx, lru_gen)` record into
+//! on a hit, records recency by pushing a `(slot, gen)` record into
 //! one of the shard's lock-free [touch rings](crate::touch) instead of
 //! moving the LRU node inline. The rings are drained **in batches under
 //! the write lock** — opportunistically by every writer before its own
@@ -28,7 +45,6 @@
 //! ([`ReadPath::Inline`], kept as the reference baseline).
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -36,7 +52,7 @@ use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use spotcache_obs::{Counter, Gauge, Obs, Tracer};
 
-use crate::lru::LruList;
+use crate::arena::{Arena, Item};
 use crate::touch::{lane_for_thread, TouchRec, TouchRing};
 use crate::wheel::{TimerWheel, WheelRec};
 
@@ -228,64 +244,48 @@ pub struct StoreSnapshot {
     pub items: usize,
 }
 
-struct Entry {
-    value: Bytes,
-    lru_idx: usize,
-    /// Generation of the LRU slot at insert time; touch and wheel records
-    /// carry it so a record can never act on a freed-and-reused slot.
-    lru_gen: u32,
-    bytes: usize,
-    expires_at: Option<u64>,
+/// FNV-1a over the key, computed once per operation: the raw value picks
+/// the shard, its finalised form ([`tag_of`]) is the key's arena tag.
+/// Cache keys are short (tens of bytes), where FNV beats SipHash by
+/// ~100 ns per lookup.
+#[inline]
+fn fnv1a(key: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in key {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
 }
 
-/// FNV-1a with a splitmix64-style finalizer: the shard maps' key hasher.
-/// Cache keys are short (tens of bytes), where FNV beats the std maps'
-/// SipHash by ~100 ns per lookup — pure win on the GET hot path, which
-/// pays a map probe on every operation.
+/// The arena tag of a key: the low 32 bits of a splitmix64-style
+/// finalisation of its raw FNV-1a.
 ///
-/// The finalizer is load-bearing, not decoration: shard selection already
-/// uses raw FNV (`Store::shard_idx`), so every key inside one shard agrees
-/// on `fnv(key) % shards`. Without a final bit-mix the map's bucket index
-/// would inherit that congruence and cluster probes by the shard count.
-/// This is not a DoS-hardened hash; a cache whose keyspace is attacker-
-/// controlled already concedes collision-flood behaviour at the shard
-/// selector, which no map hasher can repair.
-struct FnvHasher(u64);
-
-impl Default for FnvHasher {
-    fn default() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
+/// The finalizer is load-bearing, not decoration: shard selection uses
+/// raw FNV, so every key inside one shard agrees on `fnv(key) % shards`.
+/// Without a final bit-mix the index's home bucket (`tag & mask`) would
+/// inherit that congruence and cluster probes by the shard count. This is
+/// not a DoS-hardened hash; a cache whose keyspace is attacker-controlled
+/// already concedes collision-flood behaviour at the shard selector,
+/// which no index hash can repair.
+#[inline]
+fn tag_of(raw: u64) -> u32 {
+    let mut z = raw;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    (z ^ (z >> 31)) as u32
 }
 
-impl std::hash::Hasher for FnvHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        self.0 = h;
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
+/// What an item is accounted at: the `key + value + ITEM_OVERHEAD` model.
+fn item_bytes(item: &Item) -> usize {
+    item.key.len() + item.value.len() + ITEM_OVERHEAD
 }
 
-type KeyMap = HashMap<Bytes, Entry, std::hash::BuildHasherDefault<FnvHasher>>;
-
-/// Everything behind a shard's `RwLock`: the map, the LRU, the TTL wheel,
+/// Everything behind a shard's `RwLock`: the item arena, the TTL wheel,
 /// and the reusable flush scratch (kept here so steady-state flushes
 /// allocate nothing — see `tests/zero_alloc.rs`).
 struct ShardData {
-    map: KeyMap,
-    lru: LruList<Bytes>,
+    arena: Arena,
     used_bytes: usize,
     capacity_bytes: usize,
     /// Write-side statistics. `hits`/`misses` are **always zero** here —
@@ -298,7 +298,7 @@ struct ShardData {
     wheel_enabled: bool,
     drain_buf: Vec<TouchRec>,
     keep_buf: Vec<TouchRec>,
-    /// Per-LRU-slot epoch stamps for the flush dedupe pass.
+    /// Per-slot epoch stamps for the flush dedupe pass.
     seen_epoch: Vec<u32>,
     epoch: u32,
     due_buf: Vec<(u32, u32)>,
@@ -307,8 +307,7 @@ struct ShardData {
 impl ShardData {
     fn new(capacity_bytes: usize, wheel_enabled: bool) -> Self {
         Self {
-            map: KeyMap::default(),
-            lru: LruList::new(),
+            arena: Arena::new(),
             used_bytes: 0,
             capacity_bytes,
             wstats: CacheStats::default(),
@@ -322,119 +321,133 @@ impl ShardData {
         }
     }
 
-    fn entry_expired(e: &Entry, now: u64) -> bool {
-        e.expires_at.is_some_and(|t| t <= now)
+    /// Removes a live slot and returns its bytes to the budget.
+    fn remove_slot(&mut self, slot: u32) {
+        let item = self.arena.remove(slot);
+        self.used_bytes -= item_bytes(&item);
     }
 
-    /// Removes a key that is known to be present.
-    fn remove_present(&mut self, key: &[u8]) {
-        let e = self.map.remove(key).expect("caller checked presence");
-        self.lru.remove(e.lru_idx);
-        self.used_bytes -= e.bytes;
+    /// The slot holding a **live** `key`. An expired-but-unreaped item
+    /// does not count: it is purged first (counted as an expiration),
+    /// exactly as if the reaper had already run.
+    fn find_live(&mut self, tag: u32, key: &[u8], now: u64) -> Option<u32> {
+        let slot = self.arena.find(tag, key)?;
+        if self.arena.item(slot).expired(now) {
+            self.remove_slot(slot);
+            self.wstats.expirations += 1;
+            return None;
+        }
+        Some(slot)
     }
 
     /// Applies a policy-checked store under the one lock the caller holds:
-    /// presence check and insertion are a single critical section.
-    ///
-    /// An expired-but-unreaped entry does **not** satisfy the presence
-    /// check: it is purged first (counted as an expiration), so `add`
-    /// succeeds and `replace` fails exactly as if the reaper had already
-    /// run. (Before PR 8 presence ignored TTLs; that was the
-    /// `contains()`-counts-expired bug.)
+    /// one index probe decides presence (TTL-aware, see
+    /// [`find_live`](Self::find_live)) and names the slot to overwrite.
     fn apply(
         &mut self,
         policy: SetPolicy,
+        tag: u32,
         key: Bytes,
         value: Bytes,
         now: u64,
         ttl: Option<u64>,
     ) -> SetOutcome {
-        // One probe decides presence: absent, live, or expired-and-purged.
-        let exists = match self.map.get(&key).map(|e| Self::entry_expired(e, now)) {
-            Some(true) => {
-                self.remove_present(&key);
-                self.wstats.expirations += 1;
-                false
-            }
-            Some(false) => true,
-            None => false,
-        };
+        let slot = self.find_live(tag, &key, now);
         let store_it = match policy {
             SetPolicy::Always => true,
-            SetPolicy::IfAbsent => !exists,
-            SetPolicy::IfPresent => exists,
+            SetPolicy::IfAbsent => slot.is_none(),
+            SetPolicy::IfPresent => slot.is_some(),
         };
         if !store_it {
             return SetOutcome::NotStored;
         }
-        // A key the probe found absent needs no second look for an old
-        // value to replace.
-        let stored = if exists {
-            self.set(key, value, now, ttl)
-        } else {
-            self.insert_absent(key, value, now, ttl)
-        };
-        if stored {
-            SetOutcome::Stored
-        } else {
-            SetOutcome::TooLarge
-        }
+        self.store(slot, tag, key, value, ttl.map(|d| now + d))
     }
 
-    /// Inserts an item; returns `false` when it exceeds the shard budget
-    /// (the item is rejected and any previous value is removed).
-    fn set(&mut self, key: Bytes, value: Bytes, now: u64, ttl: Option<u64>) -> bool {
-        if let Some(old) = self.map.remove(&key) {
-            self.lru.remove(old.lru_idx);
-            self.used_bytes -= old.bytes;
-        }
-        self.insert_absent(key, value, now, ttl)
+    /// Stores an item unconditionally, TTL-blind: an expired holder of the
+    /// key is overwritten like a live one, not counted as an expiration.
+    fn set(
+        &mut self,
+        tag: u32,
+        key: Bytes,
+        value: Bytes,
+        now: u64,
+        ttl: Option<u64>,
+    ) -> SetOutcome {
+        let slot = self.arena.find(tag, &key);
+        self.store(slot, tag, key, value, ttl.map(|d| now + d))
     }
 
-    /// [`set`](Self::set) for a key the map is known not to hold.
-    fn insert_absent(&mut self, key: Bytes, value: Bytes, now: u64, ttl: Option<u64>) -> bool {
+    /// Stores an item whose key the probe found in `slot`, or nowhere.
+    /// [`SetOutcome::TooLarge`] when it exceeds the shard budget: the item
+    /// is rejected and any previous value is removed (memcached rejects
+    /// items over the slab limit the same way; silently dropping would
+    /// corrupt accounting).
+    fn store(
+        &mut self,
+        slot: Option<u32>,
+        tag: u32,
+        key: Bytes,
+        value: Bytes,
+        expires_at: Option<u64>,
+    ) -> SetOutcome {
         self.wstats.sets += 1;
         let bytes = key.len() + value.len() + ITEM_OVERHEAD;
-        // memcached rejects items larger than the slab limit; we reject
-        // items larger than the whole shard the same way (silently dropping
-        // would corrupt accounting; callers can check `contains`).
-        if bytes > self.capacity_bytes {
-            return false;
+        if let Some(slot) = slot {
+            self.used_bytes -= item_bytes(self.arena.item(slot));
         }
+        if bytes > self.capacity_bytes {
+            if let Some(slot) = slot {
+                self.arena.remove(slot);
+            }
+            return SetOutcome::TooLarge;
+        }
+        // An overwrite has the outcome of removing the old item and
+        // inserting the new one — it moves to the front under a fresh
+        // generation, and the old bytes are free before victims are chosen
+        // — without leaving the index. The slot is at the front and not
+        // counted while room is made: were the tail ever to reach it,
+        // `used_bytes` would be 0 and the loop over.
+        let slot = match slot {
+            Some(slot) => {
+                self.arena.overwrite_front(slot, value, expires_at);
+                self.make_room(bytes);
+                slot
+            }
+            None => {
+                self.make_room(bytes);
+                let item = Item {
+                    key,
+                    value,
+                    expires_at,
+                };
+                self.arena.insert_front(tag, item)
+            }
+        };
+        if let (true, Some(expires_at)) = (self.wheel_enabled, expires_at) {
+            self.wheel.insert(WheelRec {
+                expires_at,
+                idx: slot,
+                gen: self.arena.gen(slot),
+            });
+        }
+        self.used_bytes += bytes;
+        SetOutcome::Stored
+    }
+
+    /// Unexpired items, hottest first, each with the TTL it has left.
+    fn live(&self, now: u64) -> impl Iterator<Item = (&Item, Option<u64>)> + '_ {
+        let live = self.arena.iter().filter(move |item| !item.expired(now));
+        live.map(move |item| (item, item.expires_at.map(|t| t - now)))
+    }
+
+    /// Evicts from the LRU tail until `bytes` more fit the budget.
+    fn make_room(&mut self, bytes: usize) {
         while self.used_bytes + bytes > self.capacity_bytes {
-            let victim = self.lru.pop_back().expect("used > 0 implies non-empty LRU");
-            let old = self.map.remove(&victim).expect("LRU entry is in the map");
-            self.used_bytes -= old.bytes;
+            let victim = self.arena.tail().expect("used > 0 implies a tail");
+            self.remove_slot(victim);
             self.wstats.evictions += 1;
         }
-        let idx = self.lru.push_front(key.clone());
-        debug_assert!(
-            idx <= u32::MAX as usize,
-            "ITEM_OVERHEAD bounds the slab below 2^32"
-        );
-        let gen = self.lru.gen_of(idx);
-        let expires_at = ttl.map(|d| now + d);
-        if self.wheel_enabled {
-            if let Some(e) = expires_at {
-                self.wheel.insert(WheelRec {
-                    expires_at: e,
-                    idx: idx as u32,
-                    gen,
-                });
-            }
-        }
-        self.map.insert(
-            key,
-            Entry {
-                value,
-                lru_idx: idx,
-                lru_gen: gen,
-                bytes,
-                expires_at,
-            },
-        );
-        self.used_bytes += bytes;
-        true
     }
 }
 
@@ -494,53 +507,64 @@ impl Shard {
     /// Shared-lock GET: lookup + expiry check + a touch-ring push. Never
     /// mutates `ShardData`; an expired entry simply serves a miss (the
     /// wheel reaps it on the flush cadence).
-    fn get_shared(&self, d: &ShardData, key: &[u8], now: u64, lane: usize) -> Option<Bytes> {
+    fn get_shared(
+        &self,
+        d: &ShardData,
+        tag: u32,
+        key: &[u8],
+        now: u64,
+        lane: usize,
+    ) -> Option<Bytes> {
         self.rlock_gets.fetch_add(1, Ordering::Relaxed);
-        match d.map.get(key) {
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            Some(e) if ShardData::entry_expired(e, now) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            Some(e) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                let dropped = self.lanes[lane].push_drop_oldest(TouchRec {
-                    idx: e.lru_idx as u32,
-                    gen: e.lru_gen,
-                });
-                if dropped {
-                    self.touch_drops.fetch_add(1, Ordering::Relaxed);
-                }
-                Some(e.value.clone())
-            }
+        let found = d
+            .arena
+            .find(tag, key)
+            .map(|slot| (slot, d.arena.item(slot)));
+        let Some((slot, item)) = found.filter(|(_, item)| !item.expired(now)) else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return None;
+        };
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        let dropped = self.lanes[lane].push_drop_oldest(TouchRec {
+            idx: slot,
+            gen: d.arena.gen(slot),
+        });
+        if dropped {
+            self.touch_drops.fetch_add(1, Ordering::Relaxed);
         }
+        Some(item.value.clone())
     }
 
     /// Exclusive-lock GET (inline plane): the legacy behaviour — touch the
     /// LRU inline, remove an expired entry on collision.
-    fn get_exclusive(&self, d: &mut ShardData, key: &[u8], now: u64) -> Option<Bytes> {
+    fn get_exclusive(&self, d: &mut ShardData, tag: u32, key: &[u8], now: u64) -> Option<Bytes> {
         self.wlock_gets.fetch_add(1, Ordering::Relaxed);
-        let expired = match d.map.get(key) {
-            Some(e) => ShardData::entry_expired(e, now),
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        };
-        if expired {
-            d.remove_present(key);
-            d.wstats.expirations += 1;
+        let Some(slot) = d.find_live(tag, key, now) else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
-        }
-        let e = d.map.get(key).expect("checked above");
-        let (idx, value) = (e.lru_idx, e.value.clone());
-        d.lru.touch(idx);
+        };
+        d.arena.touch(slot);
         self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(value)
+        Some(d.arena.item(slot).value.clone())
+    }
+
+    /// Looks up each `(token, tag, key)` under one acquisition of the
+    /// plane's lock — shared with a touch `lane` (deferred), exclusive
+    /// without one (inline) — and hands `put` the token and the result.
+    fn get_each<'k, T>(
+        &self,
+        lane: Option<usize>,
+        now: u64,
+        keys: impl Iterator<Item = (T, u32, &'k [u8])>,
+        mut put: impl FnMut(T, Option<Bytes>),
+    ) {
+        if let Some(lane) = lane {
+            let d = self.data.read();
+            keys.for_each(|(t, tag, k)| put(t, self.get_shared(&d, tag, k, now, lane)));
+        } else {
+            let mut d = self.data.write();
+            keys.for_each(|(t, tag, k)| put(t, self.get_exclusive(&mut d, tag, k, now)));
+        }
     }
 
     /// Runs a mutation under the write lock, flushing pending touches and
@@ -585,8 +609,8 @@ impl Shard {
                 // the seen-array between flushes), then apply the keepers
                 // oldest-to-newest. The result is byte-identical to
                 // replaying every record in order.
-                if d.seen_epoch.len() < d.lru.slot_capacity() {
-                    let cap = d.lru.slot_capacity();
+                if d.seen_epoch.len() < d.arena.slot_capacity() {
+                    let cap = d.arena.slot_capacity();
                     d.seen_epoch.resize(cap, 0);
                 }
                 d.epoch = d.epoch.wrapping_add(1);
@@ -608,7 +632,7 @@ impl Shard {
                     }
                 }
                 for t in keep.iter().rev() {
-                    if d.lru.touch_if(t.idx as usize, t.gen) {
+                    if d.arena.touch_if(t.idx, t.gen) {
                         rep.applied += 1;
                     } else {
                         rep.stale += 1;
@@ -623,13 +647,12 @@ impl Shard {
             due.clear();
             d.wheel.advance(now, &mut due);
             self.wheel_advances.fetch_add(1, Ordering::Relaxed);
-            for &(idx, gen) in due.iter() {
+            for &(slot, gen) in due.iter() {
                 // A live generation match means the exact entry this record
                 // was filed for is still in place (any overwrite or delete
-                // bumps the slot generation) — reap it.
-                if d.lru.is_live_gen(idx as usize, gen) {
-                    let key = d.lru.payload(idx as usize).cloned().expect("live slot");
-                    d.remove_present(&key);
+                // bumps the slot generation) — reap it, by slot.
+                if d.arena.is_live_gen(slot, gen) {
+                    d.remove_slot(slot);
                     d.wstats.expirations += 1;
                     rep.expired += 1;
                 }
@@ -749,9 +772,9 @@ pub struct Store {
 }
 
 thread_local! {
-    /// Reusable per-key shard-index scratch for the batched operations, so
-    /// steady-state batches allocate nothing.
-    static SHARD_SCRATCH: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+    /// Reusable per-key `(shard, tag)` scratch for the batched operations,
+    /// so steady-state batches allocate nothing and hash each key once.
+    static SHARD_SCRATCH: RefCell<Vec<(u32, u32)>> = const { RefCell::new(Vec::new()) };
 }
 
 impl Store {
@@ -828,18 +851,17 @@ impl Store {
         self.sink.read().is_some()
     }
 
-    fn shard_idx(&self, key: &[u8]) -> usize {
-        // FNV-1a; cheap and adequate for shard selection.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in key {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        (h % self.shards.len() as u64) as usize
+    /// The one hash of an operation: the key's shard index and arena tag.
+    #[inline]
+    fn locate(&self, key: &[u8]) -> (u32, u32) {
+        let raw = fnv1a(key);
+        ((raw % self.shards.len() as u64) as u32, tag_of(raw))
     }
 
-    fn shard_for(&self, key: &[u8]) -> &Shard {
-        &self.shards[self.shard_idx(key)]
+    #[inline]
+    fn shard_for(&self, key: &[u8]) -> (&Shard, u32) {
+        let (shard, tag) = self.locate(key);
+        (&self.shards[shard as usize], tag)
     }
 
     #[inline]
@@ -847,18 +869,22 @@ impl Store {
         self.read_path.mode == ReadPath::Deferred
     }
 
+    /// This thread's touch lane on the deferred plane; `None` on the
+    /// inline plane, whose GETs take the exclusive lock instead.
+    #[inline]
+    fn touch_lane(&self) -> Option<usize> {
+        self.deferred()
+            .then(|| lane_for_thread(self.read_path.lanes.max(1)))
+    }
+
     /// Fetches a key at logical time `now` (TTL-aware). On the deferred
     /// plane this takes only the shard's **read** lock.
     pub fn get_at(&self, key: &[u8], now: u64) -> Option<Bytes> {
-        let sh = self.shard_for(key);
-        if self.deferred() {
-            let lane = lane_for_thread(sh.lanes.len());
-            let d = sh.data.read();
-            sh.get_shared(&d, key, now, lane)
-        } else {
-            let mut d = sh.data.write();
-            sh.get_exclusive(&mut d, key, now)
-        }
+        let (sh, tag) = self.shard_for(key);
+        let mut found = None;
+        let one = std::iter::once(((), tag, key));
+        sh.get_each(self.touch_lane(), now, one, |(), v| found = v);
+        found
     }
 
     /// Fetches a key, ignoring TTLs (logical time 0).
@@ -881,55 +907,22 @@ impl Store {
         K: Iterator<Item = &'k [u8]> + Clone,
     {
         out.clear();
-        let deferred = self.deferred();
-        let lane = if deferred {
-            lane_for_thread(self.read_path.lanes.max(1))
-        } else {
-            0
-        };
-        if self.shards.len() == 1 {
-            let sh = &self.shards[0];
-            if deferred {
-                let d = sh.data.read();
-                for k in keys {
-                    out.push(sh.get_shared(&d, k, now, lane));
-                }
-            } else {
-                let mut d = sh.data.write();
-                for k in keys {
-                    out.push(sh.get_exclusive(&mut d, k, now));
-                }
-            }
-            return;
+        let lane = self.touch_lane();
+        if let [sh] = &self.shards[..] {
+            let tagged = keys.map(|k| ((), tag_of(fnv1a(k)), k));
+            return sh.get_each(lane, now, tagged, |(), v| out.push(v));
         }
         let mut ids = SHARD_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
         ids.clear();
-        let mut n = 0usize;
-        for k in keys.clone() {
-            ids.push(self.shard_idx(k) as u32);
-            n += 1;
-        }
-        out.resize_with(n, || None);
+        ids.extend(keys.clone().map(|k| self.locate(k)));
+        out.resize_with(ids.len(), || None);
         for s in 0..self.shards.len() as u32 {
-            if !ids.contains(&s) {
+            if !ids.iter().any(|&(id, _)| id == s) {
                 continue;
             }
-            let sh = &self.shards[s as usize];
-            if deferred {
-                let d = sh.data.read();
-                for ((i, k), &id) in keys.clone().enumerate().zip(ids.iter()) {
-                    if id == s {
-                        out[i] = sh.get_shared(&d, k, now, lane);
-                    }
-                }
-            } else {
-                let mut d = sh.data.write();
-                for ((i, k), &id) in keys.clone().enumerate().zip(ids.iter()) {
-                    if id == s {
-                        out[i] = sh.get_exclusive(&mut d, k, now);
-                    }
-                }
-            }
+            let mine = keys.clone().zip(ids.iter()).enumerate();
+            let mine = mine.filter_map(|(i, (k, &(id, tag)))| (id == s).then_some((i, tag, k)));
+            self.shards[s as usize].get_each(lane, now, mine, |i, v| out[i] = v);
         }
         SHARD_SCRATCH.with(|s| *s.borrow_mut() = ids);
     }
@@ -999,12 +992,13 @@ impl Store {
         // only when a sink is installed (refcount clones, no byte copies).
         let tapping = self.sink_installed();
         let mut tapped: Vec<(Bytes, Bytes, Option<u64>)> = Vec::new();
-        let mut put = |d: &mut ShardData, (k, v, ttl): (Bytes, Bytes, Option<u64>)| {
+        let mut put = |d: &mut ShardData, tag, (k, v, ttl): (Bytes, Bytes, Option<u64>)| {
             let staged = tapping.then(|| (k.clone(), v.clone(), ttl));
-            let ok = match policy {
-                SetPolicy::Always => d.set(k, v, now, ttl),
-                _ => d.apply(policy, k, v, now, ttl) == SetOutcome::Stored,
-            };
+            let ok = SetOutcome::Stored
+                == match policy {
+                    SetPolicy::Always => d.set(tag, k, v, now, ttl),
+                    _ => d.apply(policy, tag, k, v, now, ttl),
+                };
             if ok {
                 tapped.extend(staged);
             }
@@ -1012,27 +1006,27 @@ impl Store {
         };
         let mut ids = SHARD_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
         ids.clear();
-        if self.shards.len() > 1 {
-            ids.extend(items.iter().map(|(k, _, _)| self.shard_idx(k) as u32));
-        }
-        let first = ids.first().copied().unwrap_or(0);
-        let stored = if ids.iter().all(|&s| s == first) {
-            self.shards[first as usize]
-                .write_op(now, |d| items.into_iter().map(|item| put(d, item)).sum())
+        ids.extend(items.iter().map(|(k, _, _)| self.locate(k)));
+        let first = ids[0].0;
+        let stored = if ids.iter().all(|&(s, _)| s == first) {
+            self.shards[first as usize].write_op(now, |d| {
+                let tagged = items.into_iter().zip(ids.iter());
+                tagged.map(|(item, &(_, tag))| put(d, tag, item)).sum()
+            })
         } else {
             let mut slots: Vec<Option<(Bytes, Bytes, Option<u64>)>> =
                 items.into_iter().map(Some).collect();
             let mut stored = 0usize;
             for s in 0..self.shards.len() as u32 {
-                if !ids.contains(&s) {
+                if !ids.iter().any(|&(id, _)| id == s) {
                     continue;
                 }
                 stored += self.shards[s as usize].write_op(now, |d| {
                     let mut stored = 0usize;
-                    for (slot, &id) in slots.iter_mut().zip(ids.iter()) {
+                    for (slot, &(id, tag)) in slots.iter_mut().zip(ids.iter()) {
                         if id == s {
                             let item = slot.take().expect("each slot is taken exactly once");
-                            stored += put(d, item);
+                            stored += put(d, tag, item);
                         }
                     }
                     stored
@@ -1059,13 +1053,15 @@ impl Store {
     }
 
     fn set_owned(&self, key: Bytes, value: Bytes, now: u64, ttl: Option<u64>) {
-        // `Bytes` clones are refcount bumps; the tap fires after the shard
-        // lock is released.
-        let stored = self
-            .shard_for(&key)
-            .write_op(now, |d| d.set(key.clone(), value.clone(), now, ttl));
-        if stored {
-            self.tap_set(&key, &value, ttl);
+        let (sh, tag) = self.shard_for(&key);
+        // Key and value move into the shard. The tap fires after the shard
+        // lock is released, from refcount clones made up front — and only
+        // when a sink is installed: an untapped `set` pays no refcount
+        // traffic for a tap that is not there.
+        let staged = self.sink_installed().then(|| (key.clone(), value.clone()));
+        let out = sh.write_op(now, |d| d.set(tag, key, value, now, ttl));
+        if let (SetOutcome::Stored, Some((key, value))) = (out, &staged) {
+            self.tap_set(key, value, ttl);
         }
     }
 
@@ -1090,13 +1086,54 @@ impl Store {
         ttl: Option<u64>,
         policy: SetPolicy,
     ) -> SetOutcome {
-        let key = key.into();
-        let value = value.into();
-        let out = self.shard_for(&key).write_op(now, |d| {
-            d.apply(policy, key.clone(), value.clone(), now, ttl)
+        let (key, value) = (key.into(), value.into());
+        let (sh, tag) = self.shard_for(&key);
+        let staged = self.sink_installed().then(|| (key.clone(), value.clone()));
+        let out = sh.write_op(now, |d| d.apply(policy, tag, key, value, now, ttl));
+        if let (SetOutcome::Stored, Some((key, value))) = (out, &staged) {
+            self.tap_set(key, value, ttl);
+        }
+        out
+    }
+
+    /// Read-modify-write of one live item under a **single** shard lock
+    /// (the protocol's `incr`/`decr`): `f` sees the raw stored value and
+    /// returns its replacement, or `None` to leave the item as it is. The
+    /// replacement keeps the item's deadline, and no writer can slip
+    /// between the read and the write.
+    ///
+    /// `None` when the key holds no live item, otherwise what became of
+    /// the store ([`SetOutcome::NotStored`] when `f` declined). Counted as
+    /// the get and the set it stands for; the mutation tap sees the
+    /// replacement with the TTL remaining at `now`.
+    pub fn update_at(
+        &self,
+        key: &[u8],
+        now: u64,
+        f: impl FnOnce(&[u8]) -> Option<Bytes>,
+    ) -> Option<SetOutcome> {
+        let (sh, tag) = self.shard_for(key);
+        let tapping = self.sink_installed();
+        let mut staged = None;
+        let out = sh.write_op(now, |d| {
+            let Some(slot) = d.find_live(tag, key, now) else {
+                sh.misses.fetch_add(1, Ordering::Relaxed);
+                return None;
+            };
+            sh.hits.fetch_add(1, Ordering::Relaxed);
+            let item = d.arena.item(slot);
+            let Some(value) = f(&item.value) else {
+                d.arena.touch(slot);
+                return Some(SetOutcome::NotStored);
+            };
+            let (key, expires_at) = (item.key.clone(), item.expires_at);
+            if tapping {
+                staged = Some((key.clone(), value.clone(), expires_at.map(|t| t - now)));
+            }
+            Some(d.store(Some(slot), tag, key, value, expires_at))
         });
-        if out == SetOutcome::Stored {
-            self.tap_set(&key, &value, ttl);
+        if let (Some(SetOutcome::Stored), Some((key, value, ttl))) = (out, &staged) {
+            self.tap_set(key, value, *ttl);
         }
         out
     }
@@ -1106,20 +1143,14 @@ impl Store {
     /// reported as absent (counted as an expiration, not a delete),
     /// matching memcached's `DELETE` of an expired item.
     pub fn delete_at(&self, key: &[u8], now: u64) -> bool {
-        let sh = self.shard_for(key);
+        let (sh, tag) = self.shard_for(key);
         let removed = sh.write_op(now, |d| {
-            let expired = match d.map.get(key) {
-                None => return false,
-                Some(e) => ShardData::entry_expired(e, now),
+            let Some(slot) = d.find_live(tag, key, now) else {
+                return false;
             };
-            d.remove_present(key);
-            if expired {
-                d.wstats.expirations += 1;
-                false
-            } else {
-                d.wstats.deletes += 1;
-                true
-            }
+            d.remove_slot(slot);
+            d.wstats.deletes += 1;
+            true
         });
         if removed {
             self.tap_delete(key);
@@ -1161,7 +1192,7 @@ impl Store {
         let lens: Vec<usize> = self
             .shards
             .iter()
-            .map(|s| s.data.read().map.len())
+            .map(|s| s.data.read().arena.len())
             .collect();
         let quotas = round_robin_quotas(&lens, max_items);
         let mut per_shard: Vec<std::vec::IntoIter<(Bytes, Bytes, Option<u64>)>> =
@@ -1173,18 +1204,10 @@ impl Store {
                 continue;
             }
             let sh = s.data.read();
-            let mut items = Vec::with_capacity(quota.min(sh.map.len()));
-            for key in sh.lru.iter() {
-                if items.len() >= quota {
-                    break;
-                }
-                let Some(e) = sh.map.get(key) else { continue };
-                if ShardData::entry_expired(e, now) {
-                    continue;
-                }
-                let ttl = e.expires_at.map(|t| t - now);
-                items.push((key.clone(), e.value.clone(), ttl));
-            }
+            let hottest = sh.live(now).take(quota);
+            let items: Vec<_> = hottest
+                .map(|(item, ttl)| (item.key.clone(), item.value.clone(), ttl))
+                .collect();
             collected_total += items.len();
             per_shard.push(items.into_iter());
         }
@@ -1218,7 +1241,7 @@ impl Store {
     /// construct deliberately skewed key sets (e.g. the single-hot-shard
     /// read-path A/B in `hot_shard_ab`).
     pub fn shard_of(&self, key: &[u8]) -> usize {
-        self.shard_idx(key)
+        self.locate(key).0 as usize
     }
 
     /// Visits one shard's live, unexpired items in LRU recency order
@@ -1244,12 +1267,8 @@ impl Store {
     ) -> usize {
         self.shards[shard].write_op(now, |d| {
             let mut seen = 0usize;
-            for key in d.lru.iter() {
-                let Some(e) = d.map.get(key) else { continue };
-                if ShardData::entry_expired(e, now) {
-                    continue;
-                }
-                visit(key, &e.value, e.expires_at.map(|t| t - now));
+            for (item, ttl) in d.live(now) {
+                visit(&item.key, &item.value, ttl);
                 seen += 1;
             }
             seen
@@ -1260,18 +1279,20 @@ impl Store {
     /// the shard's read lock; never mutates, touches LRU order, or counts
     /// stats.
     pub fn contains_at(&self, key: &[u8], now: u64) -> bool {
-        let sh = self.shard_for(key);
+        let (sh, tag) = self.shard_for(key);
         let d = sh.data.read();
-        d.map
-            .get(key)
-            .is_some_and(|e| !ShardData::entry_expired(e, now))
+        d.arena
+            .find(tag, key)
+            .is_some_and(|slot| !d.arena.item(slot).expired(now))
     }
 
     /// Whether a key is present, ignoring TTLs entirely (an
     /// expired-but-unreaped item still counts). Prefer
     /// [`contains_at`](Self::contains_at) when a logical time is known.
     pub fn contains(&self, key: &[u8]) -> bool {
-        self.shard_for(key).data.read().map.contains_key(key)
+        let (sh, tag) = self.shard_for(key);
+        let d = sh.data.read();
+        d.arena.find(tag, key).is_some()
     }
 
     /// Gathers statistics, occupancy, and capacity in **one** sweep over
@@ -1292,12 +1313,8 @@ impl Store {
             let sh = s.data.read();
             snap.stats.add(&sh.wstats);
             snap.capacity_bytes += sh.capacity_bytes;
-            for (k, e) in &sh.map {
-                if ShardData::entry_expired(e, now) {
-                    continue;
-                }
-                debug_assert_eq!(e.bytes, k.len() + e.value.len() + ITEM_OVERHEAD);
-                snap.used_bytes += e.bytes;
+            for (item, _) in sh.live(now) {
+                snap.used_bytes += item_bytes(item);
                 snap.items += 1;
             }
             snap.stats.hits += s.hits.load(Ordering::Relaxed);
@@ -1357,8 +1374,7 @@ impl Store {
             for lane in &sh.lanes {
                 while lane.pop().is_some() {}
             }
-            d.map.clear();
-            d.lru.clear();
+            d.arena.clear();
             d.used_bytes = 0;
             d.wheel = TimerWheel::new();
             sh.publish_wheel(&d);
@@ -1530,6 +1546,11 @@ mod tests {
         s.set("big", vec![0u8; 5000]);
         assert!(!s.contains(b"big"));
         assert_eq!(s.used_bytes(), 0);
+        // Over a value the key already holds, the old value goes too.
+        s.set("big", "fits");
+        s.set("big", vec![0u8; 5000]);
+        assert!(!s.contains(b"big"));
+        assert_eq!((s.used_bytes(), s.len(), s.stats().sets), (0, 0, 3));
     }
 
     #[test]
@@ -1666,7 +1687,7 @@ mod tests {
         let occupied = s
             .shards
             .iter()
-            .filter(|sh| !sh.data.read().map.is_empty())
+            .filter(|sh| sh.data.read().arena.len() > 0)
             .count();
         assert!(
             occupied >= 6,
@@ -1909,6 +1930,24 @@ mod tests {
     }
 
     #[test]
+    fn update_rewrites_in_place_and_keeps_the_deadline() {
+        for s in [small(), small_inline()] {
+            s.set_at("k", "1", 0, Some(50));
+            let bump = |v: &[u8]| Some(Bytes::from(vec![v[0] + 1; 2]));
+            assert_eq!(s.update_at(b"k", 10, bump), Some(SetOutcome::Stored));
+            assert_eq!(s.update_at(b"k", 10, |_| None), Some(SetOutcome::NotStored));
+            assert_eq!(s.get_at(b"k", 49).as_deref(), Some(b"22".as_ref()));
+            assert!(s.get_at(b"k", 50).is_none(), "the deadline did not move");
+            assert_eq!(s.update_at(b"k", 50, bump), None, "expired is absent");
+            assert_eq!(s.update_at(b"nope", 50, bump), None);
+            let st = s.stats();
+            assert_eq!((st.sets, st.hits, st.misses), (2, 3, 3));
+            assert_eq!(st.expirations, 1, "reaped or purged, once");
+            assert_eq!(s.used_bytes(), 0);
+        }
+    }
+
+    #[test]
     fn snapshot_is_one_sweep_view() {
         let s = small();
         s.set("a", "1");
@@ -1971,14 +2010,10 @@ mod tests {
             let mut expect = 0usize;
             for sh in &s.shards {
                 let sh = sh.data.read();
-                let mut acc = 0usize;
-                for (k, e) in &sh.map {
-                    expect += k.len() + e.value.len() + ITEM_OVERHEAD;
-                    acc += e.bytes;
-                    prop_assert_eq!(e.bytes, k.len() + e.value.len() + ITEM_OVERHEAD);
-                }
+                let acc: usize = sh.arena.iter().map(item_bytes).sum();
+                expect += acc;
                 prop_assert_eq!(acc, sh.used_bytes);
-                prop_assert_eq!(sh.lru.len(), sh.map.len());
+                prop_assert_eq!(sh.arena.iter().count(), sh.arena.len());
             }
             prop_assert_eq!(s.used_bytes(), expect);
         }

@@ -4,7 +4,7 @@
 //! Under the shared-lock read plane ([`crate::store`] with
 //! `ReadPath::Deferred`), a GET never moves its entry in the LRU list —
 //! that would need the shard's write lock. Instead it pushes a fixed-size
-//! **touch record** (`(lru_idx, lru_gen)` packed into one `u64`) into a
+//! **touch record** (`(slot, gen)` packed into one `u64`) into a
 //! per-worker ring, and the records are drained in batches by whoever next
 //! holds the shard's write lock.
 //!
@@ -25,14 +25,15 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// One recency record: LRU slot index and the slot generation at read
+/// One recency record: arena slot index and the slot generation at read
 /// time, packed so a ring slot is a single `AtomicU64`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TouchRec {
-    /// LRU slot index within the shard.
+    /// Arena slot within the shard.
     pub idx: u32,
     /// Slot generation observed by the reader; the flush validates it so a
-    /// record can never touch a slot that was freed and reused since.
+    /// record can never touch a slot that was freed, reused or overwritten
+    /// since.
     pub gen: u32,
 }
 

@@ -23,9 +23,9 @@
 //! iterating empty ticks — crucial the first time a wheel whose
 //! `last_tick` is 0 meets a Unix-scale deadline of ~1.7e9.
 //!
-//! Records are `(deadline, lru_idx, lru_gen)` triples and are **lazy**:
+//! Records are `(deadline, slot, gen)` triples and are **lazy**:
 //! deletes, overwrites, and evictions never search the wheel. A reaped
-//! record whose generation no longer matches the LRU slot is dropped
+//! record whose generation no longer matches the arena slot is dropped
 //! (counted as stale by the store); a live match is removed from the shard
 //! exactly like a lazy-expiry hit.
 
@@ -35,15 +35,15 @@ pub const LEVELS: usize = 11;
 /// Slots per level.
 pub const SLOTS: usize = 64;
 
-/// One pending expiry: the deadline plus the LRU slot coordinates used to
+/// One pending expiry: the deadline plus the arena slot coordinates used to
 /// validate the record at reap time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WheelRec {
     /// Absolute logical time at which the entry expires (`expires_at`).
     pub expires_at: u64,
-    /// LRU slot index within the shard.
+    /// Arena slot within the shard.
     pub idx: u32,
-    /// LRU slot generation at insert time.
+    /// Slot generation when the deadline was filed.
     pub gen: u32,
 }
 

@@ -4,9 +4,11 @@
 //! warm-up pass (which sizes the thread-local scratch and the reusable
 //! output buffer), serving pipelined get hits, get misses, delete misses,
 //! and parse errors must allocate **nothing**. Storage commands allocate
-//! only the store-side key/value copies: a `set` with a reply and the
-//! same `set noreply` must allocate identically, proving the response
-//! writer itself adds zero allocations.
+//! only the value: an overwriting or evicting `set` costs **exactly one**
+//! block when the stored value (4 flag bytes + data) is larger than
+//! `bytes::INLINE_CAP` and none when it fits inline — keys this short are
+//! inline, the arena reuses slots, the index stays put. A `delete` hit, a
+//! touch flush and a TTL-wheel reap cost nothing.
 //!
 //! This file holds exactly one `#[test]` so no concurrent test can
 //! perturb the global counter.
@@ -124,40 +126,110 @@ fn response_path_is_allocation_free_in_steady_state() {
         "a disabled tracer must not allocate on the read path"
     );
 
-    // Storage commands: overwriting sets in steady state. The replied
-    // and noreply variants must allocate identically — the store copies
-    // the key and value either way, and the STORED line must cost
-    // nothing on top.
-    let mut set_reply = Vec::new();
-    let mut set_noreply = Vec::new();
-    for i in 0..16 {
-        let v = "w".repeat(32);
-        set_reply.extend_from_slice(format!("set key{i} 7 0 32\r\n{v}\r\n").as_bytes());
-        set_noreply.extend_from_slice(format!("set key{i} 7 0 32 noreply\r\n{v}\r\n").as_bytes());
-    }
-    for _ in 0..3 {
-        out.clear();
-        serve_into(&store, &set_reply, 0, &mut out);
-        out.clear();
-        serve_into(&store, &set_noreply, 0, &mut out);
-    }
-
-    let before = allocs();
-    for _ in 0..50 {
-        out.clear();
-        serve_into(&store, &set_reply, 0, &mut out);
-    }
-    let replied = allocs() - before;
-
-    let before = allocs();
-    for _ in 0..50 {
-        out.clear();
-        serve_into(&store, &set_noreply, 0, &mut out);
-    }
-    let silent = allocs() - before;
-
+    // Storage commands: overwriting sets in steady state. Keys are
+    // inline, the arena keeps slot and index entry, so the one block each
+    // command allocates is the 36-byte stored value — replied or not.
+    let sets = |prefix: &str, exptime: u64, data: &str, tail: &str| {
+        let mut buf = Vec::new();
+        for i in 0..16 {
+            let len = data.len();
+            buf.extend_from_slice(
+                format!("set {prefix}{i} 7 {exptime} {len}{tail}\r\n{data}\r\n").as_bytes(),
+            );
+        }
+        buf
+    };
+    // Allocations over 50 passes of `input` (16 commands each), after
+    // three warm-up passes.
+    let measure = |store: &Store, out: &mut Vec<u8>, input: &[u8]| {
+        let mut before = 0;
+        for pass in 0..53 {
+            if pass == 3 {
+                before = allocs();
+            }
+            out.clear();
+            assert_eq!(serve_into(store, input, 0, out), input.len());
+        }
+        allocs() - before
+    };
+    let big = "w".repeat(32);
+    let replied = measure(&store, &mut out, &sets("key", 0, &big, ""));
+    let silent = measure(&store, &mut out, &sets("key", 0, &big, " noreply"));
     assert_eq!(
-        replied, silent,
-        "a STORED reply must not add allocations over noreply"
+        (replied, silent),
+        (800, 800),
+        "an overwriting set allocates its value and nothing else"
     );
+    let inline = measure(&store, &mut out, &sets("key", 0, &"w".repeat(18), ""));
+    assert_eq!(inline, 0, "a stored value of 22 bytes lives inline");
+
+    // A delete hit frees; it never allocates. Each pass stores 16 inline
+    // values and deletes them again.
+    let mut churn = sets("gone", 0, "abcd", " noreply");
+    for i in 0..16 {
+        churn.extend_from_slice(format!("delete gone{i}\r\n").as_bytes());
+    }
+    assert_eq!(
+        measure(&store, &mut out, &churn),
+        0,
+        "set inline + delete hit"
+    );
+    assert_eq!(out, b"DELETED\r\n".repeat(16));
+
+    // Touch flushes: 32 queued touches of 16 keys per pass (no writer in
+    // between to drain them), applied by the explicit flush hook out of
+    // the shard's own scratch.
+    let gets: Vec<u8> = (0..32)
+        .flat_map(|i| format!("get key{}\r\n", i % 16).into_bytes())
+        .collect();
+    let mut before = 0;
+    for pass in 0..53 {
+        if pass == 3 {
+            before = allocs();
+        }
+        out.clear();
+        serve_into(&store, &gets, 0, &mut out);
+        let flushed = store.flush_touches(0);
+        assert_eq!((flushed.drained, flushed.applied), (32, 16));
+    }
+    assert_eq!(allocs() - before, 0, "a touch flush must not allocate");
+
+    // Evicting sets: a one-shard store that holds 16 of the 64 keys the
+    // passes cycle through, so every set inserts an absent key and evicts
+    // the tail into the slot it then reuses.
+    let small = Store::with_capacity(16 * (3 + 36 + 56));
+    let batches: Vec<Vec<u8>> = ["a", "b", "c", "d"]
+        .iter()
+        .map(|p| sets(p, 0, &big, ""))
+        .collect();
+    let mut before = (0, 0);
+    for pass in 0..58 {
+        if pass == 8 {
+            before = (allocs(), small.stats().evictions);
+        }
+        out.clear();
+        serve_into(&small, &batches[pass % 4], 0, &mut out);
+    }
+    assert_eq!(
+        (allocs() - before.0, small.stats().evictions - before.1),
+        (800, 800),
+        "an evicting set allocates its value only"
+    );
+
+    // TTL wheel: each pass stores 16 items that expire one tick later, so
+    // the next pass's first write per shard reaps that shard's share
+    // before inserting. The warm-up turns the wheel past a level-0
+    // rotation, so every slot the measured ticks use has its capacity.
+    let before_expired = store.stats().expirations;
+    let mut spent = 0;
+    for now in 0..120u64 {
+        let batch = sets("ttl", 1, &big, " noreply");
+        let at = allocs();
+        serve_into(&store, &batch, now, &mut out);
+        if now >= 70 {
+            spent += allocs() - at;
+        }
+    }
+    assert_eq!(spent, 800, "a wheel reap must not allocate");
+    assert_eq!(store.stats().expirations - before_expired, 119 * 16);
 }

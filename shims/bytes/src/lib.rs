@@ -60,6 +60,31 @@ impl Bytes {
         }
     }
 
+    /// Copies `head` followed by `tail` into a fresh buffer: inline when
+    /// the two fit [`INLINE_CAP`], otherwise **one** allocation filled by
+    /// one copy of each part (not in the real crate, which would build
+    /// this through a `BytesMut`).
+    pub fn from_parts(head: &[u8], tail: &[u8]) -> Self {
+        let len = head.len() + tail.len();
+        if len <= INLINE_CAP {
+            let mut buf = [0; INLINE_CAP];
+            buf[..head.len()].copy_from_slice(head);
+            buf[head.len()..len].copy_from_slice(tail);
+            Self(Repr::Inline {
+                len: len as u8,
+                buf,
+            })
+        } else {
+            // An exact-size iterator collects into one `Arc` allocation;
+            // `get_mut` cannot fail on an `Arc` nobody else has seen.
+            let mut shared: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+            let buf = Arc::get_mut(&mut shared).expect("fresh Arc is unique");
+            buf[..head.len()].copy_from_slice(head);
+            buf[head.len()..].copy_from_slice(tail);
+            Self(Repr::Shared(shared))
+        }
+    }
+
     /// Wraps a static byte slice (copied here, unlike the real crate —
     /// semantics are identical, only the allocation differs).
     pub fn from_static(data: &'static [u8]) -> Self {
@@ -242,5 +267,16 @@ mod tests {
         assert_eq!(b.len(), 3);
         assert!(!b.is_empty());
         assert_eq!(format!("{:?}", Bytes::from("a\n")), "b\"a\\n\"");
+    }
+
+    #[test]
+    fn from_parts_concatenates_on_both_sides_of_the_inline_cap() {
+        let tail = [7u8; 40];
+        for (h, t) in [(0, 0), (4, 0), (4, 18), (4, 19), (0, 23), (23, 0), (4, 40)] {
+            let want = [&b"headheadheadheadheadhead"[..h], &tail[..t]].concat();
+            let got = Bytes::from_parts(&want[..h], &want[h..]);
+            assert_eq!(got, want, "{h}+{t}");
+            assert_eq!(got, Bytes::copy_from_slice(&want));
+        }
     }
 }
