@@ -220,6 +220,9 @@ echo "    results gate: ${gate_s} s wall"
 # run after run: 0.51 per command at 50 % sets, 1.01 before PR 17). Its
 # store.evictions / store.hit_rate are not gated here: over 2 s they
 # follow the live slice and differ between two runs of one binary.
+# pipelined_mix holds the read path to the same count (0.0999 per command,
+# all of it the 10 % sets' values: staging a hit's bytes must not
+# allocate) and to a touch ring that never overflows.
 for spec in paced_get:2 pipelined_mix:2 write_evict:2 revocation:6 plan_90d:2; do
     w="${spec%%:*}"
     echo "==> benchmark $w smoke (traced; correct, nothing failed)"
@@ -232,6 +235,11 @@ assert doc["failed"] == 0, "%s: %d failed operations" % (sys.argv[1], doc["faile
 if sys.argv[1] == "write_evict":
     allocs = doc["metrics"]["protocol.allocs_per_op"]["value"]
     assert allocs <= 0.55, "write_evict: %.4f allocations per command, over 0.55" % allocs
+if sys.argv[1] == "pipelined_mix":
+    allocs = doc["metrics"]["protocol.allocs_per_op"]["value"]
+    assert allocs <= 0.11, "pipelined_mix: %.4f allocations per command, over 0.11" % allocs
+    dropped = doc["metrics"]["store.touch_dropped"]["value"]
+    assert dropped == 0, "pipelined_mix: %d touch records dropped" % dropped
 ' "$w"
 done
 

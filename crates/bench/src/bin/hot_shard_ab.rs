@@ -11,9 +11,12 @@
 //!
 //! In-process on purpose: single-server throughput and latency over real
 //! sockets are `benchmark/`'s `paced_get` and `pipelined_mix`; this
-//! isolates the store's read path, where the inline plane serializes and
-//! cache-thrashes (every GET random-writes a multi-million-slot LRU slab
-//! under the exclusive lock).
+//! isolates the store's read path, where the inline plane serializes
+//! (every GET takes the exclusive lock, and a key's first GET
+//! random-writes a multi-million-slot LRU slab under it). The clock stands
+//! at 0 throughout, so the store bumps each key once and every repeat GET
+//! only checks its tick stamp — this is the one gate that runs that stamp
+//! under four concurrent readers.
 //!
 //! Flags: `--smoke` (smaller key set for CI), `--out PATH` (default
 //! `BENCH_hot_shard.json`), `--seed N`.

@@ -1,12 +1,17 @@
 //! The per-shard item arena: key index, recency links and entries share
 //! one `u32` **slot**, which also names the item in the store's touch and
-//! TTL-wheel records. Three arrays are indexed by it:
+//! TTL-wheel records. Four arrays are indexed by it:
 //!
 //! * `meta[slot] = {prev, next, gen, tag}` — 16 bytes, **hot**. Touch
 //!   application, unlink / relink (front = most recently used), tail pop
 //!   and stale-record checks read nothing else.
 //! * `items[slot] = {key, value, expires_at}` — one 64-byte, line-aligned
 //!   **cold** entry holding the only copy of the key.
+//! * `stamps[slot]` — 4 bytes: the clock tick of the slot's last
+//!   read-bump (see [`Arena::first_read_in`]). Kept apart from `meta`
+//!   because it is the one word written under the *shared* lock, and
+//!   because sixteen stamps to a line is all a repeat hit reads beyond
+//!   the bucket and the entry.
 //! * `index` — open addressing over 8-byte `{slot, tag}` buckets (hot):
 //!   home `tag & mask`, linear probing, backward-shift deletion (no
 //!   tombstones: nothing sits past an empty bucket on its probe path),
@@ -23,12 +28,32 @@
 //! item therefore matches ([`Arena::is_live_gen`], [`Arena::touch_if`])
 //! only while that exact insertion is in place — an overwrite invalidates
 //! it just as a remove and re-insert would.
+//!
+//! # Tick-granular recency
+//!
+//! A read bumps an item at most once per clock tick — memcached's rule
+//! (`ITEM_UPDATE_INTERVAL`), with the interval fixed at one tick.
+//! [`Arena::first_read_in`] answers whether a read at `tick` is the
+//! slot's first in that tick and stamps it if so; only then does the
+//! caller move the item (or queue the move). The stamp belongs to the
+//! key: an insert clears it, so a new key's first read bumps whatever the
+//! tick, and an overwrite — which moves the item to the front itself —
+//! leaves it. Recency order is therefore exact **across** ticks and
+//! first-event order **within** one, and where no key is read twice in a
+//! tick it is the exact-LRU order bit for bit.
+
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use bytes::Bytes;
 
 /// "No slot": the ends of the recency list and of the free list, and an
 /// empty index bucket.
 const NIL: u32 = u32::MAX;
+
+/// The stamp of a slot whose key no read has bumped yet. A tick
+/// whose low 32 bits equal it (one second in 136 years of them) skips the
+/// first bump of such slots — colder for a tick, like a dropped touch.
+const NEVER: u32 = u32::MAX;
 
 /// Index buckets of a fresh arena (a power of two).
 const MIN_INDEX: usize = 8;
@@ -71,6 +96,9 @@ const EMPTY: Bucket = Bucket { slot: NIL, tag: 0 };
 pub(crate) struct Arena {
     meta: Vec<Meta>,
     items: Vec<Item>,
+    /// Atomic because readers stamp under the shard's shared lock;
+    /// `Relaxed` because a stamp publishes nothing but itself.
+    stamps: Vec<AtomicU32>,
     index: Vec<Bucket>,
     mask: usize,
     len: usize,
@@ -84,6 +112,7 @@ impl Arena {
         Self {
             meta: Vec::new(),
             items: Vec::new(),
+            stamps: Vec::new(),
             index: vec![EMPTY; MIN_INDEX],
             mask: MIN_INDEX - 1,
             len: 0,
@@ -129,6 +158,21 @@ impl Arena {
     #[inline]
     pub(crate) fn gen(&self, slot: u32) -> u32 {
         self.meta[slot as usize].gen
+    }
+
+    /// Whether a read of `slot` at `tick` is its first in that tick and
+    /// so owes the item a bump; stamps the slot if it is. Callable under
+    /// the shared lock: a plain load and store, no read-modify-write, so
+    /// two readers racing into a fresh tick may both be told "first" —
+    /// one duplicate touch record, which the flush dedupes.
+    #[inline]
+    pub(crate) fn first_read_in(&self, slot: u32, tick: u32) -> bool {
+        let stamp = &self.stamps[slot as usize];
+        let first = stamp.load(Ordering::Relaxed) != tick;
+        if first {
+            stamp.store(tick, Ordering::Relaxed);
+        }
+        first
     }
 
     fn is_live(&self, slot: u32) -> bool {
@@ -181,10 +225,12 @@ impl Arena {
                 tag: 0,
             });
             self.items.push(Item::default());
+            self.stamps.push(AtomicU32::new(NEVER));
             slot
         };
         Self::place(&mut self.index, self.mask, Bucket { slot, tag });
         self.items[slot as usize] = item;
+        *self.stamps[slot as usize].get_mut() = NEVER;
         let m = &mut self.meta[slot as usize];
         m.gen = m.gen.wrapping_add(1);
         m.tag = tag;
@@ -195,7 +241,8 @@ impl Arena {
 
     /// Replaces a live item's value and deadline in place: the index entry
     /// and the key stay, the slot moves to the front and its generation
-    /// advances, so records filed for the old value go stale.
+    /// advances, so records filed for the old value go stale. The stamp
+    /// stays: it is the key's, and the key has not changed.
     pub(crate) fn overwrite_front(&mut self, slot: u32, value: Bytes, expires_at: Option<u64>) {
         self.touch(slot);
         let m = &mut self.meta[slot as usize];
@@ -454,8 +501,10 @@ mod tests {
     }
 
     /// Random insert / overwrite / touch / stale `touch_if` / remove /
-    /// pop-tail / clear against `HashMap` + `VecDeque`, from the 8-bucket
-    /// index up, with tags as the caller's `tag_of` deals them.
+    /// pop-tail / clear / tick-stamped read against `HashMap` + `VecDeque`,
+    /// from the 8-bucket index up, with tags as the caller's `tag_of`
+    /// deals them. The model keeps each key's last-bump tick: a read bumps
+    /// iff the tick differs, an insert forgets it, an overwrite keeps it.
     fn run_model(ops: &[(u8, u8)], tag_of: impl Fn(&[u8]) -> u32 + Copy) {
         let mut a = Arena::new();
         prop_assert!(a.index.len() <= 8);
@@ -463,6 +512,8 @@ mod tests {
         let mut order: VecDeque<Vec<u8>> = VecDeque::new(); // front = MRU
         let mut held: HashSet<(u32, u32)> = HashSet::new();
         let mut stale: Vec<(u32, u32)> = Vec::new();
+        let mut bumped_in: HashMap<Vec<u8>, u32> = HashMap::new();
+        let mut tick = 0u32;
         let to_front = |order: &mut VecDeque<Vec<u8>>, key: &Vec<u8>| {
             order.retain(|k| k != key);
             order.push_front(key.clone());
@@ -471,10 +522,11 @@ mod tests {
             let key = format!("key-{k}").into_bytes();
             let value = vec![step as u8; step % 40];
             let known = model.get(&key).map(|(slot, _)| *slot);
-            match (op % 8, known) {
+            match (op % 10, known) {
                 (0..=2, None) => {
                     let slot = a.insert_front(tag_of(&key), item(&key, &value));
                     prop_assert!(held.insert((slot, a.gen(slot))), "generation reused");
+                    bumped_in.remove(&key);
                     model.insert(key.clone(), (slot, value));
                     order.push_front(key);
                 }
@@ -508,6 +560,16 @@ mod tests {
                     prop_assert_eq!(&got, &want);
                     if let Some(key) = want {
                         model.remove(&key);
+                    }
+                }
+                (8..=9, Some(slot)) => {
+                    // Half the reads come after the clock moved on.
+                    tick += (op as u32 % 10 - 8) * (k as u32 % 3);
+                    let first = a.first_read_in(slot, tick);
+                    prop_assert_eq!(first, bumped_in.insert(key.clone(), tick) != Some(tick));
+                    if first {
+                        a.touch(slot);
+                        to_front(&mut order, &key);
                     }
                 }
                 (7, _) if k % 16 == 0 => {
@@ -581,7 +643,7 @@ mod tests {
 
         #[test]
         fn matches_map_and_deque_model(
-            ops in proptest::collection::vec((0u8..8, 0u8..48), 1..300)
+            ops in proptest::collection::vec((0u8..10, 0u8..48), 1..300)
         ) {
             run_model(&ops, mixed_tag);
         }
@@ -591,7 +653,7 @@ mod tests {
         /// most backward shifts linear probing can produce.
         #[test]
         fn matches_the_model_with_colliding_tags(
-            ops in proptest::collection::vec((0u8..8, 0u8..48), 1..300)
+            ops in proptest::collection::vec((0u8..10, 0u8..48), 1..300)
         ) {
             run_model(&ops, |key| [7, 8, 0x107][key.len() % 2 + (key[4] as usize & 1)]);
         }

@@ -36,7 +36,7 @@
 //! The data plane is built for pipelined batches: [`protocol::parse_request`]
 //! borrows keys and data from the input buffer, [`protocol::serve_into`]
 //! appends responses to a reusable output buffer, and runs of pipelined
-//! `get`s execute through [`store::Store::get_many_into`] taking each
+//! `get`s execute through [`store::Store::get_many_with`] taking each
 //! shard lock once per batch (see DESIGN.md §"data plane").
 
 mod arena;

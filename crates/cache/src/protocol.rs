@@ -30,10 +30,11 @@
 //!   caller-owned `&mut Vec<u8>`, so a connection reuses one output
 //!   buffer for its whole lifetime.
 //! * Consecutive pipelined `get` commands are executed **as one batch**
-//!   through [`Store::get_many_into`], which takes each shard lock once
-//!   per batch instead of once per key. Values stay refcounted
-//!   [`bytes::Bytes`] until the response writer copies them into the
-//!   output buffer.
+//!   through [`Store::get_many_with`], which takes each shard lock once
+//!   per batch instead of once per key. Each hit's bytes are copied out
+//!   under that lock into a per-thread staging buffer — no refcount is
+//!   taken, so a hit executes no locked instruction on the value's line —
+//!   and serialised from there in command order.
 //! * Response encoding never heap-allocates for hits, misses, `STORED`,
 //!   `DELETED`, or error lines: integers are formatted through a stack
 //!   buffer and all sentinel lines are static. (`stats` and the rare
@@ -46,6 +47,7 @@ use std::time::Instant;
 use bytes::Bytes;
 use spotcache_obs::{Counter, Histogram, Obs, SpanGuard, TraceContext, Tracer};
 
+use crate::server::BUF_RETAIN_MAX;
 use crate::store::{SetOutcome, SetPolicy, Store};
 
 /// Opens a span when a tracer is attached; a `None` tracer costs one
@@ -654,6 +656,9 @@ impl ProtocolObs {
 /// Reusable per-thread scratch for the pipelined serving loop: pending
 /// `get` key ranges, per-command key counts, and the batched lookup
 /// results. Kept thread-local so steady-state serving allocates nothing.
+/// The staging buffer is bounded like the connection buffers: capacity
+/// over [`BUF_RETAIN_MAX`] is released after each batch, so one burst of
+/// large values does not pin its high-water mark to the thread.
 #[derive(Default)]
 struct ServeScratch {
     /// `(offset, len)` of each pending get key, relative to the input.
@@ -662,17 +667,22 @@ struct ServeScratch {
     cmd_keys: Vec<usize>,
     /// Per-command hit counts of the last flushed batch.
     cmd_hits: Vec<usize>,
-    /// Batched lookup results (input order).
-    values: Vec<Option<Bytes>>,
+    /// The raw stored bytes of the batch's hits, copied out under the
+    /// shard locks in lookup (shard) order.
+    staged: Vec<u8>,
+    /// `(offset, len)` into `staged` of each key's value, in input order.
+    /// A miss is the empty span, which [`decode_value`] refuses like any
+    /// value too short to carry flags.
+    spans: Vec<(usize, usize)>,
 }
 
 thread_local! {
     static SCRATCH: RefCell<ServeScratch> = RefCell::new(ServeScratch::default());
 }
 
-/// Flushes the pending pipelined `get` batch: one [`Store::get_many_into`]
-/// sweep (each shard lock taken once per batch), then responses appended
-/// in command order.
+/// Flushes the pending pipelined `get` batch: one [`Store::get_many_with`]
+/// sweep (each shard lock taken once per batch) staging the hits' bytes,
+/// then responses appended in command order.
 fn flush_gets(
     store: &Store,
     input: &[u8],
@@ -689,10 +699,17 @@ fn flush_gets(
     let start = obs.map(|_| Instant::now());
     {
         let _lookup_span = maybe_span(tracer, "protocol", "store_lookup");
-        store.get_many_into(
+        let (staged, spans) = (&mut scratch.staged, &mut scratch.spans);
+        spans.resize(scratch.key_ranges.len(), (0, 0));
+        store.get_many_with(
             scratch.key_ranges.iter().map(|&(o, l)| &input[o..o + l]),
             now,
-            &mut scratch.values,
+            |i, hit| {
+                if let Some(raw) = hit {
+                    spans[i] = (staged.len(), raw.len());
+                    staged.extend_from_slice(raw);
+                }
+            },
         );
     }
     let serialize_start = obs.map(|_| Instant::now());
@@ -707,12 +724,11 @@ fn flush_gets(
     for &nk in &scratch.cmd_keys {
         let mut hits = 0;
         for _ in 0..nk {
-            if let Some(raw) = &scratch.values[vi] {
-                if let Some((flags, data)) = decode_value(raw) {
-                    let (o, l) = scratch.key_ranges[vi];
-                    write_value_line(out, &input[o..o + l], flags, data);
-                    hits += 1;
-                }
+            let (o, l) = scratch.spans[vi];
+            if let Some((flags, data)) = decode_value(&scratch.staged[o..o + l]) {
+                let (o, l) = scratch.key_ranges[vi];
+                write_value_line(out, &input[o..o + l], flags, data);
+                hits += 1;
             }
             vi += 1;
         }
@@ -737,7 +753,11 @@ fn flush_gets(
     }
     scratch.key_ranges.clear();
     scratch.cmd_keys.clear();
-    scratch.values.clear();
+    scratch.spans.clear();
+    scratch.staged.clear();
+    if scratch.staged.capacity() > BUF_RETAIN_MAX {
+        scratch.staged.shrink_to(BUF_RETAIN_MAX);
+    }
 }
 
 /// Decodes and installs a propagated trace context when tracing is live.
@@ -1210,6 +1230,47 @@ mod tests {
         // A mutation between gets splits the batch at the right point.
         let out = run(&s, "get a\r\ndelete a\r\nget a\r\n");
         assert_eq!(out, "VALUE a 1 1\r\nx\r\nEND\r\nDELETED\r\nEND\r\n");
+    }
+
+    #[test]
+    fn a_key_named_twice_is_served_twice_and_bumped_once() {
+        let s = store();
+        run(&s, "set a 1 0 1\r\nx\r\nset b 2 0 1\r\ny\r\n");
+        assert_eq!(
+            run(&s, "get a b a\r\nget a\r\n"),
+            "VALUE a 1 1\r\nx\r\nVALUE b 2 1\r\ny\r\nVALUE a 1 1\r\nx\r\nEND\r\nVALUE a 1 1\r\nx\r\nEND\r\n"
+        );
+        let rep = s.flush_touches(0);
+        assert_eq!((rep.drained, rep.applied), (2, 2), "one record per key");
+        assert_eq!(s.stats().hits, 4);
+    }
+
+    #[test]
+    fn staging_buffer_releases_a_burst_of_large_values() {
+        // Eight pipelined gets over 1 MiB values stage 8 MiB in one batch.
+        // The replies are the bytes a value-by-value writer produces, and
+        // the thread keeps no more of the burst than a connection buffer
+        // would.
+        let s = Store::with_capacity(64 << 20);
+        let value = |i: usize| vec![b'a' + i as u8; 1 << 20];
+        let (mut gets, mut want) = (Vec::new(), Vec::new());
+        for i in 0..8 {
+            let mut set = format!("set big{i} {i} 0 {}\r\n", 1 << 20).into_bytes();
+            set.extend_from_slice(&value(i));
+            set.extend_from_slice(b"\r\n");
+            assert_eq!(serve(&s, &set, 0).0, b"STORED\r\n");
+            gets.extend_from_slice(format!("get big{i} nothing\r\n").as_bytes());
+            write_value_line(&mut want, format!("big{i}").as_bytes(), i as u32, &value(i));
+            want.extend_from_slice(b"END\r\n");
+        }
+        let (out, consumed) = serve(&s, &gets, 0);
+        assert_eq!(consumed, gets.len());
+        assert!(out == want, "large values must round-trip byte for byte");
+        let kept = SCRATCH.with(|scratch| scratch.borrow().staged.capacity());
+        assert!(kept <= BUF_RETAIN_MAX, "{kept} bytes of staging kept");
+        // Small values afterwards are served as before.
+        run(&s, "set k 0 0 1\r\nv\r\n");
+        assert_eq!(run(&s, "get k\r\n"), "VALUE k 0 1\r\nv\r\nEND\r\n");
     }
 
     #[test]

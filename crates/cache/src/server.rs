@@ -101,8 +101,9 @@ const OUT_COMPACT_THRESHOLD: usize = 64 * 1024;
 /// Capacity a connection buffer may keep after draining completely.
 /// A burst (or a slow reader hitting its backpressure cap) can balloon a
 /// buffer to megabytes; once the bytes are gone, capacity beyond this is
-/// released so idle connections cannot pin burst-sized allocations.
-const BUF_RETAIN_MAX: usize = 64 * 1024;
+/// released so idle connections cannot pin burst-sized allocations. The
+/// protocol layer's per-thread value staging buffer follows the same rule.
+pub(crate) const BUF_RETAIN_MAX: usize = 64 * 1024;
 
 /// Default cap on a connection's buffered unparsed input
 /// ([`ServerConfig::max_pending_in`]) — and therefore the largest value a

@@ -26,26 +26,39 @@
 //!
 //! Steady-state GETs take only a **shared** lock. Each shard is an
 //! `RwLock<ShardData>`: a reader looks its key up under the read lock and,
-//! on a hit, records recency by pushing a `(slot, gen)` record into
-//! one of the shard's lock-free [touch rings](crate::touch) instead of
-//! moving the LRU node inline. The rings are drained **in batches under
-//! the write lock** — opportunistically by every writer before its own
-//! mutation, and by the explicit [`Store::flush_touches`] hook the data
-//! planes call between event batches. TTL expiry is driven by a per-shard
+//! on the key's **first hit in a clock tick**, records recency by pushing
+//! a `(slot, gen)` record into one of the shard's lock-free
+//! [touch rings](crate::touch) instead of moving the LRU node inline; a
+//! repeat hit in the same tick records nothing (memcached's
+//! `ITEM_UPDATE_INTERVAL` rule with the interval fixed at one tick of
+//! `now`; the per-slot stamp lives in `cache::arena`). Hit, miss and lock
+//! counters are tallied per lock scope and added once, and the value is
+//! lent to the caller under the lock — [`Store::get_many_with`] copies
+//! it out, [`Store::get_at`] / [`Store::get_many_into`] clone it — so a
+//! repeat hit executes no locked instruction of its own and a tick's
+//! first hit two (the ring's enqueue and dequeue).
+//!
+//! The rings are drained **in batches under the write lock** —
+//! opportunistically by every writer before its own mutation, and by the
+//! explicit [`Store::flush_touches`] hook the data planes call between
+//! event batches. TTL expiry is driven by a per-shard
 //! [hierarchical timer wheel](crate::wheel) advanced on the same flush
 //! cadence, so expired entries stop occupying LRU slots and memory without
 //! waiting for an unlucky GET.
 //!
 //! The **approximation contract** (see DESIGN.md §"Read-path
-//! concurrency"): a touch may be applied late, but touches from one worker
-//! thread are never reordered against each other, and eviction victims are
-//! always drawn from the true LRU tail *modulo unflushed touches*. Every
-//! writer flushes before mutating, so any single-threaded sequence of
-//! operations is byte-identical to the legacy inline plane
-//! ([`ReadPath::Inline`], kept as the reference baseline).
+//! concurrency"): recency order is exact across ticks and first-event
+//! order within one — where no key is read twice in a tick the store is
+//! exact LRU, bit for bit. A touch may be applied late, but touches from
+//! one worker thread are never reordered against each other, and eviction
+//! victims are always drawn from the true LRU tail *modulo unflushed
+//! touches*. Every writer flushes before mutating, so any single-threaded
+//! sequence of operations is byte-identical to the legacy inline plane
+//! ([`ReadPath::Inline`], kept as the reference baseline, under the same
+//! once-per-tick rule).
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -451,6 +464,17 @@ impl ShardData {
     }
 }
 
+/// What the GETs of one lock scope add to their shard's counters.
+#[derive(Default)]
+struct GetTally {
+    hits: u64,
+    misses: u64,
+    /// Touch records the ring dropped to make room.
+    drops: u64,
+    /// Hits that owed no record: not the slot's first read this tick.
+    skips: u64,
+}
+
 /// One shard: the locked data plus everything readers may touch without
 /// the write lock — the touch-ring lanes and the lock-free counters.
 struct Shard {
@@ -462,6 +486,9 @@ struct Shard {
     rlock_gets: AtomicU64,
     wlock_gets: AtomicU64,
     touch_drops: AtomicU64,
+    /// Hits that found their slot already stamped with the current tick
+    /// and so recorded nothing.
+    touch_skips: AtomicU64,
     flush_batches: AtomicU64,
     flush_records: AtomicU64,
     flush_applied: AtomicU64,
@@ -493,6 +520,7 @@ impl Shard {
             rlock_gets: AtomicU64::new(0),
             wlock_gets: AtomicU64::new(0),
             touch_drops: AtomicU64::new(0),
+            touch_skips: AtomicU64::new(0),
             flush_batches: AtomicU64::new(0),
             flush_records: AtomicU64::new(0),
             flush_applied: AtomicU64::new(0),
@@ -504,67 +532,100 @@ impl Shard {
         }
     }
 
-    /// Shared-lock GET: lookup + expiry check + a touch-ring push. Never
-    /// mutates `ShardData`; an expired entry simply serves a miss (the
-    /// wheel reaps it on the flush cadence).
-    fn get_shared(
+    /// Shared-lock GET: lookup + expiry check, and — only on the slot's
+    /// first read in this tick — a touch-ring push. Never mutates
+    /// `ShardData` (the tick stamp is an atomic beside it); an expired
+    /// entry simply serves a miss (the wheel reaps it on the flush
+    /// cadence). The value is lent, not cloned: it lives as long as the
+    /// read guard `d` came from.
+    fn get_shared<'d>(
         &self,
-        d: &ShardData,
+        d: &'d ShardData,
         tag: u32,
         key: &[u8],
         now: u64,
         lane: usize,
-    ) -> Option<Bytes> {
-        self.rlock_gets.fetch_add(1, Ordering::Relaxed);
+        tally: &mut GetTally,
+    ) -> Option<&'d Bytes> {
         let found = d
             .arena
             .find(tag, key)
             .map(|slot| (slot, d.arena.item(slot)));
         let Some((slot, item)) = found.filter(|(_, item)| !item.expired(now)) else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            tally.misses += 1;
             return None;
         };
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        let dropped = self.lanes[lane].push_drop_oldest(TouchRec {
-            idx: slot,
-            gen: d.arena.gen(slot),
-        });
-        if dropped {
-            self.touch_drops.fetch_add(1, Ordering::Relaxed);
+        tally.hits += 1;
+        if d.arena.first_read_in(slot, now as u32) {
+            let dropped = self.lanes[lane].push_drop_oldest(TouchRec {
+                idx: slot,
+                gen: d.arena.gen(slot),
+            });
+            tally.drops += dropped as u64;
+        } else {
+            tally.skips += 1;
         }
-        Some(item.value.clone())
+        Some(&item.value)
     }
 
     /// Exclusive-lock GET (inline plane): the legacy behaviour — touch the
-    /// LRU inline, remove an expired entry on collision.
-    fn get_exclusive(&self, d: &mut ShardData, tag: u32, key: &[u8], now: u64) -> Option<Bytes> {
-        self.wlock_gets.fetch_add(1, Ordering::Relaxed);
+    /// LRU inline, under the same once-per-tick rule as the shared plane's
+    /// records, and remove an expired entry on collision.
+    fn get_exclusive<'d>(
+        d: &'d mut ShardData,
+        tag: u32,
+        key: &[u8],
+        now: u64,
+        tally: &mut GetTally,
+    ) -> Option<&'d Bytes> {
         let Some(slot) = d.find_live(tag, key, now) else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            tally.misses += 1;
             return None;
         };
-        d.arena.touch(slot);
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(d.arena.item(slot).value.clone())
+        tally.hits += 1;
+        if d.arena.first_read_in(slot, now as u32) {
+            d.arena.touch(slot);
+        } else {
+            tally.skips += 1;
+        }
+        Some(&d.arena.item(slot).value)
     }
 
     /// Looks up each `(token, tag, key)` under one acquisition of the
     /// plane's lock — shared with a touch `lane` (deferred), exclusive
-    /// without one (inline) — and hands `put` the token and the result.
+    /// without one (inline) — and hands `put` the token and the value,
+    /// lent for the call: `put` runs under the lock and copies or clones
+    /// what it keeps. The scope's counters are tallied locally and added
+    /// once, after the lock is released.
     fn get_each<'k, T>(
         &self,
         lane: Option<usize>,
         now: u64,
         keys: impl Iterator<Item = (T, u32, &'k [u8])>,
-        mut put: impl FnMut(T, Option<Bytes>),
+        mut put: impl FnMut(T, Option<&Bytes>),
     ) {
-        if let Some(lane) = lane {
+        let mut tally = GetTally::default();
+        let lock_gets = if let Some(lane) = lane {
             let d = self.data.read();
-            keys.for_each(|(t, tag, k)| put(t, self.get_shared(&d, tag, k, now, lane)));
+            keys.for_each(|(t, tag, k)| put(t, self.get_shared(&d, tag, k, now, lane, &mut tally)));
+            &self.rlock_gets
         } else {
             let mut d = self.data.write();
-            keys.for_each(|(t, tag, k)| put(t, self.get_exclusive(&mut d, tag, k, now)));
-        }
+            keys.for_each(|(t, tag, k)| {
+                put(t, Self::get_exclusive(&mut d, tag, k, now, &mut tally))
+            });
+            &self.wlock_gets
+        };
+        let add = |counter: &AtomicU64, n: u64| {
+            if n != 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        };
+        add(lock_gets, tally.hits + tally.misses);
+        add(&self.hits, tally.hits);
+        add(&self.misses, tally.misses);
+        add(&self.touch_drops, tally.drops);
+        add(&self.touch_skips, tally.skips);
     }
 
     /// Runs a mutation under the write lock, flushing pending touches and
@@ -677,6 +738,7 @@ struct StoreTelemetry {
     rlock_gets: Counter,
     wlock_gets: Counter,
     touch_dropped: Counter,
+    touch_skipped: Counter,
     flush_total: Counter,
     flush_records: Counter,
     flush_applied: Counter,
@@ -687,7 +749,7 @@ struct StoreTelemetry {
     tracer: Option<Arc<Tracer>>,
     /// Totals already pushed into the counters, so each sync adds only the
     /// delta. One mutex, taken on the flush cadence — never per-GET.
-    synced: Mutex<[u64; 9]>,
+    synced: Mutex<[u64; 10]>,
 }
 
 impl StoreTelemetry {
@@ -696,6 +758,7 @@ impl StoreTelemetry {
             rlock_gets: obs.counter("store_rlock_gets_total"),
             wlock_gets: obs.counter("store_wlock_gets_total"),
             touch_dropped: obs.counter("store_touch_dropped_total"),
+            touch_skipped: obs.counter("store_touch_skipped_total"),
             flush_total: obs.counter("store_touch_flush_total"),
             flush_records: obs.counter("store_touch_flush_records_total"),
             flush_applied: obs.counter("store_touch_flush_applied_total"),
@@ -704,23 +767,29 @@ impl StoreTelemetry {
             wheel_expired: obs.counter("ttl_wheel_expired_total"),
             wheel_pending: obs.gauge("ttl_wheel_pending"),
             tracer,
-            synced: Mutex::new([0; 9]),
+            synced: Mutex::new([0; 10]),
         }
     }
 
     fn sync(&self, shards: &[Shard]) {
-        let mut totals = [0u64; 9];
+        let mut totals = [0u64; 10];
         let mut pending = 0u64;
         for sh in shards {
-            totals[0] += sh.rlock_gets.load(Ordering::Relaxed);
-            totals[1] += sh.wlock_gets.load(Ordering::Relaxed);
-            totals[2] += sh.touch_drops.load(Ordering::Relaxed);
-            totals[3] += sh.flush_batches.load(Ordering::Relaxed);
-            totals[4] += sh.flush_records.load(Ordering::Relaxed);
-            totals[5] += sh.flush_applied.load(Ordering::Relaxed);
-            totals[6] += sh.flush_stale.load(Ordering::Relaxed);
-            totals[7] += sh.wheel_advances.load(Ordering::Relaxed);
-            totals[8] += sh.wheel_expired.load(Ordering::Relaxed);
+            let sources = [
+                &sh.rlock_gets,
+                &sh.wlock_gets,
+                &sh.touch_drops,
+                &sh.touch_skips,
+                &sh.flush_batches,
+                &sh.flush_records,
+                &sh.flush_applied,
+                &sh.flush_stale,
+                &sh.wheel_advances,
+                &sh.wheel_expired,
+            ];
+            for (total, source) in totals.iter_mut().zip(sources) {
+                *total += source.load(Ordering::Relaxed);
+            }
             pending += sh.wheel_pending.load(Ordering::Relaxed);
         }
         let mut last = self.synced.lock();
@@ -728,6 +797,7 @@ impl StoreTelemetry {
             &self.rlock_gets,
             &self.wlock_gets,
             &self.touch_dropped,
+            &self.touch_skipped,
             &self.flush_total,
             &self.flush_records,
             &self.flush_applied,
@@ -763,12 +833,17 @@ impl StoreTelemetry {
 pub struct Store {
     shards: Vec<Shard>,
     read_path: ReadPathConfig,
-    /// Optional mutation tap (replication). Read-locked per write; writes
-    /// are rare (installation at topology changes), so the read path is an
-    /// uncontended `RwLock` read.
+    /// Optional mutation tap (replication), read-locked by each tapped
+    /// write; installation is rare (topology changes).
     sink: RwLock<Option<Arc<dyn MutationSink>>>,
+    /// Whether `sink` holds one, written by
+    /// [`set_mutation_sink`](Store::set_mutation_sink) alone, so an
+    /// untapped write learns that without taking the sink's lock.
+    /// `Relaxed`: it publishes nothing — the sink itself is only ever
+    /// read under its lock.
+    sink_installed: AtomicBool,
     /// Optional obs wiring; absent until [`Store::attach_telemetry`].
-    telemetry: RwLock<Option<Arc<StoreTelemetry>>>,
+    telemetry: RwLock<Option<StoreTelemetry>>,
 }
 
 thread_local! {
@@ -792,6 +867,7 @@ impl Store {
             shards: (0..n).map(|_| Shard::new(per_shard, &read_path)).collect(),
             read_path,
             sink: RwLock::new(None),
+            sink_installed: AtomicBool::new(false),
             telemetry: RwLock::new(None),
         }
     }
@@ -814,7 +890,7 @@ impl Store {
     /// stays on plain per-shard atomics; their values are folded into the
     /// registry on the flush/snapshot cadence.
     pub fn attach_telemetry(&self, obs: &Obs, tracer: Option<Arc<Tracer>>) {
-        let t = Arc::new(StoreTelemetry::new(obs, tracer));
+        let t = StoreTelemetry::new(obs, tracer);
         t.sync(&self.shards);
         *self.telemetry.write() = Some(t);
     }
@@ -829,7 +905,9 @@ impl Store {
     /// successful sets and deletes are reported to the sink; in-flight
     /// operations on other threads may still miss it for one operation.
     pub fn set_mutation_sink(&self, sink: Option<Arc<dyn MutationSink>>) {
-        *self.sink.write() = sink;
+        let mut installed = self.sink.write();
+        self.sink_installed.store(sink.is_some(), Ordering::Relaxed);
+        *installed = sink;
     }
 
     #[inline]
@@ -848,7 +926,7 @@ impl Store {
 
     #[inline]
     fn sink_installed(&self) -> bool {
-        self.sink.read().is_some()
+        self.sink_installed.load(Ordering::Relaxed)
     }
 
     /// The one hash of an operation: the key's shard index and arena tag.
@@ -883,7 +961,7 @@ impl Store {
         let (sh, tag) = self.shard_for(key);
         let mut found = None;
         let one = std::iter::once(((), tag, key));
-        sh.get_each(self.touch_lane(), now, one, |(), v| found = v);
+        sh.get_each(self.touch_lane(), now, one, |(), v| found = v.cloned());
         found
     }
 
@@ -892,11 +970,69 @@ impl Store {
         self.get_at(key, 0)
     }
 
+    /// The batched lookup: groups `keys` by shard so each shard lock is
+    /// taken **once per batch** rather than once per key, and hands
+    /// `visit` each key's input position and its value, lent under that
+    /// shard's lock. Shard by shard, so positions arrive out of order
+    /// across shards; within a shard, keys are processed in input order,
+    /// so hit/miss accounting, TTL behaviour and recency order are
+    /// identical to issuing the gets one at a time (a key named twice is
+    /// served twice and, like any second read in a tick, bumped once). On
+    /// the deferred plane the per-shard lock is the **read** lock.
+    fn visit_many<'k, K>(&self, keys: K, now: u64, mut visit: impl FnMut(usize, Option<&Bytes>))
+    where
+        K: Iterator<Item = &'k [u8]> + Clone,
+    {
+        let lane = self.touch_lane();
+        if let [sh] = &self.shards[..] {
+            let tagged = keys.enumerate().map(|(i, k)| (i, tag_of(fnv1a(k)), k));
+            return sh.get_each(lane, now, tagged, visit);
+        }
+        let mut ids = SHARD_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
+        ids.clear();
+        // Bit `s`: some key of the batch lives in shard `s`, so a shard
+        // the batch does not name costs one test. Shards past 63 share
+        // bit 63 (its filtered pass below may then find nothing).
+        let mut present = 0u64;
+        ids.extend(keys.clone().map(|k| {
+            let id = self.locate(k);
+            present |= 1 << id.0.min(63);
+            id
+        }));
+        for s in 0..self.shards.len() as u32 {
+            if present & (1 << s.min(63)) == 0 {
+                continue;
+            }
+            let mine = keys.clone().zip(ids.iter()).enumerate();
+            let mine = mine.filter_map(|(i, (k, &(id, tag)))| (id == s).then_some((i, tag, k)));
+            self.shards[s as usize].get_each(lane, now, mine, &mut visit);
+        }
+        SHARD_SCRATCH.with(|s| *s.borrow_mut() = ids);
+    }
+
+    /// Batched fetch by visitor: `visit(i, value)` is called once for the
+    /// `i`-th key of `keys`, with the raw stored bytes on a hit — grouped
+    /// by shard as [`get_many_into`](Self::get_many_into) describes, so
+    /// not in input order. `visit` runs **under the shard's lock** and
+    /// must not call back into the store; it copies what it keeps. No
+    /// refcount is taken on the way out, which is why the protocol's
+    /// `get` path reads through here.
+    pub fn get_many_with<'k, K>(
+        &self,
+        keys: K,
+        now: u64,
+        mut visit: impl FnMut(usize, Option<&[u8]>),
+    ) where
+        K: Iterator<Item = &'k [u8]> + Clone,
+    {
+        self.visit_many(keys, now, |i, v| visit(i, v.map(|raw| &raw[..])));
+    }
+
     /// Batched fetch: looks up every key of a pipelined batch, grouping
     /// keys by shard so each shard lock is taken **once per batch** rather
     /// than once per key. Results land in `out` (cleared first) in input
     /// order; values are refcounted [`Bytes`] clones, so the bytes stay
-    /// zero-copy until a response writer serializes them.
+    /// zero-copy for a caller that keeps them.
     ///
     /// Within a shard, keys are processed in input order, so hit/miss
     /// accounting, TTL behaviour, and recency order are identical to
@@ -907,24 +1043,8 @@ impl Store {
         K: Iterator<Item = &'k [u8]> + Clone,
     {
         out.clear();
-        let lane = self.touch_lane();
-        if let [sh] = &self.shards[..] {
-            let tagged = keys.map(|k| ((), tag_of(fnv1a(k)), k));
-            return sh.get_each(lane, now, tagged, |(), v| out.push(v));
-        }
-        let mut ids = SHARD_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
-        ids.clear();
-        ids.extend(keys.clone().map(|k| self.locate(k)));
-        out.resize_with(ids.len(), || None);
-        for s in 0..self.shards.len() as u32 {
-            if !ids.iter().any(|&(id, _)| id == s) {
-                continue;
-            }
-            let mine = keys.clone().zip(ids.iter()).enumerate();
-            let mine = mine.filter_map(|(i, (k, &(id, tag)))| (id == s).then_some((i, tag, k)));
-            self.shards[s as usize].get_each(lane, now, mine, |i, v| out[i] = v);
-        }
-        SHARD_SCRATCH.with(|s| *s.borrow_mut() = ids);
+        out.extend(keys.clone().map(|_| None));
+        self.visit_many(keys, now, |i, v| out[i] = v.cloned());
     }
 
     /// Drains every shard's touch rings and advances every TTL wheel to
@@ -936,7 +1056,7 @@ impl Store {
         if !self.deferred() {
             return total;
         }
-        let telemetry = self.telemetry.read().clone();
+        let telemetry = self.telemetry.read();
         let _span = telemetry
             .as_ref()
             .and_then(|t| t.tracer.as_ref())
@@ -952,7 +1072,7 @@ impl Store {
             sh.publish_wheel(&d);
             total.add(&rep);
         }
-        if let Some(t) = &telemetry {
+        if let Some(t) = telemetry.as_ref() {
             t.sync(&self.shards);
         }
         total
@@ -1514,17 +1634,95 @@ mod tests {
         }
         assert!(s.get(&[0]).is_some());
         assert!(s.get(&[2]).is_some());
-        assert!(s.get(&[0]).is_some()); // 0 touched again: [0, 2, 8, ...]
+        assert!(s.get(&[0]).is_some()); // a repeat hit in tick 0: [2, 0, 8, ...]
         let rep = s.flush_touches(0);
-        assert_eq!(rep.drained, 3);
-        assert_eq!(rep.applied, 2, "duplicate touch of key 0 deduped");
-        assert_eq!(rep.stale, 1);
+        // While every read left a record this was 3 drained, 2 applied and
+        // the older touch of key 0 deduped as stale.
+        assert_eq!((rep.drained, rep.applied, rep.stale), (2, 2, 0));
+        assert!(s.get(&[0]).is_some());
+        assert_eq!(s.flush_touches(0).drained, 0, "still tick 0");
+        assert!(s.get_at(&[0], 1).is_some());
+        assert_eq!(s.flush_touches(1).drained, 1, "the first hit of tick 1");
         // Evict twice: victims must be the true tail (1 then 3), with the
         // touched keys 0 and 2 refreshed.
-        s.set(vec![100], vec![0u8; 1000]);
-        s.set(vec![101], vec![0u8; 1000]);
+        s.set_at(vec![100], vec![0u8; 1000], 1, None);
+        s.set_at(vec![101], vec![0u8; 1000], 1, None);
         assert!(s.contains(&[0]) && s.contains(&[2]));
         assert!(!s.contains(&[1]) && !s.contains(&[3]));
+    }
+
+    #[test]
+    fn a_ticking_clock_leaves_one_record_per_key_per_tick() {
+        // 10 000 skewed reads over 400 keys, the clock advanced and the
+        // rings flushed every 1 000: what the flushes drain is the number
+        // of distinct (key, tick) pairs read, exactly, and every other hit
+        // was skipped.
+        let s = Store::with_read_path(
+            StoreConfig {
+                capacity_bytes: 1 << 20,
+                shards: 4,
+            },
+            ReadPathConfig {
+                lane_capacity: 1024,
+                ..ReadPathConfig::default()
+            },
+        );
+        let obs = Obs::new();
+        s.attach_telemetry(&obs, None);
+        for k in 0..400u32 {
+            s.set(k.to_be_bytes().to_vec(), "v");
+        }
+        let mut pairs = std::collections::HashSet::new();
+        let (mut drained, mut rng) = (0, 0x5eed_0019_u64);
+        for i in 0..10_000u64 {
+            let now = i / 1_000;
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
+            // Log-uniform rank: Zipf-like, rank 0 the hottest.
+            let u = (rng >> 11) as f64 / (1u64 << 53) as f64;
+            let key = (400f64.powf(u) as u32 - 1).to_be_bytes();
+            assert!(s.get_at(&key, now).is_some());
+            pairs.insert((key, now));
+            if i % 1_000 == 999 {
+                drained += s.flush_touches(now).drained;
+            }
+        }
+        assert!(
+            pairs.len() > 1_000 && pairs.len() < 4_000,
+            "{}",
+            pairs.len()
+        );
+        assert_eq!(drained, pairs.len() as u64);
+        assert_eq!(
+            obs.counter("store_touch_skipped_total").get(),
+            10_000 - drained
+        );
+        assert_eq!(obs.counter("store_touch_dropped_total").get(), 0);
+        assert_eq!(s.stats().hits, 10_000);
+    }
+
+    #[test]
+    fn an_untapped_set_takes_only_its_shards_lock() {
+        // With the sink's and the telemetry's locks held for writing, a
+        // `set`, a policy `set`, an `update` and a batched `get` finish:
+        // each takes its shard's lock and no other.
+        let s = Arc::new(small());
+        let (sink, telemetry) = (s.sink.write(), s.telemetry.write());
+        let (done, finished) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn({
+            let s = Arc::clone(&s);
+            move || {
+                s.set("k", "1");
+                s.set_policy_at("k", "2", 0, None, SetPolicy::IfPresent);
+                s.update_at(b"k", 0, |_| Some(Bytes::from("3")));
+                s.get_many_with([&b"k"[..]].into_iter(), 0, |_, v| {
+                    done.send(v.map(<[u8]>::to_vec)).unwrap()
+                });
+            }
+        });
+        let got = finished.recv_timeout(std::time::Duration::from_secs(10));
+        assert_eq!(got, Ok(Some(b"3".to_vec())), "blocked on a second lock");
+        drop((sink, telemetry));
+        worker.join().unwrap();
     }
 
     #[test]
@@ -1972,21 +2170,26 @@ mod tests {
         for _ in 0..3 {
             s.get_at(b"k", 1);
         }
-        s.get_at(b"missing", 1);
+        s.get_at(b"k", 2);
+        s.get_at(b"missing", 2);
         s.flush_touches(10);
-        assert_eq!(obs.counter("store_rlock_gets_total").get(), 4);
+        assert_eq!(obs.counter("store_rlock_gets_total").get(), 5);
         assert_eq!(obs.counter("store_wlock_gets_total").get(), 0);
         assert_eq!(obs.counter("store_touch_flush_total").get(), 1);
-        assert_eq!(obs.counter("store_touch_flush_records_total").get(), 3);
+        // One record per (key, tick) read, not per read: tick 1's three
+        // hits left one (three, while every read left a record) and tick
+        // 2's hit another, which supersedes it.
+        assert_eq!(obs.counter("store_touch_skipped_total").get(), 2);
+        assert_eq!(obs.counter("store_touch_flush_records_total").get(), 2);
         assert_eq!(obs.counter("store_touch_flush_applied_total").get(), 1);
-        assert_eq!(obs.counter("store_touch_flush_stale_total").get(), 2);
+        assert_eq!(obs.counter("store_touch_flush_stale_total").get(), 1);
         assert_eq!(obs.counter("ttl_wheel_expired_total").get(), 1);
         assert!(obs.counter("ttl_wheel_advances_total").get() >= 1);
         assert_eq!(obs.gauge("ttl_wheel_pending").get(), 0.0);
         // Deltas, not absolutes: a second sync must not double-count.
         s.flush_touches(11);
         s.snapshot_at(11);
-        assert_eq!(obs.counter("store_rlock_gets_total").get(), 4);
+        assert_eq!(obs.counter("store_rlock_gets_total").get(), 5);
     }
 
     proptest! {

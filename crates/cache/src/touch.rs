@@ -3,10 +3,13 @@
 //!
 //! Under the shared-lock read plane ([`crate::store`] with
 //! `ReadPath::Deferred`), a GET never moves its entry in the LRU list —
-//! that would need the shard's write lock. Instead it pushes a fixed-size
-//! **touch record** (`(slot, gen)` packed into one `u64`) into a
-//! per-worker ring, and the records are drained in batches by whoever next
-//! holds the shard's write lock.
+//! that would need the shard's write lock. Instead a key's first hit in a
+//! clock tick pushes a fixed-size **touch record** (`(slot, gen)` packed
+//! into one `u64`) into a per-worker ring, and the records are drained in
+//! batches by whoever next holds the shard's write lock. Repeat hits
+//! within the tick push nothing, so the ring's two CASes (enqueue here,
+//! dequeue at the flush) are the only locked instructions recency costs,
+//! and only cold reads pay them.
 //!
 //! The ring is a bounded Vyukov-style queue with per-slot sequence
 //! numbers. Each data-plane worker thread is assigned its own lane, so in

@@ -6,11 +6,26 @@
 //! (`visit_shard_at`), the hottest-first snapshot and the counters are
 //! folded into one FNV-1a fingerprint per plane.
 //!
-//! The constants below were computed **at the commit before the item
-//! arena** (PR 17's parent: a hash map of entries beside a separate LRU
-//! list) and pinned. A store change that moves a victim, a TTL reap, a
-//! counter or a walk order fails here; do not regenerate the constants
-//! unless the change is meant to alter what the store evicts.
+//! The mix runs under two clocks, and the two pairs of constants pin two
+//! different things:
+//!
+//! * **One tick per operation** (`Clock::PerOp`; TTLs scaled by 150 so
+//!   deadlines fall where they do under the other clock, multi-gets over
+//!   distinct keys). No key is read twice in a tick, so tick-granular
+//!   recency must be *exactly* the exact-LRU store: these constants were
+//!   computed **at the last commit that bumped on every read** (PR 17,
+//!   `802e791`) and the store reproduces them bit for bit. A store change
+//!   that moves a victim, a TTL reap, a counter or a walk order fails
+//!   here; do not regenerate them unless the change is meant to alter what
+//!   an LRU store evicts.
+//! * **One tick per 150 operations** (`Clock::Per150Ops`): hot keys are
+//!   read many times per tick, so this schedule pins the tick rule itself
+//!   — a read bumps its key once per tick, first-event order within one.
+//!   Re-pinned once, when that rule landed; regenerate only when the rule
+//!   changes. Under bump-on-every-read the same schedule read
+//!   deferred `3_582_481_426_717_727_419` / inline
+//!   `15_466_635_262_044_520_750` (taken on the pre-arena store, PR 17's
+//!   parent, and held by PR 17).
 
 use bytes::Bytes;
 use spotcache_cache::store::{ReadPath, ReadPathConfig, SetPolicy, Store, StoreConfig};
@@ -18,8 +33,11 @@ use spotcache_cache::store::{ReadPath, ReadPathConfig, SetPolicy, Store, StoreCo
 const OPS: usize = 240_000;
 const KEYS: u64 = 6_000;
 
-const GOLDEN_DEFERRED: u64 = 3_582_481_426_717_727_419;
-const GOLDEN_INLINE: u64 = 15_466_635_262_044_520_750;
+const GOLDEN_PER_150_DEFERRED: u64 = 13_439_640_318_956_466_877;
+const GOLDEN_PER_150_INLINE: u64 = 10_142_391_092_961_387_008;
+
+const GOLDEN_PER_OP_DEFERRED: u64 = 5_354_502_830_060_458_816;
+const GOLDEN_PER_OP_INLINE: u64 = 13_412_931_409_491_396_305;
 
 struct Fnv(u64);
 
@@ -67,7 +85,22 @@ impl SplitMix {
     }
 }
 
-fn fingerprint(mode: ReadPath) -> u64 {
+/// How the logical clock moves under the mix.
+#[derive(Clone, Copy)]
+enum Clock {
+    /// One tick per 150 operations: keys are read many times per tick.
+    Per150Ops,
+    /// One tick per operation, TTLs scaled by 150 so deadlines fall where
+    /// they did, multi-gets over distinct keys: no key is read twice in a
+    /// tick.
+    PerOp,
+}
+
+fn fingerprint(mode: ReadPath, clock: Clock) -> u64 {
+    let ttl_scale = match clock {
+        Clock::Per150Ops => 1,
+        Clock::PerOp => 150,
+    };
     let store = Store::with_read_path(
         StoreConfig {
             capacity_bytes: 256 << 10,
@@ -83,7 +116,7 @@ fn fingerprint(mode: ReadPath) -> u64 {
     let mut now = 1u64;
     let mut got = Vec::new();
     for i in 0..OPS {
-        if i % 150 == 149 {
+        if matches!(clock, Clock::PerOp) || i % 150 == 149 {
             now += 1;
         }
         let op = rng.below(100);
@@ -94,7 +127,11 @@ fn fingerprint(mode: ReadPath) -> u64 {
                 None => fp.u64(0),
             },
             42..=44 => {
-                let keys: Vec<Vec<u8>> = (0..8).map(|_| rng.key()).collect();
+                let mut keys: Vec<Vec<u8>> = (0..8).map(|_| rng.key()).collect();
+                if matches!(clock, Clock::PerOp) {
+                    keys.sort();
+                    keys.dedup();
+                }
                 store.get_many_into(keys.iter().map(|k| k.as_slice()), now, &mut got);
                 for v in &got {
                     fp.opt(v.as_ref().map(|v| v.len() as u64));
@@ -102,7 +139,7 @@ fn fingerprint(mode: ReadPath) -> u64 {
             }
             45..=84 => {
                 let len = 1 + rng.below(if op < 50 { 3_000 } else { 400 }) as usize;
-                let ttl = (rng.below(10) < 3).then(|| rng.below(40));
+                let ttl = (rng.below(10) < 3).then(|| rng.below(40) * ttl_scale);
                 let mut value = vec![(i % 251) as u8; len];
                 value[0] = op as u8;
                 store.set_at(key, value, now, ttl);
@@ -113,7 +150,7 @@ fn fingerprint(mode: ReadPath) -> u64 {
                 } else {
                     SetPolicy::IfPresent
                 };
-                let ttl = (rng.below(2) == 0).then(|| 1 + rng.below(20));
+                let ttl = (rng.below(2) == 0).then(|| (1 + rng.below(20)) * ttl_scale);
                 let value = vec![op as u8; 1 + rng.below(200) as usize];
                 fp.u64(store.set_policy_at(key, value, now, ttl, policy) as u64);
             }
@@ -125,7 +162,7 @@ fn fingerprint(mode: ReadPath) -> u64 {
                         (
                             Bytes::from(rng.key()),
                             Bytes::from(v),
-                            (j == 2).then_some(9),
+                            (j == 2).then_some(9 * ttl_scale),
                         )
                     })
                     .collect();
@@ -180,11 +217,29 @@ fn fingerprint(mode: ReadPath) -> u64 {
 }
 
 #[test]
-fn eviction_order_and_counters_match_the_pre_arena_store() {
+fn many_reads_per_tick_bump_each_key_once_per_tick() {
     assert_eq!(
-        fingerprint(ReadPath::Deferred),
-        GOLDEN_DEFERRED,
+        fingerprint(ReadPath::Deferred, Clock::Per150Ops),
+        GOLDEN_PER_150_DEFERRED,
         "deferred plane"
     );
-    assert_eq!(fingerprint(ReadPath::Inline), GOLDEN_INLINE, "inline plane");
+    assert_eq!(
+        fingerprint(ReadPath::Inline, Clock::Per150Ops),
+        GOLDEN_PER_150_INLINE,
+        "inline plane"
+    );
+}
+
+#[test]
+fn one_read_per_key_per_tick_is_the_exact_lru_store() {
+    assert_eq!(
+        fingerprint(ReadPath::Deferred, Clock::PerOp),
+        GOLDEN_PER_OP_DEFERRED,
+        "deferred plane"
+    );
+    assert_eq!(
+        fingerprint(ReadPath::Inline, Clock::PerOp),
+        GOLDEN_PER_OP_INLINE,
+        "inline plane"
+    );
 }

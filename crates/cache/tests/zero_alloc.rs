@@ -176,24 +176,6 @@ fn response_path_is_allocation_free_in_steady_state() {
     );
     assert_eq!(out, b"DELETED\r\n".repeat(16));
 
-    // Touch flushes: 32 queued touches of 16 keys per pass (no writer in
-    // between to drain them), applied by the explicit flush hook out of
-    // the shard's own scratch.
-    let gets: Vec<u8> = (0..32)
-        .flat_map(|i| format!("get key{}\r\n", i % 16).into_bytes())
-        .collect();
-    let mut before = 0;
-    for pass in 0..53 {
-        if pass == 3 {
-            before = allocs();
-        }
-        out.clear();
-        serve_into(&store, &gets, 0, &mut out);
-        let flushed = store.flush_touches(0);
-        assert_eq!((flushed.drained, flushed.applied), (32, 16));
-    }
-    assert_eq!(allocs() - before, 0, "a touch flush must not allocate");
-
     // Evicting sets: a one-shard store that holds 16 of the 64 keys the
     // passes cycle through, so every set inserts an absent key and evicts
     // the tail into the slot it then reuses.
@@ -232,4 +214,28 @@ fn response_path_is_allocation_free_in_steady_state() {
     }
     assert_eq!(spent, 800, "a wheel reap must not allocate");
     assert_eq!(store.stats().expirations - before_expired, 119 * 16);
+
+    // Touch flushes: each pass is a tick of its own, in which 32 gets read
+    // 16 keys twice (no writer in between to drain them). A key's first
+    // read in a tick queues one record and its repeat none, so the
+    // explicit flush hook drains and applies 16 out of the shard's own
+    // scratch — 32 drained / 16 applied while every read left a record. A
+    // second round in the same tick queues, and drains, nothing.
+    let gets: Vec<u8> = (0..32)
+        .flat_map(|i| format!("get key{}\r\n", i % 16).into_bytes())
+        .collect();
+    let mut before = 0;
+    for pass in 0..53u64 {
+        if pass == 3 {
+            before = allocs();
+        }
+        let now = 120 + pass;
+        for records in [16, 0] {
+            out.clear();
+            serve_into(&store, &gets, now, &mut out);
+            let flushed = store.flush_touches(now);
+            assert_eq!((flushed.drained, flushed.applied), (records, records));
+        }
+    }
+    assert_eq!(allocs() - before, 0, "a touch flush must not allocate");
 }
