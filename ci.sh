@@ -12,11 +12,8 @@ cargo test --workspace -q
 echo "==> benchmark harness tests (the library signatures benchmark/ pins)"
 cargo test --manifest-path benchmark/Cargo.toml --offline -q
 
-echo "==> cargo clippy -- -D warnings"
-cargo clippy -- -D warnings
-
-echo "==> cargo clippy --workspace -- -D warnings (includes spotcache-obs)"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings (libs, bins, tests, benches, examples)"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc --no-deps --workspace (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
@@ -222,7 +219,7 @@ echo "    results gate: ${gate_s} s wall"
 # follow the live slice and differ between two runs of one binary.
 # pipelined_mix holds the read path to the same count (0.0999 per command,
 # all of it the 10 % sets' values: staging a hit's bytes must not
-# allocate) and to a touch ring that never overflows.
+# allocate) and to a touch log that never overflows.
 for spec in paced_get:2 pipelined_mix:2 write_evict:2 revocation:6 plan_90d:2; do
     w="${spec%%:*}"
     echo "==> benchmark $w smoke (traced; correct, nothing failed)"

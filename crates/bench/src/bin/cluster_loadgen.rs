@@ -586,7 +586,7 @@ fn main() {
     };
     // Which store read plane the nodes ran — benchmark metadata so a
     // figure can always be tied to the concurrency plane that produced it.
-    let read_path = format!("{:?}", nodes[0].store.read_path().mode).to_lowercase();
+    let read_path = format!("{:?}", nodes[0].store.read_path()).to_lowercase();
     let mut json = format!(
         "{{\"schema\":\"spotcache-cluster-v1\",\"smoke\":{},\"seed\":{},\
          \"nodes\":{},\"conns\":{},\"host_cores\":{host_cores},\

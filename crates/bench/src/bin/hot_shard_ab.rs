@@ -5,7 +5,7 @@
 //! read planes differ. This bin drives 4 reader threads of uniform GETs
 //! at a single shard of an in-process store, once on the frozen inline
 //! (exclusive-lock) read path and once on the deferred (shared-lock +
-//! touch-ring) path, in alternated slices, and writes the before/after
+//! touch-log) path, in alternated slices, and writes the before/after
 //! table to `BENCH_hot_shard.json` (checked in). The full run requires
 //! deferred ≥1.5× inline; smoke requires deferred ≥ inline.
 //!
@@ -29,7 +29,7 @@ use rand::{Rng, SeedableRng};
 
 use spotcache_bench::heading;
 use spotcache_bench::live::{write_artifact, Flags};
-use spotcache_cache::store::{ReadPath, ReadPathConfig, Store, StoreConfig};
+use spotcache_cache::store::{ReadPath, Store, StoreConfig};
 use spotcache_obs::Obs;
 
 /// Keys per multiget — the pipelined protocol's batch shape.
@@ -38,7 +38,7 @@ const HOT_DEPTH: usize = 64;
 const HOT_READERS: usize = 4;
 /// Ops between `flush_touches` calls per reader — the reactor's
 /// between-event-batches cadence under saturation, emulated. Long enough
-/// that the rings' drop-oldest bound actually engages (the design's
+/// that the log's drop-oldest bound actually engages (the design's
 /// recency-maintenance cap), as it does on a loaded reactor worker.
 const HOT_FLUSH_EVERY: usize = 65_536;
 /// Small values: the phase measures recency-maintenance cost, not memcpy.
@@ -88,8 +88,9 @@ const HOT_ROUNDS: usize = 8;
 /// multigets (the pipelined protocol's batch shape) at the hot shard;
 /// returns elapsed seconds. Readers call `flush_touches` on a batch
 /// cadence exactly as the reactor's workers do, so the deferred plane
-/// pays its real recency-maintenance cost (ring drain + dedupe + LRU
-/// apply), not an idealized one.
+/// pays its real recency-maintenance cost (one `fetch_add` per first
+/// read, then the log drain and in-order LRU apply under the write lock),
+/// not an idealized one.
 fn hot_slice(
     store: &Arc<Store>,
     keys: &Arc<HotKeys>,
@@ -150,10 +151,7 @@ fn main() {
                 capacity_bytes: 1 << 30,
                 shards: 8,
             },
-            ReadPathConfig {
-                mode,
-                ..ReadPathConfig::default()
-            },
+            mode,
         ))
     };
     // Both stores live side by side with the same key set (shard selection
@@ -190,7 +188,7 @@ fn main() {
     println!("hot-shard A/B (before/after):");
     println!("  plane     read lock  LRU touch       ops/s");
     println!("  inline    exclusive  inline     {inline:>9.0}");
-    println!("  deferred  shared     ring+batch {deferred:>9.0}");
+    println!("  deferred  shared     log+drain  {deferred:>9.0}");
     println!("  speedup: {speedup:.2}x");
 
     let obs = Obs::new();

@@ -127,11 +127,6 @@ impl Arena {
         self.len
     }
 
-    /// Upper bound on the slots ever handed out.
-    pub(crate) fn slot_capacity(&self) -> usize {
-        self.meta.len()
-    }
-
     /// The slot holding `key`, whose tag is `tag`.
     #[inline]
     pub(crate) fn find(&self, tag: u32, key: &[u8]) -> Option<u32> {
@@ -447,7 +442,7 @@ mod tests {
         assert!(a.find(1, b"a").is_none());
         let u = a.insert_front(3, item(b"c", b""));
         assert!(u == s || u == t, "slots are reused after a clear");
-        assert_eq!(a.slot_capacity(), 2);
+        assert_eq!(a.meta.len(), 2);
         assert_eq!(keys(&a), [b"c"]);
     }
 
@@ -497,7 +492,7 @@ mod tests {
             free += 1;
             cur = a.meta[cur as usize].next;
         }
-        prop_assert_eq!(free + a.len(), a.slot_capacity());
+        prop_assert_eq!(free + a.len(), a.meta.len());
     }
 
     /// Random insert / overwrite / touch / stale `touch_if` / remove /

@@ -9,12 +9,13 @@
 //! * `arena` (private) — the per-shard item arena: key index, LRU links
 //!   and entries addressed by one `u32` slot with a per-slot generation
 //!   (no `unsafe`), and
-//! * [`touch`] — lock-free bounded recency rings for the deferred read
-//!   path (per-worker lanes, drop-oldest overflow), and
+//! * `touch` (private) — the per-shard recency log of the deferred read
+//!   path: pushed to under the shard's read lock, drained under its write
+//!   lock, drop-oldest by overwrite, and
 //! * [`wheel`] — a hierarchical timer wheel for proactive TTL expiry,
 //!   advanced on the touch-flush cadence, and
 //! * [`store`] — a sharded store whose steady-state GETs take only a
-//!   **shared** lock (recency is recorded into touch rings and applied in
+//!   **shared** lock (recency is recorded into a touch log and applied in
 //!   batches under the write lock), with least-recently-used eviction
 //!   under a byte budget, optional TTLs against a logical clock, and
 //!   hit/miss/eviction statistics, and
@@ -47,7 +48,7 @@ pub mod replication;
 pub mod server;
 pub mod slab;
 pub mod store;
-pub mod touch;
+mod touch;
 pub mod wheel;
 
 pub use node::CacheNode;
@@ -56,12 +57,11 @@ pub use protocol::{
     StoreVerb,
 };
 pub use replication::{
-    jittered_backoff, next_jitter_seed, ship_batch, Mutation, ReplicationConfig, ReplicationQueue,
-    ReplicationStats, Replicator,
+    Link, Mutation, ReplicationConfig, ReplicationQueue, ReplicationStats, Replicator,
 };
 pub use server::{CacheClient, CacheServer, Clock, LogicalClock, ServerConfig, SystemClock};
 pub use slab::{slab_efficiency, SlabAllocator, SlabClasses, SlabError};
 pub use store::{
-    CacheStats, FlushReport, MutationSink, ReadPath, ReadPathConfig, SetOutcome, SetPolicy, Store,
-    StoreConfig, StoreSnapshot,
+    CacheStats, FlushReport, MutationSink, ReadPath, SetOutcome, SetPolicy, Store, StoreConfig,
+    StoreSnapshot, TOUCH_LOG_CAPACITY,
 };

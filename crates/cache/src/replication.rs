@@ -300,7 +300,8 @@ fn serialize_batch(batch: &[Mutation], out: &mut Vec<u8>, ctx: Option<TraceConte
                 let exptime = ttl.unwrap_or(0).min(EXPTIME_ABSOLUTE_CUTOFF - 1);
                 out.extend_from_slice(b"set ");
                 out.extend_from_slice(key);
-                out.extend_from_slice(format!(" {flags} {exptime} {}\r\n", data.len()).as_bytes());
+                write!(out, " {flags} {exptime} {}\r\n", data.len())
+                    .expect("writing to a Vec cannot fail");
                 out.extend_from_slice(data);
                 out.extend_from_slice(b"\r\n");
             }
@@ -349,28 +350,6 @@ fn read_acks(stream: &mut TcpStream, expected: usize, buf: &mut Vec<u8>) -> std:
         }
     }
     Ok(())
-}
-
-/// Serializes `batch` as replying commands into `req`, writes it to
-/// `stream`, and validates every ack line (using `ack_buf` as scratch).
-///
-/// Shared by the replication shipper and the warm-up pump
-/// (`spotcache_recovery::replay`): both move store contents over the wire as
-/// acked memcached commands, so a corrupt or truncated link surfaces as
-/// an `Err` instead of silent divergence.
-///
-/// `ctx` propagates the caller's trace context ahead of the batch (see
-/// [`TraceContext`]); `None` ships a plain batch.
-pub fn ship_batch(
-    stream: &mut TcpStream,
-    batch: &[Mutation],
-    req: &mut Vec<u8>,
-    ack_buf: &mut Vec<u8>,
-    ctx: Option<TraceContext>,
-) -> std::io::Result<()> {
-    let expected = serialize_batch(batch, req, ctx);
-    stream.write_all(req)?;
-    read_acks(stream, expected, ack_buf)
 }
 
 impl Replicator {
@@ -464,14 +443,13 @@ impl Drop for Replicator {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-/// Global seed counter for per-replicator jitter streams. Every shipper
-/// thread draws a distinct seed here, so replicators started (or revived)
-/// at the same instant still jitter independently.
+/// Global seed counter for per-link jitter streams. Every [`Link`] draws a
+/// distinct seed here, so replicators started (or revived) at the same
+/// instant still jitter independently.
 static JITTER_SEED: AtomicU64 = AtomicU64::new(0x9e37_79b9_7f4a_7c15);
 
 /// Draws a fresh, decorrelated jitter-RNG state.
-pub fn next_jitter_seed() -> u64 {
+fn next_jitter_seed() -> u64 {
     let mut s = JITTER_SEED.fetch_add(0x9e37_79b9_7f4a_7c15, Ordering::Relaxed);
     splitmix64(&mut s)
 }
@@ -488,9 +466,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// Scales `base` by a uniform factor in `1 ± jitter`, advancing `state`.
 ///
 /// `jitter <= 0` returns `base` unchanged (deterministic schedules).
-/// Exposed so the restart/auto-scaling layers can reuse the exact backoff
-/// discipline the replicator ships with.
-pub fn jittered_backoff(base: Duration, jitter: f64, state: &mut u64) -> Duration {
+fn jittered_backoff(base: Duration, jitter: f64, state: &mut u64) -> Duration {
     if jitter <= 0.0 {
         return base;
     }
@@ -500,16 +476,88 @@ pub fn jittered_backoff(base: Duration, jitter: f64, state: &mut u64) -> Duratio
     base.mul_f64(factor.max(0.0))
 }
 
-/// Opens a replication/restore link to `addr` with the discipline every
-/// shipper uses: bounded connect, no Nagle delay, and `io_timeout` on
-/// reads and writes so a stalled peer trips a timeout instead of hanging
-/// the shipper.
-pub fn connect_link(addr: SocketAddr, io_timeout: Duration) -> std::io::Result<TcpStream> {
-    let s = TcpStream::connect_timeout(&addr, io_timeout)?;
-    let _ = s.set_nodelay(true);
-    let _ = s.set_read_timeout(Some(io_timeout));
-    let _ = s.set_write_timeout(Some(io_timeout));
-    Ok(s)
+/// One outgoing link to a backup or replacement server, with the
+/// discipline every shipper shares: bounded connect, no Nagle delay, an
+/// I/O timeout so a stalled peer trips an error instead of hanging the
+/// shipper, acked batches, reconnect after any error, and a jittered,
+/// doubling back-off between failed attempts. What differs between the
+/// replication shipper, the warm-up pump and the Hybrid top-up — where
+/// batches come from, pacing, what exhausting the retries means — stays
+/// with the caller.
+pub struct Link {
+    addr: SocketAddr,
+    /// Read for `io_timeout` and the `backoff_*` schedule.
+    cfg: ReplicationConfig,
+    conn: Option<TcpStream>,
+    req: Vec<u8>,
+    ack_buf: Vec<u8>,
+    /// The next [`back_off`](Self::back_off) sleep, before jitter.
+    backoff: Duration,
+    jitter_state: u64,
+}
+
+impl Link {
+    /// A link to `addr`, not yet connected.
+    pub fn new(addr: SocketAddr, cfg: &ReplicationConfig) -> Self {
+        Self {
+            addr,
+            cfg: cfg.clone(),
+            conn: None,
+            req: Vec::new(),
+            ack_buf: Vec::new(),
+            backoff: cfg.backoff_base,
+            jitter_state: next_jitter_seed(),
+        }
+    }
+
+    /// Whether a connection is open (as far as this side knows).
+    pub fn is_up(&self) -> bool {
+        self.conn.is_some()
+    }
+
+    /// Opens the connection if it is down; a fresh connection restarts
+    /// the back-off schedule. [`ship`](Self::ship) does this itself — call
+    /// it separately only to tell a refused connect from a failed ship.
+    pub fn connect(&mut self) -> std::io::Result<()> {
+        if self.conn.is_none() {
+            let timeout = self.cfg.io_timeout;
+            let s = TcpStream::connect_timeout(&self.addr, timeout)?;
+            let _ = s.set_nodelay(true);
+            let _ = s.set_read_timeout(Some(timeout));
+            let _ = s.set_write_timeout(Some(timeout));
+            self.conn = Some(s);
+            self.backoff = self.cfg.backoff_base;
+        }
+        Ok(())
+    }
+
+    /// Ships `batch` as replying memcached commands (after `ctx`'s `trace`
+    /// line, if any) and validates every ack, connecting first if the link
+    /// is down. A corrupt or truncated link is an `Err` (`InvalidData` for
+    /// a bad ack), never silent divergence, and drops the connection: its
+    /// state is unknown, and mutations being idempotent the caller resyncs
+    /// by shipping the same batch again.
+    pub fn ship(&mut self, batch: &[Mutation], ctx: Option<TraceContext>) -> std::io::Result<()> {
+        self.connect()?;
+        let stream = self.conn.as_mut().expect("connect() left the link up");
+        let expected = serialize_batch(batch, &mut self.req, ctx);
+        let result = stream
+            .write_all(&self.req)
+            .and_then(|()| read_acks(stream, expected, &mut self.ack_buf));
+        if result.is_err() {
+            self.conn = None;
+        }
+        result
+    }
+
+    /// Sleeps out the current back-off (jittered) and doubles the next one
+    /// up to the ceiling — a peer whose listener is a few milliseconds
+    /// late must not burn every retry before it is up.
+    pub fn back_off(&mut self) {
+        let (jitter, state) = (self.cfg.backoff_jitter, &mut self.jitter_state);
+        std::thread::sleep(jittered_backoff(self.backoff, jitter, state));
+        self.backoff = (self.backoff * 2).min(self.cfg.backoff_max);
+    }
 }
 
 fn ship_loop(
@@ -543,14 +591,10 @@ fn ship_loop(
         }
     };
 
-    let mut conn: Option<TcpStream> = None;
+    let mut link = Link::new(addr, &cfg);
     let mut ever_connected = false;
-    let mut backoff = cfg.backoff_base;
-    let mut jitter_state = next_jitter_seed();
     let mut batch: Vec<Mutation> = Vec::new();
     let mut attempts: u32 = 0;
-    let mut req = Vec::new();
-    let mut ack_buf = Vec::new();
 
     while !shutdown.load(Ordering::SeqCst) {
         if let (Some(g), Some(c)) = (&g_depth, &c_qdrop) {
@@ -568,49 +612,35 @@ fn ship_loop(
                 continue;
             }
         }
-        // Connect (or reconnect) with backoff.
-        if conn.is_none() {
-            let _span = tracer.as_deref().map(|t| t.span("replication", "connect"));
-            match connect_link(addr, cfg.io_timeout) {
-                Ok(s) => {
-                    if ever_connected {
-                        shared.reconnects.fetch_add(1, Ordering::Relaxed);
-                        if let Some(c) = &c_reconn {
-                            c.inc();
-                        }
+        // One attempt. Connecting apart from the ship tells a refused
+        // connect from a failed ship and lets reconnects be counted.
+        let attempt = (|| {
+            if !link.is_up() {
+                let _span = tracer.as_deref().map(|t| t.span("replication", "connect"));
+                link.connect().map_err(|_| "connect_failed")?;
+                if std::mem::replace(&mut ever_connected, true) {
+                    shared.reconnects.fetch_add(1, Ordering::Relaxed);
+                    if let Some(c) = &c_reconn {
+                        c.inc();
                     }
-                    ever_connected = true;
-                    backoff = cfg.backoff_base;
-                    conn = Some(s);
-                }
-                Err(_) => {
-                    fault("connect_failed");
-                    attempts =
-                        bump_attempts(attempts, &cfg, &mut batch, &shared, &c_bdrop, &c_retries);
-                    std::thread::sleep(jittered_backoff(
-                        backoff,
-                        cfg.backoff_jitter,
-                        &mut jitter_state,
-                    ));
-                    backoff = (backoff * 2).min(cfg.backoff_max);
-                    continue;
                 }
             }
-        }
-        let stream = conn.as_mut().expect("connected above");
-        let span = tracer
-            .as_deref()
-            .map(|t| t.span("replication", "ship_batch"));
-        // Propagate this ship's span as the batch's parent context; when
-        // the span is unsampled (or tracing is off) fall back to the
-        // ambient context so a drill-driven shipper still stitches.
-        let ctx = span
-            .as_ref()
-            .and_then(|s| s.context())
-            .or_else(trace::thread_context);
-        let result = ship_batch(stream, &batch, &mut req, &mut ack_buf, ctx);
-        drop(span);
-        match result {
+            let span = tracer
+                .as_deref()
+                .map(|t| t.span("replication", "ship_batch"));
+            // Propagate this ship's span as the batch's parent context;
+            // when the span is unsampled (or tracing is off) fall back to
+            // the ambient context so a drill-driven shipper still stitches.
+            let ctx = span
+                .as_ref()
+                .and_then(|s| s.context())
+                .or_else(trace::thread_context);
+            link.ship(&batch, ctx).map_err(|e| match e.kind() {
+                std::io::ErrorKind::InvalidData => "corrupt_ack",
+                _ => "link_io_error",
+            })
+        })();
+        match attempt {
             Ok(()) => {
                 shared
                     .shipped
@@ -620,22 +650,11 @@ fn ship_loop(
                 }
                 batch.clear();
                 attempts = 0;
-                backoff = cfg.backoff_base;
             }
-            Err(e) => {
-                fault(if e.kind() == std::io::ErrorKind::InvalidData {
-                    "corrupt_ack"
-                } else {
-                    "link_io_error"
-                });
-                conn = None; // the link state is unknown: resync by reconnecting
+            Err(kind) => {
+                fault(kind);
                 attempts = bump_attempts(attempts, &cfg, &mut batch, &shared, &c_bdrop, &c_retries);
-                std::thread::sleep(jittered_backoff(
-                    backoff,
-                    cfg.backoff_jitter,
-                    &mut jitter_state,
-                ));
-                backoff = (backoff * 2).min(cfg.backoff_max);
+                link.back_off();
             }
         }
     }
@@ -679,6 +698,49 @@ mod tests {
             capacity_bytes: 4 << 20,
             shards: 4,
         }))
+    }
+
+    #[test]
+    fn serialized_set_header_matches_the_formatted_expression() {
+        // The header's three numbers, over their extremes, against the
+        // `format!` the serializer used before it wrote into `out` directly.
+        let lens = [0usize, 1, 9, 10, 4095, 70_000];
+        let ttls = [
+            None,
+            Some(0),
+            Some(1),
+            Some(EXPTIME_ABSOLUTE_CUTOFF - 1),
+            Some(EXPTIME_ABSOLUTE_CUTOFF),
+            Some(u64::MAX),
+        ];
+        let mut out = Vec::new();
+        for flags in [0u32, 1, 9, 10, 65_535, u32::MAX] {
+            for ttl in ttls {
+                for len in lens {
+                    let data = vec![b'x'; len];
+                    let batch = [Mutation::Set {
+                        key: Bytes::from_static(b"k"),
+                        raw_value: Bytes::from(crate::protocol::encode_value(flags, &data)),
+                        ttl,
+                    }];
+                    assert_eq!(serialize_batch(&batch, &mut out, None), 1);
+                    let exptime = ttl.unwrap_or(0).min(EXPTIME_ABSOLUTE_CUTOFF - 1);
+                    let mut want = b"set k".to_vec();
+                    want.extend_from_slice(format!(" {flags} {exptime} {}\r\n", len).as_bytes());
+                    want.extend_from_slice(&data);
+                    want.extend_from_slice(b"\r\n");
+                    assert_eq!(out, want, "flags {flags} ttl {ttl:?} len {len}");
+                }
+            }
+        }
+        // A direct store write (no flag prefix) ships whole, with flags 0.
+        let batch = [Mutation::Set {
+            key: Bytes::from_static(b"k"),
+            raw_value: Bytes::from_static(b"raw"),
+            ttl: None,
+        }];
+        serialize_batch(&batch, &mut out, None);
+        assert_eq!(out, b"set k 0 0 3\r\nraw\r\n");
     }
 
     #[test]

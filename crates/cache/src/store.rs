@@ -26,9 +26,9 @@
 //!
 //! Steady-state GETs take only a **shared** lock. Each shard is an
 //! `RwLock<ShardData>`: a reader looks its key up under the read lock and,
-//! on the key's **first hit in a clock tick**, records recency by pushing
-//! a `(slot, gen)` record into one of the shard's lock-free
-//! [touch rings](crate::touch) instead of moving the LRU node inline; a
+//! on the key's **first hit in a clock tick**, records recency by
+//! appending a `(slot, gen)` record to the shard's touch log
+//! (`cache::touch`) instead of moving the LRU node inline; a
 //! repeat hit in the same tick records nothing (memcached's
 //! `ITEM_UPDATE_INTERVAL` rule with the interval fixed at one tick of
 //! `now`; the per-slot stamp lives in `cache::arena`). Hit, miss and lock
@@ -36,12 +36,15 @@
 //! lent to the caller under the lock — [`Store::get_many_with`] copies
 //! it out, [`Store::get_at`] / [`Store::get_many_into`] clone it — so a
 //! repeat hit executes no locked instruction of its own and a tick's
-//! first hit two (the ring's enqueue and dequeue).
+//! first hit one (the `fetch_add` that claims its log position).
 //!
-//! The rings are drained **in batches under the write lock** —
+//! The log is drained **in batches under the write lock** —
 //! opportunistically by every writer before its own mutation, and by the
 //! explicit [`Store::flush_touches`] hook the data planes call between
-//! event batches. TTL expiry is driven by a per-shard
+//! event batches — and each record is applied as it is read, in log
+//! order. Pushes happen only under the read guard and drains only under
+//! the write guard, so the lock itself keeps the two apart and the drain
+//! costs no locked instruction. TTL expiry is driven by a per-shard
 //! [hierarchical timer wheel](crate::wheel) advanced on the same flush
 //! cadence, so expired entries stop occupying LRU slots and memory without
 //! waiting for an unlucky GET.
@@ -50,7 +53,7 @@
 //! concurrency"): recency order is exact across ticks and first-event
 //! order within one — where no key is read twice in a tick the store is
 //! exact LRU, bit for bit. A touch may be applied late, but touches from
-//! one worker thread are never reordered against each other, and eviction
+//! one thread are never reordered against each other, and eviction
 //! victims are always drawn from the true LRU tail *modulo unflushed
 //! touches*. Every writer flushes before mutating, so any single-threaded
 //! sequence of operations is byte-identical to the legacy inline plane
@@ -66,7 +69,7 @@ use parking_lot::{Mutex, RwLock};
 use spotcache_obs::{Counter, Gauge, Obs, Tracer};
 
 use crate::arena::{Arena, Item};
-use crate::touch::{lane_for_thread, TouchRec, TouchRing};
+use crate::touch::{TouchLog, TouchRec};
 use crate::wheel::{TimerWheel, WheelRec};
 
 /// A sink for store mutations, installed with [`Store::set_mutation_sink`].
@@ -115,45 +118,27 @@ pub enum ReadPath {
     /// equivalence proptests compare against (and as the baseline leg of
     /// the hot-shard benchmark).
     Inline,
-    /// Shared-lock plane (default): GETs take the read lock and record
-    /// recency into per-worker touch rings; writers and the explicit
+    /// Shared-lock plane (default): GETs take the read lock and append
+    /// recency records to the shard's touch log; writers and the explicit
     /// [`Store::flush_touches`] hook apply them in batches.
     Deferred,
 }
 
-/// Tuning knobs for the deferred read path.
-#[derive(Debug, Clone, Copy)]
-pub struct ReadPathConfig {
-    /// Which plane GETs use.
-    pub mode: ReadPath,
-    /// Touch-ring lanes per shard. Sized to the worker-thread count so
-    /// each data-plane worker gets a private SPSC lane; extra threads wrap
-    /// around and share (still safe — the rings are MPMC).
-    pub lanes: usize,
-    /// Capacity of each lane in records (rounded up to a power of two).
-    /// Overflow drops the **oldest** record: a hot key briefly looks
-    /// colder, never a correctness issue.
-    pub lane_capacity: usize,
-}
-
-impl Default for ReadPathConfig {
-    fn default() -> Self {
-        Self {
-            mode: ReadPath::Deferred,
-            lanes: 8,
-            lane_capacity: 512,
-        }
-    }
-}
+/// Touch records a shard's log holds between two flushes of that shard.
+/// One more first-read-of-a-tick than this overwrites the oldest record:
+/// that key looks colder than it is, and the flush counts it in
+/// `store_touch_dropped_total`.
+pub const TOUCH_LOG_CAPACITY: usize = 4096;
 
 /// What one touch-flush sweep accomplished (summed over the swept shards).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlushReport {
-    /// Touch records drained from the rings.
+    /// Touch records drained from the logs.
     pub drained: u64,
-    /// Records applied to the LRU (post-dedupe, generation-valid).
+    /// Records applied to the LRU (generation-valid).
     pub applied: u64,
-    /// Records dropped as stale (slot freed or reused since the read).
+    /// Records dropped as stale: the generation check only — the slot was
+    /// freed, reused or overwritten since the read.
     pub stale: u64,
     /// Entries reaped by the TTL wheel.
     pub expired: u64,
@@ -295,7 +280,7 @@ fn item_bytes(item: &Item) -> usize {
 }
 
 /// Everything behind a shard's `RwLock`: the item arena, the TTL wheel,
-/// and the reusable flush scratch (kept here so steady-state flushes
+/// and the wheel's reusable scratch (kept here so steady-state flushes
 /// allocate nothing — see `tests/zero_alloc.rs`).
 struct ShardData {
     arena: Arena,
@@ -309,11 +294,6 @@ struct ShardData {
     /// Whether TTL'd inserts are filed into the wheel (the deferred plane
     /// only; the inline plane keeps the legacy lazy-expiry-on-GET).
     wheel_enabled: bool,
-    drain_buf: Vec<TouchRec>,
-    keep_buf: Vec<TouchRec>,
-    /// Per-slot epoch stamps for the flush dedupe pass.
-    seen_epoch: Vec<u32>,
-    epoch: u32,
     due_buf: Vec<(u32, u32)>,
 }
 
@@ -326,10 +306,6 @@ impl ShardData {
             wstats: CacheStats::default(),
             wheel: TimerWheel::new(),
             wheel_enabled,
-            drain_buf: Vec::new(),
-            keep_buf: Vec::new(),
-            seen_epoch: Vec::new(),
-            epoch: 0,
             due_buf: Vec::new(),
         }
     }
@@ -469,22 +445,23 @@ impl ShardData {
 struct GetTally {
     hits: u64,
     misses: u64,
-    /// Touch records the ring dropped to make room.
-    drops: u64,
     /// Hits that owed no record: not the slot's first read this tick.
     skips: u64,
 }
 
 /// One shard: the locked data plus everything readers may touch without
-/// the write lock — the touch-ring lanes and the lock-free counters.
+/// the write lock — the touch log and the lock-free counters.
 struct Shard {
     data: RwLock<ShardData>,
-    /// Per-worker touch lanes (empty on the inline plane).
-    lanes: Vec<TouchRing>,
+    /// Pushed to under `data`'s read guard, drained under its write guard
+    /// (`None` on the inline plane).
+    log: Option<TouchLog>,
     hits: AtomicU64,
     misses: AtomicU64,
     rlock_gets: AtomicU64,
     wlock_gets: AtomicU64,
+    /// Records overwritten before a drain reached them, counted at that
+    /// drain.
     touch_drops: AtomicU64,
     /// Hits that found their slot already stamped with the current tick
     /// and so recorded nothing.
@@ -503,18 +480,11 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(capacity_bytes: usize, rp: &ReadPathConfig) -> Self {
-        let deferred = rp.mode == ReadPath::Deferred;
-        let lanes = if deferred {
-            (0..rp.lanes.max(1))
-                .map(|_| TouchRing::new(rp.lane_capacity))
-                .collect()
-        } else {
-            Vec::new()
-        };
+    fn new(capacity_bytes: usize, read_path: ReadPath) -> Self {
+        let deferred = read_path == ReadPath::Deferred;
         Self {
             data: RwLock::new(ShardData::new(capacity_bytes, deferred)),
-            lanes,
+            log: deferred.then(|| TouchLog::new(TOUCH_LOG_CAPACITY)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             rlock_gets: AtomicU64::new(0),
@@ -533,18 +503,17 @@ impl Shard {
     }
 
     /// Shared-lock GET: lookup + expiry check, and — only on the slot's
-    /// first read in this tick — a touch-ring push. Never mutates
+    /// first read in this tick — a touch-log push. Never mutates
     /// `ShardData` (the tick stamp is an atomic beside it); an expired
     /// entry simply serves a miss (the wheel reaps it on the flush
     /// cadence). The value is lent, not cloned: it lives as long as the
     /// read guard `d` came from.
     fn get_shared<'d>(
-        &self,
+        log: &TouchLog,
         d: &'d ShardData,
         tag: u32,
         key: &[u8],
         now: u64,
-        lane: usize,
         tally: &mut GetTally,
     ) -> Option<&'d Bytes> {
         let found = d
@@ -557,11 +526,10 @@ impl Shard {
         };
         tally.hits += 1;
         if d.arena.first_read_in(slot, now as u32) {
-            let dropped = self.lanes[lane].push_drop_oldest(TouchRec {
+            log.push(TouchRec {
                 idx: slot,
                 gen: d.arena.gen(slot),
             });
-            tally.drops += dropped as u64;
         } else {
             tally.skips += 1;
         }
@@ -592,22 +560,21 @@ impl Shard {
     }
 
     /// Looks up each `(token, tag, key)` under one acquisition of the
-    /// plane's lock — shared with a touch `lane` (deferred), exclusive
-    /// without one (inline) — and hands `put` the token and the value,
-    /// lent for the call: `put` runs under the lock and copies or clones
-    /// what it keeps. The scope's counters are tallied locally and added
-    /// once, after the lock is released.
+    /// plane's lock — shared where the shard has a touch log (deferred),
+    /// exclusive where it has none (inline) — and hands `put` the token
+    /// and the value, lent for the call: `put` runs under the lock and
+    /// copies or clones what it keeps. The scope's counters are tallied
+    /// locally and added once, after the lock is released.
     fn get_each<'k, T>(
         &self,
-        lane: Option<usize>,
         now: u64,
         keys: impl Iterator<Item = (T, u32, &'k [u8])>,
         mut put: impl FnMut(T, Option<&Bytes>),
     ) {
         let mut tally = GetTally::default();
-        let lock_gets = if let Some(lane) = lane {
+        let lock_gets = if let Some(log) = &self.log {
             let d = self.data.read();
-            keys.for_each(|(t, tag, k)| put(t, self.get_shared(&d, tag, k, now, lane, &mut tally)));
+            keys.for_each(|(t, tag, k)| put(t, Self::get_shared(log, &d, tag, k, now, &mut tally)));
             &self.rlock_gets
         } else {
             let mut d = self.data.write();
@@ -624,7 +591,6 @@ impl Shard {
         add(lock_gets, tally.hits + tally.misses);
         add(&self.hits, tally.hits);
         add(&self.misses, tally.misses);
-        add(&self.touch_drops, tally.drops);
         add(&self.touch_skips, tally.skips);
     }
 
@@ -649,59 +615,24 @@ impl Shard {
             .store(d.wheel.len() as u64, Ordering::Relaxed);
     }
 
-    /// Drains every touch lane, dedupes, applies the survivors to the LRU,
-    /// then advances the TTL wheel to `now` and reaps what's due. All
-    /// scratch lives in `ShardData`, so the steady state allocates nothing.
+    /// Drains the touch log, applying each record to the LRU as it is
+    /// handed over, then advances the TTL wheel to `now` and reaps what's
+    /// due. The caller holds the write guard `d` came from — which is what
+    /// entitles this to drain. Steady state allocates nothing.
     fn flush_locked(&self, d: &mut ShardData, now: u64) -> FlushReport {
         let mut rep = FlushReport::default();
-        if !self.lanes.is_empty() {
-            let mut drain = std::mem::take(&mut d.drain_buf);
-            drain.clear();
-            for lane in &self.lanes {
-                while let Some(t) = lane.pop() {
-                    drain.push(t);
+        if let Some(log) = &self.log {
+            let (seen, dropped) = log.drain(|t| {
+                if d.arena.touch_if(t.idx, t.gen) {
+                    rep.applied += 1;
+                } else {
+                    rep.stale += 1;
                 }
+            });
+            rep.drained = seen;
+            if dropped != 0 {
+                self.touch_drops.fetch_add(dropped, Ordering::Relaxed);
             }
-            if !drain.is_empty() {
-                rep.drained = drain.len() as u64;
-                // Dedupe: only the *last* touch of each slot decides its
-                // final LRU position, so scan newest-to-oldest keeping the
-                // first occurrence per slot (epoch stamps avoid clearing
-                // the seen-array between flushes), then apply the keepers
-                // oldest-to-newest. The result is byte-identical to
-                // replaying every record in order.
-                if d.seen_epoch.len() < d.arena.slot_capacity() {
-                    let cap = d.arena.slot_capacity();
-                    d.seen_epoch.resize(cap, 0);
-                }
-                d.epoch = d.epoch.wrapping_add(1);
-                if d.epoch == 0 {
-                    d.seen_epoch.fill(0);
-                    d.epoch = 1;
-                }
-                let epoch = d.epoch;
-                let mut keep = std::mem::take(&mut d.keep_buf);
-                keep.clear();
-                for t in drain.iter().rev() {
-                    match d.seen_epoch.get_mut(t.idx as usize) {
-                        Some(s) if *s != epoch => {
-                            *s = epoch;
-                            keep.push(*t);
-                        }
-                        Some(_) => rep.stale += 1, // superseded by a newer touch
-                        None => rep.stale += 1,    // out-of-range: long dead
-                    }
-                }
-                for t in keep.iter().rev() {
-                    if d.arena.touch_if(t.idx, t.gen) {
-                        rep.applied += 1;
-                    } else {
-                        rep.stale += 1;
-                    }
-                }
-                d.keep_buf = keep;
-            }
-            d.drain_buf = drain;
         }
         if d.wheel_enabled && d.wheel.next_deadline().is_some_and(|t| t <= now) {
             let mut due = std::mem::take(&mut d.due_buf);
@@ -832,7 +763,7 @@ impl StoreTelemetry {
 /// ```
 pub struct Store {
     shards: Vec<Shard>,
-    read_path: ReadPathConfig,
+    read_path: ReadPath,
     /// Optional mutation tap (replication), read-locked by each tapped
     /// write; installation is rare (topology changes).
     sink: RwLock<Option<Arc<dyn MutationSink>>>,
@@ -856,15 +787,15 @@ impl Store {
     /// Creates a store from a configuration, on the default (deferred,
     /// shared-lock) read path.
     pub fn new(config: StoreConfig) -> Self {
-        Self::with_read_path(config, ReadPathConfig::default())
+        Self::with_read_path(config, ReadPath::Deferred)
     }
 
-    /// Creates a store with an explicit read-path configuration.
-    pub fn with_read_path(config: StoreConfig, read_path: ReadPathConfig) -> Self {
+    /// Creates a store on an explicit read plane.
+    pub fn with_read_path(config: StoreConfig, read_path: ReadPath) -> Self {
         let n = config.shards.max(1);
         let per_shard = config.capacity_bytes / n;
         Self {
-            shards: (0..n).map(|_| Shard::new(per_shard, &read_path)).collect(),
+            shards: (0..n).map(|_| Shard::new(per_shard, read_path)).collect(),
             read_path,
             sink: RwLock::new(None),
             sink_installed: AtomicBool::new(false),
@@ -880,8 +811,8 @@ impl Store {
         })
     }
 
-    /// The active read-path configuration.
-    pub fn read_path(&self) -> ReadPathConfig {
+    /// The read plane this store was built on.
+    pub fn read_path(&self) -> ReadPath {
         self.read_path
     }
 
@@ -944,15 +875,7 @@ impl Store {
 
     #[inline]
     fn deferred(&self) -> bool {
-        self.read_path.mode == ReadPath::Deferred
-    }
-
-    /// This thread's touch lane on the deferred plane; `None` on the
-    /// inline plane, whose GETs take the exclusive lock instead.
-    #[inline]
-    fn touch_lane(&self) -> Option<usize> {
-        self.deferred()
-            .then(|| lane_for_thread(self.read_path.lanes.max(1)))
+        self.read_path == ReadPath::Deferred
     }
 
     /// Fetches a key at logical time `now` (TTL-aware). On the deferred
@@ -961,7 +884,7 @@ impl Store {
         let (sh, tag) = self.shard_for(key);
         let mut found = None;
         let one = std::iter::once(((), tag, key));
-        sh.get_each(self.touch_lane(), now, one, |(), v| found = v.cloned());
+        sh.get_each(now, one, |(), v| found = v.cloned());
         found
     }
 
@@ -983,10 +906,9 @@ impl Store {
     where
         K: Iterator<Item = &'k [u8]> + Clone,
     {
-        let lane = self.touch_lane();
         if let [sh] = &self.shards[..] {
             let tagged = keys.enumerate().map(|(i, k)| (i, tag_of(fnv1a(k)), k));
-            return sh.get_each(lane, now, tagged, visit);
+            return sh.get_each(now, tagged, visit);
         }
         let mut ids = SHARD_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
         ids.clear();
@@ -1005,7 +927,7 @@ impl Store {
             }
             let mine = keys.clone().zip(ids.iter()).enumerate();
             let mine = mine.filter_map(|(i, (k, &(id, tag)))| (id == s).then_some((i, tag, k)));
-            self.shards[s as usize].get_each(lane, now, mine, &mut visit);
+            self.shards[s as usize].get_each(now, mine, &mut visit);
         }
         SHARD_SCRATCH.with(|s| *s.borrow_mut() = ids);
     }
@@ -1047,9 +969,9 @@ impl Store {
         self.visit_many(keys, now, |i, v| out[i] = v.cloned());
     }
 
-    /// Drains every shard's touch rings and advances every TTL wheel to
+    /// Drains every shard's touch log and advances every TTL wheel to
     /// `now`, under each shard's write lock in turn. The data planes call
-    /// this between event batches; shards with empty rings and no due
+    /// this between event batches; shards with an empty log and no due
     /// wheel deadline are skipped without taking the lock.
     pub fn flush_touches(&self, now: u64) -> FlushReport {
         let mut total = FlushReport::default();
@@ -1062,9 +984,9 @@ impl Store {
             .and_then(|t| t.tracer.as_ref())
             .map(|t| t.span("store", "flush_touches"));
         for sh in &self.shards {
-            let rings_idle = sh.lanes.iter().all(|l| l.is_empty());
+            let log_idle = sh.log.as_ref().is_none_or(TouchLog::is_empty);
             let wheel_due = sh.wheel_next.load(Ordering::Relaxed) <= now;
-            if rings_idle && !wheel_due {
+            if log_idle && !wheel_due {
                 continue;
             }
             let mut d = sh.data.write();
@@ -1491,8 +1413,8 @@ impl Store {
     pub fn clear(&self) {
         for sh in &self.shards {
             let mut d = sh.data.write();
-            for lane in &sh.lanes {
-                while lane.pop().is_some() {}
+            if let Some(log) = &sh.log {
+                log.drain(|_| {});
             }
             d.arena.clear();
             d.used_bytes = 0;
@@ -1537,7 +1459,7 @@ impl std::fmt::Debug for Store {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Store")
             .field("shards", &self.shards.len())
-            .field("read_path", &self.read_path.mode)
+            .field("read_path", &self.read_path)
             .field("len", &self.len())
             .field("used_bytes", &self.used_bytes())
             .finish()
@@ -1559,10 +1481,7 @@ mod tests {
                 capacity_bytes: 10 * 1024,
                 shards: 1,
             },
-            ReadPathConfig {
-                mode: ReadPath::Inline,
-                ..ReadPathConfig::default()
-            },
+            ReadPath::Inline,
         )
     }
 
@@ -1654,19 +1573,13 @@ mod tests {
     #[test]
     fn a_ticking_clock_leaves_one_record_per_key_per_tick() {
         // 10 000 skewed reads over 400 keys, the clock advanced and the
-        // rings flushed every 1 000: what the flushes drain is the number
+        // logs flushed every 1 000: what the flushes drain is the number
         // of distinct (key, tick) pairs read, exactly, and every other hit
         // was skipped.
-        let s = Store::with_read_path(
-            StoreConfig {
-                capacity_bytes: 1 << 20,
-                shards: 4,
-            },
-            ReadPathConfig {
-                lane_capacity: 1024,
-                ..ReadPathConfig::default()
-            },
-        );
+        let s = Store::new(StoreConfig {
+            capacity_bytes: 1 << 20,
+            shards: 4,
+        });
         let obs = Obs::new();
         s.attach_telemetry(&obs, None);
         for k in 0..400u32 {
@@ -2083,7 +1996,7 @@ mod tests {
             };
             s.set_at(format!("k{i}"), format!("v{i}"), 0, ttl);
         }
-        // A read through the touch ring: the walk must flush it first.
+        // A read through the touch log: the walk must flush it first.
         assert!(s.get_at(b"k0", 1).is_some());
         let mut expect: Vec<Walked> = vec![Vec::new(); 2];
         for i in [0, 9, 8, 7, 6, 5, 4, 2, 1] {
@@ -2178,11 +2091,12 @@ mod tests {
         assert_eq!(obs.counter("store_touch_flush_total").get(), 1);
         // One record per (key, tick) read, not per read: tick 1's three
         // hits left one (three, while every read left a record) and tick
-        // 2's hit another, which supersedes it.
+        // 2's hit another. Both apply, in order (applied 1 / stale 1 while
+        // the flush deduped: the older record was counted superseded).
         assert_eq!(obs.counter("store_touch_skipped_total").get(), 2);
         assert_eq!(obs.counter("store_touch_flush_records_total").get(), 2);
-        assert_eq!(obs.counter("store_touch_flush_applied_total").get(), 1);
-        assert_eq!(obs.counter("store_touch_flush_stale_total").get(), 1);
+        assert_eq!(obs.counter("store_touch_flush_applied_total").get(), 2);
+        assert_eq!(obs.counter("store_touch_flush_stale_total").get(), 0);
         assert_eq!(obs.counter("ttl_wheel_expired_total").get(), 1);
         assert!(obs.counter("ttl_wheel_advances_total").get() >= 1);
         assert_eq!(obs.gauge("ttl_wheel_pending").get(), 0.0);

@@ -1,37 +1,54 @@
-//! Lock-free bounded recency-touch rings for the store's deferred read
-//! path.
+//! The per-shard recency log of the store's deferred read path.
 //!
 //! Under the shared-lock read plane ([`crate::store`] with
 //! `ReadPath::Deferred`), a GET never moves its entry in the LRU list —
 //! that would need the shard's write lock. Instead a key's first hit in a
-//! clock tick pushes a fixed-size **touch record** (`(slot, gen)` packed
-//! into one `u64`) into a per-worker ring, and the records are drained in
-//! batches by whoever next holds the shard's write lock. Repeat hits
-//! within the tick push nothing, so the ring's two CASes (enqueue here,
-//! dequeue at the flush) are the only locked instructions recency costs,
-//! and only cold reads pay them.
+//! clock tick appends a fixed-size **touch record** (`(slot, gen)` packed
+//! into one `u64`) to the shard's [`TouchLog`], and whoever next holds the
+//! shard's write lock applies the pending records in order. Repeat hits
+//! within the tick append nothing.
 //!
-//! The ring is a bounded Vyukov-style queue with per-slot sequence
-//! numbers. Each data-plane worker thread is assigned its own lane, so in
-//! steady state every ring has a single producer (the worker) and a single
-//! consumer (the flusher, serialized by the shard write lock) and both
-//! sides proceed with one uncontended CAS. The sequence-number protocol
-//! additionally keeps the ring safe when lanes are oversubscribed (more
-//! threads than lanes hash onto one ring) — records are then interleaved
-//! across the colliding producers, which only weakens recency ordering
-//! *between* those threads, never within one (the approximation contract).
+//! # Why this is a log and not a queue
 //!
-//! Overflow policy is **drop-oldest**: a full ring discards its oldest
-//! pending record to make room for the newest. A dropped touch means a hot
-//! key looks slightly colder than it is — strictly a recency approximation,
-//! never a correctness issue, and counted in `store_touch_dropped_total`.
+//! The shard's `RwLock` already keeps the two sides apart, so the log
+//! carries no consumer-side protocol of its own:
+//!
+//! * [`TouchLog::push`] is called only **under the shard's read guard**
+//!   (`Shard::get_shared`). Pushers run beside each other, never beside a
+//!   drain. A push is one `fetch_add` that claims a position and one
+//!   `store` that fills it.
+//! * [`TouchLog::drain`] is called only **under the shard's write guard**
+//!   (`Shard::flush_locked`, `Store::clear`). Every push that claimed a
+//!   position has also filled it — its read guard was released before the
+//!   write guard was granted, and that release / acquire pair is what
+//!   orders the pushers' `Relaxed` stores before the drain's `Relaxed`
+//!   loads. The drain therefore reads the array like a plain slice and
+//!   needs no atomic read-modify-write.
+//!
+//! # Overflow
+//!
+//! The array is a fixed power of two. A full lap **overwrites the oldest
+//! record** — drop-oldest with no pop — and the drain, which knows how
+//! many positions were claimed since it last ran, hands over the newest
+//! `capacity` and reports the rest as dropped (`store_touch_dropped_total`).
+//! A dropped touch means a hot key looks slightly colder than it is:
+//! strictly a recency approximation, never a correctness issue.
+//!
+//! One race remains, and it is inside that contract. A pusher stalled for
+//! a whole lap between its `fetch_add` and its `store` writes its record
+//! over the one that lapped it, so the drain finds an *older real* record
+//! where a newer one was dropped. That is still drop-oldest to within one
+//! record per stalled pusher, the counts stay exact (they come from the
+//! positions, not the array), and the record is generation-checked when it
+//! is applied like any other. Below capacity no position is shared and
+//! the race cannot occur.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One recency record: arena slot index and the slot generation at read
-/// time, packed so a ring slot is a single `AtomicU64`.
+/// time, packed so a log position is a single `AtomicU64`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TouchRec {
+pub(crate) struct TouchRec {
     /// Arena slot within the shard.
     pub idx: u32,
     /// Slot generation observed by the reader; the flush validates it so a
@@ -55,197 +72,143 @@ impl TouchRec {
     }
 }
 
-struct Slot {
-    seq: AtomicUsize,
-    rec: AtomicU64,
+/// A bounded, overwrite-on-overflow log of [`TouchRec`]s: many pushers
+/// under a shared lock, one drain under the exclusive one. See the module
+/// docs for the locking contract that makes `Relaxed` sufficient.
+pub(crate) struct TouchLog {
+    recs: Box<[AtomicU64]>,
+    mask: u64,
+    /// Positions claimed so far; position `p` lives at `recs[p & mask]`.
+    pushed: AtomicU64,
+    /// Positions below this were handed over (or counted dropped) by an
+    /// earlier drain. Written only under the write guard.
+    drained: AtomicU64,
 }
 
-/// A bounded multi-producer multi-consumer ring of [`TouchRec`]s.
-///
-/// Sized to a power of two; see the module docs for the producer/consumer
-/// roles and the drop-oldest overflow policy.
-pub struct TouchRing {
-    slots: Box<[Slot]>,
-    mask: usize,
-    enqueue_pos: AtomicUsize,
-    dequeue_pos: AtomicUsize,
-}
-
-impl TouchRing {
-    /// Creates a ring holding at least `capacity` records (rounded up to a
-    /// power of two, minimum 2).
+impl TouchLog {
+    /// Creates a log holding `capacity` records, rounded up to a power of
+    /// two (minimum 2).
     pub fn new(capacity: usize) -> Self {
         let cap = capacity.max(2).next_power_of_two();
-        let slots: Vec<Slot> = (0..cap)
-            .map(|i| Slot {
-                seq: AtomicUsize::new(i),
-                rec: AtomicU64::new(0),
-            })
-            .collect();
         Self {
-            slots: slots.into_boxed_slice(),
-            mask: cap - 1,
-            enqueue_pos: AtomicUsize::new(0),
-            dequeue_pos: AtomicUsize::new(0),
+            recs: (0..cap).map(|_| AtomicU64::new(0)).collect(),
+            mask: cap as u64 - 1,
+            pushed: AtomicU64::new(0),
+            drained: AtomicU64::new(0),
         }
     }
 
     /// Capacity in records.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
+    pub fn capacity(&self) -> u64 {
+        self.mask + 1
     }
 
-    /// Approximate number of queued records (racy; exact when quiescent).
-    pub fn len(&self) -> usize {
-        let tail = self.enqueue_pos.load(Ordering::Relaxed);
-        let head = self.dequeue_pos.load(Ordering::Relaxed);
-        tail.saturating_sub(head)
-    }
-
-    /// Whether the ring is (approximately) empty.
+    /// Whether no record is pending. Readable without any lock (the
+    /// flush's skip test); exact when no pusher is running.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.pushed.load(Ordering::Relaxed) == self.drained.load(Ordering::Relaxed)
     }
 
-    /// Pushes one record without dropping; `false` when full.
-    fn try_push(&self, rec: TouchRec) -> bool {
-        let packed = rec.pack();
-        let mut pos = self.enqueue_pos.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let diff = seq as isize - pos as isize;
-            if diff == 0 {
-                match self.enqueue_pos.compare_exchange_weak(
-                    pos,
-                    pos + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        slot.rec.store(packed, Ordering::Relaxed);
-                        slot.seq.store(pos + 1, Ordering::Release);
-                        return true;
-                    }
-                    Err(p) => pos = p,
-                }
-            } else if diff < 0 {
-                return false; // full
-            } else {
-                pos = self.enqueue_pos.load(Ordering::Relaxed);
-            }
-        }
+    /// The first half of a push: claims the next position.
+    #[inline]
+    fn claim(&self) -> u64 {
+        self.pushed.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Pushes one record, discarding the oldest pending record when the
-    /// ring is full. Returns `true` when an old record was dropped to make
-    /// room (for the `store_touch_dropped_total` counter).
-    pub fn push_drop_oldest(&self, rec: TouchRec) -> bool {
-        if self.try_push(rec) {
-            return false;
-        }
-        let mut dropped = false;
-        // Keep stealing the oldest slot until the push lands. Bounded: each
-        // failed push frees one slot or observes another thread doing so.
-        loop {
-            if self.pop().is_some() {
-                dropped = true;
-            }
-            if self.try_push(rec) {
-                return dropped;
-            }
-        }
+    /// The second half of a push: fills a claimed position.
+    #[inline]
+    fn fill(&self, pos: u64, rec: TouchRec) {
+        self.recs[(pos & self.mask) as usize].store(rec.pack(), Ordering::Relaxed);
     }
 
-    /// Pops the oldest record; `None` when empty.
-    pub fn pop(&self) -> Option<TouchRec> {
-        let mut pos = self.dequeue_pos.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let diff = seq as isize - (pos + 1) as isize;
-            if diff == 0 {
-                match self.dequeue_pos.compare_exchange_weak(
-                    pos,
-                    pos + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        let packed = slot.rec.load(Ordering::Relaxed);
-                        slot.seq.store(pos + self.mask + 1, Ordering::Release);
-                        return Some(TouchRec::unpack(packed));
-                    }
-                    Err(p) => pos = p,
-                }
-            } else if diff < 0 {
-                return None; // empty
-            } else {
-                pos = self.dequeue_pos.load(Ordering::Relaxed);
-            }
-        }
+    /// Appends one record, overwriting the oldest when the log is full.
+    /// Call only under the shard's **read** guard.
+    #[inline]
+    pub fn push(&self, rec: TouchRec) {
+        self.fill(self.claim(), rec);
     }
-}
 
-/// Returns this thread's lane index in `0..lanes`.
-///
-/// Every thread gets a stable id from a process-wide counter on first use;
-/// data-plane workers therefore land on distinct lanes whenever
-/// `lanes >= worker count`, and extra threads (tests, benches, sidecar
-/// pools) wrap around and share.
-pub fn lane_for_thread(lanes: usize) -> usize {
-    use std::cell::Cell;
-    static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static THREAD_LANE_ID: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    let id = THREAD_LANE_ID.with(|c| {
-        let mut id = c.get();
-        if id == usize::MAX {
-            id = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
-            c.set(id);
+    /// Hands `f` the newest `min(pending, capacity)` records, oldest
+    /// first, and empties the log. Returns `(seen, dropped)`: how many
+    /// records `f` saw and how many older ones were overwritten before
+    /// this drain got to them. Stores nothing when nothing is pending.
+    /// Call only under the shard's **write** guard.
+    pub fn drain(&self, mut f: impl FnMut(TouchRec)) -> (u64, u64) {
+        let end = self.pushed.load(Ordering::Relaxed);
+        let pending = end - self.drained.load(Ordering::Relaxed);
+        if pending == 0 {
+            return (0, 0);
         }
-        id
-    });
-    id % lanes.max(1)
+        let seen = pending.min(self.capacity());
+        for pos in end - seen..end {
+            let packed = self.recs[(pos & self.mask) as usize].load(Ordering::Relaxed);
+            f(TouchRec::unpack(packed));
+        }
+        self.drained.store(end, Ordering::Relaxed);
+        (seen, pending - seen)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::RwLock;
 
-    #[test]
-    fn fifo_roundtrip() {
-        let r = TouchRing::new(8);
-        for i in 0..5u32 {
-            assert!(!r.push_drop_oldest(TouchRec { idx: i, gen: i * 7 }));
+    fn rec(pusher: u32, i: u32) -> TouchRec {
+        TouchRec {
+            idx: (pusher << 24) | i,
+            gen: pusher,
         }
-        assert_eq!(r.len(), 5);
-        for i in 0..5u32 {
-            assert_eq!(r.pop(), Some(TouchRec { idx: i, gen: i * 7 }));
-        }
-        assert_eq!(r.pop(), None);
-        assert!(r.is_empty());
+    }
+
+    fn drain_all(log: &TouchLog) -> (Vec<TouchRec>, u64) {
+        let mut got = Vec::new();
+        let (seen, dropped) = log.drain(|t| got.push(t));
+        assert_eq!(seen, got.len() as u64);
+        (got, dropped)
     }
 
     #[test]
-    fn overflow_drops_oldest() {
-        let r = TouchRing::new(4); // exact power of two
-        for i in 0..4u32 {
-            assert!(!r.push_drop_oldest(TouchRec { idx: i, gen: 0 }));
+    fn fifo_roundtrip() {
+        let log = TouchLog::new(8);
+        assert!(log.is_empty());
+        for i in 0..5u32 {
+            log.push(TouchRec { idx: i, gen: i * 7 });
         }
-        assert!(r.push_drop_oldest(TouchRec { idx: 99, gen: 0 }));
-        // Record 0 (oldest) was sacrificed; order of the rest preserved.
-        let drained: Vec<u32> = std::iter::from_fn(|| r.pop()).map(|t| t.idx).collect();
-        assert_eq!(drained, vec![1, 2, 3, 99]);
+        assert!(!log.is_empty());
+        let (got, dropped) = drain_all(&log);
+        let want: Vec<_> = (0..5u32).map(|i| TouchRec { idx: i, gen: i * 7 }).collect();
+        assert_eq!((got, dropped), (want, 0));
+        assert!(log.is_empty());
+        assert_eq!(drain_all(&log), (vec![], 0), "an idle drain sees nothing");
+        // The positions keep counting up across drains.
+        log.push(TouchRec { idx: 9, gen: 1 });
+        assert_eq!(drain_all(&log), (vec![TouchRec { idx: 9, gen: 1 }], 0));
+    }
+
+    #[test]
+    fn overflow_keeps_the_newest_capacity_and_counts_the_rest() {
+        let log = TouchLog::new(4);
+        for i in 0..11u32 {
+            log.push(TouchRec { idx: i, gen: 1 });
+        }
+        let (got, dropped) = drain_all(&log);
+        let idx: Vec<u32> = got.iter().map(|t| t.idx).collect();
+        assert_eq!(idx, vec![7, 8, 9, 10], "newest four, oldest first");
+        assert_eq!(dropped, 7);
+        // Exactly full is not an overflow.
+        for i in 0..4u32 {
+            log.push(TouchRec { idx: i, gen: 1 });
+        }
+        let (got, dropped) = drain_all(&log);
+        assert_eq!((got.len(), dropped), (4, 0));
     }
 
     #[test]
     fn capacity_rounds_up() {
-        assert_eq!(TouchRing::new(0).capacity(), 2);
-        assert_eq!(TouchRing::new(3).capacity(), 4);
-        assert_eq!(TouchRing::new(1024).capacity(), 1024);
+        assert_eq!(TouchLog::new(0).capacity(), 2);
+        assert_eq!(TouchLog::new(3).capacity(), 4);
+        assert_eq!(TouchLog::new(4096).capacity(), 4096);
     }
 
     #[test]
@@ -260,80 +223,130 @@ mod tests {
                 idx: 123,
                 gen: u32::MAX - 1,
             },
+            TouchRec {
+                idx: u32::MAX,
+                gen: 0,
+            },
         ] {
             assert_eq!(TouchRec::unpack(rec.pack()), rec);
         }
     }
 
-    #[test]
-    fn lanes_are_stable_per_thread() {
-        let a = lane_for_thread(8);
-        assert_eq!(a, lane_for_thread(8), "lane must be stable per thread");
-        assert_eq!(lane_for_thread(1), 0);
-        assert_eq!(
-            lane_for_thread(0),
-            0,
-            "zero lanes clamps instead of div-by-zero"
-        );
+    /// Every order in which `pushers` threads, each running `steps` steps
+    /// in sequence, can be interleaved (as sequences of pusher indices).
+    fn interleavings(pushers: usize, steps: usize) -> Vec<Vec<usize>> {
+        fn go(left: &mut [usize], cur: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+            if left.iter().all(|&n| n == 0) {
+                out.push(cur.clone());
+                return;
+            }
+            for p in 0..left.len() {
+                if left[p] > 0 {
+                    left[p] -= 1;
+                    cur.push(p);
+                    go(left, cur, out);
+                    cur.pop();
+                    left[p] += 1;
+                }
+            }
+        }
+        let mut out = Vec::new();
+        go(&mut vec![steps; pushers], &mut Vec::new(), &mut out);
+        out
+    }
+
+    /// Runs one schedule: each pusher's pushes are split into claim and
+    /// fill, and `schedule` names which pusher takes its next step. The
+    /// drain runs after every step has — the write guard's guarantee.
+    fn run_schedule(pushers: usize, pushes: u32, schedule: &[usize]) {
+        let log = TouchLog::new(8);
+        let mut step = vec![0u32; pushers];
+        let mut claimed = vec![0u64; pushers];
+        for &p in schedule {
+            let i = step[p] / 2;
+            if step[p].is_multiple_of(2) {
+                claimed[p] = log.claim();
+            } else {
+                log.fill(claimed[p], rec(p as u32, i));
+            }
+            step[p] += 1;
+        }
+        let (got, dropped) = drain_all(&log);
+        assert_eq!(dropped, 0, "{schedule:?}");
+        assert_eq!(got.len(), pushers * pushes as usize, "{schedule:?}");
+        for p in 0..pushers as u32 {
+            let mine: Vec<TouchRec> = got.iter().copied().filter(|t| t.gen == p).collect();
+            let want: Vec<TouchRec> = (0..pushes).map(|i| rec(p, i)).collect();
+            assert_eq!(mine, want, "pusher {p} under {schedule:?}");
+        }
     }
 
     #[test]
-    fn concurrent_producers_and_consumer_lose_nothing_but_drops() {
-        // 4 producers hammer one ring while a consumer drains. Every
-        // record that is not dropped must come out exactly once, and
-        // per-producer order must be preserved among surviving records.
-        let r = Arc::new(TouchRing::new(64));
-        let n_per = 20_000u32;
-        let producers: Vec<_> = (0..4u32)
-            .map(|p| {
-                let r = Arc::clone(&r);
-                std::thread::spawn(move || {
-                    for i in 0..n_per {
-                        r.push_drop_oldest(TouchRec {
-                            idx: (p << 24) | i,
-                            gen: p,
-                        });
-                    }
-                })
-            })
-            .collect();
-        let consumer = {
-            let r = Arc::clone(&r);
-            std::thread::spawn(move || {
-                let mut got: Vec<TouchRec> = Vec::new();
-                loop {
-                    match r.pop() {
-                        Some(t) => got.push(t),
-                        None => {
-                            if got.len() as u32 >= 4 * n_per {
-                                break;
+    fn every_interleaving_of_two_pushers_twice_and_three_once() {
+        let two_by_two = interleavings(2, 4);
+        assert_eq!(two_by_two.len(), 70); // C(8, 4)
+        for schedule in &two_by_two {
+            run_schedule(2, 2, schedule);
+        }
+        let three_by_one = interleavings(3, 2);
+        assert_eq!(three_by_one.len(), 90); // 6! / (2! 2! 2!)
+        for schedule in &three_by_one {
+            run_schedule(3, 1, schedule);
+        }
+    }
+
+    #[test]
+    fn pushers_under_the_read_guard_and_a_sweeper_under_the_write_guard_lose_nothing() {
+        // The store's discipline with a std lock standing in for the
+        // shard's: 4 pushers append under the read guard while a sweeper
+        // drains under the write guard. The log is larger than anything a
+        // pusher can add between two drains (each pusher waits for the
+        // sweeper every 512 records), so nothing may be dropped and each
+        // pusher's records come out once, in its own order.
+        const PER: u32 = 10_000;
+        let lock = RwLock::new(());
+        let log = TouchLog::new(4096);
+        let mut got: Vec<TouchRec> = Vec::new();
+        let mut dropped = 0;
+        std::thread::scope(|s| {
+            let pushers: Vec<_> = (0..4u32)
+                .map(|p| {
+                    let (lock, log) = (&lock, &log);
+                    s.spawn(move || {
+                        for i in 0..PER {
+                            {
+                                let _read = lock.read().expect("no pusher panics");
+                                log.push(rec(p, i));
                             }
-                            std::thread::yield_now();
-                            // Producers may be done with the ring empty.
-                            if Arc::strong_count(&r) == 1 && r.is_empty() {
-                                break;
+                            if i % 512 == 511 {
+                                while !log.is_empty() {
+                                    std::thread::yield_now();
+                                }
                             }
                         }
-                    }
+                    })
+                })
+                .collect();
+            while !pushers.iter().all(|h| h.is_finished()) {
+                {
+                    let _write = lock.write().expect("no pusher panics");
+                    dropped += log.drain(|t| got.push(t)).1;
                 }
-                got
-            })
-        };
-        for p in producers {
-            p.join().unwrap();
-        }
-        drop(r);
-        let got = consumer.join().unwrap();
-        // Surviving records are unique and in order within each producer.
-        let mut last = [None::<u32>; 4];
-        for t in &got {
-            let p = (t.idx >> 24) as usize;
-            let i = t.idx & 0x00ff_ffff;
-            assert_eq!(t.gen, p as u32);
-            if let Some(prev) = last[p] {
-                assert!(i > prev, "per-producer order violated: {i} after {prev}");
+                std::thread::yield_now();
             }
-            last[p] = Some(i);
+            for h in pushers {
+                h.join().expect("pusher panicked");
+            }
+        });
+        dropped += log.drain(|t| got.push(t)).1;
+        assert_eq!(dropped, 0);
+        assert_eq!(got.len(), 4 * PER as usize);
+        let mut next = [0u32; 4];
+        for t in &got {
+            let p = t.gen as usize;
+            assert_eq!(*t, rec(t.gen, next[p]), "pusher {p} out of order");
+            next[p] += 1;
         }
+        assert_eq!(next, [PER; 4]);
     }
 }

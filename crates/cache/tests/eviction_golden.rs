@@ -12,12 +12,12 @@
 //! * **One tick per operation** (`Clock::PerOp`; TTLs scaled by 150 so
 //!   deadlines fall where they do under the other clock, multi-gets over
 //!   distinct keys). No key is read twice in a tick, so tick-granular
-//!   recency must be *exactly* the exact-LRU store: these constants were
-//!   computed **at the last commit that bumped on every read** (PR 17,
-//!   `802e791`) and the store reproduces them bit for bit. A store change
-//!   that moves a victim, a TTL reap, a counter or a walk order fails
-//!   here; do not regenerate them unless the change is meant to alter what
-//!   an LRU store evicts.
+//!   recency must be *exactly* the exact-LRU store: this pair descends
+//!   (see the chain of custody below) from constants computed **at the
+//!   last commit that bumped on every read** (PR 17, `802e791`). A store
+//!   change that moves a victim, a TTL reap, a counter or a walk order
+//!   fails here; do not regenerate them unless the change is meant to
+//!   alter what an LRU store evicts.
 //! * **One tick per 150 operations** (`Clock::Per150Ops`): hot keys are
 //!   read many times per tick, so this schedule pins the tick rule itself
 //!   — a read bumps its key once per tick, first-event order within one.
@@ -26,18 +26,35 @@
 //!   deferred `3_582_481_426_717_727_419` / inline
 //!   `15_466_635_262_044_520_750` (taken on the pre-arena store, PR 17's
 //!   parent, and held by PR 17).
+//!
+//! **The fold changed once, and the chain of custody runs through it.**
+//! Up to and including PR 19 (`b448ba5`) operation 97 folded
+//! `FlushReport::applied` as well as `expired`, and the four constants
+//! read (the per-op pair taken at PR 17, all four held by PR 19): 150
+//! ops/tick deferred `13_439_640_318_956_466_877` / inline
+//! `10_142_391_092_961_387_008`; one tick per op deferred
+//! `5_354_502_830_060_458_816` / inline `13_412_931_409_491_396_305`. The
+//! touch log applies every record in
+//! order where the old flush deduped first: under one tick per operation
+//! a key read in two ticks between two flushes leaves two records, the
+//! dedupe applied one and the log applies both — same final order, which
+//! the state fold below proves — so `applied` stopped being a function of
+//! store state and left the fold. The constants below were taken **at
+//! PR 19 with that one line deleted and nothing else changed**, before the
+//! log replaced the rings, and held through the replacement. So: PR 17 ≡
+//! PR 19 under the old fold, PR 19 ≡ the log store under this one.
 
 use bytes::Bytes;
-use spotcache_cache::store::{ReadPath, ReadPathConfig, SetPolicy, Store, StoreConfig};
+use spotcache_cache::store::{ReadPath, SetPolicy, Store, StoreConfig};
 
 const OPS: usize = 240_000;
 const KEYS: u64 = 6_000;
 
-const GOLDEN_PER_150_DEFERRED: u64 = 13_439_640_318_956_466_877;
-const GOLDEN_PER_150_INLINE: u64 = 10_142_391_092_961_387_008;
+const GOLDEN_PER_150_DEFERRED: u64 = 12_523_576_644_966_028_723;
+const GOLDEN_PER_150_INLINE: u64 = 3_924_238_246_998_359_616;
 
-const GOLDEN_PER_OP_DEFERRED: u64 = 5_354_502_830_060_458_816;
-const GOLDEN_PER_OP_INLINE: u64 = 13_412_931_409_491_396_305;
+const GOLDEN_PER_OP_DEFERRED: u64 = 14_659_691_682_383_482_913;
+const GOLDEN_PER_OP_INLINE: u64 = 2_867_339_130_443_470_129;
 
 struct Fnv(u64);
 
@@ -106,10 +123,7 @@ fn fingerprint(mode: ReadPath, clock: Clock) -> u64 {
             capacity_bytes: 256 << 10,
             shards: 4,
         },
-        ReadPathConfig {
-            mode,
-            ..ReadPathConfig::default()
-        },
+        mode,
     );
     let mut rng = SplitMix(0x5eed_0017);
     let mut fp = Fnv::new();
@@ -170,7 +184,6 @@ fn fingerprint(mode: ReadPath, clock: Clock) -> u64 {
             }
             97 => {
                 let rep = store.flush_touches(now);
-                fp.u64(rep.applied);
                 fp.u64(rep.expired);
             }
             98 => fp.u64(store.contains_at(&key, now) as u64),

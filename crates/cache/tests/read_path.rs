@@ -1,6 +1,6 @@
 //! Equivalence between the two read planes (ISSUE 8 satellite).
 //!
-//! The deferred plane (shared-lock GETs + touch rings + TTL wheel) must be
+//! The deferred plane (shared-lock GETs + touch log + TTL wheel) must be
 //! observably equivalent to the frozen inline plane:
 //!
 //! * **Byte-identical results.** Over arbitrary GET/SET/DELETE/`add`/
@@ -18,32 +18,29 @@
 //! * **Per-worker touch order.** Touches from one thread are applied in
 //!   the order they were recorded (never reordered), and a drop-oldest
 //!   overflow only makes a key *colder*, never hotter.
+//! * **Every hit accounted for.** With readers and a flusher running
+//!   together, each hit either skipped its record (not the key's first in
+//!   the tick), or its record was drained, or it was counted dropped.
+
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Barrier;
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use spotcache_cache::store::{ReadPath, ReadPathConfig, SetOutcome, SetPolicy, Store, StoreConfig};
+use spotcache_cache::store::{
+    ReadPath, SetOutcome, SetPolicy, Store, StoreConfig, TOUCH_LOG_CAPACITY,
+};
+use spotcache_obs::Obs;
 
-fn pair(capacity: usize, lanes: usize, lane_capacity: usize) -> (Store, Store) {
+fn pair(capacity: usize) -> (Store, Store) {
     let cfg = StoreConfig {
         capacity_bytes: capacity,
         shards: 2,
     };
-    let deferred = Store::with_read_path(
-        cfg,
-        ReadPathConfig {
-            mode: ReadPath::Deferred,
-            lanes,
-            lane_capacity,
-        },
-    );
-    let inline = Store::with_read_path(
-        cfg,
-        ReadPathConfig {
-            mode: ReadPath::Inline,
-            ..ReadPathConfig::default()
-        },
-    );
-    (deferred, inline)
+    (
+        Store::with_read_path(cfg, ReadPath::Deferred),
+        Store::with_read_path(cfg, ReadPath::Inline),
+    )
 }
 
 /// One generated operation: `(op, key, size, ttl, now)` with small key and
@@ -109,7 +106,7 @@ proptest! {
     fn no_ttl_sequences_are_byte_identical(
         ops in proptest::collection::vec((0u8..5, 0u8..40, 0u16..1500, 0u8..1, 0u8..1), 1..250)
     ) {
-        let (d, i) = pair(16 * 1024, 1, 1024);
+        let (d, i) = pair(16 * 1024);
         for op in ops {
             let rd = apply_op(&d, op, 0);
             let ri = apply_op(&i, op, 0);
@@ -131,7 +128,7 @@ proptest! {
     fn ttl_sequences_serve_identical_results(
         ops in proptest::collection::vec((0u8..5, 0u8..30, 0u16..200, 0u8..10, 0u8..5), 1..250)
     ) {
-        let (d, i) = pair(1 << 20, 1, 1024);
+        let (d, i) = pair(1 << 20);
         let mut clock = 0u64;
         let mut ttl_sets = 0u64;
         for op in ops {
@@ -171,7 +168,7 @@ proptest! {
 /// as inline touching.
 #[test]
 fn touch_order_within_a_worker_is_preserved() {
-    let (d, i) = pair(16 * 1024, 1, 1024);
+    let (d, i) = pair(16 * 1024);
     for k in 0..8u8 {
         let op = (1u8, k, 500u16, 0u8, 0u8);
         apply_op(&d, op, 0);
@@ -198,48 +195,116 @@ fn touch_order_within_a_worker_is_preserved() {
 }
 
 /// Drop-oldest overflow only loses the *oldest* pending touches: the most
-/// recent `lane_capacity` touches survive, so a hot key can look colder
+/// recent [`TOUCH_LOG_CAPACITY`] survive, so a hot key can look colder
 /// than it is but never hotter.
 #[test]
 fn overflow_drops_make_keys_colder_never_hotter() {
-    // Lane capacity 4 (rounded to a power of two), 12 distinct touches,
-    // one shard so a single ring sees every touch.
-    let d = Store::with_read_path(
-        StoreConfig {
-            capacity_bytes: 64 * 1024,
-            shards: 1,
-        },
-        ReadPathConfig {
-            mode: ReadPath::Deferred,
-            lanes: 1,
-            lane_capacity: 4,
-        },
-    );
-    for k in 0..12u8 {
-        let op = (1u8, k, 100u16, 0u8, 0u8);
-        apply_op(&d, op, 0);
+    // One shard, so one log sees every touch, and more distinct first
+    // reads between two flushes than it holds.
+    const EXCESS: usize = 100;
+    let keys: Vec<Vec<u8>> = (0..TOUCH_LOG_CAPACITY + EXCESS)
+        .map(|k| format!("key-{k}").into_bytes())
+        .collect();
+    let d = Store::new(StoreConfig {
+        capacity_bytes: 1 << 20,
+        shards: 1,
+    });
+    let obs = Obs::new();
+    d.attach_telemetry(&obs, None);
+    for k in &keys {
+        d.set(k.clone(), "v");
     }
-    for k in 0..12u8 {
-        assert!(d.get(&key_of(k)).is_some());
+    for k in &keys {
+        assert!(d.get(k).is_some());
     }
     let rep = d.flush_touches(0);
     assert_eq!(
-        rep.drained, 4,
-        "ring kept only the newest lane_capacity touches"
+        rep.drained, TOUCH_LOG_CAPACITY as u64,
+        "the log kept only the newest TOUCH_LOG_CAPACITY touches"
     );
-    assert_eq!(rep.applied, 4);
+    assert_eq!(rep.applied, rep.drained);
+    assert_eq!(
+        obs.counter("store_touch_dropped_total").get(),
+        EXCESS as u64,
+        "the overwritten records are counted when drained"
+    );
     // The surviving touches are the newest ones, applied in order: the
-    // hottest keys must be 11, 10, 9, 8 — untouched recency for the rest.
+    // four hottest keys are the last four read, newest first.
     let order: Vec<_> = d
         .hot_snapshot_at(4, 0)
         .into_iter()
         .map(|(k, _, _)| k)
         .collect();
-    let want: Vec<Bytes> = [11u8, 10, 9, 8]
+    let want: Vec<Bytes> = keys
         .iter()
-        .map(|&k| Bytes::from(key_of(k)))
+        .rev()
+        .take(4)
+        .cloned()
+        .map(Bytes::from)
         .collect();
     assert_eq!(order, want);
+}
+
+/// Four readers and a flusher on one shard under a ticking clock: the
+/// counters balance exactly. A hit that pushed a record is drained or
+/// counted dropped, a hit that did not is counted skipped, and every
+/// drained record is either applied or stale.
+#[test]
+fn four_readers_and_a_flusher_account_for_every_hit() {
+    const READERS: usize = 4;
+    const READS: u64 = 50_000;
+    const KEYS: u64 = 64;
+    let s = Store::new(StoreConfig {
+        capacity_bytes: 1 << 20,
+        shards: 1,
+    });
+    let obs = Obs::new();
+    s.attach_telemetry(&obs, None);
+    for k in 0..KEYS {
+        s.set(k.to_be_bytes().to_vec(), "v");
+    }
+    let now = AtomicU64::new(0);
+    let running = AtomicUsize::new(READERS);
+    // Readers and flusher leave the barrier together, so the flusher's
+    // drains run beside live pushers rather than after them.
+    let start = Barrier::new(READERS + 1);
+    std::thread::scope(|scope| {
+        for r in 0..READERS as u64 {
+            let (s, now, running, start) = (&s, &now, &running, &start);
+            scope.spawn(move || {
+                start.wait();
+                let mut rng = 0x5eed_0020 + r;
+                for _ in 0..READS {
+                    rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    let key = ((rng >> 33) % KEYS).to_be_bytes();
+                    assert!(s.get_at(&key, now.load(Ordering::Relaxed)).is_some());
+                }
+                running.fetch_sub(1, Ordering::Release);
+            });
+        }
+        start.wait();
+        while running.load(Ordering::Acquire) != 0 {
+            let rep = s.flush_touches(now.fetch_add(1, Ordering::Relaxed));
+            assert_eq!(rep.applied + rep.stale, rep.drained, "{rep:?}");
+        }
+    });
+    let rep = s.flush_touches(now.load(Ordering::Relaxed));
+    assert_eq!(rep.applied + rep.stale, rep.drained, "{rep:?}");
+    let count = |name: &str| obs.counter(name).get();
+    let drained = count("store_touch_flush_records_total");
+    let dropped = count("store_touch_dropped_total");
+    let skipped = count("store_touch_skipped_total");
+    let hits = s.stats().hits;
+    assert_eq!(hits, READERS as u64 * READS);
+    assert_eq!(hits, drained + dropped + skipped);
+    assert_eq!(
+        count("store_touch_flush_applied_total") + count("store_touch_flush_stale_total"),
+        drained
+    );
+    assert!(
+        drained > 0 && skipped > 0,
+        "{drained} drained, {skipped} skipped"
+    );
 }
 
 /// Eviction victims always come from the true LRU tail modulo unflushed
@@ -247,7 +312,7 @@ fn overflow_drops_make_keys_colder_never_hotter() {
 /// writer can never observe a stale tail.
 #[test]
 fn eviction_respects_flushed_recency() {
-    let (d, i) = pair(16 * 1024, 1, 1024);
+    let (d, i) = pair(16 * 1024);
     // Two shards: fill one shard close to capacity.
     for k in 0..14u8 {
         let op = (1u8, k, 900u16, 0u8, 0u8);

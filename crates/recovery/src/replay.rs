@@ -25,10 +25,10 @@
 //! `set`s, flag prefixes preserved, so a corrupted pump link surfaces as
 //! an error — never a silently cold replacement.
 
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-use spotcache_cache::replication::{connect_link, ship_batch, Mutation};
+use spotcache_cache::replication::{Link, Mutation, ReplicationConfig};
 use spotcache_cache::store::Store;
 use spotcache_cloud::burstable::TokenBucket;
 use spotcache_obs::{Obs, Tracer};
@@ -86,7 +86,10 @@ pub struct WarmupReport {
 
 /// Replays `backup`'s hot set into the server at `target`, hottest items
 /// first, pacing by the token bucket in `cfg`. Blocks until the snapshot
-/// is fully pumped or a link fault exhausts `cfg.max_retries`.
+/// is fully pumped or a link fault exhausts `cfg.max_retries`, pausing
+/// after each failed attempt on the replicator's own schedule
+/// (`ReplicationConfig::default()`: 10 ms doubling to 500 ms, ±25 %
+/// jitter) so a replacement whose listener is late is waited out.
 ///
 /// `now` is the backup's logical time (used to snapshot residual TTLs).
 /// With `obs`, progress surfaces as `warmup_pumped_total`,
@@ -142,14 +145,18 @@ pub fn pump_hot_set(
         cfg.base_rate,
         cfg.peak_rate,
     );
-    let mut conn: Option<TcpStream> = None;
+    let mut link = Link::new(
+        target,
+        &ReplicationConfig {
+            io_timeout: cfg.io_timeout,
+            ..ReplicationConfig::default()
+        },
+    );
     let mut io_errors = 0u64;
     let mut attempts = 0u32;
     let mut idx = 0usize;
     let mut carry = 0.0f64;
     let mut last = Instant::now();
-    let mut req = Vec::new();
-    let mut ack_buf = Vec::new();
 
     while idx < total {
         std::thread::sleep(cfg.tick);
@@ -163,29 +170,12 @@ pub fn pump_hot_set(
         }
         let end = (idx + quota).min(total);
 
-        if conn.is_none() {
-            match connect_link(target, cfg.io_timeout) {
-                Ok(s) => conn = Some(s),
-                Err(e) => {
-                    io_errors += 1;
-                    if let Some(c) = &c_errors {
-                        c.inc();
-                    }
-                    attempts += 1;
-                    if attempts > cfg.max_retries {
-                        return Err(e);
-                    }
-                    continue; // credits keep accruing; retry next tick
-                }
-            }
-        }
-        let stream = conn.as_mut().expect("connected above");
         let span = tracer.map(|t| t.span("drill", "pump_batch"));
         let ctx = span
             .as_ref()
             .and_then(|s| s.context())
             .or_else(spotcache_obs::trace::thread_context);
-        let result = ship_batch(stream, &snapshot[idx..end], &mut req, &mut ack_buf, ctx);
+        let result = link.ship(&snapshot[idx..end], ctx);
         drop(span);
         match result {
             Ok(()) => {
@@ -205,11 +195,11 @@ pub fn pump_hot_set(
                 if let Some(c) = &c_errors {
                     c.inc();
                 }
-                conn = None; // resync: sets are idempotent, re-ship the batch
                 attempts += 1;
                 if attempts > cfg.max_retries {
                     return Err(e);
                 }
+                link.back_off(); // credits keep accruing; the batch is re-shipped
             }
         }
     }
@@ -318,6 +308,40 @@ mod tests {
         };
         let err = pump_hot_set(&backup, addr, 0, &cfg, None, None);
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn pump_reaches_a_target_that_listens_late() {
+        let backup = store();
+        for i in 0..20u32 {
+            backup.set(format!("k{i}").into_bytes(), b"v".to_vec());
+        }
+        // Reserve a port, free it, and bring the replacement's server up
+        // on it only 100 ms after the pump has started.
+        let addr = std::net::TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let replacement = store();
+        let late_store = Arc::clone(&replacement);
+        let late = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(100));
+            CacheServer::start(late_store, LogicalClock::new(), &addr.to_string())
+                .expect("late listener")
+        });
+        // The default 5 ms tick: eight ticks were all the patience the
+        // pump had while it retried on its pacing tick alone.
+        let cfg = WarmupConfig {
+            tick: WarmupConfig::default().tick,
+            ..fast_cfg()
+        };
+        let report = pump_hot_set(&backup, addr, 0, &cfg, None, None);
+        let mut srv = late.join().expect("late listener thread");
+        srv.stop();
+        let report = report.expect("the pump must wait out a late listener");
+        assert_eq!(report.items_pumped, 20);
+        assert!(report.io_errors >= 1, "the first connect was refused");
+        assert!(replacement.get(b"k19").is_some());
     }
 
     #[test]

@@ -21,12 +21,10 @@
 //! load lands — `DegradedRouter` uses this to pick read plans.
 
 use std::io;
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-use spotcache_cache::replication::{
-    connect_link, jittered_backoff, next_jitter_seed, ship_batch, Mutation, ReplicationConfig,
-};
+use spotcache_cache::replication::{Link, Mutation, ReplicationConfig};
 use spotcache_cache::store::Store;
 use spotcache_obs::{Obs, Tracer};
 use spotcache_router::degraded::RecoveryMode;
@@ -264,47 +262,35 @@ fn ship_tail(
     if tail.is_empty() {
         return Ok(0);
     }
-    let link = ReplicationConfig::default();
-    let mut jitter_state = next_jitter_seed();
-    let mut conn: Option<TcpStream> = None;
+    let mut link = Link::new(
+        target,
+        &ReplicationConfig {
+            io_timeout: cfg.io_timeout,
+            ..ReplicationConfig::default()
+        },
+    );
     let mut idx = 0usize;
     let mut attempts = 0u32;
-    let mut backoff = link.backoff_base;
-    let mut req = Vec::new();
-    let mut ack_buf = Vec::new();
     while idx < tail.len() {
         let end = (idx + cfg.batch_max.max(1)).min(tail.len());
-        // One attempt: (re)connect if the link is down, then ship.
-        let attempt = (|| {
-            if conn.is_none() {
-                conn = Some(connect_link(target, cfg.io_timeout)?);
-            }
-            let stream = conn.as_mut().expect("connected above");
-            let span = tracer.map(|t| t.span("checkpoint", "top_up_batch"));
-            let ctx = span
-                .as_ref()
-                .and_then(|s| s.context())
-                .or_else(spotcache_obs::trace::thread_context);
-            ship_batch(stream, &tail[idx..end], &mut req, &mut ack_buf, ctx)
-        })();
-        match attempt {
+        let span = tracer.map(|t| t.span("checkpoint", "top_up_batch"));
+        let ctx = span
+            .as_ref()
+            .and_then(|s| s.context())
+            .or_else(spotcache_obs::trace::thread_context);
+        let result = link.ship(&tail[idx..end], ctx);
+        drop(span);
+        match result {
             Ok(()) => {
                 idx = end;
                 attempts = 0;
-                backoff = link.backoff_base;
             }
             Err(e) => {
-                conn = None; // mutations are idempotent; re-ship the batch
                 attempts += 1;
                 if attempts > cfg.max_retries {
                     return Err(e);
                 }
-                std::thread::sleep(jittered_backoff(
-                    backoff,
-                    link.backoff_jitter,
-                    &mut jitter_state,
-                ));
-                backoff = (backoff * 2).min(link.backoff_max);
+                link.back_off(); // mutations are idempotent; re-ship the batch
             }
         }
     }

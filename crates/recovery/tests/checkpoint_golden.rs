@@ -46,8 +46,8 @@ fn fill(store: &Store, n: u32) {
             ttl_for(i),
         );
     }
-    // Reads reorder the LRU through the touch rings; the cut must flush
-    // them first or the record order moves.
+    // Reads reorder the LRU through the touch log; the cut must flush
+    // it first or the record order moves.
     for i in (0..n).step_by(5) {
         assert!(store.get_at(format!("g-{i}").as_bytes(), SET_AT).is_some());
     }

@@ -44,7 +44,7 @@ fn observed_sim_matches_golden_values() {
     assert_eq!(r.revocations, 315);
     // And the run actually left a trail.
     assert_eq!(obs.counter("sim_revocations_total").get(), 315);
-    assert!(obs.journal().len() > 0);
+    assert!(!obs.journal().is_empty());
 }
 
 /// Two identical instrumented runs export byte-identical Prometheus text
