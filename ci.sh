@@ -193,7 +193,8 @@ echo "==> results byte-identity (every experiment in 'repro --list' vs results/<
 # The hourly simulator and the spot models are bit-deterministic, so every
 # checked-in table must reproduce exactly: a changed pivot, rounding or
 # prediction anywhere in the planner shows up here as a diff. Runs
-# $(nproc) experiments at a time; fig13 alone is about a minute.
+# $(nproc) experiments at a time; fig13 alone is 33 s of the measured wall
+# time below, and the budget is twice that.
 cargo build --release -q -p spotcache-bench --bin repro
 repro=target/release/repro
 gate_start=$(date +%s)
@@ -206,8 +207,8 @@ gate_start=$(date +%s)
     [ "$verdict" = ok ] || { printf "%s\n" "$delta"; exit 1; }
 ' "$repro" {} || { echo "results/ no longer reproduces (files named above)"; exit 1; }
 gate_s=$(( $(date +%s) - gate_start ))
-echo "    results gate: ${gate_s} s wall"
-[ "$gate_s" -le 120 ] || { echo "results gate took ${gate_s} s, over its 120 s budget"; exit 1; }
+echo "    results gate: ${gate_s} s wall (measured 38 s on the 2-core host, budget 80 s)"
+[ "$gate_s" -le 80 ] || { echo "results gate took ${gate_s} s, over its 80 s budget"; exit 1; }
 
 # One short traced run per benchmark workload: the output check passes
 # and no operation failed. paced_get / pipelined_mix / write_evict drive a
@@ -219,7 +220,10 @@ echo "    results gate: ${gate_s} s wall"
 # follow the live slice and differ between two runs of one binary.
 # pipelined_mix holds the read path to the same count (0.0999 per command,
 # all of it the 10 % sets' values: staging a hit's bytes must not
-# allocate) and to a touch log that never overflows.
+# allocate) and to a touch log that never overflows. plan_90d holds seed
+# 42's normalised cost to the bit: the harness only checks a run against
+# itself, so a planner that is wrong the same way every repetition (a
+# look-ahead that misses a trace's last sample read 0.40316) is `correct`.
 for spec in paced_get:2 pipelined_mix:2 write_evict:2 revocation:6 plan_90d:2; do
     w="${spec%%:*}"
     echo "==> benchmark $w smoke (traced; correct, nothing failed)"
@@ -237,6 +241,9 @@ if sys.argv[1] == "pipelined_mix":
     assert allocs <= 0.11, "pipelined_mix: %.4f allocations per command, over 0.11" % allocs
     dropped = doc["metrics"]["store.touch_dropped"]["value"]
     assert dropped == 0, "pipelined_mix: %d touch records dropped" % dropped
+if sys.argv[1] == "plan_90d":
+    norm = doc["metrics"]["sim.cost_norm"]["value"]
+    assert norm == 0.40124861357755254, "plan_90d: sim.cost_norm %r moved" % norm
 ' "$w"
 done
 

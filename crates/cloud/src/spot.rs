@@ -78,6 +78,18 @@ impl Bid {
 }
 
 /// An evenly-sampled spot price trace for one market.
+///
+/// Sample `i` carries the timestamp `start + i * step`, and a read over
+/// `[from, to)` — [`samples`](Self::samples), [`mean_price`](Self::mean_price),
+/// [`availability`](Self::availability),
+/// [`first_failure_in`](Self::first_failure_in) — sees exactly the samples
+/// whose timestamp lies in that half-open interval, in trace order. The
+/// window's two indices come from arithmetic on `start` and `step`, so a read
+/// costs O(samples in the window) and never O(trace): an hour slot's 7-day
+/// look-back touches 2 016 of a 90-day trace's 25 920 samples, its billing
+/// look-ahead 12. [`next_failure`](Self::next_failure) is open-ended and
+/// stops at the first exceedance; [`price_at`](Self::price_at) is O(1).
+/// `step` must be at least 1.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpotTrace {
     /// The market this trace belongs to.
@@ -129,48 +141,69 @@ impl SpotTrace {
         Some(self.prices[idx])
     }
 
+    /// The samples whose timestamp lies in `[from, to)`: the index of the
+    /// first one, and their prices. Two divisions, no scan.
+    fn window(&self, from: u64, to: u64) -> (usize, &[f64]) {
+        // Smallest `i` with `start + i * step >= t`, clamped to the length.
+        // `div_ceil` does not add `step - 1` to its dividend, so
+        // `t = u64::MAX` cannot wrap.
+        let index = |t: u64| {
+            if t <= self.start {
+                0
+            } else {
+                (t - self.start)
+                    .div_ceil(self.step)
+                    .min(self.prices.len() as u64) as usize
+            }
+        };
+        let first = index(from);
+        (first, &self.prices[first..index(to).max(first)])
+    }
+
     /// Iterates `(timestamp, price)` pairs over `[from, to)`.
     pub fn samples(&self, from: u64, to: u64) -> impl Iterator<Item = (u64, f64)> + '_ {
-        let step = self.step;
-        let start = self.start;
-        self.prices.iter().enumerate().filter_map(move |(i, &p)| {
-            let t = start + i as u64 * step;
-            (t >= from && t < to).then_some((t, p))
-        })
+        let (first, prices) = self.window(from, to);
+        let (start, step) = (self.start, self.step);
+        prices
+            .iter()
+            .enumerate()
+            .map(move |(k, &p)| (start + (first + k) as u64 * step, p))
     }
 
     /// Average price over `[from, to)`; `None` when the window is empty.
     pub fn mean_price(&self, from: u64, to: u64) -> Option<f64> {
-        let (mut sum, mut n) = (0.0, 0usize);
-        for (_, p) in self.samples(from, to) {
+        let prices = self.window(from, to).1;
+        // An explicit left-to-right sum from `0.0`, not `Iterator::sum`: the
+        // planner's dollars are pinned to the bit.
+        let mut sum = 0.0;
+        for &p in prices {
             sum += p;
-            n += 1;
         }
-        (n > 0).then(|| sum / n as f64)
+        (!prices.is_empty()).then(|| sum / prices.len() as f64)
+    }
+
+    /// First time in `[from, to)` at which the price exceeds `bid`; `None`
+    /// if the bid survives the window.
+    pub fn first_failure_in(&self, from: u64, to: u64, bid: Bid) -> Option<u64> {
+        self.samples(from, to)
+            .find(|&(_, p)| !bid.covers(p))
+            .map(|(t, _)| t)
     }
 
     /// First time `>= from` at which the price exceeds `bid`; `None` if the
     /// bid survives the rest of the trace.
     pub fn next_failure(&self, from: u64, bid: Bid) -> Option<u64> {
-        self.samples(from, u64::MAX)
-            .find(|&(_, p)| !bid.covers(p))
-            .map(|(t, _)| t)
+        self.first_failure_in(from, u64::MAX, bid)
     }
 
     /// Fraction of samples in `[from, to)` with price at or below `bid`.
     pub fn availability(&self, from: u64, to: u64, bid: Bid) -> f64 {
-        let (mut ok, mut n) = (0usize, 0usize);
-        for (_, p) in self.samples(from, to) {
-            n += 1;
-            if bid.covers(p) {
-                ok += 1;
-            }
+        let prices = self.window(from, to).1;
+        if prices.is_empty() {
+            return 0.0;
         }
-        if n == 0 {
-            0.0
-        } else {
-            ok as f64 / n as f64
-        }
+        let ok = prices.iter().filter(|&&p| bid.covers(p)).count();
+        ok as f64 / prices.len() as f64
     }
 }
 
@@ -224,6 +257,83 @@ mod tests {
         let t = trace(vec![0.1, 0.2, 0.3, 0.4]);
         assert!((t.mean_price(0, 600).unwrap() - 0.15).abs() < 1e-12);
         assert!(t.mean_price(5_000, 6_000).is_none());
+    }
+
+    #[test]
+    fn open_ended_look_ahead_reaches_the_last_sample() {
+        // Rounding the upper bound up as `(to - start + step - 1) / step`
+        // wraps at `to = u64::MAX` in a release build: the window comes out
+        // empty, the only exceedance is missed, and a 90-day plan still
+        // checks as self-consistent at a cost 0.5 % off.
+        for start in [0, 7] {
+            let mut t = trace(vec![0.1, 0.1, 0.1, 0.5]);
+            t.start = start;
+            assert_eq!(t.next_failure(0, Bid(0.2)), Some(start + 900));
+            assert_eq!(t.samples(start + 900, u64::MAX).count(), 1);
+        }
+    }
+
+    /// The reference model of [`SpotTrace::window`]: every sample of the
+    /// trace filtered on its timestamp, which is how each read was answered
+    /// before it became index arithmetic.
+    fn scan(t: &SpotTrace, from: u64, to: u64) -> Vec<(u64, f64)> {
+        t.prices
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &p)| {
+                let ts = t.start + i as u64 * t.step;
+                (ts >= from && ts < to).then_some((ts, p))
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// Every windowed read equals the same read over the scanned
+        /// samples — timestamps exactly, floats to the bit — for windows
+        /// before the start, unaligned to the step, past the end, inverted
+        /// and open-ended.
+        #[test]
+        fn windowed_reads_equal_the_full_scan(
+            (far, near) in (proptest::arbitrary::any::<bool>(), 0u64..5_000),
+            step in 1u64..=700,
+            prices in proptest::collection::vec(0.0f64..1.0, 0..300),
+            (a, b) in (0.0f64..1.0, 0.0f64..1.0),
+            (from_kind, to_kind) in (0u8..8, 0u8..4),
+            bid in 0.0f64..1.0,
+        ) {
+            use proptest::prelude::*;
+            let mut t = trace(prices);
+            t.start = if far { (1 << 62) + near } else { near };
+            t.step = step;
+            // Bounds from two steps before the first sample (when the start
+            // leaves room) to two past the last, to the second.
+            let span = t.duration() + 4 * step;
+            let at = |frac: f64| (t.start + (frac * span as f64) as u64).saturating_sub(2 * step);
+            let from = if from_kind == 0 { u64::MAX } else { at(a) };
+            let to = if to_kind == 0 { u64::MAX } else { at(b) };
+            let bid = Bid(bid);
+
+            let model = scan(&t, from, to);
+            let bits = |v: &[(u64, f64)]| -> Vec<(u64, u64)> {
+                v.iter().map(|&(ts, p)| (ts, p.to_bits())).collect()
+            };
+            prop_assert_eq!(bits(&t.samples(from, to).collect::<Vec<_>>()), bits(&model));
+
+            let mut sum = 0.0;
+            for &(_, p) in &model {
+                sum += p;
+            }
+            let mean = (!model.is_empty()).then(|| sum / model.len() as f64);
+            prop_assert_eq!(t.mean_price(from, to).map(f64::to_bits), mean.map(f64::to_bits));
+
+            let ok = model.iter().filter(|&&(_, p)| bid.covers(p)).count();
+            let avail = if model.is_empty() { 0.0 } else { ok as f64 / model.len() as f64 };
+            prop_assert_eq!(t.availability(from, to, bid).to_bits(), avail.to_bits());
+
+            let first_over = |v: &[(u64, f64)]| v.iter().find(|&&(_, p)| !bid.covers(p)).map(|&(ts, _)| ts);
+            prop_assert_eq!(t.first_failure_in(from, to, bid), first_over(&model));
+            prop_assert_eq!(t.next_failure(from, bid), first_over(&scan(&t, from, u64::MAX)));
+        }
     }
 
     #[test]

@@ -20,6 +20,10 @@
 use crate::spot::{MarketId, SpotTrace};
 use crate::TRACE_STEP;
 
+/// Most samples a parsed trace may hold after resampling: 2^24, which is
+/// 159 years at the 5-minute step, 194 days at one second, 128 MiB of prices.
+pub const MAX_SAMPLES: usize = 1 << 24;
+
 /// Errors from [`parse_csv`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceFileError {
@@ -40,6 +44,10 @@ pub enum TraceFileError {
     },
     /// No data rows were found.
     Empty,
+    /// The resampling step was zero.
+    ZeroStep,
+    /// The rows span more than [`MAX_SAMPLES`] steps.
+    TooLong,
 }
 
 impl std::fmt::Display for TraceFileError {
@@ -51,6 +59,10 @@ impl std::fmt::Display for TraceFileError {
                 write!(f, "line {line}: timestamps must be non-decreasing")
             }
             TraceFileError::Empty => write!(f, "no data rows"),
+            TraceFileError::ZeroStep => write!(f, "resampling step must be at least 1 s"),
+            TraceFileError::TooLong => {
+                write!(f, "rows span more than {MAX_SAMPLES} resampling steps")
+            }
         }
     }
 }
@@ -74,6 +86,9 @@ pub fn parse_csv_with_step(
     content: &str,
     step: u64,
 ) -> Result<SpotTrace, TraceFileError> {
+    if step == 0 {
+        return Err(TraceFileError::ZeroStep);
+    }
     let mut points: Vec<(u64, f64)> = Vec::new();
     for (idx, raw) in content.lines().enumerate() {
         let line_no = idx + 1;
@@ -121,7 +136,12 @@ pub fn parse_csv_with_step(
     // Resample with zero-order hold onto [t0, t_last] at `step`.
     let t0 = points[0].0;
     let t_end = points.last().unwrap().0;
-    let n = ((t_end - t0) / step + 1) as usize;
+    // The last row's timestamp sizes the allocation: bound it first.
+    let last = (t_end - t0) / step;
+    if last >= MAX_SAMPLES as u64 {
+        return Err(TraceFileError::TooLong);
+    }
+    let n = last as usize + 1;
     let mut prices = Vec::with_capacity(n);
     let mut cursor = 0usize;
     for i in 0..n {
@@ -221,6 +241,30 @@ mod tests {
         assert_eq!(
             parse_csv(market(), 0.12, "0,-1.0\n").unwrap_err(),
             TraceFileError::BadValue { line: 1 }
+        );
+    }
+
+    #[test]
+    fn zero_step_is_an_error_not_a_division() {
+        assert_eq!(
+            parse_csv_with_step(market(), 0.12, "0,0.03\n300,0.04\n", 0).unwrap_err(),
+            TraceFileError::ZeroStep
+        );
+    }
+
+    #[test]
+    fn a_far_timestamp_is_an_error_not_an_allocation() {
+        let csv = "0,0.03\n1000000000000000000,0.04\n";
+        assert_eq!(
+            parse_csv(market(), 0.12, csv).unwrap_err(),
+            TraceFileError::TooLong
+        );
+        // The bound itself: a last row MAX_SAMPLES steps out is one sample
+        // too many.
+        let edge = format!("0,0.03\n{MAX_SAMPLES},0.04\n");
+        assert_eq!(
+            parse_csv_with_step(market(), 0.12, &edge, 1).unwrap_err(),
+            TraceFileError::TooLong
         );
     }
 

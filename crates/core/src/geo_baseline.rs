@@ -164,7 +164,7 @@ pub fn simulate_geo_baseline(cfg: &GeoBaselineConfig, markets: &[SpotTrace]) -> 
             let n_rate = (rate / share / per_rate.max(1.0)).ceil();
             let n = n_ram.max(n_rate).max(1.0);
             let bid = Bid::times_od(cfg.bid_multiple, trace.od_price);
-            let failure = trace.next_failure(t, bid).filter(|&tf| tf < t + HOUR);
+            let failure = trace.first_failure_in(t, t + HOUR, bid);
             let billed_until = failure.unwrap_or(t + HOUR);
             let mean_price = trace.mean_price(t, billed_until.max(t + 1)).unwrap_or(0.0);
             let c = mean_price * n * (billed_until - t) as f64 / 3_600.0;

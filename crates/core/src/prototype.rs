@@ -202,9 +202,7 @@ impl Substrate for MinutePrototype {
                 }
                 OfferKind::Spot { bid, .. } => {
                     spot_counts.push((e.offer.label.clone(), e.count));
-                    self.market
-                        .next_failure(t0, *bid)
-                        .filter(|&tf| tf < t0 + HOUR)
+                    self.market.first_failure_in(t0, t0 + HOUR, *bid)
                 }
             };
             live.push(LiveEntry {

@@ -240,7 +240,7 @@ impl Substrate for HourlySim {
                         .iter()
                         .find(|tr| &tr.market == market)
                         .expect("plan references a known market");
-                    let failure = trace.next_failure(t, *bid).filter(|&tf| tf < t + HOUR);
+                    let failure = trace.first_failure_in(t, t + HOUR, *bid);
                     let billed_until = failure.unwrap_or(t + HOUR);
                     let mean_price = trace.mean_price(t, billed_until.max(t + 1)).unwrap_or(0.0);
                     let hours_billed = (billed_until - t) as f64 / 3_600.0;

@@ -185,5 +185,49 @@ mod tests {
                 .map(|f| (f.lifetime.to_bits(), f.avg_price.to_bits()));
             prop_assert_eq!(together, apart);
         }
+
+        /// Nothing a predictor reads depends on the trace's epoch: the same
+        /// prices starting at `S` instead of 0 — `S` on the step grid or
+        /// off it, as `cloud::tracefile` produces — give the same runs and
+        /// the same predictions at `now + S`, to the bit.
+        #[test]
+        fn predictions_do_not_depend_on_the_trace_epoch(
+            prices in proptest::collection::vec(0.01f64..0.6, 1..300),
+            step in 1u64..=700,
+            (shift_steps, shift_off) in (1u64..5_000, 0u64..700),
+            aligned in proptest::arbitrary::any::<bool>(),
+            bid in 0.01f64..0.7,
+            (window_frac, percentile) in (0.0f64..1.5, 0.0f64..=1.0),
+            (from_frac, now_frac) in (0.0f64..1.2, 0.0f64..1.2),
+        ) {
+            use proptest::prelude::*;
+            let mut t = trace(prices);
+            t.step = step;
+            let shift = shift_steps * step + if aligned { 0 } else { shift_off % step };
+            let mut shifted = t.clone();
+            shifted.start = shift;
+            let bid = Bid(bid);
+            let at = |frac: f64| (frac * t.duration() as f64) as u64;
+            let (from, now) = (at(from_frac), at(now_frac));
+            let window = at(window_frac).max(1);
+
+            let runs = |tr: &SpotTrace, by: u64| -> Vec<_> {
+                below_bid_runs(tr, from + by, now + by, bid)
+                    .iter()
+                    .map(|r| (r.start - by, r.len, r.avg_price.to_bits(), r.censored))
+                    .collect()
+            };
+            prop_assert_eq!(runs(&shifted, shift), runs(&t, 0));
+
+            let temporal = TemporalPredictor::new(window, percentile);
+            let cdf = CdfPredictor::new(window);
+            for p in [&temporal as &dyn SpotPredictor, &cdf] {
+                let bits = |tr: &SpotTrace, by: u64| {
+                    p.predict(tr, now + by, bid)
+                        .map(|f| (f.lifetime.to_bits(), f.avg_price.to_bits()))
+                };
+                prop_assert_eq!(bits(&shifted, shift), bits(&t, 0), "{}", p.name());
+            }
+        }
     }
 }
