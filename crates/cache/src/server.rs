@@ -205,11 +205,15 @@ struct Conn {
     /// The interest currently armed in the poller (readable, writable).
     armed_read: bool,
     armed_write: bool,
+    /// `write` calls the kernel refused (`WouldBlock`).
+    #[cfg(test)]
+    refused_writes: usize,
 }
 
 enum ConnState {
-    /// Still open.
-    Open,
+    /// Still open. `yielded`: the pass ended on the reply-buffer bound
+    /// with the socket not known to be drained.
+    Open { yielded: bool },
     /// Finished or failed; the worker drops it.
     Closed,
 }
@@ -224,6 +228,8 @@ impl Conn {
             eof: false,
             armed_read: true,
             armed_write: false,
+            #[cfg(test)]
+            refused_writes: 0,
         }
     }
 
@@ -234,7 +240,13 @@ impl Conn {
             match self.stream.write(&self.pending_out[self.out_cursor..]) {
                 Ok(0) => return false,
                 Ok(n) => self.out_cursor += n,
-                Err(e) if retriable_io(&e) => break,
+                Err(e) if retriable_io(&e) => {
+                    #[cfg(test)]
+                    {
+                        self.refused_writes += 1;
+                    }
+                    break;
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => return false,
             }
@@ -270,7 +282,13 @@ impl Conn {
         )
     }
 
-    /// One readiness pass: flush, read-and-serve, flush.
+    /// One readiness pass: flush, read-and-serve, flush. Reading stops when
+    /// the socket is drained, the peer is back-pressured, or
+    /// [`BUF_RETAIN_MAX`] of replies are waiting: a deep pipeline's replies
+    /// leave while its backlog is still queued, so the client works on them
+    /// while the server works on the rest, and the worker gets back to its
+    /// other connections, the clock and `shutdown`. Level-triggered epoll
+    /// reports the still-readable socket again at once.
     ///
     /// `batch_start` is when the worker's `epoll_wait` returned: its gap to tick entry is the readiness stage of the
     /// per-request latency attribution. The read/write stages sum the
@@ -300,6 +318,11 @@ impl Conn {
         if !timed_flush(self, timing, &mut write_us) {
             return ConnState::Closed;
         }
+        // Bytes left behind: the kernel is refusing, the peer reads slower
+        // than it is served. Ending the pass early would only buy one more
+        // refused write per chunk; such a pass reads on to the cap.
+        let peer_keeps_up = self.out_cursor == self.pending_out.len();
+        let mut yielded = false;
         if !self.eof && self.backpressured(cfg) {
             // The peer is not draining responses: this pass will not read.
             // Emitted as a zero-length marker span so stalls are visible
@@ -343,6 +366,10 @@ impl Conn {
                         // Short read: the socket is drained for now.
                         break;
                     }
+                    if peer_keeps_up && self.pending_out.len() - self.out_cursor >= BUF_RETAIN_MAX {
+                        yielded = true;
+                        break;
+                    }
                 }
                 Err(e) if retriable_io(&e) => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -376,7 +403,7 @@ impl Conn {
         if self.eof && self.out_cursor == self.pending_out.len() {
             ConnState::Closed
         } else {
-            ConnState::Open
+            ConnState::Open { yielded }
         }
     }
 }
@@ -405,6 +432,7 @@ struct ReactorMetrics {
     events: Counter,
     wakeups: Counter,
     rearms: Counter,
+    yields: Counter,
 }
 
 impl ReactorMetrics {
@@ -414,6 +442,7 @@ impl ReactorMetrics {
             events: obs.counter("reactor_events_total"),
             wakeups: obs.counter("reactor_wakeups_total"),
             rearms: obs.counter("reactor_rearms_total"),
+            yields: obs.counter("reactor_yields_total"),
         }
     }
 }
@@ -529,7 +558,12 @@ fn reactor_worker_loop(
                     live -= 1;
                     active.fetch_sub(1, Ordering::SeqCst);
                 }
-                ConnState::Open => {
+                ConnState::Open { yielded } => {
+                    if yielded {
+                        if let Some(m) = &metrics {
+                            m.yields.inc();
+                        }
+                    }
                     let (want_read, want_write) = conn.wants(&cfg);
                     if want_read != conn.armed_read || want_write != conn.armed_write {
                         let rearmed = poller.modify(
@@ -1185,28 +1219,53 @@ mod tests {
         assert_eq!(explicit.effective_workers_for(2), 7);
     }
 
+    /// A `Conn` over one end of a loopback socket pair and the peer's end,
+    /// both non-blocking, ticked by hand: no reactor, no threads.
+    fn conn_and_peer() -> (Conn, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        peer.set_nonblocking(true).unwrap();
+        (Conn::new(stream), peer)
+    }
+
+    /// Stores `value` under `key` the way a protocol `set` with flags 0
+    /// would, so protocol `get`s serve it.
+    fn prefill(store: &Store, key: &str, value: &[u8]) {
+        let framed = crate::protocol::encode_value(0, value);
+        store.set_at(key.as_bytes().to_vec(), framed, 0, None);
+    }
+
+    /// Writes as much of `bytes` as the kernel takes without a reader.
+    fn write_until_refused(peer: &mut TcpStream, bytes: &[u8]) -> usize {
+        let mut written = 0;
+        while written < bytes.len() {
+            match peer.write(&bytes[written..]) {
+                Ok(n) => written += n,
+                Err(e) if retriable_io(&e) => break,
+                Err(e) => panic!("peer write failed: {e}"),
+            }
+        }
+        written
+    }
+
     #[test]
     fn slow_reader_buffers_release_burst_capacity_once_drained() {
         // A slow reader legitimately balloons pending_out up to the
         // backpressure cap; once the peer drains, the burst capacity must
         // be released (the old code retained it for the connection's
         // lifetime — unbounded aggregate memory across many connections).
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (stream, _) = listener.accept().unwrap();
-        stream.set_nonblocking(true).unwrap();
-        peer.set_nonblocking(true).unwrap();
+        let (mut conn, mut peer) = conn_and_peer();
 
         let store = Store::with_capacity(64 << 20);
         let value_len = 8 * 1024;
-        let framed = crate::protocol::encode_value(0, &vec![b'v'; value_len]);
-        store.set_at(b"big".to_vec(), framed, 0, None);
+        prefill(&store, "big", &vec![b'v'; value_len]);
 
         let cfg = ServerConfig {
             max_pending_out: 1 << 20, // 1 MiB backpressure cap
             ..ServerConfig::default()
         };
-        let mut conn = Conn::new(stream);
         let mut buf = vec![0u8; cfg.read_chunk];
 
         // The peer pipelines 2000 gets of an 8 KiB value (≈16 MiB of
@@ -1216,17 +1275,28 @@ mod tests {
         peer.write_all(req.as_bytes()).unwrap();
         std::thread::sleep(Duration::from_millis(20));
         let mut ballooned = 0usize;
+        let mut passes = 0usize;
         for _ in 0..50 {
+            let refused = conn.refused_writes;
             match conn.tick(&store, 0, None, None, &cfg, &mut buf, None) {
-                ConnState::Open => {}
+                ConnState::Open { .. } => {}
                 ConnState::Closed => panic!("connection died while serving"),
             }
+            passes += 1;
+            assert!(
+                conn.refused_writes - refused <= 2,
+                "a pass is refused at most by its opening and its closing flush"
+            );
             ballooned = ballooned.max(conn.pending_out.capacity());
             if conn.backpressured(&cfg) {
                 break;
             }
             std::thread::sleep(Duration::from_millis(5));
         }
+        // One 16 KiB chunk of `get big` lines is ≈ 15 MB of replies: the
+        // first pass alone crosses the cap, as it did before passes ended
+        // on the reply-buffer bound.
+        assert_eq!(passes, 1, "backpressure took {passes} passes to reach");
         assert!(
             ballooned > BUF_RETAIN_MAX,
             "test did not balloon the buffer (capacity {ballooned})"
@@ -1249,7 +1319,7 @@ mod tests {
                 Err(e) => panic!("peer read failed: {e}"),
             }
             match conn.tick(&store, 0, None, None, &cfg, &mut buf, None) {
-                ConnState::Open => {}
+                ConnState::Open { .. } => {}
                 ConnState::Closed => panic!("connection died while draining"),
             }
         }
@@ -1265,6 +1335,195 @@ mod tests {
             "input burst capacity retained: {} bytes",
             conn.pending_in.capacity()
         );
+    }
+
+    #[test]
+    fn deep_pipeline_is_served_in_bounded_passes_byte_for_byte() {
+        // A seeded stream of ≥ 1 MiB: `get`s of 100 B values (≈ 14 reply
+        // bytes per request byte), `set`s whose 8 KiB values straddle
+        // read-chunk boundaries, misses, deletes of live keys. Every
+        // command moves exactly one store counter, so the counters say how
+        // many commands — hence how many reply bytes — a pass has served.
+        let cfg = ServerConfig::default();
+        let mut stream = Vec::new();
+        let mut cmd_end = Vec::new(); // stream offset each command ends at
+        let mut reply_end = vec![0usize]; // reply bytes after n commands
+        let mut doomed = 0usize;
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        while stream.len() < (1 << 20) {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let k = (rng >> 32) % 64;
+            let reply = match rng % 1000 {
+                0..=4 => {
+                    stream.extend_from_slice(format!("set s{k} 0 0 8192\r\n").as_bytes());
+                    stream.resize(stream.len() + 8192, b'a' + k as u8 % 26);
+                    stream.extend_from_slice(b"\r\n");
+                    "STORED\r\n".len()
+                }
+                5..=24 => {
+                    stream.extend_from_slice(format!("get nope{k}\r\n").as_bytes());
+                    "END\r\n".len()
+                }
+                25..=39 => {
+                    stream.extend_from_slice(format!("delete d{doomed}\r\n").as_bytes());
+                    doomed += 1;
+                    "DELETED\r\n".len()
+                }
+                _ => {
+                    stream.extend_from_slice(format!("get g{k}\r\n").as_bytes());
+                    format!("VALUE g{k} 0 100\r\n").len() + 100 + "\r\nEND\r\n".len()
+                }
+            };
+            cmd_end.push(stream.len());
+            reply_end.push(reply_end[reply_end.len() - 1] + reply);
+        }
+        let commands = cmd_end.len();
+
+        let prefilled = || {
+            let store = Store::with_capacity(64 << 20);
+            for k in 0..64 {
+                prefill(&store, &format!("g{k}"), &[b'g'; 100]);
+            }
+            for d in 0..doomed {
+                prefill(&store, &format!("d{d}"), b"x");
+            }
+            store
+        };
+        let executed = |store: &Store| {
+            let st = store.stats();
+            (st.hits + st.misses + st.sets + st.deletes) as usize
+        };
+        let reference = prefilled();
+        let mut expect = Vec::new();
+        assert_eq!(
+            crate::protocol::serve_into(&reference, &stream, 0, &mut expect),
+            stream.len()
+        );
+        assert_eq!(expect.len(), reply_end[commands], "reply-length model");
+
+        let store = prefilled();
+        let base = executed(&store);
+        let (mut conn, mut peer) = conn_and_peer();
+        let mut buf = vec![0u8; cfg.read_chunk];
+        // Queued before the first pass: far more than one pass may serve.
+        let mut sent = write_until_refused(&mut peer, &stream);
+        // The peer keeps up: after every pass it takes each reply byte that
+        // has arrived and tops the socket up with more commands.
+        let mut got = Vec::with_capacity(expect.len());
+        let mut take_replies = |peer: &mut TcpStream| {
+            let mut chunk = [0u8; 64 * 1024];
+            loop {
+                match peer.read(&mut chunk) {
+                    Ok(0) => panic!("server closed mid-stream"),
+                    Ok(n) => got.extend_from_slice(&chunk[..n]),
+                    Err(e) if retriable_io(&e) => break,
+                    Err(e) => panic!("peer read failed: {e}"),
+                }
+            }
+            got.len()
+        };
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut served = 0usize;
+        let (mut passes, mut yields, mut carried) = (0usize, 0usize, 0usize);
+        while served < commands || conn.out_cursor < conn.pending_out.len() {
+            assert!(Instant::now() < deadline, "stalled at {served} commands");
+            // Nothing waiting: the opening flush cannot be refused, so the
+            // reply-buffer bound applies to this pass.
+            let kept_up = conn.pending_out.is_empty();
+            let state = conn.tick(&store, 0, None, None, &cfg, &mut buf, None);
+            let ConnState::Open { yielded } = state else {
+                panic!("connection died at {served} commands");
+            };
+            // The pass read up to `read_to`, its last chunk from at most
+            // `read_chunk` before: what it served ahead of that chunk is
+            // what was waiting when it chose to read on.
+            let served_before = std::mem::replace(&mut served, executed(&store) - base);
+            let read_to = cmd_end[..served].last().unwrap_or(&0) + conn.pending_in.len();
+            let ahead = cmd_end.partition_point(|&e| e + cfg.read_chunk <= read_to);
+            let waiting = reply_end[ahead].saturating_sub(reply_end[served_before]);
+            if kept_up {
+                assert!(
+                    waiting < BUF_RETAIN_MAX,
+                    "pass {passes} read on with {waiting} reply bytes waiting"
+                );
+            }
+            if passes == 0 {
+                assert!(yielded, "the first pass must end on the reply-buffer bound");
+                let queued_still = conn.stream.peek(&mut [0u8; 1]).unwrap();
+                assert_eq!(queued_still, 1, "the first pass drained the socket");
+            }
+            passes += 1;
+            yields += usize::from(yielded);
+            carried += usize::from(!conn.pending_in.is_empty());
+            take_replies(&mut peer);
+            sent += write_until_refused(&mut peer, &stream[sent..]);
+        }
+        assert_eq!(sent, stream.len());
+        assert!(yields > 1, "{yields} yields in {passes} passes");
+        assert!(carried > 0, "no command straddled a pass boundary");
+        assert!(conn.pending_in.is_empty(), "input left unserved");
+        while take_replies(&mut peer) < expect.len() {
+            assert!(Instant::now() < deadline, "replies lost in flight");
+        }
+        assert!(got == expect, "replies diverged from one serve_into call");
+        assert_eq!(store.stats(), reference.stats());
+        assert_eq!(store.len(), reference.len());
+    }
+
+    #[test]
+    fn a_peer_that_stops_reading_costs_no_write_per_chunk() {
+        // 100 B values: a 16 KiB chunk of `get s` lines is ≈ 285 KB of
+        // replies, so passes end on the reply-buffer bound until the
+        // kernel's buffers are full. From then on ending a pass early
+        // would buy one refused write (and one `epoll_wait`) per chunk: a
+        // pass whose opening flush is refused reads on as it always did.
+        let (mut conn, mut peer) = conn_and_peer();
+        let store = Store::with_capacity(64 << 20);
+        prefill(&store, "s", &[b'v'; 100]);
+        let cfg = ServerConfig {
+            max_pending_out: 1 << 20,
+            ..ServerConfig::default()
+        };
+        let mut buf = vec![0u8; cfg.read_chunk];
+        let req = "get s\r\n".repeat(1 << 20);
+        write_until_refused(&mut peer, req.as_bytes());
+
+        // What the worker arms, and how often it would have to change it.
+        let mut armed = (conn.armed_read, conn.armed_write);
+        let mut rearms = 0usize;
+        let mut yields = 0usize;
+        for pass in 0.. {
+            assert!(pass < 100_000, "backpressure never reached");
+            let refused = conn.refused_writes;
+            let state = conn.tick(&store, 0, None, None, &cfg, &mut buf, None);
+            let ConnState::Open { yielded } = state else {
+                panic!("connection died while serving");
+            };
+            // Refused twice = at its opening flush too. Such a pass ends
+            // where it did before the bound existed (socket drained or
+            // cap reached), so backpressure takes no more passes to reach.
+            let refused = conn.refused_writes - refused;
+            assert!(refused <= 2, "pass {pass}: {refused} refused writes");
+            assert!(
+                !(yielded && refused == 2),
+                "pass {pass} yielded to a refusing kernel"
+            );
+            yields += usize::from(yielded);
+            if conn.wants(&cfg) != armed {
+                armed = conn.wants(&cfg);
+                rearms += 1;
+            }
+            if conn.backpressured(&cfg) {
+                break;
+            }
+            std::thread::yield_now();
+        }
+        assert!(yields > 0, "the kernel refused before any pass yielded");
+        // Into write-pending, into backpressure: yields re-arm nothing.
+        assert_eq!(rearms, 2);
+        assert_eq!(armed, (false, true));
     }
 
     #[test]

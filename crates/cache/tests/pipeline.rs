@@ -5,12 +5,14 @@
 //! the bytes that come back or the store state left behind.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use spotcache_cache::protocol::{serve, serve_instrumented_into, serve_into, ProtocolObs};
-use spotcache_cache::server::{CacheServer, LogicalClock, ServerConfig};
+use spotcache_cache::server::{CacheClient, CacheServer, LogicalClock, ServerConfig};
 use spotcache_cache::store::{Store, StoreConfig};
 use spotcache_obs::{Obs, Tracer};
 
@@ -279,4 +281,107 @@ fn hammer(tracer: Option<Arc<Tracer>>) {
     }
     server.stop();
     assert_eq!(server.active_connections(), 0);
+}
+
+/// One worker, two connections: a deep pipeline streams `get`s as fast as
+/// its socket takes them while a neighbour sends one `get` every 2 ms. A
+/// pass over the stream ends once 64 KiB of replies are waiting, so the
+/// worker is back in `epoll_wait` — and at the neighbour — at least once
+/// per (64 KiB + one read chunk's replies) it serves. Gated on those
+/// counts; the latencies are printed (`--nocapture`), not asserted.
+#[test]
+fn a_streaming_connection_does_not_starve_its_neighbour() {
+    const KEY: &str = "a-key-of-thirty-two-bytes-------";
+    const REPLY_BOUND: usize = 64 * 1024; // server::BUF_RETAIN_MAX
+    let cfg = ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    };
+    let command = format!("get {KEY}\r\n");
+    let reply = format!("VALUE {KEY} 0 100\r\n").len() + 100 + "\r\nEND\r\n".len();
+    let per_pass = REPLY_BOUND + (cfg.read_chunk / command.len() + 1) * reply;
+
+    let obs = Arc::new(Obs::new());
+    let mut server = CacheServer::start_full(
+        Arc::new(fresh_store()),
+        LogicalClock::new(),
+        "127.0.0.1:0",
+        cfg,
+        Some(Arc::clone(&obs)),
+        None,
+    )
+    .unwrap();
+    let yields = || obs.counter("reactor_yields_total").get();
+    let waits = || obs.counter("reactor_epoll_waits_total").get();
+
+    let mut paced = CacheClient::connect(server.addr()).unwrap();
+    assert_eq!(paced.set(KEY, &[b'v'; 100], 0).unwrap(), "STORED");
+    let mut pace = |n: usize| {
+        let mut lat: Vec<Duration> = (0..n)
+            .map(|_| {
+                let t0 = Instant::now();
+                assert!(paced.get(KEY).unwrap().is_some());
+                let took = t0.elapsed();
+                std::thread::sleep(Duration::from_millis(2));
+                took
+            })
+            .collect();
+        lat.sort_unstable();
+        (lat[n / 2], lat[n - 1])
+    };
+
+    let alone = pace(50);
+    assert_eq!(yields(), 0, "one reply per pass never fills the buffer");
+
+    let waits_before = waits();
+    let mut tx = TcpStream::connect(server.addr()).unwrap();
+    let mut rx = tx.try_clone().unwrap();
+    let done = AtomicBool::new(false);
+    // The writer gives up by itself, so a failed assertion below unwinds
+    // through the scope instead of waiting on it for ever.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let (beside, stop_took, reply_bytes) = std::thread::scope(|scope| {
+        // Either end may find the socket gone once the server stops.
+        scope.spawn(|| {
+            let batch = command.repeat(1024);
+            while !done.load(Ordering::SeqCst) && Instant::now() < deadline {
+                if tx.write_all(batch.as_bytes()).is_err() {
+                    break;
+                }
+            }
+            let _ = tx.shutdown(Shutdown::Write);
+        });
+        let discard = scope.spawn(|| {
+            let mut chunk = vec![0u8; 256 * 1024];
+            let mut total = 0usize;
+            while let Ok(n @ 1..) = rx.read(&mut chunk) {
+                total += n;
+            }
+            total
+        });
+        while yields() == 0 {
+            assert!(Instant::now() < deadline, "the stream never yielded");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let beside = pace(150);
+        let t0 = Instant::now();
+        server.stop();
+        let stop_took = t0.elapsed();
+        done.store(true, Ordering::SeqCst);
+        (beside, stop_took, discard.join().unwrap())
+    });
+    let passes = waits() - waits_before;
+    println!(
+        "neighbour p50/max: alone {:?}/{:?}, beside the stream {:?}/{:?}; stop() under \
+         the stream {stop_took:?}; {reply_bytes} reply bytes, {passes} epoll_waits, {} yields",
+        alone.0,
+        alone.1,
+        beside.0,
+        beside.1,
+        yields()
+    );
+    assert!(
+        passes as usize >= reply_bytes / per_pass,
+        "{reply_bytes} reply bytes in {passes} passes: over {per_pass} a pass"
+    );
 }
