@@ -80,15 +80,17 @@ impl Bid {
 /// An evenly-sampled spot price trace for one market.
 ///
 /// Sample `i` carries the timestamp `start + i * step`, and a read over
-/// `[from, to)` — [`samples`](Self::samples), [`mean_price`](Self::mean_price),
-/// [`availability`](Self::availability),
+/// `[from, to)` — [`samples`](Self::samples), [`prices_in`](Self::prices_in),
+/// [`mean_price`](Self::mean_price), [`availability`](Self::availability),
 /// [`first_failure_in`](Self::first_failure_in) — sees exactly the samples
 /// whose timestamp lies in that half-open interval, in trace order. The
 /// window's two indices come from arithmetic on `start` and `step`, so a read
 /// costs O(samples in the window) and never O(trace): an hour slot's 7-day
 /// look-back touches 2 016 of a 90-day trace's 25 920 samples, its billing
-/// look-ahead 12. [`next_failure`](Self::next_failure) is open-ended and
-/// stops at the first exceedance; [`price_at`](Self::price_at) is O(1).
+/// look-ahead 12. `prices_in` hands out that window as a slice plus the
+/// first sample's timestamp, for scans that index it directly (the planner's
+/// below-bid run scan). [`next_failure`](Self::next_failure) is open-ended
+/// and stops at the first exceedance; [`price_at`](Self::price_at) is O(1).
 /// `step` must be at least 1.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpotTrace {
@@ -160,14 +162,22 @@ impl SpotTrace {
         (first, &self.prices[first..index(to).max(first)])
     }
 
+    /// The prices over `[from, to)` and the timestamp of the first one:
+    /// price `k` of the slice was sampled at `first + k * step`. The same
+    /// samples as [`samples`](Self::samples), for a loop that indexes them.
+    pub fn prices_in(&self, from: u64, to: u64) -> (u64, &[f64]) {
+        let (first, prices) = self.window(from, to);
+        (self.start + first as u64 * self.step, prices)
+    }
+
     /// Iterates `(timestamp, price)` pairs over `[from, to)`.
     pub fn samples(&self, from: u64, to: u64) -> impl Iterator<Item = (u64, f64)> + '_ {
-        let (first, prices) = self.window(from, to);
-        let (start, step) = (self.start, self.step);
+        let (first, prices) = self.prices_in(from, to);
+        let step = self.step;
         prices
             .iter()
             .enumerate()
-            .map(move |(k, &p)| (start + (first + k) as u64 * step, p))
+            .map(move |(k, &p)| (first + k as u64 * step, p))
     }
 
     /// Average price over `[from, to)`; `None` when the window is empty.
@@ -289,7 +299,8 @@ mod tests {
 
     proptest::proptest! {
         /// Every windowed read equals the same read over the scanned
-        /// samples — timestamps exactly, floats to the bit — for windows
+        /// samples — timestamps exactly, floats to the bit; `prices_in`'s
+        /// slice and first timestamp, indexed, give `samples` — for windows
         /// before the start, unaligned to the step, past the end, inverted
         /// and open-ended.
         #[test]
@@ -317,7 +328,14 @@ mod tests {
             let bits = |v: &[(u64, f64)]| -> Vec<(u64, u64)> {
                 v.iter().map(|&(ts, p)| (ts, p.to_bits())).collect()
             };
-            prop_assert_eq!(bits(&t.samples(from, to).collect::<Vec<_>>()), bits(&model));
+            let samples: Vec<_> = t.samples(from, to).collect();
+            prop_assert_eq!(bits(&samples), bits(&model));
+            let (first, prices) = t.prices_in(from, to);
+            let indexed: Vec<_> = (0..)
+                .map(|k: u64| first + k * step)
+                .zip(prices.iter().copied())
+                .collect();
+            prop_assert_eq!(bits(&indexed), bits(&samples));
 
             let mut sum = 0.0;
             for &(_, p) in &model {

@@ -314,7 +314,7 @@ impl ControlLoop {
         // The OdPeak baseline provisions once for peak with no spot
         // markets and reuses that plan every slot.
         let fixed_plan = match substrate.fixed_peak() {
-            Some(d) => Some(self.controller.plan(&[], 0, self.theta, d.rate, d.wss_gb)?),
+            Some(d) => Some(self.plan(&[], 0, d.rate, d.wss_gb)?),
             None => None,
         };
         substrate.warmup(&mut self.controller);
@@ -348,7 +348,7 @@ impl ControlLoop {
                         Some(p) => p.clone(),
                         None => {
                             let (rate, wss) = self.plan_demand(&obs, forecasting);
-                            self.controller.plan(&refs, t, self.theta, rate, wss)?
+                            self.plan(&refs, t, rate, wss)?
                         }
                     };
                     self.trace_cycle("bid_placement", t, solve_start);
@@ -368,6 +368,26 @@ impl ControlLoop {
             }
         }
         Ok(substrate.finish())
+    }
+
+    /// Plans one slot with the controller and counts the LPs its solve ran
+    /// and skipped into `control_lp_solves_total` /
+    /// `control_lp_skipped_total`.
+    fn plan(
+        &mut self,
+        traces: &[&SpotTrace],
+        t: u64,
+        rate: f64,
+        wss_gb: f64,
+    ) -> Result<SlotPlan, SolveError> {
+        let plan = self.controller.plan(traces, t, self.theta, rate, wss_gb)?;
+        if let Some(o) = &self.obs {
+            o.counter("control_lp_solves_total")
+                .add(u64::from(plan.alloc.lps_solved));
+            o.counter("control_lp_skipped_total")
+                .add(u64::from(plan.alloc.lps_skipped));
+        }
+        Ok(plan)
     }
 
     /// The per-approach planning policy: offline baselines always plan

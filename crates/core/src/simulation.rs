@@ -400,6 +400,8 @@ pub fn simulate_traced(
 mod tests {
     use super::*;
     use spotcache_cloud::tracegen::paper_traces;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     fn quick(approach: Approach) -> SimResult {
         let mut cfg = SimConfig::paper_default(approach, 320_000.0, 60.0, 2.0);
@@ -440,6 +442,98 @@ mod tests {
         let storm = obs.gauge("control_window_revocation_storm").get();
         assert!(storm == 0.0 || storm == 1.0);
         spotcache_obs::export::validate_json(&tracer.chrome_trace_json()).unwrap();
+    }
+
+    /// [`HourlySim`] that also folds every plan it is handed — each
+    /// offer's count and placement, the modelled cost — into an FNV-1a
+    /// fingerprint, and sums the plans' LP counts.
+    struct Fingerprinted {
+        sim: HourlySim,
+        seen: Rc<Cell<(u64, u32, u32)>>,
+    }
+
+    impl Substrate for Fingerprinted {
+        fn schedule(&self) -> Schedule {
+            self.sim.schedule()
+        }
+        fn markets(&self) -> Vec<SpotTrace> {
+            self.sim.markets()
+        }
+        fn warmup(&mut self, controller: &mut GlobalController) {
+            self.sim.warmup(controller);
+        }
+        fn plans_from_forecast(&self) -> bool {
+            self.sim.plans_from_forecast()
+        }
+        fn observe(&mut self, t: u64) -> Observation {
+            self.sim.observe(t)
+        }
+        fn act(
+            &mut self,
+            t: u64,
+            slot: u64,
+            plan: &SlotPlan,
+            obs: &Observation,
+        ) -> Vec<SubstrateEvent> {
+            let (mut h, solved, skipped) = self.seen.get();
+            let mut fold = |v: u64| h = (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+            for e in &plan.alloc.entries {
+                e.offer.label.bytes().for_each(|b| fold(u64::from(b)));
+                fold(u64::from(e.count));
+                fold(e.hot_frac.to_bits());
+                fold(e.cold_frac.to_bits());
+            }
+            fold(plan.alloc.cost.to_bits());
+            self.seen.set((
+                h,
+                solved + plan.alloc.lps_solved,
+                skipped + plan.alloc.lps_skipped,
+            ));
+            self.sim.act(t, slot, plan, obs)
+        }
+        fn finish(self: Box<Self>) -> ControlMetrics {
+            Box::new(self.sim).finish()
+        }
+    }
+
+    /// The count walk skips only LPs that could not have helped: on 21
+    /// days of the paper's traces at `plan_90d`'s workload each of the five
+    /// planning approaches skips some (`AllocationPlan::lps_skipped`), and
+    /// every slot's plan is the one the walk that solved them all produced
+    /// — the fingerprints were taken at PR 24's commit, the last whose walk
+    /// never skipped. (Debug builds also re-solve each skipped LP at the
+    /// skip.)
+    #[test]
+    fn the_count_walk_skips_only_lps_that_would_fail() {
+        #[rustfmt::skip]
+        let golden = [
+            (Approach::Prop,         0xc04f_d64e_d2ce_9482u64),
+            (Approach::PropNoBackup, 0xc04f_d64e_d2ce_9482),
+            (Approach::OdSpotSep,    0x095d_3134_7d98_9984),
+            (Approach::OdSpotCdf,    0x7e31_6ba9_d60c_e040),
+            (Approach::OdOnly,       0x3048_a992_21a0_efdb),
+        ];
+        for (approach, fingerprint) in golden {
+            let mut cfg = SimConfig::paper_default(approach, 500_000.0, 100.0, 0.99);
+            cfg.days = 21;
+            let seen = Rc::new(Cell::new((0xcbf2_9ce4_8422_2325, 0, 0)));
+            let substrate = Fingerprinted {
+                sim: HourlySim::new(cfg.clone(), paper_traces(21)),
+                seen: Rc::clone(&seen),
+            };
+            let r = ControlLoop::new(GlobalController::new(cfg.controller), cfg.theta)
+                .run(substrate)
+                .unwrap();
+            let (h, solved, skipped) = seen.get();
+            let replans = r.slots.len() as f64;
+            println!(
+                "{approach:?}: {:.2} LPs solved and {:.2} skipped a replan, fingerprint {h:#x}",
+                f64::from(solved) / replans,
+                f64::from(skipped) / replans,
+            );
+            assert!(skipped > 0, "{approach:?} skipped no LP");
+            assert_eq!(h, fingerprint, "{approach:?}");
+        }
     }
 
     #[test]

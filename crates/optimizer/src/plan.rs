@@ -51,6 +51,15 @@ pub struct AllocationPlan {
     pub cost: f64,
     /// Slot length, hours.
     pub slot_hours: f64,
+    /// LPs the solve ran: the relaxation, the rounded-up counts and every
+    /// count-walk step it did not skip. 0 for a plan built with
+    /// [`Self::new`].
+    pub lps_solved: u32,
+    /// Count-walk steps the solve skipped unsolved because their counts'
+    /// RAM or rate, in total or on the on-demand or spot offers, fell short
+    /// of what the LP demands there — each an LP that could only have come
+    /// back infeasible.
+    pub lps_skipped: u32,
 }
 
 impl AllocationPlan {
@@ -60,6 +69,8 @@ impl AllocationPlan {
             entries,
             cost,
             slot_hours,
+            lps_solved: 0,
+            lps_skipped: 0,
         }
     }
 

@@ -12,13 +12,18 @@
 //! [`ProcurementProblem::solve`] relaxes the integer counts to an LP
 //! (solved exactly by [`crate::simplex`]), rounds counts up, re-optimizes
 //! the placement with counts fixed, then walks counts downward while the
-//! fixed-count LP stays feasible and cheaper.
+//! fixed-count LP stays feasible and cheaper — without solving the LPs
+//! whose counts already lack the RAM or rate the LP's rows demand.
 
 use spotcache_cloud::catalog::InstanceType;
 use spotcache_cloud::spot::{Bid, MarketId};
 
 use crate::plan::{AllocationPlan, PlanEntry};
 use crate::simplex::{Constraint, LinearProgram, LpError};
+
+/// The phase-1 objective a capacity shortfall must force before the count
+/// walk skips its LP (see [`ProcurementProblem::capacity_short`]).
+const PHASE1_MARGIN: f64 = 1e-6;
 
 /// How an offer procures capacity.
 #[derive(Debug, Clone, PartialEq)]
@@ -420,6 +425,73 @@ impl ProcurementProblem {
         Some((x, y, s.objective))
     }
 
+    /// Whether `counts` fall short of the workload by more than the
+    /// fixed-count LP could absorb, so [`Self::solve_fixed_counts`] can
+    /// only return `None`. The necessary conditions are sums of that LP's
+    /// RAM and rate rows over a group of offers:
+    ///
+    /// * all offers hold the hot and cold mass: Σ n·m ≥ M̂·(H + (α−H)) and
+    ///   Σ n·λ^{sb} ≥ r_h·H + r_c·(α−H);
+    /// * on-demand offers hold the ζ floor, Σ_{OD} n·m ≥ M̂·ζ·α, and, when
+    ///   hot data is kept off spot, the hot mass (RAM and rate);
+    /// * when cold data is kept off on-demand, spot offers hold the cold
+    ///   mass (RAM and rate),
+    ///
+    /// with α−H read as 0 when the LP drops the cold mass (≤ 1e-12). A
+    /// shortfall leaves the hot or cold equality or the floor to phase 1's
+    /// artificials, which must then sum to at least the shortfall over the
+    /// largest coefficient of the rows summed — the factor
+    /// [`crate::simplex`] equilibrates each of those rows by, so the bound
+    /// is in the solver's own units. A check fails only when that bound
+    /// exceeds 1e-6, ten times the 1e-7 phase-1 objective above which the
+    /// solver reports infeasible. At the controller's α = 1 the row scales
+    /// are within a factor of two of the total needs; for the ζ = 0.1 floor
+    /// a margin relative to the need would bound the artificial by exactly
+    /// 1e-7, no margin at all.
+    fn capacity_short(&self, counts: &[u32]) -> bool {
+        let w = &self.workload;
+        let (r_h, r_c) = self.rate_coefficients();
+        let cold_span = (w.alpha - w.hot_frac).max(0.0);
+        let (cold, c_scale) = if cold_span > 1e-12 {
+            (cold_span, cold_span)
+        } else {
+            (0.0, 1.0)
+        };
+        // (RAM, rate) the counts provide on on-demand and on spot offers.
+        let (mut od, mut spot) = ((0.0, 0.0), (0.0, 0.0));
+        for (offer, &n) in self.offers.iter().zip(counts) {
+            let group = if offer.kind.is_spot() {
+                &mut spot
+            } else {
+                &mut od
+            };
+            group.0 += n as f64 * offer.usable_ram_gb;
+            group.1 += n as f64 * offer.max_rate;
+        }
+        let any_spot = self.offers.iter().any(|o| o.kind.is_spot());
+        let (ram_scale, rate_scale) = (
+            w.wss_gb * w.hot_frac.max(c_scale),
+            (r_h * w.hot_frac).max(r_c * c_scale),
+        );
+        // Whether `(ram, rate)` cannot hold `hot` and `cold` fractions of
+        // the working set, or a `floor` fraction of it in RAM.
+        let short = |(ram, rate): (f64, f64), hot: f64, cold: f64, floor: f64| {
+            w.wss_gb * (hot + cold).max(floor) - ram > PHASE1_MARGIN * ram_scale
+                || r_h * hot + r_c * cold - rate > PHASE1_MARGIN * rate_scale
+        };
+        let only_if = |forced: bool, frac: f64| if forced && any_spot { frac } else { 0.0 };
+        // A ζ ≤ 0 floor is below any need, as its missing row is.
+        let zeta_floor = self.cost.zeta * w.alpha;
+        short((od.0 + spot.0, od.1 + spot.1), w.hot_frac, cold, 0.0)
+            || short(
+                od,
+                only_if(self.force_hot_on_od, w.hot_frac),
+                0.0,
+                zeta_floor,
+            )
+            || short(spot, 0.0, only_if(self.force_cold_on_spot, cold), 0.0)
+    }
+
     /// Total cost of a candidate `(counts, placement_cost)` solution.
     fn total_cost(&self, counts: &[u32], placement_cost: f64) -> f64 {
         let mut c = placement_cost;
@@ -439,13 +511,16 @@ impl ProcurementProblem {
             .map(|o| (relaxed[2 * k + o] - 1e-9).ceil().max(0.0) as u32)
             .collect();
 
-        let (mut x, mut y, mut place_cost) = self
+        let (mut x, mut y, place_cost) = self
             .solve_fixed_counts(&counts)
             .ok_or(SolveError::Infeasible)?;
         let mut best = self.total_cost(&counts, place_cost);
+        let (mut lps_solved, mut lps_skipped) = (2, 0);
 
         // Walk counts downward while it helps (the rounding-up step can
-        // leave slack, especially with many small offers).
+        // leave slack, especially with many small offers). A step whose
+        // counts are too short to carry the workload is skipped unsolved,
+        // exactly as if its LP had come back infeasible.
         let mut improved = true;
         let mut guard = 0;
         while improved && guard < 10 * k + 20 {
@@ -456,13 +531,23 @@ impl ProcurementProblem {
                     continue;
                 }
                 counts[o] -= 1;
-                if let Some((nx, ny, npc)) = self.solve_fixed_counts(&counts) {
+                let fixed = if self.capacity_short(&counts) {
+                    debug_assert!(
+                        self.solve_fixed_counts(&counts).is_none(),
+                        "skipped a feasible fixed-count LP at {counts:?}"
+                    );
+                    lps_skipped += 1;
+                    None
+                } else {
+                    lps_solved += 1;
+                    self.solve_fixed_counts(&counts)
+                };
+                if let Some((nx, ny, npc)) = fixed {
                     let cost = self.total_cost(&counts, npc);
                     if cost < best - 1e-9 {
                         best = cost;
                         x = nx;
                         y = ny;
-                        place_cost = npc;
                         improved = true;
                         continue;
                     }
@@ -470,7 +555,6 @@ impl ProcurementProblem {
                 counts[o] += 1;
             }
         }
-        let _ = place_cost;
 
         let entries = (0..k)
             .map(|o| PlanEntry {
@@ -480,7 +564,11 @@ impl ProcurementProblem {
                 cold_frac: y[o].max(0.0),
             })
             .collect();
-        Ok(AllocationPlan::new(entries, best, self.cost.slot_hours))
+        Ok(AllocationPlan {
+            lps_solved,
+            lps_skipped,
+            ..AllocationPlan::new(entries, best, self.cost.slot_hours)
+        })
     }
 }
 
@@ -766,6 +854,125 @@ mod tests {
             empty.solve().unwrap_err(),
             SolveError::BadInput(_)
         ));
+    }
+
+    proptest::proptest! {
+        /// The count walk's skip is sound: whenever `capacity_short` says
+        /// the counts cannot carry the workload, the fixed-count LP is
+        /// infeasible. 1–15 on-demand and spot offers, α ∈ {1, 0.6}, H from
+        /// 1e-7 to α (cold span 0 and ≤ 1e-12 included), ζ ∈ {0, 0.1, 0.5},
+        /// both separation flags; seven eighths of the cases move one RAM
+        /// or rate need to the counts' capacity — within 1e-9 relative,
+        /// where a margin on the wrong side of the solver's tolerance would
+        /// skip a feasible LP, or 1e-5 and 1e-3 short, where the skip must
+        /// fire. Then the whole walk, whose debug assertion re-solves every
+        /// skipped LP. (α itself near 1e-7 with the cold mass dropped is left
+        /// out: the LP then keeps `Y` coefficients of M̂ beside `X`'s M̂·H,
+        /// and the solver accepts counts 0.4 % short of the rate; the
+        /// controller's α is 1.)
+        #[test]
+        fn a_skipped_count_walk_step_is_an_infeasible_lp(
+            offers in proptest::collection::vec(
+                (proptest::arbitrary::any::<bool>(), 0.5f64..250.0, 0.0f64..60_000.0, 0.0f64..5.0, 0u32..20, 0u32..12),
+                1..=15,
+            ),
+            (hot_kind, half_alpha, f_hot, f_cold) in (0u8..6, proptest::arbitrary::any::<bool>(), 0.01f64..=1.0, 0.0f64..=1.0),
+            (rate, wss_gb) in (0.0f64..500_000.0, 1.0f64..500.0),
+            (zeta_kind, force_hot_on_od, force_cold_on_spot) in (0u8..3, proptest::arbitrary::any::<bool>(), proptest::arbitrary::any::<bool>()),
+            (bound, rel_kind) in (0u8..8, 0u8..6),
+        ) {
+            use proptest::prelude::*;
+            let itype = find_type("m4.large").unwrap();
+            let counts: Vec<u32> = offers.iter().map(|o| o.5).collect();
+            let offers: Vec<Offer> = offers
+                .iter()
+                .enumerate()
+                .map(|(i, &(spot, ram, max_rate, price, existing, _))| Offer {
+                    label: format!("o{i}"),
+                    itype,
+                    kind: if spot {
+                        OfferKind::Spot {
+                            market: MarketId::new("m4.large", format!("z{i}")),
+                            bid: Bid(price),
+                        }
+                    } else {
+                        OfferKind::OnDemand
+                    },
+                    price,
+                    lifetime_hours: if spot { 0.05 + 40.0 * price } else { f64::INFINITY },
+                    existing,
+                    max_rate,
+                    usable_ram_gb: ram,
+                })
+                .collect();
+            let alpha = if half_alpha { 0.6 } else { 1.0 };
+            let hot_frac = [1e-7, 1e-4, 0.1, 0.5, alpha, alpha - 1e-13][hot_kind as usize];
+            let mut p = ProcurementProblem {
+                offers,
+                workload: WorkloadForecast {
+                    rate,
+                    wss_gb,
+                    alpha,
+                    hot_frac,
+                    f_hot,
+                    f_alpha: f_hot + (1.0 - f_hot) * f_cold,
+                },
+                cost: CostModel {
+                    zeta: [0.0, 0.1, 0.5][zeta_kind as usize],
+                    ..CostModel::paper_default()
+                },
+                force_hot_on_od,
+                force_cold_on_spot,
+            };
+
+            // Move one need to its group's capacity times `1 + rel`: all
+            // offers' RAM or rate, the on-demand offers' ζ floor, hot RAM or
+            // hot rate, the spot offers' cold RAM or cold rate.
+            let rel = [-1e-9, 0.0, 1e-9, 1e-5, 1e-3, -1e-5][rel_kind as usize];
+            let capacity = |spot: Option<bool>, ram: bool| -> f64 {
+                p.offers
+                    .iter()
+                    .zip(&counts)
+                    .filter(|(o, _)| spot.is_none_or(|s| o.kind.is_spot() == s))
+                    .map(|(o, &n)| n as f64 * if ram { o.usable_ram_gb } else { o.max_rate })
+                    .sum()
+            };
+            let cold = if alpha - hot_frac > 1e-12 { alpha - hot_frac } else { 0.0 };
+            // `rate_coefficients` per unit of λ̂.
+            let r_h = f_hot / hot_frac;
+            let r_c = if cold > 0.0 { (p.workload.f_alpha - f_hot) / cold } else { 0.0 };
+            // (capacity, need per unit of M̂ or λ̂, whether it is a rate)
+            let (have, per_unit, is_rate) = match bound {
+                1 => (capacity(None, true), hot_frac + cold, false),
+                2 => (capacity(None, false), r_h * hot_frac + r_c * cold, true),
+                3 => (capacity(Some(false), true), p.cost.zeta * alpha, false),
+                4 => (capacity(Some(false), true), hot_frac, false),
+                5 => (capacity(Some(false), false), r_h * hot_frac, true),
+                6 => (capacity(Some(true), true), cold, false),
+                7 => (capacity(Some(true), false), r_c * cold, true),
+                _ => (0.0, 0.0, false),
+            };
+            if have > 0.0 && per_unit > 0.0 {
+                let need = have * (1.0 + rel) / per_unit;
+                if is_rate {
+                    p.workload.rate = need;
+                } else {
+                    p.workload.wss_gb = need;
+                }
+            }
+            prop_assert!(p.validate().is_ok());
+            if p.capacity_short(&counts) {
+                prop_assert!(
+                    p.solve_fixed_counts(&counts).is_none(),
+                    "skipped a feasible LP: bound {} rel {} counts {:?}",
+                    bound,
+                    rel,
+                    counts
+                );
+            }
+            // The whole walk, with its debug assertion at every skip.
+            let _ = p.solve();
+        }
     }
 
     #[test]

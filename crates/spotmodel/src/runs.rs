@@ -34,37 +34,49 @@ impl Run {
 /// whether to include them (the lifetime model does: dropping long censored
 /// runs would bias the lifetime distribution pessimistically).
 pub fn below_bid_runs(trace: &SpotTrace, from: u64, to: u64, bid: Bid) -> Vec<Run> {
+    let (first, prices) = trace.prices_in(from, to);
     let mut runs = Vec::new();
-    let mut current: Option<(u64, f64, u64)> = None; // (start, price_sum, count)
-    let step = trace.step;
-    for (t, p) in trace.samples(from, to) {
-        if bid.covers(p) {
-            match &mut current {
-                Some((_, sum, n)) => {
-                    *sum += p;
-                    *n += 1;
-                }
-                None => current = Some((t, p, 1)),
-            }
-        } else if let Some((start, sum, n)) = current.take() {
-            runs.push(Run {
-                start,
-                len: n * step,
-                avg_price: sum / n as f64,
-                censored: start <= from, // left-censored if it began at the window edge
-            });
+    scan_runs(prices, first, trace.step, from, bid, &mut runs);
+    runs
+}
+
+/// Appends to `runs` the below-bid runs of `prices`, whose first sample is
+/// at `first` and the rest `step` apart, flagging a run censored when it
+/// began at or before `from` or reaches the end of the slice.
+///
+/// The scan is its own never-inlined function filling a caller's `Vec` on
+/// purpose. The same index loop pushing into a `Vec` its own function owns
+/// — or this one inlined into [`below_bid_runs`] — measured 6.3–6.6 µs a
+/// 2 016-sample window, as slow as the `Option`-state scan over
+/// `samples()` it replaced; here it is 1.55–1.8 µs, fresh `Vec` per call
+/// included. That is codegen, not the allocation. The additions themselves
+/// are the dependent chain the results pin (a run's first price, then the
+/// rest in order): a bare `sum += p` over the same slice is 1.46 µs,
+/// ≈ 0.73 ns a sample.
+#[inline(never)]
+fn scan_runs(prices: &[f64], first: u64, step: u64, from: u64, bid: Bid, runs: &mut Vec<Run>) {
+    let mut i = 0;
+    while i < prices.len() {
+        if !bid.covers(prices[i]) {
+            i += 1;
+            continue;
         }
-    }
-    if let Some((start, sum, n)) = current {
-        // Right-censored: still running at the window end.
+        let begin = i;
+        let mut sum = prices[i];
+        i += 1;
+        while i < prices.len() && bid.covers(prices[i]) {
+            sum += prices[i];
+            i += 1;
+        }
+        let n = (i - begin) as u64;
+        let start = first + begin as u64 * step;
         runs.push(Run {
             start,
             len: n * step,
             avg_price: sum / n as f64,
-            censored: true,
+            censored: start <= from || i == prices.len(),
         });
     }
-    runs
 }
 
 /// The run in progress at time `t` (price at `t` must be at or below `bid`),
@@ -157,6 +169,90 @@ mod tests {
         assert!(residual_run(&t, 900, Bid(0.1)).is_none()); // price above bid
         let r2 = residual_run(&t, 1_200, Bid(0.1)).unwrap();
         assert!(r2.censored); // runs to trace end
+    }
+
+    /// The scan [`below_bid_runs`] was before it indexed the window slice:
+    /// one optional run in progress, fed `(timestamp, price)` pairs.
+    fn reference(trace: &SpotTrace, from: u64, to: u64, bid: Bid) -> Vec<Run> {
+        let mut runs = Vec::new();
+        let mut current: Option<(u64, f64, u64)> = None; // (start, price_sum, count)
+        let step = trace.step;
+        for (t, p) in trace.samples(from, to) {
+            if bid.covers(p) {
+                match &mut current {
+                    Some((_, sum, n)) => {
+                        *sum += p;
+                        *n += 1;
+                    }
+                    None => current = Some((t, p, 1)),
+                }
+            } else if let Some((start, sum, n)) = current.take() {
+                runs.push(Run {
+                    start,
+                    len: n * step,
+                    avg_price: sum / n as f64,
+                    censored: start <= from,
+                });
+            }
+        }
+        if let Some((start, sum, n)) = current {
+            runs.push(Run {
+                start,
+                len: n * step,
+                avg_price: sum / n as f64,
+                censored: true,
+            });
+        }
+        runs
+    }
+
+    proptest::proptest! {
+        /// The index scan finds the reference scan's runs — start, length,
+        /// censoring exactly, mean price to the bit — on traces starting
+        /// near 0 or past 2^62, for windows before the start, inside,
+        /// past the end, inverted and open-ended, with prices exactly at
+        /// the bid, inside and just outside `covers`' 1e-12 tolerance, and
+        /// with windows that the bid covers entirely or not at all.
+        #[test]
+        fn the_index_scan_equals_the_reference_scan(
+            (far, near) in (proptest::arbitrary::any::<bool>(), 0u64..5_000),
+            step in 1u64..=700,
+            samples in proptest::collection::vec((0u8..6, 0.0f64..1.0), 0..300),
+            (bid, cover) in (0.0f64..1.0, 0u8..4),
+            (a, b) in (0.0f64..1.0, 0.0f64..1.0),
+            (from_kind, to_kind) in (0u8..8, 0u8..4),
+        ) {
+            use proptest::prelude::*;
+            let prices = samples
+                .iter()
+                .map(|&(kind, p)| match (cover, kind) {
+                    (0, _) => p * bid,
+                    (1, _) => bid + 1e-9 + p,
+                    (_, 0) => bid,
+                    (_, 1) => bid + 0.5e-12,
+                    (_, 2) => bid + 2e-12,
+                    _ => p,
+                })
+                .collect();
+            let mut t = trace(prices);
+            t.start = if far { (1 << 62) + near } else { near };
+            t.step = step;
+            let span = t.duration() + 4 * step;
+            let at = |frac: f64| (t.start + (frac * span as f64) as u64).saturating_sub(2 * step);
+            let from = if from_kind == 0 { u64::MAX } else { at(a) };
+            let to = if to_kind == 0 { u64::MAX } else { at(b) };
+            let bid = Bid(bid);
+
+            let key = |runs: Vec<Run>| -> Vec<(u64, u64, u64, bool)> {
+                runs.iter()
+                    .map(|r| (r.start, r.len, r.avg_price.to_bits(), r.censored))
+                    .collect()
+            };
+            prop_assert_eq!(
+                key(below_bid_runs(&t, from, to, bid)),
+                key(reference(&t, from, to, bid))
+            );
+        }
     }
 
     #[test]

@@ -79,6 +79,8 @@ fn snapshot_covers_all_instrumented_layers() {
     let prom = obs.prometheus_text();
     for series in [
         "control_replans_total",
+        "control_lp_solves_total",
+        "control_lp_skipped_total",
         "control_plan_cost_dollars",
         "control_zeta",
         "control_bids_total",
