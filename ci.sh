@@ -222,7 +222,11 @@ echo "    results gate: ${gate_s} s wall (measured 27-28 s on the 2-core host, b
 # its server.busy_frac / server.epoll_waits_per_op, which are printed
 # (≈ 0.97 and ≈ 0.005 when passes end on the reply-buffer bound and the two
 # sides overlap, ≈ 0.8 and ≈ 0.0015 when they take turns): two seconds on a
-# shared host is not a gate.
+# shared host is not a gate. The same two are printed for paced_get and
+# revocation, whose depth-1 round trips are where a worker polls before it
+# parks: server.busy_frac ≈ 0.99 on paced_get and ≈ 1.1 on revocation (all
+# three nodes) while the polls catch the requests, ≈ 0.45 and ≈ 0.63 when
+# every request has to wake a parked worker.
 # pipelined_mix holds the read path to the same count (0.0999 per command,
 # all of it the 10 % sets' values: staging a hit's bytes must not
 # allocate) and to a touch log that never overflows. plan_90d holds seed
@@ -246,8 +250,9 @@ assert doc["failed"] == 0, "%s: %d failed operations" % (sys.argv[1], doc["faile
 if sys.argv[1] == "write_evict":
     allocs = doc["metrics"]["protocol.allocs_per_op"]["value"]
     assert allocs <= 0.55, "write_evict: %.4f allocations per command, over 0.55" % allocs
-    print("    write_evict: server.busy_frac %.3f, server.epoll_waits_per_op %.4f" % tuple(
-        doc["metrics"][m]["value"] for m in ("server.busy_frac", "server.epoll_waits_per_op")))
+if sys.argv[1] in ("paced_get", "write_evict", "revocation"):
+    print("    %s: server.busy_frac %.3f, server.epoll_waits_per_op %.4f" % ((sys.argv[1],) + tuple(
+        doc["metrics"][m]["value"] for m in ("server.busy_frac", "server.epoll_waits_per_op"))))
 if sys.argv[1] == "pipelined_mix":
     allocs = doc["metrics"]["protocol.allocs_per_op"]["value"]
     assert allocs <= 0.11, "pipelined_mix: %.4f allocations per command, over 0.11" % allocs

@@ -12,10 +12,17 @@
 //!
 //! Design constraints, in order:
 //!
-//! * **Zero cost while idle.** A [`Poller::wait`] with a negative timeout
-//!   blocks in the kernel until a registered fd becomes ready or a
-//!   [`WakeFd`] is poked — an idle event loop consumes no CPU at all,
-//!   unlike the spin-then-sleep polling it replaces.
+//! * **Zero cost while idle; polling only while it pays.** A
+//!   [`Poller::wait`] with a negative timeout blocks in the kernel until a
+//!   registered fd becomes ready or a [`WakeFd`] is poked — an idle event
+//!   loop consumes no CPU at all. [`Poller::wait_polled`] first polls for
+//!   up to a [`PollWindow`], so a request arriving a few microseconds
+//!   after the last reply finds its worker awake instead of waking a
+//!   halted CPU. The window is the guest haltpoll governor's rule: it
+//!   opens only while idle gaps stay at or under [`POLL_MAX`] (200 µs),
+//!   is bounded by it, and closes by itself once gaps grow longer — a
+//!   server whose arrivals are more than 200 µs apart never polls, and
+//!   an idle one still parks at zero cost.
 //! * **Deterministic wakeup.** [`WakeFd::wake`] makes the next (or the
 //!   current) `epoll_wait` return; it cannot be missed the way a
 //!   best-effort "nudge connection" can. Wakes coalesce (an eventfd is a
@@ -34,6 +41,7 @@
 
 use std::io;
 use std::os::unix::io::RawFd;
+use std::time::{Duration, Instant};
 
 /// Raw syscall bindings (libc symbols; no external crate).
 mod sys {
@@ -302,12 +310,100 @@ impl Poller {
             }
         }
     }
+
+    /// Polls for up to `window` — `epoll_wait` with timeout 0, then
+    /// [`std::thread::yield_now`] so any runnable thread on this CPU gets
+    /// it — and blocks as [`wait(events, -1)`](Self::wait) only once the
+    /// window has elapsed without events; a closed window is exactly that
+    /// blocking wait. Then feeds the wait's idle time (its start to its
+    /// events) to `window`'s rule.
+    pub fn wait_polled(&self, events: &mut Events, window: &mut PollWindow) -> io::Result<Woke> {
+        let start = Instant::now();
+        let limit = window.get();
+        let mut polled = Duration::ZERO;
+        if !limit.is_zero() {
+            loop {
+                if self.wait(events, 0)? > 0 {
+                    window.observe(start.elapsed());
+                    return Ok(Woke::Polled);
+                }
+                polled = start.elapsed();
+                if polled >= limit {
+                    break;
+                }
+                std::thread::yield_now();
+            }
+        }
+        self.wait(events, -1)?;
+        window.observe(start.elapsed());
+        Ok(Woke::Parked { polled })
+    }
 }
 
 impl Drop for Poller {
     fn drop(&mut self) {
         unsafe { sys::close(self.epfd) };
     }
+}
+
+/// Longest a [`PollWindow`] grows to, and the idle gap past which it
+/// shrinks: the guest haltpoll governor's `guest_halt_poll_ns`.
+pub const POLL_MAX: Duration = Duration::from_micros(200);
+
+/// What a closed [`PollWindow`] opens to, and below which a shrinking one
+/// closes: haltpoll's `guest_halt_poll_grow_start`.
+pub const POLL_GROW_START: Duration = Duration::from_micros(50);
+
+/// How long a worker polls before it parks: the guest haltpoll
+/// governor's `adjust_poll_limit` (grow ×2, shrink ÷2), moved into user
+/// space.
+///
+/// Starts closed (zero). After every wait, [`observe`](Self::observe)
+/// gets the wait's idle time:
+///
+/// * `window < idle ≤ POLL_MAX`: a longer poll would have caught that
+///   arrival, so the window doubles, to at least [`POLL_GROW_START`] and
+///   at most [`POLL_MAX`];
+/// * `idle > POLL_MAX`: parking was right, so the window halves, and
+///   closes once it would fall below [`POLL_GROW_START`] (as the host's
+///   KVM halt polling does), so three long gaps close a full window;
+/// * otherwise (a poll caught the events) it stays.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PollWindow(Duration);
+
+impl PollWindow {
+    /// The current window; zero when closed.
+    pub fn get(self) -> Duration {
+        self.0
+    }
+
+    /// Applies the rule to one wait's idle time.
+    pub fn observe(&mut self, idle: Duration) {
+        if idle > POLL_MAX {
+            let halved = self.0 / 2;
+            self.0 = if halved < POLL_GROW_START {
+                Duration::ZERO
+            } else {
+                halved
+            };
+        } else if idle > self.0 {
+            self.0 = (self.0 * 2).clamp(POLL_GROW_START, POLL_MAX);
+        }
+    }
+}
+
+/// How a [`Poller::wait_polled`] found its events.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Woke {
+    /// A zero-timeout poll inside the window caught them: no park, no
+    /// wake-up.
+    Polled,
+    /// The worker parked after polling for `polled` (zero when the
+    /// window was closed).
+    Parked {
+        /// Time spent polling before the park.
+        polled: Duration,
+    },
 }
 
 /// A cross-thread wakeup channel for a [`Poller`]: an eventfd registered
@@ -362,13 +458,51 @@ impl Drop for WakeFd {
     }
 }
 
+#[cfg(test)]
+mod window_tests {
+    use super::*;
+
+    fn us(n: u64) -> Duration {
+        Duration::from_micros(n)
+    }
+
+    #[test]
+    fn the_window_follows_the_haltpoll_rule() {
+        let mut w = PollWindow::default();
+        assert_eq!(w.get(), Duration::ZERO);
+        // A short gap opens a closed window to the grow start.
+        w.observe(us(30));
+        assert_eq!(w.get(), us(50));
+        // Gaps the window missed double it, up to the cap.
+        w.observe(us(60));
+        assert_eq!(w.get(), us(100));
+        w.observe(us(150));
+        assert_eq!(w.get(), us(200));
+        w.observe(us(200));
+        assert_eq!(w.get(), us(200), "the cap holds");
+        // A gap the window covered changes nothing.
+        w.observe(us(120));
+        w.observe(Duration::ZERO);
+        assert_eq!(w.get(), us(200));
+        // A long gap halves it; below the grow start it closes.
+        w.observe(us(1_000));
+        assert_eq!(w.get(), us(100));
+        w.observe(us(201));
+        assert_eq!(w.get(), us(50));
+        w.observe(us(1_000));
+        assert_eq!(w.get(), Duration::ZERO);
+        // Closed, long gaps keep it closed: such a server never polls.
+        w.observe(us(2_000));
+        assert_eq!(w.get(), Duration::ZERO);
+    }
+}
+
 #[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
     use std::os::unix::io::AsRawFd;
-    use std::time::{Duration, Instant};
 
     #[test]
     fn wakefd_interrupts_a_blocking_wait() {
@@ -393,6 +527,50 @@ mod tests {
         wake.wake();
         wake.wake();
         assert_eq!(poller.wait(&mut events, 0).unwrap(), 1);
+        t.join().unwrap();
+    }
+
+    #[test]
+    fn a_polled_wait_polls_its_window_then_parks() {
+        let poller = Poller::new().unwrap();
+        let wake = std::sync::Arc::new(WakeFd::new().unwrap());
+        poller.add(wake.raw_fd(), 3, Interest::READ).unwrap();
+        let mut events = Events::with_capacity(4);
+        let mut window = PollWindow::default();
+        // Closed: the blocking wait. A ready fd is a short gap, so the
+        // window opens.
+        wake.wake();
+        let woke = poller.wait_polled(&mut events, &mut window).unwrap();
+        assert_eq!(
+            woke,
+            Woke::Parked {
+                polled: Duration::ZERO
+            }
+        );
+        assert_eq!(events.len(), 1);
+        assert_eq!(window.get(), POLL_GROW_START);
+        wake.drain();
+        // Open, and readiness is there: a poll catches it.
+        wake.wake();
+        let woke = poller.wait_polled(&mut events, &mut window).unwrap();
+        assert_eq!(woke, Woke::Polled);
+        assert_eq!(events.len(), 1);
+        wake.drain();
+        // Open, and nothing comes inside it: the window is polled out,
+        // then the wait parks until the wake 5 ms later — a long gap, so
+        // the window closes.
+        let w = std::sync::Arc::clone(&wake);
+        let t = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(5));
+            w.wake();
+        });
+        let woke = poller.wait_polled(&mut events, &mut window).unwrap();
+        let Woke::Parked { polled } = woke else {
+            panic!("nothing was ready inside the window: {woke:?}");
+        };
+        assert!(polled >= POLL_GROW_START, "polled only {polled:?}");
+        assert_eq!(events.len(), 1);
+        assert_eq!(window.get(), Duration::ZERO);
         t.join().unwrap();
     }
 

@@ -5,7 +5,12 @@
 //! blocks in `epoll_wait` until a socket is actually readable or
 //! writable, and rearms per-connection interest to follow its
 //! backpressure state — an idle connection costs zero CPU, and ten
-//! thousand idle connections cost the same. The accept loop blocks in its
+//! thousand idle connections cost the same. Before it blocks, a worker
+//! whose idle gaps have stayed at or under 200 µs polls for up to its
+//! [`PollWindow`] (the guest haltpoll rule), so a ping-pong client's next
+//! request finds it awake instead of waking a halted CPU; a worker fed
+//! more than 200 µs apart never polls, and the window closes by itself
+//! once the gaps grow. The accept loop blocks in its
 //! own poller rather than sleeping between polls, and every event loop
 //! carries an eventfd wakeup so `stop()` and new-connection handoff are
 //! deterministic instead of poll-sleep races.
@@ -32,7 +37,7 @@
 //! Time for TTLs comes from a [`Clock`] so tests (and simulations) can use
 //! logical time while a production-style deployment uses the wall clock.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -44,7 +49,7 @@ use spotcache_obs::http::standard_routes;
 use spotcache_obs::{trace, AdminServer, Counter, Obs, TraceContext, Tracer};
 
 use crate::protocol::{serve_instrumented_into, ProtocolObs};
-use crate::reactor::{Events, Interest, Poller, WakeFd};
+use crate::reactor::{Events, Interest, PollWindow, Poller, WakeFd, Woke};
 use crate::store::Store;
 
 /// A source of seconds for TTL handling.
@@ -433,6 +438,9 @@ struct ReactorMetrics {
     wakeups: Counter,
     rearms: Counter,
     yields: Counter,
+    poll_hits: Counter,
+    poll_misses: Counter,
+    poll_us: Counter,
 }
 
 impl ReactorMetrics {
@@ -443,13 +451,31 @@ impl ReactorMetrics {
             wakeups: obs.counter("reactor_wakeups_total"),
             rearms: obs.counter("reactor_rearms_total"),
             yields: obs.counter("reactor_yields_total"),
+            poll_hits: obs.counter("reactor_poll_hits_total"),
+            poll_misses: obs.counter("reactor_poll_misses_total"),
+            poll_us: obs.counter("reactor_poll_us_total"),
+        }
+    }
+
+    /// One event batch: a wait, whatever polling preceded it. Events
+    /// first, so a scrape never reads more waits than events.
+    fn record_wait(&self, n: usize, woke: Woke) {
+        self.events.add(n as u64);
+        self.waits.inc();
+        match woke {
+            Woke::Polled => self.poll_hits.inc(),
+            Woke::Parked { polled } if !polled.is_zero() => {
+                self.poll_misses.inc();
+                self.poll_us.add(polled.as_micros() as u64);
+            }
+            Woke::Parked { .. } => {}
         }
     }
 }
 
-/// One reactor worker: blocks in `epoll_wait`, ticks exactly the
-/// connections the kernel reports ready, and rearms interest to follow
-/// each connection's backpressure state.
+/// One reactor worker: polls for its [`PollWindow`] and then blocks in
+/// `epoll_wait`, ticks exactly the connections the kernel reports ready,
+/// and rearms interest to follow each connection's backpressure state.
 #[allow(clippy::too_many_arguments)]
 fn reactor_worker_loop(
     poller: Poller,
@@ -471,18 +497,17 @@ fn reactor_worker_loop(
     let mut live = 0usize;
     let mut buf = vec![0u8; cfg.read_chunk.max(1)];
     let mut events = Events::with_capacity(EVENT_BATCH);
+    let mut window = PollWindow::default();
     'run: loop {
         let wait_start = tracer
             .as_deref()
             .filter(|t| t.is_enabled())
             .map(|t| t.now_us());
-        let n = match poller.wait(&mut events, -1) {
-            Ok(n) => n,
-            Err(_) => break 'run,
+        let Ok(woke) = poller.wait_polled(&mut events, &mut window) else {
+            break 'run;
         };
         if let Some(m) = &metrics {
-            m.waits.inc();
-            m.events.add(n as u64);
+            m.record_wait(events.len(), woke);
         }
         if let (Some(t), Some(t0)) = (tracer.as_deref(), wait_start) {
             t.record_at_sampled("reactor", "epoll_wait", t0, t.now_us() - t0);
@@ -913,8 +938,10 @@ impl Drop for CacheServer {
 }
 
 /// A minimal blocking memcached text-protocol client (test/tooling use).
+/// Replies are read through a buffer: a reply line costs one `read`, not
+/// one per byte.
 pub struct CacheClient {
-    stream: TcpStream,
+    conn: BufReader<TcpStream>,
 }
 
 impl CacheClient {
@@ -922,7 +949,13 @@ impl CacheClient {
     pub fn connect(addr: SocketAddr) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Self { stream })
+        Ok(Self {
+            conn: BufReader::new(stream),
+        })
+    }
+
+    fn send(&mut self, req: &[u8]) -> std::io::Result<()> {
+        self.conn.get_mut().write_all(req)
     }
 
     /// Stores a value; returns the server's response line.
@@ -930,13 +963,13 @@ impl CacheClient {
         let mut req = format!("set {key} 0 {exptime} {}\r\n", value.len()).into_bytes();
         req.extend_from_slice(value);
         req.extend_from_slice(b"\r\n");
-        self.stream.write_all(&req)?;
+        self.send(&req)?;
         self.read_line()
     }
 
     /// Fetches a value; `None` on miss.
     pub fn get(&mut self, key: &str) -> std::io::Result<Option<Vec<u8>>> {
-        self.stream.write_all(format!("get {key}\r\n").as_bytes())?;
+        self.send(format!("get {key}\r\n").as_bytes())?;
         let header = self.read_line()?;
         if header == "END" {
             return Ok(None);
@@ -950,10 +983,14 @@ impl CacheClient {
             .filter(|&b| b <= DEFAULT_MAX_PENDING_IN)
             .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, header.clone()))?;
         let mut data = vec![0u8; bytes + 2]; // data + CRLF
-        self.stream.read_exact(&mut data)?;
+        self.conn.read_exact(&mut data)?;
         data.truncate(bytes);
-        let end = self.read_line()?; // END
-        debug_assert_eq!(end, "END");
+        let end = self.read_line()?;
+        if end != "END" {
+            // Out of step with the server: every later reply would be
+            // misread.
+            return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, end));
+        }
         Ok(Some(data))
     }
 
@@ -962,37 +999,35 @@ impl CacheClient {
     /// trace. The line elicits no response bytes, so request/response
     /// accounting is unaffected.
     pub fn send_trace(&mut self, ctx: TraceContext) -> std::io::Result<()> {
-        self.stream
-            .write_all(format!("trace {}\r\n", ctx.encode()).as_bytes())
+        self.send(format!("trace {}\r\n", ctx.encode()).as_bytes())
     }
 
     /// Deletes a key; returns the response line.
     pub fn delete(&mut self, key: &str) -> std::io::Result<String> {
-        self.stream
-            .write_all(format!("delete {key}\r\n").as_bytes())?;
+        self.send(format!("delete {key}\r\n").as_bytes())?;
         self.read_line()
     }
 
     fn read_line(&mut self) -> std::io::Result<String> {
         let mut line = Vec::new();
-        let mut byte = [0u8; 1];
-        loop {
-            self.stream.read_exact(&mut byte)?;
-            if byte[0] == b'\n' {
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                return String::from_utf8(line)
-                    .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e));
-            }
-            if line.len() == CLIENT_MAX_LINE {
-                return Err(std::io::Error::new(
+        // One byte past the limit tells a too-long line from a short one.
+        let n = (&mut self.conn)
+            .take(CLIENT_MAX_LINE as u64 + 1)
+            .read_until(b'\n', &mut line)?;
+        if line.pop() != Some(b'\n') {
+            return Err(if n > CLIENT_MAX_LINE {
+                std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
                     "response line exceeds the client's limit",
-                ));
-            }
-            line.push(byte[0]);
+                )
+            } else {
+                std::io::ErrorKind::UnexpectedEof.into()
+            });
         }
+        if line.last() == Some(&b'\r') {
+            line.pop();
+        }
+        String::from_utf8(line).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 }
 
@@ -1591,9 +1626,29 @@ mod tests {
         assert_eq!(obs.counter("cache_get_misses_total").get(), 1);
         assert!(obs.histogram("cache_op_latency_us").count() >= 3);
         assert!(obs.gauge("reactor_workers").get() >= 1.0);
-        assert!(obs.counter("reactor_epoll_waits_total").get() >= 1);
+        assert_poll_facts(&obs.prometheus_text());
         assert!(obs.counter("reactor_wakeups_total").get() >= 1);
         assert!(obs.journal().is_empty(), "ops never enter the journal");
+    }
+
+    /// A counter's value in a Prometheus exposition.
+    fn scraped(text: &str, name: &str) -> u64 {
+        text.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("{name} not exposed:\n{text}"))
+    }
+
+    /// The polling series are exposed, and a wait is still one event
+    /// batch: a zero-timeout poll that found nothing is not a wait.
+    fn assert_poll_facts(text: &str) {
+        let waits = scraped(text, "reactor_epoll_waits_total");
+        assert!(waits >= 1);
+        // Every counted wait delivered at least one event.
+        assert!(waits <= scraped(text, "reactor_events_total"), "{text}");
+        let hits = scraped(text, "reactor_poll_hits_total");
+        let misses = scraped(text, "reactor_poll_misses_total");
+        assert!(hits + misses <= waits, "{text}");
+        scraped(text, "reactor_poll_us_total");
     }
 
     #[test]
@@ -1698,6 +1753,7 @@ mod tests {
             .unwrap_or_else(|at| panic!("invalid exposition at line {at}:\n{body}"));
         assert!(body.contains("cache_get_total 1"), "{body}");
         assert!(body.contains("stage_ready_us"), "{body}");
+        assert_poll_facts(&body);
 
         let (code, body) = spotcache_obs::http::http_get(admin, "/healthz", timeout).unwrap();
         assert_eq!(code, 200);
@@ -1715,23 +1771,32 @@ mod tests {
         );
     }
 
-    /// A peer that answers one request with `reply` and hangs up.
-    fn fake_peer(reply: Vec<u8>) -> (SocketAddr, std::thread::JoinHandle<()>) {
+    /// A peer that answers one request with `reply`, written `chunk`
+    /// bytes per `write` (each its own segment), and hangs up.
+    fn fake_peer(reply: Vec<u8>, chunk: usize) -> (SocketAddr, std::thread::JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let handle = std::thread::spawn(move || {
             let (mut s, _) = listener.accept().unwrap();
+            s.set_nodelay(true).unwrap();
             let mut req = [0u8; 64];
             let _ = s.read(&mut req);
-            // The client may hang up mid-reply once it has seen enough.
-            let _ = s.write_all(&reply);
+            for part in reply.chunks(chunk) {
+                // The client may hang up mid-reply once it has seen enough.
+                if s.write_all(part).is_err() {
+                    return;
+                }
+                if chunk < reply.len() {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
         });
         (addr, handle)
     }
 
     #[test]
     fn client_rejects_an_absurd_value_length() {
-        let (addr, peer) = fake_peer(b"VALUE k 0 18446744073709551615\r\n".to_vec());
+        let (addr, peer) = fake_peer(b"VALUE k 0 18446744073709551615\r\n".to_vec(), usize::MAX);
         let mut client = CacheClient::connect(addr).unwrap();
         let err = client.get("k").unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
@@ -1740,7 +1805,34 @@ mod tests {
 
     #[test]
     fn client_rejects_an_unterminated_line() {
-        let (addr, peer) = fake_peer(vec![b'x'; 64 * 1024]);
+        let (addr, peer) = fake_peer(vec![b'x'; 64 * 1024], usize::MAX);
+        let mut client = CacheClient::connect(addr).unwrap();
+        let err = client.get("k").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn client_parses_a_reply_split_across_tiny_writes() {
+        let reply = b"VALUE k 0 12\r\nhello\r\nworld\r\nEND\r\n";
+        for chunk in [1, 2, 3, 7] {
+            let (addr, peer) = fake_peer(reply.to_vec(), chunk);
+            let mut client = CacheClient::connect(addr).unwrap();
+            let got = client.get("k").unwrap();
+            assert_eq!(
+                got.as_deref(),
+                Some(b"hello\r\nworld".as_ref()),
+                "chunk {chunk}"
+            );
+            peer.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn client_rejects_a_value_not_followed_by_end() {
+        // The header claims 3 bytes, the peer sends 5: the reply is out of
+        // step, and a release build must say so rather than carry on.
+        let (addr, peer) = fake_peer(b"VALUE k 0 3\r\nhello\r\nEND\r\n".to_vec(), usize::MAX);
         let mut client = CacheClient::connect(addr).unwrap();
         let err = client.get("k").unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");

@@ -1,5 +1,6 @@
 //! The reactor's headline property, measured: idle connections cost zero
-//! CPU. This test lives in its own integration binary so the process's
+//! CPU, and polling happens only while it pays. These tests live in
+//! their own integration binary, and run one at a time, so the process's
 //! `/proc/self/stat` CPU accounting covers (almost) nothing but the
 //! server under test.
 //!
@@ -9,17 +10,62 @@
 //! so the same thousand connections cost *no* cycles until a byte
 //! actually arrives — which is what lets a spot-instance cache node ride
 //! out quiet periods on a burstable instance's baseline credits (the
-//! paper's cost argument) instead of burning them on polling.
+//! paper's cost argument) instead of burning them on polling. A worker
+//! polls before it parks only while its idle gaps stay at or under
+//! 200 µs (the guest haltpoll rule, `reactor::PollWindow`): a ping-pong
+//! client is polled, a client trickling requests 2 ms apart never is,
+//! and once the ping-pong stops the worker is parked again.
 
 #![cfg(target_os = "linux")]
 
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use spotcache_cache::server::{CacheClient, CacheServer, LogicalClock};
+use spotcache_cache::server::{CacheClient, CacheServer, LogicalClock, ServerConfig};
 use spotcache_cache::store::{Store, StoreConfig};
+use spotcache_obs::Obs;
+
+/// Held by every test: a CPU reading must not see another test's work.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // The lock guards no data: a test that failed holding it leaves
+    // nothing for the next one to distrust.
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// A default-configured server with obs attached, for its `reactor_*`
+/// counters.
+fn observed_server() -> (CacheServer, Arc<Obs>) {
+    let store = Arc::new(Store::new(StoreConfig {
+        capacity_bytes: 16 << 20,
+        shards: 8,
+    }));
+    let obs = Arc::new(Obs::new());
+    let server = CacheServer::start_with(
+        store,
+        LogicalClock::new(),
+        "127.0.0.1:0",
+        ServerConfig::default(),
+        Some(Arc::clone(&obs)),
+    )
+    .unwrap();
+    (server, obs)
+}
+
+/// `reactor_poll_hits_total`, `_misses_total`, `_us_total` and
+/// `reactor_epoll_waits_total`, in that order.
+fn poll_counters(obs: &Obs) -> [u64; 4] {
+    [
+        "reactor_poll_hits_total",
+        "reactor_poll_misses_total",
+        "reactor_poll_us_total",
+        "reactor_epoll_waits_total",
+    ]
+    .map(|name| obs.counter(name).get())
+}
 
 /// Process CPU time (user + system) in clock ticks, from
 /// `/proc/self/stat` fields 14 and 15. The comm field can contain spaces,
@@ -38,6 +84,7 @@ fn cpu_ticks() -> u64 {
 #[test]
 fn a_thousand_idle_connections_cost_near_zero_cpu() {
     const CONNS: usize = 1_000;
+    let _serial = serial();
 
     let store = Arc::new(Store::new(StoreConfig {
         capacity_bytes: 16 << 20,
@@ -109,6 +156,7 @@ fn a_thousand_idle_connections_cost_near_zero_cpu() {
 /// measured legitimate write work and was too machine-dependent.)
 #[test]
 fn half_closed_backpressured_reader_parks() {
+    let _serial = serial();
     let store = Arc::new(Store::new(StoreConfig {
         capacity_bytes: 64 << 20,
         shards: 8,
@@ -143,4 +191,106 @@ fn half_closed_backpressured_reader_parks() {
     );
     server.stop();
     drop(s);
+}
+
+/// Requests 2 ms apart: every idle gap is past the 200 µs cap, so the
+/// window never opens and a trickle-fed server (a backup on its
+/// baseline credits) costs what it did before polling existed.
+#[test]
+fn a_trickle_never_polls() {
+    let _serial = serial();
+    let (mut server, obs) = observed_server();
+    // Every gap the worker sees is long: its start to the handoff, the
+    // handoff to the first request, and each request to the next.
+    std::thread::sleep(Duration::from_millis(5));
+    let mut c = CacheClient::connect(server.addr()).unwrap();
+    std::thread::sleep(Duration::from_millis(5));
+    let t0 = Instant::now();
+    let mut gets = 0u64;
+    while t0.elapsed() < Duration::from_secs(1) {
+        assert_eq!(c.get("k").unwrap(), None);
+        gets += 1;
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let [hits, misses, poll_us, waits] = poll_counters(&obs);
+    assert!(waits > gets, "{waits} waits for {gets} requests");
+    assert_eq!(
+        (hits, misses, poll_us),
+        (0, 0, 0),
+        "a trickle was polled: {hits} hits, {misses} misses, {poll_us} µs"
+    );
+    server.stop();
+}
+
+/// Back-to-back requests: each arrives within microseconds of the last
+/// reply, so nearly every batch is caught by a poll — no park, no
+/// wake-up. Once the client stops, the window runs out and the worker
+/// parks again at zero cost.
+#[test]
+fn a_ping_pong_is_polled_then_reparks() {
+    let _serial = serial();
+    let (mut server, obs) = observed_server();
+    let mut c = CacheClient::connect(server.addr()).unwrap();
+    assert_eq!(c.set("k", b"v", 0).unwrap(), "STORED");
+    let [hits0, _, _, waits0] = poll_counters(&obs);
+    let t0 = Instant::now();
+    let mut gets = 0u64;
+    while t0.elapsed() < Duration::from_secs(1) {
+        assert!(c.get("k").unwrap().is_some());
+        gets += 1;
+    }
+    let [hits, misses, poll_us, waits] = poll_counters(&obs);
+    let (hits, waits) = (hits - hits0, waits - waits0);
+    println!("ping-pong: {gets} requests, {waits} waits, {hits} poll hits, {misses} misses");
+    assert!(
+        hits as f64 >= 0.9 * waits as f64,
+        "polls caught {hits} of {waits} batches over {gets} requests \
+         ({misses} misses, {poll_us} µs polled in vain)"
+    );
+
+    // The client stays connected and goes quiet.
+    std::thread::sleep(Duration::from_millis(200));
+    let t0 = cpu_ticks();
+    std::thread::sleep(Duration::from_secs(2));
+    let spent = cpu_ticks() - t0;
+    println!("after the ping-pong: {spent} ticks in 2 s");
+    assert!(
+        spent <= 25,
+        "the worker kept polling after the ping-pong stopped: {spent} ticks (~{} ms CPU)",
+        spent * 10
+    );
+    server.stop();
+    drop(c);
+}
+
+/// `stop()` reaches a worker that is polling, not parked: the wake is
+/// one more readiness a poll catches.
+#[test]
+fn stop_is_prompt_while_a_ping_pong_is_polled() {
+    let _serial = serial();
+    let (mut server, obs) = observed_server();
+    let addr = server.addr();
+    let client = std::thread::spawn(move || {
+        let mut c = CacheClient::connect(addr).unwrap();
+        c.set("k", b"v", 0).unwrap();
+        // Until the server goes away under it.
+        while c.get("k").is_ok() {}
+    });
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while poll_counters(&obs)[0] < 1_000 {
+        assert!(
+            Instant::now() < deadline,
+            "polls never caught the ping-pong"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let t0 = Instant::now();
+    server.stop();
+    let took = t0.elapsed();
+    println!("stop() under a polled ping-pong: {took:?}");
+    assert!(
+        took < Duration::from_millis(250),
+        "stop() took {took:?} under a polled ping-pong"
+    );
+    client.join().unwrap();
 }
