@@ -20,37 +20,25 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
 echo "==> obs snapshot smoke test"
 snap="$(mktemp /tmp/obs_snapshot.XXXXXX.json)"
-hs="$(mktemp /tmp/hot_shard_ab.XXXXXX.json)"
-trap 'rm -f "$snap" "$hs"' EXIT
+trap 'rm -f "$snap"' EXIT
 cargo run --release -q -p spotcache-bench --bin obs_snapshot -- --metrics-out "$snap" \
     | grep -q "snapshot OK"
-python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$snap" 2>/dev/null \
-    || { echo "obs snapshot is not valid JSON"; exit 1; }
-
-echo "==> hot-shard read-path A/B smoke test (4 readers, one hot shard)"
-# The bin asserts deferred >= inline itself; re-check the snapshot schema
-# and the A/B invariant here so the gate does not rely on the bin's
-# asserts alone. (Single-server traffic over real sockets is driven, with
-# replies verified, by the benchmark smokes at the end of this script.)
-cargo run --release -q -p spotcache-bench --bin hot_shard_ab -- --smoke --out "$hs" \
-    | grep -q "hot-shard A/B OK"
-python3 - "$hs" <<'PY'
+# The checked-in BENCH_obs.json names every series the registry holds: a
+# change that adds or removes a counter, gauge or histogram regenerates it
+# (`cargo run --release -p spotcache-bench --bin obs_snapshot`).
+python3 - "$snap" BENCH_obs.json <<'PY'
 import json, sys
-doc = json.load(open(sys.argv[1]))
-g = doc["gauges"]
-for key in (
-    "loadgen_hot_inline_ops_per_sec", "loadgen_hot_deferred_ops_per_sec",
-    "loadgen_hot_speedup", "loadgen_hot_keys", "loadgen_hot_readers",
-):
-    assert key in g, f"BENCH_hot_shard schema: missing gauge {key}"
-assert g["loadgen_hot_readers"] >= 4, "hot-shard A/B needs >=4 reader threads"
-assert g["loadgen_hot_deferred_ops_per_sec"] >= g["loadgen_hot_inline_ops_per_sec"], \
-    "deferred read path lost the hot-key contention smoke"
+fresh, pinned = (json.load(open(path)) for path in sys.argv[1:3])
+for kind in ("counters", "gauges", "histograms"):
+    new = sorted(set(fresh[kind]) - set(pinned[kind]))
+    gone = sorted(set(pinned[kind]) - set(fresh[kind]))
+    assert not (new or gone), \
+        f"BENCH_obs.json {kind} are stale: new {new}, gone {gone}; regenerate it"
 PY
 
 echo "==> trace smoke test (spans from every instrumented layer)"
 tr="$(mktemp /tmp/trace_dump.XXXXXX.json)"
-trap 'rm -f "$snap" "$hs" "$tr"' EXIT
+trap 'rm -f "$snap" "$tr"' EXIT
 # trace_dump exercises protocol, server, control, and recovery against one
 # tracer and asserts >=1 span per layer itself; re-check the JSON and the
 # per-layer coverage here so the gate does not rely on the bin's asserts.
@@ -70,7 +58,7 @@ cargo run --release -q -p spotcache-bench --bin telemetry_smoke | grep -q "telem
 echo "==> revocation drill smoke test (all strategies + link faults)"
 dr="$(mktemp /tmp/revocation_drill.XXXXXX.json)"
 drtr="$(mktemp /tmp/drill_trace.XXXXXX.json)"
-trap 'rm -f "$snap" "$hs" "$tr" "$dr" "$drtr"' EXIT
+trap 'rm -f "$snap" "$tr" "$dr" "$drtr"' EXIT
 # The bin asserts the recovery orderings (per-strategy warned <= warning
 # window, replay unwarned > warned, checkpoint beating replay) and the
 # link-fault healing itself; re-check the artifact's schema and the
@@ -122,7 +110,7 @@ PY
 
 echo "==> cluster loadgen smoke test (reactor data plane, multi-node ring)"
 cl="$(mktemp /tmp/cluster_loadgen.XXXXXX.json)"
-trap 'rm -f "$snap" "$hs" "$tr" "$dr" "$drtr" "$cl"' EXIT
+trap 'rm -f "$snap" "$tr" "$dr" "$drtr" "$cl"' EXIT
 # The bin asserts its own smoke throughput floor; re-check the artifact's
 # schema and the cluster-shape invariants here so the gate does not rely
 # on the bin's asserts alone. The scrape leg polls node 0's live admin
@@ -144,7 +132,7 @@ PY
 
 echo "==> storm drill smoke test (correlated revocation waves, decay curves)"
 st="$(mktemp /tmp/storm_drill.XXXXXX.json)"
-trap 'rm -f "$snap" "$hs" "$tr" "$dr" "$drtr" "$cl" "$st"' EXIT
+trap 'rm -f "$snap" "$tr" "$dr" "$drtr" "$cl" "$st"' EXIT
 # The bin asserts the recovery-ordering invariants itself (warned <=
 # unwarned for the identical kill-set, no permanent floor loss, trigger
 # before the first burn breach); re-check the artifact's schema and the

@@ -584,9 +584,6 @@ fn main() {
             .collect::<Vec<_>>()
             .join(",")
     };
-    // Which store read plane the nodes ran — benchmark metadata so a
-    // figure can always be tied to the concurrency plane that produced it.
-    let read_path = format!("{:?}", nodes[0].store.read_path()).to_lowercase();
     let mut json = format!(
         "{{\"schema\":\"spotcache-cluster-v1\",\"smoke\":{},\"seed\":{},\
          \"nodes\":{},\"conns\":{},\"host_cores\":{host_cores},\
@@ -594,7 +591,6 @@ fn main() {
          \"get_ratio\":{GET_RATIO},\"value_len\":{VALUE_LEN},\
          \"hot_replicas\":{HOT_REPLICAS},\"shards_per_node\":{SHARDS_PER_NODE},\
          \"workers_per_node\":{workers_per_node},\
-         \"read_path\":\"{read_path}\",\
          \"single_server_pipelined_ops_per_sec\":{reference:.1},\
          \"single_server_runs\":[{}],\"scaleout_ratio\":{scaleout:.3},\
          \"baseline\":{},\"pipelined\":{},\"pipelined_runs\":[{}],\

@@ -9,8 +9,8 @@
 //! * `arena` (private) — the per-shard item arena: key index, LRU links
 //!   and entries addressed by one `u32` slot with a per-slot generation
 //!   (no `unsafe`), and
-//! * `touch` (private) — the per-shard recency log of the deferred read
-//!   path: pushed to under the shard's read lock, drained under its write
+//! * `touch` (private) — the per-shard recency log of the shared-lock
+//!   read path: pushed to under the shard's read lock, drained under its write
 //!   lock, drop-oldest by overwrite, and
 //! * [`wheel`] — a hierarchical timer wheel for proactive TTL expiry,
 //!   advanced on the touch-flush cadence, and
@@ -62,6 +62,6 @@ pub use replication::{
 pub use server::{CacheClient, CacheServer, Clock, LogicalClock, ServerConfig, SystemClock};
 pub use slab::{slab_efficiency, SlabAllocator, SlabClasses, SlabError};
 pub use store::{
-    CacheStats, FlushReport, MutationSink, ReadPath, SetOutcome, SetPolicy, Store, StoreConfig,
+    CacheStats, FlushReport, MutationSink, SetOutcome, SetPolicy, Store, StoreConfig,
     StoreSnapshot, TOUCH_LOG_CAPACITY,
 };

@@ -56,9 +56,13 @@
 //! one thread are never reordered against each other, and eviction
 //! victims are always drawn from the true LRU tail *modulo unflushed
 //! touches*. Every writer flushes before mutating, so any single-threaded
-//! sequence of operations is byte-identical to the legacy inline plane
-//! ([`ReadPath::Inline`], kept as the reference baseline, under the same
-//! once-per-tick rule).
+//! sequence of operations returns what a sequential LRU store that moves
+//! each key inline, under the same once-per-tick rule, returns: the
+//! `HashMap` + `VecDeque` model in `tests/common/model.rs`, which shares
+//! no code with this one. Expiry is where the two may part: the wheel
+//! reaps an expired item the model keeps until something collides with
+//! it, so `expirations` may differ, and under eviction pressure so may
+//! the victims.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -110,20 +114,6 @@ impl Default for StoreConfig {
     }
 }
 
-/// Which concurrency plane steady-state GETs use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadPath {
-    /// Legacy plane: every GET takes the shard's exclusive lock and moves
-    /// the entry in the LRU inline. Kept as the frozen reference plane the
-    /// equivalence proptests compare against (and as the baseline leg of
-    /// the hot-shard benchmark).
-    Inline,
-    /// Shared-lock plane (default): GETs take the read lock and append
-    /// recency records to the shard's touch log; writers and the explicit
-    /// [`Store::flush_touches`] hook apply them in batches.
-    Deferred,
-}
-
 /// Touch records a shard's log holds between two flushes of that shard.
 /// One more first-read-of-a-tick than this overwrites the oldest record:
 /// that key looks colder than it is, and the flush counts it in
@@ -171,9 +161,8 @@ pub struct CacheStats {
     pub sets: u64,
     /// Delete operations that removed something.
     pub deletes: u64,
-    /// Items removed past their TTL (reaped by the wheel, purged by a
-    /// write-path presence check, or — on the inline plane — removed by an
-    /// unlucky GET).
+    /// Items removed past their TTL (reaped by the wheel, or purged by a
+    /// write-path presence check).
     pub expirations: u64,
 }
 
@@ -291,21 +280,17 @@ struct ShardData {
     /// path never writes under the lock.
     wstats: CacheStats,
     wheel: TimerWheel,
-    /// Whether TTL'd inserts are filed into the wheel (the deferred plane
-    /// only; the inline plane keeps the legacy lazy-expiry-on-GET).
-    wheel_enabled: bool,
     due_buf: Vec<(u32, u32)>,
 }
 
 impl ShardData {
-    fn new(capacity_bytes: usize, wheel_enabled: bool) -> Self {
+    fn new(capacity_bytes: usize) -> Self {
         Self {
             arena: Arena::new(),
             used_bytes: 0,
             capacity_bytes,
             wstats: CacheStats::default(),
             wheel: TimerWheel::new(),
-            wheel_enabled,
             due_buf: Vec::new(),
         }
     }
@@ -413,7 +398,7 @@ impl ShardData {
                 self.arena.insert_front(tag, item)
             }
         };
-        if let (true, Some(expires_at)) = (self.wheel_enabled, expires_at) {
+        if let Some(expires_at) = expires_at {
             self.wheel.insert(WheelRec {
                 expires_at,
                 idx: slot,
@@ -453,13 +438,11 @@ struct GetTally {
 /// the write lock — the touch log and the lock-free counters.
 struct Shard {
     data: RwLock<ShardData>,
-    /// Pushed to under `data`'s read guard, drained under its write guard
-    /// (`None` on the inline plane).
-    log: Option<TouchLog>,
+    /// Pushed to under `data`'s read guard, drained under its write guard.
+    log: TouchLog,
     hits: AtomicU64,
     misses: AtomicU64,
     rlock_gets: AtomicU64,
-    wlock_gets: AtomicU64,
     /// Records overwritten before a drain reached them, counted at that
     /// drain.
     touch_drops: AtomicU64,
@@ -480,15 +463,13 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(capacity_bytes: usize, read_path: ReadPath) -> Self {
-        let deferred = read_path == ReadPath::Deferred;
+    fn new(capacity_bytes: usize) -> Self {
         Self {
-            data: RwLock::new(ShardData::new(capacity_bytes, deferred)),
-            log: deferred.then(|| TouchLog::new(TOUCH_LOG_CAPACITY)),
+            data: RwLock::new(ShardData::new(capacity_bytes)),
+            log: TouchLog::new(TOUCH_LOG_CAPACITY),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             rlock_gets: AtomicU64::new(0),
-            wlock_gets: AtomicU64::new(0),
             touch_drops: AtomicU64::new(0),
             touch_skips: AtomicU64::new(0),
             flush_batches: AtomicU64::new(0),
@@ -536,35 +517,11 @@ impl Shard {
         Some(&item.value)
     }
 
-    /// Exclusive-lock GET (inline plane): the legacy behaviour — touch the
-    /// LRU inline, under the same once-per-tick rule as the shared plane's
-    /// records, and remove an expired entry on collision.
-    fn get_exclusive<'d>(
-        d: &'d mut ShardData,
-        tag: u32,
-        key: &[u8],
-        now: u64,
-        tally: &mut GetTally,
-    ) -> Option<&'d Bytes> {
-        let Some(slot) = d.find_live(tag, key, now) else {
-            tally.misses += 1;
-            return None;
-        };
-        tally.hits += 1;
-        if d.arena.first_read_in(slot, now as u32) {
-            d.arena.touch(slot);
-        } else {
-            tally.skips += 1;
-        }
-        Some(&d.arena.item(slot).value)
-    }
-
     /// Looks up each `(token, tag, key)` under one acquisition of the
-    /// plane's lock — shared where the shard has a touch log (deferred),
-    /// exclusive where it has none (inline) — and hands `put` the token
-    /// and the value, lent for the call: `put` runs under the lock and
-    /// copies or clones what it keeps. The scope's counters are tallied
-    /// locally and added once, after the lock is released.
+    /// shard's read lock and hands `put` the token and the value, lent for
+    /// the call: `put` runs under the lock and copies or clones what it
+    /// keeps. The scope's counters are tallied locally and added once,
+    /// after the lock is released.
     fn get_each<'k, T>(
         &self,
         now: u64,
@@ -572,23 +529,17 @@ impl Shard {
         mut put: impl FnMut(T, Option<&Bytes>),
     ) {
         let mut tally = GetTally::default();
-        let lock_gets = if let Some(log) = &self.log {
-            let d = self.data.read();
-            keys.for_each(|(t, tag, k)| put(t, Self::get_shared(log, &d, tag, k, now, &mut tally)));
-            &self.rlock_gets
-        } else {
-            let mut d = self.data.write();
-            keys.for_each(|(t, tag, k)| {
-                put(t, Self::get_exclusive(&mut d, tag, k, now, &mut tally))
-            });
-            &self.wlock_gets
-        };
+        let d = self.data.read();
+        keys.for_each(|(t, tag, k)| {
+            put(t, Self::get_shared(&self.log, &d, tag, k, now, &mut tally))
+        });
+        drop(d);
         let add = |counter: &AtomicU64, n: u64| {
             if n != 0 {
                 counter.fetch_add(n, Ordering::Relaxed);
             }
         };
-        add(lock_gets, tally.hits + tally.misses);
+        add(&self.rlock_gets, tally.hits + tally.misses);
         add(&self.hits, tally.hits);
         add(&self.misses, tally.misses);
         add(&self.touch_skips, tally.skips);
@@ -621,20 +572,18 @@ impl Shard {
     /// entitles this to drain. Steady state allocates nothing.
     fn flush_locked(&self, d: &mut ShardData, now: u64) -> FlushReport {
         let mut rep = FlushReport::default();
-        if let Some(log) = &self.log {
-            let (seen, dropped) = log.drain(|t| {
-                if d.arena.touch_if(t.idx, t.gen) {
-                    rep.applied += 1;
-                } else {
-                    rep.stale += 1;
-                }
-            });
-            rep.drained = seen;
-            if dropped != 0 {
-                self.touch_drops.fetch_add(dropped, Ordering::Relaxed);
+        let (seen, dropped) = self.log.drain(|t| {
+            if d.arena.touch_if(t.idx, t.gen) {
+                rep.applied += 1;
+            } else {
+                rep.stale += 1;
             }
+        });
+        rep.drained = seen;
+        if dropped != 0 {
+            self.touch_drops.fetch_add(dropped, Ordering::Relaxed);
         }
-        if d.wheel_enabled && d.wheel.next_deadline().is_some_and(|t| t <= now) {
+        if d.wheel.next_deadline().is_some_and(|t| t <= now) {
             let mut due = std::mem::take(&mut d.due_buf);
             due.clear();
             d.wheel.advance(now, &mut due);
@@ -667,7 +616,6 @@ impl Shard {
 /// their **deltas** into the obs registry at flush/snapshot time.
 struct StoreTelemetry {
     rlock_gets: Counter,
-    wlock_gets: Counter,
     touch_dropped: Counter,
     touch_skipped: Counter,
     flush_total: Counter,
@@ -680,14 +628,13 @@ struct StoreTelemetry {
     tracer: Option<Arc<Tracer>>,
     /// Totals already pushed into the counters, so each sync adds only the
     /// delta. One mutex, taken on the flush cadence — never per-GET.
-    synced: Mutex<[u64; 10]>,
+    synced: Mutex<[u64; 9]>,
 }
 
 impl StoreTelemetry {
     fn new(obs: &Obs, tracer: Option<Arc<Tracer>>) -> Self {
         Self {
             rlock_gets: obs.counter("store_rlock_gets_total"),
-            wlock_gets: obs.counter("store_wlock_gets_total"),
             touch_dropped: obs.counter("store_touch_dropped_total"),
             touch_skipped: obs.counter("store_touch_skipped_total"),
             flush_total: obs.counter("store_touch_flush_total"),
@@ -698,17 +645,16 @@ impl StoreTelemetry {
             wheel_expired: obs.counter("ttl_wheel_expired_total"),
             wheel_pending: obs.gauge("ttl_wheel_pending"),
             tracer,
-            synced: Mutex::new([0; 10]),
+            synced: Mutex::new([0; 9]),
         }
     }
 
     fn sync(&self, shards: &[Shard]) {
-        let mut totals = [0u64; 10];
+        let mut totals = [0u64; 9];
         let mut pending = 0u64;
         for sh in shards {
             let sources = [
                 &sh.rlock_gets,
-                &sh.wlock_gets,
                 &sh.touch_drops,
                 &sh.touch_skips,
                 &sh.flush_batches,
@@ -726,7 +672,6 @@ impl StoreTelemetry {
         let mut last = self.synced.lock();
         let counters = [
             &self.rlock_gets,
-            &self.wlock_gets,
             &self.touch_dropped,
             &self.touch_skipped,
             &self.flush_total,
@@ -763,7 +708,6 @@ impl StoreTelemetry {
 /// ```
 pub struct Store {
     shards: Vec<Shard>,
-    read_path: ReadPath,
     /// Optional mutation tap (replication), read-locked by each tapped
     /// write; installation is rare (topology changes).
     sink: RwLock<Option<Arc<dyn MutationSink>>>,
@@ -784,19 +728,12 @@ thread_local! {
 }
 
 impl Store {
-    /// Creates a store from a configuration, on the default (deferred,
-    /// shared-lock) read path.
+    /// Creates a store from a configuration.
     pub fn new(config: StoreConfig) -> Self {
-        Self::with_read_path(config, ReadPath::Deferred)
-    }
-
-    /// Creates a store on an explicit read plane.
-    pub fn with_read_path(config: StoreConfig, read_path: ReadPath) -> Self {
         let n = config.shards.max(1);
         let per_shard = config.capacity_bytes / n;
         Self {
-            shards: (0..n).map(|_| Shard::new(per_shard, read_path)).collect(),
-            read_path,
+            shards: (0..n).map(|_| Shard::new(per_shard)).collect(),
             sink: RwLock::new(None),
             sink_installed: AtomicBool::new(false),
             telemetry: RwLock::new(None),
@@ -809,11 +746,6 @@ impl Store {
             capacity_bytes,
             shards: 1,
         })
-    }
-
-    /// The read plane this store was built on.
-    pub fn read_path(&self) -> ReadPath {
-        self.read_path
     }
 
     /// Registers the `store_*` / `ttl_wheel_*` metrics with `obs` and
@@ -873,13 +805,8 @@ impl Store {
         (&self.shards[shard as usize], tag)
     }
 
-    #[inline]
-    fn deferred(&self) -> bool {
-        self.read_path == ReadPath::Deferred
-    }
-
-    /// Fetches a key at logical time `now` (TTL-aware). On the deferred
-    /// plane this takes only the shard's **read** lock.
+    /// Fetches a key at logical time `now` (TTL-aware), under only the
+    /// shard's **read** lock.
     pub fn get_at(&self, key: &[u8], now: u64) -> Option<Bytes> {
         let (sh, tag) = self.shard_for(key);
         let mut found = None;
@@ -900,8 +827,8 @@ impl Store {
     /// across shards; within a shard, keys are processed in input order,
     /// so hit/miss accounting, TTL behaviour and recency order are
     /// identical to issuing the gets one at a time (a key named twice is
-    /// served twice and, like any second read in a tick, bumped once). On
-    /// the deferred plane the per-shard lock is the **read** lock.
+    /// served twice and, like any second read in a tick, bumped once). The
+    /// per-shard lock is the **read** lock.
     fn visit_many<'k, K>(&self, keys: K, now: u64, mut visit: impl FnMut(usize, Option<&Bytes>))
     where
         K: Iterator<Item = &'k [u8]> + Clone,
@@ -910,26 +837,30 @@ impl Store {
             let tagged = keys.enumerate().map(|(i, k)| (i, tag_of(fnv1a(k)), k));
             return sh.get_each(now, tagged, visit);
         }
-        let mut ids = SHARD_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
-        ids.clear();
-        // Bit `s`: some key of the batch lives in shard `s`, so a shard
-        // the batch does not name costs one test. Shards past 63 share
-        // bit 63 (its filtered pass below may then find nothing).
-        let mut present = 0u64;
-        ids.extend(keys.clone().map(|k| {
-            let id = self.locate(k);
-            present |= 1 << id.0.min(63);
-            id
-        }));
-        for s in 0..self.shards.len() as u32 {
-            if present & (1 << s.min(63)) == 0 {
-                continue;
-            }
+        let (ids, named) = self.by_shard(keys.clone());
+        for s in (0..self.shards.len() as u32).filter(|&s| named & (1 << s.min(63)) != 0) {
             let mine = keys.clone().zip(ids.iter()).enumerate();
             let mine = mine.filter_map(|(i, (k, &(id, tag)))| (id == s).then_some((i, tag, k)));
             self.shards[s as usize].get_each(now, mine, &mut visit);
         }
         SHARD_SCRATCH.with(|s| *s.borrow_mut() = ids);
+    }
+
+    /// Each key's `(shard, tag)` in input order, in this thread's
+    /// `SHARD_SCRATCH` (the caller hands it back), and the batch's shard
+    /// mask: bit `s` is set when some key lives in shard `s`, so a shard
+    /// the batch does not name costs one test. Shards past 63 share bit 63
+    /// (a pass over one of them may then find nothing).
+    fn by_shard<'k>(&self, keys: impl Iterator<Item = &'k [u8]>) -> (Vec<(u32, u32)>, u64) {
+        let mut ids = SHARD_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
+        ids.clear();
+        let mut named = 0u64;
+        ids.extend(keys.map(|k| {
+            let id = self.locate(k);
+            named |= 1 << id.0.min(63);
+            id
+        }));
+        (ids, named)
     }
 
     /// Batched fetch by visitor: `visit(i, value)` is called once for the
@@ -958,8 +889,8 @@ impl Store {
     ///
     /// Within a shard, keys are processed in input order, so hit/miss
     /// accounting, TTL behaviour, and recency order are identical to
-    /// issuing the gets one at a time. On the deferred plane the per-shard
-    /// lock taken is the **read** lock.
+    /// issuing the gets one at a time. The per-shard lock taken is the
+    /// **read** lock.
     pub fn get_many_into<'k, K>(&self, keys: K, now: u64, out: &mut Vec<Option<Bytes>>)
     where
         K: Iterator<Item = &'k [u8]> + Clone,
@@ -975,16 +906,13 @@ impl Store {
     /// wheel deadline are skipped without taking the lock.
     pub fn flush_touches(&self, now: u64) -> FlushReport {
         let mut total = FlushReport::default();
-        if !self.deferred() {
-            return total;
-        }
         let telemetry = self.telemetry.read();
         let _span = telemetry
             .as_ref()
             .and_then(|t| t.tracer.as_ref())
             .map(|t| t.span("store", "flush_touches"));
         for sh in &self.shards {
-            let log_idle = sh.log.as_ref().is_none_or(TouchLog::is_empty);
+            let log_idle = sh.log.is_empty();
             let wheel_due = sh.wheel_next.load(Ordering::Relaxed) <= now;
             if log_idle && !wheel_due {
                 continue;
@@ -1046,9 +974,7 @@ impl Store {
             }
             ok as usize
         };
-        let mut ids = SHARD_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
-        ids.clear();
-        ids.extend(items.iter().map(|(k, _, _)| self.locate(k)));
+        let (ids, named) = self.by_shard(items.iter().map(|(k, _, _)| &k[..]));
         let first = ids[0].0;
         let stored = if ids.iter().all(|&(s, _)| s == first) {
             self.shards[first as usize].write_op(now, |d| {
@@ -1059,10 +985,7 @@ impl Store {
             let mut slots: Vec<Option<(Bytes, Bytes, Option<u64>)>> =
                 items.into_iter().map(Some).collect();
             let mut stored = 0usize;
-            for s in 0..self.shards.len() as u32 {
-                if !ids.iter().any(|&(id, _)| id == s) {
-                    continue;
-                }
+            for s in (0..self.shards.len() as u32).filter(|&s| named & (1 << s.min(63)) != 0) {
                 stored += self.shards[s as usize].write_op(now, |d| {
                     let mut stored = 0usize;
                     for (slot, &(id, tag)) in slots.iter_mut().zip(ids.iter()) {
@@ -1119,7 +1042,7 @@ impl Store {
     ///
     /// Presence is TTL-aware: an expired-but-unreaped entry is purged
     /// (counted as an expiration) before the check, so `add` treats it as
-    /// absent and `replace` as missing — on **both** read planes.
+    /// absent and `replace` as missing.
     pub fn set_policy_at(
         &self,
         key: impl Into<Bytes>,
@@ -1280,8 +1203,8 @@ impl Store {
     }
 
     /// Stable shard index for `key`. Exposed so benchmarks and tests can
-    /// construct deliberately skewed key sets (e.g. the single-hot-shard
-    /// read-path A/B in `hot_shard_ab`).
+    /// construct deliberately skewed key sets (e.g. a batch whose keys all
+    /// live in one shard).
     pub fn shard_of(&self, key: &[u8]) -> usize {
         self.locate(key).0 as usize
     }
@@ -1341,8 +1264,8 @@ impl Store {
     /// the shard locks, flushing pending touches and reaping expired
     /// entries first so `items`/`used_bytes` count only live data. Items
     /// that expired at or before `now` but are invisible to the reaper
-    /// (inline plane, or `now` earlier than a previous flush) are filtered
-    /// from the counts during the sweep.
+    /// (`now` earlier than a previous flush) are filtered from the counts
+    /// during the sweep.
     ///
     /// Prefer this over separate [`stats`](Self::stats) /
     /// [`used_bytes`](Self::used_bytes) / [`len`](Self::len) calls when
@@ -1413,9 +1336,7 @@ impl Store {
     pub fn clear(&self) {
         for sh in &self.shards {
             let mut d = sh.data.write();
-            if let Some(log) = &sh.log {
-                log.drain(|_| {});
-            }
+            sh.log.drain(|_| {});
             d.arena.clear();
             d.used_bytes = 0;
             d.wheel = TimerWheel::new();
@@ -1459,7 +1380,6 @@ impl std::fmt::Debug for Store {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Store")
             .field("shards", &self.shards.len())
-            .field("read_path", &self.read_path)
             .field("len", &self.len())
             .field("used_bytes", &self.used_bytes())
             .finish()
@@ -1473,16 +1393,6 @@ mod tests {
 
     fn small() -> Store {
         Store::with_capacity(10 * 1024)
-    }
-
-    fn small_inline() -> Store {
-        Store::with_read_path(
-            StoreConfig {
-                capacity_bytes: 10 * 1024,
-                shards: 1,
-            },
-            ReadPath::Inline,
-        )
     }
 
     #[test]
@@ -1530,19 +1440,17 @@ mod tests {
 
     #[test]
     fn get_refreshes_recency() {
-        // Deferred plane: the GET only queues a touch, but every writer
-        // flushes before mutating, so a single-threaded sequence behaves
-        // exactly like the inline plane.
-        for s in [small(), small_inline()] {
-            for i in 0..9u8 {
-                s.set(vec![i], vec![0u8; 1000]);
-            }
-            // Touch key 0 so it becomes MRU, then insert to force eviction.
-            assert!(s.get(&[0]).is_some());
-            s.set(vec![100], vec![0u8; 1000]);
-            assert!(s.contains(&[0]), "recently-touched key must survive");
-            assert!(!s.contains(&[1]), "LRU key must be evicted");
+        // The GET only queues a touch, but every writer flushes before
+        // mutating, so a single-threaded sequence sees exact LRU order.
+        let s = small();
+        for i in 0..9u8 {
+            s.set(vec![i], vec![0u8; 1000]);
         }
+        // Touch key 0 so it becomes MRU, then insert to force eviction.
+        assert!(s.get(&[0]).is_some());
+        s.set(vec![100], vec![0u8; 1000]);
+        assert!(s.contains(&[0]), "recently-touched key must survive");
+        assert!(!s.contains(&[1]), "LRU key must be evicted");
     }
 
     #[test]
@@ -1683,15 +1591,6 @@ mod tests {
     }
 
     #[test]
-    fn inline_plane_expires_on_get() {
-        let s = small_inline();
-        s.set_at("k", "v", 100, Some(50));
-        assert!(s.get_at(b"k", 150).is_none());
-        assert!(!s.contains(b"k"), "inline GET removes the expired item");
-        assert_eq!(s.stats().expirations, 1);
-    }
-
-    #[test]
     fn wheel_reaps_without_a_get() {
         // The whole point of the wheel: memory comes back without an
         // unlucky GET colliding with the expired entry.
@@ -1723,48 +1622,45 @@ mod tests {
 
     #[test]
     fn expired_entry_unblocks_add_and_fails_replace() {
-        // Satellite bugfix: presence is TTL-aware on both planes.
-        for s in [small(), small_inline()] {
-            s.set_at("k", "old", 0, Some(10));
-            assert_eq!(
-                s.set_policy_at("k", "new", 20, None, SetPolicy::IfPresent),
-                SetOutcome::NotStored,
-                "replace must fail on an expired entry"
-            );
-            assert_eq!(
-                s.set_policy_at("k", "new", 20, None, SetPolicy::IfAbsent),
-                SetOutcome::Stored,
-                "add must succeed over an expired entry"
-            );
-            assert_eq!(s.get_at(b"k", 20).as_deref(), Some(b"new".as_ref()));
-            assert_eq!(s.stats().expirations, 1);
-        }
+        // Presence is TTL-aware.
+        let s = small();
+        s.set_at("k", "old", 0, Some(10));
+        assert_eq!(
+            s.set_policy_at("k", "new", 20, None, SetPolicy::IfPresent),
+            SetOutcome::NotStored,
+            "replace must fail on an expired entry"
+        );
+        assert_eq!(
+            s.set_policy_at("k", "new", 20, None, SetPolicy::IfAbsent),
+            SetOutcome::Stored,
+            "add must succeed over an expired entry"
+        );
+        assert_eq!(s.get_at(b"k", 20).as_deref(), Some(b"new".as_ref()));
+        assert_eq!(s.stats().expirations, 1);
     }
 
     #[test]
     fn delete_of_expired_reports_not_found() {
-        for s in [small(), small_inline()] {
-            s.set_at("k", "v", 0, Some(10));
-            assert!(!s.delete_at(b"k", 20), "expired item deletes as absent");
-            assert!(!s.contains(b"k"), "but it is purged");
-            let st = s.stats();
-            assert_eq!(st.deletes, 0);
-            assert_eq!(st.expirations, 1);
-        }
+        let s = small();
+        s.set_at("k", "v", 0, Some(10));
+        assert!(!s.delete_at(b"k", 20), "expired item deletes as absent");
+        assert!(!s.contains(b"k"), "but it is purged");
+        let st = s.stats();
+        assert_eq!(st.deletes, 0);
+        assert_eq!(st.expirations, 1);
     }
 
     #[test]
     fn snapshot_at_counts_only_live_items() {
-        for s in [small(), small_inline()] {
-            s.set_at("t", vec![0u8; 100], 0, Some(10));
-            s.set_at("p", vec![0u8; 100], 0, None);
-            let before = s.snapshot_at(5);
-            assert_eq!(before.items, 2);
-            let after = s.snapshot_at(10);
-            assert_eq!(after.items, 1, "expired item leaves the counts");
-            assert_eq!(after.used_bytes, 1 + 100 + ITEM_OVERHEAD);
-            assert_eq!(s.len_at(10), 1);
-        }
+        let s = small();
+        s.set_at("t", vec![0u8; 100], 0, Some(10));
+        s.set_at("p", vec![0u8; 100], 0, None);
+        let before = s.snapshot_at(5);
+        assert_eq!(before.items, 2);
+        let after = s.snapshot_at(10);
+        assert_eq!(after.items, 1, "expired item leaves the counts");
+        assert_eq!(after.used_bytes, 1 + 100 + ITEM_OVERHEAD);
+        assert_eq!(s.len_at(10), 1);
     }
 
     #[test]
@@ -2042,20 +1938,19 @@ mod tests {
 
     #[test]
     fn update_rewrites_in_place_and_keeps_the_deadline() {
-        for s in [small(), small_inline()] {
-            s.set_at("k", "1", 0, Some(50));
-            let bump = |v: &[u8]| Some(Bytes::from(vec![v[0] + 1; 2]));
-            assert_eq!(s.update_at(b"k", 10, bump), Some(SetOutcome::Stored));
-            assert_eq!(s.update_at(b"k", 10, |_| None), Some(SetOutcome::NotStored));
-            assert_eq!(s.get_at(b"k", 49).as_deref(), Some(b"22".as_ref()));
-            assert!(s.get_at(b"k", 50).is_none(), "the deadline did not move");
-            assert_eq!(s.update_at(b"k", 50, bump), None, "expired is absent");
-            assert_eq!(s.update_at(b"nope", 50, bump), None);
-            let st = s.stats();
-            assert_eq!((st.sets, st.hits, st.misses), (2, 3, 3));
-            assert_eq!(st.expirations, 1, "reaped or purged, once");
-            assert_eq!(s.used_bytes(), 0);
-        }
+        let s = small();
+        s.set_at("k", "1", 0, Some(50));
+        let bump = |v: &[u8]| Some(Bytes::from(vec![v[0] + 1; 2]));
+        assert_eq!(s.update_at(b"k", 10, bump), Some(SetOutcome::Stored));
+        assert_eq!(s.update_at(b"k", 10, |_| None), Some(SetOutcome::NotStored));
+        assert_eq!(s.get_at(b"k", 49).as_deref(), Some(b"22".as_ref()));
+        assert!(s.get_at(b"k", 50).is_none(), "the deadline did not move");
+        assert_eq!(s.update_at(b"k", 50, bump), None, "expired is absent");
+        assert_eq!(s.update_at(b"nope", 50, bump), None);
+        let st = s.stats();
+        assert_eq!((st.sets, st.hits, st.misses), (2, 3, 3));
+        assert_eq!(st.expirations, 1, "reaped or purged, once");
+        assert_eq!(s.used_bytes(), 0);
     }
 
     #[test]
@@ -2087,7 +1982,6 @@ mod tests {
         s.get_at(b"missing", 2);
         s.flush_touches(10);
         assert_eq!(obs.counter("store_rlock_gets_total").get(), 5);
-        assert_eq!(obs.counter("store_wlock_gets_total").get(), 0);
         assert_eq!(obs.counter("store_touch_flush_total").get(), 1);
         // One record per (key, tick) read, not per read: tick 1's three
         // hits left one (three, while every read left a record) and tick

@@ -1,8 +1,7 @@
-//! The per-shard recency log of the store's deferred read path.
+//! The per-shard recency log of the store's shared-lock read path.
 //!
-//! Under the shared-lock read plane ([`crate::store`] with
-//! `ReadPath::Deferred`), a GET never moves its entry in the LRU list —
-//! that would need the shard's write lock. Instead a key's first hit in a
+//! A GET ([`crate::store`]) never moves its entry in the LRU list — that
+//! would need the shard's write lock. Instead a key's first hit in a
 //! clock tick appends a fixed-size **touch record** (`(slot, gen)` packed
 //! into one `u64`) to the shard's [`TouchLog`], and whoever next holds the
 //! shard's write lock applies the pending records in order. Repeat hits

@@ -1,10 +1,10 @@
 //! Eviction golden: "bit for bit" as a test.
 //!
 //! A seeded 240 000-operation get / set / add / replace / delete / TTL mix
-//! runs against a small 4-shard store under eviction pressure, on both
-//! read planes. Every reply, the final per-shard recency order
-//! (`visit_shard_at`), the hottest-first snapshot and the counters are
-//! folded into one FNV-1a fingerprint per plane.
+//! runs against a small 4-shard store under eviction pressure, and against
+//! the sequential model of `common/model.rs`. Every reply, the final
+//! per-shard recency order (`visit_shard_at`), the hottest-first snapshot
+//! and the counters are folded into one FNV-1a fingerprint per side.
 //!
 //! The mix runs under two clocks, and the two pairs of constants pin two
 //! different things:
@@ -43,18 +43,31 @@
 //! PR 19 with that one line deleted and nothing else changed**, before the
 //! log replaced the rings, and held through the replacement. So: PR 17 ≡
 //! PR 19 under the old fold, PR 19 ≡ the log store under this one.
+//!
+//! **The model's pair is the inline read plane's.** The store used to ship
+//! a second read plane (GETs under the exclusive lock, the LRU moved
+//! inline, expiry only on collision, no wheel), and the `_MODEL` constants
+//! were that plane's. At commit `5c854ae`, with that plane still in the
+//! store, the model reproduced both on its first run; the plane was
+//! deleted after. The store's pair differs because its wheel reaps expired
+//! items that the model keeps until something collides with them, so
+//! occupancy, and with it the victims, differ.
+
+mod common;
 
 use bytes::Bytes;
-use spotcache_cache::store::{ReadPath, SetPolicy, Store, StoreConfig};
+use common::{Item, Model, Plane};
+use spotcache_cache::store::{SetPolicy, Store, StoreConfig};
 
 const OPS: usize = 240_000;
 const KEYS: u64 = 6_000;
+const SHARDS: usize = 4;
 
 const GOLDEN_PER_150_DEFERRED: u64 = 12_523_576_644_966_028_723;
-const GOLDEN_PER_150_INLINE: u64 = 3_924_238_246_998_359_616;
+const GOLDEN_PER_150_MODEL: u64 = 3_924_238_246_998_359_616;
 
 const GOLDEN_PER_OP_DEFERRED: u64 = 14_659_691_682_383_482_913;
-const GOLDEN_PER_OP_INLINE: u64 = 2_867_339_130_443_470_129;
+const GOLDEN_PER_OP_MODEL: u64 = 2_867_339_130_443_470_129;
 
 struct Fnv(u64);
 
@@ -113,22 +126,18 @@ enum Clock {
     PerOp,
 }
 
-fn fingerprint(mode: ReadPath, clock: Clock) -> u64 {
+fn fingerprint<P: Plane>(clock: Clock) -> u64 {
     let ttl_scale = match clock {
         Clock::Per150Ops => 1,
         Clock::PerOp => 150,
     };
-    let store = Store::with_read_path(
-        StoreConfig {
-            capacity_bytes: 256 << 10,
-            shards: 4,
-        },
-        mode,
-    );
+    let mut store = P::new(StoreConfig {
+        capacity_bytes: 256 << 10,
+        shards: SHARDS,
+    });
     let mut rng = SplitMix(0x5eed_0017);
     let mut fp = Fnv::new();
     let mut now = 1u64;
-    let mut got = Vec::new();
     for i in 0..OPS {
         if matches!(clock, Clock::PerOp) || i % 150 == 149 {
             now += 1;
@@ -146,8 +155,8 @@ fn fingerprint(mode: ReadPath, clock: Clock) -> u64 {
                     keys.sort();
                     keys.dedup();
                 }
-                store.get_many_into(keys.iter().map(|k| k.as_slice()), now, &mut got);
-                for v in &got {
+                let keys: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+                for v in &store.get_many(&keys, now) {
                     fp.opt(v.as_ref().map(|v| v.len() as u64));
                 }
             }
@@ -156,7 +165,7 @@ fn fingerprint(mode: ReadPath, clock: Clock) -> u64 {
                 let ttl = (rng.below(10) < 3).then(|| rng.below(40) * ttl_scale);
                 let mut value = vec![(i % 251) as u8; len];
                 value[0] = op as u8;
-                store.set_at(key, value, now, ttl);
+                store.set_at(key.into(), value.into(), now, ttl);
             }
             85..=90 => {
                 let policy = if op.is_multiple_of(2) {
@@ -166,11 +175,12 @@ fn fingerprint(mode: ReadPath, clock: Clock) -> u64 {
                 };
                 let ttl = (rng.below(2) == 0).then(|| (1 + rng.below(20)) * ttl_scale);
                 let value = vec![op as u8; 1 + rng.below(200) as usize];
-                fp.u64(store.set_policy_at(key, value, now, ttl, policy) as u64);
+                let out = store.set_policy_at(key.into(), value.into(), now, ttl, policy);
+                fp.u64(out as u64);
             }
             91..=95 => fp.u64(store.delete_at(&key, now) as u64),
             96 => {
-                let items: Vec<(Bytes, Bytes, Option<u64>)> = (0..6)
+                let items: Vec<Item> = (0..6)
                     .map(|j| {
                         let v = vec![j as u8; 1 + rng.below(300) as usize];
                         (
@@ -183,8 +193,7 @@ fn fingerprint(mode: ReadPath, clock: Clock) -> u64 {
                 fp.u64(store.set_many_at(items, now) as u64);
             }
             97 => {
-                let rep = store.flush_touches(now);
-                fp.u64(rep.expired);
+                fp.u64(store.flush_touches(now));
             }
             98 => fp.u64(store.contains_at(&key, now) as u64),
             _ => {
@@ -194,7 +203,7 @@ fn fingerprint(mode: ReadPath, clock: Clock) -> u64 {
             }
         }
     }
-    for shard in 0..store.shard_count() {
+    for shard in 0..SHARDS {
         let seen = store.visit_shard_at(shard, now, |k, v, ttl| {
             fp.bytes(k);
             fp.u64(v.len() as u64);
@@ -232,27 +241,27 @@ fn fingerprint(mode: ReadPath, clock: Clock) -> u64 {
 #[test]
 fn many_reads_per_tick_bump_each_key_once_per_tick() {
     assert_eq!(
-        fingerprint(ReadPath::Deferred, Clock::Per150Ops),
+        fingerprint::<Store>(Clock::Per150Ops),
         GOLDEN_PER_150_DEFERRED,
-        "deferred plane"
+        "store"
     );
     assert_eq!(
-        fingerprint(ReadPath::Inline, Clock::Per150Ops),
-        GOLDEN_PER_150_INLINE,
-        "inline plane"
+        fingerprint::<Model>(Clock::Per150Ops),
+        GOLDEN_PER_150_MODEL,
+        "model"
     );
 }
 
 #[test]
 fn one_read_per_key_per_tick_is_the_exact_lru_store() {
     assert_eq!(
-        fingerprint(ReadPath::Deferred, Clock::PerOp),
+        fingerprint::<Store>(Clock::PerOp),
         GOLDEN_PER_OP_DEFERRED,
-        "deferred plane"
+        "store"
     );
     assert_eq!(
-        fingerprint(ReadPath::Inline, Clock::PerOp),
-        GOLDEN_PER_OP_INLINE,
-        "inline plane"
+        fingerprint::<Model>(Clock::PerOp),
+        GOLDEN_PER_OP_MODEL,
+        "model"
     );
 }

@@ -1,20 +1,21 @@
-//! Equivalence between the two read planes (ISSUE 8 satellite).
+//! The store against its sequential model.
 //!
-//! The deferred plane (shared-lock GETs + touch log + TTL wheel) must be
-//! observably equivalent to the frozen inline plane:
+//! The store (shared-lock GETs + touch log + TTL wheel) must be
+//! observably equivalent to the `HashMap` + `VecDeque` model of
+//! `common/model.rs`, which moves each key inline and expires lazily:
 //!
-//! * **Byte-identical results.** Over arbitrary GET/SET/DELETE/`add`/
-//!   `replace` interleavings — including eviction pressure — every
-//!   operation returns exactly the same bytes/outcome on both planes.
-//!   Recency-sensitive state (eviction order) matches whenever touches are
-//!   flushed before the eviction happens; since every writer flushes
-//!   opportunistically, any single-threaded sequence matches *without* an
-//!   explicit flush.
+//! * **Byte-identical results.** Over arbitrary get / set / delete / `add`
+//!   / `replace` / `update` / multi-get / multi-set interleavings —
+//!   including eviction pressure — every operation returns exactly the
+//!   same bytes / outcome on both sides. Recency-sensitive state (eviction
+//!   order) matches whenever touches are flushed before the eviction
+//!   happens; since every writer flushes opportunistically, any
+//!   single-threaded sequence matches *without* an explicit flush.
 //! * **Counters within the approximation bound.** `hits`/`misses`/`sets`/
 //!   `deletes`/`evictions` match exactly. `expirations` may differ: the
-//!   inline plane counts an expired item only when something collides with
-//!   it, the wheel counts every reaped record — both are bounded by the
-//!   number of TTL'd inserts.
+//!   model counts an expired item only when something collides with it,
+//!   the wheel counts every reaped record — both are bounded by the number
+//!   of TTL'd inserts.
 //! * **Per-worker touch order.** Touches from one thread are applied in
 //!   the order they were recorded (never reordered), and a drop-oldest
 //!   overflow only makes a key *colder*, never hotter.
@@ -25,22 +26,20 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Barrier;
 
+mod common;
+
 use bytes::Bytes;
+use common::{Model, Plane};
 use proptest::prelude::*;
-use spotcache_cache::store::{
-    ReadPath, SetOutcome, SetPolicy, Store, StoreConfig, TOUCH_LOG_CAPACITY,
-};
+use spotcache_cache::store::{SetOutcome, SetPolicy, Store, StoreConfig, TOUCH_LOG_CAPACITY};
 use spotcache_obs::Obs;
 
-fn pair(capacity: usize) -> (Store, Store) {
+fn pair(capacity: usize) -> (Store, Model) {
     let cfg = StoreConfig {
         capacity_bytes: capacity,
         shards: 2,
     };
-    (
-        Store::with_read_path(cfg, ReadPath::Deferred),
-        Store::with_read_path(cfg, ReadPath::Inline),
-    )
+    (Store::new(cfg), Model::new(cfg))
 }
 
 /// One generated operation: `(op, key, size, ttl, now)` with small key and
@@ -51,68 +50,73 @@ fn key_of(k: u8) -> Vec<u8> {
     format!("key-{k}").into_bytes()
 }
 
-/// Applies one op at logical time `clock`. The caller advances the clock
+/// What one op returned.
+#[derive(Debug, PartialEq)]
+enum Reply {
+    Value(Option<Bytes>),
+    Values(Vec<Option<Bytes>>),
+    Outcome(Option<SetOutcome>),
+    Removed(bool),
+    Stored(usize),
+    Nothing,
+}
+
+/// Applies one op at logical time `now`. The caller advances the clock
 /// monotonically — the store's clock contract (a wheel reap at time `t`
 /// must never be followed by a query at an earlier time).
-fn apply_op(
-    s: &Store,
-    (op, k, size, ttl, _dt): Op,
-    clock: u64,
-) -> (Option<Bytes>, Option<SetOutcome>, Option<bool>) {
+fn apply_op(s: &mut impl Plane, (op, k, size, ttl, _dt): Op, now: u64) -> Reply {
     let key = key_of(k);
-    let now = clock;
-    match op % 5 {
-        0 => (s.get_at(&key, now), None, None),
+    let ttl = (ttl > 0).then_some(ttl as u64);
+    let value = |fill: u8| Bytes::from(vec![fill; size as usize]);
+    match op % 8 {
+        0 => Reply::Value(s.get_at(&key, now)),
         1 => {
-            s.set_at(
-                key,
-                vec![k ^ size as u8; size as usize],
-                now,
-                (ttl > 0).then_some(ttl as u64),
-            );
-            (None, None, None)
+            s.set_at(key.into(), value(k ^ size as u8), now, ttl);
+            Reply::Nothing
         }
-        2 => (None, None, Some(s.delete_at(&key, now))),
-        3 => (
-            None,
-            Some(s.set_policy_at(
-                key,
-                vec![b'a'; size as usize],
-                now,
-                (ttl > 0).then_some(ttl as u64),
-                SetPolicy::IfAbsent,
-            )),
-            None,
-        ),
-        _ => (
-            None,
-            Some(s.set_policy_at(
-                key,
-                vec![b'r'; size as usize],
-                now,
-                (ttl > 0).then_some(ttl as u64),
-                SetPolicy::IfPresent,
-            )),
-            None,
-        ),
+        2 => Reply::Removed(s.delete_at(&key, now)),
+        3 | 4 => {
+            let (policy, fill) = match op % 8 {
+                3 => (SetPolicy::IfAbsent, b'a'),
+                _ => (SetPolicy::IfPresent, b'r'),
+            };
+            let out = s.set_policy_at(key.into(), value(fill), now, ttl, policy);
+            Reply::Outcome(Some(out))
+        }
+        // Every third update declines, which still touches the key.
+        5 => Reply::Outcome(s.update_at(&key, now, |v| {
+            let fill = v.first().map_or(0, |b| b.wrapping_add(1));
+            (size % 3 != 0).then(|| value(fill))
+        })),
+        // A multi-get that names `k` twice.
+        6 => {
+            let keys = [k, k.wrapping_add(1), k, (size % 64) as u8].map(key_of);
+            Reply::Values(s.get_many(&keys.each_ref().map(Vec::as_slice), now))
+        }
+        // A multi-set over both shards that writes `k` twice.
+        _ => {
+            let items = [(k, ttl), (k.wrapping_add(1), None), (k, None)];
+            let items = items.map(|(k, ttl)| (key_of(k).into(), value(k), ttl));
+            Reply::Stored(s.set_many_at(items.into(), now))
+        }
     }
 }
 
 proptest! {
     /// No-TTL workloads under eviction pressure: every result and every
-    /// counter (including evictions) is byte-identical, with the deferred
-    /// plane flushed only by its own writers.
+    /// counter (including evictions) is byte-identical, with the store
+    /// flushed only by its own writers.
     #[test]
     fn no_ttl_sequences_are_byte_identical(
-        ops in proptest::collection::vec((0u8..5, 0u8..40, 0u16..1500, 0u8..1, 0u8..1), 1..250)
+        ops in proptest::collection::vec((0u8..8, 0u8..40, 0u16..1500, 0u8..1, 0u8..1), 1..250)
     ) {
-        let (d, i) = pair(16 * 1024);
+        let (mut d, mut i) = pair(16 * 1024);
         for op in ops {
-            let rd = apply_op(&d, op, 0);
-            let ri = apply_op(&i, op, 0);
+            let rd = apply_op(&mut d, op, 0);
+            let ri = apply_op(&mut i, op, 0);
             prop_assert_eq!(rd, ri);
         }
-        prop_assert_eq!(d.stats(), i.stats(), "all counters identical without TTLs");
+        prop_assert_eq!(d.stats(), i.snapshot_at(0).stats, "all counters identical without TTLs");
         // Final contents identical too (order-insensitive compare).
         let mut cd = d.hot_snapshot_at(usize::MAX, 0);
         let mut ci = i.hot_snapshot_at(usize::MAX, 0);
@@ -122,36 +126,37 @@ proptest! {
     }
 
     /// TTL'd workloads without eviction pressure: results stay
-    /// byte-identical (expiry is checked on read on both planes) and the
+    /// byte-identical (expiry is checked on read on both sides) and the
     /// counters stay within the documented approximation bound.
     #[test]
     fn ttl_sequences_serve_identical_results(
-        ops in proptest::collection::vec((0u8..5, 0u8..30, 0u16..200, 0u8..10, 0u8..5), 1..250)
+        ops in proptest::collection::vec((0u8..8, 0u8..30, 0u16..200, 0u8..10, 0u8..5), 1..250)
     ) {
-        let (d, i) = pair(1 << 20);
+        let (mut d, mut i) = pair(1 << 20);
         let mut clock = 0u64;
         let mut ttl_sets = 0u64;
         for op in ops {
             clock += op.4 as u64; // time moves forward as ops execute
-            let rd = apply_op(&d, op, clock);
-            let ri = apply_op(&i, op, clock);
+            let rd = apply_op(&mut d, op, clock);
+            let ri = apply_op(&mut i, op, clock);
             prop_assert_eq!(rd, ri);
-            if matches!(op.0 % 5, 1 | 3 | 4) && op.3 > 0 {
+            if matches!(op.0 % 8, 1 | 3 | 4 | 7) && op.3 > 0 {
                 ttl_sets += 1;
             }
         }
         // Reap everything reapable, then compare within the bound.
         d.flush_touches(clock + 1000);
-        let (sd, si) = (d.stats(), i.stats());
+        let (sd, si) = (d.stats(), i.snapshot_at(0).stats);
         prop_assert_eq!(sd.hits, si.hits);
         prop_assert_eq!(sd.misses, si.misses);
         prop_assert_eq!(sd.sets, si.sets);
         prop_assert_eq!(sd.deletes, si.deletes);
         prop_assert_eq!(sd.evictions, 0u64);
         prop_assert_eq!(si.evictions, 0u64);
-        // Approximation bound: both planes count each TTL'd insert at most
-        // once, and the wheel never reaps less than an unlucky-GET plane
-        // observes *after a full reap* — the live item sets must agree.
+        // Approximation bound: both sides count each TTL'd insert at most
+        // once, and the wheel never reaps less than the model's lazy
+        // expiry observes *after a full reap* — the live item sets must
+        // agree.
         prop_assert!(sd.expirations <= ttl_sets);
         prop_assert!(si.expirations <= ttl_sets);
         let now = clock + 1000;
@@ -168,16 +173,16 @@ proptest! {
 /// as inline touching.
 #[test]
 fn touch_order_within_a_worker_is_preserved() {
-    let (d, i) = pair(16 * 1024);
+    let (mut d, mut i) = pair(16 * 1024);
     for k in 0..8u8 {
         let op = (1u8, k, 500u16, 0u8, 0u8);
-        apply_op(&d, op, 0);
-        apply_op(&i, op, 0);
+        apply_op(&mut d, op, 0);
+        apply_op(&mut i, op, 0);
     }
     // A deliberately shuffled touch sequence, no flush in between.
     for k in [3u8, 1, 4, 1, 5, 2, 6, 3] {
         assert!(d.get(&key_of(k)).is_some());
-        assert!(i.get(&key_of(k)).is_some());
+        assert!(i.get_at(&key_of(k), 0).is_some());
     }
     d.flush_touches(0);
     // Recency order must now be identical: walk both stores hottest-first.
@@ -312,29 +317,29 @@ fn four_readers_and_a_flusher_account_for_every_hit() {
 /// writer can never observe a stale tail.
 #[test]
 fn eviction_respects_flushed_recency() {
-    let (d, i) = pair(16 * 1024);
+    let (mut d, mut i) = pair(16 * 1024);
     // Two shards: fill one shard close to capacity.
     for k in 0..14u8 {
         let op = (1u8, k, 900u16, 0u8, 0u8);
-        apply_op(&d, op, 0);
-        apply_op(&i, op, 0);
+        apply_op(&mut d, op, 0);
+        apply_op(&mut i, op, 0);
     }
     // Touch the oldest keys, then force evictions with fresh inserts.
     for k in 0..4u8 {
         d.get(&key_of(k));
-        i.get(&key_of(k));
+        i.get_at(&key_of(k), 0);
     }
     for k in 100..106u8 {
         let op = (1u8, k, 900u16, 0u8, 0u8);
-        apply_op(&d, op, 0);
-        apply_op(&i, op, 0);
+        apply_op(&mut d, op, 0);
+        apply_op(&mut i, op, 0);
     }
     for k in 0..4u8 {
         assert_eq!(
-            d.contains(&key_of(k)),
-            i.contains(&key_of(k)),
-            "touched key {k} must share its fate across planes"
+            d.contains_at(&key_of(k), 0),
+            i.contains_at(&key_of(k), 0),
+            "touched key {k} must share its fate in store and model"
         );
     }
-    assert_eq!(d.stats().evictions, i.stats().evictions);
+    assert_eq!(d.stats().evictions, i.snapshot_at(0).stats.evictions);
 }
