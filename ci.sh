@@ -18,23 +18,43 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc --no-deps --workspace (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
+# same_names FRESH PINNED BIN: a checked-in artifact names every series its
+# bin's registry holds and every field the bin writes, so a fresh smoke run
+# must name the same counters, gauges and histograms (the `obs` snapshot,
+# or the whole document for BENCH_obs.json) and the same key paths outside
+# `obs`. A change that adds or removes one regenerates the file:
+# `cargo run --release -p spotcache-bench --bin BIN` from the repo root.
+same_names() {
+python3 - "$@" <<'PY'
+import json, sys
+def split(doc):
+    if "obs" not in doc:
+        return doc, {}
+    rest = dict(doc)
+    return rest.pop("obs"), rest
+def paths(node, at=""):
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield f"{at}.{k}" if at else k
+            yield from paths(v, f"{at}.{k}" if at else k)
+    elif isinstance(node, list):
+        for v in node:
+            yield from paths(v, at + "[]")
+(fresh, fresh_rest), (pinned, pinned_rest) = (split(json.load(open(p))) for p in sys.argv[1:3])
+sets = [(k, set(fresh[k]), set(pinned[k])) for k in ("counters", "gauges", "histograms")]
+sets.append(("key paths", set(paths(fresh_rest)), set(paths(pinned_rest))))
+for kind, new, old in sets:
+    assert new == old, f"{sys.argv[2]} {kind} are stale: new {sorted(new - old)}, " \
+        f"gone {sorted(old - new)}; regenerate it with --bin {sys.argv[3]}"
+PY
+}
+
 echo "==> obs snapshot smoke test"
 snap="$(mktemp /tmp/obs_snapshot.XXXXXX.json)"
 trap 'rm -f "$snap"' EXIT
 cargo run --release -q -p spotcache-bench --bin obs_snapshot -- --metrics-out "$snap" \
     | grep -q "snapshot OK"
-# The checked-in BENCH_obs.json names every series the registry holds: a
-# change that adds or removes a counter, gauge or histogram regenerates it
-# (`cargo run --release -p spotcache-bench --bin obs_snapshot`).
-python3 - "$snap" BENCH_obs.json <<'PY'
-import json, sys
-fresh, pinned = (json.load(open(path)) for path in sys.argv[1:3])
-for kind in ("counters", "gauges", "histograms"):
-    new = sorted(set(fresh[kind]) - set(pinned[kind]))
-    gone = sorted(set(pinned[kind]) - set(fresh[kind]))
-    assert not (new or gone), \
-        f"BENCH_obs.json {kind} are stale: new {new}, gone {gone}; regenerate it"
-PY
+same_names "$snap" BENCH_obs.json obs_snapshot
 
 echo "==> trace smoke test (spans from every instrumented layer)"
 tr="$(mktemp /tmp/trace_dump.XXXXXX.json)"
@@ -107,6 +127,7 @@ for fault in ("sever", "stall", "corrupt"):
     f = doc["link_faults"][fault]
     assert f["link_errors"] > 0 and f["healed"], f"link fault {fault}: not observed/healed"
 PY
+same_names "$dr" BENCH_drill.json revocation_drill
 
 echo "==> cluster loadgen smoke test (reactor data plane, multi-node ring)"
 cl="$(mktemp /tmp/cluster_loadgen.XXXXXX.json)"
@@ -176,6 +197,7 @@ assert scenarios["multi_router_degraded"]["max_degraded_routers"] >= 2, \
 assert len(scenarios["cascade"]["killed"]) > len(w["killed"]), \
     "cascade must out-kill a single wave"
 PY
+same_names "$st" BENCH_storm.json storm_drill
 
 echo "==> results byte-identity (every experiment in 'repro --list' vs results/<name>.txt)"
 # The hourly simulator and the spot models are bit-deterministic, so every

@@ -2,8 +2,9 @@
 //! curves (DESIGN.md §"Correlated churn").
 //!
 //! Where `revocation_drill` kills ONE primary, this drill kills a
-//! *fraction of the fleet* — N live reactor-backed servers behind the
-//! router hashring — and replays the storm matrix:
+//! *fraction of the fleet* — N live reactor-backed primaries, each
+//! replicating to its backup server, behind the router hashring
+//! ([`spotcache_bench::fleet`]) — and replays the storm matrix:
 //!
 //! * `warned` — every victim gets the rebalance warning; replacements
 //!   pre-warm inside the warning window.
@@ -28,8 +29,8 @@
 //! [`StormDetector`]: spotcache_obs::StormDetector
 //! [`BreachTracker`]: spotcache_obs::BreachTracker
 
+use spotcache_bench::fleet::{default_scenarios, run_scenario, FleetConfig, FleetRun, Scenario};
 use spotcache_bench::live::{write_artifact, Flags};
-use spotcache_bench::storm::{default_scenarios, run_scenario, ScenarioResult, StormConfig};
 use spotcache_bench::{heading, print_table};
 use spotcache_obs::Obs;
 use spotcache_recovery::replay::WarmupConfig;
@@ -38,7 +39,7 @@ use std::time::Duration;
 
 struct Config {
     out: String,
-    storm: StormConfig,
+    storm: FleetConfig,
     smoke: bool,
 }
 
@@ -61,7 +62,7 @@ impl Config {
             initial_credits: 0.0,
             ..WarmupConfig::default()
         };
-        let mut storm = StormConfig {
+        let mut storm = FleetConfig {
             nodes: 6,
             key_space: 1_800,
             theta: 0.99,
@@ -86,7 +87,7 @@ impl Config {
             seed,
         };
         if smoke {
-            storm = StormConfig {
+            storm = FleetConfig {
                 nodes: 4,
                 key_space: 800,
                 ops_per_window: 120,
@@ -118,7 +119,13 @@ fn breaches_json(bs: &[(u64, Option<u64>)]) -> String {
     format!("[{}]", cells.join(","))
 }
 
-fn scenario_json(r: &ScenarioResult) -> String {
+fn scenario_json(sc: &Scenario, r: &FleetRun) -> String {
+    let restored: u64 = r
+        .restores
+        .iter()
+        .flatten()
+        .map(|rep| rep.items_restored)
+        .sum();
     format!(
         "{{\"warned\":{},\"cascade\":{},\
          \"killed\":{},\"kill_windows\":{},\"restart_windows\":{},\
@@ -127,8 +134,8 @@ fn scenario_json(r: &ScenarioResult) -> String {
          \"storm_trigger_latency_windows\":{},\"burn_breaches\":{},\
          \"max_degraded_routers\":{},\"pumped_items\":{},\
          \"series\":{{\"fresh\":{},\"served\":{},\"stale\":{},\"burn\":{},\"degraded\":{}}}}}",
-        r.warned,
-        r.cascade,
+        sc.warned,
+        sc.cascade,
         u64s_json(&r.killed),
         u64s_json(&r.kill_windows),
         u64s_json(&r.restart_windows),
@@ -140,7 +147,7 @@ fn scenario_json(r: &ScenarioResult) -> String {
         r.trigger_latency.map_or("null".into(), |l| l.to_string()),
         breaches_json(&r.breaches),
         r.max_degraded,
-        r.pumped_items,
+        restored,
         r.fresh.json(),
         r.served.json(),
         r.stale.json(),
@@ -166,7 +173,7 @@ fn main() {
     );
 
     let obs = Arc::new(Obs::new());
-    let mut results: Vec<ScenarioResult> = Vec::new();
+    let mut results: Vec<(Scenario, FleetRun)> = Vec::new();
     for sc in default_scenarios() {
         heading(&format!("scenario: {}", sc.name));
         let r = run_scenario(s, &sc, &obs);
@@ -181,28 +188,28 @@ fn main() {
             r.max_degraded,
             r.breaches,
         );
-        results.push(r);
+        results.push((sc, r));
     }
 
     // --- Invariants (the drill *fails* rather than record a bad run) ---
-    for r in &results {
+    for (sc, r) in &results {
         assert!(
             r.steady_fresh >= 0.8,
             "{}: steady state must mostly hit fresh, got {:.3}",
-            r.name,
+            sc.name,
             r.steady_fresh
         );
         assert!(
             r.recovery_windows.is_some(),
             "{}: fleet must recover within the observation period",
-            r.name
+            sc.name
         );
         // No permanent hit-rate floor loss: the tail of the fresh curve
         // is back above the recovery bar, not just one lucky window.
         assert!(
             r.final_fresh >= s.recovery_fraction * r.steady_fresh,
             "{}: permanent floor loss: tail fresh {:.3} < {:.2} x steady {:.3}",
-            r.name,
+            sc.name,
             r.final_fresh,
             s.recovery_fraction,
             r.steady_fresh
@@ -210,13 +217,13 @@ fn main() {
         // The detector must fire in every scenario...
         let trigger = r
             .trigger_window
-            .unwrap_or_else(|| panic!("{}: storm detector never fired", r.name));
+            .unwrap_or_else(|| panic!("{}: storm detector never fired", sc.name));
         // ...within its configured window of the burst onset...
         let latency = r.trigger_latency.expect("latency set with trigger");
         assert!(
             latency <= s.detector_window,
             "{}: trigger latency {latency} windows exceeds detector window {}",
-            r.name,
+            sc.name,
             s.detector_window
         );
         // ...and before the freshness SLO starts burning through its
@@ -226,14 +233,15 @@ fn main() {
                 trigger <= *first_breach,
                 "{}: storm trigger (window {trigger}) lagged the first burn breach \
                  (window {first_breach})",
-                r.name
+                sc.name
             );
         }
     }
     let by_name = |name: &str| {
         results
             .iter()
-            .find(|r| r.name == name)
+            .find(|(sc, _)| sc.name == name)
+            .map(|(_, r)| r)
             .unwrap_or_else(|| panic!("missing scenario {name}"))
     };
     let warned = by_name("warned");
@@ -283,9 +291,9 @@ fn main() {
         ],
         &results
             .iter()
-            .map(|r| {
+            .map(|(sc, r)| {
                 vec![
-                    r.name.to_string(),
+                    sc.name.to_string(),
                     r.killed.len().to_string(),
                     r.recovery_windows.map_or("never".into(), |w| w.to_string()),
                     r.trigger_window.map_or("-".into(), |w| w.to_string()),
@@ -299,7 +307,7 @@ fn main() {
 
     let scenario_cells: Vec<String> = results
         .iter()
-        .map(|r| format!("\"{}\":{}", r.name, scenario_json(r)))
+        .map(|(sc, r)| format!("\"{}\":{}", sc.name, scenario_json(sc, r)))
         .collect();
     let json = format!(
         "{{\"schema\":\"spotcache-storm-v1\",\"smoke\":{},\"seed\":{},\

@@ -1,10 +1,12 @@
 //! Fault injection for replication links: a TCP proxy that can sever,
 //! stall, or corrupt traffic on command.
 //!
-//! The `revocation_drill` bin never talks to the backup directly — the
-//! replication stream is pointed at a [`FaultProxy`] so the drill can
-//! flip the link through the failure matrix (DESIGN.md §"Revocation
-//! drills") mid-traffic and assert that the shipper survives:
+//! `revocation_drill`'s link-fault matrix points a replication stream at
+//! a [`FaultProxy`] instead of at the backup, so the drill can flip the
+//! link through the failure matrix (DESIGN.md §"Revocation drills")
+//! mid-traffic and assert that the shipper survives. Only that matrix
+//! goes through the proxy; the fleet's primary→backup links are direct.
+//! The modes:
 //!
 //! * [`FaultMode::Forward`] — healthy pass-through,
 //! * [`FaultMode::Sever`] — existing connections are closed and new ones
@@ -226,8 +228,9 @@ impl Drop for FaultProxy {
     }
 }
 
-/// One node's timeline in a revocation storm. All times are integer
-/// *driver windows* (the storm drill's unit of progress), not seconds.
+/// One node's revocation timeline, as [`crate::fleet::Fleet::run`]
+/// replays it. All times are integer *driver windows* (the fleet's unit
+/// of progress), not seconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StormEvent {
     /// The doomed node.

@@ -10,11 +10,13 @@
 //! structures. This library crate carries small output helpers shared by
 //! the binaries plus [`live`], what every live bin shares (flag parsing,
 //! artifact writing, hot-set prefill, per-tier clients and the routed
-//! read window), [`faults`], the fault-injecting TCP proxy the
-//! `revocation_drill` bin aims replication links through (plus the
-//! correlated-storm scheduler), [`storm`], the fleet-scale churn
-//! engine behind `storm_drill`, and [`scrape`], the live-telemetry
-//! poller behind `cluster_loadgen --scrape-interval`.
+//! read window), [`fleet`], the one live fleet both `revocation_drill`
+//! and `storm_drill` drive (primaries replicating to backup servers,
+//! degraded routing, restores through every recovery strategy),
+//! [`faults`], the fault-injecting TCP proxy behind `revocation_drill`'s
+//! link-fault matrix plus the correlated-storm scheduler, and
+//! [`scrape`], the live-telemetry poller behind `cluster_loadgen
+//! --scrape-interval`.
 
 use spotcache_cloud::SpotTrace;
 use spotcache_core::controller::{ControllerConfig, GlobalController};
@@ -22,9 +24,9 @@ use spotcache_core::Approach;
 use spotcache_optimizer::problem::{CostModel, ProcurementProblem, WorkloadForecast};
 
 pub mod faults;
+pub mod fleet;
 pub mod live;
 pub mod scrape;
-pub mod storm;
 
 /// Prints a fixed-width text table: a header row, a rule, then rows.
 ///

@@ -4,8 +4,9 @@
 //! prefill ([`prefill_hot`]), lazily connected per-[`ServeTarget`] clients
 //! behind a [`DegradedRouter`] ([`RoutedTiers`]), and the paced
 //! read-through-the-router window with write-through refill
-//! ([`read_window`]). Nothing here knows which bin is calling; each
-//! experiment passes its own SLO scoring into [`read_window`].
+//! ([`read_window`]), which [`crate::fleet`] drives. Nothing here knows
+//! which bin is calling; the caller passes its own SLO scoring into
+//! [`read_window`].
 
 use std::net::SocketAddr;
 use std::str::FromStr;
@@ -141,17 +142,6 @@ pub fn prefill_hot(
     assert_eq!(consumed, buf.len(), "prefill must parse cleanly");
 }
 
-/// Where one serve tier of a routed node lives.
-pub enum Tier {
-    /// Nothing there (not launched yet, or revoked): every read misses.
-    Absent,
-    /// An in-process store read directly and never written: a passive
-    /// backup only mirrors replication.
-    Local(Arc<Store>),
-    /// A live server, connected on first use.
-    Remote(SocketAddr),
-}
-
 /// One routed node: its [`DegradedRouter`] and a lazily connected client
 /// per [`ServeTarget`]. Any transport error reads as a miss and drops
 /// the connection (the next call reconnects), so a dead server can
@@ -159,7 +149,9 @@ pub enum Tier {
 pub struct RoutedTiers {
     /// The node's phase machine; picks the read plan and write target.
     pub router: Arc<DegradedRouter>,
-    tiers: [Tier; 3],
+    /// Each target's server; `None` = nothing there (not launched yet,
+    /// or revoked), so every read misses.
+    tiers: [Option<SocketAddr>; 3],
     conns: [Option<CacheClient>; 3],
     /// Announced on every fresh connection so the server stitches the
     /// connection's serve spans into the caller's trace.
@@ -175,19 +167,20 @@ fn slot(t: ServeTarget) -> usize {
 }
 
 impl RoutedTiers {
-    /// A node with every tier [`Tier::Absent`].
+    /// A node with no server behind any target.
     pub fn new(router: Arc<DegradedRouter>, ctx: Option<TraceContext>) -> Self {
         Self {
             router,
-            tiers: [Tier::Absent, Tier::Absent, Tier::Absent],
+            tiers: [None; 3],
             conns: [None, None, None],
             ctx,
         }
     }
 
-    /// Points target `t` at `tier`, dropping any connection to the old one.
-    pub fn set_tier(&mut self, t: ServeTarget, tier: Tier) {
-        self.tiers[slot(t)] = tier;
+    /// Points target `t` at the server on `addr` (`None` = no server),
+    /// dropping any connection to the old one.
+    pub fn set_tier(&mut self, t: ServeTarget, addr: Option<SocketAddr>) {
+        self.tiers[slot(t)] = addr;
         self.conns[slot(t)] = None;
     }
 
@@ -206,23 +199,22 @@ impl RoutedTiers {
     /// Whether target `t` holds `key`.
     fn get(&mut self, t: ServeTarget, key: &str) -> bool {
         let i = slot(t);
-        match self.tiers[i] {
-            Tier::Absent => false,
-            Tier::Local(ref store) => store.get_at(key.as_bytes(), 0).is_some(),
-            Tier::Remote(addr) => match self.conn(i, addr).map(|c| c.get(key)) {
-                Some(Ok(v)) => v.is_some(),
-                _ => {
-                    self.conns[i] = None;
-                    false
-                }
-            },
+        let Some(addr) = self.tiers[i] else {
+            return false;
+        };
+        match self.conn(i, addr).map(|c| c.get(key)) {
+            Some(Ok(v)) => v.is_some(),
+            _ => {
+                self.conns[i] = None;
+                false
+            }
         }
     }
 
     /// Stores `key` → `value` at target `t`, dropping errors as `get` does.
     fn set(&mut self, t: ServeTarget, key: &str, value: &[u8]) {
         let i = slot(t);
-        if let Tier::Remote(addr) = self.tiers[i] {
+        if let Some(addr) = self.tiers[i] {
             if self
                 .conn(i, addr)
                 .map(|c| c.set(key, value, 0))
@@ -249,18 +241,16 @@ pub struct WindowTally {
 /// Drives one window of `ops` reads, then sleeps out the rest of the
 /// window (until `deadline`).
 ///
-/// `next` yields each read's `(node index, key)`; `tiers_of` finds that
-/// node's [`RoutedTiers`] inside the caller's fleet element. A read goes
-/// through the node's current read plan (first target, then the
+/// `next` yields each read's `(node index, key)`, the index into
+/// `fleet`. A read goes through the node's current read plan (first target, then the
 /// fallback); a miss everywhere is refilled write-through at the
 /// router's write target, as a cache-aside client would after fetching
 /// from the backend. Fresh or stale follows the *answering* target, not
 /// the plan order, so stale-first (checkpoint-mode) windows tally
 /// exactly like replacement-first ones. `score` is the caller's SLO:
 /// it sees every read's answering target (`None` = missed).
-pub fn read_window<N>(
-    fleet: &mut [N],
-    tiers_of: impl Fn(&mut N) -> &mut RoutedTiers,
+pub fn read_window(
+    fleet: &mut [RoutedTiers],
     ops: usize,
     mut next: impl FnMut() -> (usize, String),
     refill: &[u8],
@@ -270,7 +260,7 @@ pub fn read_window<N>(
     let mut tally = WindowTally::default();
     for _ in 0..ops {
         let (node, key) = next();
-        let tiers = tiers_of(&mut fleet[node]);
+        let tiers = &mut fleet[node];
         let plan = tiers.router.read_plan();
         let answered = if tiers.get(plan.first, &key) {
             Some(plan.first)
@@ -356,7 +346,7 @@ mod tests {
         let addr = srv.addr();
         let mut tiers = RoutedTiers::new(Arc::new(DegradedRouter::new()), None);
         assert!(!tiers.get(ServeTarget::Primary, "h3"), "absent tier misses");
-        tiers.set_tier(ServeTarget::Primary, Tier::Remote(addr));
+        tiers.set_tier(ServeTarget::Primary, Some(addr));
         assert!(tiers.get(ServeTarget::Primary, "h3"));
         assert!(tiers.conns[0].is_some());
 
@@ -386,16 +376,14 @@ mod tests {
         prefill_hot(&primary, "h", 0..40, 16);
         prefill_hot(&backup, "h", 0..20, 16);
         let mut primary_srv = start_server(&primary, None, None);
+        let mut backup_srv = start_server(&backup, None, None);
         let mut replacement_srv = start_server(&replacement, None, None);
 
         let router = Arc::new(DegradedRouter::new());
         let mut fleet = [RoutedTiers::new(Arc::clone(&router), None)];
-        fleet[0].set_tier(ServeTarget::Primary, Tier::Remote(primary_srv.addr()));
-        fleet[0].set_tier(ServeTarget::BackupStale, Tier::Local(Arc::clone(&backup)));
-        fleet[0].set_tier(
-            ServeTarget::Replacement,
-            Tier::Remote(replacement_srv.addr()),
-        );
+        fleet[0].set_tier(ServeTarget::Primary, Some(primary_srv.addr()));
+        fleet[0].set_tier(ServeTarget::BackupStale, Some(backup_srv.addr()));
+        fleet[0].set_tier(ServeTarget::Replacement, Some(replacement_srv.addr()));
 
         const OPS: usize = 60;
         let tally = |fresh, stale, missed| WindowTally {
@@ -408,7 +396,6 @@ mod tests {
             let mut scored = 0usize;
             let tally = read_window(
                 fleet,
-                |t| t,
                 OPS,
                 || {
                     k += 1;
@@ -433,7 +420,7 @@ mod tests {
         assert_eq!(window(&mut fleet), tally(OPS, 0, 0));
 
         primary_srv.stop();
-        fleet[0].set_tier(ServeTarget::Primary, Tier::Absent);
+        fleet[0].set_tier(ServeTarget::Primary, None);
         router.on_revoked();
         assert_eq!(router.phase(), DrillPhase::Degraded);
         // Empty replacement first, stale backup behind it.
@@ -447,6 +434,7 @@ mod tests {
         // No fallback once warmed: the backup-only keys miss.
         assert_eq!(window(&mut fleet), tally(40, 0, 20));
         assert_eq!(router.counts().total() as usize, 6 * OPS);
+        backup_srv.stop();
         replacement_srv.stop();
     }
 }

@@ -1,21 +1,26 @@
-//! Recovery-ordering integration test: a small real fleet, deterministic
-//! seeds, and the storm suite's central invariant — for the *identical*
+//! Recovery integration tests on small real fleets with deterministic
+//! seeds: the storm suite's central invariant — for the *identical*
 //! storm (same kill-set, same kill times), a warned fleet recovers no
-//! slower than an unwarned one.
+//! slower than an unwarned one — and every recovery strategy restoring
+//! a revoked node through a live `DegradedRouter`.
 //!
-//! This is the same engine `storm_drill` runs, shrunk to a 3-node fleet
-//! with one-kill waves so the whole pair finishes in a couple of
-//! seconds. The detector threshold drops to 1 accordingly (a single
+//! This is the same fleet both drills run, shrunk to 3 nodes with
+//! one-kill waves (or to one node) so each run finishes in about a
+//! second. The detector threshold drops to 1 accordingly (a single
 //! revocation *is* the storm at this scale).
 
-use spotcache_bench::storm::{run_scenario, Scenario, StormConfig};
+use spotcache_bench::faults::StormEvent;
+use spotcache_bench::fleet::{run_scenario, Fleet, FleetConfig, Scenario};
 use spotcache_obs::Obs;
+use spotcache_recovery::checkpoint::CheckpointConfig;
 use spotcache_recovery::replay::WarmupConfig;
+use spotcache_recovery::strategy::{RecoveryStrategy, TopUpConfig};
+use spotcache_router::degraded::DrillPhase;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn tiny_fleet(seed: u64) -> StormConfig {
-    StormConfig {
+fn tiny_fleet(seed: u64) -> FleetConfig {
+    FleetConfig {
         nodes: 3,
         key_space: 240,
         theta: 0.99,
@@ -109,5 +114,48 @@ fn warned_recovery_never_loses_to_unwarned() {
         // construction (push rejects regressions — none may occur).
         assert_eq!(r.fresh.dropped(), 0, "driver produced non-monotone pushes");
         assert!(r.fresh.len() as u64 >= cfg.steady_windows + cfg.observe_windows);
+    }
+}
+
+#[test]
+fn every_strategy_restores_an_unwarned_node() {
+    let cfg = FleetConfig {
+        nodes: 1,
+        ..tiny_fleet(11)
+    };
+    let obs = Arc::new(Obs::new());
+    let kill_at = cfg.steady_windows;
+    let event = StormEvent {
+        node: 0,
+        warn_at: None,
+        kill_at,
+        restart_at: kill_at,
+    };
+    for strategy in [
+        RecoveryStrategy::Replay(cfg.pump.clone()),
+        RecoveryStrategy::Checkpoint(CheckpointConfig::default()),
+        RecoveryStrategy::Hybrid {
+            checkpoint: CheckpointConfig::default(),
+            top_up: TopUpConfig::default(),
+        },
+    ] {
+        let name = strategy.name();
+        let fleet = Fleet::start(&cfg, strategy, &obs, None, None);
+        let router = Arc::clone(fleet.router(0));
+        let run = fleet.run(&[event], 3, |_| {});
+
+        assert!(run.recovery_windows.is_some(), "{name}: never recovered");
+        assert_eq!(router.phase(), DrillPhase::Warmed, "{name}");
+        let report = run.restores[0]
+            .as_ref()
+            .unwrap_or_else(|| panic!("{name}: no restore report"));
+        assert_eq!(report.items_restored, cfg.key_space, "{name}");
+        // The report shape each arm implies (unwarned: any checkpoint is
+        // cut inside the restore, from the backup).
+        match name {
+            "replay" => assert!(report.pump.is_some()),
+            "checkpoint" => assert!(report.ckpt_cut.is_some() && report.ckpt.is_some()),
+            _ => assert!(report.ckpt.is_some()),
+        }
     }
 }
