@@ -26,23 +26,21 @@
 //! Flags: `--smoke` (small fixed-seed run with an ops/s floor for CI),
 //! `--out PATH` (default `BENCH_cluster.json`), `--seed N`, `--conns N`
 //! (driver threads, each holding one connection per node), `--nodes N`,
-//! `--depth N`, `--batches N`, `--multiget N`, and `--scrape-interval
-//! SECS` (attach a live `/metrics` endpoint to node 0 and poll it on that
-//! cadence while the load runs; snapshots land under `"scrapes"` in the
-//! JSON artifact).
+//! `--depth N`, `--batches N` and `--multiget N`. Node 0's admin
+//! endpoint is always attached and its address printed, so `/metrics`
+//! can be scraped by hand while the load runs.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use spotcache_bench::heading;
 use spotcache_bench::live::{prefill_hot, start_server, write_artifact, Flags};
-use spotcache_bench::scrape::{scrapes_json, Scraper};
 use spotcache_cache::server::{CacheServer, ServerConfig};
 use spotcache_cache::store::{Store, StoreConfig};
 use spotcache_obs::{Histogram, Obs};
@@ -71,7 +69,6 @@ struct Config {
     pipelined_batches: usize,
     pipeline_depth: usize,
     multiget_cap: usize,
-    scrape_interval: Option<f64>,
 }
 
 impl Config {
@@ -86,7 +83,6 @@ impl Config {
             .value("--multiget", "a value")
             .unwrap_or(MULTIGET_CAP)
             .max(1);
-        let scrape_interval: Option<f64> = flags.value("--scrape-interval", "seconds");
         flags.finish();
         // (nodes, conns, key space, baseline ops, batches, depth)
         let d = if smoke {
@@ -105,7 +101,6 @@ impl Config {
             pipelined_batches: batches.unwrap_or(d.4),
             pipeline_depth: depth.unwrap_or(d.5),
             multiget_cap: multiget,
-            scrape_interval,
         }
     }
 }
@@ -482,25 +477,11 @@ fn main() {
     // The one-node reference: the same set-up over a ring of one.
     let mut single = Cluster::start(&cfg, 1);
 
-    // Live-telemetry leg: expose node 0's registry over an admin
-    // endpoint and poll it while the phases run, proving the scrape
-    // path answers under cluster load (snapshots land in the JSON).
-    let scraper = cfg.scrape_interval.map(|secs| {
-        let admin = cluster.nodes[0]
-            .server
-            .start_admin("127.0.0.1:0", None)
-            .expect("start admin endpoint on node 0");
-        println!("admin endpoint on node0 at {admin}, scraping /metrics every {secs}s");
-        Scraper::start(
-            admin,
-            Duration::from_secs_f64(secs),
-            &[
-                "cache_get_total",
-                "cache_store_total",
-                "server_connections_total",
-            ],
-        )
-    });
+    let admin = cluster.nodes[0]
+        .server
+        .start_admin("127.0.0.1:0", None)
+        .expect("start admin endpoint on node 0");
+    println!("admin endpoint on node0 at {admin}");
 
     let baseline = run_phase(
         "baseline",
@@ -530,15 +511,6 @@ fn main() {
     let pipelined = best(&pipelined_runs);
     let reference = best(&single_runs).ops_per_sec;
     let scaleout = pipelined.ops_per_sec / reference;
-    let scrapes = scraper.map(|s| {
-        let scrapes = s.stop();
-        println!("scraped node0 /metrics {} times mid-run", scrapes.len());
-        assert!(
-            !scrapes.is_empty(),
-            "scraper must record at least one snapshot"
-        );
-        scrapes
-    });
     cluster.stop();
     single.stop();
 
@@ -584,7 +556,7 @@ fn main() {
             .collect::<Vec<_>>()
             .join(",")
     };
-    let mut json = format!(
+    let json = format!(
         "{{\"schema\":\"spotcache-cluster-v1\",\"smoke\":{},\"seed\":{},\
          \"nodes\":{},\"conns\":{},\"host_cores\":{host_cores},\
          \"pipeline_depth\":{},\"key_space\":{},\
@@ -607,9 +579,6 @@ fn main() {
         runs_json(&pipelined_runs),
         per_node_json.join(","),
     );
-    if let Some(scrapes) = &scrapes {
-        json = format!("{{\"scrapes\":{},{}", scrapes_json(scrapes), &json[1..]);
-    }
     write_artifact(&cfg.out, &json);
 
     println!(

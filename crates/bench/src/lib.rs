@@ -5,7 +5,8 @@
 //! Every table, figure, ablation and extension experiment of the
 //! evaluation is a function of the one `repro` binary under `src/bin/`
 //! (`repro <name>` prints `results/<name>.txt`; see DESIGN.md for the
-//! index), the other bins there are live drills and smokes, and
+//! index), the other four are the two live drills, the cluster load
+//! generator and the one observability run (`obs_snapshot`), and
 //! `benches/` holds Criterion micro-benchmarks over the core data
 //! structures. This library crate carries small output helpers shared by
 //! the binaries plus [`live`], what every live bin shares (flag parsing,
@@ -13,10 +14,9 @@
 //! read window), [`fleet`], the one live fleet both `revocation_drill`
 //! and `storm_drill` drive (primaries replicating to backup servers,
 //! degraded routing, restores through every recovery strategy),
-//! [`faults`], the fault-injecting TCP proxy behind `revocation_drill`'s
-//! link-fault matrix plus the correlated-storm scheduler, and
-//! [`scrape`], the live-telemetry poller behind `cluster_loadgen
-//! --scrape-interval`.
+//! and [`faults`], the fault-injecting TCP proxy behind
+//! `revocation_drill`'s link-fault matrix plus the correlated-storm
+//! scheduler.
 
 use spotcache_cloud::SpotTrace;
 use spotcache_core::controller::{ControllerConfig, GlobalController};
@@ -26,7 +26,6 @@ use spotcache_optimizer::problem::{CostModel, ProcurementProblem, WorkloadForeca
 pub mod faults;
 pub mod fleet;
 pub mod live;
-pub mod scrape;
 
 /// Prints a fixed-width text table: a header row, a rule, then rows.
 ///

@@ -121,39 +121,17 @@ impl TokenBucket {
             self.level / (d - self.earn_rate)
         }
     }
-
-    /// [`consume`](Self::consume), sampling the resulting token level and
-    /// any throttling into `observer`.
-    pub fn consume_observed(
-        &mut self,
-        demand: f64,
-        dt: f64,
-        observer: Option<&BucketObserver>,
-    ) -> f64 {
-        let achieved = self.consume(demand, dt);
-        if let Some(ob) = observer {
-            ob.sample_consume(self, demand, achieved);
-        }
-        achieved
-    }
-
-    /// [`idle`](Self::idle), sampling the resulting token level into
-    /// `observer`.
-    pub fn idle_observed(&mut self, dt: f64, observer: Option<&BucketObserver>) {
-        self.idle(dt);
-        if let Some(ob) = observer {
-            ob.sample_level(self);
-        }
-    }
 }
 
 /// Recording handles for one named bucket's observability series
 /// (`bucket_<name>_level`, `bucket_<name>_achieved_rate`,
 /// `bucket_<name>_throttles_total`).
 ///
-/// The bucket itself stays `Copy` and obs-free; callers that want
-/// telemetry pass an observer into
-/// [`TokenBucket::consume_observed`]/[`idle_observed`](TokenBucket::idle_observed).
+/// The bucket itself stays `Copy` and obs-free; a caller that wants
+/// telemetry samples the bucket after each step:
+/// [`sample_consume`](Self::sample_consume) after a
+/// [`TokenBucket::consume`], [`sample_level`](Self::sample_level) after a
+/// [`TokenBucket::idle`].
 pub struct BucketObserver {
     level: Gauge,
     achieved: Gauge,
@@ -431,16 +409,21 @@ mod tests {
         let observer = BucketObserver::new(&obs, "cpu");
         let mut b = TokenBucket::new(10.0, 10.0, 0.1, 0.1, 1.0);
         // Plenty of tokens: no throttle.
-        let a = b.consume_observed(1.0, 1.0, Some(&observer));
+        let a = b.consume(1.0, 1.0);
+        observer.sample_consume(&b, 1.0, a);
         assert_eq!(a, 1.0);
         assert_eq!(observer.throttle_count(), 0);
         assert_eq!(obs.gauge("bucket_cpu_level").get(), b.level);
+        assert_eq!(obs.gauge("bucket_cpu_achieved_rate").get(), 1.0);
         // Drain past exhaustion: throttled.
-        b.consume_observed(1.0, 1_000.0, Some(&observer));
+        let a = b.consume(1.0, 1_000.0);
+        observer.sample_consume(&b, 1.0, a);
         assert_eq!(observer.throttle_count(), 1);
         assert_eq!(obs.gauge("bucket_cpu_level").get(), 0.0);
+        assert_eq!(obs.gauge("bucket_cpu_achieved_rate").get(), a);
         // Idling refills and re-samples the level gauge.
-        b.idle_observed(10.0, Some(&observer));
+        b.idle(10.0);
+        observer.sample_level(&b);
         assert!((obs.gauge("bucket_cpu_level").get() - 1.0).abs() < 1e-9);
     }
 

@@ -5,7 +5,7 @@
 //! deliberately tiny server: one listener thread, blocking accept,
 //! serial request handling (scrapes are rare and cheap), GET-only,
 //! `Connection: close` on every response. That is all a Prometheus
-//! scraper, `curl`, or the loadgen's `--scrape-interval` poller needs.
+//! scraper, `curl`, or `obs_snapshot`'s under-load scrapes need.
 //!
 //! [`standard_routes`] wires the four canonical telemetry routes:
 //!
@@ -25,13 +25,14 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::trace::Tracer;
 use crate::Obs;
 
-/// Per-connection read/write timeout: a stalled scraper must not wedge
-/// the (serial) admin thread.
+/// One deadline for a whole exchange, request head read and response
+/// write together: a stalled or trickling client must not wedge the
+/// (serial) admin thread, nor the `stop` that joins it.
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Maximum accepted request head (request line + headers).
@@ -147,21 +148,35 @@ fn accept_loop(listener: TcpListener, routes: Vec<Route>, shutdown: Arc<AtomicBo
         }
         let Ok(stream) = stream else { continue };
         // Serial handling: a scrape is a handful of milliseconds, and the
-        // timeouts bound a misbehaving client.
+        // exchange deadline bounds a misbehaving client.
         let _ = serve_connection(stream, &routes);
     }
 }
 
+/// Time left before `deadline`; none left is a timeout.
+fn remaining(deadline: Instant) -> io::Result<Duration> {
+    deadline
+        .checked_duration_since(Instant::now())
+        .filter(|left| !left.is_zero())
+        .ok_or_else(|| io::Error::new(io::ErrorKind::TimedOut, "admin exchange deadline"))
+}
+
 fn serve_connection(mut stream: TcpStream, routes: &[Route]) -> io::Result<()> {
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
-    stream.set_write_timeout(Some(IO_TIMEOUT))?;
+    let deadline = Instant::now() + IO_TIMEOUT;
     let mut head = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     // Read until the end of the request head; the routes take no body.
     while !head.windows(4).any(|w| w == b"\r\n\r\n") {
         if head.len() > MAX_REQUEST_BYTES {
-            return respond(&mut stream, 400, "text/plain", "request too large");
+            return respond(
+                &mut stream,
+                deadline,
+                400,
+                "text/plain",
+                "request too large",
+            );
         }
+        stream.set_read_timeout(Some(remaining(deadline)?))?;
         match stream.read(&mut chunk) {
             Ok(0) => return Ok(()), // client went away
             Ok(n) => head.extend_from_slice(&chunk[..n]),
@@ -176,20 +191,32 @@ fn serve_connection(mut stream: TcpStream, routes: &[Route]) -> io::Result<()> {
     let method = parts.next().unwrap_or(&[]);
     let target = parts.next().unwrap_or(&[]);
     if method != b"GET" {
-        return respond(&mut stream, 405, "text/plain", "method not allowed");
+        return respond(
+            &mut stream,
+            deadline,
+            405,
+            "text/plain",
+            "method not allowed",
+        );
     }
     // Match on the path only; tolerate `?query` suffixes.
     let path = target.split(|&b| b == b'?').next().unwrap_or(&[]);
     match routes.iter().find(|r| r.path.as_bytes() == path) {
         Some(route) => {
             let body = (route.handler)();
-            respond(&mut stream, 200, route.content_type, &body)
+            respond(&mut stream, deadline, 200, route.content_type, &body)
         }
-        None => respond(&mut stream, 404, "text/plain", "not found"),
+        None => respond(&mut stream, deadline, 404, "text/plain", "not found"),
     }
 }
 
-fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) -> io::Result<()> {
+fn respond(
+    stream: &mut TcpStream,
+    deadline: Instant,
+    status: u16,
+    content_type: &str,
+    body: &str,
+) -> io::Result<()> {
     let reason = match status {
         200 => "OK",
         400 => "Bad Request",
@@ -202,14 +229,23 @@ fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) 
          Content-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
-    stream.write_all(header.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    let reply = [header.as_bytes(), body.as_bytes()].concat();
+    let mut sent = 0;
+    while sent < reply.len() {
+        stream.set_write_timeout(Some(remaining(deadline)?))?;
+        match stream.write(&reply[sent..]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Blocking one-shot HTTP GET against an admin endpoint; returns
-/// `(status, body)`. This is the client half the loadgen pollers and the
-/// CI scrape gate use — same no-dependency constraint as the server.
+/// `(status, body)`. This is the client half `obs_snapshot`'s scrapes
+/// use — same no-dependency constraint as the server.
 pub fn http_get(addr: SocketAddr, path: &str, timeout: Duration) -> io::Result<(u16, String)> {
     let mut stream = TcpStream::connect_timeout(&addr, timeout)?;
     stream.set_read_timeout(Some(timeout))?;
@@ -334,8 +370,57 @@ mod tests {
             standard_routes(Arc::new(Obs::new()), None, None),
         )
         .unwrap();
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         srv.stop();
         assert!(started.elapsed() < Duration::from_millis(500));
+    }
+
+    /// Connects to `addr` and sends one byte of a never-finished request
+    /// head every 300 ms for 6 s (or until the server hangs up). Returns
+    /// once the admin thread has had time to accept it, so a test acts
+    /// while the serial thread is inside the trickler's exchange.
+    fn trickle(addr: SocketAddr) -> JoinHandle<()> {
+        let mut s = TcpStream::connect(addr).unwrap();
+        let trickler = std::thread::spawn(move || {
+            for _ in 0..20 {
+                if s.write_all(b"G").is_err() {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(300));
+            }
+        });
+        std::thread::sleep(Duration::from_millis(100));
+        trickler
+    }
+
+    #[test]
+    fn a_trickling_client_does_not_block_a_scrape() {
+        let srv = AdminServer::start(
+            "127.0.0.1:0",
+            standard_routes(Arc::new(Obs::new()), None, None),
+        )
+        .unwrap();
+        let trickler = trickle(srv.addr());
+        let scrape = http_get(srv.addr(), "/metrics", Duration::from_secs(4));
+        assert!(
+            matches!(scrape, Ok((200, _))),
+            "scrape behind a trickler: {scrape:?}"
+        );
+        trickler.join().unwrap();
+    }
+
+    #[test]
+    fn stop_returns_while_a_trickler_is_connected() {
+        let mut srv = AdminServer::start(
+            "127.0.0.1:0",
+            standard_routes(Arc::new(Obs::new()), None, None),
+        )
+        .unwrap();
+        let trickler = trickle(srv.addr());
+        let started = Instant::now();
+        srv.stop();
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(3), "stop took {took:?}");
+        trickler.join().unwrap();
     }
 }

@@ -34,11 +34,6 @@
 //! Everything here is plain sequential state guarded by one mutex per
 //! structure: windows are fed from control-loop cadence code (per-slot,
 //! per-second), never from the cache hot path.
-//!
-//! Export: [`window_stats_json`] renders any set of windows as one JSON
-//! document (validated by [`crate::export::validate_json`]), and
-//! [`window_stats_prometheus`] as Prometheus text; both enumerate windows
-//! in name order so snapshots are deterministic.
 
 use std::fmt::Write as _;
 
@@ -541,59 +536,6 @@ fn fmt_json_f64(v: f64) -> String {
     format!("{v}")
 }
 
-/// Renders named windows as one JSON document:
-/// `{"<name>":{"len":N,"mean":..,"min":..,"max":..,"p50":..,"p95":..,"rate":..},...}`
-/// in name order. Always passes [`crate::export::validate_json`].
-pub fn window_stats_json(windows: &[(&str, &SlidingWindow)]) -> String {
-    let mut named: Vec<(&str, WindowStats)> =
-        windows.iter().map(|(n, w)| (*n, w.stats())).collect();
-    named.sort_by_key(|&(n, _)| n);
-    let mut out = String::from("{");
-    for (i, (name, s)) in named.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\"{}\":{{\"len\":{},\"mean\":{},\"min\":{},\"max\":{},\"p50\":{},\"p95\":{},\"rate\":{}}}",
-            crate::export::json_escape(name),
-            s.len,
-            fmt_json_f64(s.mean),
-            fmt_json_f64(s.min),
-            fmt_json_f64(s.max),
-            fmt_json_f64(s.p50),
-            fmt_json_f64(s.p95),
-            fmt_json_f64(s.rate),
-        );
-    }
-    out.push('}');
-    out
-}
-
-/// Renders named windows as Prometheus text: one gauge per aggregate,
-/// `<name>_window_{mean,min,max,p50,p95,rate,len}`, in name order.
-pub fn window_stats_prometheus(windows: &[(&str, &SlidingWindow)]) -> String {
-    let mut named: Vec<(&str, WindowStats)> =
-        windows.iter().map(|(n, w)| (*n, w.stats())).collect();
-    named.sort_by_key(|&(n, _)| n);
-    let mut out = String::new();
-    for (name, s) in named {
-        for (suffix, v) in [
-            ("len", s.len as f64),
-            ("mean", s.mean),
-            ("min", s.min),
-            ("max", s.max),
-            ("p50", s.p50),
-            ("p95", s.p95),
-            ("rate", s.rate),
-        ] {
-            let _ = writeln!(out, "# TYPE {name}_window_{suffix} gauge");
-            let _ = writeln!(out, "{name}_window_{suffix} {v}");
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -735,6 +677,9 @@ mod tests {
         assert_eq!(s.json(), "[[1,1],[5,0.5],[8,0.8]]");
         validate_json(&s.json()).unwrap();
         assert_eq!(DecaySeries::new().json(), "[]");
+        let z = DecaySeries::new();
+        z.push(0, -0.0);
+        assert_eq!(z.json(), "[[0,0]]", "negative zero exports as 0");
     }
 
     #[test]
@@ -766,24 +711,5 @@ mod tests {
         c.observe(0, 1.0);
         c.observe(1, f64::NAN);
         assert!(c.intervals().is_empty());
-    }
-
-    #[test]
-    fn window_export_is_valid_and_name_ordered() {
-        let a = SlidingWindow::new(4);
-        let b = SlidingWindow::new(4);
-        a.observe(0, 1.0);
-        a.observe(1, 3.0);
-        b.observe(0, -0.0); // negative zero must export as 0
-        let json = window_stats_json(&[("zz_cost", &a), ("aa_demand", &b)]);
-        validate_json(&json).unwrap_or_else(|at| panic!("invalid at {at}: {json}"));
-        assert!(
-            json.find("aa_demand").unwrap() < json.find("zz_cost").unwrap(),
-            "name order: {json}"
-        );
-        assert!(json.contains("\"min\":0,"), "-0 normalized: {json}");
-        let prom = window_stats_prometheus(&[("zz_cost", &a), ("aa_demand", &b)]);
-        assert!(prom.contains("zz_cost_window_mean 2"));
-        assert!(prom.contains("aa_demand_window_len 1"));
     }
 }
