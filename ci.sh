@@ -195,8 +195,8 @@ echo "==> results byte-identity (every experiment in 'repro --list' vs results/<
 # The hourly simulator and the spot models are bit-deterministic, so every
 # checked-in table must reproduce exactly: a changed pivot, rounding or
 # prediction anywhere in the planner shows up here as a diff. Runs
-# $(nproc) experiments at a time; fig13 alone is 23-24 s of the measured
-# wall time below, and the budget leaves a loaded host about three times
+# $(nproc) experiments at a time; fig13 alone is 12-13 s of the measured
+# wall time below, and the budget leaves a loaded host about five times
 # that.
 cargo build --release -q -p spotcache-bench --bin repro
 repro=target/release/repro
@@ -210,7 +210,7 @@ gate_start=$(date +%s)
     [ "$verdict" = ok ] || { printf "%s\n" "$delta"; exit 1; }
 ' "$repro" {} || { echo "results/ no longer reproduces (files named above)"; exit 1; }
 gate_s=$(( $(date +%s) - gate_start ))
-echo "    results gate: ${gate_s} s wall (measured 27-28 s on the 2-core host, budget 80 s)"
+echo "    results gate: ${gate_s} s wall (measured 14-16 s on the 2-core host, budget 80 s)"
 [ "$gate_s" -le 80 ] || { echo "results gate took ${gate_s} s, over its 80 s budget"; exit 1; }
 
 # One short traced run per benchmark workload: the output check passes
@@ -235,11 +235,11 @@ echo "    results gate: ${gate_s} s wall (measured 27-28 s on the 2-core host, b
 # 42's normalised cost to the bit: the harness only checks a run against
 # itself, so a planner that is wrong the same way every repetition (a
 # look-ahead that misses a trace's last sample read 0.40316) is `correct`.
-# Its spotmodel.predict_us_per_call and core.plan_ms_per_slot are printed
-# (≈ 1.5-1.7 us and ≈ 0.068-0.074 ms since the run scan became a tight
-# loop and the count walk stopped solving LPs its counts rule out;
-# 5.4-5.9 and 0.097-0.115 before), not asserted, for the same reason as
-# write_evict's.
+# Its spotmodel.predict_us_per_call, optimizer.solve_us and
+# core.plan_ms_per_slot are printed (≈ 1.5-1.7 us, ≈ 44-49 us and
+# ≈ 0.035-0.038 ms since zero-rhs >= rows start on their slacks and
+# fixed-count LPs drop zero-count offers; ≈ 90-100 us and 0.064-0.074 ms
+# before), not asserted, for the same reason as write_evict's.
 for spec in paced_get:2 pipelined_mix:2 write_evict:2 revocation:6 plan_90d:2; do
     w="${spec%%:*}"
     echo "==> benchmark $w smoke (traced; correct, nothing failed)"
@@ -262,9 +262,10 @@ if sys.argv[1] == "pipelined_mix":
     assert dropped == 0, "pipelined_mix: %d touch records dropped" % dropped
 if sys.argv[1] == "plan_90d":
     norm = doc["metrics"]["sim.cost_norm"]["value"]
-    assert norm == 0.40124861357755254, "plan_90d: sim.cost_norm %r moved" % norm
-    print("    plan_90d: spotmodel.predict_us_per_call %.2f, core.plan_ms_per_slot %.4f" % tuple(
-        doc["metrics"][m]["value"] for m in ("spotmodel.predict_us_per_call", "core.plan_ms_per_slot")))
+    assert norm == 0.40138153519991876, "plan_90d: sim.cost_norm %r moved" % norm
+    print("    plan_90d: spotmodel.predict_us_per_call %.2f, optimizer.solve_us %.1f, "
+          "core.plan_ms_per_slot %.4f" % tuple(doc["metrics"][m]["value"] for m in (
+              "spotmodel.predict_us_per_call", "optimizer.solve_us", "core.plan_ms_per_slot")))
 ' "$w"
 done
 

@@ -371,8 +371,8 @@ impl ControlLoop {
     }
 
     /// Plans one slot with the controller and counts the LPs its solve ran
-    /// and skipped into `control_lp_solves_total` /
-    /// `control_lp_skipped_total`.
+    /// and skipped, and their pivots, into `control_lp_solves_total` /
+    /// `control_lp_skipped_total` / `control_lp_pivots_total`.
     fn plan(
         &mut self,
         traces: &[&SpotTrace],
@@ -386,6 +386,8 @@ impl ControlLoop {
                 .add(u64::from(plan.alloc.lps_solved));
             o.counter("control_lp_skipped_total")
                 .add(u64::from(plan.alloc.lps_skipped));
+            o.counter("control_lp_pivots_total")
+                .add(u64::from(plan.alloc.lp_pivots));
         }
         Ok(plan)
     }

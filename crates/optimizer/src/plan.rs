@@ -60,6 +60,10 @@ pub struct AllocationPlan {
     /// of what the LP demands there — each an LP that could only have come
     /// back infeasible.
     pub lps_skipped: u32,
+    /// Simplex pivots summed over the plan's feasible solves (the
+    /// relaxation and every fixed-count LP that came back with a
+    /// placement; [`crate::simplex::LpSolution::pivots`]).
+    pub lp_pivots: u32,
 }
 
 impl AllocationPlan {
@@ -71,6 +75,7 @@ impl AllocationPlan {
             slot_hours,
             lps_solved: 0,
             lps_skipped: 0,
+            lp_pivots: 0,
         }
     }
 

@@ -25,6 +25,18 @@ use crate::simplex::{Constraint, LinearProgram, LpError};
 /// walk skips its LP (see [`ProcurementProblem::capacity_short`]).
 const PHASE1_MARGIN: f64 = 1e-6;
 
+/// A solved fixed-count LP (see [`ProcurementProblem::solve_fixed_counts`]).
+struct FixedCounts {
+    /// Hot fraction per offer.
+    x: Vec<f64>,
+    /// Cold fraction per offer.
+    y: Vec<f64>,
+    /// Placement (penalty) cost.
+    cost: f64,
+    /// Simplex pivots the solve took.
+    pivots: u32,
+}
+
 /// How an offer procures capacity.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OfferKind {
@@ -322,8 +334,8 @@ impl ProcurementProblem {
     }
 
     /// Solves [`Self::relaxation`], converting the normalized placement
-    /// variables back to `x`, `y`.
-    fn solve_relaxation(&self) -> Result<Vec<f64>, SolveError> {
+    /// variables back to `x`, `y`; also returns the pivots it took.
+    fn solve_relaxation(&self) -> Result<(Vec<f64>, u32), SolveError> {
         let k = self.offers.len();
         let w = &self.workload;
         let cold_span = (w.alpha - w.hot_frac).max(0.0);
@@ -334,7 +346,7 @@ impl ProcurementProblem {
                     out[o] *= w.hot_frac;
                     out[k + o] *= if cold_span > 1e-12 { cold_span } else { 0.0 };
                 }
-                Ok(out)
+                Ok((out, s.pivots))
             }
             Err(LpError::Infeasible) => Err(SolveError::Infeasible),
             Err(e) => Err(SolveError::BadInput(format!("LP failed: {e}"))),
@@ -343,10 +355,20 @@ impl ProcurementProblem {
 
     /// Re-optimizes placement `(x, y)` with instance counts fixed.
     ///
-    /// Returns `(x, y, placement_cost)` or `None` if infeasible under these
-    /// counts.
-    fn solve_fixed_counts(&self, counts: &[u32]) -> Option<(Vec<f64>, Vec<f64>, f64)> {
-        let k = self.offers.len();
+    /// Returns `None` if infeasible under these counts.
+    ///
+    /// The LP holds only the offers with `counts[o] > 0`; `x` and `y` are
+    /// exactly 0 at the others. That is exact: a zero-count offer's RAM
+    /// row `M̂H·X + M̂(α−H)·Y ≤ 0` has both coefficients positive
+    /// ([`Self::validate`]), so it already forces `X = Y = 0` there.
+    fn solve_fixed_counts(&self, counts: &[u32]) -> Option<FixedCounts> {
+        let used: Vec<usize> = (0..self.offers.len()).filter(|&o| counts[o] > 0).collect();
+        self.solve_fixed_counts_over(counts, &used)
+    }
+
+    /// The fixed-count LP over the offers in `used` (ascending indices).
+    fn solve_fixed_counts_over(&self, counts: &[u32], used: &[usize]) -> Option<FixedCounts> {
+        let k = used.len();
         let w = &self.workload;
         let (r_h, r_c) = self.rate_coefficients();
         let nv = 2 * k;
@@ -354,20 +376,21 @@ impl ProcurementProblem {
         let h_scale = w.hot_frac;
         let cold_span = (w.alpha - w.hot_frac).max(0.0);
         let c_scale = if cold_span > 1e-12 { cold_span } else { 1.0 };
+        let offers = || used.iter().map(|&o| &self.offers[o]).enumerate();
 
         let mut obj = vec![0.0; nv];
-        for (o, offer) in self.offers.iter().enumerate() {
+        for (v, offer) in offers() {
             let (ph, pc) = self.penalty_coefficients(offer);
-            obj[o] = ph * h_scale;
-            obj[k + o] = pc * c_scale;
+            obj[v] = ph * h_scale;
+            obj[k + v] = pc * c_scale;
         }
         let mut lp = LinearProgram::minimize(obj);
 
         let mut hot_row = vec![0.0; nv];
         let mut cold_row = vec![0.0; nv];
-        for o in 0..k {
-            hot_row[o] = 1.0;
-            cold_row[k + o] = 1.0;
+        for v in 0..k {
+            hot_row[v] = 1.0;
+            cold_row[k + v] = 1.0;
         }
         lp = lp.subject_to(Constraint::eq(hot_row, 1.0));
         lp = lp.subject_to(Constraint::eq(
@@ -375,23 +398,23 @@ impl ProcurementProblem {
             if cold_span > 1e-12 { 1.0 } else { 0.0 },
         ));
 
-        for (o, offer) in self.offers.iter().enumerate() {
-            let n = counts[o] as f64;
+        for (v, offer) in offers() {
+            let n = counts[used[v]] as f64;
             let mut ram = vec![0.0; nv];
-            ram[o] = w.wss_gb * h_scale;
-            ram[k + o] = w.wss_gb * c_scale;
+            ram[v] = w.wss_gb * h_scale;
+            ram[k + v] = w.wss_gb * c_scale;
             lp = lp.subject_to(Constraint::le(ram, n * offer.usable_ram_gb));
             let mut rate = vec![0.0; nv];
-            rate[o] = r_h * h_scale;
-            rate[k + o] = r_c * c_scale;
+            rate[v] = r_h * h_scale;
+            rate[k + v] = r_c * c_scale;
             lp = lp.subject_to(Constraint::le(rate, n * offer.max_rate));
         }
         if self.cost.zeta > 0.0 {
             let mut avail = vec![0.0; nv];
-            for (o, offer) in self.offers.iter().enumerate() {
+            for (v, offer) in offers() {
                 if !offer.kind.is_spot() {
-                    avail[o] = h_scale;
-                    avail[k + o] = c_scale;
+                    avail[v] = h_scale;
+                    avail[k + v] = c_scale;
                 }
             }
             lp = lp.subject_to(Constraint::ge(avail, self.cost.zeta * w.alpha));
@@ -399,30 +422,36 @@ impl ProcurementProblem {
         let any_spot = self.offers.iter().any(|o| o.kind.is_spot());
         if self.force_hot_on_od && any_spot {
             let mut sep = vec![0.0; nv];
-            for (o, offer) in self.offers.iter().enumerate() {
+            for (v, offer) in offers() {
                 if offer.kind.is_spot() {
-                    sep[o] = 1.0;
+                    sep[v] = 1.0;
                 }
             }
             lp = lp.subject_to(Constraint::le(sep, 0.0));
         }
         if self.force_cold_on_spot && any_spot {
             let mut sep = vec![0.0; nv];
-            for (o, offer) in self.offers.iter().enumerate() {
+            for (v, offer) in offers() {
                 if !offer.kind.is_spot() {
-                    sep[k + o] = 1.0;
+                    sep[k + v] = 1.0;
                 }
             }
             lp = lp.subject_to(Constraint::le(sep, 0.0));
         }
 
         let s = lp.solve().ok()?;
-        let x: Vec<f64> = s.x[..k].iter().map(|v| v * h_scale).collect();
-        let y: Vec<f64> = s.x[k..2 * k]
-            .iter()
-            .map(|v| v * if cold_span > 1e-12 { c_scale } else { 0.0 })
-            .collect();
-        Some((x, y, s.objective))
+        let y_scale = if cold_span > 1e-12 { c_scale } else { 0.0 };
+        let (mut x, mut y) = (vec![0.0; counts.len()], vec![0.0; counts.len()]);
+        for (v, &o) in used.iter().enumerate() {
+            x[o] = s.x[v] * h_scale;
+            y[o] = s.x[k + v] * y_scale;
+        }
+        Some(FixedCounts {
+            x,
+            y,
+            cost: s.objective,
+            pivots: s.pivots,
+        })
     }
 
     /// Whether `counts` fall short of the workload by more than the
@@ -506,15 +535,17 @@ impl ProcurementProblem {
     pub fn solve(&self) -> Result<AllocationPlan, SolveError> {
         self.validate()?;
         let k = self.offers.len();
-        let relaxed = self.solve_relaxation()?;
+        let (relaxed, mut lp_pivots) = self.solve_relaxation()?;
         let mut counts: Vec<u32> = (0..k)
             .map(|o| (relaxed[2 * k + o] - 1e-9).ceil().max(0.0) as u32)
             .collect();
 
-        let (mut x, mut y, place_cost) = self
+        let rounded = self
             .solve_fixed_counts(&counts)
             .ok_or(SolveError::Infeasible)?;
-        let mut best = self.total_cost(&counts, place_cost);
+        lp_pivots += rounded.pivots;
+        let mut best = self.total_cost(&counts, rounded.cost);
+        let FixedCounts { mut x, mut y, .. } = rounded;
         let (mut lps_solved, mut lps_skipped) = (2, 0);
 
         // Walk counts downward while it helps (the rounding-up step can
@@ -542,12 +573,13 @@ impl ProcurementProblem {
                     lps_solved += 1;
                     self.solve_fixed_counts(&counts)
                 };
-                if let Some((nx, ny, npc)) = fixed {
-                    let cost = self.total_cost(&counts, npc);
+                if let Some(f) = fixed {
+                    lp_pivots += f.pivots;
+                    let cost = self.total_cost(&counts, f.cost);
                     if cost < best - 1e-9 {
                         best = cost;
-                        x = nx;
-                        y = ny;
+                        x = f.x;
+                        y = f.y;
                         improved = true;
                         continue;
                     }
@@ -567,6 +599,7 @@ impl ProcurementProblem {
         Ok(AllocationPlan {
             lps_solved,
             lps_skipped,
+            lp_pivots,
             ..AllocationPlan::new(entries, best, self.cost.slot_hours)
         })
     }
@@ -856,6 +889,113 @@ mod tests {
         ));
     }
 
+    /// Offer tuple drawn by the capacity-edge proptests: (spot, RAM GiB,
+    /// max rate, price, existing, count).
+    type OfferDraw = (bool, f64, f64, f64, u32, u32);
+
+    /// The problem and counts of one capacity-edge case (see
+    /// `a_skipped_count_walk_step_is_an_infeasible_lp`), and the relative
+    /// offset its need was moved to.
+    fn capacity_edge(
+        offers: &[OfferDraw],
+        (hot_kind, half_alpha, f_hot, f_cold): (u8, bool, f64, f64),
+        (rate, wss_gb): (f64, f64),
+        (zeta_kind, force_hot_on_od, force_cold_on_spot): (u8, bool, bool),
+        (bound, rel_kind): (u8, u8),
+    ) -> (ProcurementProblem, Vec<u32>, f64) {
+        let itype = find_type("m4.large").unwrap();
+        let counts: Vec<u32> = offers.iter().map(|o| o.5).collect();
+        let offers: Vec<Offer> = offers
+            .iter()
+            .enumerate()
+            .map(|(i, &(spot, ram, max_rate, price, existing, _))| Offer {
+                label: format!("o{i}"),
+                itype,
+                kind: if spot {
+                    OfferKind::Spot {
+                        market: MarketId::new("m4.large", format!("z{i}")),
+                        bid: Bid(price),
+                    }
+                } else {
+                    OfferKind::OnDemand
+                },
+                price,
+                lifetime_hours: if spot {
+                    0.05 + 40.0 * price
+                } else {
+                    f64::INFINITY
+                },
+                existing,
+                max_rate,
+                usable_ram_gb: ram,
+            })
+            .collect();
+        let alpha = if half_alpha { 0.6 } else { 1.0 };
+        let hot_frac = [1e-7, 1e-4, 0.1, 0.5, alpha, alpha - 1e-13][hot_kind as usize];
+        let mut p = ProcurementProblem {
+            offers,
+            workload: WorkloadForecast {
+                rate,
+                wss_gb,
+                alpha,
+                hot_frac,
+                f_hot,
+                f_alpha: f_hot + (1.0 - f_hot) * f_cold,
+            },
+            cost: CostModel {
+                zeta: [0.0, 0.1, 0.5][zeta_kind as usize],
+                ..CostModel::paper_default()
+            },
+            force_hot_on_od,
+            force_cold_on_spot,
+        };
+
+        // Move one need to its group's capacity times `1 + rel`: all
+        // offers' RAM or rate, the on-demand offers' ζ floor, hot RAM or
+        // hot rate, the spot offers' cold RAM or cold rate.
+        let rel = [-1e-9, 0.0, 1e-9, 1e-5, 1e-3, -1e-5][rel_kind as usize];
+        let capacity = |spot: Option<bool>, ram: bool| -> f64 {
+            p.offers
+                .iter()
+                .zip(&counts)
+                .filter(|(o, _)| spot.is_none_or(|s| o.kind.is_spot() == s))
+                .map(|(o, &n)| n as f64 * if ram { o.usable_ram_gb } else { o.max_rate })
+                .sum()
+        };
+        let cold = if alpha - hot_frac > 1e-12 {
+            alpha - hot_frac
+        } else {
+            0.0
+        };
+        // `rate_coefficients` per unit of λ̂.
+        let r_h = f_hot / hot_frac;
+        let r_c = if cold > 0.0 {
+            (p.workload.f_alpha - f_hot) / cold
+        } else {
+            0.0
+        };
+        // (capacity, need per unit of M̂ or λ̂, whether it is a rate)
+        let (have, per_unit, is_rate) = match bound {
+            1 => (capacity(None, true), hot_frac + cold, false),
+            2 => (capacity(None, false), r_h * hot_frac + r_c * cold, true),
+            3 => (capacity(Some(false), true), p.cost.zeta * alpha, false),
+            4 => (capacity(Some(false), true), hot_frac, false),
+            5 => (capacity(Some(false), false), r_h * hot_frac, true),
+            6 => (capacity(Some(true), true), cold, false),
+            7 => (capacity(Some(true), false), r_c * cold, true),
+            _ => (0.0, 0.0, false),
+        };
+        if have > 0.0 && per_unit > 0.0 {
+            let need = have * (1.0 + rel) / per_unit;
+            if is_rate {
+                p.workload.rate = need;
+            } else {
+                p.workload.wss_gb = need;
+            }
+        }
+        (p, counts, rel)
+    }
+
     proptest::proptest! {
         /// The count walk's skip is sound: whenever `capacity_short` says
         /// the counts cannot carry the workload, the fixed-count LP is
@@ -882,84 +1022,13 @@ mod tests {
             (bound, rel_kind) in (0u8..8, 0u8..6),
         ) {
             use proptest::prelude::*;
-            let itype = find_type("m4.large").unwrap();
-            let counts: Vec<u32> = offers.iter().map(|o| o.5).collect();
-            let offers: Vec<Offer> = offers
-                .iter()
-                .enumerate()
-                .map(|(i, &(spot, ram, max_rate, price, existing, _))| Offer {
-                    label: format!("o{i}"),
-                    itype,
-                    kind: if spot {
-                        OfferKind::Spot {
-                            market: MarketId::new("m4.large", format!("z{i}")),
-                            bid: Bid(price),
-                        }
-                    } else {
-                        OfferKind::OnDemand
-                    },
-                    price,
-                    lifetime_hours: if spot { 0.05 + 40.0 * price } else { f64::INFINITY },
-                    existing,
-                    max_rate,
-                    usable_ram_gb: ram,
-                })
-                .collect();
-            let alpha = if half_alpha { 0.6 } else { 1.0 };
-            let hot_frac = [1e-7, 1e-4, 0.1, 0.5, alpha, alpha - 1e-13][hot_kind as usize];
-            let mut p = ProcurementProblem {
-                offers,
-                workload: WorkloadForecast {
-                    rate,
-                    wss_gb,
-                    alpha,
-                    hot_frac,
-                    f_hot,
-                    f_alpha: f_hot + (1.0 - f_hot) * f_cold,
-                },
-                cost: CostModel {
-                    zeta: [0.0, 0.1, 0.5][zeta_kind as usize],
-                    ..CostModel::paper_default()
-                },
-                force_hot_on_od,
-                force_cold_on_spot,
-            };
-
-            // Move one need to its group's capacity times `1 + rel`: all
-            // offers' RAM or rate, the on-demand offers' ζ floor, hot RAM or
-            // hot rate, the spot offers' cold RAM or cold rate.
-            let rel = [-1e-9, 0.0, 1e-9, 1e-5, 1e-3, -1e-5][rel_kind as usize];
-            let capacity = |spot: Option<bool>, ram: bool| -> f64 {
-                p.offers
-                    .iter()
-                    .zip(&counts)
-                    .filter(|(o, _)| spot.is_none_or(|s| o.kind.is_spot() == s))
-                    .map(|(o, &n)| n as f64 * if ram { o.usable_ram_gb } else { o.max_rate })
-                    .sum()
-            };
-            let cold = if alpha - hot_frac > 1e-12 { alpha - hot_frac } else { 0.0 };
-            // `rate_coefficients` per unit of λ̂.
-            let r_h = f_hot / hot_frac;
-            let r_c = if cold > 0.0 { (p.workload.f_alpha - f_hot) / cold } else { 0.0 };
-            // (capacity, need per unit of M̂ or λ̂, whether it is a rate)
-            let (have, per_unit, is_rate) = match bound {
-                1 => (capacity(None, true), hot_frac + cold, false),
-                2 => (capacity(None, false), r_h * hot_frac + r_c * cold, true),
-                3 => (capacity(Some(false), true), p.cost.zeta * alpha, false),
-                4 => (capacity(Some(false), true), hot_frac, false),
-                5 => (capacity(Some(false), false), r_h * hot_frac, true),
-                6 => (capacity(Some(true), true), cold, false),
-                7 => (capacity(Some(true), false), r_c * cold, true),
-                _ => (0.0, 0.0, false),
-            };
-            if have > 0.0 && per_unit > 0.0 {
-                let need = have * (1.0 + rel) / per_unit;
-                if is_rate {
-                    p.workload.rate = need;
-                } else {
-                    p.workload.wss_gb = need;
-                }
-            }
+            let (p, counts, rel) = capacity_edge(
+                &offers,
+                (hot_kind, half_alpha, f_hot, f_cold),
+                (rate, wss_gb),
+                (zeta_kind, force_hot_on_od, force_cold_on_spot),
+                (bound, rel_kind),
+            );
             prop_assert!(p.validate().is_ok());
             if p.capacity_short(&counts) {
                 prop_assert!(
@@ -972,6 +1041,48 @@ mod tests {
             }
             // The whole walk, with its debug assertion at every skip.
             let _ = p.solve();
+        }
+
+        /// Dropping the zero-count offers from the fixed-count LP is exact:
+        /// on the problems above (zero counts included) the LP over every
+        /// offer agrees on `Some`/`None` and on the objective's bits, and
+        /// the placement is exactly 0 at each zero-count offer.
+        #[test]
+        fn zero_count_offers_leave_the_fixed_count_lp_unchanged(
+            offers in proptest::collection::vec(
+                (proptest::arbitrary::any::<bool>(), 0.5f64..250.0, 0.0f64..60_000.0, 0.0f64..5.0, 0u32..20, 0u32..12),
+                1..=15,
+            ),
+            (hot_kind, half_alpha, f_hot, f_cold) in (0u8..6, proptest::arbitrary::any::<bool>(), 0.01f64..=1.0, 0.0f64..=1.0),
+            (rate, wss_gb) in (0.0f64..500_000.0, 1.0f64..500.0),
+            (zeta_kind, force_hot_on_od, force_cold_on_spot) in (0u8..3, proptest::arbitrary::any::<bool>(), proptest::arbitrary::any::<bool>()),
+            (bound, rel_kind) in (0u8..8, 0u8..6),
+        ) {
+            use proptest::prelude::*;
+            let (p, counts, _) = capacity_edge(
+                &offers,
+                (hot_kind, half_alpha, f_hot, f_cold),
+                (rate, wss_gb),
+                (zeta_kind, force_hot_on_od, force_cold_on_spot),
+                (bound, rel_kind),
+            );
+            let every: Vec<usize> = (0..counts.len()).collect();
+            let dropped = p.solve_fixed_counts(&counts);
+            let reference = p.solve_fixed_counts_over(&counts, &every);
+            prop_assert_eq!(dropped.is_some(), reference.is_some(), "counts {:?}", counts);
+            if let (Some(d), Some(r)) = (dropped, reference) {
+                prop_assert_eq!(
+                    d.cost.to_bits(),
+                    r.cost.to_bits(),
+                    "{:e} vs {:e} at counts {:?}",
+                    d.cost,
+                    r.cost,
+                    counts
+                );
+                for (o, _) in counts.iter().enumerate().filter(|(_, &n)| n == 0) {
+                    prop_assert!(d.x[o].to_bits() == 0 && d.y[o].to_bits() == 0);
+                }
+            }
         }
     }
 

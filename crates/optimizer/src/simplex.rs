@@ -5,6 +5,19 @@
 //! anything that needs a sparse or revised implementation; a dense tableau
 //! with Bland's anti-cycling rule is simple, exact, and easy to audit.
 //!
+//! # Start basis
+//!
+//! Each row is divided by its largest coefficient and multiplied by −1
+//! when its rhs is negative or when it is a `≥` row with zero rhs
+//! (`a·x ≥ 0` becomes `−a·x ≤ 0`). A row that is then `≤` starts on its
+//! own slack, basic at its rhs (≥ 0). Only the rows left over — `≥` rows
+//! with a positive rhs and every `=` row — start on an artificial, and
+//! phase 1 runs only when one exists. Multiplying a row by −1 leaves the
+//! feasible set, and so the optimal value, unchanged; which optimal vertex
+//! the pivots end on may differ. In the procurement relaxation every RAM
+//! and rate row, and every deallocation row of an offer with nothing
+//! running, is such a zero-rhs `≥` row.
+//!
 //! # Tableau layout
 //!
 //! The tableau is one flat row-major `Vec<f64>`; a row is `[structural(n) |
@@ -101,6 +114,9 @@ pub struct LpSolution {
     pub x: Vec<f64>,
     /// Optimal objective value.
     pub objective: f64,
+    /// Pivots the solve took: both phases, and driving degenerate
+    /// artificials out between them.
+    pub pivots: u32,
 }
 
 /// Solver failure modes.
@@ -145,6 +161,21 @@ impl LinearProgram {
 
     /// Solves the program with the two-phase simplex method.
     pub fn solve(&self) -> Result<LpSolution, LpError> {
+        self.solve_from(|c| c.rhs < 0.0 || (c.rhs == 0.0 && c.rel == Rel::Ge))
+    }
+
+    /// [`Self::solve`] with the start it replaced, the reference its
+    /// optimum is proven equal to: only a negative rhs flips a row, so a
+    /// `≥` row with zero rhs starts on an artificial that phase 1 pivots
+    /// out.
+    #[cfg(test)]
+    fn solve_with_zero_ge_artificials(&self) -> Result<LpSolution, LpError> {
+        self.solve_from(|c| c.rhs < 0.0)
+    }
+
+    /// The two-phase simplex, multiplying by −1 each row `flip` names
+    /// before the start basis is chosen (see the module docs).
+    fn solve_from(&self, flip: impl Fn(&Constraint) -> bool) -> Result<LpSolution, LpError> {
         let n = self.objective.len();
         for c in &self.constraints {
             if c.coeffs.len() != n {
@@ -165,6 +196,7 @@ impl LinearProgram {
             basis: vec![usize::MAX; m],
             basic: vec![false; art0],
             pivot_row: vec![0.0f64; art0 + 1],
+            pivots: 0,
         };
         let rhs_col = t.rhs_col();
 
@@ -178,7 +210,7 @@ impl LinearProgram {
                 .iter()
                 .fold(0.0f64, |m, &a| m.max(a.abs()))
                 .max(1e-12);
-            let flip = c.rhs < 0.0;
+            let flip = flip(c);
             let sign = if flip { -1.0 } else { 1.0 } / row_scale;
             let row = t.row_mut(i);
             for (cell, &a) in row.iter_mut().zip(&c.coeffs) {
@@ -253,7 +285,11 @@ impl LinearProgram {
                 x[b] = t.row(i)[rhs_col];
             }
         }
-        Ok(LpSolution { x, objective })
+        Ok(LpSolution {
+            x,
+            objective,
+            pivots: t.pivots,
+        })
     }
 }
 
@@ -271,6 +307,8 @@ struct Tableau {
     basic: Vec<bool>,
     /// Scratch copy of the normalized pivot row.
     pivot_row: Vec<f64>,
+    /// Pivots taken so far.
+    pivots: u32,
 }
 
 impl Tableau {
@@ -418,6 +456,7 @@ impl Tableau {
         }
         self.basic[col] = true;
         self.basis[row] = col;
+        self.pivots += 1;
     }
 }
 
@@ -603,6 +642,80 @@ mod tests {
         }
     }
 
+    /// Whether `x` satisfies `lp` within 1e-6, each row measured in units
+    /// of its largest coefficient (the solver's own units).
+    fn feasible(lp: &LinearProgram, x: &[f64]) -> bool {
+        x.iter().all(|&v| v >= -1e-6)
+            && lp.constraints.iter().all(|c| {
+                let scale = c.coeffs.iter().fold(1e-12f64, |m, a| m.max(a.abs()));
+                let lhs: f64 = c.coeffs.iter().zip(x).map(|(a, v)| a * v).sum();
+                let d = (lhs - c.rhs) / scale;
+                match c.rel {
+                    Rel::Le => d <= 1e-6,
+                    Rel::Ge => d >= -1e-6,
+                    Rel::Eq => d.abs() <= 1e-6,
+                }
+            })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 4_000, ..Default::default() })]
+
+        /// The slack start for zero-rhs `≥` rows finds the optimum of the
+        /// all-artificial start it replaced: the same `Ok`/`Infeasible`/
+        /// `Unbounded`, objectives within 1e-9 relative, and a feasible
+        /// `x`. 1–8 variables; 1–9 random rows mixing `≤`/`=`/`≥` with rhs
+        /// negative, `0.0`, `-0.0` or positive, small integer coefficients
+        /// (ties and degenerate vertices) at row scales from 1e-2 to 1e4,
+        /// each row a copy of the one before it (times two) one time in
+        /// four; half the cases add `Σx ≤ 25` so they cannot be unbounded.
+        #[test]
+        fn zero_rhs_ge_rows_on_their_slack_keep_every_optimum(
+            (n, costs, boxed) in (1usize..=8, proptest::collection::vec(-3i32..=3, 8), proptest::arbitrary::any::<bool>()),
+            rows in proptest::collection::vec(
+                (proptest::collection::vec(-3i32..=3, 8), 0u8..3, 0u8..4, 1.0f64..20.0, 0u8..4, -2.0f64..4.0),
+                1..=9,
+            ),
+        ) {
+            use proptest::prelude::*;
+            let mut lp = LinearProgram::minimize(costs[..n].iter().map(|&c| f64::from(c)).collect());
+            for (coeffs, rel, rhs_kind, magnitude, dup, log_scale) in rows {
+                let prev = lp.constraints.last().cloned();
+                let row = match prev {
+                    Some(p) if dup == 0 => Constraint {
+                        coeffs: p.coeffs.iter().map(|a| 2.0 * a).collect(),
+                        rel: p.rel,
+                        rhs: 2.0 * p.rhs,
+                    },
+                    _ => {
+                        let scale = 10f64.powf(log_scale);
+                        Constraint {
+                            coeffs: coeffs[..n].iter().map(|&a| scale * f64::from(a)).collect(),
+                            rel: [Rel::Le, Rel::Eq, Rel::Ge][rel as usize],
+                            rhs: scale * [-magnitude, 0.0, -0.0, magnitude][rhs_kind as usize],
+                        }
+                    }
+                };
+                lp = lp.subject_to(row);
+            }
+            if boxed {
+                lp = lp.subject_to(Constraint::le(vec![1.0; n], 25.0));
+            }
+            let (new, old) = (lp.solve(), lp.solve_with_zero_ge_artificials());
+            match (&new, &old) {
+                (Ok(a), Ok(b)) => {
+                    prop_assert!(
+                        (a.objective - b.objective).abs() <= 1e-9 * b.objective.abs().max(1.0),
+                        "objective {} vs {} on {:?}", a.objective, b.objective, lp
+                    );
+                    prop_assert!(feasible(&lp, &a.x), "infeasible x {:?} on {:?}", a.x, lp);
+                }
+                (Err(a), Err(b)) => prop_assert_eq!(a, b, "{:?}", lp),
+                _ => prop_assert!(false, "{:?} vs {:?} on {:?}", new, old, lp),
+            }
+        }
+    }
+
     /// Fifteen offers shaped like the controller's: five on-demand types
     /// (no failure penalty) and ten (market, bid) pairs, three instance
     /// sizes, some already running.
@@ -664,7 +777,9 @@ mod tests {
     /// The LP relaxation `ProcurementProblem::solve` starts from: variables
     /// `[X | Y | n | d]`, two placement equalities, three `≥` rows per
     /// offer (RAM, throughput, deallocation damping) and the on-demand
-    /// floor — every row starts with an artificial basic, so phase 1 runs.
+    /// floor. The equalities, the floor and the deallocation rows of the
+    /// eleven offers with instances running start on artificials, so phase
+    /// 1 runs; the other 34 rows start on their slacks.
     fn procurement_relaxation() -> LinearProgram {
         let nv = 4 * K;
         let shapes = shapes();
@@ -726,14 +841,39 @@ mod tests {
         lp.subject_to(Constraint::ge(avail, 0.1))
     }
 
-    /// `x` and `objective` of [`procurement_relaxation`], as `to_bits()`,
-    /// captured from the `Vec<Vec<f64>>` tableau with stored artificial
-    /// columns this solver replaced (93 pivots). The noise-level entries
-    /// (`0xbc…`, `0x3c…`) are part of the pin: a different pivot path or
-    /// rounding moves them first.
-    const RELAXATION_OBJECTIVE: u64 = 0x3ff213ebfd8a8397;
+    /// `x` and `objective` of [`procurement_relaxation`], as `to_bits()`
+    /// (68 pivots). The noise-level entries (`0xbc…`, `0x3c…`, `0x8000…`)
+    /// are part of the pin: a different pivot path or rounding moves them
+    /// first.
+    const RELAXATION_OBJECTIVE: u64 = 0x3ff213ebfd8a8398;
     #[rustfmt::skip]
     const RELAXATION_X: [u64; 4 * K] = [
+        0x0000000000000000, 0x3fc22fb9922fb994, 0xbcb0228b697bfd89, 0x0000000000000000,
+        0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+        0x0000000000000000, 0x0000000000000000, 0x3f80276e55f93c50, 0x3feb3373e21c2cb6,
+        0x0000000000000000, 0xbc98000000000000, 0x0000000000000000, 0x8000000000000000,
+        0x3fb8ca0518ca0519, 0xbc9b24652a9058d4, 0x3c88000000000000, 0x8000000000000000,
+        0x3c9c000000000000, 0x3c70000000000000, 0x3cb0000000000000, 0x0000000000000000,
+        0x0000000000000000, 0x3fd0458cde0afdf7, 0x3fe4c3f8ede1405c, 0x8000000000000000,
+        0xbc70000000000000, 0x3c90000000000000, 0x0000000000000000, 0x3fecf5931cf5931c,
+        0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+        0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+        0x4001288b01288af3, 0x4008000000000001, 0x0000000000000000, 0x0000000000000000,
+        0x0000000000000000, 0x0000000000000000, 0x3fb8536718536720, 0x4000000000000000,
+        0x4008000000000000, 0x0000000000000000, 0x3ff0000000000000, 0x4000000000000000,
+        0x4008000000000000, 0x0000000000000000, 0x3ff0000000000000, 0x0000000000000000,
+        0x0000000000000000, 0x0000000000000000, 0x3ff0000000000000, 0x4000000000000000,
+    ];
+
+    /// The same from the start the solver had before, with every zero-rhs
+    /// `≥` row on an artificial (93 pivots): first captured from the
+    /// `Vec<Vec<f64>>` tableau with stored artificial columns, held by the
+    /// flat tableau that replaced it, and reproduced by
+    /// [`LinearProgram::solve_with_zero_ge_artificials`]. The same vertex
+    /// as [`RELAXATION_X`]; the rounding differs.
+    const REFERENCE_OBJECTIVE: u64 = 0x3ff213ebfd8a8397;
+    #[rustfmt::skip]
+    const REFERENCE_X: [u64; 4 * K] = [
         0x0000000000000000, 0x3fc22fb9922fb986, 0xbc8583648ca55217, 0x3c90000000000000,
         0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
         0x0000000000000000, 0x0000000000000000, 0x3f80276e55f94038, 0x3feb3373e21c2ca7,
@@ -751,36 +891,63 @@ mod tests {
         0x0000000000000000, 0x0000000000000000, 0x3ff0000000000000, 0x4000000000000000,
     ];
 
-    fn assert_pinned(s: &LpSolution) {
-        assert_eq!(
-            s.objective.to_bits(),
-            RELAXATION_OBJECTIVE,
-            "{:e}",
-            s.objective
-        );
+    fn assert_pinned(s: &LpSolution, objective: u64, x: &[u64]) {
+        assert_eq!(s.objective.to_bits(), objective, "{:e}", s.objective);
         let got: Vec<u64> = s.x.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(got, RELAXATION_X);
+        assert_eq!(got, x);
+    }
+
+    /// The hot-placement equality again, doubled, as row 2: its artificial
+    /// stays basic at zero over an all-zero row after phase 1, so the
+    /// row-drop path runs.
+    fn with_redundant_equality() -> LinearProgram {
+        let mut lp = procurement_relaxation();
+        let twice: Vec<f64> = lp.constraints[0].coeffs.iter().map(|a| 2.0 * a).collect();
+        lp.constraints.insert(2, Constraint::eq(twice, 2.0));
+        lp
     }
 
     #[test]
     fn procurement_relaxation_is_bit_pinned() {
-        assert_pinned(&procurement_relaxation().solve().unwrap());
+        let s = procurement_relaxation().solve().unwrap();
+        assert_pinned(&s, RELAXATION_OBJECTIVE, &RELAXATION_X);
+        assert_eq!(s.pivots, 68);
     }
 
     #[test]
-    fn redundant_equality_is_dropped_without_moving_a_bit() {
-        // The hot-placement equality again, doubled: its artificial stays
-        // basic at zero over an all-zero row after phase 1, so the row-drop
-        // path runs — and every other row pivots exactly as without it.
-        let mut lp = procurement_relaxation();
-        let twice: Vec<f64> = lp.constraints[0].coeffs.iter().map(|a| 2.0 * a).collect();
-        lp.constraints.insert(2, Constraint::eq(twice, 2.0));
-        assert_pinned(&lp.solve().unwrap());
+    fn the_reference_start_is_the_solver_it_replaced() {
+        // Bit for bit, with and without the redundant row: under this start
+        // the row-drop path moved no other row's pivots.
+        let s = procurement_relaxation()
+            .solve_with_zero_ge_artificials()
+            .unwrap();
+        assert_pinned(&s, REFERENCE_OBJECTIVE, &REFERENCE_X);
+        assert_eq!(s.pivots, 93);
+        let s = with_redundant_equality()
+            .solve_with_zero_ge_artificials()
+            .unwrap();
+        assert_pinned(&s, REFERENCE_OBJECTIVE, &REFERENCE_X);
+    }
+
+    #[test]
+    fn redundant_equality_is_dropped_at_the_same_vertex() {
+        // With the equalities as the only zero-rhs rows left on
+        // artificials, the duplicate doubles the hot row's weight in phase
+        // 1's pricing, so the pivots differ (81) and the rounding with them:
+        // the objective lands 2 ulps above the pin, every entry of `x`
+        // within 1e-14 of it.
+        let s = with_redundant_equality().solve().unwrap();
+        assert_eq!(s.objective.to_bits(), RELAXATION_OBJECTIVE + 2);
+        for (v, &pinned) in s.x.iter().zip(&RELAXATION_X) {
+            assert!((v - f64::from_bits(pinned)).abs() < 1e-14, "{v:e}");
+        }
+        assert_eq!(s.pivots, 81);
     }
 
     #[test]
     fn fixed_counts_short_of_ram_are_infeasible() {
-        // Phase 1 pivots (31 times) to a positive artificial sum.
+        // Phase 1 pivots (31 times, from either start: no row here is a
+        // zero-rhs `≥` row) to a positive artificial sum.
         assert_eq!(
             fixed_counts_short_of_ram().solve().unwrap_err(),
             LpError::Infeasible
