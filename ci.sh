@@ -125,25 +125,6 @@ for fault in ("sever", "stall", "corrupt"):
 PY
 same_names "$dr" BENCH_drill.json revocation_drill
 
-echo "==> cluster loadgen smoke test (reactor data plane, multi-node ring)"
-cl="$tmp/cluster_loadgen.json"
-# The bin asserts its own smoke throughput floor; re-check the artifact's
-# schema and the cluster-shape invariants here so the gate does not rely
-# on the bin's asserts alone.
-cargo run --release -q -p spotcache-bench --bin cluster_loadgen -- --smoke --out "$cl" \
-    | grep -q "cluster loadgen OK"
-python3 - "$cl" <<'PY'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["schema"] == "spotcache-cluster-v1", doc.get("schema")
-assert doc["nodes"] >= 2, "cluster smoke must span at least two nodes"
-assert doc["workers_per_node"] >= 1, "resolved worker pool must be non-empty"
-assert doc["pipelined"]["ops_per_sec"] > 0, "aggregate throughput missing"
-assert len(doc["per_node"]) == doc["nodes"], "per-node stats incomplete"
-for n in doc["per_node"]:
-    assert n["connections"] > 0, f"node {n['node']}: no connections served"
-PY
-
 echo "==> storm drill smoke test (correlated revocation waves, decay curves)"
 st="$tmp/storm_drill.json"
 # The bin asserts the recovery-ordering invariants itself (warned <=

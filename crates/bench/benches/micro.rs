@@ -21,7 +21,6 @@ use spotcache_recovery::checkpoint::{
     crc32, restore_checkpoint, write_checkpoint, CheckpointConfig,
 };
 use spotcache_router::hashring::HashRing;
-use spotcache_router::levels::MultiLevelPartitioner;
 use spotcache_router::partitioner::KeyPartitioner;
 use spotcache_router::sketch::{BloomFilter, CountMinSketch};
 use spotcache_sim::LatencyHistogram;
@@ -228,16 +227,6 @@ fn bench_protocol_and_slab(c: &mut Criterion) {
             if slab.allocate(black_box(4_152)).is_err() {
                 slab = SlabAllocator::new(256 << 20);
             }
-        })
-    });
-    let mut ml = MultiLevelPartitioner::new(100_000, vec![1_000, 50]);
-    g.bench_function("multilevel_observe_classify", |b| {
-        let mut i = 0u64;
-        b.iter(|| {
-            i += 1;
-            let k = (i % 2_000).to_be_bytes();
-            ml.observe(black_box(&k));
-            ml.level(&k)
         })
     });
     g.finish();

@@ -28,9 +28,8 @@ use spotcache_cloud::catalog::find_type;
 use spotcache_cloud::provider::{CloudProvider, InstanceId, Lease, ProviderEvent};
 use spotcache_cloud::spot::SpotTrace;
 use spotcache_optimizer::problem::OfferKind;
-use spotcache_router::balancer::{LoadBalancer, NodeWeights, Route};
+use spotcache_router::balancer::{LoadBalancer, NodeWeights, Pool, Route};
 use spotcache_router::partitioner::KeyPartitioner;
-use spotcache_router::prefix::Pool;
 use spotcache_sim::metrics::{ControlMetrics, ServeCounters, SlotRecord};
 
 use crate::controller::{ControllerConfig, SlotPlan};
@@ -149,8 +148,10 @@ impl LiveCluster {
     }
 
     /// Reconciles the fleet against a solved plan: launches and terminates
-    /// instances, rebuilds weights, resizes the backup tier.
+    /// instances, rebuilds weights, resizes the backup tier, and opens a new
+    /// hot-key window in the partitioner.
     pub fn apply_plan(&mut self, plan: &SlotPlan) {
+        self.partitioner.refresh();
         // Reconcile per offer: count running instances under each label.
         let mut running: HashMap<String, Vec<InstanceId>> = HashMap::new();
         for (&id, label) in &self.node_offer {
@@ -338,13 +339,14 @@ impl LiveCluster {
         let events = self.provider.advance_to(t);
         for e in &events {
             if let ProviderEvent::Revoked { id, .. } = e {
-                let Some(label) = self.node_offer.get(id).cloned() else {
+                // The instance and its memory are gone: reads of its range
+                // fall to the backup or the backend until a redirect (or the
+                // next plan) covers it.
+                let Some(label) = self.node_offer.remove(id) else {
                     continue;
                 };
+                self.nodes.remove(id);
                 self.stats.revocations += 1;
-                if let Some(node) = self.nodes.get(id) {
-                    node.wipe();
-                }
                 self.lb.mark_failed(*id);
                 self.pending_revocations.push((label.clone(), 1));
                 // Launch an on-demand replacement and redirect the range.
@@ -488,7 +490,7 @@ mod tests {
     use crate::Approach;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use spotcache_cloud::tracegen::paper_traces;
+    use spotcache_cloud::tracegen::{correlated_paper_traces, paper_traces};
     use spotcache_cloud::{DAY, HOUR};
     use spotcache_workload::RequestGenerator;
 
@@ -510,6 +512,18 @@ mod tests {
 
     fn controller(approach: Approach) -> GlobalController {
         GlobalController::new(ControllerConfig::paper_default(approach))
+    }
+
+    /// First day of a window in which `correlated_paper_traces(40)`
+    /// revokes `Prop`'s spot instances (days 8–16 and 24–36 see none in
+    /// 72 hours).
+    const REVOKING_DAY: u64 = 20;
+
+    fn revoking_cluster() -> LiveCluster {
+        LiveCluster::new(
+            LiveClusterConfig::scaled_default(Approach::Prop),
+            correlated_paper_traces(40),
+        )
     }
 
     #[test]
@@ -535,9 +549,9 @@ mod tests {
 
     #[test]
     fn prop_maintains_backups_and_survives_revocation() {
-        let mut c = cluster(Approach::Prop);
+        let mut c = revoking_cluster();
         let mut ctl = controller(Approach::Prop);
-        c.advance_to(10 * DAY);
+        c.advance_to(REVOKING_DAY * DAY);
         replan(&mut c, &mut ctl, 2.0, 100_000.0, 20.0);
         let had_backups = !c.backups.is_empty();
 
@@ -556,27 +570,75 @@ mod tests {
             assert!(replicated > 0, "hot keys replicated to backups");
         }
 
-        // Walk forward until some spot instance is revoked (or give up).
-        let mut revoked = false;
-        for h in 1..=72u64 {
-            let events = c.advance_to(10 * DAY + h * HOUR);
-            if events
+        // Walk forward until some spot instance is revoked.
+        let revoked = (1..=72u64).any(|h| {
+            c.advance_to(REVOKING_DAY * DAY + h * HOUR)
                 .iter()
                 .any(|e| matches!(e, ProviderEvent::Revoked { .. }))
-            {
-                revoked = true;
-                break;
-            }
-        }
-        // Service continues regardless.
+        });
+        assert!(revoked, "the window must revoke");
+        // Service continues.
         for _ in 0..10_000 {
             c.read(&gen.next_request(&mut rng).key_bytes());
         }
         assert_eq!(c.stats().requests(), 90_000);
-        if revoked {
-            assert!(c.stats().revocations > 0);
-            assert_eq!(c.take_revocations().len(), c.stats().revocations as usize);
+        assert!(c.stats().revocations > 0);
+        assert_eq!(c.take_revocations().len(), c.stats().revocations as usize);
+    }
+
+    #[test]
+    fn revoked_instances_leave_the_fleet() {
+        // 72 hourly slots through the control loop, replanning after every
+        // revocation: a dead instance must not linger in the fleet.
+        let mut c = revoking_cluster();
+        c.advance_to(REVOKING_DAY * DAY);
+        let gen = RequestGenerator::read_only(30_000, 1.2);
+        let mut rng = StdRng::seed_from_u64(17);
+        let substrate = LiveSubstrate::new(
+            &mut c,
+            Schedule::slotted(REVOKING_DAY * DAY, 72, HOUR),
+            Box::new(|_t| Demand {
+                rate: 80_000.0,
+                wss_gb: 15.0,
+            }),
+            Box::new(move |cluster, _slot| {
+                for _ in 0..2_000 {
+                    cluster.read(&gen.next_request(&mut rng).key_bytes());
+                }
+            }),
+        );
+        let metrics = ControlLoop::new(controller(Approach::Prop), 1.2)
+            .run(substrate)
+            .unwrap();
+        assert!(metrics.revocations > 0, "the window must revoke");
+        let usable = |id: InstanceId| c.provider.instance(id).is_some_and(|i| i.state.is_usable());
+        for &id in c.nodes.keys() {
+            assert!(
+                usable(id) || c.backups.contains(&id),
+                "revoked instance {id} is still in the fleet"
+            );
         }
+        let serving = c
+            .nodes
+            .keys()
+            .filter(|&&id| usable(id) && !c.backups.contains(&id))
+            .count();
+        assert_eq!(c.node_count(), serving);
+    }
+
+    #[test]
+    fn partitioner_demotes_keys_that_cool_across_replans() {
+        let mut c = cluster(Approach::PropNoBackup);
+        let mut ctl = controller(Approach::PropNoBackup);
+        c.advance_to(10 * DAY);
+        replan(&mut c, &mut ctl, 1.2, 50_000.0, 10.0);
+        for _ in 0..100 {
+            c.read(b"flash");
+        }
+        assert_eq!(c.partitioner.pool(b"flash"), Pool::Hot);
+        replan(&mut c, &mut ctl, 1.2, 50_000.0, 10.0);
+        replan(&mut c, &mut ctl, 1.2, 50_000.0, 10.0);
+        assert_eq!(c.partitioner.pool(b"flash"), Pool::Cold);
     }
 
     #[test]

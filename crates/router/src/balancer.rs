@@ -2,7 +2,10 @@
 //! (paper Sections 3.3 and 4.2).
 //!
 //! Normal operation: reads and writes go to the node the hot/cold virtual
-//! pool's weighted consistent hash selects; writes of *hot keys living on
+//! pool's weighted consistent hash selects. The two pools live on the same
+//! physical nodes but carry independent weights — hot/cold segregation
+//! without instance separation, which mcrouter gets from prefix routing on
+//! an `h`/`c` key prefix. Writes of *hot keys living on
 //! spot nodes* additionally fan out to the passive backup so it stays
 //! consistent. Reads are **never** served by burstable backups in normal
 //! operation — that is what lets them bank CPU/network tokens for recovery.
@@ -15,7 +18,18 @@
 use std::collections::{HashMap, HashSet};
 
 use crate::hashring::{HashRing, NodeId};
-use crate::prefix::{Pool, PrefixRouter};
+
+/// The two popularity pools, as the key partitioner assigns them.
+///
+/// The paper notes the scheme "can be easily generalized to additional
+/// popularity levels"; two levels are what the evaluation uses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Pool {
+    /// The popular subset (accounts for ~90% of accesses).
+    Hot,
+    /// Everything else.
+    Cold,
+}
 
 /// Per-node weights and procurement class, published by the global
 /// controller each control window.
@@ -46,7 +60,8 @@ pub enum Route {
 #[derive(Debug, Clone, Default)]
 pub struct LoadBalancer {
     weights: Vec<NodeWeights>,
-    router: PrefixRouter,
+    hot: HashRing,
+    cold: HashRing,
     backup_ring: HashRing,
     spot_nodes: HashSet<NodeId>,
     failed: HashSet<NodeId>,
@@ -61,12 +76,14 @@ impl LoadBalancer {
 
     /// Publishes a new weight assignment (rebuilds both virtual pools).
     ///
-    /// Existing failure marks survive; redirects are kept only if their
-    /// source still exists (a fresh assignment normally supersedes them).
+    /// Failure marks and redirects are kept only if their node still
+    /// exists — in the new table, or (for failure marks) among the backups;
+    /// a fresh assignment normally supersedes them.
     pub fn set_weights(&mut self, weights: &[NodeWeights]) {
         let hot: Vec<(NodeId, f64)> = weights.iter().map(|w| (w.node, w.hot)).collect();
         let cold: Vec<(NodeId, f64)> = weights.iter().map(|w| (w.node, w.cold)).collect();
-        self.router = PrefixRouter::new(&hot, &cold);
+        self.hot = HashRing::build(&hot);
+        self.cold = HashRing::build(&cold);
         self.spot_nodes = weights
             .iter()
             .filter(|w| w.is_spot)
@@ -74,6 +91,9 @@ impl LoadBalancer {
             .collect();
         let nodes: HashSet<NodeId> = weights.iter().map(|w| w.node).collect();
         self.redirects.retain(|from, _| nodes.contains(from));
+        let backups = self.backup_ring.weights();
+        self.failed
+            .retain(|n| nodes.contains(n) || backups.iter().any(|&(b, _)| b == *n));
         self.weights = weights.to_vec();
     }
 
@@ -119,6 +139,14 @@ impl LoadBalancer {
         self.backup_ring.lookup(raw_key)
     }
 
+    /// The ring serving a pool.
+    fn ring(&self, pool: Pool) -> &HashRing {
+        match pool {
+            Pool::Hot => &self.hot,
+            Pool::Cold => &self.cold,
+        }
+    }
+
     /// Resolves the hash-selected owner through (one hop of) redirects.
     fn resolve(&self, node: NodeId) -> NodeId {
         self.redirects.get(&node).copied().unwrap_or(node)
@@ -126,7 +154,7 @@ impl LoadBalancer {
 
     /// Routes a read of `raw_key` in `pool`.
     pub fn route_read(&self, pool: Pool, raw_key: &[u8]) -> Route {
-        let Some(owner) = self.router.route(pool, raw_key) else {
+        let Some(owner) = self.ring(pool).lookup(raw_key) else {
             return Route::Backend;
         };
         let target = self.resolve(owner);
@@ -150,7 +178,7 @@ impl LoadBalancer {
     /// hot keys).
     pub fn route_write(&self, pool: Pool, raw_key: &[u8]) -> Vec<Route> {
         let mut out = Vec::with_capacity(2);
-        if let Some(owner) = self.router.route(pool, raw_key) {
+        if let Some(owner) = self.ring(pool).lookup(raw_key) {
             let target = self.resolve(owner);
             if !self.failed.contains(&target) {
                 out.push(Route::Node(target));
@@ -169,7 +197,7 @@ impl LoadBalancer {
     /// The hash-selected owner of a key, ignoring failures and redirects
     /// (placement ground truth, used by warm-up logic).
     pub fn owner(&self, pool: Pool, raw_key: &[u8]) -> Option<NodeId> {
-        self.router.route(pool, raw_key)
+        self.ring(pool).lookup(raw_key)
     }
 }
 
@@ -177,26 +205,31 @@ impl LoadBalancer {
 mod tests {
     use super::*;
 
+    /// A weight table row: `(node, hot, cold, is_spot)`.
+    type Row = (NodeId, f64, f64, bool);
+
+    fn table(rows: &[Row]) -> Vec<NodeWeights> {
+        rows.iter()
+            .map(|&(node, hot, cold, is_spot)| NodeWeights {
+                node,
+                hot,
+                cold,
+                is_spot,
+            })
+            .collect()
+    }
+
+    fn balancer(rows: &[Row], backups: &[NodeId]) -> LoadBalancer {
+        let mut lb = LoadBalancer::new();
+        lb.set_weights(&table(rows));
+        lb.set_backups(backups);
+        lb
+    }
+
     /// Node 1: on-demand; node 2: spot. Hot pool split across both (the
     /// paper's mixing); cold pool entirely on the spot node.
     fn mixed_lb() -> LoadBalancer {
-        let mut lb = LoadBalancer::new();
-        lb.set_weights(&[
-            NodeWeights {
-                node: 1,
-                hot: 0.5,
-                cold: 0.0,
-                is_spot: false,
-            },
-            NodeWeights {
-                node: 2,
-                hot: 0.5,
-                cold: 1.0,
-                is_spot: true,
-            },
-        ]);
-        lb.set_backups(&[100]);
-        lb
+        balancer(&[(1, 0.5, 0.0, false), (2, 0.5, 1.0, true)], &[100])
     }
 
     fn keys_owned_by(lb: &LoadBalancer, pool: Pool, node: NodeId, n: usize) -> Vec<Vec<u8>> {
@@ -299,16 +332,71 @@ mod tests {
     }
 
     #[test]
-    fn set_weights_prunes_stale_redirects() {
+    fn set_weights_prunes_state_of_departed_nodes() {
         let mut lb = mixed_lb();
+        lb.mark_failed(2);
+        lb.mark_failed(100);
         lb.redirect(2, 3);
         // New assignment drops node 2 entirely.
-        lb.set_weights(&[NodeWeights {
-            node: 1,
-            hot: 1.0,
-            cold: 1.0,
-            is_spot: false,
-        }]);
+        lb.set_weights(&table(&[(1, 1.0, 1.0, false)]));
         assert!(lb.redirects.is_empty());
+        assert!(!lb.is_failed(2), "a departed node's failure mark goes");
+        assert!(lb.is_failed(100), "a backup's failure mark stays");
+    }
+
+    #[test]
+    fn pools_route_independently() {
+        // Hot pool lives only on node 1, cold only on node 2 — the
+        // OD+Spot_Sep configuration.
+        let lb = balancer(&[(1, 1.0, 0.0, false), (2, 0.0, 1.0, false)], &[]);
+        assert_eq!(lb.route_read(Pool::Hot, b"k"), Route::Node(1));
+        assert_eq!(lb.route_read(Pool::Cold, b"k"), Route::Node(2));
+    }
+
+    #[test]
+    fn mixing_weights_share_nodes() {
+        // Hot-cold mixing: both pools span both nodes with different
+        // weights.
+        let lb = balancer(&[(1, 0.7, 0.2, false), (2, 0.3, 0.8, false)], &[]);
+        let on_node1 = |pool| {
+            (0..10_000u64)
+                .filter(|i| lb.route_read(pool, &i.to_be_bytes()) == Route::Node(1))
+                .count()
+        };
+        let (hot1, cold1) = (on_node1(Pool::Hot), on_node1(Pool::Cold));
+        assert!((hot1 as f64 / 10_000.0 - 0.7).abs() < 0.08, "{hot1}");
+        assert!((cold1 as f64 / 10_000.0 - 0.2).abs() < 0.08, "{cold1}");
+    }
+
+    const WEIGHTS_A: &[Row] = &[(1, 0.5, 0.2, false), (2, 0.5, 0.8, true)];
+    const WEIGHTS_B: &[Row] = &[(1, 0.3, 0.3, false), (3, 0.7, 0.7, true)];
+
+    /// The weight-commit property of replicated balancers (paper
+    /// footnote 5): routing is a function of the newest table alone.
+    #[test]
+    fn routing_depends_only_on_the_newest_table() {
+        // One balancer applies table a (and fails node 2 over under it),
+        // then table b; the other skips straight to b.
+        let mut applied = balancer(WEIGHTS_A, &[100]);
+        applied.mark_failed(2);
+        applied.redirect(2, 1);
+        applied.set_weights(&table(WEIGHTS_B));
+        applied.set_backups(&[100, 101]);
+        let skipped = balancer(WEIGHTS_B, &[100, 101]);
+        let twin = balancer(WEIGHTS_B, &[100, 101]);
+        for i in 0..20_000u64 {
+            let k = i.to_be_bytes();
+            for pool in [Pool::Hot, Pool::Cold] {
+                let read = skipped.route_read(pool, &k);
+                let write = skipped.route_write(pool, &k);
+                assert_eq!(twin.route_read(pool, &k), read);
+                assert_eq!(twin.route_write(pool, &k), write);
+                assert_eq!(applied.route_read(pool, &k), read);
+                assert_eq!(applied.route_write(pool, &k), write);
+                // Node 2 was dropped by table b: nobody routes to it.
+                assert_ne!(read, Route::Node(2), "dropped node must not serve");
+                assert!(!write.contains(&Route::Node(2)));
+            }
+        }
     }
 }

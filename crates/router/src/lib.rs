@@ -6,38 +6,26 @@
 //! Facebook's mcrouter; this crate provides the same mechanisms:
 //!
 //! * [`sketch`] — count-min sketch and Bloom filter primitives,
-//! * [`partitioner`] — access-frequency hot-key tracking that annotates keys
-//!   with an `h`/`c` prefix (paper Section 4.2, "Key partitioner"),
+//! * [`partitioner`] — access-frequency hot-key tracking that assigns each
+//!   key its [`Pool`] (paper Section 4.2, "Key partitioner"),
 //! * [`hashring`] — weighted consistent hashing (mcrouter's
 //!   `WeightedCh3`-style pools),
-//! * [`prefix`] — prefix routing into separate *virtual pools* for hot and
-//!   cold keys over the same physical nodes, and
-//! * [`balancer`] — the load balancer: weight updates from the global
-//!   controller, failover on revocation, and write fan-out to passive
-//!   backups, and
-//! * [`levels`] — the footnote-3 generalization to more than two
-//!   popularity tiers, and
+//! * [`balancer`] — the load balancer: hot and cold *virtual pools* over
+//!   the same physical nodes, weight updates from the global controller,
+//!   failover on revocation, and write fan-out to passive backups, and
 //! * [`degraded`] — the revocation-time state machine that serves
 //!   stale-from-backup until the replacement is warmed (paper §3.3).
 
 pub mod balancer;
 pub mod degraded;
-pub mod epoch;
 pub mod hashring;
-pub mod hotreplica;
-pub mod levels;
 pub mod partitioner;
-pub mod prefix;
 pub mod sketch;
 
-pub use balancer::{LoadBalancer, NodeWeights, Route};
+pub use balancer::{LoadBalancer, NodeWeights, Pool, Route};
 pub use degraded::{DegradedRouter, DrillPhase, ReadPlan, RecoveryMode, ServeCounts, ServeTarget};
-pub use epoch::{EpochSubscriber, WeightEpoch, WeightLedger};
 pub use hashring::{HashRing, NodeId};
-pub use hotreplica::HotReplicaSet;
-pub use levels::{strip_level, MultiLevelPartitioner, MultiLevelRouter};
 pub use partitioner::KeyPartitioner;
-pub use prefix::{strip_prefix, Pool, PrefixRouter};
 pub use sketch::{BloomFilter, CountMinSketch};
 
 /// A fast, seedable 64-bit hash (FNV-1a finished with a splitmix64 mix).

@@ -7,7 +7,7 @@
 //! demoted and newly-popular keys are promoted — the "re-assign prefixes"
 //! behaviour of the paper.
 
-use crate::prefix::Pool;
+use crate::balancer::Pool;
 use crate::sketch::{BloomFilter, CountMinSketch};
 
 /// Online hot-key tracker.
@@ -18,7 +18,6 @@ pub struct KeyPartitioner {
     /// Accesses within the window needed to call a key hot.
     threshold: u64,
     expected_keys: usize,
-    observed_since_refresh: u64,
 }
 
 impl KeyPartitioner {
@@ -30,7 +29,6 @@ impl KeyPartitioner {
             hot: BloomFilter::for_keys(expected_keys / 10 + 64),
             threshold: threshold.max(1),
             expected_keys,
-            observed_since_refresh: 0,
         }
     }
 
@@ -38,7 +36,6 @@ impl KeyPartitioner {
     /// threshold.
     pub fn observe(&mut self, key: &[u8]) {
         self.sketch.observe(key);
-        self.observed_since_refresh += 1;
         if self.sketch.estimate(key) >= self.threshold && !self.hot.contains(key) {
             self.hot.insert(key);
         }
@@ -58,11 +55,6 @@ impl KeyPartitioner {
         }
     }
 
-    /// Annotates a raw key with its pool prefix (`h`/`c`).
-    pub fn annotate(&self, key: &[u8]) -> Vec<u8> {
-        self.pool(key).annotate(key)
-    }
-
     /// Estimated windowed access count of a key.
     pub fn estimate(&self, key: &[u8]) -> u64 {
         self.sketch.estimate(key)
@@ -76,17 +68,6 @@ impl KeyPartitioner {
     pub fn refresh(&mut self) {
         self.sketch.decay();
         self.hot = BloomFilter::for_keys(self.expected_keys / 10 + 64);
-        self.observed_since_refresh = 0;
-    }
-
-    /// Accesses recorded since the last refresh.
-    pub fn observed_since_refresh(&self) -> u64 {
-        self.observed_since_refresh
-    }
-
-    /// The hot threshold.
-    pub fn threshold(&self) -> u64 {
-        self.threshold
     }
 }
 
@@ -105,15 +86,6 @@ mod tests {
         assert!(!p.is_hot(b"rare"));
         assert_eq!(p.pool(b"popular"), Pool::Hot);
         assert_eq!(p.pool(b"rare"), Pool::Cold);
-    }
-
-    #[test]
-    fn annotation_matches_pool() {
-        let mut p = KeyPartitioner::new(1000, 2);
-        p.observe(b"k");
-        p.observe(b"k");
-        assert_eq!(p.annotate(b"k")[0], b'h');
-        assert_eq!(p.annotate(b"other")[0], b'c');
     }
 
     #[test]
@@ -164,15 +136,5 @@ mod tests {
             .filter(|c| p.is_hot(format!("cold{c}").as_bytes()))
             .count();
         assert!(hot_cold < 20, "{hot_cold} cold keys misclassified");
-    }
-
-    #[test]
-    fn observed_counter_resets_on_refresh() {
-        let mut p = KeyPartitioner::new(100, 2);
-        p.observe(b"a");
-        assert_eq!(p.observed_since_refresh(), 1);
-        p.refresh();
-        assert_eq!(p.observed_since_refresh(), 0);
-        assert_eq!(p.threshold(), 2);
     }
 }

@@ -11,8 +11,8 @@
 //!   token buckets, VM lifecycle, billing.
 //! * [`spotmodel`] — spot lifetime/price predictors and their CDF baseline.
 //! * [`cache`] — the memcached substrate (sharded LRU store).
-//! * [`router`] — the mcrouter substrate (consistent hashing, prefix
-//!   routing, hot-key partitioning, failover).
+//! * [`router`] — the mcrouter substrate (consistent hashing, hot/cold
+//!   pools, hot-key partitioning, failover).
 //! * [`workload`] — YCSB-style Zipfian and Wikipedia-shaped workloads.
 //! * [`optimizer`] — the paper's online cost-minimizing procurement problem.
 //! * [`sim`] — discrete-event cluster simulation and recovery timelines.

@@ -102,7 +102,8 @@ fn flash_crowd_with_failures_stays_consistent() {
 
 /// The live cluster under correlated markets: repeated revocations across
 /// replans never leave routing pointing at dead nodes. Driven through the
-/// shared control loop, exactly like production.
+/// shared control loop, exactly like production, over days 20–23, where
+/// these markets revoke (days 8–16 and 24–36 see no revocation).
 #[test]
 fn live_cluster_survives_correlated_revocations() {
     use rand::rngs::StdRng;
@@ -118,10 +119,10 @@ fn live_cluster_survives_correlated_revocations() {
     );
     let gen = RequestGenerator::read_only(30_000, 1.2);
     let mut rng = StdRng::seed_from_u64(17);
-    cluster.advance_to(10 * DAY);
+    cluster.advance_to(20 * DAY);
     let substrate = LiveSubstrate::new(
         &mut cluster,
-        Schedule::slotted(10 * DAY, 48, HOUR),
+        Schedule::slotted(20 * DAY, 72, HOUR),
         Box::new(|_t| Demand {
             rate: 80_000.0,
             wss_gb: 15.0,
@@ -134,8 +135,9 @@ fn live_cluster_survives_correlated_revocations() {
     );
     let controller = GlobalController::new(ControllerConfig::paper_default(Approach::Prop));
     let metrics = ControlLoop::new(controller, 1.2).run(substrate).unwrap();
-    assert_eq!(metrics.serve.requests(), 48 * 2_000);
-    assert_eq!(metrics.slots.len(), 48);
+    assert_eq!(metrics.serve.requests(), 72 * 2_000);
+    assert_eq!(metrics.slots.len(), 72);
+    assert!(metrics.revocations > 0, "the window must revoke");
     // Whatever failed, most traffic must still have been served from cache.
     assert!(
         metrics.serve.hit_rate() > 0.5,
