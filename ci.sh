@@ -172,6 +172,14 @@ assert len(scenarios["cascade"]["killed"]) > len(w["killed"]), \
 PY
 same_names "$st" BENCH_storm.json storm_drill
 
+echo "==> live fleet example (the control loop driving the fleet for 24 hourly slots)"
+# The example asserts that every revoked member was restored from its
+# backup and that most reads hit, then prints its OK line.
+cargo build --release -q -p spotcache-bench --example live_fleet
+fleet_start=$(date +%s%N)
+target/release/examples/live_fleet | grep -q "live fleet OK"
+echo "    live_fleet: $(( ($(date +%s%N) - fleet_start) / 1000000 )) ms wall"
+
 echo "==> results byte-identity (every experiment in 'repro --list' vs results/<name>.txt)"
 # The hourly simulator and the spot models are bit-deterministic, so every
 # checked-in table must reproduce exactly: a changed pivot, rounding or

@@ -44,7 +44,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use spotcache_bench::faults::{FaultMode, FaultProxy, StormEvent};
-use spotcache_bench::fleet::{register_lanes, Fleet, FleetConfig, FleetRun, VALUE_LEN};
+use spotcache_bench::fleet::{
+    register_lanes, Fleet, FleetConfig, FleetRun, RECOVERY_FRACTION, VALUE_LEN,
+};
 use spotcache_bench::heading;
 use spotcache_bench::live::{prefill_hot, start_server, write_artifact, write_trace, Flags};
 use spotcache_cache::replication::{ReplicationConfig, ReplicationQueue, Replicator};
@@ -104,17 +106,10 @@ impl Config {
             observe_windows: 60, // 6 s
             slo_target: 0.99,
             slo_window_factor: 10,
-            recovery_fraction: 0.9,
             pump: pump(4_000, 1_000.0),
             store_bytes: 64 << 20,
             store_shards: 8,
             seed,
-            // Storm shape only: each drill hands the fleet its own event.
-            storm_lead: 0,
-            spread: 0,
-            restart_delay: 0,
-            restart_jitter: 0.0,
-            cascade_delay: 0,
             detector_window: 1,
             detector_threshold: 1,
         };
@@ -250,7 +245,7 @@ fn drill(
         }
     });
 
-    let restore = run.restores[0].as_ref().expect("the revoked node restores");
+    let restore = run.restores.get(&0).expect("the revoked node restores");
     println!(
         "{} / {label}: kill at window {kill_at}, recovery in {:?} windows \
          ({} items restored in {:.3}s)",
@@ -438,7 +433,7 @@ fn model_recovery_secs(f: &FleetConfig) -> f64 {
     let read_rate = f.ops_per_window as f64 / f.window.as_secs_f64();
     let dt = 0.01;
     let mut t = 0.0;
-    while model.warmed_mass() < f.recovery_fraction && t < 120.0 {
+    while model.warmed_mass() < RECOVERY_FRACTION && t < 120.0 {
         model.copy_step(f.pump.base_rate * dt);
         model.organic_step(read_rate, dt);
         t += dt;
@@ -456,7 +451,7 @@ fn curve_json(series: &DecaySeries) -> String {
 }
 
 fn drill_json(strategy: &str, r: &FleetRun, cfg: &FleetConfig) -> String {
-    let restore = r.restores[0].as_ref().expect("the revoked node restores");
+    let restore = r.restores.get(&0).expect("the revoked node restores");
     let pump = restore.pump.as_ref().map_or("null".into(), |p| {
         format!(
             "{{\"items\":{},\"elapsed_s\":{:.3},\"rate_items_per_s\":{:.1},\"io_errors\":{}}}",
@@ -493,8 +488,8 @@ fn drill_json(strategy: &str, r: &FleetRun, cfg: &FleetConfig) -> String {
         pump,
         ckpt,
         ckpt_cut,
-        r.replication[0].shipped,
-        r.replication[0].link_errors,
+        r.replication[&0].shipped,
+        r.replication[&0].link_errors,
         curve_json(&r.fresh),
         curve_json(&r.served),
         curve_json(&r.stale),
@@ -562,7 +557,7 @@ fn main() {
         let u = recovery(strategy, unwarned, "unwarned");
         println!(
             "{strategy}: recovery to {:.0}% of steady state: warned {w:.2}s, unwarned {u:.2}s",
-            f.recovery_fraction * 100.0
+            RECOVERY_FRACTION * 100.0
         );
         obs.gauge(&format!("drill_{strategy}_warned_recovery_s"))
             .set(w);

@@ -29,17 +29,20 @@
 //! [`StormDetector`]: spotcache_obs::StormDetector
 //! [`BreachTracker`]: spotcache_obs::BreachTracker
 
-use spotcache_bench::fleet::{default_scenarios, run_scenario, FleetConfig, FleetRun, Scenario};
+use spotcache_bench::faults::StormSpec;
+use spotcache_bench::fleet::{
+    default_scenarios, run_scenario, storm_drill_shape, FleetConfig, FleetRun, Scenario,
+    RECOVERY_FRACTION,
+};
 use spotcache_bench::live::{write_artifact, Flags};
 use spotcache_bench::{heading, print_table};
 use spotcache_obs::Obs;
-use spotcache_recovery::replay::WarmupConfig;
 use std::sync::Arc;
-use std::time::Duration;
 
 struct Config {
     out: String,
     storm: FleetConfig,
+    wave: StormSpec,
     smoke: bool,
 }
 
@@ -48,61 +51,13 @@ impl Config {
         let mut flags = Flags::from_env();
         let (smoke, out, seed) = flags.artifact_run("BENCH_storm.json");
         flags.finish();
-        // Sizing notes: the pump rate is picked so a warned pre-warm
-        // finishes comfortably inside the warning window while an
-        // unwarned recovery pays restart_delay + several pump windows —
-        // the gap the warned ≤ unwarned invariant measures. The SLO
-        // window spans several driver windows so a single revocation
-        // cannot breach before the detector's threshold (2 kills) is
-        // reachable; see RUNBOOK.md §"Storm drills".
-        let pump = |max_items| WarmupConfig {
-            max_items,
-            base_rate: 2_000.0,
-            peak_rate: 2_000.0,
-            initial_credits: 0.0,
-            ..WarmupConfig::default()
-        };
-        let mut storm = FleetConfig {
-            nodes: 6,
-            key_space: 1_800,
-            theta: 0.99,
-            ops_per_window: 240,
-            window: Duration::from_millis(50),
-            steady_windows: 8,
-            storm_lead: 18,
-            observe_windows: 48,
-            warning_windows: 16,
-            spread: 2,
-            restart_delay: 6,
-            restart_jitter: 0.4,
-            cascade_delay: 12,
-            slo_target: 0.8,
-            slo_window_factor: 6,
-            detector_window: 4,
-            detector_threshold: 2,
-            recovery_fraction: 0.9,
-            pump: pump(1_800),
-            store_bytes: 32 << 20,
-            store_shards: 4,
-            seed,
-        };
-        if smoke {
-            storm = FleetConfig {
-                nodes: 4,
-                key_space: 800,
-                ops_per_window: 120,
-                window: Duration::from_millis(30),
-                steady_windows: 6,
-                storm_lead: 14,
-                observe_windows: 30,
-                warning_windows: 12,
-                restart_delay: 5,
-                cascade_delay: 10,
-                pump: pump(800),
-                ..storm
-            };
+        let (storm, wave) = storm_drill_shape(smoke, seed);
+        Self {
+            out,
+            storm,
+            wave,
+            smoke,
         }
-        Self { out, storm, smoke }
     }
 }
 
@@ -120,12 +75,7 @@ fn breaches_json(bs: &[(u64, Option<u64>)]) -> String {
 }
 
 fn scenario_json(sc: &Scenario, r: &FleetRun) -> String {
-    let restored: u64 = r
-        .restores
-        .iter()
-        .flatten()
-        .map(|rep| rep.items_restored)
-        .sum();
+    let restored: u64 = r.restores.values().map(|rep| rep.items_restored).sum();
     format!(
         "{{\"warned\":{},\"cascade\":{},\
          \"killed\":{},\"kill_windows\":{},\"restart_windows\":{},\
@@ -134,7 +84,7 @@ fn scenario_json(sc: &Scenario, r: &FleetRun) -> String {
          \"storm_trigger_latency_windows\":{},\"burn_breaches\":{},\
          \"max_degraded_routers\":{},\"pumped_items\":{},\
          \"series\":{{\"fresh\":{},\"served\":{},\"stale\":{},\"burn\":{},\"degraded\":{}}}}}",
-        sc.warned,
+        sc.storm.warning.is_some(),
         sc.cascade,
         u64s_json(&r.killed),
         u64s_json(&r.kill_windows),
@@ -174,7 +124,7 @@ fn main() {
 
     let obs = Arc::new(Obs::new());
     let mut results: Vec<(Scenario, FleetRun)> = Vec::new();
-    for sc in default_scenarios() {
+    for sc in default_scenarios(cfg.wave) {
         heading(&format!("scenario: {}", sc.name));
         let r = run_scenario(s, &sc, &obs);
         println!(
@@ -207,11 +157,11 @@ fn main() {
         // No permanent hit-rate floor loss: the tail of the fresh curve
         // is back above the recovery bar, not just one lucky window.
         assert!(
-            r.final_fresh >= s.recovery_fraction * r.steady_fresh,
+            r.final_fresh >= RECOVERY_FRACTION * r.steady_fresh,
             "{}: permanent floor loss: tail fresh {:.3} < {:.2} x steady {:.3}",
             sc.name,
             r.final_fresh,
-            s.recovery_fraction,
+            RECOVERY_FRACTION,
             r.steady_fresh
         );
         // The detector must fire in every scenario...
@@ -325,7 +275,7 @@ fn main() {
         s.slo_target,
         s.detector_window,
         s.detector_threshold,
-        s.recovery_fraction,
+        RECOVERY_FRACTION,
         s.pump.base_rate,
         scenario_cells.join(","),
         obs.json_snapshot(),

@@ -1,23 +1,41 @@
-//! One live fleet: the machinery behind both live drills.
+//! One live fleet: the machinery behind both live drills and the live
+//! control loop.
 //!
-//! A [`Fleet`] is N ring slots behind the production hashring. Each slot
-//! is a real reactor-backed primary [`CacheServer`] whose hot-key writes
-//! replicate to a backup server (paper §3.3: a spot primary and its
-//! burstable backup), a per-node [`DegradedRouter`] in the fleet's
+//! A [`Fleet`] is a set of members behind the production
+//! [`LoadBalancer`]. Each member is a real reactor-backed primary
+//! [`CacheServer`]; a spot member's hot-key writes replicate to its own
+//! backup server (paper §3.3: a spot primary and its burstable backup).
+//! Each member also has a [`DegradedRouter`] in the fleet's
 //! [`RecoveryStrategy`]'s mode, and — once a restore is launched — a
-//! replacement server warmed by a restore thread. [`Fleet::run`] replays
-//! a list of [`StormEvent`]s (warn / kill / restart per node and window)
-//! and per window records the decay curves an operator would watch
-//! (fresh-hit rate, served rate, stale fraction, SLO burn,
+//! replacement server warmed by a restore thread. One driver window is
+//! one step: finished restores are joined, one window of Zipf reads goes
+//! through each owner's read plan, and the window's decay curves are
+//! recorded (fresh-hit rate, served rate, stale fraction, SLO burn,
 //! simultaneously-degraded router count) into strictly-monotone
 //! [`DecaySeries`], plus [`StormDetector`] trigger latency and
 //! [`BreachTracker`] burn-breach intervals.
 //!
-//! `storm_drill` runs [`run_scenario`]: correlated storms whose timeline
-//! comes from [`crate::faults::schedule_storm`] (a contiguous hashring
-//! arc killed within a short spread, restarts decorrelated by jitter).
-//! `revocation_drill` runs one node per strategy, warned and unwarned,
-//! with one explicit event each.
+//! Two drivers step it:
+//!
+//! * [`Fleet::run`] replays a list of [`StormEvent`]s (warn / kill /
+//!   restart per node and window) over a fixed membership.
+//!   `storm_drill` runs [`run_scenario`]: correlated storms whose
+//!   timeline comes from [`crate::faults::schedule_storm`] (a contiguous
+//!   hot-ring arc killed within a short spread, restarts decorrelated by
+//!   jitter). `revocation_drill` runs one node per strategy, warned and
+//!   unwarned, with one explicit event each.
+//! * [`FleetSubstrate`] is the [`Substrate`](spotcache_core::Substrate)
+//!   `ControlLoop` drives: membership follows each plan, and the cloud
+//!   provider's warnings and revocations become the fleet's warn, kill
+//!   and restart.
+//!
+//! # Keys and pools
+//!
+//! A read draws a Zipf rank. The rank's scrambled id names the key: `h<id>`
+//! when the rank is below the fleet's hot cut, `c<id>` otherwise. The
+//! key's pool ring picks its owner, and only `h` keys replicate. The
+//! drills make every rank hot, so their keys and owners are those of a
+//! single uniform ring.
 //!
 //! # The freshness SLO
 //!
@@ -28,8 +46,12 @@
 //! the signal that actually decays and recovers, and the one whose burn
 //! rate must not breach before the storm detector has fired.
 
+mod substrate;
+
+pub use substrate::FleetSubstrate;
+
 use crate::faults::{schedule_storm, StormEvent, StormSpec};
-use crate::live::{prefill_hot, read_window, start_server, RoutedTiers};
+use crate::live::{prefill_hot, read_window, start_server, RoutedTiers, WindowTally};
 use rand::{rngs::StdRng, SeedableRng};
 use spotcache_cache::replication::{
     Mutation, ReplicationConfig, ReplicationQueue, ReplicationStats, Replicator,
@@ -42,10 +64,13 @@ use spotcache_obs::{
 use spotcache_recovery::checkpoint::write_checkpoint;
 use spotcache_recovery::replay::WarmupConfig;
 use spotcache_recovery::strategy::{RecoveryStrategy, RestoreContext, RestoreReport};
+use spotcache_router::balancer::{LoadBalancer, NodeWeights, Pool};
 use spotcache_router::degraded::{DegradedRouter, DrillPhase, RecoveryMode, ServeTarget};
 use spotcache_router::hashring::{HashRing, NodeId};
 use spotcache_workload::zipf::ScrambledZipfian;
+use std::collections::BTreeMap;
 use std::io;
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -53,9 +78,18 @@ use std::time::{Duration, Instant};
 /// Bytes per cached value.
 pub const VALUE_LEN: usize = 64;
 
-/// Hot-key prefix: every fleet key is `h<id>`, and only these replicate
-/// to the backup (the paper's key partitioner marks hot keys `h`, §4.2).
+/// Recovery = the fresh rate is back above this fraction of steady state.
+pub const RECOVERY_FRACTION: f64 = 0.9;
+
+/// Hot-key prefix: only these replicate to a backup (the paper's key
+/// partitioner marks hot keys `h`, §4.2).
 const HOT_PREFIX: &str = "h";
+
+/// Cold-key prefix.
+const COLD_PREFIX: &str = "c";
+
+/// What a missed read is refilled with.
+const REFILL: [u8; VALUE_LEN] = [b'x'; VALUE_LEN];
 
 // Logical process lanes for the Chrome trace export: every component
 // thread is pinned to one of these via `trace::set_thread_pid`, so a
@@ -69,9 +103,10 @@ const PID_REPLICATOR: u32 = 4;
 /// Fleet- and timing-shape of a run; scenario-independent.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Fleet size (ring nodes, each a live primary and backup server).
+    /// Drill fleet size (ring members, each a live primary and backup
+    /// server); a [`FleetSubstrate`]'s membership follows its plans.
     pub nodes: usize,
-    /// Total hot keys, spread over the ring as `h0..h{key_space}`.
+    /// Distinct keys, one per Zipf rank.
     pub key_space: u64,
     /// Zipf skew over the key space.
     pub theta: f64,
@@ -81,24 +116,10 @@ pub struct FleetConfig {
     pub window: Duration,
     /// Healthy windows before the first event (baseline measurement).
     pub steady_windows: u64,
-    /// Extra windows between steady state and the first possible storm
-    /// kill; must be ≥ `warning_windows` so a warned storm's notices land
-    /// after the baseline. Kills start at `steady_windows + storm_lead`
-    /// for every scenario, warned or not — identical timelines are what
-    /// make the warned ≤ unwarned comparison meaningful.
-    pub storm_lead: u64,
     /// Windows observed past the last scheduled restart.
     pub observe_windows: u64,
     /// Advance notice, in windows, for warned revocations.
     pub warning_windows: u64,
-    /// Windows over which one storm wave's kills spread.
-    pub spread: u64,
-    /// Base kill-to-replacement delay for unwarned storm recovery.
-    pub restart_delay: u64,
-    /// Per-node decorrelation of restart delays (fraction, ±).
-    pub restart_jitter: f64,
-    /// Windows between a cascade's first and second spike.
-    pub cascade_delay: u64,
     /// Freshness-SLO target ζ (good = fresh-tier answer).
     pub slo_target: f64,
     /// SLO window capacity as a multiple of `ops_per_window`.
@@ -107,8 +128,6 @@ pub struct FleetConfig {
     pub detector_window: u64,
     /// Revocations within the detector window that flag a storm.
     pub detector_threshold: u64,
-    /// Recovery = fresh rate back above this fraction of steady state.
-    pub recovery_fraction: f64,
     /// Replacement warm-up pacing for the Replay strategy.
     pub pump: WarmupConfig,
     /// Per-server store capacity.
@@ -119,62 +138,122 @@ pub struct FleetConfig {
     pub seed: u64,
 }
 
-/// One storm scenario: which fraction dies, with how much notice, and
-/// whether a second spike follows.
+/// One storm scenario: its revocation wave, and whether a second spike
+/// follows.
 #[derive(Debug, Clone, Copy)]
 pub struct Scenario {
     /// Stable scenario name (JSON key, metric prefix).
     pub name: &'static str,
-    /// Fraction of the ring revoked by the first wave.
-    pub kill_frac: f64,
-    /// Whether the rebalance warning fires before each kill.
-    pub warned: bool,
-    /// Whether a second, unwarned spike hits the survivors
-    /// `cascade_delay` windows after the first.
+    /// The first wave (kill fraction, timing, notice).
+    pub storm: StormSpec,
+    /// Whether a second, unwarned spike hits the survivors while the
+    /// first wave's replacements still warm (see [`scenario_events`]).
     pub cascade: bool,
     /// Seed salt: scenarios sharing a salt face the *same* kill-set and
     /// kill times (see [`crate::faults::schedule_storm`]).
     pub salt: u64,
 }
 
-/// The four scenarios the checked-in `BENCH_storm.json` carries.
+/// The four scenarios the checked-in `BENCH_storm.json` carries, on
+/// waves shaped like `wave` (its `kill_frac` is replaced per scenario;
+/// only `warned` keeps its `warning`).
 ///
 /// `warned` and `unwarned` share a salt so they face the identical
 /// storm — the pair behind the warned ≤ unwarned recovery-ordering
 /// invariant. `cascade` adds a second spike mid-recovery;
 /// `multi_router_degraded` doubles the kill fraction so several
 /// routers sit in `Degraded` simultaneously.
-pub fn default_scenarios() -> [Scenario; 4] {
+pub fn default_scenarios(wave: StormSpec) -> [Scenario; 4] {
+    let shaped = |kill_frac, warned: bool| StormSpec {
+        kill_frac,
+        warning: wave.warning.filter(|_| warned),
+        ..wave
+    };
     [
         Scenario {
             name: "warned",
-            kill_frac: 0.33,
-            warned: true,
+            storm: shaped(0.33, true),
             cascade: false,
             salt: 0xA1,
         },
         Scenario {
             name: "unwarned",
-            kill_frac: 0.33,
-            warned: false,
+            storm: shaped(0.33, false),
             cascade: false,
             salt: 0xA1,
         },
         Scenario {
             name: "cascade",
-            kill_frac: 0.33,
-            warned: false,
+            storm: shaped(0.33, false),
             cascade: true,
             salt: 0xB2,
         },
         Scenario {
             name: "multi_router_degraded",
-            kill_frac: 0.50,
-            warned: false,
+            storm: shaped(0.50, false),
             cascade: false,
             salt: 0xC3,
         },
     ]
+}
+
+/// The storm drill's fleet and wave shape: a full run, or the scaled-down
+/// `--smoke` run CI takes.
+///
+/// The pump rate is picked so a warned pre-warm finishes comfortably
+/// inside the warning window while an unwarned recovery pays
+/// `restart_delay` + several pump windows — the gap the warned ≤
+/// unwarned invariant measures. The SLO window spans several driver
+/// windows so a single revocation cannot breach before the detector's
+/// threshold (2 kills) is reachable; see RUNBOOK.md §"Storm drills".
+/// Kills start `storm_lead` windows after steady state for every
+/// scenario, warned or not — identical timelines are what make the
+/// warned ≤ unwarned comparison meaningful — and the lead is longer
+/// than the warning so a warned storm's notices land after the baseline.
+pub fn storm_drill_shape(smoke: bool, seed: u64) -> (FleetConfig, StormSpec) {
+    let (nodes, key_space, ops_per_window, window_ms) = if smoke {
+        (4, 800, 120, 30)
+    } else {
+        (6, 1_800, 240, 50)
+    };
+    let (steady_windows, storm_lead, observe_windows, warning_windows, restart_delay) = if smoke {
+        (6, 14, 30, 12, 5)
+    } else {
+        (8, 18, 48, 16, 6)
+    };
+    let fleet = FleetConfig {
+        nodes,
+        key_space,
+        theta: 0.99,
+        ops_per_window,
+        window: Duration::from_millis(window_ms),
+        steady_windows,
+        observe_windows,
+        warning_windows,
+        slo_target: 0.8,
+        slo_window_factor: 6,
+        detector_window: 4,
+        detector_threshold: 2,
+        pump: WarmupConfig {
+            max_items: key_space as usize,
+            base_rate: 2_000.0,
+            peak_rate: 2_000.0,
+            initial_credits: 0.0,
+            ..WarmupConfig::default()
+        },
+        store_bytes: 32 << 20,
+        store_shards: 4,
+        seed,
+    };
+    let wave = StormSpec {
+        kill_frac: 0.0,
+        start: steady_windows + storm_lead,
+        spread: 2,
+        warning: Some(warning_windows),
+        restart_delay,
+        restart_jitter: 0.4,
+    };
+    (fleet, wave)
 }
 
 /// Everything one [`Fleet::run`] measured.
@@ -193,7 +272,7 @@ pub struct FleetRun {
     /// Mean fresh-hit rate over the final five windows.
     pub final_fresh: f64,
     /// Windows from the last kill until the fresh rate re-crossed
-    /// `recovery_fraction × steady_fresh`, counting the kill window;
+    /// [`RECOVERY_FRACTION`] × `steady_fresh`, counting the kill window;
     /// `None` = never recovered.
     pub recovery_windows: Option<u64>,
     /// Window in which the storm detector latched its trigger.
@@ -205,10 +284,10 @@ pub struct FleetRun {
     pub breaches: Vec<(u64, Option<u64>)>,
     /// Most routers simultaneously in the `Degraded` phase.
     pub max_degraded: usize,
-    /// Each node's restore report, by node id (`None` = never restored).
-    pub restores: Vec<Option<RestoreReport>>,
+    /// Each restored node's restore report, by node id.
+    pub restores: BTreeMap<NodeId, RestoreReport>,
     /// Each node's replication-link totals, by node id.
-    pub replication: Vec<ReplicationStats>,
+    pub replication: BTreeMap<NodeId, ReplicationStats>,
     /// Fresh-hit rate per window (the freshness decay curve).
     pub fresh: DecaySeries,
     /// Served (fresh + stale) rate per window (the hit-rate curve).
@@ -221,44 +300,68 @@ pub struct FleetRun {
     pub degraded: DecaySeries,
 }
 
-/// One ring slot: a primary replicating its hot keys to a backup server
-/// and, once a restore is launched, the replacement it warms.
-struct FleetNode {
-    primary: Arc<Store>,
-    primary_srv: Option<CacheServer>,
-    backup: Arc<Store>,
-    backup_srv: CacheServer,
+/// A spot member's backup: the server its hot writes replicate to.
+struct Backup {
+    store: Arc<Store>,
+    srv: CacheServer,
     /// The primary's replication tap. Once the replicator stops, what it
     /// still holds is the dead stream's undelivered backlog.
     queue: Arc<ReplicationQueue>,
     repl: Replicator,
+}
+
+/// One member: a primary, its backup when it has one, and, once a
+/// restore is launched, the replacement it warms.
+struct FleetNode {
+    id: NodeId,
+    primary: Arc<Store>,
+    primary_srv: Option<CacheServer>,
+    backup: Option<Backup>,
     /// Hybrid after a warning: the checkpoint cut then, and the tap that
     /// has collected every write since.
     cut: Option<(Vec<u8>, Arc<ReplicationQueue>)>,
     replacement: Option<CacheServer>,
     restore: Option<JoinHandle<io::Result<RestoreReport>>>,
-    /// A finished restore's report. Set before the kill, it arms an
-    /// immediate cut-over: `Warmed` is never entered while the primary
-    /// still serves.
-    report: Option<RestoreReport>,
 }
 
-/// A live fleet, started and waiting for [`Fleet::run`].
+/// What the windows of a run record.
+struct Curves {
+    fresh: DecaySeries,
+    served: DecaySeries,
+    stale: DecaySeries,
+    burn: DecaySeries,
+    degraded: DecaySeries,
+    detector: StormDetector,
+    breach: BreachTracker,
+    max_degraded: usize,
+}
+
+/// A live fleet, stepped one driver window at a time.
 pub struct Fleet {
     cfg: FleetConfig,
     strategy: RecoveryStrategy,
     obs: Arc<Obs>,
     tracer: Option<Arc<Tracer>>,
-    ring: HashRing,
-    /// Key ownership is fixed for the whole run: the drills measure
-    /// serve-path decay, not rebalancing, so dead nodes keep their arcs
-    /// and their replacements inherit them.
-    owner_of: Vec<usize>,
+    /// Announced by every routed client on connect.
+    ctx: Option<TraceContext>,
+    lb: LoadBalancer,
+    /// Zipf ranks below this are hot: `h` keys, owned on the hot ring.
+    hot_ranks: u64,
+    zipf: ScrambledZipfian,
+    ops_rng: StdRng,
+    /// Members in join order; `tiers[i]` routes to `nodes[i]`.
     nodes: Vec<FleetNode>,
-    /// Each node's routed clients, by node id (what [`read_window`] reads
-    /// through).
     tiers: Vec<RoutedTiers>,
+    /// Every finished restore's report, by node id. A report that exists
+    /// before its node is killed arms an immediate cut-over: `Warmed` is
+    /// never entered while the primary still serves.
+    restores: BTreeMap<NodeId, RestoreReport>,
+    /// Every stopped replication link's totals, by node id.
+    replication: BTreeMap<NodeId, ReplicationStats>,
     slo: Arc<SloWindow>,
+    /// Index of the next driver window.
+    window: u64,
+    curves: Curves,
 }
 
 /// Registers the fleet's trace lanes on `tracer` and puts the calling
@@ -311,7 +414,7 @@ fn drain(queue: &ReplicationQueue) -> Vec<Mutation> {
 /// run, naming the node and the strategy.
 fn join_restore(
     handle: JoinHandle<io::Result<RestoreReport>>,
-    node: usize,
+    node: NodeId,
     strategy: &RecoveryStrategy,
 ) -> RestoreReport {
     match handle.join() {
@@ -321,15 +424,86 @@ fn join_restore(
     }
 }
 
+/// Joins `node`'s restore and stops its replication link, keeping what
+/// each produced.
+fn retire(
+    node: &mut FleetNode,
+    strategy: &RecoveryStrategy,
+    restores: &mut BTreeMap<NodeId, RestoreReport>,
+    replication: &mut BTreeMap<NodeId, ReplicationStats>,
+) {
+    if let Some(handle) = node.restore.take() {
+        restores.insert(node.id, join_restore(handle, node.id, strategy));
+    }
+    if let Some(backup) = &mut node.backup {
+        backup.repl.stop();
+        replication.insert(node.id, backup.repl.stats());
+    }
+}
+
+/// `n` members of equal weight in both pools.
+fn uniform(n: usize) -> Vec<NodeWeights> {
+    (0..n as NodeId)
+        .map(|node| NodeWeights {
+            node,
+            hot: 1.0,
+            cold: 1.0,
+        })
+        .collect()
+}
+
 impl Fleet {
-    /// Starts every node's primary and backup server and replicator,
-    /// prefills each primary with the keys it owns through the protocol
-    /// (so values carry the wire framing and every set replicates) and
-    /// drains the replication into the backups.
+    /// A fleet with no members; see [`Fleet::start`] for `tracer` and
+    /// `ctx`.
+    fn new(
+        cfg: &FleetConfig,
+        strategy: RecoveryStrategy,
+        obs: &Arc<Obs>,
+        tracer: Option<&Arc<Tracer>>,
+        ctx: Option<TraceContext>,
+    ) -> Self {
+        trace::set_thread_context(ctx);
+        Self {
+            cfg: cfg.clone(),
+            strategy,
+            obs: Arc::clone(obs),
+            tracer: tracer.cloned(),
+            ctx,
+            lb: LoadBalancer::new(),
+            hot_ranks: cfg.key_space,
+            zipf: ScrambledZipfian::new(cfg.key_space, cfg.theta),
+            ops_rng: StdRng::seed_from_u64(cfg.seed),
+            nodes: Vec::new(),
+            tiers: Vec::new(),
+            restores: BTreeMap::new(),
+            replication: BTreeMap::new(),
+            slo: Arc::new(SloWindow::new(
+                cfg.slo_target,
+                cfg.slo_window_factor * cfg.ops_per_window,
+            )),
+            window: 0,
+            curves: Curves {
+                fresh: DecaySeries::new(),
+                served: DecaySeries::new(),
+                stale: DecaySeries::new(),
+                burn: DecaySeries::new(),
+                degraded: DecaySeries::new(),
+                detector: StormDetector::new(cfg.detector_window, cfg.detector_threshold),
+                breach: BreachTracker::new(1.0),
+                max_degraded: 0,
+            },
+        }
+    }
+
+    /// Starts the drill fleet: `cfg.nodes` backed members of equal
+    /// weight, every key hot. Each primary is prefilled with the keys it
+    /// owns through the protocol (so values carry the wire framing and
+    /// every set replicates), and the replication drains into the
+    /// backups.
     ///
     /// With `tracer`, every component runs in its own trace lane. `ctx`,
-    /// when given, becomes the calling thread's trace context before the
-    /// replicators start — every batch they ship carries it to the
+    /// when given, becomes the calling thread's trace context before any
+    /// replicator starts — every batch they ship carries it to the
     /// backups — and every routed client announces it on connect; the
     /// restore threads inherit it too.
     pub fn start(
@@ -339,78 +513,37 @@ impl Fleet {
         tracer: Option<&Arc<Tracer>>,
         ctx: Option<TraceContext>,
     ) -> Self {
-        let weights: Vec<(NodeId, f64)> = (0..cfg.nodes as NodeId).map(|i| (i, 1.0)).collect();
-        let ring = HashRing::build(&weights);
-        let owner_of: Vec<usize> = (0..cfg.key_space)
-            .map(|kid| {
-                ring.lookup(format!("{HOT_PREFIX}{kid}").as_bytes())
-                    .expect("non-empty ring") as usize
-            })
-            .collect();
-        trace::set_thread_context(ctx);
-        let mut nodes = Vec::with_capacity(cfg.nodes);
-        let mut tiers = Vec::with_capacity(cfg.nodes);
-        for i in 0..cfg.nodes {
-            let primary = new_store(cfg);
-            let backup = new_store(cfg);
-            let primary_srv = start_in_lane(PID_PRIMARY, &primary, obs, tracer);
-            let backup_srv = start_in_lane(PID_BACKUP, &backup, obs, tracer);
-            let queue = ReplicationQueue::new(65_536, Some(HOT_PREFIX.as_bytes().to_vec()));
-            primary.set_mutation_sink(Some(queue.clone()));
-            trace::set_thread_pid(PID_REPLICATOR);
-            let repl = Replicator::start(
-                backup_srv.addr(),
-                Arc::clone(&queue),
-                ReplicationConfig::default(),
-                Some(Arc::clone(obs)),
-                tracer.cloned(),
-            );
-            trace::set_thread_pid(PID_DRIVER);
-            let owned = (0..cfg.key_space).filter(|&kid| owner_of[kid as usize] == i);
-            prefill_hot(&primary, HOT_PREFIX, owned, VALUE_LEN);
-            assert!(
-                repl.flush(Duration::from_secs(30)),
-                "node {i}: prefill replication must drain"
-            );
-
-            let router = Arc::new(DegradedRouter::new());
-            router.set_mode(strategy.mode());
-            let mut node_tiers = RoutedTiers::new(router, ctx);
-            node_tiers.set_tier(ServeTarget::Primary, Some(primary_srv.addr()));
-            node_tiers.set_tier(ServeTarget::BackupStale, Some(backup_srv.addr()));
-            tiers.push(node_tiers);
-            nodes.push(FleetNode {
-                primary,
-                primary_srv: Some(primary_srv),
-                backup,
-                backup_srv,
-                queue,
-                repl,
-                cut: None,
-                replacement: None,
-                restore: None,
-                report: None,
+        let mut fleet = Self::new(cfg, strategy, obs, tracer, ctx);
+        for node in 0..cfg.nodes as NodeId {
+            fleet.join(node, true);
+        }
+        fleet.set_weights(&uniform(cfg.nodes), 1.0);
+        for node in &fleet.nodes {
+            let owned = (0..cfg.key_space).filter(|&kid| {
+                let key = format!("{HOT_PREFIX}{kid}");
+                fleet.lb.owner(Pool::Hot, key.as_bytes()) == Some(node.id)
             });
+            prefill_hot(&node.primary, HOT_PREFIX, owned, VALUE_LEN);
+            let backup = node.backup.as_ref().expect("drill members are backed");
+            assert!(
+                backup.repl.flush(Duration::from_secs(30)),
+                "node {}: prefill replication must drain",
+                node.id
+            );
         }
-        Self {
-            cfg: cfg.clone(),
-            strategy,
-            obs: Arc::clone(obs),
-            tracer: tracer.cloned(),
-            ring,
-            owner_of,
-            nodes,
-            tiers,
-            slo: Arc::new(SloWindow::new(
-                cfg.slo_target,
-                cfg.slo_window_factor * cfg.ops_per_window,
-            )),
-        }
+        fleet
+    }
+
+    fn index(&self, node: NodeId) -> usize {
+        self.nodes
+            .iter()
+            .position(|n| n.id == node)
+            .unwrap_or_else(|| panic!("node {node} is not a member"))
     }
 
     /// Node `node`'s phase machine.
-    pub fn router(&self, node: usize) -> &Arc<DegradedRouter> {
-        &self.tiers[node].router
+    pub fn router(&self, node: NodeId) -> &Arc<DegradedRouter> {
+        &self.tiers[self.index(node)].router
     }
 
     /// The fleet's freshness SLO window.
@@ -418,10 +551,117 @@ impl Fleet {
         &self.slo
     }
 
-    /// Node `node`'s backup server, the one server of the node that lives
-    /// through the whole run (e.g. to attach an admin endpoint to).
-    pub fn backup_server(&mut self, node: usize) -> &mut CacheServer {
-        &mut self.nodes[node].backup_srv
+    /// Backed node `node`'s backup server, the one server of the node
+    /// that lives through the whole run (e.g. to attach an admin endpoint
+    /// to).
+    pub fn backup_server(&mut self, node: NodeId) -> &mut CacheServer {
+        let i = self.index(node);
+        &mut self.nodes[i].backup.as_mut().expect("a backed member").srv
+    }
+
+    /// The balancer holding the newest weight table.
+    pub fn balancer(&self) -> &LoadBalancer {
+        &self.lb
+    }
+
+    /// Member ids, in join order.
+    pub fn members(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.nodes.iter().map(|n| n.id)
+    }
+
+    /// Node `node`'s primary store.
+    pub fn primary(&self, node: NodeId) -> &Arc<Store> {
+        &self.nodes[self.index(node)].primary
+    }
+
+    /// Node `node`'s primary server address; `None` once revoked.
+    pub fn primary_addr(&self, node: NodeId) -> Option<SocketAddr> {
+        self.nodes[self.index(node)]
+            .primary_srv
+            .as_ref()
+            .map(CacheServer::addr)
+    }
+
+    /// Node `node`'s backup store, if it has a backup.
+    pub fn backup(&self, node: NodeId) -> Option<&Arc<Store>> {
+        self.nodes[self.index(node)]
+            .backup
+            .as_ref()
+            .map(|b| &b.store)
+    }
+
+    /// Every finished restore's report, by node id.
+    pub fn restores(&self) -> &BTreeMap<NodeId, RestoreReport> {
+        &self.restores
+    }
+
+    /// Starts member `node`: a cold primary and, when `backed`, a backup
+    /// server its hot writes replicate to. It owns no keys until the next
+    /// [`Fleet::set_weights`] gives it weight.
+    fn join(&mut self, node: NodeId, backed: bool) {
+        let primary = new_store(&self.cfg);
+        let primary_srv = start_in_lane(PID_PRIMARY, &primary, &self.obs, self.tracer.as_ref());
+        let backup = backed.then(|| {
+            let store = new_store(&self.cfg);
+            let srv = start_in_lane(PID_BACKUP, &store, &self.obs, self.tracer.as_ref());
+            let queue = ReplicationQueue::new(65_536, Some(HOT_PREFIX.as_bytes().to_vec()));
+            primary.set_mutation_sink(Some(queue.clone()));
+            trace::set_thread_pid(PID_REPLICATOR);
+            let repl = Replicator::start(
+                srv.addr(),
+                Arc::clone(&queue),
+                ReplicationConfig::default(),
+                Some(Arc::clone(&self.obs)),
+                self.tracer.clone(),
+            );
+            trace::set_thread_pid(PID_DRIVER);
+            Backup {
+                store,
+                srv,
+                queue,
+                repl,
+            }
+        });
+        let router = Arc::new(DegradedRouter::new());
+        router.set_mode(self.strategy.mode());
+        let mut tiers = RoutedTiers::new(router, self.ctx);
+        tiers.set_tier(ServeTarget::Primary, Some(primary_srv.addr()));
+        tiers.set_tier(
+            ServeTarget::BackupStale,
+            backup.as_ref().map(|b| b.srv.addr()),
+        );
+        self.tiers.push(tiers);
+        self.nodes.push(FleetNode {
+            id: node,
+            primary,
+            primary_srv: Some(primary_srv),
+            backup,
+            cut: None,
+            replacement: None,
+            restore: None,
+        });
+    }
+
+    /// Stops member `node` for good: its restore is joined, its
+    /// replication link stopped, and its servers go with it.
+    fn leave(&mut self, node: NodeId) {
+        let i = self.index(node);
+        self.tiers.remove(i);
+        let mut gone = self.nodes.remove(i);
+        retire(
+            &mut gone,
+            &self.strategy,
+            &mut self.restores,
+            &mut self.replication,
+        );
+    }
+
+    /// Publishes a weight table: key ownership follows its hot and cold
+    /// rings, and the top `hot_frac` of the Zipf ranks is hot.
+    fn set_weights(&mut self, table: &[NodeWeights], hot_frac: f64) {
+        self.lb.set_weights(table);
+        let hot = (hot_frac.clamp(0.0, 1.0) * self.cfg.key_space as f64).round();
+        self.hot_ranks = hot as u64;
     }
 
     /// Replays `events` against the fleet, then tears it down: every
@@ -441,93 +681,37 @@ impl Fleet {
         mut after_window: impl FnMut(u64),
     ) -> FleetRun {
         assert!(!events.is_empty(), "a run must kill someone");
+        assert_eq!(self.window, 0, "a run starts on a fresh fleet");
         let last_kill = events.iter().map(|e| e.kill_at).max().expect("non-empty");
         let horizon = events
             .iter()
             .map(|e| e.restart_at)
             .max()
             .expect("non-empty");
-        let total_windows = horizon + self.cfg.observe_windows;
-
-        let detector = StormDetector::new(self.cfg.detector_window, self.cfg.detector_threshold);
-        let breach = BreachTracker::new(1.0);
-        let fresh = DecaySeries::new();
-        let served = DecaySeries::new();
-        let stale = DecaySeries::new();
-        let burn = DecaySeries::new();
-        let degraded = DecaySeries::new();
-        let zipf = ScrambledZipfian::new(self.cfg.key_space, self.cfg.theta);
-        let mut ops_rng = StdRng::seed_from_u64(seed);
-        let value = "x".repeat(VALUE_LEN);
+        self.ops_rng = StdRng::seed_from_u64(seed);
         let mut killed = Vec::new();
         let mut kill_windows = Vec::new();
         let mut restart_windows = Vec::new();
-        let mut max_degraded = 0usize;
-
-        for w in 0..total_windows {
-            let deadline = Instant::now() + self.cfg.window;
+        for w in 0..horizon + self.cfg.observe_windows {
             for e in events.iter().filter(|e| e.warn_at == Some(w)) {
-                self.warn(e.node as usize);
+                self.warn(e.node);
             }
             for e in events.iter().filter(|e| e.kill_at == w) {
-                self.kill(e.node as usize);
-                detector.record(w, 1);
+                self.kill(e.node);
                 killed.push(e.node);
                 kill_windows.push(w);
                 restart_windows.push(e.warn_at.unwrap_or(e.restart_at));
             }
             for e in events.iter().filter(|e| e.restart_at == w) {
-                self.restart(e.node as usize);
+                self.restart(e.node);
             }
-            self.poll();
-            // Only a primary or replacement answer is good for the
-            // freshness SLO: a stale serve burns budget just like a miss.
-            let tally = read_window(
-                &mut self.tiers,
-                self.cfg.ops_per_window,
-                || {
-                    let kid = zipf.sample(&mut ops_rng);
-                    (self.owner_of[kid as usize], format!("{HOT_PREFIX}{kid}"))
-                },
-                value.as_bytes(),
-                |answered| {
-                    self.slo.record(matches!(
-                        answered,
-                        Some(ServeTarget::Primary | ServeTarget::Replacement)
-                    ))
-                },
-                deadline,
-            );
-            let n = self.cfg.ops_per_window as f64;
-            fresh.push(w, tally.fresh as f64 / n);
-            stale.push(w, tally.stale as f64 / n);
-            served.push(w, (tally.fresh + tally.stale) as f64 / n);
-            let rate = self.slo.burn_rate();
-            burn.push(w, rate.min(1e6)); // saturated burn stays JSON-finite
-            breach.observe(w, rate);
-            let deg = self
-                .tiers
-                .iter()
-                .filter(|t| t.router.phase() == DrillPhase::Degraded)
-                .count();
-            degraded.push(w, deg as f64);
-            max_degraded = max_degraded.max(deg);
+            self.step();
             after_window(w);
         }
-
         // Stragglers are joined before their servers stop (a restore
         // writes to its replacement over the wire); the servers stop as
         // the fleet drops on return.
-        let mut restores = Vec::with_capacity(self.nodes.len());
-        let mut replication = Vec::with_capacity(self.nodes.len());
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            if let Some(handle) = node.restore.take() {
-                node.report = Some(join_restore(handle, i, &self.strategy));
-            }
-            node.repl.stop();
-            restores.push(node.report.take());
-            replication.push(node.repl.stats());
-        }
+        self.close();
         trace::set_thread_context(None);
 
         let mean = |pts: &[(u64, f64)]| {
@@ -537,11 +721,13 @@ impl Fleet {
                 pts.iter().map(|&(_, v)| v).sum::<f64>() / pts.len() as f64
             }
         };
-        let points = fresh.points();
+        let c = self.curves;
+        let points = c.fresh.points();
         let steady_fresh = mean(&points[..(self.cfg.steady_windows as usize).min(points.len())]);
         let final_fresh = mean(&points[points.len().saturating_sub(5)..]);
-        let recovery_windows = fresh
-            .first_at_or_above(last_kill, self.cfg.recovery_fraction * steady_fresh)
+        let recovery_windows = c
+            .fresh
+            .first_at_or_above(last_kill, RECOVERY_FRACTION * steady_fresh)
             .map(|t| t - last_kill + 1);
         FleetRun {
             killed,
@@ -551,17 +737,84 @@ impl Fleet {
             steady_fresh,
             final_fresh,
             recovery_windows,
-            trigger_window: detector.triggered_at(),
-            trigger_latency: detector.trigger_latency(),
-            breaches: breach.intervals(),
-            max_degraded,
-            restores,
-            replication,
-            fresh,
-            served,
-            stale,
-            burn,
-            degraded,
+            trigger_window: c.detector.triggered_at(),
+            trigger_latency: c.detector.trigger_latency(),
+            breaches: c.breach.intervals(),
+            max_degraded: c.max_degraded,
+            restores: self.restores,
+            replication: self.replication,
+            fresh: c.fresh,
+            served: c.served,
+            stale: c.stale,
+            burn: c.burn,
+            degraded: c.degraded,
+        }
+    }
+
+    /// One driver window: joins finished restores, drives one window of
+    /// Zipf reads through each owner's read plan (write-through-refilling
+    /// misses at the write target), sleeps out the window, and records
+    /// its curves.
+    fn step(&mut self) -> WindowTally {
+        let w = self.window;
+        self.window += 1;
+        let deadline = Instant::now() + self.cfg.window;
+        self.poll();
+        let (zipf, rng, lb, nodes) = (&self.zipf, &mut self.ops_rng, &self.lb, &self.nodes);
+        let (hot_ranks, slo) = (self.hot_ranks, &self.slo);
+        let tally = read_window(
+            &mut self.tiers,
+            self.cfg.ops_per_window,
+            || {
+                let rank = zipf.inner().sample(rng);
+                let (pool, prefix) = if rank < hot_ranks {
+                    (Pool::Hot, HOT_PREFIX)
+                } else {
+                    (Pool::Cold, COLD_PREFIX)
+                };
+                let key = format!("{prefix}{}", zipf.key_for_rank(rank));
+                let owner = lb.owner(pool, key.as_bytes())?;
+                let i = nodes.iter().position(|n| n.id == owner);
+                Some((i.expect("owners are members"), key))
+            },
+            &REFILL,
+            // Only a primary or replacement answer is good for the
+            // freshness SLO: a stale serve burns budget just like a miss.
+            |answered| {
+                slo.record(matches!(
+                    answered,
+                    Some(ServeTarget::Primary | ServeTarget::Replacement)
+                ))
+            },
+            deadline,
+        );
+        let c = &mut self.curves;
+        let n = self.cfg.ops_per_window as f64;
+        c.fresh.push(w, tally.fresh as f64 / n);
+        c.stale.push(w, tally.stale as f64 / n);
+        c.served.push(w, (tally.fresh + tally.stale) as f64 / n);
+        let rate = self.slo.burn_rate();
+        c.burn.push(w, rate.min(1e6)); // saturated burn stays JSON-finite
+        c.breach.observe(w, rate);
+        let deg = self
+            .tiers
+            .iter()
+            .filter(|t| t.router.phase() == DrillPhase::Degraded)
+            .count();
+        c.degraded.push(w, deg as f64);
+        c.max_degraded = c.max_degraded.max(deg);
+        tally
+    }
+
+    /// Joins every restore and stops every replication link.
+    fn close(&mut self) {
+        for node in &mut self.nodes {
+            retire(
+                node,
+                &self.strategy,
+                &mut self.restores,
+                &mut self.replication,
+            );
         }
     }
 
@@ -571,17 +824,18 @@ impl Fleet {
     /// Hybrid cuts the stream, keeps it for the kill, and re-points the
     /// primary's tap at a fresh queue, so everything written after the
     /// cut becomes the top-up tail.
-    fn warn(&mut self, i: usize) {
+    fn warn(&mut self, node: NodeId) {
         marker(self.tracer.as_ref(), "warning");
+        let i = self.index(node);
         self.tiers[i].router.on_warning();
         let mode = self.strategy.mode();
         if mode == RecoveryMode::Replay {
             return self.launch(i, None, Vec::new());
         }
-        let node = &mut self.nodes[i];
+        let n = &mut self.nodes[i];
         let mut ckpt = Vec::new();
         write_checkpoint(
-            &node.primary,
+            &n.primary,
             0,
             &mut ckpt,
             Some(&self.obs),
@@ -592,23 +846,27 @@ impl Fleet {
             return self.launch(i, Some(ckpt), Vec::new());
         }
         let tail = ReplicationQueue::new(65_536, Some(HOT_PREFIX.as_bytes().to_vec()));
-        node.primary.set_mutation_sink(Some(tail.clone()));
-        node.cut = Some((ckpt, tail));
+        n.primary.set_mutation_sink(Some(tail.clone()));
+        n.cut = Some((ckpt, tail));
     }
 
     /// The revocation: the primary's server dies mid-traffic, the router
     /// degrades, and the replication stream dies with its source. A node
     /// whose restore already finished cuts over at once.
-    fn kill(&mut self, i: usize) {
+    fn kill(&mut self, node: NodeId) {
         marker(self.tracer.as_ref(), "kill");
-        let (node, tiers) = (&mut self.nodes[i], &mut self.tiers[i]);
-        if let Some(mut srv) = node.primary_srv.take() {
+        self.curves.detector.record(self.window, 1);
+        let i = self.index(node);
+        let (n, tiers) = (&mut self.nodes[i], &mut self.tiers[i]);
+        if let Some(mut srv) = n.primary_srv.take() {
             srv.stop();
         }
         tiers.set_tier(ServeTarget::Primary, None);
         tiers.router.on_revoked();
-        node.repl.stop();
-        if node.report.is_some() {
+        if let Some(backup) = &mut n.backup {
+            backup.repl.stop();
+        }
+        if self.restores.contains_key(&node) {
             tiers.router.on_warmed();
             marker(self.tracer.as_ref(), "warmed");
         }
@@ -618,30 +876,38 @@ impl Fleet {
     /// already did. Hybrid ships a tail on top of its checkpoint — the
     /// writes since the warning's cut, or, unwarned, the dead stream's
     /// undelivered backlog.
-    fn restart(&mut self, i: usize) {
-        let node = &mut self.nodes[i];
-        if node.replacement.is_some() {
+    fn restart(&mut self, node: NodeId) {
+        let i = self.index(node);
+        let n = &mut self.nodes[i];
+        if n.replacement.is_some() {
             return;
         }
-        let (ckpt, tail) = match node.cut.take() {
-            Some((ckpt, since_cut)) => (Some(ckpt), drain(&since_cut)),
-            None if self.strategy.mode() == RecoveryMode::Hybrid => (None, drain(&node.queue)),
-            None => (None, Vec::new()),
+        let (ckpt, tail) = match (n.cut.take(), &n.backup) {
+            (Some((ckpt, since_cut)), _) => (Some(ckpt), drain(&since_cut)),
+            (None, Some(backup)) if self.strategy.mode() == RecoveryMode::Hybrid => {
+                (None, drain(&backup.queue))
+            }
+            _ => (None, Vec::new()),
         };
         self.launch(i, ckpt, tail);
     }
 
-    /// Starts node `i`'s replacement server and a thread restoring it
-    /// through the fleet's strategy from the backup, `ckpt` (a stream cut
-    /// at the warning; `None` = cut from the backup inside the restore)
-    /// and `tail`.
+    /// Starts member `i`'s replacement server and, when the member has a
+    /// backup, a thread restoring it through the fleet's strategy from
+    /// the backup, `ckpt` (a stream cut at the warning; `None` = cut from
+    /// the backup inside the restore) and `tail`. Without a backup there
+    /// is nothing to restore: the replacement warms from misses alone.
     fn launch(&mut self, i: usize, ckpt: Option<Vec<u8>>, tail: Vec<Mutation>) {
         let target = new_store(&self.cfg);
         let srv = start_in_lane(PID_REPLACEMENT, &target, &self.obs, self.tracer.as_ref());
         let target_addr = srv.addr();
         self.tiers[i].set_tier(ServeTarget::Replacement, Some(target_addr));
+        let node = &mut self.nodes[i];
+        node.replacement = Some(srv);
+        let Some(backup) = node.backup.as_ref().map(|b| Arc::clone(&b.store)) else {
+            return;
+        };
         let strategy = self.strategy.clone();
-        let backup = Arc::clone(&self.nodes[i].backup);
         let obs = Arc::clone(&self.obs);
         let tracer = self.tracer.clone();
         // The restore thread keeps the caller's lane and trace context, so
@@ -665,23 +931,21 @@ impl Fleet {
                 })
             })
             .expect("spawn restore thread");
-        let node = &mut self.nodes[i];
-        node.replacement = Some(srv);
         node.restore = Some(restore);
     }
 
     /// Joins every finished restore; a node already revoked moves to
     /// `Warmed`.
     fn poll(&mut self) {
-        for (i, node) in self.nodes.iter_mut().enumerate() {
+        for (node, tiers) in self.nodes.iter_mut().zip(&self.tiers) {
             if !node.restore.as_ref().is_some_and(|h| h.is_finished()) {
                 continue;
             }
             let handle = node.restore.take().expect("checked above");
-            node.report = Some(join_restore(handle, i, &self.strategy));
-            let router = &self.tiers[i].router;
-            if router.phase() == DrillPhase::Degraded {
-                router.on_warmed();
+            let report = join_restore(handle, node.id, &self.strategy);
+            self.restores.insert(node.id, report);
+            if tiers.router.phase() == DrillPhase::Degraded {
+                tiers.router.on_warmed();
                 marker(self.tracer.as_ref(), "warmed");
             }
         }
@@ -693,6 +957,26 @@ fn new_store(cfg: &FleetConfig) -> Arc<Store> {
         capacity_bytes: cfg.store_bytes,
         shards: cfg.store_shards,
     }))
+}
+
+/// A scenario's storm timeline on `ring`: its wave and, for a cascade, a
+/// second, unwarned wave on the survivors `2 × restart_delay` windows
+/// later, while the first wave's replacements still warm. The schedule's
+/// RNG is seeded by `seed ^ salt`, so scenarios sharing a salt revoke the
+/// same nodes at the same times.
+pub fn scenario_events(ring: &HashRing, seed: u64, sc: &Scenario) -> Vec<StormEvent> {
+    let mut rng = StdRng::seed_from_u64(seed ^ sc.salt);
+    let wave1 = schedule_storm(ring, &[], &sc.storm, &mut rng);
+    let mut events = wave1.events.clone();
+    if sc.cascade {
+        let second = StormSpec {
+            start: sc.storm.start + 2 * sc.storm.restart_delay,
+            warning: None, // the second spike always lands unwarned
+            ..sc.storm
+        };
+        events.extend(schedule_storm(ring, &wave1.nodes(), &second, &mut rng).events);
+    }
+    events
 }
 
 /// Runs one storm scenario against a fresh Replay fleet.
@@ -709,29 +993,7 @@ pub fn run_scenario(cfg: &FleetConfig, sc: &Scenario, obs: &Arc<Obs>) -> FleetRu
         None,
         None,
     );
-    // Storm timeline. The start window is warning-independent so a
-    // warned and an unwarned run from the same salt revoke identically.
-    let mut sched_rng = StdRng::seed_from_u64(cfg.seed ^ sc.salt);
-    let start = cfg.steady_windows + cfg.storm_lead;
-    let spec = StormSpec {
-        kill_frac: sc.kill_frac,
-        start,
-        spread: cfg.spread,
-        warning: sc.warned.then_some(cfg.warning_windows),
-        restart_delay: cfg.restart_delay,
-        restart_jitter: cfg.restart_jitter,
-    };
-    let wave1 = schedule_storm(&fleet.ring, &[], &spec, &mut sched_rng);
-    let mut events: Vec<StormEvent> = wave1.events.clone();
-    if sc.cascade {
-        let second = StormSpec {
-            start: start + cfg.cascade_delay,
-            warning: None, // the second spike always lands unwarned
-            ..spec
-        };
-        let wave2 = schedule_storm(&fleet.ring, &wave1.nodes(), &second, &mut sched_rng);
-        events.extend(wave2.events);
-    }
+    let events = scenario_events(fleet.balancer().hot_ring(), cfg.seed, sc);
     let run = fleet.run(&events, cfg.seed ^ sc.salt ^ 0x5707_11d3, |_| {});
 
     obs.counter("storm_kills_total")
@@ -758,18 +1020,12 @@ mod tests {
             ops_per_window: 8,
             window: Duration::from_millis(1),
             steady_windows: 1,
-            storm_lead: 0,
             observe_windows: 1,
             warning_windows: 1,
-            spread: 0,
-            restart_delay: 1,
-            restart_jitter: 0.0,
-            cascade_delay: 0,
             slo_target: 0.9,
             slo_window_factor: 1,
             detector_window: 1,
             detector_threshold: 1,
-            recovery_fraction: 0.9,
             pump: WarmupConfig::default(),
             store_bytes: 1 << 20,
             store_shards: 1,
@@ -783,5 +1039,43 @@ mod tests {
         }
         fleet.nodes[0].restore = Some(restore);
         fleet.poll();
+    }
+
+    /// The storm drill's full-mode kill-sets, kill windows and restart
+    /// (or warning) windows at seed 42, as the checked-in
+    /// `BENCH_storm.json` records them, drawn on the hot ring the drill
+    /// fleet's balancer builds. No server starts.
+    #[test]
+    fn storm_drill_kill_sets_do_not_move() {
+        let (cfg, wave) = storm_drill_shape(false, 42);
+        let mut lb = LoadBalancer::new();
+        lb.set_weights(&uniform(cfg.nodes));
+        // Per scenario: killed, kill windows, restart (or warning) windows.
+        let expected: [(&str, [&[u64]; 3]); 4] = [
+            ("warned", [&[5, 2], &[26, 27], &[10, 11]]),
+            ("unwarned", [&[5, 2], &[26, 27], &[32, 33]]),
+            (
+                "cascade",
+                [&[3, 2, 5, 4], &[27, 28, 38, 39], &[31, 35, 43, 46]],
+            ),
+            (
+                "multi_router_degraded",
+                [&[5, 3, 4], &[27, 28, 28], &[31, 34, 34]],
+            ),
+        ];
+        for (sc, (name, [killed, kill_windows, restart_windows])) in
+            default_scenarios(wave).iter().zip(expected)
+        {
+            assert_eq!(sc.name, name);
+            let events = scenario_events(lb.hot_ring(), cfg.seed, sc);
+            let got = |f: fn(&StormEvent) -> u64| events.iter().map(f).collect::<Vec<_>>();
+            assert_eq!(got(|e| e.node), killed, "{name}: killed");
+            assert_eq!(got(|e| e.kill_at), kill_windows, "{name}: kill windows");
+            assert_eq!(
+                got(|e| e.warn_at.unwrap_or(e.restart_at)),
+                restart_windows,
+                "{name}: restart windows"
+            );
+        }
     }
 }

@@ -5,16 +5,17 @@
 //! Every table, figure, ablation and extension experiment of the
 //! evaluation is a function of the one `repro` binary under `src/bin/`
 //! (`repro <name>` prints `results/<name>.txt`; see DESIGN.md for the
-//! index), the other four are the two live drills, the cluster load
-//! generator and the one observability run (`obs_snapshot`), and
-//! `benches/` holds Criterion micro-benchmarks over the core data
-//! structures. This library crate carries small output helpers shared by
-//! the binaries plus [`live`], what every live bin shares (flag parsing,
-//! artifact writing, hot-set prefill, per-tier clients and the routed
-//! read window), [`fleet`], the one live fleet both `revocation_drill`
-//! and `storm_drill` drive (primaries replicating to backup servers,
-//! degraded routing, restores through every recovery strategy),
-//! and [`faults`], the fault-injecting TCP proxy behind
+//! index), the other three are the two live drills and the one
+//! observability run (`obs_snapshot`), and `benches/` holds Criterion
+//! micro-benchmarks over the core data structures. This library crate
+//! carries small output helpers shared by the binaries plus [`live`],
+//! what every live bin shares (flag parsing, artifact writing, hot-set
+//! prefill, per-tier clients and the routed read window), [`fleet`], the
+//! one live fleet both `revocation_drill` and `storm_drill` drive
+//! (primaries replicating to backup servers, degraded routing, restores
+//! through every recovery strategy) and the live substrate the control
+//! loop drives (`examples/live_fleet.rs`), and [`faults`], the
+//! fault-injecting TCP proxy behind
 //! `revocation_drill`'s link-fault matrix plus the correlated-storm
 //! scheduler.
 

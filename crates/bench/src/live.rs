@@ -242,7 +242,8 @@ pub struct WindowTally {
 /// window (until `deadline`).
 ///
 /// `next` yields each read's `(node index, key)`, the index into
-/// `fleet`. A read goes through the node's current read plan (first target, then the
+/// `fleet`, or `None` when no node owns the key (the read misses). A read
+/// goes through the node's current read plan (first target, then the
 /// fallback); a miss everywhere is refilled write-through at the
 /// router's write target, as a cache-aside client would after fetching
 /// from the backend. Fresh or stale follows the *answering* target, not
@@ -252,14 +253,18 @@ pub struct WindowTally {
 pub fn read_window(
     fleet: &mut [RoutedTiers],
     ops: usize,
-    mut next: impl FnMut() -> (usize, String),
+    mut next: impl FnMut() -> Option<(usize, String)>,
     refill: &[u8],
     mut score: impl FnMut(Option<ServeTarget>),
     deadline: Instant,
 ) -> WindowTally {
     let mut tally = WindowTally::default();
     for _ in 0..ops {
-        let (node, key) = next();
+        let Some((node, key)) = next() else {
+            tally.missed += 1;
+            score(None);
+            continue;
+        };
         let tiers = &mut fleet[node];
         let plan = tiers.router.read_plan();
         let answered = if tiers.get(plan.first, &key) {
@@ -399,7 +404,7 @@ mod tests {
                 OPS,
                 || {
                     k += 1;
-                    (0, format!("h{}", k % 60)) // h40..h59 exist nowhere
+                    Some((0, format!("h{}", k % 60))) // h40..h59 exist nowhere
                 },
                 b"refilled",
                 |_| scored += 1,

@@ -9,7 +9,7 @@
 //! second. The detector threshold drops to 1 accordingly (a single
 //! revocation *is* the storm at this scale).
 
-use spotcache_bench::faults::StormEvent;
+use spotcache_bench::faults::{StormEvent, StormSpec};
 use spotcache_bench::fleet::{run_scenario, Fleet, FleetConfig, Scenario};
 use spotcache_obs::Obs;
 use spotcache_recovery::checkpoint::CheckpointConfig;
@@ -27,18 +27,12 @@ fn tiny_fleet(seed: u64) -> FleetConfig {
         ops_per_window: 80,
         window: Duration::from_millis(25),
         steady_windows: 4,
-        storm_lead: 10,
         observe_windows: 24,
         warning_windows: 8,
-        spread: 1,
-        restart_delay: 4,
-        restart_jitter: 0.3,
-        cascade_delay: 8,
         slo_target: 0.6, // one of three nodes stale must be breachable
         slo_window_factor: 4,
         detector_window: 4,
         detector_threshold: 1,
-        recovery_fraction: 0.9,
         pump: WarmupConfig {
             max_items: 240,
             base_rate: 2_000.0,
@@ -52,6 +46,19 @@ fn tiny_fleet(seed: u64) -> FleetConfig {
     }
 }
 
+/// A one-kill wave 10 windows after steady state, warned `warning`
+/// windows ahead or not at all.
+fn tiny_wave(cfg: &FleetConfig, warning: Option<u64>) -> StormSpec {
+    StormSpec {
+        kill_frac: 0.34,
+        start: cfg.steady_windows + 10,
+        spread: 1,
+        warning,
+        restart_delay: 4,
+        restart_jitter: 0.3,
+    }
+}
+
 #[test]
 fn warned_recovery_never_loses_to_unwarned() {
     let cfg = tiny_fleet(7);
@@ -61,8 +68,7 @@ fn warned_recovery_never_loses_to_unwarned() {
         &cfg,
         &Scenario {
             name: "warned",
-            kill_frac: 0.34,
-            warned: true,
+            storm: tiny_wave(&cfg, Some(cfg.warning_windows)),
             cascade: false,
             salt,
         },
@@ -72,8 +78,7 @@ fn warned_recovery_never_loses_to_unwarned() {
         &cfg,
         &Scenario {
             name: "unwarned",
-            kill_frac: 0.34,
-            warned: false,
+            storm: tiny_wave(&cfg, None),
             cascade: false,
             salt,
         },
@@ -146,8 +151,9 @@ fn every_strategy_restores_an_unwarned_node() {
 
         assert!(run.recovery_windows.is_some(), "{name}: never recovered");
         assert_eq!(router.phase(), DrillPhase::Warmed, "{name}");
-        let report = run.restores[0]
-            .as_ref()
+        let report = run
+            .restores
+            .get(&0)
             .unwrap_or_else(|| panic!("{name}: no restore report"));
         assert_eq!(report.items_restored, cfg.key_space, "{name}");
         // The report shape each arm implies (unwarned: any checkpoint is

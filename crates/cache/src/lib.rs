@@ -19,9 +19,6 @@
 //!   batches under the write lock), with least-recently-used eviction
 //!   under a byte budget, optional TTLs against a logical clock, and
 //!   hit/miss/eviction statistics, and
-//! * [`node`] — a cache *node*: one store sized to an instance's RAM, the
-//!   unit the router places data on and the simulator kills on revocation,
-//!   and
 //! * [`protocol`] — the memcached text protocol (parse / execute / encode)
 //!   so a node can be driven with real wire traffic, and
 //! * [`reactor`] — a raw-syscall epoll/eventfd readiness layer:
@@ -41,7 +38,6 @@
 //! shard lock once per batch (see DESIGN.md §"data plane").
 
 mod arena;
-pub mod node;
 pub mod protocol;
 pub mod reactor;
 pub mod replication;
@@ -51,7 +47,6 @@ pub mod store;
 mod touch;
 pub mod wheel;
 
-pub use node::CacheNode;
 pub use protocol::{
     parse_request, serve, serve_instrumented_into, serve_into, ParseError, ProtocolObs, Request,
     StoreVerb,

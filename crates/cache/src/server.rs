@@ -30,9 +30,9 @@
 //! buffer that ballooned under backpressure releases its capacity once
 //! drained (slow readers cannot pin memory forever).
 //!
-//! The server shares a [`Store`] — the same store a
-//! [`crate::node::CacheNode`] wraps — so a node can be driven over real
-//! sockets by any memcached client speaking the text protocol.
+//! The server shares a [`Store`] with its owner, so a store can be
+//! driven over real sockets by any memcached client speaking the text
+//! protocol while the owner reads and writes it directly.
 //!
 //! Time for TTLs comes from a [`Clock`] so tests (and simulations) can use
 //! logical time while a production-style deployment uses the wall clock.
@@ -1116,7 +1116,7 @@ mod tests {
 
     #[test]
     fn server_store_is_shared_with_direct_access() {
-        // A CacheNode-style owner can read what clients wrote and vice
+        // The store's owner can read what clients wrote and vice
         // versa (the warm-up pump uses exactly this path).
         let (server, store, _clock) = start_server();
         let mut client = CacheClient::connect(server.addr()).unwrap();

@@ -3,9 +3,11 @@
 //!
 //! Historically the repo had three hand-rolled drivers for the same cycle:
 //! the 90-day hourly simulation, the 24-hour per-minute prototype, and the
-//! live in-process cluster each carried their own `for`-loop around
+//! live cluster each carried their own `for`-loop around
 //! forecast → [`GlobalController::plan`] → billing/serving. This module
-//! extracts the shared skeleton:
+//! extracts the shared skeleton; the live substrate is
+//! `spotcache_bench::fleet::FleetSubstrate`, real reactor servers whose
+//! membership follows each plan:
 //!
 //! * [`Substrate`] — what a driver must expose: a [`Schedule`], the spot
 //!   markets to plan against, demand observation, plan application, and
@@ -63,6 +65,10 @@ pub enum SubstrateEvent {
         label: String,
         /// Number of instances lost.
         count: u32,
+        /// Whether the provider's revocation warning reached the substrate
+        /// before the instances went (substrates that model no warning
+        /// report `false`).
+        warned: bool,
     },
 }
 
@@ -132,7 +138,8 @@ pub trait Substrate {
     }
 
     /// Whether online approaches plan from the controller's forecast
-    /// (the hourly simulation) or from reported demand (prototype, live).
+    /// (the hourly simulation) or from reported demand (prototype, live
+    /// fleet).
     fn plans_from_forecast(&self) -> bool {
         false
     }
@@ -468,7 +475,11 @@ impl ControlLoop {
         let mut revoked = 0u64;
         for event in events.drain(..) {
             match event {
-                SubstrateEvent::Revoked { label, count } => {
+                SubstrateEvent::Revoked {
+                    label,
+                    count,
+                    warned,
+                } => {
                     revoked += u64::from(count);
                     if let Some(o) = &self.obs {
                         o.counter("control_revocations_total").add(u64::from(count));
@@ -477,7 +488,7 @@ impl ControlLoop {
                             EventKind::Revocation {
                                 label: label.clone(),
                                 count: u64::from(count),
-                                warned: false,
+                                warned,
                             },
                         );
                     }

@@ -3,7 +3,7 @@
 //!
 //! Formerly `core::replication`; renamed so the geo-replication
 //! *simulation baseline* no longer shares a name with the live
-//! replication stream ([`spotcache_cache::replication`]), which is part
+//! replication stream (`spotcache_cache::replication`), which is part
 //! of the recovery stack, not a procurement approach.
 //!
 //! Instead of hot-cold placement with a passive backup, that design keeps

@@ -19,12 +19,12 @@
 //! * [`geo_baseline`] — the active geo-replication simulation baseline
 //!   (Xu et al., the paper's reference \[50\]).
 //!
-//! The live warm-up pump is `spotcache_recovery::replay`, the Replay arm
-//! of the unified recovery layer.
+//! The live substrate the same [`ControlLoop`] drives is
+//! `spotcache_bench::fleet::FleetSubstrate`: reactor servers with
+//! replicated backups, restored through `spotcache_recovery`'s strategies.
 
 pub mod approaches;
 pub mod backup;
-pub mod cluster;
 pub mod controller;
 pub mod controlplane;
 pub mod geo_baseline;
@@ -34,7 +34,6 @@ pub mod simulation;
 
 pub use approaches::Approach;
 pub use backup::{cheapest_burstable_backup, size_backup, BackupPlan};
-pub use cluster::{ClusterStats, LiveCluster, LiveClusterConfig, LiveSubstrate, ServeOutcome};
 pub use controller::{ControllerConfig, GlobalController, SlotPlan};
 pub use controlplane::{
     cold_access_mass, hot_access_mass, ControlLoop, Demand, Observation, Schedule, Substrate,

@@ -246,6 +246,7 @@ impl Substrate for MinutePrototype {
                     events.push(SubstrateEvent::Revoked {
                         label: e.label.clone(),
                         count: e.count,
+                        warned: false,
                     });
                     let item_bytes = self.profile.item_bytes;
                     let hot_items = e.hot_frac * state.wss * (1u64 << 30) as f64 / item_bytes;

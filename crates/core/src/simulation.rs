@@ -253,6 +253,7 @@ impl Substrate for HourlySim {
                         events.push(SubstrateEvent::Revoked {
                             label: entry.offer.label.clone(),
                             count: entry.count,
+                            warned: false,
                         });
                         let remaining = (t + HOUR - tf) as f64 / 3_600.0;
                         // Cold content on the failed instances is served

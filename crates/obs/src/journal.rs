@@ -27,14 +27,14 @@ pub enum EventKind {
         /// Nodes requested.
         count: u64,
     },
-    /// Spot capacity was revoked. `warned` distinguishes the two-minute
-    /// warning from the actual termination.
+    /// Spot capacity was revoked.
     Revocation {
         /// Market / instance-type label.
         label: String,
         /// Nodes affected.
         count: u64,
-        /// True for the advance warning, false for the termination itself.
+        /// Whether the two-minute revocation warning preceded the
+        /// termination.
         warned: bool,
     },
     /// Nodes joined the fleet.

@@ -11,8 +11,8 @@
 //! * [`hashring`] — weighted consistent hashing (mcrouter's
 //!   `WeightedCh3`-style pools),
 //! * [`balancer`] — the load balancer: hot and cold *virtual pools* over
-//!   the same physical nodes, weight updates from the global controller,
-//!   failover on revocation, and write fan-out to passive backups, and
+//!   the same physical nodes, with weight updates from the global
+//!   controller deciding which node owns each key, and
 //! * [`degraded`] — the revocation-time state machine that serves
 //!   stale-from-backup until the replacement is warmed (paper §3.3).
 
@@ -22,7 +22,7 @@ pub mod hashring;
 pub mod partitioner;
 pub mod sketch;
 
-pub use balancer::{LoadBalancer, NodeWeights, Pool, Route};
+pub use balancer::{LoadBalancer, NodeWeights, Pool};
 pub use degraded::{DegradedRouter, DrillPhase, ReadPlan, RecoveryMode, ServeCounts, ServeTarget};
 pub use hashring::{HashRing, NodeId};
 pub use partitioner::KeyPartitioner;

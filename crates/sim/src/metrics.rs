@@ -218,7 +218,7 @@ pub struct LatencySample {
 }
 
 /// Request-serving counters for substrates that serve real requests
-/// (the live in-process cluster).
+/// (the live fleet).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServeCounters {
     /// Requests served from a primary node's store.
@@ -256,7 +256,7 @@ impl ServeCounters {
 ///
 /// The hourly simulation fills `ledger`/`violations`/`slots`; the
 /// per-minute prototype additionally fills `latency`/`samples`; the live
-/// cluster fills `serve`. Fields a substrate does not meter stay at their
+/// fleet fills `serve`. Fields a substrate does not meter stay at their
 /// defaults.
 #[derive(Debug, Clone, Default)]
 pub struct ControlMetrics {

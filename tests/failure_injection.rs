@@ -4,7 +4,6 @@
 
 use spotcache::cloud::catalog::find_type;
 use spotcache::cloud::tracegen::{correlated_paper_traces, paper_traces};
-use spotcache::core::cluster::{LiveCluster, LiveClusterConfig};
 use spotcache::core::reactive::ReactiveConfig;
 use spotcache::core::simulation::{simulate, FlashCrowd, SimConfig};
 use spotcache::core::Approach;
@@ -98,51 +97,4 @@ fn flash_crowd_with_failures_stays_consistent() {
         assert!((0.0..=1.0).contains(&h.affected_frac));
         assert!(h.cost >= 0.0);
     }
-}
-
-/// The live cluster under correlated markets: repeated revocations across
-/// replans never leave routing pointing at dead nodes. Driven through the
-/// shared control loop, exactly like production, over days 20–23, where
-/// these markets revoke (days 8–16 and 24–36 see no revocation).
-#[test]
-fn live_cluster_survives_correlated_revocations() {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use spotcache::cloud::{DAY, HOUR};
-    use spotcache::core::cluster::LiveSubstrate;
-    use spotcache::core::{ControlLoop, ControllerConfig, Demand, GlobalController, Schedule};
-    use spotcache::workload::RequestGenerator;
-
-    let mut cluster = LiveCluster::new(
-        LiveClusterConfig::scaled_default(Approach::Prop),
-        correlated_paper_traces(40),
-    );
-    let gen = RequestGenerator::read_only(30_000, 1.2);
-    let mut rng = StdRng::seed_from_u64(17);
-    cluster.advance_to(20 * DAY);
-    let substrate = LiveSubstrate::new(
-        &mut cluster,
-        Schedule::slotted(20 * DAY, 72, HOUR),
-        Box::new(|_t| Demand {
-            rate: 80_000.0,
-            wss_gb: 15.0,
-        }),
-        Box::new(move |cluster, _slot| {
-            for _ in 0..2_000 {
-                cluster.read(&gen.next_request(&mut rng).key_bytes());
-            }
-        }),
-    );
-    let controller = GlobalController::new(ControllerConfig::paper_default(Approach::Prop));
-    let metrics = ControlLoop::new(controller, 1.2).run(substrate).unwrap();
-    assert_eq!(metrics.serve.requests(), 72 * 2_000);
-    assert_eq!(metrics.slots.len(), 72);
-    assert!(metrics.revocations > 0, "the window must revoke");
-    // Whatever failed, most traffic must still have been served from cache.
-    assert!(
-        metrics.serve.hit_rate() > 0.5,
-        "hit rate {}",
-        metrics.serve.hit_rate()
-    );
-    assert!(metrics.total_cost() > 0.0);
 }
