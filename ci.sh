@@ -12,7 +12,7 @@ cargo test --workspace -q
 echo "==> benchmark harness tests (the library signatures benchmark/ pins)"
 cargo test --manifest-path benchmark/Cargo.toml --offline -q
 
-echo "==> cargo clippy --workspace --all-targets -- -D warnings (libs, bins, tests, benches, examples)"
+echo "==> cargo clippy --workspace --all-targets -- -D warnings (libs, bins, tests, examples)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc --no-deps --workspace (rustdoc warnings are errors)"
@@ -179,6 +179,15 @@ cargo build --release -q -p spotcache-bench --example live_fleet
 fleet_start=$(date +%s%N)
 target/release/examples/live_fleet | grep -q "live fleet OK"
 echo "    live_fleet: $(( ($(date +%s%N) - fleet_start) / 1000000 )) ms wall"
+
+echo "==> root examples (README's runnable examples, each run once)"
+# Clippy only builds them; a panic in one shows here as a non-zero exit.
+cargo build --release -q --examples -p spotcache
+examples_start=$(date +%s%N)
+for ex in cost_simulation failure_recovery hotcold_mixing memcached_protocol spot_prediction; do
+    target/release/examples/"$ex" > /dev/null || { echo "example $ex failed"; exit 1; }
+done
+echo "    root examples: $(( ($(date +%s%N) - examples_start) / 1000000 )) ms wall"
 
 echo "==> results byte-identity (every experiment in 'repro --list' vs results/<name>.txt)"
 # The hourly simulator and the spot models are bit-deterministic, so every

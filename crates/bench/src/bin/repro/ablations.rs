@@ -203,8 +203,7 @@ pub fn zeta() {
 /// instances bought, the modeled slot cost (resources plus expected
 /// bid-failure and deallocation penalties) and the resource dollars alone. How long the solve takes is
 /// a host measurement, so it is not printed here: see `optimizer.solve_us`
-/// in the benchmark ledger and `optimizer/procurement_solve_15_offers` in
-/// `benches/micro.rs`.
+/// in the benchmark ledger.
 pub fn solver() {
     let traces = markets(30);
     let refs: Vec<&SpotTrace> = traces.iter().collect();

@@ -5,9 +5,9 @@
 //! Every table, figure, ablation and extension experiment of the
 //! evaluation is a function of the one `repro` binary under `src/bin/`
 //! (`repro <name>` prints `results/<name>.txt`; see DESIGN.md for the
-//! index), the other three are the two live drills and the one
-//! observability run (`obs_snapshot`), and `benches/` holds Criterion
-//! micro-benchmarks over the core data structures. This library crate
+//! index), and the other three are the two live drills and the one
+//! observability run (`obs_snapshot`). Timings come from the benchmark
+//! ledger (`benchmark/`), not from this crate. This library crate
 //! carries small output helpers shared by the binaries plus [`live`],
 //! what every live bin shares (flag parsing, artifact writing, hot-set
 //! prefill, per-tier clients and the routed read window), [`fleet`], the

@@ -76,7 +76,8 @@ fn response_path_is_allocation_free_in_steady_state() {
     assert_eq!(serve_into(&store, &prefill, 0, &mut out), prefill.len());
 
     // The read-path workload: pipelined single- and multi-key get hits,
-    // misses, delete misses, and two flavours of parse error.
+    // misses, delete misses, and two flavours of parse error, then one
+    // run of 48 consecutive gets that executes as a single store batch.
     let mut input = Vec::new();
     for i in 0..16 {
         input.extend_from_slice(format!("get key{i}\r\n").as_bytes());
@@ -85,6 +86,13 @@ fn response_path_is_allocation_free_in_steady_state() {
         input.extend_from_slice(format!("delete missing{i}\r\n").as_bytes());
         input.extend_from_slice(b"bogus junk\r\n");
         input.extend_from_slice(b"get\r\n");
+    }
+    for i in 0..16 {
+        let run = format!(
+            "get key{i} key{} absent{i}\r\nget absent{i}\r\nget key{i}\r\n",
+            (i + 5) % 16
+        );
+        input.extend_from_slice(run.as_bytes());
     }
 
     // Warm up: first pass grows the output buffer and the thread-local

@@ -1,11 +1,6 @@
 //! An active geo-replication baseline in the style of the paper's closest
 //! related work (Xu et al., INFOCOM'16 — the paper's reference \[50\]).
 //!
-//! Formerly `core::replication`; renamed so the geo-replication
-//! *simulation baseline* no longer shares a name with the live
-//! replication stream (`spotcache_cache::replication`), which is part
-//! of the recovery stack, not a procurement approach.
-//!
 //! Instead of hot-cold placement with a passive backup, that design keeps
 //! `k` *full replicas* of the cache in weakly-correlated spot markets and
 //! serves reads from all of them; a small on-demand tier absorbs writes.
@@ -24,7 +19,7 @@ use spotcache_cloud::spot::{Bid, SpotTrace};
 use spotcache_cloud::{DAY, HOUR};
 use spotcache_optimizer::latency::LatencyProfile;
 use spotcache_sim::ViolationTracker;
-use spotcache_spotmodel::{AvgPriceModel, SpotPredictor, TemporalPredictor};
+use spotcache_spotmodel::AvgPriceModel;
 use spotcache_workload::wikipedia::WikipediaTrace;
 
 /// Geo-replication-baseline configuration.
@@ -115,7 +110,6 @@ impl GeoBaselineResult {
 pub fn simulate_geo_baseline(cfg: &GeoBaselineConfig, markets: &[SpotTrace]) -> GeoBaselineResult {
     assert!(!markets.is_empty(), "need at least one market");
     let workload = WikipediaTrace::generate(cfg.days, cfg.peak_rate, cfg.max_wss_gb, cfg.seed);
-    let predictor = TemporalPredictor::paper_default();
     let price_model = AvgPriceModel::new(7 * DAY);
     let mut ledger = Ledger::new();
     let mut violations = ViolationTracker::new();
@@ -171,9 +165,6 @@ pub fn simulate_geo_baseline(cfg: &GeoBaselineConfig, markets: &[SpotTrace]) -> 
             ledger.record(CostCategory::Spot, t, c);
             capacities.push(n * per_rate);
             failures.push(failure);
-            // A fresh prediction confirms the market still looks usable;
-            // this mirrors the related work's per-slot re-ranking.
-            let _ = predictor.predict(trace, t, bid);
         }
         // Write tier (on-demand, always on).
         ledger.record(

@@ -85,36 +85,11 @@ impl HashRing {
         Some(self.points[idx].1)
     }
 
-    /// The first `n` *distinct* nodes clockwise from `key` (primary first) —
-    /// the replica set used for backup fan-out.
-    pub fn lookup_n(&self, key: &[u8], n: usize) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(n);
-        if self.points.is_empty() || n == 0 {
-            return out;
-        }
-        let h = hash64(KEY_SEED, key);
-        let start = match self.points.binary_search_by_key(&h, |p| p.0) {
-            Ok(i) => i,
-            Err(i) => i % self.points.len(),
-        };
-        for off in 0..self.points.len() {
-            let node = self.points[(start + off) % self.points.len()].1;
-            if !out.contains(&node) {
-                out.push(node);
-                if out.len() == n {
-                    break;
-                }
-            }
-        }
-        out
-    }
-
     /// The first `n` *distinct* nodes clockwise from the raw ring point
     /// `from_point` — a contiguous arc of the ring.
     ///
-    /// Where [`Self::lookup_n`] starts from a *key*'s hash (the replica
-    /// set for that key), this starts from an arbitrary position in
-    /// point space, which is how a correlated failure presents itself: a
+    /// It starts from a position in point space, not from a key's hash,
+    /// because that is how a correlated failure presents itself: a
     /// spot-market price spike clears instances whose placement is
     /// adjacent, so a storm drill draws its kill-set as an arc rather
     /// than as independent uniform picks. Sampling `from_point`
@@ -171,7 +146,6 @@ mod tests {
         let ring = HashRing::build(&[]);
         assert!(ring.is_empty());
         assert_eq!(ring.lookup(b"k"), None);
-        assert!(ring.lookup_n(b"k", 3).is_empty());
     }
 
     #[test]
@@ -227,20 +201,6 @@ mod tests {
             moved_from_survivor, 0,
             "keys on surviving nodes must not move"
         );
-    }
-
-    #[test]
-    fn lookup_n_returns_distinct_nodes_primary_first() {
-        let ring = HashRing::build(&[(1, 1.0), (2, 1.0), (3, 1.0)]);
-        for i in 0..100u64 {
-            let k = i.to_be_bytes();
-            let set = ring.lookup_n(&k, 2);
-            assert_eq!(set.len(), 2);
-            assert_ne!(set[0], set[1]);
-            assert_eq!(set[0], ring.lookup(&k).unwrap());
-        }
-        // Asking for more nodes than exist returns all of them.
-        assert_eq!(ring.lookup_n(b"k", 10).len(), 3);
     }
 
     #[test]
