@@ -270,4 +270,13 @@ done
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> *.rs lines per crate (informational, not a gate: a PR reports its net change from here)"
+total=0
+for d in crates/* src tests examples; do
+    n=$(find "$d" -name '*.rs' -exec cat {} + | wc -l)
+    total=$((total + n))
+    printf "    %-20s %6d\n" "$d" "$n"
+done
+printf "    %-20s %6d\n" total "$total"
+
 echo "CI OK"

@@ -29,7 +29,6 @@ fn main() {
     let cfg = FleetConfig {
         nodes: 0,
         key_space: 5_000,
-        theta: 0.99,
         ops_per_window: 200,
         window: Duration::from_millis(2),
         steady_windows: 0,

@@ -33,8 +33,8 @@ use spotcache_cache::server::CacheClient;
 use spotcache_cache::store::{Store, StoreConfig};
 use spotcache_cloud::catalog::find_type;
 use spotcache_cloud::tracegen::paper_traces;
-use spotcache_core::simulation::{simulate_traced, SimConfig};
-use spotcache_core::Approach;
+use spotcache_core::simulation::{HourlySim, SimConfig};
+use spotcache_core::{Approach, ControlLoop, GlobalController};
 use spotcache_obs::export::{json_snapshot, validate_json, validate_prometheus_text};
 use spotcache_obs::http::http_get;
 use spotcache_obs::{Journal, Obs, TraceContext, Tracer, DEFAULT_TRACE_CAPACITY};
@@ -121,13 +121,11 @@ fn main() {
     // 1. Control plane.
     let traces = paper_traces(21);
     let cfg = SimConfig::paper_default(Approach::OdSpotCdf, 500_000.0, 100.0, 2.0);
-    let sim = simulate_traced(
-        &cfg,
-        &traces,
-        Some(Arc::clone(&obs)),
-        Some(Arc::clone(&tracer)),
-    )
-    .expect("simulation");
+    let sim = ControlLoop::new(GlobalController::new(cfg.controller.clone()), cfg.theta)
+        .with_obs(Arc::clone(&obs))
+        .with_tracer(Arc::clone(&tracer))
+        .run(HourlySim::new(cfg, traces))
+        .expect("simulation");
     println!(
         "sim: 21 days, total cost ${:.2}, {} revocation slots",
         sim.total_cost(),

@@ -9,7 +9,6 @@ use spotcache_cloud::tracegen::correlated_paper_traces;
 use spotcache_cloud::{SpotTrace, DAY};
 use spotcache_core::controller::{ControllerConfig, GlobalController};
 use spotcache_core::geo_baseline::{simulate_geo_baseline, GeoBaselineConfig};
-use spotcache_core::reactive::ReactiveConfig;
 use spotcache_core::simulation::{FlashCrowd, SimConfig};
 use spotcache_core::Approach;
 use spotcache_optimizer::latency::LatencyProfile;
@@ -33,10 +32,7 @@ pub fn flash_crowd() {
     println!("workload: 320 kops base, 60 GB, Zipf 1.0; 3x surge for 6 hours on day 15\n");
 
     let mut rows = Vec::new();
-    for (name, reactive) in [
-        ("predictive only", None),
-        ("with reactive element", Some(ReactiveConfig::default())),
-    ] {
+    for (name, reactive) in [("predictive only", false), ("with reactive element", true)] {
         let mut cfg = SimConfig::paper_default(Approach::PropNoBackup, 320_000.0, 60.0, 0.99);
         cfg.days = 30;
         cfg.flash_crowds = vec![FlashCrowd {

@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 
 use spotcache_bench::faults::{FaultMode, FaultProxy, StormEvent};
 use spotcache_bench::fleet::{
-    register_lanes, Fleet, FleetConfig, FleetRun, RECOVERY_FRACTION, VALUE_LEN,
+    register_lanes, Fleet, FleetConfig, FleetRun, RECOVERY_FRACTION, THETA, VALUE_LEN,
 };
 use spotcache_bench::heading;
 use spotcache_bench::live::{prefill_hot, start_server, write_artifact, write_trace, Flags};
@@ -98,7 +98,6 @@ impl Config {
         let full = FleetConfig {
             nodes: 1,
             key_space: 2_000,
-            theta: 0.99,
             ops_per_window: 400,
             window: Duration::from_millis(100),
             steady_windows: 10,
@@ -377,7 +376,6 @@ fn run_link_faults(obs: &Arc<Obs>, tracer: &Arc<Tracer>) -> Vec<LinkFaultOutcome
             backoff_base: Duration::from_millis(2),
             backoff_max: Duration::from_millis(20),
             max_batch_retries: 1_000, // long partitions may not drop here
-            ..ReplicationConfig::default()
         },
         Some(Arc::clone(obs)),
         Some(Arc::clone(tracer)),
@@ -429,7 +427,7 @@ fn run_link_faults(obs: &Arc<Obs>, tracer: &Arc<Tracer>) -> Vec<LinkFaultOutcome
 /// threshold, with the pump copying hottest-first and misses refilling
 /// organically — the same two processes the live Replay drill runs.
 fn model_recovery_secs(f: &FleetConfig) -> f64 {
-    let mut model = WarmupModel::new(f.key_space as f64, 1.0, f.theta, 64);
+    let mut model = WarmupModel::new(f.key_space as f64, 1.0, THETA, 64);
     let read_rate = f.ops_per_window as f64 / f.window.as_secs_f64();
     let dt = 0.01;
     let mut t = 0.0;

@@ -100,6 +100,9 @@ const PID_BACKUP: u32 = 2;
 const PID_REPLACEMENT: u32 = 3;
 const PID_REPLICATOR: u32 = 4;
 
+/// Zipf skew over a fleet's key space.
+pub const THETA: f64 = 0.99;
+
 /// Fleet- and timing-shape of a run; scenario-independent.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
@@ -108,8 +111,6 @@ pub struct FleetConfig {
     pub nodes: usize,
     /// Distinct keys, one per Zipf rank.
     pub key_space: u64,
-    /// Zipf skew over the key space.
-    pub theta: f64,
     /// Reads issued per driver window.
     pub ops_per_window: usize,
     /// Wall-clock length of one driver window.
@@ -224,7 +225,6 @@ pub fn storm_drill_shape(smoke: bool, seed: u64) -> (FleetConfig, StormSpec) {
     let fleet = FleetConfig {
         nodes,
         key_space,
-        theta: 0.99,
         ops_per_window,
         window: Duration::from_millis(window_ms),
         steady_windows,
@@ -471,7 +471,7 @@ impl Fleet {
             ctx,
             lb: LoadBalancer::new(),
             hot_ranks: cfg.key_space,
-            zipf: ScrambledZipfian::new(cfg.key_space, cfg.theta),
+            zipf: ScrambledZipfian::new(cfg.key_space, THETA),
             ops_rng: StdRng::seed_from_u64(cfg.seed),
             nodes: Vec::new(),
             tiers: Vec::new(),
@@ -1016,7 +1016,6 @@ mod tests {
         let cfg = FleetConfig {
             nodes: 1,
             key_space: 16,
-            theta: 0.99,
             ops_per_window: 8,
             window: Duration::from_millis(1),
             steady_windows: 1,

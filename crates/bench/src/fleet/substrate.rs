@@ -81,7 +81,6 @@ impl FleetSubstrate {
                 slots,
                 slot_secs: HOUR,
                 steps_per_slot: HOUR / TRACE_STEP,
-                step_secs: TRACE_STEP,
             },
             demand: Box::new(demand),
             members: BTreeMap::new(),
@@ -310,7 +309,7 @@ impl Substrate for &mut FleetSubstrate {
     }
 
     fn step(&mut self, t: u64, _step: u64) -> Vec<SubstrateEvent> {
-        let until = t + self.schedule.step_secs;
+        let until = t + TRACE_STEP;
         self.window(until)
     }
 

@@ -24,7 +24,6 @@ fn small_fleet(key_space: u64) -> FleetConfig {
     FleetConfig {
         nodes: 0,
         key_space,
-        theta: 0.99,
         ops_per_window: 100,
         window: Duration::from_millis(1),
         steady_windows: 0,

@@ -23,7 +23,6 @@ fn tiny_fleet(seed: u64) -> FleetConfig {
     FleetConfig {
         nodes: 3,
         key_space: 240,
-        theta: 0.99,
         ops_per_window: 80,
         window: Duration::from_millis(25),
         steady_windows: 4,

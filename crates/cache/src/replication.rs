@@ -52,11 +52,22 @@ use spotcache_obs::{trace, Obs, TraceContext, Tracer};
 use crate::protocol::{decode_value, EXPTIME_ABSOLUTE_CUTOFF};
 use crate::store::{MutationSink, Store};
 
+/// Mutations shipped per batch (one write + one ack read per batch).
+const BATCH_MAX: usize = 64;
+
+/// Multiplicative jitter applied to every backoff sleep: each delay is
+/// scaled by a uniform factor in `1 ± BACKOFF_JITTER`. Without it a fleet
+/// of replicators revived by the same revocation retries in lockstep,
+/// hammering the backup in synchronized bursts; ±25 % is enough to spread
+/// them out.
+const BACKOFF_JITTER: f64 = 0.25;
+
+/// Idle poll interval when the queue is empty.
+const POLL_INTERVAL: Duration = Duration::from_millis(1);
+
 /// Tuning knobs for the replication stream.
 #[derive(Debug, Clone)]
 pub struct ReplicationConfig {
-    /// Mutations shipped per batch (one write + one ack read per batch).
-    pub batch_max: usize,
     /// Per-link read/write timeout — a stalled backup trips this rather
     /// than hanging the shipper.
     pub io_timeout: Duration,
@@ -64,15 +75,6 @@ pub struct ReplicationConfig {
     pub backoff_base: Duration,
     /// Backoff ceiling (doubling stops here).
     pub backoff_max: Duration,
-    /// Multiplicative jitter applied to every backoff sleep: each delay is
-    /// scaled by a uniform factor in `1 ± backoff_jitter`. Without it a
-    /// fleet of replicators revived by the same revocation retries in
-    /// lockstep, hammering the backup in synchronized bursts; ±25 % (the
-    /// default) is enough to spread them out. `0.0` disables jitter
-    /// (deterministic schedules, used by some tests).
-    pub backoff_jitter: f64,
-    /// Idle poll interval when the queue is empty.
-    pub poll_interval: Duration,
     /// Ship attempts per batch before it is dropped (bounds memory and
     /// latency through long partitions; the pump repairs the loss).
     pub max_batch_retries: u32,
@@ -81,12 +83,9 @@ pub struct ReplicationConfig {
 impl Default for ReplicationConfig {
     fn default() -> Self {
         Self {
-            batch_max: 64,
             io_timeout: Duration::from_millis(500),
             backoff_base: Duration::from_millis(10),
             backoff_max: Duration::from_millis(500),
-            backoff_jitter: 0.25,
-            poll_interval: Duration::from_millis(1),
             max_batch_retries: 8,
         }
     }
@@ -463,17 +462,12 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Scales `base` by a uniform factor in `1 ± jitter`, advancing `state`.
-///
-/// `jitter <= 0` returns `base` unchanged (deterministic schedules).
-fn jittered_backoff(base: Duration, jitter: f64, state: &mut u64) -> Duration {
-    if jitter <= 0.0 {
-        return base;
-    }
+/// Scales `base` by a uniform factor in `1 ± BACKOFF_JITTER`, advancing
+/// `state`.
+fn jittered_backoff(base: Duration, state: &mut u64) -> Duration {
     // 53 uniform bits → [0, 1), mapped to [1 - jitter, 1 + jitter).
     let unit = (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64;
-    let factor = 1.0 + jitter * (2.0 * unit - 1.0);
-    base.mul_f64(factor.max(0.0))
+    base.mul_f64(1.0 + BACKOFF_JITTER * (2.0 * unit - 1.0))
 }
 
 /// One outgoing link to a backup or replacement server, with the
@@ -554,8 +548,7 @@ impl Link {
     /// up to the ceiling — a peer whose listener is a few milliseconds
     /// late must not burn every retry before it is up.
     pub fn back_off(&mut self) {
-        let (jitter, state) = (self.cfg.backoff_jitter, &mut self.jitter_state);
-        std::thread::sleep(jittered_backoff(self.backoff, jitter, state));
+        std::thread::sleep(jittered_backoff(self.backoff, &mut self.jitter_state));
         self.backoff = (self.backoff * 2).min(self.cfg.backoff_max);
     }
 }
@@ -606,9 +599,9 @@ fn ship_loop(
             }
         }
         if batch.is_empty() {
-            queue.drain_into(&mut batch, cfg.batch_max);
+            queue.drain_into(&mut batch, BATCH_MAX);
             if batch.is_empty() {
-                std::thread::sleep(cfg.poll_interval);
+                std::thread::sleep(POLL_INTERVAL);
                 continue;
             }
         }
@@ -748,12 +741,10 @@ mod tests {
         let base = Duration::from_millis(100);
         let mut state = next_jitter_seed();
         for _ in 0..1_000 {
-            let d = jittered_backoff(base, 0.25, &mut state);
+            let d = jittered_backoff(base, &mut state);
             assert!(d >= Duration::from_millis(75), "{d:?} below band");
             assert!(d < Duration::from_millis(125), "{d:?} above band");
         }
-        // Zero jitter is exactly deterministic.
-        assert_eq!(jittered_backoff(base, 0.0, &mut state), base);
     }
 
     #[test]
@@ -768,8 +759,8 @@ mod tests {
         let max = Duration::from_millis(500);
         let mut differing = 0;
         for _ in 0..16 {
-            let da = jittered_backoff(base, 0.25, &mut a);
-            let db = jittered_backoff(base, 0.25, &mut b);
+            let da = jittered_backoff(base, &mut a);
+            let db = jittered_backoff(base, &mut b);
             if da != db {
                 differing += 1;
             }
@@ -866,7 +857,6 @@ mod tests {
             backoff_base: Duration::from_millis(1),
             backoff_max: Duration::from_millis(5),
             max_batch_retries: 2,
-            ..ReplicationConfig::default()
         };
         let mut repl = Replicator::start(addr, q.clone(), cfg, None, None);
         q.push(Mutation::Delete {

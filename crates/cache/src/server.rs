@@ -110,11 +110,14 @@ const OUT_COMPACT_THRESHOLD: usize = 64 * 1024;
 /// protocol layer's per-thread value staging buffer follows the same rule.
 pub(crate) const BUF_RETAIN_MAX: usize = 64 * 1024;
 
-/// Default cap on a connection's buffered unparsed input
-/// ([`ServerConfig::max_pending_in`]) — and therefore the largest value a
-/// `set` can carry to a default-configured server. [`CacheClient`]
-/// refuses a `VALUE` header that claims more.
-const DEFAULT_MAX_PENDING_IN: usize = 8 * 1024 * 1024;
+/// Cap on a connection's buffered unparsed input — and therefore the
+/// largest value a `set` can carry to the server. A connection that
+/// exceeds it without ever completing a command is disconnected (protocol
+/// abuse guard); [`CacheClient`] refuses a `VALUE` header that claims more.
+const MAX_PENDING_IN: usize = 8 * 1024 * 1024;
+
+/// Bytes read from a socket per `read` call.
+const READ_CHUNK: usize = 16 * 1024;
 
 /// Longest response line [`CacheClient`] accepts: a `VALUE` header is a
 /// key of at most 250 bytes plus two integers.
@@ -135,12 +138,6 @@ pub struct ServerConfig {
     /// parallelism — see [`ServerConfig::effective_workers_for`]).
     /// Nonzero values are taken literally.
     pub workers: usize,
-    /// Bytes read from a socket per `read` call.
-    pub read_chunk: usize,
-    /// Cap on buffered unparsed input per connection; a connection that
-    /// exceeds it without ever completing a command is disconnected
-    /// (protocol abuse guard).
-    pub max_pending_in: usize,
     /// Cap on unflushed response bytes per connection; past it the
     /// connection is not read from until the peer drains its responses
     /// (backpressure on slow readers).
@@ -151,8 +148,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             workers: 0,
-            read_chunk: 16 * 1024,
-            max_pending_in: DEFAULT_MAX_PENDING_IN,
             max_pending_out: 4 * 1024 * 1024,
         }
     }
@@ -363,7 +358,7 @@ impl Conn {
                         // mark once consumed.
                         self.pending_in.shrink_to(BUF_RETAIN_MAX);
                     }
-                    if consumed == 0 && self.pending_in.len() > cfg.max_pending_in {
+                    if consumed == 0 && self.pending_in.len() > MAX_PENDING_IN {
                         // An endless incomplete "command": cut it off.
                         return ConnState::Closed;
                     }
@@ -495,7 +490,7 @@ fn reactor_worker_loop(
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut live = 0usize;
-    let mut buf = vec![0u8; cfg.read_chunk.max(1)];
+    let mut buf = vec![0u8; READ_CHUNK];
     let mut events = Events::with_capacity(EVENT_BATCH);
     let mut window = PollWindow::default();
     'run: loop {
@@ -980,7 +975,7 @@ impl CacheClient {
             .rsplit(' ')
             .next()
             .and_then(|b| b.parse().ok())
-            .filter(|&b| b <= DEFAULT_MAX_PENDING_IN)
+            .filter(|&b| b <= MAX_PENDING_IN)
             .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, header.clone()))?;
         let mut data = vec![0u8; bytes + 2]; // data + CRLF
         self.conn.read_exact(&mut data)?;
@@ -1301,7 +1296,7 @@ mod tests {
             max_pending_out: 1 << 20, // 1 MiB backpressure cap
             ..ServerConfig::default()
         };
-        let mut buf = vec![0u8; cfg.read_chunk];
+        let mut buf = vec![0u8; READ_CHUNK];
 
         // The peer pipelines 2000 gets of an 8 KiB value (≈16 MiB of
         // responses) and reads nothing yet.
@@ -1441,7 +1436,7 @@ mod tests {
         let store = prefilled();
         let base = executed(&store);
         let (mut conn, mut peer) = conn_and_peer();
-        let mut buf = vec![0u8; cfg.read_chunk];
+        let mut buf = vec![0u8; READ_CHUNK];
         // Queued before the first pass: far more than one pass may serve.
         let mut sent = write_until_refused(&mut peer, &stream);
         // The peer keeps up: after every pass it takes each reply byte that
@@ -1472,11 +1467,11 @@ mod tests {
                 panic!("connection died at {served} commands");
             };
             // The pass read up to `read_to`, its last chunk from at most
-            // `read_chunk` before: what it served ahead of that chunk is
+            // `READ_CHUNK` before: what it served ahead of that chunk is
             // what was waiting when it chose to read on.
             let served_before = std::mem::replace(&mut served, executed(&store) - base);
             let read_to = cmd_end[..served].last().unwrap_or(&0) + conn.pending_in.len();
-            let ahead = cmd_end.partition_point(|&e| e + cfg.read_chunk <= read_to);
+            let ahead = cmd_end.partition_point(|&e| e + READ_CHUNK <= read_to);
             let waiting = reply_end[ahead].saturating_sub(reply_end[served_before]);
             if kept_up {
                 assert!(
@@ -1521,7 +1516,7 @@ mod tests {
             max_pending_out: 1 << 20,
             ..ServerConfig::default()
         };
-        let mut buf = vec![0u8; cfg.read_chunk];
+        let mut buf = vec![0u8; READ_CHUNK];
         let req = "get s\r\n".repeat(1 << 20);
         write_until_refused(&mut peer, req.as_bytes());
 

@@ -293,13 +293,14 @@ fn hammer(tracer: Option<Arc<Tracer>>) {
 fn a_streaming_connection_does_not_starve_its_neighbour() {
     const KEY: &str = "a-key-of-thirty-two-bytes-------";
     const REPLY_BOUND: usize = 64 * 1024; // server::BUF_RETAIN_MAX
+    const READ_CHUNK: usize = 16 * 1024; // server::READ_CHUNK
     let cfg = ServerConfig {
         workers: 1,
         ..ServerConfig::default()
     };
     let command = format!("get {KEY}\r\n");
     let reply = format!("VALUE {KEY} 0 100\r\n").len() + 100 + "\r\nEND\r\n".len();
-    let per_pass = REPLY_BOUND + (cfg.read_chunk / command.len() + 1) * reply;
+    let per_pass = REPLY_BOUND + (READ_CHUNK / command.len() + 1) * reply;
 
     let obs = Arc::new(Obs::new());
     let mut server = CacheServer::start_full(

@@ -13,10 +13,10 @@
 //!   markets to plan against, demand observation, plan application, and
 //!   optional fine-grained steps between replans.
 //! * [`ControlLoop`] — the single driver. It owns the
-//!   [`GlobalController`], schedules `Replan`/`Step` events on
-//!   [`spotcache_sim::engine::EventQueue`], applies the per-approach
-//!   planning policy (forecast vs. reported demand, the fixed peak plan),
-//!   and forwards revocations back into the controller's predictors.
+//!   [`GlobalController`], runs each slot's replan and then its steps in
+//!   time order, applies the per-approach planning policy (forecast vs.
+//!   reported demand, the fixed peak plan), and forwards revocations back
+//!   into the controller's predictors.
 //! * [`hot_access_mass`] / [`cold_access_mass`] — the shared helpers that
 //!   convert placement fractions into access mass under a
 //!   [`WorkloadForecast`], previously re-derived independently by the
@@ -32,7 +32,6 @@ use crate::Approach;
 use spotcache_cloud::spot::SpotTrace;
 use spotcache_obs::{EventKind, Obs, SlidingWindow, SloWindow, StormDetector, Tracer};
 use spotcache_optimizer::{OfferKind, SolveError, WorkloadForecast};
-use spotcache_sim::engine::EventQueue;
 use spotcache_sim::metrics::ControlMetrics;
 
 /// One slot's workload demand: request rate (req/s) and working-set size.
@@ -81,10 +80,9 @@ pub struct Schedule {
     pub slots: u64,
     /// Slot length in seconds (one billing hour in the paper).
     pub slot_secs: u64,
-    /// Fine-grained steps per slot (0 for slot-granularity drivers).
+    /// Fine-grained steps per slot (0 for slot-granularity drivers). The
+    /// steps split the slot evenly, so they must divide `slot_secs`.
     pub steps_per_slot: u64,
-    /// Step length in seconds (ignored when `steps_per_slot` is 0).
-    pub step_secs: u64,
 }
 
 impl Schedule {
@@ -95,20 +93,13 @@ impl Schedule {
             slots,
             slot_secs,
             steps_per_slot: 0,
-            step_secs: 0,
         }
-    }
-
-    /// Absolute end time of the run.
-    pub fn end(&self) -> u64 {
-        self.start + self.slots * self.slot_secs
     }
 }
 
 /// An execution substrate the [`ControlLoop`] can drive.
 ///
-/// The loop calls, per slot `t`: [`advance`](Substrate::advance) (catch up
-/// wall-clock state), [`observe`](Substrate::observe), then
+/// The loop calls, per slot `t`: [`observe`](Substrate::observe), then
 /// [`act`](Substrate::act) with the solved plan, then each intra-slot
 /// [`step`](Substrate::step). Revocations returned from any of these are
 /// forwarded to [`GlobalController::on_revocation`]; all other metering is
@@ -144,12 +135,6 @@ pub trait Substrate {
         false
     }
 
-    /// Advances substrate wall-clock state to `t`, surfacing any
-    /// revocations that occurred since the last call.
-    fn advance(&mut self, _t: u64) -> Vec<SubstrateEvent> {
-        Vec::new()
-    }
-
     /// Reports demand at the top of slot starting at `t`.
     fn observe(&mut self, t: u64) -> Observation;
 
@@ -166,13 +151,6 @@ pub trait Substrate {
 
     /// Consumes the substrate, returning the accumulated metrics.
     fn finish(self: Box<Self>) -> ControlMetrics;
-}
-
-/// Events the loop schedules on the simulation engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LoopEvent {
-    Replan { slot: u64 },
-    Step { slot: u64, step: u64 },
 }
 
 /// Control slots a telemetry window spans (cost, demand, SLO outcomes).
@@ -252,8 +230,8 @@ impl ControlTelemetry {
     }
 }
 
-/// The one driver for every substrate: schedules replans and steps on a
-/// [`EventQueue`], runs predict→optimize→act per slot, and keeps the
+/// The one driver for every substrate: runs predict→optimize→act at the
+/// top of each slot, then the slot's steps, and keeps the
 /// [`GlobalController`]'s models fed.
 pub struct ControlLoop {
     controller: GlobalController,
@@ -264,8 +242,9 @@ pub struct ControlLoop {
 }
 
 impl ControlLoop {
-    /// Creates a loop around a controller with the paper's per-request
-    /// latency budget `theta` (milliseconds).
+    /// Creates a loop around a controller planning for a workload whose
+    /// key popularity is Zipf with skew `theta` (the controller's
+    /// hot-fraction model reads it).
     pub fn new(controller: GlobalController, theta: f64) -> Self {
         Self {
             controller,
@@ -309,12 +288,26 @@ impl ControlLoop {
     }
 
     /// Drives `substrate` to completion and returns its metrics.
+    ///
+    /// # Panics
+    ///
+    /// If the substrate's schedule has steps that do not divide its slot.
     pub fn run<S: Substrate>(mut self, substrate: S) -> Result<ControlMetrics, SolveError> {
         let mut substrate = Box::new(substrate);
         if let Some(obs) = &self.obs {
             substrate.attach_obs(Arc::clone(obs));
         }
         let sched = substrate.schedule();
+        assert!(
+            sched.steps_per_slot == 0 || sched.slot_secs.is_multiple_of(sched.steps_per_slot),
+            "{} steps per slot do not divide a {} s slot",
+            sched.steps_per_slot,
+            sched.slot_secs
+        );
+        let step_len = sched
+            .slot_secs
+            .checked_div(sched.steps_per_slot)
+            .unwrap_or(0);
         let markets = substrate.markets();
         let refs: Vec<&SpotTrace> = markets.iter().collect();
 
@@ -326,15 +319,6 @@ impl ControlLoop {
         };
         substrate.warmup(&mut self.controller);
 
-        let mut queue = EventQueue::new();
-        for slot in 0..sched.slots {
-            let t = sched.start + slot * sched.slot_secs;
-            queue.push(t, LoopEvent::Replan { slot });
-            for step in 0..sched.steps_per_slot {
-                queue.push(t + step * sched.step_secs, LoopEvent::Step { slot, step });
-            }
-        }
-
         if self.obs.is_some() {
             self.telemetry = Some(ControlTelemetry::new(
                 self.controller.config().cost.zeta,
@@ -342,36 +326,31 @@ impl ControlLoop {
             ));
         }
         let forecasting = substrate.plans_from_forecast();
-        let mut revocations: Vec<SubstrateEvent> = Vec::new();
-        while let Some((t, event)) = queue.pop() {
-            match event {
-                LoopEvent::Replan { slot } => {
-                    let cycle_start = std::time::Instant::now();
-                    revocations.extend(substrate.advance(t));
-                    self.ingest(t, &mut revocations);
-                    let obs = substrate.observe(t);
-                    let solve_start = std::time::Instant::now();
-                    let plan = match &fixed_plan {
-                        Some(p) => p.clone(),
-                        None => {
-                            let (rate, wss) = self.plan_demand(&obs, forecasting);
-                            self.plan(&refs, t, rate, wss)?
-                        }
-                    };
-                    self.trace_cycle("bid_placement", t, solve_start);
-                    self.record_plan(t, &plan, &obs);
-                    revocations.extend(substrate.act(t, slot, &plan, &obs));
-                    self.ingest(t, &mut revocations);
-                    self.controller.observe(obs.actual.rate, obs.actual.wss_gb);
-                    if let (Some(tel), Some(o)) = (&mut self.telemetry, &self.obs) {
-                        tel.close_slot(t, plan.alloc.cost, obs.actual.rate, o);
-                    }
-                    self.trace_cycle("replan", t, cycle_start);
+        for slot in 0..sched.slots {
+            let t = sched.start + slot * sched.slot_secs;
+            let cycle_start = std::time::Instant::now();
+            let obs = substrate.observe(t);
+            let solve_start = std::time::Instant::now();
+            let plan = match &fixed_plan {
+                Some(p) => p.clone(),
+                None => {
+                    let (rate, wss) = self.plan_demand(&obs, forecasting);
+                    self.plan(&refs, t, rate, wss)?
                 }
-                LoopEvent::Step { slot: _, step } => {
-                    revocations.extend(substrate.step(t, step));
-                    self.ingest(t, &mut revocations);
-                }
+            };
+            self.trace_cycle("bid_placement", t, solve_start);
+            self.record_plan(t, &plan, &obs);
+            let events = substrate.act(t, slot, &plan, &obs);
+            self.ingest(t, events);
+            self.controller.observe(obs.actual.rate, obs.actual.wss_gb);
+            if let (Some(tel), Some(o)) = (&mut self.telemetry, &self.obs) {
+                tel.close_slot(t, plan.alloc.cost, obs.actual.rate, o);
+            }
+            self.trace_cycle("replan", t, cycle_start);
+            for step in 0..sched.steps_per_slot {
+                let ts = t + step * step_len;
+                let events = substrate.step(ts, step);
+                self.ingest(ts, events);
             }
         }
         Ok(substrate.finish())
@@ -467,13 +446,13 @@ impl ControlLoop {
         }
     }
 
-    fn ingest(&mut self, t: u64, events: &mut Vec<SubstrateEvent>) {
+    fn ingest(&mut self, t: u64, events: Vec<SubstrateEvent>) {
         if events.is_empty() {
             return;
         }
         let started = std::time::Instant::now();
         let mut revoked = 0u64;
-        for event in events.drain(..) {
+        for event in events {
             match event {
                 SubstrateEvent::Revoked {
                     label,

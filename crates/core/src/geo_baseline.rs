@@ -22,36 +22,36 @@ use spotcache_sim::ViolationTracker;
 use spotcache_spotmodel::AvgPriceModel;
 use spotcache_workload::wikipedia::WikipediaTrace;
 
+/// Bid multiple of on-demand placed in every replica market.
+const BID_MULTIPLE: f64 = 1.0;
+
+/// Mean-latency target, µs.
+const TARGET_AVG_US: f64 = 800.0;
+
+/// Usable RAM fraction per instance.
+const USABLE_RAM_FRACTION: f64 = 0.85;
+
+/// On-demand write-tier instances (the related work's "small number of
+/// on-demand instances" for updates).
+const WRITE_TIER_INSTANCES: u32 = 1;
+
+/// Days of history consumed before billing starts.
+const TRAINING_DAYS: u64 = 7;
+
+/// Workload seed.
+const SEED: u64 = 0xF00D;
+
 /// Geo-replication-baseline configuration.
 #[derive(Debug, Clone)]
 pub struct GeoBaselineConfig {
     /// Number of full replicas (the related work uses 2–3).
     pub replicas: usize,
-    /// Bid multiple of on-demand placed in every replica market.
-    pub bid_multiple: f64,
-    /// Performance profile (for per-instance rate caps).
-    pub profile: LatencyProfile,
-    /// Mean-latency target, µs.
-    pub target_avg_us: f64,
-    /// Usable RAM fraction per instance.
-    pub usable_ram_fraction: f64,
-    /// On-demand write-tier instances (the related work's "small number of
-    /// on-demand instances" for updates).
-    pub write_tier_instances: u32,
-    /// Provision each replica's serving capacity for `rate / (k-1)` so one
-    /// replica loss is absorbed without degradation (the availability-first
-    /// sizing of the related work). With `false`, capacity is `rate / k`.
-    pub failover_headroom: bool,
-    /// Simulated days and training days.
+    /// Simulated days (the first seven are price history only, not billed).
     pub days: u64,
-    /// Days of history consumed before billing starts.
-    pub training_days: u64,
     /// Workload scale.
     pub peak_rate: f64,
     /// Maximum working-set size, GiB.
     pub max_wss_gb: f64,
-    /// Workload seed.
-    pub seed: u64,
 }
 
 impl GeoBaselineConfig {
@@ -59,17 +59,9 @@ impl GeoBaselineConfig {
     pub fn paper_default(replicas: usize, peak_rate: f64, max_wss_gb: f64) -> Self {
         Self {
             replicas: replicas.max(1),
-            bid_multiple: 1.0,
-            profile: LatencyProfile::paper_default(),
-            target_avg_us: 800.0,
-            usable_ram_fraction: 0.85,
-            write_tier_instances: 1,
-            failover_headroom: true,
             days: 90,
-            training_days: 7,
             peak_rate,
             max_wss_gb,
-            seed: 0xF00D,
         }
     }
 }
@@ -103,13 +95,15 @@ impl GeoBaselineResult {
 /// Simulates the geo-replication baseline over the given markets.
 ///
 /// Each hour: the `k` cheapest markets (by predicted below-bid price) host
-/// one full replica each; reads split evenly across live replicas. A
-/// market failure removes its replica for the rest of the hour; requests
-/// are affected only by the capacity squeeze on the survivors, or fully
-/// when no replica survives.
+/// one full replica each; reads split evenly across live replicas, and
+/// each replica's serving capacity is sized for `rate / (k-1)` so one
+/// replica loss is absorbed without degradation (the availability-first
+/// sizing of the related work). A market failure removes its replica for
+/// the rest of the hour; requests are affected only by the capacity
+/// squeeze on the survivors, or fully when no replica survives.
 pub fn simulate_geo_baseline(cfg: &GeoBaselineConfig, markets: &[SpotTrace]) -> GeoBaselineResult {
     assert!(!markets.is_empty(), "need at least one market");
-    let workload = WikipediaTrace::generate(cfg.days, cfg.peak_rate, cfg.max_wss_gb, cfg.seed);
+    let workload = WikipediaTrace::generate(cfg.days, cfg.peak_rate, cfg.max_wss_gb, SEED);
     let price_model = AvgPriceModel::new(7 * DAY);
     let mut ledger = Ledger::new();
     let mut violations = ViolationTracker::new();
@@ -117,8 +111,9 @@ pub fn simulate_geo_baseline(cfg: &GeoBaselineConfig, markets: &[SpotTrace]) -> 
     let mut blackouts = 0;
 
     let write_tier_type = find_type("m3.medium").expect("catalog");
+    let profile = LatencyProfile::paper_default();
 
-    for h in cfg.training_days * 24..cfg.days * 24 {
+    for h in TRAINING_DAYS * 24..cfg.days * 24 {
         let t = h * HOUR;
         let rate = workload.rate_at(t);
         let wss = workload.wss_at(t);
@@ -128,10 +123,10 @@ pub fn simulate_geo_baseline(cfg: &GeoBaselineConfig, markets: &[SpotTrace]) -> 
         let mut ranked: Vec<&SpotTrace> = markets.iter().collect();
         ranked.sort_by(|a, b| {
             let pa = price_model
-                .predict(a, t, Bid::times_od(cfg.bid_multiple, a.od_price))
+                .predict(a, t, Bid::times_od(BID_MULTIPLE, a.od_price))
                 .unwrap_or(f64::INFINITY);
             let pb = price_model
-                .predict(b, t, Bid::times_od(cfg.bid_multiple, b.od_price))
+                .predict(b, t, Bid::times_od(BID_MULTIPLE, b.od_price))
                 .unwrap_or(f64::INFINITY);
             pa.total_cmp(&pb)
         });
@@ -139,25 +134,20 @@ pub fn simulate_geo_baseline(cfg: &GeoBaselineConfig, markets: &[SpotTrace]) -> 
         let k = chosen.len();
 
         // Size each replica: full working set in RAM, reads split k ways.
-        let hit_budget = cfg
-            .profile
-            .hit_budget_us(cfg.target_avg_us, 1.0)
-            .unwrap_or(cfg.target_avg_us);
+        let hit_budget = profile
+            .hit_budget_us(TARGET_AVG_US, 1.0)
+            .unwrap_or(TARGET_AVG_US);
         let mut capacities = Vec::with_capacity(k);
         let mut failures = Vec::with_capacity(k);
         for trace in &chosen {
             let itype = find_type(&trace.market.instance_type).expect("catalog");
-            let per_ram = itype.ram_gb * cfg.usable_ram_fraction;
-            let per_rate = cfg.profile.max_rate_for_latency(&itype, hit_budget, false);
+            let per_ram = itype.ram_gb * USABLE_RAM_FRACTION;
+            let per_rate = profile.max_rate_for_latency(&itype, hit_budget, false);
             let n_ram = (wss / per_ram).ceil();
-            let share = if cfg.failover_headroom {
-                (k as f64 - 1.0).max(1.0)
-            } else {
-                k as f64
-            };
+            let share = (k as f64 - 1.0).max(1.0);
             let n_rate = (rate / share / per_rate.max(1.0)).ceil();
             let n = n_ram.max(n_rate).max(1.0);
-            let bid = Bid::times_od(cfg.bid_multiple, trace.od_price);
+            let bid = Bid::times_od(BID_MULTIPLE, trace.od_price);
             let failure = trace.first_failure_in(t, t + HOUR, bid);
             let billed_until = failure.unwrap_or(t + HOUR);
             let mean_price = trace.mean_price(t, billed_until.max(t + 1)).unwrap_or(0.0);
@@ -170,7 +160,7 @@ pub fn simulate_geo_baseline(cfg: &GeoBaselineConfig, markets: &[SpotTrace]) -> 
         ledger.record(
             CostCategory::OnDemand,
             t,
-            write_tier_type.od_price * cfg.write_tier_instances as f64,
+            write_tier_type.od_price * f64::from(WRITE_TIER_INSTANCES),
         );
 
         // Failure accounting at minute resolution within the hour.

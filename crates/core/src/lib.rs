@@ -8,9 +8,8 @@
 //!   `Prop_NoBackup`, `Prop` (paper Table 4),
 //! * [`controller`] — forecast → predict → optimize → publish, once per
 //!   control slot (paper Section 4.2),
-//! * [`controlplane`] — the shared [`Substrate`] trait and [`ControlLoop`]
-//!   driver scheduling every execution mode on the simulation engine's
-//!   event queue,
+//! * [`controlplane`] — the shared [`Substrate`] trait and the
+//!   [`ControlLoop`] driver every execution mode runs under,
 //! * [`backup`] — burstable passive-backup sizing (Section 3.3),
 //! * [`simulation`] — 90-day hourly cost/violation simulation (Figures 7,
 //!   12, 13), and
@@ -41,5 +40,5 @@ pub use controlplane::{
 };
 pub use geo_baseline::{simulate_geo_baseline, GeoBaselineConfig, GeoBaselineResult};
 pub use prototype::{run_prototype, MinutePrototype, PrototypeConfig, PrototypeResult};
-pub use reactive::{ReactiveConfig, ReactiveController};
+pub use reactive::ReactiveController;
 pub use simulation::{simulate, FlashCrowd, HourlySim, SimConfig, SimResult};

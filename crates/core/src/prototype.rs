@@ -153,7 +153,6 @@ impl Substrate for MinutePrototype {
             slots: 24,
             slot_secs: HOUR,
             steps_per_slot: 60,
-            step_secs: 60,
         }
     }
 

@@ -15,33 +15,20 @@
 //! emergency instances launch and the next predictive plan absorbs the new
 //! level.
 
-/// Reactive-controller tuning.
-#[derive(Debug, Clone, Copy)]
-pub struct ReactiveConfig {
-    /// Observed-rate / planned-capacity ratio that triggers a reaction
-    /// (default 1.1: react once the plan is 10% under water).
-    pub trigger_ratio: f64,
-    /// Capacity headroom provisioned over the observed rate when reacting
-    /// (default 1.25).
-    pub headroom: f64,
-    /// Minimum seconds between reactions (covers instance launch time plus
-    /// ramp; default 300).
-    pub cooldown_secs: u64,
-    /// Hard cap on emergency instances per reaction (safety valve against
-    /// a corrupt rate signal; default 64).
-    pub max_burst_instances: u32,
-}
+/// Observed-rate / planned-capacity ratio that triggers a reaction: react
+/// once the plan is 10% under water.
+const TRIGGER_RATIO: f64 = 1.1;
 
-impl Default for ReactiveConfig {
-    fn default() -> Self {
-        Self {
-            trigger_ratio: 1.1,
-            headroom: 1.25,
-            cooldown_secs: 300,
-            max_burst_instances: 64,
-        }
-    }
-}
+/// Capacity headroom provisioned over the observed rate when reacting.
+const HEADROOM: f64 = 1.25;
+
+/// Minimum seconds between reactions (covers instance launch time plus
+/// ramp).
+const COOLDOWN_SECS: u64 = 300;
+
+/// Hard cap on emergency instances per reaction (safety valve against a
+/// corrupt rate signal).
+const MAX_BURST_INSTANCES: u32 = 64;
 
 /// An emergency scale-out order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,31 +40,16 @@ pub struct ReactiveAction {
 }
 
 /// The reactive controller.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ReactiveController {
-    cfg: ReactiveConfig,
     last_fired: Option<u64>,
     reactions: u32,
 }
 
 impl ReactiveController {
-    /// Creates a controller.
-    pub fn new(cfg: ReactiveConfig) -> Self {
-        Self {
-            cfg,
-            last_fired: None,
-            reactions: 0,
-        }
-    }
-
-    /// Creates a controller with default tuning.
-    pub fn with_defaults() -> Self {
-        Self::new(ReactiveConfig::default())
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &ReactiveConfig {
-        &self.cfg
+    /// Creates a controller that has not fired yet.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Number of reactions fired so far.
@@ -105,17 +77,17 @@ impl ReactiveController {
         if per_instance_rate <= 0.0 || observed_rate <= 0.0 {
             return None;
         }
-        if planned_capacity > 0.0 && observed_rate <= self.cfg.trigger_ratio * planned_capacity {
+        if planned_capacity > 0.0 && observed_rate <= TRIGGER_RATIO * planned_capacity {
             return None;
         }
         if let Some(last) = self.last_fired {
-            if now.saturating_sub(last) < self.cfg.cooldown_secs {
+            if now.saturating_sub(last) < COOLDOWN_SECS {
                 return None;
             }
         }
-        let deficit = (observed_rate * self.cfg.headroom - planned_capacity).max(0.0);
+        let deficit = (observed_rate * HEADROOM - planned_capacity).max(0.0);
         let extra = (deficit / per_instance_rate).ceil() as u32;
-        let extra = extra.clamp(1, self.cfg.max_burst_instances);
+        let extra = extra.clamp(1, MAX_BURST_INSTANCES);
         self.last_fired = Some(now);
         self.reactions += 1;
         Some(ReactiveAction {
@@ -135,7 +107,7 @@ mod tests {
     use super::*;
 
     fn ctl() -> ReactiveController {
-        ReactiveController::with_defaults()
+        ReactiveController::new()
     }
 
     #[test]

@@ -16,7 +16,7 @@ use spotcache_cloud::billing::CostCategory;
 use spotcache_cloud::catalog::InstanceType;
 use spotcache_cloud::spot::SpotTrace;
 use spotcache_cloud::{DAY, HOUR};
-use spotcache_obs::{Obs, Tracer};
+use spotcache_obs::Obs;
 use spotcache_optimizer::problem::{OfferKind, SolveError};
 use spotcache_sim::metrics::{ControlMetrics, SlotRecord};
 use spotcache_workload::wikipedia::WikipediaTrace;
@@ -27,7 +27,7 @@ use crate::controlplane::{
     cold_access_mass, hot_access_mass, ControlLoop, Demand, Observation, Schedule, Substrate,
     SubstrateEvent,
 };
-use crate::reactive::{ReactiveConfig, ReactiveController};
+use crate::reactive::ReactiveController;
 
 /// How long (seconds) hot content lost in a failure stays degraded when a
 /// passive backup is warming the replacement (the measured ≈300 s warm-up
@@ -76,8 +76,8 @@ pub struct SimConfig {
     pub seed: u64,
     /// Injected flash crowds (invisible to the forecasters).
     pub flash_crowds: Vec<FlashCrowd>,
-    /// Reactive emergency scale-out; `None` = predictive control only.
-    pub reactive: Option<ReactiveConfig>,
+    /// Reactive emergency scale-out; `false` = predictive control only.
+    pub reactive: bool,
 }
 
 impl SimConfig {
@@ -92,7 +92,7 @@ impl SimConfig {
             theta,
             seed: 0xF00D,
             flash_crowds: Vec::new(),
-            reactive: None,
+            reactive: false,
         }
     }
 }
@@ -117,9 +117,20 @@ pub struct HourlySim {
 
 impl HourlySim {
     /// Builds the substrate from a configuration and spot markets.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.days` is less than `cfg.training_days`: the run would have
+    /// no billed slot to start from.
     pub fn new(cfg: SimConfig, markets: Vec<SpotTrace>) -> Self {
+        assert!(
+            cfg.days >= cfg.training_days,
+            "SimConfig.days ({}) must be at least SimConfig.training_days ({})",
+            cfg.days,
+            cfg.training_days
+        );
         let workload = WikipediaTrace::generate(cfg.days, cfg.peak_rate, cfg.max_wss_gb, cfg.seed);
-        let reactive = cfg.reactive.map(ReactiveController::new);
+        let reactive = cfg.reactive.then(ReactiveController::new);
         // Emergency capacity uses the cheapest-per-op on-demand type.
         let emergency_type = spotcache_cloud::catalog::find_type("c3.large").expect("catalog");
         let emergency_rate = cfg.controller.profile.max_rate_for_latency(
@@ -373,34 +384,15 @@ impl Substrate for HourlySim {
 
 /// Runs the simulation of one approach over the given spot markets.
 pub fn simulate(cfg: &SimConfig, markets: &[SpotTrace]) -> Result<SimResult, SolveError> {
-    simulate_traced(cfg, markets, None, None)
-}
-
-/// [`simulate`] with instrumentation: `obs` records into an observability
-/// bundle, and per-cycle `control.*` spans land in `tracer` stamped with
-/// logical slot times.
-pub fn simulate_traced(
-    cfg: &SimConfig,
-    markets: &[SpotTrace],
-    obs: Option<Arc<Obs>>,
-    tracer: Option<Arc<Tracer>>,
-) -> Result<SimResult, SolveError> {
     let controller = GlobalController::new(cfg.controller.clone());
-    let substrate = HourlySim::new(cfg.clone(), markets.to_vec());
-    let mut control = ControlLoop::new(controller, cfg.theta);
-    if let Some(obs) = obs {
-        control = control.with_obs(obs);
-    }
-    if let Some(tracer) = tracer {
-        control = control.with_tracer(tracer);
-    }
-    control.run(substrate)
+    ControlLoop::new(controller, cfg.theta).run(HourlySim::new(cfg.clone(), markets.to_vec()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use spotcache_cloud::tracegen::paper_traces;
+    use spotcache_obs::Tracer;
     use std::cell::Cell;
     use std::rc::Rc;
 
@@ -416,13 +408,11 @@ mod tests {
         cfg.days = 10;
         let obs = Arc::new(Obs::new());
         let tracer = Tracer::all(16_384);
-        simulate_traced(
-            &cfg,
-            &paper_traces(10),
-            Some(Arc::clone(&obs)),
-            Some(Arc::clone(&tracer)),
-        )
-        .unwrap();
+        ControlLoop::new(GlobalController::new(cfg.controller.clone()), cfg.theta)
+            .with_obs(Arc::clone(&obs))
+            .with_tracer(Arc::clone(&tracer))
+            .run(HourlySim::new(cfg, paper_traces(10)))
+            .unwrap();
         assert!(tracer.categories().contains(&"control"));
         let names: std::collections::BTreeSet<&'static str> =
             tracer.spans().iter().map(|r| r.name).collect();
@@ -629,7 +619,7 @@ mod tests {
     fn reactive_element_mitigates_flash_crowd() {
         let mut cfg = crowd_config();
         let base = simulate(&cfg, &paper_traces(14)).unwrap();
-        cfg.reactive = Some(crate::reactive::ReactiveConfig::default());
+        cfg.reactive = true;
         let reactive = simulate(&cfg, &paper_traces(14)).unwrap();
         assert!(reactive.reactions > 0);
         assert!(
@@ -640,6 +630,14 @@ mod tests {
         );
         // Mitigation costs money (the emergency instances).
         assert!(reactive.total_cost() > base.total_cost());
+    }
+
+    #[test]
+    #[should_panic(expected = "training_days")]
+    fn fewer_days_than_training_days_is_refused() {
+        let mut cfg = SimConfig::paper_default(Approach::OdOnly, 320_000.0, 60.0, 2.0);
+        cfg.days = cfg.training_days - 1;
+        HourlySim::new(cfg, paper_traces(7));
     }
 
     #[test]

@@ -434,17 +434,6 @@ impl DecaySeries {
             .map(|&(t, _)| t)
     }
 
-    /// Smallest value at or after `from_t` — the depth of the decay.
-    pub fn min_from(&self, from_t: u64) -> Option<f64> {
-        self.inner
-            .lock()
-            .points
-            .iter()
-            .filter(|&&(t, _)| t >= from_t)
-            .map(|&(_, v)| v)
-            .min_by(|a, b| a.partial_cmp(b).expect("finite values"))
-    }
-
     /// The series as a JSON array of `[t, value]` pairs, oldest first.
     /// Always passes [`crate::export::validate_json`].
     pub fn json(&self) -> String {
@@ -510,16 +499,6 @@ impl BreachTracker {
     /// Start of the first breach, if any.
     pub fn first_breach(&self) -> Option<u64> {
         self.inner.lock().first().map(|&(s, _)| s)
-    }
-
-    /// Whether the latest observation left an interval open.
-    pub fn is_breaching(&self) -> bool {
-        self.inner.lock().last().is_some_and(|&(_, e)| e.is_none())
-    }
-
-    /// Number of breach intervals (open or closed).
-    pub fn breach_count(&self) -> usize {
-        self.inner.lock().len()
     }
 }
 
@@ -688,8 +667,7 @@ mod tests {
         for (t, v) in [(0, 0.99), (1, 0.2), (2, 0.4), (3, 0.95), (4, 0.97)] {
             assert!(s.push(t, v));
         }
-        // Kill at t=1: deepest decay 0.2, recovery (≥0.9) at t=3.
-        assert_eq!(s.min_from(1), Some(0.2));
+        // Kill at t=1: recovery (≥0.9) at t=3.
         assert_eq!(s.first_at_or_above(1, 0.9), Some(3));
         assert_eq!(s.first_at_or_above(1, 0.999), None);
     }
@@ -704,8 +682,6 @@ mod tests {
         b.observe(4, 1.5); // second breach, still open
         assert_eq!(b.intervals(), vec![(1, Some(3)), (4, None)]);
         assert_eq!(b.first_breach(), Some(1));
-        assert!(b.is_breaching());
-        assert_eq!(b.breach_count(), 2);
         // Exactly-at-threshold is not a breach; NaN never breaches.
         let c = BreachTracker::new(1.0);
         c.observe(0, 1.0);

@@ -35,11 +35,12 @@ use crate::checkpoint::{
 };
 use crate::replay::{pump_hot_set, WarmupConfig, WarmupReport};
 
+/// Mutations per shipped batch in the Hybrid top-up phase.
+const TOP_UP_BATCH_MAX: usize = 128;
+
 /// Knobs for the Hybrid top-up phase (shipping the replication tail).
 #[derive(Debug, Clone)]
 pub struct TopUpConfig {
-    /// Mutations per shipped batch.
-    pub batch_max: usize,
     /// Per-link read/write timeout.
     pub io_timeout: Duration,
     /// Connect/ship attempts before the top-up gives up with an error.
@@ -49,7 +50,6 @@ pub struct TopUpConfig {
 impl Default for TopUpConfig {
     fn default() -> Self {
         Self {
-            batch_max: 128,
             io_timeout: Duration::from_millis(500),
             max_retries: 8,
         }
@@ -272,7 +272,7 @@ fn ship_tail(
     let mut idx = 0usize;
     let mut attempts = 0u32;
     while idx < tail.len() {
-        let end = (idx + cfg.batch_max.max(1)).min(tail.len());
+        let end = (idx + TOP_UP_BATCH_MAX).min(tail.len());
         let span = tracer.map(|t| t.span("checkpoint", "top_up_batch"));
         let ctx = span
             .as_ref()
@@ -579,7 +579,6 @@ mod tests {
             top_up: TopUpConfig {
                 io_timeout: Duration::from_millis(20),
                 max_retries: 2,
-                ..TopUpConfig::default()
             },
         };
         let ctx = RestoreContext {

@@ -1,20 +1,17 @@
 #![warn(missing_docs)]
 
-//! Discrete-event cluster simulation for `spotcache`.
+//! Cluster simulation for `spotcache`.
 //!
-//! * [`engine`] — a deterministic time-ordered event queue,
 //! * [`metrics`] — latency histograms and per-day violation accounting,
 //! * [`cluster`] — request-level latency sampling over loaded nodes, and
 //! * [`recovery`] — spot-revocation recovery timelines (paper Figure 4),
 //!   including burstable-backup token dynamics (Figure 11).
 
 pub mod cluster;
-pub mod engine;
 pub mod metrics;
 pub mod recovery;
 
 pub use cluster::{sample_cluster_latency, NodeLoad};
-pub use engine::EventQueue;
 pub use metrics::{
     ControlMetrics, LatencyHistogram, LatencySample, ServeCounters, SlotRecord, ViolationTracker,
 };

@@ -100,16 +100,6 @@ impl LatencyHistogram {
         Self::bucket_value(NUM_BUCKETS - 1)
     }
 
-    /// Fraction of observations above `threshold_us`.
-    pub fn frac_above(&self, threshold_us: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let cut = Self::bucket_of(threshold_us);
-        let above: u64 = self.buckets[cut + 1..].iter().sum();
-        above as f64 / self.count as f64
-    }
-
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &LatencyHistogram) {
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
@@ -308,7 +298,6 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.quantile(0.95), 0.0);
-        assert_eq!(h.frac_above(100.0), 0.0);
     }
 
     #[test]
@@ -324,15 +313,6 @@ mod tests {
         assert!((h.mean() - 500.5).abs() < 1.0);
         assert_eq!(h.count(), 1000);
         assert_eq!(h.max(), 1000.0);
-    }
-
-    #[test]
-    fn frac_above_threshold() {
-        let mut h = LatencyHistogram::new();
-        h.record_n(100.0, 90);
-        h.record_n(10_000.0, 10);
-        let f = h.frac_above(1_000.0);
-        assert!((f - 0.1).abs() < 0.01, "{f}");
     }
 
     #[test]
@@ -400,28 +380,6 @@ mod tests {
                 got >= exact / 1.06 && got <= exact * 1.06,
                 "q{q}: got {got}, exact {exact}"
             );
-        }
-
-        /// `frac_above` + `frac below-or-equal` accounts for every sample.
-        #[test]
-        fn frac_above_is_complementary(
-            samples in proptest::collection::vec(1.0f64..1e6, 1..300),
-            threshold in 1.0f64..1e6,
-        ) {
-            use proptest::prelude::*;
-            let mut h = LatencyHistogram::new();
-            for &s in &samples {
-                h.record(s);
-            }
-            let above = h.frac_above(threshold);
-            prop_assert!((0.0..=1.0).contains(&above));
-            // Exact count, with slack for the bucket holding the threshold.
-            let exact = samples.iter().filter(|&&s| s > threshold * 1.06).count() as f64
-                / samples.len() as f64;
-            let exact_lo = samples.iter().filter(|&&s| s > threshold / 1.06).count() as f64
-                / samples.len() as f64;
-            prop_assert!(above >= exact - 1e-9 && above <= exact_lo + 1e-9,
-                "above {above}, bounds [{exact}, {exact_lo}]");
         }
     }
 

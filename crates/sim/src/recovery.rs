@@ -36,11 +36,21 @@ use crate::metrics::LatencyHistogram;
 /// a pipelined get-from-B/set-to-R loop over 4 KB items).
 pub const COPY_ITEMS_PER_VCPU: f64 = 1_300.0;
 
-/// Default back-end throughput, ops/sec. The paper provisions its back-end
+/// Back-end throughput, ops/sec. The paper provisions its back-end
 /// for worst-case *normal* miss traffic; a revocation's miss flood (most of
 /// the workload at once) still saturates it, which is precisely why warming
 /// through the backup — which bypasses the back-end entirely — matters.
 pub const DEFAULT_BACKEND_CAPACITY_OPS: f64 = 10_000.0;
+
+/// Total workload arrival rate of a recovery scenario, ops/sec (Figure
+/// 11's 40 kops).
+const TOTAL_RATE: f64 = 40_000.0;
+
+/// Healthy-cluster utilization (sets the baseline latency level).
+const HEALTHY_UTILIZATION: f64 = 0.5;
+
+/// RNG seed for latency sampling.
+const SEED: u64 = 0xF1_611;
 
 /// Which backup (if any) protects the lost hot content.
 #[derive(Debug, Clone)]
@@ -55,12 +65,8 @@ pub enum BackupChoice {
 /// Recovery scenario configuration.
 #[derive(Debug, Clone)]
 pub struct RecoveryConfig {
-    /// Performance profile.
-    pub profile: LatencyProfile,
     /// Popularity skew of the workload.
     pub theta: f64,
-    /// Total workload arrival rate, ops/sec.
-    pub total_rate: f64,
     /// Hot data lost with the revoked node, GiB.
     pub lost_hot_gb: f64,
     /// Cold data lost with the revoked node, GiB.
@@ -80,16 +86,10 @@ pub struct RecoveryConfig {
     pub replacement_ready_at: u64,
     /// Simulation horizon, seconds.
     pub horizon_secs: u64,
-    /// Healthy-cluster utilization (sets the baseline latency level).
-    pub healthy_utilization: f64,
-    /// Back-end database throughput, ops/sec: misses beyond this rate queue.
-    pub backend_capacity_ops: f64,
     /// Fraction of the backup's token buckets available at failure time
     /// (1.0 = fully banked; lower models a backup that recently absorbed
     /// another failure and has not re-earned its credits).
     pub backup_credits_fraction: f64,
-    /// RNG seed for latency sampling.
-    pub seed: u64,
 }
 
 impl RecoveryConfig {
@@ -98,9 +98,7 @@ impl RecoveryConfig {
     /// spot node.
     pub fn figure11(backup: BackupChoice) -> Self {
         Self {
-            profile: LatencyProfile::paper_default(),
             theta: 0.99,
-            total_rate: 40_000.0,
             lost_hot_gb: 3.0,
             lost_cold_gb: 0.0,
             hot_mass_lost: 0.9,
@@ -109,10 +107,7 @@ impl RecoveryConfig {
             serve_from_backup: false,
             replacement_ready_at: 0,
             horizon_secs: 900,
-            healthy_utilization: 0.5,
-            backend_capacity_ops: DEFAULT_BACKEND_CAPACITY_OPS,
             backup_credits_fraction: 1.0,
-            seed: 0xF1_611,
         }
     }
 }
@@ -295,8 +290,9 @@ pub fn simulate_recovery(
             BucketObserver::new(o, "backup_net"),
         )
     });
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let item_bytes = cfg.profile.item_bytes;
+    let profile = LatencyProfile::paper_default();
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let item_bytes = profile.item_bytes;
     let hot_items = cfg.lost_hot_gb * (1u64 << 30) as f64 / item_bytes;
     let cold_items = cfg.lost_cold_gb * (1u64 << 30) as f64 / item_bytes;
     let mut hot = WarmupModel::new(hot_items, cfg.hot_mass_lost, cfg.theta, 64);
@@ -328,12 +324,12 @@ pub fn simulate_recovery(
     // Healthy baseline: the unaffected portion of the cluster.
     let healthy_capacity = 100_000.0;
     let healthy_node = NodeLoad {
-        rate: cfg.healthy_utilization * healthy_capacity,
+        rate: HEALTHY_UTILIZATION * healthy_capacity,
         capacity: healthy_capacity,
     };
     let healthy_avg_us = {
         let mut h = LatencyHistogram::new();
-        sample_cluster_latency(&[healthy_node], 1.0, &cfg.profile, &mut rng, 20_000, &mut h);
+        sample_cluster_latency(&[healthy_node], 1.0, &profile, &mut rng, 20_000, &mut h);
         h.mean()
     };
 
@@ -412,20 +408,17 @@ pub fn simulate_recovery(
             } else {
                 hot_unwarm_now + cold_unwarm_now
             };
-            let demand = backend_demand_mass * cfg.total_rate;
-            let throttle = if demand > cfg.backend_capacity_ops && demand > 0.0 {
-                cfg.backend_capacity_ops / demand
+            let demand = backend_demand_mass * TOTAL_RATE;
+            let throttle = if demand > DEFAULT_BACKEND_CAPACITY_OPS {
+                DEFAULT_BACKEND_CAPACITY_OPS / demand
             } else {
                 1.0
             };
             // Backup-served hot reads install into R without touching the
             // back-end, so they fill at full rate.
             let fill_start = std::time::Instant::now();
-            hot.organic_step(
-                cfg.total_rate * if backup_serves { 1.0 } else { throttle },
-                1.0,
-            );
-            cold.organic_step(cfg.total_rate * throttle, 1.0);
+            hot.organic_step(TOTAL_RATE * if backup_serves { 1.0 } else { throttle }, 1.0);
+            cold.organic_step(TOTAL_RATE * throttle, 1.0);
             trace_phase("organic_fill", t, fill_start);
         }
 
@@ -451,7 +444,7 @@ pub fn simulate_recovery(
         sample_cluster_latency(
             &[healthy_node],
             1.0,
-            &cfg.profile,
+            &profile,
             &mut rng,
             n(healthy_mass),
             &mut hist,
@@ -462,40 +455,32 @@ pub fn simulate_recovery(
                 (BackupChoice::Instance(t), Some(b)) => {
                     let vcpus = b.cpu.bucket().current_rate();
                     let net = b.net.bucket().current_rate();
-                    let cpu_ops =
-                        vcpus.min(cfg.profile.max_effective_cores) * cfg.profile.ops_per_vcpu;
+                    let cpu_ops = vcpus.min(profile.max_effective_cores) * profile.ops_per_vcpu;
                     let net_ops = net * 1e6 / 8.0 / item_bytes;
                     let _ = t;
                     cpu_ops.min(net_ops)
                 }
-                (BackupChoice::Instance(t), None) => cfg.profile.capacity_ops(t, false),
+                (BackupChoice::Instance(t), None) => profile.capacity_ops(t, false),
                 _ => 0.0,
             };
             let node = NodeLoad {
-                rate: backup_mass * cfg.total_rate,
+                rate: backup_mass * TOTAL_RATE,
                 capacity: cap,
             };
-            sample_cluster_latency(
-                &[node],
-                1.0,
-                &cfg.profile,
-                &mut rng,
-                n(backup_mass),
-                &mut hist,
-            );
+            sample_cluster_latency(&[node], 1.0, &profile, &mut rng, n(backup_mass), &mut hist);
         }
         if backend_mass > 0.0 {
             // Misses queue on the finitely-provisioned back-end: the
             // lookup miss penalty plus the back-end's own load-latency
             // curve under the miss flood.
             let backend_node = NodeLoad {
-                rate: backend_mass * cfg.total_rate,
-                capacity: cfg.backend_capacity_ops,
+                rate: backend_mass * TOTAL_RATE,
+                capacity: DEFAULT_BACKEND_CAPACITY_OPS,
             };
             sample_cluster_latency(
                 &[backend_node],
                 0.0,
-                &cfg.profile,
+                &profile,
                 &mut rng,
                 n(backend_mass),
                 &mut hist,

@@ -15,7 +15,7 @@
 //!   pools, hot-key partitioning, failover).
 //! * [`workload`] — YCSB-style Zipfian and Wikipedia-shaped workloads.
 //! * [`optimizer`] — the paper's online cost-minimizing procurement problem.
-//! * [`sim`] — discrete-event cluster simulation and recovery timelines.
+//! * [`sim`] — cluster simulation and recovery timelines.
 //! * [`core`] — the global controller and the six procurement approaches.
 //! * [`obs`] — metrics registry, structured event journal, and exporters.
 //!

@@ -4,12 +4,17 @@
 //! this.
 
 use spotcache::cloud::catalog::find_type;
+use spotcache::cloud::spot::SpotTrace;
 use spotcache::cloud::tracegen::{correlated_paper_traces, paper_traces};
 use spotcache::core::controller::{ControllerConfig, GlobalController};
 use spotcache::core::prototype::{run_prototype, PrototypeConfig};
 use spotcache::core::simulation::{simulate, HourlySim, SimConfig};
-use spotcache::core::{Approach, ControlLoop};
-use spotcache::sim::{simulate_recovery, BackupChoice, EventQueue, RecoveryConfig};
+use spotcache::core::{
+    Approach, ControlLoop, Demand, Observation, Schedule, SlotPlan, Substrate, SubstrateEvent,
+};
+use spotcache::sim::{simulate_recovery, BackupChoice, ControlMetrics, RecoveryConfig};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 #[test]
 fn traces_are_pure_functions_of_seeds() {
@@ -95,34 +100,93 @@ fn control_loop_is_deterministic() {
     assert_eq!(run(), run());
 }
 
-proptest::proptest! {
-    #![proptest_config(proptest::prelude::ProptestConfig { cases: 64, ..Default::default() })]
+/// One call the control loop made into [`Recorder`].
+#[derive(Debug, PartialEq)]
+enum Call {
+    Observe(u64),
+    Act(u64, u64),
+    Step(u64, u64),
+}
 
-    /// The event engine under the control loop must order events by time
-    /// with a stable FIFO tiebreak: events that share a timestamp pop in
-    /// insertion order, whatever the insertion pattern. The control loop
-    /// relies on this to process each slot's replan before its steps.
-    #[test]
-    fn event_queue_ordering_is_stable_under_ties(
-        times in proptest::collection::vec(0u64..8, 1..100),
-    ) {
-        use proptest::prelude::*;
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(t, i);
-        }
-        let mut popped = Vec::new();
-        while let Some(ev) = q.pop() {
-            popped.push(ev);
-        }
-        prop_assert_eq!(popped.len(), times.len());
-        // A stable sort of the insertion order by time is exactly
-        // "time-ordered with FIFO ties" — the queue must match it.
-        let mut want: Vec<(u64, usize)> =
-            times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
-        want.sort_by_key(|&(t, _)| t);
-        prop_assert_eq!(popped, want);
+/// A substrate that plans on-demand only and records every call.
+struct Recorder {
+    schedule: Schedule,
+    calls: Rc<RefCell<Vec<Call>>>,
+}
+
+impl Substrate for Recorder {
+    fn schedule(&self) -> Schedule {
+        self.schedule
     }
+    fn markets(&self) -> Vec<SpotTrace> {
+        Vec::new()
+    }
+    fn observe(&mut self, t: u64) -> Observation {
+        self.calls.borrow_mut().push(Call::Observe(t));
+        let demand = Demand {
+            rate: 10_000.0,
+            wss_gb: 1.0,
+        };
+        Observation {
+            actual: demand,
+            basis: demand,
+        }
+    }
+    fn act(&mut self, t: u64, slot: u64, _: &SlotPlan, _: &Observation) -> Vec<SubstrateEvent> {
+        self.calls.borrow_mut().push(Call::Act(t, slot));
+        Vec::new()
+    }
+    fn step(&mut self, t: u64, step: u64) -> Vec<SubstrateEvent> {
+        self.calls.borrow_mut().push(Call::Step(t, step));
+        Vec::new()
+    }
+    fn finish(self: Box<Self>) -> ControlMetrics {
+        ControlMetrics::new()
+    }
+}
+
+fn run_recorder(slot_secs: u64, steps_per_slot: u64) -> Vec<Call> {
+    let calls = Rc::new(RefCell::new(Vec::new()));
+    let recorder = Recorder {
+        schedule: Schedule {
+            start: 100,
+            slots: 2,
+            slot_secs,
+            steps_per_slot,
+        },
+        calls: Rc::clone(&calls),
+    };
+    let controller = GlobalController::new(ControllerConfig::paper_default(Approach::OdOnly));
+    ControlLoop::new(controller, 0.99).run(recorder).unwrap();
+    calls.take()
+}
+
+/// Each slot's replan (observe, then act) runs at the top of the slot,
+/// before its steps, and the steps split the slot evenly.
+#[test]
+fn control_loop_runs_each_slots_replan_before_its_steps() {
+    use Call::*;
+    assert_eq!(
+        run_recorder(60, 3),
+        vec![
+            Observe(100),
+            Act(100, 0),
+            Step(100, 0),
+            Step(120, 1),
+            Step(140, 2),
+            Observe(160),
+            Act(160, 1),
+            Step(160, 0),
+            Step(180, 1),
+            Step(200, 2),
+        ]
+    );
+}
+
+#[test]
+#[should_panic(expected = "7 steps per slot do not divide a 60 s slot")]
+fn control_loop_refuses_steps_that_do_not_divide_the_slot() {
+    run_recorder(60, 7);
 }
 
 #[test]

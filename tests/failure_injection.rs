@@ -4,7 +4,6 @@
 
 use spotcache::cloud::catalog::find_type;
 use spotcache::cloud::tracegen::{correlated_paper_traces, paper_traces};
-use spotcache::core::reactive::ReactiveConfig;
 use spotcache::core::simulation::{simulate, FlashCrowd, SimConfig};
 use spotcache::core::Approach;
 use spotcache::sim::{simulate_recovery, BackupChoice, RecoveryConfig};
@@ -88,7 +87,7 @@ fn flash_crowd_with_failures_stays_consistent() {
         duration_hours: 4,
         multiplier: 2.5,
     }];
-    cfg.reactive = Some(ReactiveConfig::default());
+    cfg.reactive = true;
     let r = simulate(&cfg, &traces).unwrap();
     // Books balance: per-hour costs sum to the ledger.
     let sum: f64 = r.slots.iter().map(|h| h.cost).sum();

@@ -7,8 +7,8 @@
 use std::sync::Arc;
 
 use spotcache::cloud::tracegen::paper_traces;
-use spotcache::core::simulation::{simulate_traced, SimConfig};
-use spotcache::core::Approach;
+use spotcache::core::simulation::{HourlySim, SimConfig, SimResult};
+use spotcache::core::{Approach, ControlLoop, GlobalController};
 use spotcache::obs::export::validate_json;
 use spotcache::obs::Obs;
 use spotcache::sim::recovery::{simulate_recovery, BackupChoice, RecoveryConfig};
@@ -21,11 +21,14 @@ fn assert_close(got: f64, want: f64, what: &str) {
     );
 }
 
-fn observed_golden_run(obs: Option<Arc<Obs>>) -> spotcache::core::simulation::SimResult {
+fn observed_golden_run(obs: Arc<Obs>) -> SimResult {
     let mut cfg = SimConfig::paper_default(Approach::OdSpotCdf, 500_000.0, 100.0, 2.0);
     cfg.days = 21;
     cfg.seed = 0xBEEF;
-    simulate_traced(&cfg, &paper_traces(21), obs, None).unwrap()
+    ControlLoop::new(GlobalController::new(cfg.controller.clone()), cfg.theta)
+        .with_obs(obs)
+        .run(HourlySim::new(cfg, paper_traces(21)))
+        .unwrap()
 }
 
 /// Instrumentation must not perturb the golden-equivalence results: the
@@ -34,7 +37,7 @@ fn observed_golden_run(obs: Option<Arc<Obs>>) -> spotcache::core::simulation::Si
 #[test]
 fn observed_sim_matches_golden_values() {
     let obs = Arc::new(Obs::new());
-    let r = observed_golden_run(Some(Arc::clone(&obs)));
+    let r = observed_golden_run(Arc::clone(&obs));
     assert_close(r.total_cost(), 3.970_953_833_333_325_06e2, "total cost");
     assert_close(
         r.violated_day_frac(),
@@ -54,7 +57,7 @@ fn observed_sim_matches_golden_values() {
 fn observed_snapshots_are_deterministic() {
     let snap = |_: usize| {
         let obs = Arc::new(Obs::new());
-        let sim = observed_golden_run(Some(Arc::clone(&obs)));
+        let sim = observed_golden_run(Arc::clone(&obs));
         assert_eq!(sim.revocations, 315);
         let rcfg = RecoveryConfig::figure11(BackupChoice::None);
         simulate_recovery(&rcfg, Some(&obs), None);
@@ -71,7 +74,7 @@ fn observed_snapshots_are_deterministic() {
 #[test]
 fn snapshot_covers_all_instrumented_layers() {
     let obs = Arc::new(Obs::new());
-    observed_golden_run(Some(Arc::clone(&obs)));
+    observed_golden_run(Arc::clone(&obs));
     let rcfg = RecoveryConfig::figure11(BackupChoice::Instance(
         spotcache::cloud::catalog::find_type("t2.medium").unwrap(),
     ));
