@@ -227,6 +227,10 @@ echo "    results gate: ${gate_s} s wall (measured 14-16 s on the 2-core host, b
 # parks: server.busy_frac ≈ 0.99 on paced_get and ≈ 1.1 on revocation (all
 # three nodes) while the polls catch the requests, ≈ 0.45 and ≈ 0.63 when
 # every request has to wake a parked worker.
+# revocation also holds the unwarned restore to its order: recovery.recovery_s
+# (kill -> fresh-hit rate back) at most 0.7 x recovery.restore_s, both
+# printed. Landing the hottest slice of every shard first reads about 0.4-0.5;
+# cutting and loading one whole shard at a time read about 0.9.
 # pipelined_mix holds the read path to the same count (0.0999 per command,
 # all of it the 10 % sets' values: staging a hit's bytes must not
 # allocate) and to a touch log that never overflows. plan_90d holds seed
@@ -253,6 +257,12 @@ if sys.argv[1] == "write_evict":
 if sys.argv[1] in ("paced_get", "write_evict", "revocation"):
     print("    %s: server.busy_frac %.3f, server.epoll_waits_per_op %.4f" % ((sys.argv[1],) + tuple(
         doc["metrics"][m]["value"] for m in ("server.busy_frac", "server.epoll_waits_per_op"))))
+if sys.argv[1] == "revocation":
+    rec, res = (doc["metrics"][m]["value"] for m in ("recovery.recovery_s", "recovery.restore_s"))
+    print("    revocation: recovery.recovery_s %.3f, recovery.restore_s %.3f (%.2f x)"
+          % (rec, res, rec / res))
+    assert rec <= 0.7 * res, "revocation: fresh again only after %.2f of the restore; " \
+        "the unwarned restore should land the hottest slice of every shard first" % (rec / res)
 if sys.argv[1] == "pipelined_mix":
     allocs = doc["metrics"]["protocol.allocs_per_op"]["value"]
     assert allocs <= 0.11, "pipelined_mix: %.4f allocations per command, over 0.11" % allocs

@@ -170,7 +170,8 @@ impl Arena {
         first
     }
 
-    fn is_live(&self, slot: u32) -> bool {
+    /// Whether `slot` holds an item; `false` for a slot the arena never had.
+    pub(crate) fn is_live(&self, slot: u32) -> bool {
         self.meta.get(slot as usize).is_some_and(|m| m.gen & 1 == 1)
     }
 
@@ -186,20 +187,41 @@ impl Arena {
         (self.tail != NIL).then_some(self.tail)
     }
 
-    /// Live items from most- to least-recently used.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &Item> + '_ {
+    /// Live slots from most- to least-recently used.
+    pub(crate) fn slots(&self) -> impl Iterator<Item = u32> + '_ {
         let mut cur = self.head;
         std::iter::from_fn(move || {
-            let slot = (cur != NIL).then_some(cur as usize)?;
-            cur = self.meta[slot].next;
-            Some(&self.items[slot])
+            let slot = (cur != NIL).then_some(cur)?;
+            cur = self.meta[slot as usize].next;
+            Some(slot)
         })
+    }
+
+    /// Live items from most- to least-recently used.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Item> + '_ {
+        self.slots().map(|slot| &self.items[slot as usize])
     }
 
     /// Stores an item whose key is **absent** at the most-recently-used
     /// end and returns its slot, stable until the item is removed. Panics
     /// if the arena already holds `u32::MAX` slots.
     pub(crate) fn insert_front(&mut self, tag: u32, item: Item) -> u32 {
+        let slot = self.insert(tag, item);
+        self.link_front(slot);
+        slot
+    }
+
+    /// [`insert_front`](Self::insert_front) at the least-recently-used
+    /// end: the item becomes the tail, behind everything already stored.
+    pub(crate) fn insert_back(&mut self, tag: u32, item: Item) -> u32 {
+        let slot = self.insert(tag, item);
+        self.link_back(slot);
+        slot
+    }
+
+    /// Indexes an absent key's item in a free (or new) slot under a fresh
+    /// generation, leaving the slot for the caller to link.
+    fn insert(&mut self, tag: u32, item: Item) -> u32 {
         debug_assert!(self.find(tag, &item.key).is_none(), "key already stored");
         if (self.len + 1) * 10 > self.index.len() * 7 {
             self.grow_index();
@@ -229,7 +251,6 @@ impl Arena {
         let m = &mut self.meta[slot as usize];
         m.gen = m.gen.wrapping_add(1);
         m.tag = tag;
-        self.link_front(slot);
         self.len += 1;
         slot
     }
@@ -332,6 +353,17 @@ impl Arena {
             NIL => self.tail = prev,
             n => self.meta[n as usize].prev = prev,
         }
+    }
+
+    fn link_back(&mut self, slot: u32) {
+        let m = &mut self.meta[slot as usize];
+        m.prev = self.tail;
+        m.next = NIL;
+        match self.tail {
+            NIL => self.head = slot,
+            t => self.meta[t as usize].next = slot,
+        }
+        self.tail = slot;
     }
 
     fn link_front(&mut self, slot: u32) {
@@ -495,8 +527,8 @@ mod tests {
         prop_assert_eq!(free + a.len(), a.meta.len());
     }
 
-    /// Random insert / overwrite / touch / stale `touch_if` / remove /
-    /// pop-tail / clear / tick-stamped read against `HashMap` + `VecDeque`,
+    /// Random insert at either end / overwrite / touch / stale `touch_if` /
+    /// remove / pop-tail / clear / tick-stamped read against `HashMap` + `VecDeque`,
     /// from the 8-bucket index up, with tags as the caller's `tag_of`
     /// deals them. The model keeps each key's last-bump tick: a read bumps
     /// iff the tick differs, an insert forgets it, an overwrite keeps it.
@@ -572,6 +604,13 @@ mod tests {
                     a.clear();
                     model.clear();
                     order.clear();
+                }
+                (7, None) => {
+                    let slot = a.insert_back(tag_of(&key), item(&key, &value));
+                    prop_assert!(held.insert((slot, a.gen(slot))), "generation reused");
+                    bumped_in.remove(&key);
+                    model.insert(key.clone(), (slot, value));
+                    order.push_back(key);
                 }
                 _ => {
                     prop_assert_eq!(a.find(tag_of(&key), &key), known);

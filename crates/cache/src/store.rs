@@ -197,6 +197,12 @@ pub enum SetPolicy {
     IfAbsent,
     /// Store only when the key is present (`replace`).
     IfPresent,
+    /// Store only when the key is absent **and** the item fits the shard's
+    /// free room, at the least-recently-used end, evicting nothing. The
+    /// checkpoint loader's policy: records arrive hottest first, so each
+    /// lands behind the ones before it, and a full shard refuses the rest
+    /// rather than displace what it holds.
+    Fill,
 }
 
 /// Outcome of a policy-checked store operation.
@@ -329,13 +335,37 @@ impl ShardData {
         let slot = self.find_live(tag, &key, now);
         let store_it = match policy {
             SetPolicy::Always => true,
-            SetPolicy::IfAbsent => slot.is_none(),
+            SetPolicy::IfAbsent | SetPolicy::Fill => slot.is_none(),
             SetPolicy::IfPresent => slot.is_some(),
         };
         if !store_it {
             return SetOutcome::NotStored;
         }
-        self.store(slot, tag, key, value, ttl.map(|d| now + d))
+        let expires_at = ttl.map(|d| now + d);
+        if policy == SetPolicy::Fill {
+            return self.fill(tag, key, value, expires_at);
+        }
+        self.store(slot, tag, key, value, expires_at)
+    }
+
+    /// Stores an absent key's item at the LRU tail if it fits the free
+    /// room; evicts nothing, and refuses ([`SetOutcome::NotStored`]) what
+    /// does not fit.
+    fn fill(&mut self, tag: u32, key: Bytes, value: Bytes, expires_at: Option<u64>) -> SetOutcome {
+        let bytes = key.len() + value.len() + ITEM_OVERHEAD;
+        if self.used_bytes + bytes > self.capacity_bytes {
+            return SetOutcome::NotStored;
+        }
+        self.wstats.sets += 1;
+        let item = Item {
+            key,
+            value,
+            expires_at,
+        };
+        let slot = self.arena.insert_back(tag, item);
+        self.file_expiry(slot, expires_at);
+        self.used_bytes += bytes;
+        SetOutcome::Stored
     }
 
     /// Stores an item unconditionally, TTL-blind: an expired holder of the
@@ -398,6 +428,13 @@ impl ShardData {
                 self.arena.insert_front(tag, item)
             }
         };
+        self.file_expiry(slot, expires_at);
+        self.used_bytes += bytes;
+        SetOutcome::Stored
+    }
+
+    /// Files a freshly stored slot's deadline, if it has one, in the wheel.
+    fn file_expiry(&mut self, slot: u32, expires_at: Option<u64>) {
         if let Some(expires_at) = expires_at {
             self.wheel.insert(WheelRec {
                 expires_at,
@@ -405,8 +442,6 @@ impl ShardData {
                 gen: self.arena.gen(slot),
             });
         }
-        self.used_bytes += bytes;
-        SetOutcome::Stored
     }
 
     /// Unexpired items, hottest first, each with the TTL it has left.
@@ -942,13 +977,14 @@ impl Store {
     /// acquisition, as [`set_policy_at`](Self::set_policy_at). Returns how
     /// many items were stored; one the policy turned away is not counted.
     ///
-    /// The checkpoint bulk load uses [`SetPolicy::IfAbsent`]: whatever the
-    /// replacement already holds was acknowledged after the cut.
+    /// The checkpoint bulk load uses [`SetPolicy::Fill`]: whatever the
+    /// replacement already holds was acknowledged after the cut, and a
+    /// record that does not fit is refused rather than evict it.
     ///
     /// Keys and values are moved into the shard. A batch whose keys all map
-    /// to one shard (a checkpoint frame loaded into a store of the cut's
-    /// shard count, or any single-shard store) takes that lock once and
-    /// is consumed in place; a mixed batch is sorted out per shard.
+    /// to one shard (most batches of a checkpoint frame loaded into a store
+    /// of the cut's shard count, or any single-shard store) takes that lock
+    /// once and is consumed in place; a mixed batch is sorted out per shard.
     pub fn set_many_policy_at(
         &self,
         items: Vec<(Bytes, Bytes, Option<u64>)>,
@@ -1209,17 +1245,62 @@ impl Store {
         self.locate(key).0 as usize
     }
 
-    /// Visits one shard's live, unexpired items in LRU recency order
-    /// (most-recently-used first), flushing that shard's pending touches
-    /// first and holding only that shard's lock. Returns how many items
-    /// `visit` saw.
+    /// One shard's items as slots, in LRU recency order (most-recently-used
+    /// first), 4 bytes an item. The shard's pending touches are flushed and
+    /// its due TTLs reaped first. Only the recency links are read, under
+    /// the shard's write lock: an item that expired out of the reaper's
+    /// sight is still listed, and [`visit_slots_at`](Self::visit_slots_at)
+    /// skips it.
     ///
-    /// This is the checkpoint writer's walk (`spotcache-recovery`): `visit`
-    /// gets the key, the raw stored value and the TTL remaining at `now`
-    /// (as [`hot_snapshot_at`](Self::hot_snapshot_at) reports it) by
-    /// reference, so a record is encoded straight from the shard with no
-    /// intermediate copy. `visit` runs under the shard's write lock and
-    /// must not call back into the store.
+    /// This is the checkpoint cut's order (`spotcache-recovery`): it takes
+    /// a shard's order once and walks it in slices with
+    /// [`visit_slots_at`](Self::visit_slots_at), so the encoder runs
+    /// under the read lock and the shard keeps serving meanwhile.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard >= self.shard_count()`.
+    pub fn recency_order_at(&self, shard: usize, now: u64) -> Vec<u32> {
+        self.shards[shard].write_op(now, |d| d.arena.slots().collect())
+    }
+
+    /// Visits the items that `slots` (from
+    /// [`recency_order_at`](Self::recency_order_at)) name in `shard`, in
+    /// the order given, under the shard's **read** lock. A slot that holds
+    /// no item any more, or whose item has expired at `now`, is skipped; a
+    /// slot freed and filled again since the order was taken names the item
+    /// that filled it. `visit` gets the key, the raw stored value and the
+    /// TTL remaining at `now` (as [`hot_snapshot_at`](Self::hot_snapshot_at)
+    /// reports it) by reference, so a record can be encoded straight from
+    /// the shard with no intermediate copy; it must not call back into the
+    /// store. Returns how many items `visit` saw.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard >= self.shard_count()`.
+    pub fn visit_slots_at(
+        &self,
+        shard: usize,
+        slots: &[u32],
+        now: u64,
+        mut visit: impl FnMut(&[u8], &[u8], Option<u64>),
+    ) -> usize {
+        let d = self.shards[shard].data.read();
+        let live = slots.iter().filter(|&&slot| d.arena.is_live(slot));
+        let items = live.map(|&slot| d.arena.item(slot));
+        let mut seen = 0usize;
+        for item in items.filter(|item| !item.expired(now)) {
+            visit(&item.key, &item.value, item.expires_at.map(|t| t - now));
+            seen += 1;
+        }
+        seen
+    }
+
+    /// Visits one shard's live, unexpired items in LRU recency order
+    /// (most-recently-used first): its whole
+    /// [`recency_order_at`](Self::recency_order_at), through
+    /// [`visit_slots_at`](Self::visit_slots_at). Returns how many items
+    /// `visit` saw.
     ///
     /// # Panics
     ///
@@ -1228,16 +1309,10 @@ impl Store {
         &self,
         shard: usize,
         now: u64,
-        mut visit: impl FnMut(&[u8], &[u8], Option<u64>),
+        visit: impl FnMut(&[u8], &[u8], Option<u64>),
     ) -> usize {
-        self.shards[shard].write_op(now, |d| {
-            let mut seen = 0usize;
-            for (item, ttl) in d.live(now) {
-                visit(&item.key, &item.value, ttl);
-                seen += 1;
-            }
-            seen
-        })
+        let order = self.recency_order_at(shard, now);
+        self.visit_slots_at(shard, &order, now, visit)
     }
 
     /// Whether a key holds a live (unexpired at `now`) item. Takes only
@@ -1876,6 +1951,126 @@ mod tests {
         assert_eq!(s.set_many_policy_at(batch(), 20, SetPolicy::IfAbsent), 0);
         assert_eq!(s.set_many_policy_at(batch(), 20, SetPolicy::IfPresent), 3);
         assert_eq!(s.get_at(b"live", 20).as_deref(), Some(b"older".as_ref()));
+    }
+
+    /// One shard with room for exactly `items` items of a 2-byte key and
+    /// a 2-byte value.
+    fn fill_shard(items: usize) -> Store {
+        Store::new(StoreConfig {
+            capacity_bytes: items * (4 + ITEM_OVERHEAD),
+            shards: 1,
+        })
+    }
+
+    fn keys_of(s: &Store) -> Vec<Vec<u8>> {
+        walk(s, 0, 0).into_iter().map(|(k, _, _)| k).collect()
+    }
+
+    #[test]
+    fn fill_refuses_what_does_not_fit_and_evicts_nothing() {
+        let s = fill_shard(2);
+        s.set("k0", "v0");
+        s.set("k1", "v1");
+        let out = s.set_policy_at("k2", "v2", 0, None, SetPolicy::Fill);
+        assert_eq!(out, SetOutcome::NotStored);
+        assert_eq!(keys_of(&s), [b"k1", b"k0"]);
+        assert_eq!(s.stats().evictions, 0);
+        assert_eq!(s.stats().sets, 2, "a refused fill is not a set");
+        // What fits the free room is stored; the rest of a batch is not.
+        let s = fill_shard(2);
+        s.set("k0", "v0");
+        let b = |x: &str| Bytes::copy_from_slice(x.as_bytes());
+        let batch = vec![(b("k1"), b("v1"), None), (b("k2"), b("v2"), None)];
+        assert_eq!(s.set_many_policy_at(batch, 0, SetPolicy::Fill), 1);
+        assert_eq!(keys_of(&s), [b"k0", b"k1"]);
+        assert_eq!(s.stats().evictions, 0);
+    }
+
+    #[test]
+    fn fill_lands_behind_the_tail() {
+        let s = fill_shard(4);
+        s.set("k0", "v0");
+        s.set("k1", "v1");
+        for k in ["f0", "f1"] {
+            assert_eq!(
+                s.set_policy_at(k, "vf", 0, None, SetPolicy::Fill),
+                SetOutcome::Stored
+            );
+        }
+        assert_eq!(keys_of(&s), [b"k1", b"k0", b"f0", b"f1"]);
+        // Filled items are the first victims, in arrival order.
+        s.set("k2", "v2");
+        assert_eq!(keys_of(&s), [b"k2", b"k1", b"k0", b"f0"]);
+        // And a read bumps a filled item like any other.
+        assert!(s.get_at(b"f0", 1).is_some());
+        assert_eq!(walk(&s, 0, 1)[0].0, b"f0");
+    }
+
+    #[test]
+    fn fill_files_a_ttl_in_the_wheel() {
+        let s = fill_shard(4);
+        s.set_policy_at("f0", "vf", 0, Some(5), SetPolicy::Fill);
+        assert_eq!(walk(&s, 0, 2), [(b"f0".to_vec(), b"vf".to_vec(), Some(3))]);
+        // No read collides with it: the wheel alone reaps it.
+        assert_eq!(s.flush_touches(10).expired, 1);
+        assert_eq!(s.stats().expirations, 1);
+        assert_eq!(s.used_bytes(), 0);
+    }
+
+    #[test]
+    fn fill_leaves_a_live_holder_untouched() {
+        let s = fill_shard(4);
+        s.set_at("k0", "v0", 0, Some(50));
+        s.set("k1", "v1");
+        let out = s.set_policy_at("k0", "vf", 10, None, SetPolicy::Fill);
+        assert_eq!(out, SetOutcome::NotStored);
+        assert_eq!(
+            walk(&s, 0, 10),
+            [
+                (b"k1".to_vec(), b"v1".to_vec(), None),
+                (b"k0".to_vec(), b"v0".to_vec(), Some(40)),
+            ],
+            "neither the value, the deadline nor the order moved"
+        );
+    }
+
+    #[test]
+    fn fill_replaces_an_expired_holder() {
+        let s = fill_shard(4);
+        s.set_at("k0", "v0", 0, Some(5));
+        s.set("k1", "v1");
+        let out = s.set_policy_at("k0", "vf", 20, None, SetPolicy::Fill);
+        assert_eq!(out, SetOutcome::Stored);
+        assert_eq!(s.get_at(b"k0", 20).as_deref(), Some(b"vf".as_ref()));
+        assert_eq!(s.stats().expirations, 1);
+        assert_eq!(keys_of(&s), [b"k0", b"k1"], "the read bumped it");
+        assert_eq!(s.len(), 2);
+    }
+
+    #[test]
+    fn a_recency_order_visit_skips_what_left_the_shard() {
+        let s = fill_shard(8);
+        for i in 0..5 {
+            let ttl = (i == 2).then_some(5);
+            s.set_at(format!("k{i}"), format!("v{i}"), 0, ttl);
+        }
+        let order = s.recency_order_at(0, 0);
+        assert_eq!(order.len(), 5);
+        s.delete(b"k3");
+        let mut seen = Vec::new();
+        let n = s.visit_slots_at(0, &order, 10, |k, v, ttl| {
+            seen.push((k.to_vec(), v.to_vec(), ttl));
+        });
+        assert_eq!(n, seen.len());
+        let keys: Vec<_> = seen.iter().map(|(k, _, _)| &k[..]).collect();
+        assert_eq!(keys, [b"k4", b"k1", b"k0"], "k3 was deleted, k2 expired");
+        // Slices of the order visit the same items, slice by slice.
+        let halves: Vec<_> = order.chunks(3).collect();
+        let mut sliced = Vec::new();
+        for half in halves {
+            s.visit_slots_at(0, half, 10, |k, _, _| sliced.push(k.to_vec()));
+        }
+        assert_eq!(sliced, keys);
     }
 
     #[test]

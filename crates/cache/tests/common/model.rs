@@ -18,6 +18,8 @@
 //!   An overwrite moves the key to the front and frees its old bytes
 //!   before victims are chosen. An item over the shard budget is
 //!   `TooLarge` and takes any old value with it.
+//! * `Fill` stores an absent key only if it fits the shard's free room,
+//!   at the back of the recency list, and evicts nothing.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -143,6 +145,28 @@ impl Model {
     }
 }
 
+impl Model {
+    /// Pushes an absent `key` to the back of shard `s` if it fits the free
+    /// room; refuses it otherwise and evicts nothing.
+    fn fill(&mut self, s: usize, key: Bytes, value: Bytes, expires_at: Option<u64>) -> SetOutcome {
+        let sh = &mut self.shards[s];
+        let bytes = cost(&key, &value);
+        if sh.used + bytes > self.budget {
+            return SetOutcome::NotStored;
+        }
+        self.stats.sets += 1;
+        sh.used += bytes;
+        sh.recency.push_back(key.clone());
+        let entry = Entry {
+            value,
+            expires_at,
+            stamp: None,
+        };
+        sh.map.insert(key, entry);
+        SetOutcome::Stored
+    }
+}
+
 impl Plane for Model {
     fn new(config: StoreConfig) -> Self {
         let n = config.shards.max(1);
@@ -191,11 +215,14 @@ impl Plane for Model {
         let present = self.live(s, &key, now);
         let store_it = match policy {
             SetPolicy::Always => true,
-            SetPolicy::IfAbsent => !present,
+            SetPolicy::IfAbsent | SetPolicy::Fill => !present,
             SetPolicy::IfPresent => present,
         };
         if !store_it {
             return SetOutcome::NotStored;
+        }
+        if policy == SetPolicy::Fill {
+            return self.fill(s, key, value, ttl.map(|d| now + d));
         }
         self.store(s, key, value, ttl.map(|d| now + d))
     }

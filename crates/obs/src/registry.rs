@@ -71,9 +71,13 @@ impl Gauge {
     }
 }
 
-/// Geometric histogram bucket layout: `HIST_BUCKETS` buckets spanning
-/// `[HIST_MIN, HIST_MAX]` with a constant ratio (~3.9% relative error at
-/// 480 buckets over ten decades — ample for p50/p95/p99 reporting).
+/// Geometric histogram bucket layout: `HIST_BUCKETS` grid points from
+/// `HIST_MIN` to `HIST_MAX`, each the one before times a constant ratio
+/// r = 10^(10/479) ≈ 1.0493 (ten decades in 479 steps). A value is counted
+/// at the grid point nearest to it in log space, so for values in
+/// `[HIST_MIN, HIST_MAX]` a [`Histogram::quantile`] is within a factor
+/// √r ≈ 1.0243 of the exact order statistic it names — ample for
+/// p50/p95/p99 reporting.
 pub const HIST_BUCKETS: usize = 480;
 /// Smallest representable histogram value.
 pub const HIST_MIN: f64 = 1e-3;
@@ -186,12 +190,17 @@ impl Histogram {
         f64::from_bits(self.0.max_bits.load(Ordering::Relaxed))
     }
 
-    /// The `q`-quantile; 0 when empty.
+    /// The `q`-quantile: the grid point of the bucket that holds the
+    /// observation of rank ⌈q·n⌉ (at least 1) of the n recorded, so within
+    /// a factor √r ≈ 1.0243 of that exact order statistic for values in
+    /// `[HIST_MIN, HIST_MAX]`, r being the grid ratio 10^(10/479); 0 when
+    /// empty.
     ///
-    /// Clamped to [`Self::max`]: a log bucket's representative value is
-    /// its upper bound, which can exceed the largest observation (e.g.
-    /// p95 = 4.09 reported against max = 4.03), and quantiles above the
-    /// true maximum are nonsense. The clamp also guarantees
+    /// Clamped to [`Self::max`]: a bucket's grid point is the nearest one,
+    /// which can lie above the largest observation (e.g. p95 = 4.09
+    /// reported against max = 4.03), and quantiles above the true maximum
+    /// are nonsense. The maximum is never below the order statistic, so
+    /// the clamp keeps the bound, and it also guarantees
     /// `quantile(a) ≤ quantile(b) ≤ max()` for `a ≤ b`.
     pub fn quantile(&self, q: f64) -> f64 {
         let n = self.count();
@@ -388,6 +397,37 @@ mod tests {
             prop_assert!(p50 <= p95, "p50 {} > p95 {}", p50, p95);
             prop_assert!(p95 <= p99, "p95 {} > p99 {}", p95, p99);
             prop_assert!(p99 <= max, "p99 {} > max {}", p99, max);
+        }
+
+        /// For values in `[HIST_MIN, HIST_MAX]`, the `q`-quantile is within
+        /// a factor √r of the exact order statistic of rank ⌈q·n⌉, where r
+        /// is the grid ratio 10^(10/479).
+        #[test]
+        fn quantile_is_within_half_a_grid_step_of_the_order_statistic(
+            exps in proptest::collection::vec(0.0f64..1.0, 1..300),
+            q in 0.0f64..=1.0,
+        ) {
+            use proptest::prelude::*;
+            let ratio = (HIST_MAX / HIST_MIN).powf(1.0 / (HIST_BUCKETS - 1) as f64);
+            let bound = ratio.sqrt() * (1.0 + 1e-12);
+            prop_assert!((ratio - 1.0493).abs() < 1e-4, "grid ratio {}", ratio);
+            let h = Histogram::new();
+            let mut values: Vec<f64> = exps
+                .iter()
+                .map(|e| HIST_MIN * (HIST_MAX / HIST_MIN).powf(*e))
+                .collect();
+            for &v in &values {
+                h.record(v);
+            }
+            values.sort_by(f64::total_cmp);
+            let rank = ((q * values.len() as f64).ceil() as usize).max(1);
+            let exact = values[rank - 1];
+            let got = h.quantile(q);
+            prop_assert!(
+                got <= exact * bound && exact <= got * bound,
+                "q {} of {} values: quantile {} vs order statistic {}",
+                q, values.len(), got, exact
+            );
         }
     }
 

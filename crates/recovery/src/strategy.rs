@@ -101,10 +101,12 @@ impl RecoveryStrategy {
     /// * `Checkpoint` bulk-loads `ctx.checkpoint` into
     ///   `ctx.target_store`; when no pre-cut checkpoint is supplied
     ///   (unwarned revocation) it cuts one from `ctx.backup` inside the
-    ///   restore, a frame at a time, loading each frame before cutting
-    ///   the next — the cut is part of the measured restore, exactly the
-    ///   cost an unwarned operator pays, and `ckpt_cut` / `ckpt` report
-    ///   what a whole stream would have, with `elapsed` summed per phase.
+    ///   restore, hottest first across shards: one frame per round, round
+    ///   r holding slice r of every shard's recency order, each loaded
+    ///   before the next is cut — the cut is part of the measured
+    ///   restore, exactly the cost an unwarned operator pays, and
+    ///   `ckpt_cut` / `ckpt` report what a whole stream would have, with
+    ///   `elapsed` summed per phase.
     /// * `Hybrid` does the checkpoint step, then ships `ctx.tail` to
     ///   `ctx.target_addr` as acked memcached commands.
     pub fn restore(&self, ctx: &RestoreContext<'_>) -> io::Result<RestoreReport> {
@@ -173,12 +175,19 @@ impl RecoveryStrategy {
             )?;
             return Ok((None, restored));
         }
-        // Unwarned: cut and load one frame at a time. The frame never
-        // leaves the cutter's buffer, which the next frame reuses, so the
-        // extra memory is one shard's payload rather than a second copy
-        // of the hot set. Head, CRC and trailer still go through the
-        // loader's checks, exactly as if they had crossed a wire.
-        let mut cutter = Cutter::new(ctx.backup, ctx.now, ctx.obs, ctx.tracer);
+        // Unwarned: every shard's recency order once, then as many rounds
+        // as shards, round r one frame of slice r of every order, loaded
+        // from the cutter's buffer before the next round is cut into it
+        // (the `checkpoint` module docs say why). Head, CRC and trailer
+        // still go through the loader's checks, exactly as if they had
+        // crossed a wire.
+        let start = Instant::now();
+        let backup = ctx.backup;
+        let rounds = backup.shard_count();
+        let orders: Vec<Vec<u32>> = (0..rounds)
+            .map(|shard| backup.recency_order_at(shard, ctx.now))
+            .collect();
+        let mut cutter = Cutter::new(backup, ctx.now, ctx.obs, ctx.tracer);
         let mut loader = Loader::new(
             &cutter.header(),
             ctx.target_store,
@@ -187,10 +196,14 @@ impl RecoveryStrategy {
             ctx.obs,
             ctx.tracer,
         )?;
-        let (mut cut_time, mut load_time) = (Duration::ZERO, Duration::ZERO);
-        for shard in 0..ctx.backup.shard_count() {
+        let (mut cut_time, mut load_time) = (start.elapsed(), Duration::ZERO);
+        for round in 0..rounds {
             let start = Instant::now();
-            let (head, crc) = cutter.cut_frame(shard);
+            let slices = orders.iter().enumerate().map(|(shard, order)| {
+                let at = |r: usize| order.len() * r / rounds;
+                (shard, &order[at(round)..at(round + 1)])
+            });
+            let (head, crc) = cutter.cut_frame(round as u32, slices);
             let cut_done = Instant::now();
             loader.load_frame(&FrameHead::parse(&head)?, cutter.payload(), crc)?;
             cut_time += cut_done - start;
@@ -303,7 +316,7 @@ mod tests {
     use crate::checkpoint::write_checkpoint;
     use spotcache_cache::protocol::encode_value;
     use spotcache_cache::server::{CacheServer, LogicalClock};
-    use spotcache_cache::store::StoreConfig;
+    use spotcache_cache::store::{MutationSink, StoreConfig};
     use std::sync::Arc;
 
     fn store() -> Arc<Store> {
@@ -476,6 +489,49 @@ mod tests {
             };
             assert_eq!(walk(&r.replacement), walk(&r.backup), "shard {shard}");
         }
+    }
+
+    #[test]
+    fn unwarned_restore_lands_each_slice_of_every_shard_before_the_next() {
+        #[derive(Default)]
+        struct Recorder(std::sync::Mutex<Vec<Vec<u8>>>);
+        impl MutationSink for Recorder {
+            fn on_set(&self, key: &bytes::Bytes, _: &bytes::Bytes, _: Option<u64>) {
+                self.0.lock().unwrap().push(key.to_vec());
+            }
+            fn on_delete(&self, _: &[u8]) {}
+        }
+        let r = rig(400);
+        for i in (0..400u32).step_by(7) {
+            assert!(r.backup.get(format!("k{i}").as_bytes()).is_some());
+        }
+        // Each key's round: its rank in its shard's recency order, the
+        // order cut into as many slices as there are shards.
+        let rounds = r.backup.shard_count();
+        let mut round_of = std::collections::HashMap::new();
+        for shard in 0..rounds {
+            let mut keys = Vec::new();
+            r.backup
+                .visit_shard_at(shard, 0, |k, _, _| keys.push(k.to_vec()));
+            let n = keys.len();
+            for (rank, key) in keys.into_iter().enumerate() {
+                let round = (0..rounds).find(|&round| rank < n * (round + 1) / rounds);
+                round_of.insert(key, round.expect("a rank below n has a round"));
+            }
+        }
+        let recorder = Arc::new(Recorder::default());
+        r.replacement.set_mutation_sink(Some(recorder.clone()));
+        let strategy = RecoveryStrategy::Checkpoint(CheckpointConfig { restore_batch: 16 });
+        let report = strategy.restore(&ctx(&r, None, &[])).expect("restore");
+        assert_eq!(report.items_restored, 400);
+        let stored = recorder.0.lock().unwrap();
+        let seq: Vec<usize> = stored.iter().map(|k| round_of[k]).collect();
+        assert_eq!(seq.len(), 400);
+        assert!(
+            seq.windows(2).all(|w| w[0] <= w[1]),
+            "a later round landed before an earlier one: {seq:?}"
+        );
+        assert_eq!(seq.last(), Some(&(rounds - 1)));
     }
 
     #[test]

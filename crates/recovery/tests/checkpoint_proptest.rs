@@ -9,10 +9,12 @@
 //! forgeries.
 
 use proptest::prelude::*;
+use spotcache_cache::slab::PAGE_SIZE;
 use spotcache_cache::store::{Store, StoreConfig};
 use spotcache_recovery::checkpoint::{
     restore_checkpoint, write_checkpoint, CheckpointConfig, CkptError,
 };
+use spotcache_recovery::strategy::{RecoveryStrategy, RestoreContext};
 
 fn fresh_store(shards: usize) -> Store {
     Store::new(StoreConfig {
@@ -36,6 +38,21 @@ fn load(
         let ttl = (ttl > 0).then_some(ttl as u64);
         store.set_at(key.into_bytes(), value, now, ttl);
     }
+}
+
+/// Every shard's `(key, value, ttl)` at `now`, hottest first.
+type Recency = Vec<Vec<(Vec<u8>, Vec<u8>, Option<u64>)>>;
+
+fn recency(store: &Store, now: u64) -> Recency {
+    let shards = 0..store.shard_count();
+    let walk = |shard| {
+        let mut items = Vec::new();
+        store.visit_shard_at(shard, now, |k, v, ttl| {
+            items.push((k.to_vec(), v.to_vec(), ttl))
+        });
+        items
+    };
+    shards.map(walk).collect()
 }
 
 fn cut(store: &Store, now: u64) -> Vec<u8> {
@@ -202,5 +219,65 @@ proptest! {
             &CheckpointConfig::default(), None, None,
         ).expect_err("forged version must be rejected");
         prop_assert!(matches!(err, CkptError::BadVersion(v) if v == version));
+    }
+
+    /// The unwarned restore (cut inline, hottest slice of every shard
+    /// first) and a whole stream (`write_checkpoint` then
+    /// `restore_checkpoint`) leave the same target: the same items in the
+    /// same per-shard recency order, whatever the shard count, the TTLs,
+    /// the reads that reordered the source, the classless values over a
+    /// slab page, and a target too small to take everything.
+    #[test]
+    fn inline_unwarned_restore_equals_a_whole_stream(
+        items in proptest::collection::vec(
+            (0u16..150, 0u8..=255u8, 0u8..16, 0u16..60), 0..80),
+        reads in proptest::collection::vec((0u16..150, 0u64..3), 0..80),
+        shards in 1usize..=8,
+        shard_room in 0usize..3,
+        batch in 1usize..40,
+    ) {
+        let now = 20u64;
+        let src = fresh_store(shards);
+        for &(kid, vbyte, size, ttl) in &items {
+            let len = if size == 15 { PAGE_SIZE + 100 } else { size as usize * 37 };
+            let ttl = (ttl > 0).then_some(ttl as u64);
+            src.set_at(format!("key-{kid}").into_bytes(), vec![vbyte; len], 0, ttl);
+        }
+        let mut tick = 0;
+        for &(kid, dt) in &reads {
+            tick = (tick + dt).min(now);
+            src.get_at(format!("key-{kid}").as_bytes(), tick);
+        }
+        let target = || Store::new(StoreConfig {
+            capacity_bytes: shards * [2 << 10, 8 << 10, 16 << 20][shard_room],
+            shards,
+        });
+        let cfg = CheckpointConfig { restore_batch: batch };
+
+        let streamed = target();
+        let whole = restore_checkpoint(&mut cut(&src, now).as_slice(), &streamed, now, &cfg, None, None)
+            .expect("restore must succeed on a pristine stream");
+
+        let inline = target();
+        let addr = "127.0.0.1:9".parse().expect("an address");
+        let report = RecoveryStrategy::Checkpoint(cfg)
+            .restore(&RestoreContext {
+                backup: &src,
+                target_addr: addr,
+                target_store: &inline,
+                checkpoint: None,
+                tail: &[],
+                now,
+                obs: None,
+                tracer: None,
+            })
+            .expect("an unwarned checkpoint restore touches no socket");
+        let ckpt = report.ckpt.expect("a checkpoint report");
+        prop_assert_eq!(ckpt.items_stored, whole.items_stored);
+        prop_assert_eq!(ckpt.items_decoded, whole.items_decoded);
+        prop_assert_eq!(recency(&inline, now), recency(&streamed, now));
+        if shard_room == 2 {
+            prop_assert_eq!(recency(&inline, now), recency(&src, now));
+        }
     }
 }
