@@ -35,12 +35,10 @@ impl CostCategory {
     }
 }
 
-/// An append-only cost ledger with per-category and per-day aggregation.
+/// An append-only cost ledger with per-category totals.
 #[derive(Debug, Clone, Default)]
 pub struct Ledger {
     totals: BTreeMap<CostCategory, f64>,
-    /// `day -> category -> dollars`.
-    daily: BTreeMap<u64, BTreeMap<CostCategory, f64>>,
 }
 
 impl Ledger {
@@ -49,18 +47,12 @@ impl Ledger {
         Self::default()
     }
 
-    /// Records `dollars` of cost in `category` at simulated time `t` (secs).
-    pub fn record(&mut self, category: CostCategory, t: u64, dollars: f64) {
+    /// Records `dollars` of cost in `category`.
+    pub fn record(&mut self, category: CostCategory, dollars: f64) {
         if dollars == 0.0 {
             return;
         }
         *self.totals.entry(category).or_insert(0.0) += dollars;
-        *self
-            .daily
-            .entry(t / crate::DAY)
-            .or_default()
-            .entry(category)
-            .or_insert(0.0) += dollars;
     }
 
     /// Total cost in one category.
@@ -73,11 +65,6 @@ impl Ledger {
         self.totals.values().sum()
     }
 
-    /// Cost incurred on a given simulated day (0-based), all categories.
-    pub fn day_total(&self, day: u64) -> f64 {
-        self.daily.get(&day).map_or(0.0, |m| m.values().sum())
-    }
-
     /// Per-category breakdown as `(category, dollars)` in display order.
     pub fn breakdown(&self) -> Vec<(CostCategory, f64)> {
         CostCategory::ALL
@@ -85,80 +72,38 @@ impl Ledger {
             .map(|&c| (c, self.total(c)))
             .collect()
     }
-
-    /// Merges another ledger into this one.
-    pub fn merge(&mut self, other: &Ledger) {
-        for (&c, &v) in &other.totals {
-            *self.totals.entry(c).or_insert(0.0) += v;
-        }
-        for (&day, cats) in &other.daily {
-            let e = self.daily.entry(day).or_default();
-            for (&c, &v) in cats {
-                *e.entry(c).or_insert(0.0) += v;
-            }
-        }
-    }
-
-    /// Number of days with any recorded cost.
-    pub fn days(&self) -> usize {
-        self.daily.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DAY;
 
     #[test]
     fn totals_accumulate_by_category() {
         let mut l = Ledger::new();
-        l.record(CostCategory::OnDemand, 0, 1.5);
-        l.record(CostCategory::OnDemand, DAY, 0.5);
-        l.record(CostCategory::Spot, 10, 0.25);
+        l.record(CostCategory::OnDemand, 1.5);
+        l.record(CostCategory::OnDemand, 0.5);
+        l.record(CostCategory::Spot, 0.25);
         assert!((l.total(CostCategory::OnDemand) - 2.0).abs() < 1e-12);
         assert!((l.total(CostCategory::Spot) - 0.25).abs() < 1e-12);
         assert!((l.grand_total() - 2.25).abs() < 1e-12);
     }
 
     #[test]
-    fn daily_buckets_split_on_day_boundaries() {
-        let mut l = Ledger::new();
-        l.record(CostCategory::Spot, DAY - 1, 1.0);
-        l.record(CostCategory::Spot, DAY, 2.0);
-        assert!((l.day_total(0) - 1.0).abs() < 1e-12);
-        assert!((l.day_total(1) - 2.0).abs() < 1e-12);
-        assert_eq!(l.day_total(5), 0.0);
-        assert_eq!(l.days(), 2);
-    }
-
-    #[test]
     fn breakdown_sums_to_grand_total() {
         let mut l = Ledger::new();
-        l.record(CostCategory::OnDemand, 0, 3.0);
-        l.record(CostCategory::Backup, 0, 1.0);
-        l.record(CostCategory::Infrastructure, 0, 0.5);
+        l.record(CostCategory::OnDemand, 3.0);
+        l.record(CostCategory::Backup, 1.0);
+        l.record(CostCategory::Infrastructure, 0.5);
         let sum: f64 = l.breakdown().iter().map(|(_, v)| v).sum();
         assert!((sum - l.grand_total()).abs() < 1e-12);
     }
 
     #[test]
-    fn merge_is_additive() {
-        let mut a = Ledger::new();
-        a.record(CostCategory::Spot, 0, 1.0);
-        let mut b = Ledger::new();
-        b.record(CostCategory::Spot, 0, 2.0);
-        b.record(CostCategory::Backup, DAY, 4.0);
-        a.merge(&b);
-        assert!((a.total(CostCategory::Spot) - 3.0).abs() < 1e-12);
-        assert!((a.total(CostCategory::Backup) - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn zero_records_are_ignored() {
         let mut l = Ledger::new();
-        l.record(CostCategory::Spot, 0, 0.0);
-        assert_eq!(l.days(), 0);
+        l.record(CostCategory::Spot, 0.0);
+        assert!(l.totals.is_empty());
         assert_eq!(l.grand_total(), 0.0);
     }
 }

@@ -2,17 +2,17 @@
 //! continuous billing.
 //!
 //! The provider is a discrete-event model driven by [`CloudProvider::advance_to`].
-//! Spot instances are revoked when their market's price exceeds their bid;
-//! per EC2 semantics a [`ProviderEvent::RevocationWarning`] fires
-//! [`crate::REVOCATION_WARNING`] seconds before the actual
-//! [`ProviderEvent::Revoked`].
+//! Spot instances follow the one EC2 spot rule, [`SpotTrace::lease`]: a
+//! [`ProviderEvent::RevocationWarning`] fires at the first price sample
+//! above the bid, [`crate::REVOCATION_WARNING`] seconds before the actual
+//! [`ProviderEvent::Revoked`], and spot time is billed per price step.
 
 use std::collections::{BTreeMap, HashMap};
 
 use crate::billing::{CostCategory, Ledger};
 use crate::burstable::BurstableState;
 use crate::catalog::InstanceType;
-use crate::spot::{Bid, MarketId, SpotTrace};
+use crate::spot::{Bid, MarketId, SpotLease, SpotTrace};
 use crate::{LAUNCH_DELAY, REVOCATION_WARNING};
 
 /// Opaque instance identifier.
@@ -75,6 +75,8 @@ pub struct Instance {
     pub category: CostCategory,
     /// Token-bucket state for burstable types.
     pub burst: Option<BurstableState>,
+    /// When a spot instance's revocation warning fires, decided at launch.
+    warn_at: Option<u64>,
 }
 
 /// Events surfaced by [`CloudProvider::advance_to`], in time order.
@@ -161,11 +163,6 @@ impl CloudProvider {
         &self.ledger
     }
 
-    /// Spot price of `market` at time `t`, if the market is known.
-    pub fn spot_price(&self, market: &MarketId, t: u64) -> Option<f64> {
-        self.traces.get(market).and_then(|tr| tr.price_at(t))
-    }
-
     /// The price trace of a market.
     pub fn trace(&self, market: &MarketId) -> Option<&SpotTrace> {
         self.traces.get(market)
@@ -180,22 +177,28 @@ impl CloudProvider {
     ///
     /// For spot leases, returns `Err` if the market is unknown or the bid is
     /// currently below the market price (an immediate *bid failure*, exactly
-    /// as EC2 rejects under-priced spot requests).
+    /// as EC2 rejects under-priced spot requests). When a granted spot
+    /// instance will be warned is decided here, by [`SpotTrace::lease`]
+    /// over the rest of its market's trace.
     pub fn launch(
         &mut self,
         itype: InstanceType,
         lease: Lease,
         category: CostCategory,
     ) -> Result<InstanceId, LaunchError> {
+        let mut warn_at = None;
         if let Lease::Spot { market, bid } = &lease {
-            let price = self
-                .spot_price(market, self.now)
-                .ok_or_else(|| LaunchError::UnknownMarket(market.clone()))?;
-            if !bid.covers(price) {
-                return Err(LaunchError::BidTooLow {
-                    market: market.clone(),
-                    price,
-                });
+            let unknown = || LaunchError::UnknownMarket(market.clone());
+            let trace = self.traces.get(market).ok_or_else(unknown)?;
+            let price = trace.price_at(self.now).ok_or_else(unknown)?;
+            match trace.lease(*bid, self.now, trace.end().max(self.now)) {
+                SpotLease::Refused => {
+                    return Err(LaunchError::BidTooLow {
+                        market: market.clone(),
+                        price,
+                    })
+                }
+                SpotLease::Granted { warning, .. } => warn_at = warning,
             }
         }
         let id = self.next_id;
@@ -218,12 +221,14 @@ impl CloudProvider {
                 launched_at: self.now,
                 category,
                 burst,
+                warn_at,
             },
         );
         Ok(id)
     }
 
-    /// Terminates an instance (idempotent).
+    /// Terminates an instance (idempotent). It stays listed, as
+    /// `Terminated`, until the next [`advance_to`](Self::advance_to).
     pub fn terminate(&mut self, id: InstanceId) {
         if let Some(inst) = self.instances.get_mut(&id) {
             inst.state = InstanceState::Terminated;
@@ -236,8 +241,11 @@ impl CloudProvider {
     }
 
     /// Advances simulated time to `t`, billing usage and emitting lifecycle
-    /// events in time order.
+    /// events in time order. Instances terminated or revoked before the
+    /// call are forgotten.
     pub fn advance_to(&mut self, t: u64) -> Vec<ProviderEvent> {
+        self.instances
+            .retain(|_, i| i.state != InstanceState::Terminated);
         let mut events = Vec::new();
         while self.now < t {
             let bp = self.next_breakpoint(t);
@@ -248,106 +256,76 @@ impl CloudProvider {
         events
     }
 
-    /// The earliest of: next trace-step boundary, any pending `ready_at`,
-    /// any warned `revoke_at`, or `t`.
+    /// The earliest pending `ready_at`, warning or revocation, or `t`.
     fn next_breakpoint(&self, t: u64) -> u64 {
         let mut bp = t;
-        // Trace boundaries (all traces share the standard step in practice,
-        // but handle heterogeneous steps anyway).
-        for tr in self.traces.values() {
-            if let Some(steps) = self.now.checked_div(tr.step) {
-                bp = bp.min((steps + 1) * tr.step);
-            }
-        }
         for inst in self.instances.values() {
-            match inst.state {
-                InstanceState::Pending { ready_at } if ready_at > self.now => {
-                    bp = bp.min(ready_at);
+            if inst.state == InstanceState::Terminated {
+                continue;
+            }
+            let ready_at = match inst.state {
+                InstanceState::Pending { ready_at } => Some(ready_at),
+                _ => None,
+            };
+            let revoke_at = inst.warn_at.map(|w| w + REVOCATION_WARNING);
+            for at in [ready_at, inst.warn_at, revoke_at].into_iter().flatten() {
+                if at > self.now {
+                    bp = bp.min(at);
                 }
-                InstanceState::Warned { revoke_at } if revoke_at > self.now => {
-                    bp = bp.min(revoke_at);
-                }
-                _ => {}
             }
         }
-        bp.max(self.now + 1).min(t)
+        bp
     }
 
-    /// Bills all usable instances for `[from, to)` at the price in effect at
-    /// `from` (prices are constant between trace boundaries).
+    /// Bills all usable instances for `[from, to)`: on-demand ones at their
+    /// fixed price, spot ones by [`SpotTrace::dollars`].
     fn bill_interval(&mut self, from: u64, to: u64) {
-        if to <= from {
-            return;
-        }
-        let hours = (to - from) as f64 / 3_600.0;
-        let mut charges = Vec::new();
         for inst in self.instances.values() {
             if !inst.state.is_usable() {
                 continue;
             }
-            let rate = match &inst.lease {
-                Lease::OnDemand => inst.itype.od_price,
-                Lease::Spot { market, .. } => {
-                    self.spot_price(market, from).unwrap_or(inst.itype.od_price)
-                }
+            let dollars = match &inst.lease {
+                Lease::OnDemand => inst.itype.od_price * (to - from) as f64 / 3_600.0,
+                Lease::Spot { market, .. } => self.traces[market].dollars(from, to),
             };
-            charges.push((inst.category, rate * hours));
-        }
-        for (cat, dollars) in charges {
-            self.ledger.record(cat, from, dollars);
+            self.ledger.record(inst.category, dollars);
         }
     }
 
-    /// Applies state transitions due at `self.now`.
+    /// Applies state transitions due at `self.now`. A spot instance warned
+    /// while still pending becomes ready warned, unless its revocation
+    /// comes first: then it never runs.
     fn process_transitions(&mut self, events: &mut Vec<ProviderEvent>) {
         let now = self.now;
-        let mut to_warn = Vec::new();
         for inst in self.instances.values_mut() {
-            match inst.state {
-                InstanceState::Pending { ready_at } if ready_at <= now => {
-                    inst.state = InstanceState::Running;
-                    events.push(ProviderEvent::Ready {
-                        id: inst.id,
-                        at: now,
-                    });
-                }
-                InstanceState::Warned { revoke_at } if revoke_at <= now => {
-                    inst.state = InstanceState::Terminated;
-                    events.push(ProviderEvent::Revoked {
-                        id: inst.id,
-                        at: now,
-                    });
-                }
-                _ => {}
+            if inst.state == InstanceState::Terminated {
+                continue;
             }
-        }
-        // Price check for running/pending spot instances.
-        for inst in self.instances.values() {
-            if matches!(
-                inst.state,
-                InstanceState::Running | InstanceState::Pending { .. }
-            ) {
-                if let Lease::Spot { market, bid } = &inst.lease {
-                    if let Some(tr) = self.traces.get(market) {
-                        if let Some(price) = tr.price_at(now) {
-                            if !bid.covers(price) {
-                                to_warn.push(inst.id);
-                            }
-                        }
-                    }
-                }
+            let id = inst.id;
+            let warned = inst.warn_at.filter(|&w| w <= now);
+            let revoke_at = warned.map(|w| w + REVOCATION_WARNING);
+            if warned == Some(now) {
+                events.push(ProviderEvent::RevocationWarning {
+                    id,
+                    at: now,
+                    revoke_at: now + REVOCATION_WARNING,
+                });
             }
-        }
-        for id in to_warn {
-            let revoke_at = now + REVOCATION_WARNING;
-            if let Some(inst) = self.instances.get_mut(&id) {
-                inst.state = InstanceState::Warned { revoke_at };
-            }
-            events.push(ProviderEvent::RevocationWarning {
-                id,
-                at: now,
-                revoke_at,
+            let running = revoke_at.map_or(InstanceState::Running, |revoke_at| {
+                InstanceState::Warned { revoke_at }
             });
+            inst.state = match inst.state {
+                _ if revoke_at.is_some_and(|r| r <= now) => {
+                    events.push(ProviderEvent::Revoked { id, at: now });
+                    InstanceState::Terminated
+                }
+                InstanceState::Pending { ready_at } if ready_at > now => continue,
+                InstanceState::Pending { .. } => {
+                    events.push(ProviderEvent::Ready { id, at: now });
+                    running
+                }
+                _ => running,
+            };
         }
     }
 }
@@ -570,6 +548,44 @@ mod tests {
         assert!(p.instance(id).unwrap().state.is_usable());
         p.advance_to(10 * TRACE_STEP + REVOCATION_WARNING);
         assert!(!p.instance(id).unwrap().state.is_usable());
+    }
+
+    /// A spot instance warned while still launching becomes ready at its
+    /// `ready_at`, warned, and is billed only while it runs.
+    #[test]
+    fn spot_instance_warned_while_pending_runs_until_revoked() {
+        let mut p = spiky_provider(); // default 100 s launch delay
+        let spike = 10 * TRACE_STEP;
+        p.advance_to(spike - 50);
+        let id = p
+            .launch(
+                find_type("m4.large").unwrap(),
+                Lease::Spot {
+                    market: market(),
+                    bid: Bid(0.12),
+                },
+                CostCategory::Spot,
+            )
+            .unwrap();
+        let ready_at = spike - 50 + LAUNCH_DELAY;
+        let revoke_at = spike + REVOCATION_WARNING;
+        let events = p.advance_to(revoke_at + 1);
+        assert_eq!(
+            events,
+            [
+                ProviderEvent::RevocationWarning {
+                    id,
+                    at: spike,
+                    revoke_at
+                },
+                ProviderEvent::Ready { id, at: ready_at },
+                ProviderEvent::Revoked { id, at: revoke_at },
+            ]
+        );
+        // The spike's 0.5 $/h over [ready_at, revoke_at) only.
+        let want = 0.5 * (revoke_at - ready_at) as f64 / 3_600.0;
+        let got = p.ledger().total(CostCategory::Spot);
+        assert!((got - want).abs() < 1e-12, "got {got}, want {want}");
     }
 
     #[test]

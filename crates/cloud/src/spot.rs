@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use crate::TRACE_STEP;
+use crate::{REVOCATION_WARNING, TRACE_STEP};
 
 /// Identifies one spot market: an instance type in an availability zone.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -77,21 +77,73 @@ impl Bid {
     }
 }
 
+/// One spot instance's fate over a window, decided by [`SpotTrace::lease`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SpotLease {
+    /// The price is above the bid at the window's start: EC2 refuses the
+    /// request, so nothing runs and nothing is billed.
+    Refused,
+    /// The instance runs from the window's start.
+    Granted {
+        /// The first sample in the window priced above the bid, when EC2
+        /// warns; `None` when the bid covers the whole window.
+        warning: Option<u64>,
+        /// Dollars per instance, up to the revocation or the window's end.
+        dollars: f64,
+    },
+}
+
+impl SpotLease {
+    /// Dollars per instance; nothing when refused.
+    pub fn dollars(&self) -> f64 {
+        match self {
+            SpotLease::Refused => 0.0,
+            SpotLease::Granted { dollars, .. } => *dollars,
+        }
+    }
+
+    /// How a lease taken at `from` loses its instance within its window: a
+    /// refused one at `from`, unwarned; a warned one at its revocation,
+    /// [`REVOCATION_WARNING`] seconds after the warning. `None` while the
+    /// bid holds.
+    pub fn loss(&self, from: u64) -> Option<Loss> {
+        match self {
+            SpotLease::Refused => Some(Loss {
+                at: from,
+                notice: 0,
+            }),
+            SpotLease::Granted { warning, .. } => warning.map(|w| Loss {
+                at: w + REVOCATION_WARNING,
+                notice: REVOCATION_WARNING,
+            }),
+        }
+    }
+}
+
+/// When a spot lease loses its instance, from [`SpotLease::loss`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Loss {
+    /// When the instance stops serving.
+    pub at: u64,
+    /// Seconds of warning the tenant had before `at`: zero for a refused
+    /// lease.
+    pub notice: u64,
+}
+
 /// An evenly-sampled spot price trace for one market.
 ///
 /// Sample `i` carries the timestamp `start + i * step`, and a read over
 /// `[from, to)` — [`samples`](Self::samples), [`prices_in`](Self::prices_in),
 /// [`mean_price`](Self::mean_price), [`availability`](Self::availability),
-/// [`first_failure_in`](Self::first_failure_in) — sees exactly the samples
+/// [`dollars`](Self::dollars), [`lease`](Self::lease) — sees exactly the samples
 /// whose timestamp lies in that half-open interval, in trace order. The
 /// window's two indices come from arithmetic on `start` and `step`, so a read
 /// costs O(samples in the window) and never O(trace): an hour slot's 7-day
 /// look-back touches 2 016 of a 90-day trace's 25 920 samples, its billing
 /// look-ahead 12. `prices_in` hands out that window as a slice plus the
 /// first sample's timestamp, for scans that index it directly (the planner's
-/// below-bid run scan). [`next_failure`](Self::next_failure) is open-ended
-/// and stops at the first exceedance; [`price_at`](Self::price_at) is O(1).
-/// `step` must be at least 1.
+/// below-bid run scan). A lease's look-ahead stops at the first exceedance;
+/// [`price_at`](Self::price_at) is O(1). `step` must be at least 1.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpotTrace {
     /// The market this trace belongs to.
@@ -194,16 +246,50 @@ impl SpotTrace {
 
     /// First time in `[from, to)` at which the price exceeds `bid`; `None`
     /// if the bid survives the window.
-    pub fn first_failure_in(&self, from: u64, to: u64, bid: Bid) -> Option<u64> {
+    pub(crate) fn first_failure_in(&self, from: u64, to: u64, bid: Bid) -> Option<u64> {
         self.samples(from, to)
             .find(|&(_, p)| !bid.covers(p))
             .map(|(t, _)| t)
     }
 
-    /// First time `>= from` at which the price exceeds `bid`; `None` if the
-    /// bid survives the rest of the trace.
-    pub fn next_failure(&self, from: u64, bid: Bid) -> Option<u64> {
-        self.first_failure_in(from, u64::MAX, bid)
+    /// Dollars one instance costs over `[from, to)`, each second at the
+    /// price in effect ([`price_at`](Self::price_at)): the time-weighted
+    /// mean price times the hours. A whole sample weighs exactly one, so
+    /// over whole samples this is [`mean_price`](Self::mean_price) times
+    /// the hours, to the bit.
+    pub fn dollars(&self, from: u64, to: u64) -> f64 {
+        let Some(mut price) = self.price_at(from).filter(|_| to > from) else {
+            return 0.0;
+        };
+        let step = self.step as f64;
+        let (mut sum, mut at) = (0.0, from);
+        for (ts, p) in self.samples(from, to) {
+            if ts > at {
+                sum += price * ((ts - at) as f64 / step);
+            }
+            (at, price) = (ts, p);
+        }
+        sum += price * ((to - at) as f64 / step);
+        let secs = (to - from) as f64;
+        sum / (secs / step) * (secs / 3_600.0)
+    }
+
+    /// The EC2 spot rule for one instance held over `[from, to)` at `bid`:
+    /// refused when the price at `from` is already above the bid;
+    /// otherwise warned at the first sample above it, revoked
+    /// [`REVOCATION_WARNING`] seconds later, and billed up to that
+    /// revocation or the window's end, so the warning window is paid for.
+    /// Every substrate decides and bills its spot leases through this.
+    pub fn lease(&self, bid: Bid, from: u64, to: u64) -> SpotLease {
+        if !self.price_at(from).is_some_and(|p| bid.covers(p)) {
+            return SpotLease::Refused;
+        }
+        let warning = self.first_failure_in(from, to, bid);
+        let until = warning.map_or(to, |w| (w + REVOCATION_WARNING).min(to));
+        SpotLease::Granted {
+            warning,
+            dollars: self.dollars(from, until),
+        }
     }
 
     /// Fraction of samples in `[from, to)` with price at or below `bid`.
@@ -248,11 +334,11 @@ mod tests {
     }
 
     #[test]
-    fn next_failure_finds_first_exceedance() {
+    fn first_failure_finds_first_exceedance() {
         let t = trace(vec![0.1, 0.1, 0.5, 0.1]);
-        assert_eq!(t.next_failure(0, Bid(0.2)), Some(600));
-        assert_eq!(t.next_failure(601, Bid(0.2)), None); // sample at 900 is 0.1
-        assert_eq!(t.next_failure(0, Bid(1.0)), None);
+        assert_eq!(t.first_failure_in(0, u64::MAX, Bid(0.2)), Some(600));
+        assert_eq!(t.first_failure_in(601, u64::MAX, Bid(0.2)), None); // sample at 900 is 0.1
+        assert_eq!(t.first_failure_in(0, u64::MAX, Bid(1.0)), None);
     }
 
     #[test]
@@ -278,7 +364,7 @@ mod tests {
         for start in [0, 7] {
             let mut t = trace(vec![0.1, 0.1, 0.1, 0.5]);
             t.start = start;
-            assert_eq!(t.next_failure(0, Bid(0.2)), Some(start + 900));
+            assert_eq!(t.first_failure_in(0, u64::MAX, Bid(0.2)), Some(start + 900));
             assert_eq!(t.samples(start + 900, u64::MAX).count(), 1);
         }
     }
@@ -350,7 +436,95 @@ mod tests {
 
             let first_over = |v: &[(u64, f64)]| v.iter().find(|&&(_, p)| !bid.covers(p)).map(|&(ts, _)| ts);
             prop_assert_eq!(t.first_failure_in(from, to, bid), first_over(&model));
-            prop_assert_eq!(t.next_failure(from, bid), first_over(&scan(&t, from, u64::MAX)));
+        }
+    }
+
+    /// The price in effect at `at`, by a scan: the last sample at or before
+    /// it, else the first.
+    fn held(t: &SpotTrace, at: u64) -> Option<f64> {
+        let samples = scan(t, 0, u64::MAX);
+        let first = samples.first()?.1;
+        Some(
+            samples
+                .iter()
+                .rev()
+                .find(|&&(ts, _)| ts <= at)
+                .map_or(first, |&(_, p)| p),
+        )
+    }
+
+    proptest::proptest! {
+        /// `lease` equals the rule applied sample by sample: refused when
+        /// the price held at `from` is over the bid; else warned at the
+        /// first sample over it, and billed each piece between samples at
+        /// its held price up to the revocation or the window's end. Prices
+        /// sit below, exactly at, within `covers`' epsilon of and above the
+        /// bid; windows start above the bid, put the warning in their last
+        /// `REVOCATION_WARNING` seconds, and run before and past the trace.
+        /// Over whole samples with no warning the dollars are `mean_price`
+        /// times the hours, to the bit.
+        #[test]
+        fn lease_equals_the_sample_by_sample_rule(
+            (start, step) in (0u64..5_000, 1u64..=700),
+            codes in proptest::collection::vec((0u8..4, 0.0f64..1.0), 0..120),
+            bid in 0.05f64..1.0,
+            (a, b, c) in (0.0f64..1.0, 0.0f64..1.0, 0u64..=REVOCATION_WARNING),
+            (from_kind, to_kind) in (0u8..2, 0u8..3),
+        ) {
+            use proptest::prelude::*;
+            let prices = codes
+                .iter()
+                .map(|&(code, r)| match code {
+                    0 => r * bid,
+                    1 => bid,
+                    2 => bid + 5e-13,
+                    _ => bid + 1e-11 + r,
+                })
+                .collect();
+            let mut t = trace(prices);
+            (t.start, t.step) = (start, step);
+            let bid = Bid(bid);
+            let span = t.duration() + 8 * step;
+            let at = |frac: f64| (t.start + (frac * span as f64) as u64).saturating_sub(2 * step);
+            let sample = |frac: f64| t.start + (frac * t.prices.len() as f64) as u64 * step;
+            let from = if from_kind == 0 { at(a) } else { sample(a) };
+            let first_over = |v: &[(u64, f64)]| v.iter().find(|&&(_, p)| !bid.covers(p)).map(|&(ts, _)| ts);
+            let to = match to_kind {
+                0 => at(b),
+                // Whole samples.
+                1 => from.max(t.start) + (b * 40.0) as u64 * step,
+                // The warning lands in the window's last 120 s.
+                _ => first_over(&scan(&t, from, u64::MAX)).map_or(at(b), |w| w + c.max(1)),
+            };
+
+            let model = held(&t, from).filter(|&p| bid.covers(p)).map(|_| {
+                let warning = first_over(&scan(&t, from, to));
+                let until = warning.map_or(to, |w| (w + REVOCATION_WARNING).min(to)).max(from);
+                let mut cuts = vec![from];
+                cuts.extend(scan(&t, from, until).iter().map(|&(ts, _)| ts).filter(|&ts| ts > from));
+                cuts.push(until);
+                let dollars: f64 = cuts
+                    .windows(2)
+                    .map(|w| held(&t, w[0]).unwrap() * (w[1] - w[0]) as f64 / 3_600.0)
+                    .sum();
+                (warning, dollars)
+            });
+            match (t.lease(bid, from, to), model) {
+                (SpotLease::Refused, None) => {}
+                (SpotLease::Granted { warning, dollars }, Some((want_warning, want_dollars))) => {
+                    prop_assert_eq!(warning, want_warning);
+                    prop_assert!(
+                        (dollars - want_dollars).abs() <= 1e-12 * want_dollars.max(1e-9),
+                        "dollars {dollars} vs {want_dollars}"
+                    );
+                    if warning.is_none() && to_kind == 1 && from_kind == 1 && to <= t.end() && to > from {
+                        let hours = (to - from) as f64 / 3_600.0;
+                        let mean = t.mean_price(from, to).unwrap();
+                        prop_assert_eq!(dollars.to_bits(), (mean * hours).to_bits());
+                    }
+                }
+                (got, want) => prop_assert!(false, "lease {got:?} vs model {want:?}"),
+            }
         }
     }
 

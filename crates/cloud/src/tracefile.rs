@@ -281,6 +281,9 @@ mod tests {
         // End-to-end: a CSV trace works with the run-extraction machinery.
         let csv = "0,0.03\n300,0.03\n600,0.50\n900,0.03\n";
         let t = parse_csv(market(), 0.12, csv).unwrap();
-        assert_eq!(t.next_failure(0, crate::spot::Bid(0.1)), Some(600));
+        assert_eq!(
+            t.first_failure_in(0, u64::MAX, crate::spot::Bid(0.1)),
+            Some(600)
+        );
     }
 }

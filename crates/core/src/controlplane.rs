@@ -65,8 +65,8 @@ pub enum SubstrateEvent {
         /// Number of instances lost.
         count: u32,
         /// Whether the provider's revocation warning reached the substrate
-        /// before the instances went (substrates that model no warning
-        /// report `false`).
+        /// before the instances went; `false` is a refused lease, lost
+        /// without warning because the price was over the bid at launch.
         warned: bool,
     },
 }

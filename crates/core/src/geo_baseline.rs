@@ -148,18 +148,14 @@ pub fn simulate_geo_baseline(cfg: &GeoBaselineConfig, markets: &[SpotTrace]) -> 
             let n_rate = (rate / share / per_rate.max(1.0)).ceil();
             let n = n_ram.max(n_rate).max(1.0);
             let bid = Bid::times_od(BID_MULTIPLE, trace.od_price);
-            let failure = trace.first_failure_in(t, t + HOUR, bid);
-            let billed_until = failure.unwrap_or(t + HOUR);
-            let mean_price = trace.mean_price(t, billed_until.max(t + 1)).unwrap_or(0.0);
-            let c = mean_price * n * (billed_until - t) as f64 / 3_600.0;
-            ledger.record(CostCategory::Spot, t, c);
+            let lease = trace.lease(bid, t, t + HOUR);
+            ledger.record(CostCategory::Spot, lease.dollars() * n);
             capacities.push(n * per_rate);
-            failures.push(failure);
+            failures.push(lease.loss(t).map(|loss| loss.at));
         }
         // Write tier (on-demand, always on).
         ledger.record(
             CostCategory::OnDemand,
-            t,
             write_tier_type.od_price * f64::from(WRITE_TIER_INSTANCES),
         );
 

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use spotcache_cloud::spot::SpotTrace;
+use spotcache_cloud::spot::{Loss, SpotTrace};
 use spotcache_cloud::{DAY, HOUR};
 use spotcache_obs::Obs;
 use spotcache_optimizer::problem::{OfferKind, SolveError, WorkloadForecast};
@@ -85,7 +85,7 @@ struct LiveEntry {
     capacity: f64,
     hot_frac: f64,
     cold_frac: f64,
-    fails_at: Option<u64>,
+    fails_at: Option<Loss>,
 }
 
 /// Per-hour state established by the replan, consumed by minute steps.
@@ -201,7 +201,7 @@ impl Substrate for MinutePrototype {
                 }
                 OfferKind::Spot { bid, .. } => {
                     spot_counts.push((e.offer.label.clone(), e.count));
-                    self.market.first_failure_in(t0, t0 + HOUR, *bid)
+                    self.market.lease(*bid, t0, t0 + HOUR).loss(t0)
                 }
             };
             live.push(LiveEntry {
@@ -239,13 +239,13 @@ impl Substrate for MinutePrototype {
 
         // Trigger failures that occur within this minute.
         for e in &mut state.live {
-            if let Some(tf) = e.fails_at {
-                if tf < t + 60 {
+            if let Some(loss) = e.fails_at {
+                if loss.at < t + 60 {
                     self.metrics.revocations += 1;
                     events.push(SubstrateEvent::Revoked {
                         label: e.label.clone(),
                         count: e.count,
-                        warned: false,
+                        warned: loss.notice > 0,
                     });
                     let item_bytes = self.profile.item_bytes;
                     let hot_items = e.hot_frac * state.wss * (1u64 << 30) as f64 / item_bytes;
@@ -258,8 +258,11 @@ impl Substrate for MinutePrototype {
                     } else {
                         0.0
                     };
+                    let mut hot = WarmupModel::new(hot_items, hot_mass, self.cfg.theta, 48);
+                    // The backup starts copying at the warning.
+                    hot.copy_step(copy_rate * loss.notice as f64);
                     state.recoveries.push(ActiveRecovery {
-                        hot: WarmupModel::new(hot_items, hot_mass, self.cfg.theta, 48),
+                        hot,
                         cold: WarmupModel::new(cold_items, cold_mass, self.cfg.theta, 48),
                         copy_rate,
                         transient_left: REDIRECT_TRANSIENT_SECS,

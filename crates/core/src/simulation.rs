@@ -31,8 +31,8 @@ use crate::reactive::ReactiveController;
 
 /// How long (seconds) hot content lost in a failure stays degraded when a
 /// passive backup is warming the replacement (the measured ≈300 s warm-up
-/// of Figure 11 — during which we count *half* the hot traffic as affected
-/// since warmed mass ramps roughly linearly).
+/// of Figure 11 — over which the affected share falls linearly from one,
+/// so an unwarned loss counts *half* of it as affected).
 const BACKUP_WARMUP_SECS: f64 = 300.0;
 
 /// Seconds a flash crowd runs unmitigated before emergency capacity is
@@ -241,46 +241,44 @@ impl Substrate for HourlySim {
                 OfferKind::OnDemand => {
                     od_count += entry.count;
                     let c = entry.offer.itype.od_price * entry.count as f64;
-                    self.metrics.ledger.record(CostCategory::OnDemand, t, c);
+                    self.metrics.ledger.record(CostCategory::OnDemand, c);
                     hour_cost += c;
                 }
                 OfferKind::Spot { market, bid } => {
                     spot_counts.push((entry.offer.label.clone(), entry.count));
-                    let trace = self
+                    let lease = self
                         .markets
                         .iter()
                         .find(|tr| &tr.market == market)
-                        .expect("plan references a known market");
-                    let failure = trace.first_failure_in(t, t + HOUR, *bid);
-                    let billed_until = failure.unwrap_or(t + HOUR);
-                    let mean_price = trace.mean_price(t, billed_until.max(t + 1)).unwrap_or(0.0);
-                    let hours_billed = (billed_until - t) as f64 / 3_600.0;
-                    let c = mean_price * hours_billed * entry.count as f64;
-                    self.metrics.ledger.record(CostCategory::Spot, t, c);
+                        .expect("plan references a known market")
+                        .lease(*bid, t, t + HOUR);
+                    let c = lease.dollars() * entry.count as f64;
+                    self.metrics.ledger.record(CostCategory::Spot, c);
                     hour_cost += c;
 
-                    if let Some(tf) = failure {
+                    if let Some(loss) = lease.loss(t) {
                         revoked_this_hour += entry.count;
                         events.push(SubstrateEvent::Revoked {
                             label: entry.offer.label.clone(),
                             count: entry.count,
-                            warned: false,
+                            warned: loss.notice > 0,
                         });
-                        let remaining = (t + HOUR - tf) as f64 / 3_600.0;
-                        // Cold content on the failed instances is served
+                        let remaining = (t + HOUR).saturating_sub(loss.at) as f64 / 3_600.0;
+                        // Cold content on the lost instances is served
                         // from the backend for the rest of the hour.
                         let cold_mass = cold_access_mass(entry.cold_frac, &plan.forecast);
                         affected_mass_time += cold_mass * remaining;
                         // Hot content: backend until replacement warm, or
-                        // half-degraded for the short backup warm-up.
+                        // the backup's warm-up, which started at the warning.
                         let hot_mass = hot_access_mass(
                             entry.hot_frac,
                             &plan.forecast,
                             self.cfg.controller.hot_mass,
                         );
                         if approach.has_backup() {
-                            let warm_frac = (BACKUP_WARMUP_SECS / 3_600.0).min(remaining) * 0.5;
-                            affected_mass_time += hot_mass * warm_frac;
+                            let ramp = BACKUP_WARMUP_SECS - loss.notice as f64;
+                            let ramp_hours = ramp * ramp / (2.0 * BACKUP_WARMUP_SECS) / 3_600.0;
+                            affected_mass_time += hot_mass * ramp_hours.min(remaining);
                         } else {
                             affected_mass_time += hot_mass * remaining;
                         }
@@ -291,7 +289,7 @@ impl Substrate for HourlySim {
 
         if plan.backup.count > 0 {
             let c = plan.backup.hourly_cost;
-            self.metrics.ledger.record(CostCategory::Backup, t, c);
+            self.metrics.ledger.record(CostCategory::Backup, c);
             hour_cost += c;
         }
 
@@ -324,7 +322,7 @@ impl Substrate for HourlySim {
                         let c = action.extra_instances as f64
                             * self.emergency_type.od_price
                             * hours_active;
-                        self.metrics.ledger.record(CostCategory::OnDemand, t, c);
+                        self.metrics.ledger.record(CostCategory::OnDemand, c);
                         hour_cost += c;
                     } else {
                         // Cooldown window of a previous reaction: assume its
@@ -334,7 +332,7 @@ impl Substrate for HourlySim {
                             .ceil()
                             .max(0.0);
                         let c = extra * self.emergency_type.od_price;
-                        self.metrics.ledger.record(CostCategory::OnDemand, t, c);
+                        self.metrics.ledger.record(CostCategory::OnDemand, c);
                         hour_cost += c;
                     }
                 }

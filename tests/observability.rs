@@ -38,7 +38,7 @@ fn observed_golden_run(obs: Arc<Obs>) -> SimResult {
 fn observed_sim_matches_golden_values() {
     let obs = Arc::new(Obs::new());
     let r = observed_golden_run(Arc::clone(&obs));
-    assert_close(r.total_cost(), 3.970_953_833_333_325_06e2, "total cost");
+    assert_close(r.total_cost(), 3.985_140_833_333_325_08e2, "total cost");
     assert_close(
         r.violated_day_frac(),
         4.285_714_285_714_285_48e-1,
