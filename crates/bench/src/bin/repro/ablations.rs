@@ -1,6 +1,6 @@
 //! Ablations of the design's free parameters (DESIGN.md §5).
 
-use spotcache_bench::{controller_problem, dollars, heading, pct, print_table};
+use spotcache_bench::{dollars, heading, pct, print_table};
 use spotcache_cloud::billing::CostCategory;
 use spotcache_cloud::spot::{Bid, MarketId};
 use spotcache_cloud::{SpotTrace, DAY, HOUR};
@@ -217,7 +217,8 @@ pub fn solver() {
         (320_000.0, 60.0, 2.0),
         (1_000_000.0, 500.0, 2.0),
     ] {
-        let plan = controller_problem(&refs, 10 * DAY, rate, wss, theta)
+        let plan = GlobalController::new(ControllerConfig::paper_default(Approach::PropNoBackup))
+            .problem(&refs, 10 * DAY, theta, rate, wss)
             .solve()
             .expect("solvable");
         rows.push(vec![

@@ -1,21 +1,20 @@
 //! revocation_drill: fault-injected revocation drills between real cache
-//! servers, across all three recovery strategies (paper §3.3, Fig. 4;
+//! servers, across both recovery strategies (paper §3.3, Fig. 4;
 //! ADR-003).
 //!
 //! Each drill is a one-node [`Fleet`] wired the way the paper wires spot
 //! nodes to their burstable backups: the primary's hot-key mutations
 //! replicate into a backup server, and on revocation a
 //! [`RecoveryStrategy`] restores a replacement while a
-//! [`DegradedRouter`](spotcache_router::degraded::DegradedRouter) (told
-//! the strategy's
+//! [`DegradedRouter`](spotcache_router::degraded::DegradedRouter)
+//! (labelled with the strategy's
 //! [`RecoveryMode`](spotcache_router::degraded::RecoveryMode)) picks
 //! serve targets. The drill then:
 //!
 //! 1. runs a **with-warning** and a **no-warning** revocation for each of
-//!    the three strategies — **Replay** (paced hot-set pump), **Checkpoint**
-//!    (`spotcache-ckpt-v1` cut at the warning, bulk-loaded into the
-//!    replacement), and **Hybrid** (checkpoint restore plus
-//!    replication-tail top-up) — recording fresh / served / stale
+//!    the two strategies — **Replay** (paced hot-set pump) and **Hybrid**
+//!    (`spotcache-ckpt-v1` checkpoint bulk-loaded into the replacement,
+//!    plus replication-tail top-up) — recording fresh / served / stale
 //!    hit-rate curves for every run;
 //! 2. races the two restore mechanisms head to head on the **full** hot
 //!    set: the pump at its burstable-governed rate versus a checkpoint
@@ -27,7 +26,7 @@
 //! 4. compares the measured no-warning Replay recovery against the Fig. 4
 //!    [`WarmupModel`] prediction.
 //!
-//! Results land in `BENCH_drill.json` (schema `spotcache-drill-v2`,
+//! Results land in `BENCH_drill.json` (schema `spotcache-drill-v3`,
 //! checked in; see docs/RUNBOOK.md for the field guide). Flags: `--smoke`
 //! (scaled-down CI run), `--out PATH`, `--seed N`, `--trace-out PATH`
 //! (Chrome trace with `drill` / `replication` / `checkpoint` spans).
@@ -35,8 +34,8 @@
 //! Asserted invariants: steady-state mostly hits; every warned drill
 //! recovers ≥90% of the steady fresh hit rate within the (scaled)
 //! warning window; the unwarned Replay drill is measurably slower than
-//! its warned twin; unwarned Checkpoint recovery is no slower than
-//! unwarned Replay; the full-set checkpoint restore beats the full-set
+//! its warned twin; unwarned Hybrid recovery is no slower than unwarned
+//! Replay; the full-set checkpoint restore beats the full-set
 //! pump; every injected link fault is observed and healed.
 
 use std::collections::BTreeSet;
@@ -134,11 +133,10 @@ impl Config {
         }
     }
 
-    /// The three drilled strategies, in artifact order.
+    /// The two drilled strategies, in artifact order.
     fn strategies(&self) -> Vec<RecoveryStrategy> {
         vec![
             RecoveryStrategy::Replay(self.fleet.pump.clone()),
-            RecoveryStrategy::Checkpoint(CheckpointConfig::default()),
             RecoveryStrategy::Hybrid {
                 checkpoint: CheckpointConfig::default(),
                 top_up: TopUpConfig::default(),
@@ -152,7 +150,7 @@ fn recovery_secs(run: &FleetRun, window: Duration) -> Option<f64> {
         .map(|w| w as f64 * window.as_secs_f64())
 }
 
-/// One drill: a one-node fleet in `strategy`'s mode, revoked once steady
+/// One drill: a one-node fleet restored by `strategy`, revoked once steady
 /// state has been measured — at the end of the scaled warning when
 /// `warned` — and restored the moment it dies. Its backup server (the one
 /// server that lives through the whole drill) carries the live admin
@@ -497,7 +495,7 @@ fn drill_json(strategy: &str, r: &FleetRun, cfg: &FleetConfig) -> String {
 fn main() {
     let cfg = Config::from_args();
     let f = &cfg.fleet;
-    heading("Revocation drill (all recovery strategies)");
+    heading("Revocation drill (both recovery strategies)");
     let obs = Arc::new(Obs::new());
     // Edge-sampled: organic span trees effectively never record; only
     // the stitched run's propagated context (sampled at the driver, the
@@ -509,7 +507,7 @@ fn main() {
     });
     register_lanes(&tracer);
 
-    // 3 strategies × {with, without} the 2-minute warning, every run
+    // 2 strategies × {with, without} the 2-minute warning, every run
     // driving the DegradedRouter through its full phase machine. The
     // warned Hybrid run is the designated stitched trace: it alone
     // exercises every propagation hop (client trace lines, replication
@@ -579,7 +577,7 @@ fn main() {
     let (_, replay_w, replay_u) = &results[0];
     let replay_warned_s = recovery("replay", replay_w, "warned");
     let replay_unwarned_s = recovery("replay", replay_u, "unwarned");
-    let ckpt_unwarned_s = recovery("checkpoint", &results[1].2, "unwarned");
+    let hybrid_unwarned_s = recovery("hybrid", &results[1].2, "unwarned");
 
     // v1-compatible summary gauges (replay is the paper's §3.3 path).
     obs.gauge("drill_steady_fresh_rate")
@@ -605,8 +603,8 @@ fn main() {
     // ADR-003's claim, asserted live: bulk-loading full state beats
     // replaying it at the pump rate.
     assert!(
-        ckpt_unwarned_s <= replay_unwarned_s,
-        "unwarned checkpoint recovery ({ckpt_unwarned_s:.2}s) must not lose to \
+        hybrid_unwarned_s <= replay_unwarned_s,
+        "unwarned hybrid recovery ({hybrid_unwarned_s:.2}s) must not lose to \
          unwarned replay ({replay_unwarned_s:.2}s)"
     );
     let ckpt_total = race.ckpt_write + race.ckpt_restore;
@@ -658,7 +656,7 @@ fn main() {
         race.replay.as_secs_f64() / ckpt_total.as_secs_f64().max(1e-9),
     );
     let json = format!(
-        "{{\"schema\":\"spotcache-drill-v2\",\"smoke\":{},\"seed\":{},\
+        "{{\"schema\":\"spotcache-drill-v3\",\"smoke\":{},\"seed\":{},\
          \"window_s\":{:.3},\"warning_window_s\":{:.3},\"hot_keys\":{},\
          \"pump_base_rate\":{:.1},\"model_recovery_s\":{:.3},\
          \"strategies\":{{{}}},\"full_set_restore\":{},\"link_faults\":{{{}}},\

@@ -65,7 +65,7 @@ use spotcache_recovery::checkpoint::write_checkpoint;
 use spotcache_recovery::replay::WarmupConfig;
 use spotcache_recovery::strategy::{RecoveryStrategy, RestoreContext, RestoreReport};
 use spotcache_router::balancer::{LoadBalancer, NodeWeights, Pool};
-use spotcache_router::degraded::{DegradedRouter, DrillPhase, RecoveryMode, ServeTarget};
+use spotcache_router::degraded::{DegradedRouter, DrillPhase, ServeTarget};
 use spotcache_router::hashring::{HashRing, NodeId};
 use spotcache_workload::zipf::ScrambledZipfian;
 use std::collections::BTreeMap;
@@ -819,17 +819,15 @@ impl Fleet {
     }
 
     /// The rebalance warning: the router enters `Warning` and the strategy
-    /// arms. Replay starts warming the replacement now; Checkpoint cuts
-    /// its stream from the still-live primary and starts loading it;
-    /// Hybrid cuts the stream, keeps it for the kill, and re-points the
-    /// primary's tap at a fresh queue, so everything written after the
-    /// cut becomes the top-up tail.
+    /// arms. Replay starts warming the replacement now; Hybrid cuts its
+    /// stream from the still-live primary, keeps it for the kill, and
+    /// re-points the primary's tap at a fresh queue, so everything
+    /// written after the cut becomes the top-up tail.
     fn warn(&mut self, node: NodeId) {
         marker(self.tracer.as_ref(), "warning");
         let i = self.index(node);
         self.tiers[i].router.on_warning();
-        let mode = self.strategy.mode();
-        if mode == RecoveryMode::Replay {
+        if let RecoveryStrategy::Replay(_) = self.strategy {
             return self.launch(i, None, Vec::new());
         }
         let n = &mut self.nodes[i];
@@ -842,9 +840,6 @@ impl Fleet {
             self.tracer.as_deref(),
         )
         .expect("warning-window checkpoint cut");
-        if mode == RecoveryMode::Checkpoint {
-            return self.launch(i, Some(ckpt), Vec::new());
-        }
         let tail = ReplicationQueue::new(65_536, Some(HOT_PREFIX.as_bytes().to_vec()));
         n.primary.set_mutation_sink(Some(tail.clone()));
         n.cut = Some((ckpt, tail));
@@ -875,7 +870,7 @@ impl Fleet {
     /// The replacement comes up: starts the restore unless the warning
     /// already did. Hybrid ships a tail on top of its checkpoint — the
     /// writes since the warning's cut, or, unwarned, the dead stream's
-    /// undelivered backlog.
+    /// undelivered backlog; Replay ignores both.
     fn restart(&mut self, node: NodeId) {
         let i = self.index(node);
         let n = &mut self.nodes[i];
@@ -884,7 +879,7 @@ impl Fleet {
         }
         let (ckpt, tail) = match (n.cut.take(), &n.backup) {
             (Some((ckpt, since_cut)), _) => (Some(ckpt), drain(&since_cut)),
-            (None, Some(backup)) if self.strategy.mode() == RecoveryMode::Hybrid => {
+            (None, Some(backup)) if matches!(self.strategy, RecoveryStrategy::Hybrid { .. }) => {
                 (None, drain(&backup.queue))
             }
             _ => (None, Vec::new()),
@@ -1008,11 +1003,12 @@ pub fn run_scenario(cfg: &FleetConfig, sc: &Scenario, obs: &Arc<Obs>) -> FleetRu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spotcache_cache::server::CacheClient;
     use spotcache_recovery::checkpoint::CheckpointConfig;
+    use spotcache_recovery::strategy::TopUpConfig;
 
-    #[test]
-    #[should_panic(expected = "node 0: checkpoint restore failed: link down")]
-    fn a_failed_restore_fails_the_run() {
+    /// A one-node fleet over 16 keys, under `strategy`.
+    fn one_node(strategy: RecoveryStrategy) -> Fleet {
         let cfg = FleetConfig {
             nodes: 1,
             key_space: 16,
@@ -1030,14 +1026,70 @@ mod tests {
             store_shards: 1,
             seed: 1,
         };
-        let strategy = RecoveryStrategy::Checkpoint(CheckpointConfig::default());
-        let mut fleet = Fleet::start(&cfg, strategy, &Arc::new(Obs::new()), None, None);
+        Fleet::start(&cfg, strategy, &Arc::new(Obs::new()), None, None)
+    }
+
+    fn hybrid() -> RecoveryStrategy {
+        RecoveryStrategy::Hybrid {
+            checkpoint: CheckpointConfig::default(),
+            top_up: TopUpConfig::default(),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "node 0: hybrid restore failed: link down")]
+    fn a_failed_restore_fails_the_run() {
+        let mut fleet = one_node(hybrid());
         let restore = std::thread::spawn(|| Err(io::Error::other("link down")));
         while !restore.is_finished() {
             std::thread::sleep(Duration::from_millis(1));
         }
         fleet.nodes[0].restore = Some(restore);
         fleet.poll();
+    }
+
+    /// A write the primary takes after the warning's checkpoint cut
+    /// reaches the replacement only through the Hybrid top-up tail: once
+    /// the router is `Warmed`, the replacement answers it fresh, not with
+    /// the value the cut holds.
+    #[test]
+    fn a_write_between_warning_and_kill_reads_fresh_once_warmed() {
+        let mut fleet = one_node(hybrid());
+        let router = Arc::clone(fleet.router(0));
+        fleet.warn(0);
+        let primary = fleet
+            .primary_addr(0)
+            .expect("the primary serves until the kill");
+        let mut client = CacheClient::connect(primary).expect("connect to the primary");
+        assert_eq!(
+            client.set("h0", b"after-the-cut", 0).expect("set"),
+            "STORED"
+        );
+        fleet.kill(0);
+        fleet.restart(0);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while router.phase() != DrillPhase::Warmed {
+            assert!(Instant::now() < deadline, "the restore never finished");
+            std::thread::sleep(Duration::from_millis(1));
+            fleet.poll();
+        }
+        assert_eq!(
+            fleet.restores()[&0].topped_up,
+            1,
+            "the tail is the one write"
+        );
+        let plan = router.read_plan();
+        assert_eq!(
+            (plan.first, plan.fallback),
+            (ServeTarget::Replacement, None)
+        );
+        let replacement = fleet.nodes[0].replacement.as_ref().expect("launched");
+        let mut client = CacheClient::connect(replacement.addr()).expect("connect");
+        assert_eq!(
+            client.get("h0").expect("get").as_deref(),
+            Some(&b"after-the-cut"[..])
+        );
+        fleet.close();
     }
 
     /// The storm drill's full-mode kill-sets, kill windows and restart

@@ -294,17 +294,7 @@ impl Substrate for &mut FleetSubstrate {
         _obs: &Observation,
     ) -> Vec<SubstrateEvent> {
         self.apply_plan(plan);
-        let mut record = SlotRecord {
-            slot,
-            ..SlotRecord::default()
-        };
-        for e in plan.alloc.entries.iter().filter(|e| e.count > 0) {
-            match &e.offer.kind {
-                OfferKind::OnDemand => record.od_count += e.count,
-                OfferKind::Spot { .. } => record.spot_counts.push((e.offer.label.clone(), e.count)),
-            }
-        }
-        self.slots.push(record);
+        self.slots.push(SlotRecord::planned(slot, &plan.alloc));
         Vec::new()
     }
 

@@ -19,11 +19,6 @@
 //! `revocation_drill`'s link-fault matrix plus the correlated-storm
 //! scheduler.
 
-use spotcache_cloud::SpotTrace;
-use spotcache_core::controller::{ControllerConfig, GlobalController};
-use spotcache_core::Approach;
-use spotcache_optimizer::problem::{CostModel, ProcurementProblem, WorkloadForecast};
-
 pub mod faults;
 pub mod fleet;
 pub mod live;
@@ -55,39 +50,6 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     println!("{}", "-".repeat(total));
     for row in rows {
         println!("{}", fmt_row(row));
-    }
-}
-
-/// The procurement problem the controller would pose at `now` for `rate`
-/// ops/s over a `wss_gb` GiB working set at skew `theta`: its own offers
-/// over `traces`, its hot set, and `β` rescaled by access mass as
-/// `GlobalController::plan` does.
-pub fn controller_problem(
-    traces: &[&SpotTrace],
-    now: u64,
-    rate: f64,
-    wss_gb: f64,
-    theta: f64,
-) -> ProcurementProblem {
-    let mut ctl = GlobalController::new(ControllerConfig::paper_default(Approach::PropNoBackup));
-    let offers = ctl.build_offers(traces, now);
-    let (h, f_hot) = ctl.hot_fraction(wss_gb, theta);
-    let mut cost = CostModel::paper_default();
-    cost.beta_hot *= f_hot / h;
-    cost.beta_cold *= (1.0 - f_hot) / (1.0 - h);
-    ProcurementProblem {
-        offers,
-        workload: WorkloadForecast {
-            rate,
-            wss_gb,
-            alpha: 1.0,
-            hot_frac: h.min(1.0),
-            f_hot: f_hot.min(1.0),
-            f_alpha: 1.0,
-        },
-        cost,
-        force_hot_on_od: false,
-        force_cold_on_spot: false,
     }
 }
 

@@ -247,8 +247,7 @@ pub struct WindowTally {
 /// fallback); a miss everywhere is refilled write-through at the
 /// router's write target, as a cache-aside client would after fetching
 /// from the backend. Fresh or stale follows the *answering* target, not
-/// the plan order, so stale-first (checkpoint-mode) windows tally
-/// exactly like replacement-first ones. `score` is the caller's SLO:
+/// the plan order. `score` is the caller's SLO:
 /// it sees every read's answering target (`None` = missed).
 pub fn read_window(
     fleet: &mut [RoutedTiers],

@@ -137,7 +137,6 @@ fn every_strategy_restores_an_unwarned_node() {
     };
     for strategy in [
         RecoveryStrategy::Replay(cfg.pump.clone()),
-        RecoveryStrategy::Checkpoint(CheckpointConfig::default()),
         RecoveryStrategy::Hybrid {
             checkpoint: CheckpointConfig::default(),
             top_up: TopUpConfig::default(),
@@ -155,12 +154,11 @@ fn every_strategy_restores_an_unwarned_node() {
             .get(&0)
             .unwrap_or_else(|| panic!("{name}: no restore report"));
         assert_eq!(report.items_restored, cfg.key_space, "{name}");
-        // The report shape each arm implies (unwarned: any checkpoint is
+        // The report shape each arm implies (unwarned: the checkpoint is
         // cut inside the restore, from the backup).
         match name {
             "replay" => assert!(report.pump.is_some()),
-            "checkpoint" => assert!(report.ckpt_cut.is_some() && report.ckpt.is_some()),
-            _ => assert!(report.ckpt.is_some()),
+            _ => assert!(report.ckpt_cut.is_some() && report.ckpt.is_some()),
         }
     }
 }

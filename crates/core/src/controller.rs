@@ -244,19 +244,19 @@ impl GlobalController {
         offers
     }
 
-    /// Plans the next slot.
-    ///
-    /// `rate`/`wss_gb` are the *forecasts* to plan against (callers decide
-    /// whether those come from [`Self::forecast`] or from ground truth, as
-    /// the offline baselines do).
-    pub fn plan(
+    /// The procurement problem of the slot at `now`, for `rate` ops/s over
+    /// a `wss_gb` GiB working set at skew `theta`: this slot's offers over
+    /// `traces`, the hot set `H` (clamped to `0 < H ≤ α`) and its access
+    /// mass `F(H)`, and the configured cost model with `β` rescaled by
+    /// access mass (and, for the separation baseline, `ζ = 0`).
+    pub fn problem(
         &mut self,
         traces: &[&SpotTrace],
         now: u64,
         theta: f64,
         rate: f64,
         wss_gb: f64,
-    ) -> Result<SlotPlan, SolveError> {
+    ) -> ProcurementProblem {
         let (hot_frac_ws, f_hot) = self.hot_fraction(wss_gb, theta);
         // `H` must satisfy 0 < H <= alpha.
         let hot_frac = hot_frac_ws.min(self.cfg.alpha).max(self.cfg.alpha * 1e-6);
@@ -286,13 +286,30 @@ impl GlobalController {
             // floor above H would make strict separation infeasible.
             cost.zeta = 0.0;
         }
-        let problem = ProcurementProblem {
+        ProcurementProblem {
             offers,
             workload: forecast,
             cost,
             force_hot_on_od: separation,
             force_cold_on_spot: separation,
-        };
+        }
+    }
+
+    /// Plans the next slot: solves [`Self::problem`] and sizes the backup.
+    ///
+    /// `rate`/`wss_gb` are the *forecasts* to plan against (callers decide
+    /// whether those come from [`Self::forecast`] or from ground truth, as
+    /// the offline baselines do).
+    pub fn plan(
+        &mut self,
+        traces: &[&SpotTrace],
+        now: u64,
+        theta: f64,
+        rate: f64,
+        wss_gb: f64,
+    ) -> Result<SlotPlan, SolveError> {
+        let problem = self.problem(traces, now, theta, rate, wss_gb);
+        let forecast = problem.workload;
         let alloc = problem.solve()?;
         // Publish the new counts as next slot's `N_t`.
         self.existing = alloc
@@ -308,7 +325,7 @@ impl GlobalController {
         Ok(SlotPlan {
             alloc,
             backup,
-            hot_frac,
+            hot_frac: forecast.hot_frac,
             forecast,
         })
     }

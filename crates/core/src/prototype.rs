@@ -186,8 +186,6 @@ impl Substrate for MinutePrototype {
         let r_h_total = f.f_hot; // access mass of the whole hot set
 
         let mut live: Vec<LiveEntry> = Vec::new();
-        let mut od_count = 0;
-        let mut spot_counts = Vec::new();
         for e in &plan.alloc.entries {
             if e.count == 0 {
                 continue;
@@ -195,14 +193,8 @@ impl Substrate for MinutePrototype {
             let mass =
                 hot_access_mass(e.hot_frac, &f, r_h_total) + cold_access_mass(e.cold_frac, &f);
             let fails_at = match &e.offer.kind {
-                OfferKind::OnDemand => {
-                    od_count += e.count;
-                    None
-                }
-                OfferKind::Spot { bid, .. } => {
-                    spot_counts.push((e.offer.label.clone(), e.count));
-                    self.market.lease(*bid, t0, t0 + HOUR).loss(t0)
-                }
+                OfferKind::OnDemand => None,
+                OfferKind::Spot { bid, .. } => self.market.lease(*bid, t0, t0 + HOUR).loss(t0),
             };
             live.push(LiveEntry {
                 label: e.offer.label.clone(),
@@ -214,12 +206,9 @@ impl Substrate for MinutePrototype {
                 fails_at,
             });
         }
-        self.metrics.slots.push(SlotRecord {
-            slot,
-            od_count,
-            spot_counts,
-            ..SlotRecord::default()
-        });
+        self.metrics
+            .slots
+            .push(SlotRecord::planned(slot, &plan.alloc));
 
         self.hour = Some(HourState {
             rate: obs.actual.rate,

@@ -230,8 +230,6 @@ impl Substrate for HourlySim {
         let mut hour_cost = 0.0;
         let mut affected_mass_time = 0.0; // Σ mass × degraded-fraction-of-hour
         let mut revoked_this_hour = 0u32;
-        let mut spot_counts = Vec::new();
-        let mut od_count = 0u32;
 
         for entry in &plan.alloc.entries {
             if entry.count == 0 {
@@ -239,13 +237,11 @@ impl Substrate for HourlySim {
             }
             match &entry.offer.kind {
                 OfferKind::OnDemand => {
-                    od_count += entry.count;
                     let c = entry.offer.itype.od_price * entry.count as f64;
                     self.metrics.ledger.record(CostCategory::OnDemand, c);
                     hour_cost += c;
                 }
                 OfferKind::Spot { market, bid } => {
-                    spot_counts.push((entry.offer.label.clone(), entry.count));
                     let lease = self
                         .markets
                         .iter()
@@ -354,22 +350,21 @@ impl Substrate for HourlySim {
         } else {
             0.0
         };
+        let record = SlotRecord {
+            revoked: revoked_this_hour,
+            affected_frac,
+            cost: hour_cost,
+            ..SlotRecord::planned(slot, &plan.alloc)
+        };
         if let Some(o) = &self.obs {
             o.gauge("sim_slot_cost_dollars").set(hour_cost);
             o.gauge("sim_affected_frac").set(affected_frac);
-            o.gauge("sim_od_instances").set(f64::from(od_count));
+            o.gauge("sim_od_instances").set(f64::from(record.od_count));
             o.counter("sim_revocations_total")
                 .add(u64::from(revoked_this_hour));
             o.histogram("sim_slot_cost_hist").record(hour_cost);
         }
-        self.metrics.slots.push(SlotRecord {
-            slot,
-            od_count,
-            spot_counts,
-            revoked: revoked_this_hour,
-            affected_frac,
-            cost: hour_cost,
-        });
+        self.metrics.slots.push(record);
         events
     }
 

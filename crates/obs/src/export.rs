@@ -78,11 +78,12 @@ pub(crate) fn json_escape(s: &str) -> String {
     out
 }
 
-/// The gauge-value JSON policy: NaN/±Inf become `null` (JSON has no
+/// The one JSON number policy of `obs` (gauges, journal events and
+/// [`crate::DecaySeries::json`]): NaN/±Inf become `null` (JSON has no
 /// non-finite numbers) and negative zero is normalized to `0` (`-0` is
 /// technically valid JSON but round-trips as a surprise — see
 /// `control_hot_on_spot_frac` in early BENCH_obs snapshots).
-fn json_f64(v: f64) -> String {
+pub(crate) fn json_f64(v: f64) -> String {
     if !v.is_finite() {
         "null".to_string()
     } else if v == 0.0 {

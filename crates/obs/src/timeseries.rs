@@ -39,6 +39,8 @@ use std::fmt::Write as _;
 
 use parking_lot::Mutex;
 
+use crate::export::json_f64;
+
 /// Aggregates of one window at snapshot time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowStats {
@@ -443,7 +445,7 @@ impl DecaySeries {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "[{t},{}]", fmt_json_f64(v));
+            let _ = write!(out, "[{t},{}]", json_f64(v));
         }
         out.push(']');
         out
@@ -500,19 +502,6 @@ impl BreachTracker {
     pub fn first_breach(&self) -> Option<u64> {
         self.inner.lock().first().map(|&(s, _)| s)
     }
-}
-
-fn fmt_json_f64(v: f64) -> String {
-    if !v.is_finite() {
-        // Same policy as gauge export: JSON has no NaN/Inf.
-        return "null".to_string();
-    }
-    // Normalize negative zero: `-0` is valid JSON but gratuitously odd in
-    // snapshots (and breaks naive string diffs against `0`).
-    if v == 0.0 {
-        return "0".to_string();
-    }
-    format!("{v}")
 }
 
 #[cfg(test)]

@@ -20,13 +20,13 @@
 //! * [`checkpoint`] — the new `spotcache-ckpt-v1` streaming codec:
 //!   slab-class-aware, CRC-framed full-state snapshots with TTLs
 //!   re-based on restore.
-//! * [`strategy`] — [`RecoveryStrategy`] (Replay | Checkpoint | Hybrid)
-//!   selecting among them, and telling `router::degraded` which serve
-//!   posture fits the in-flight restore.
+//! * [`strategy`] — [`RecoveryStrategy`] (Replay | Hybrid) selecting
+//!   between them, and labelling the in-flight restore for
+//!   `router::degraded`.
 //!
-//! The `revocation_drill` bench bin drills all three strategies against
+//! The `revocation_drill` bench bin drills both strategies against
 //! real servers and link faults; `BENCH_drill.json`
-//! (`spotcache-drill-v2`) holds the measured recovery-time and
+//! (`spotcache-drill-v3`) holds the measured recovery-time and
 //! staleness curves.
 
 pub mod checkpoint;

@@ -1,24 +1,20 @@
 //! The [`RecoveryStrategy`] selector: one abstraction owning the restore
-//! path after a spot revocation, in the three flavors the drill measures.
+//! path after a spot revocation, in the two flavors the drill measures.
 //!
 //! * **Replay** — the paper's §3.3 recovery: pump the backup's hot set
 //!   into the replacement as acked memcached `set`s, paced by burstable
 //!   credits ([`crate::replay`]). Cheap to arm (nothing happens until
 //!   restore), bounded by the pump rate.
-//! * **Checkpoint** — ADR-003's alternative: cut a
-//!   `spotcache-ckpt-v1` full-state snapshot ([`crate::checkpoint`])
-//!   and bulk-load it into the replacement's store directly. Pays a
-//!   burst of work at the warning, restores at memory/bulk-load speed
-//!   rather than at the pump rate.
-//! * **Hybrid** — restore from the checkpoint, then top up whatever
-//!   mutated after the cut by shipping the replication-stream tail
-//!   ([`spotcache_cache::replication`]) to the replacement.
+//! * **Hybrid** — ADR-003's alternative: bulk-load a `spotcache-ckpt-v1`
+//!   full-state snapshot ([`crate::checkpoint`]) into the replacement's
+//!   store directly, at memory/bulk-load speed rather than at the pump
+//!   rate, then top up whatever mutated after the cut by shipping the
+//!   replication-stream tail ([`spotcache_cache::replication`]) to the
+//!   replacement. With an empty tail it is a plain checkpoint restore.
 //!
-//! The strategy also names the serve posture the router should take
-//! while the restore runs ([`RecoveryStrategy::mode`]): a replaying
-//! replacement warms hottest-first and is worth querying immediately,
-//! while a checkpoint-restoring replacement is empty until the bulk
-//! load lands — `DegradedRouter` uses this to pick read plans.
+//! The strategy also names itself to the router
+//! ([`RecoveryStrategy::mode`]), a label `/healthz` reports; the read
+//! plan is the same for both.
 
 use std::io;
 use std::net::SocketAddr;
@@ -62,9 +58,8 @@ impl Default for TopUpConfig {
 pub enum RecoveryStrategy {
     /// Replay the backup's hot set through the paced warm-up pump.
     Replay(WarmupConfig),
-    /// Bulk-load a `spotcache-ckpt-v1` checkpoint into the replacement.
-    Checkpoint(CheckpointConfig),
-    /// Checkpoint restore, then ship the replication tail on top.
+    /// Bulk-load a `spotcache-ckpt-v1` checkpoint into the replacement,
+    /// then ship the replication tail on top.
     Hybrid {
         /// Checkpoint restore knobs.
         checkpoint: CheckpointConfig,
@@ -74,12 +69,11 @@ pub enum RecoveryStrategy {
 }
 
 impl RecoveryStrategy {
-    /// The serve posture [`spotcache_router::DegradedRouter`] should
-    /// take while this strategy's restore runs.
+    /// The label [`spotcache_router::DegradedRouter`] reports while this
+    /// strategy's restore runs.
     pub fn mode(&self) -> RecoveryMode {
         match self {
             RecoveryStrategy::Replay(_) => RecoveryMode::Replay,
-            RecoveryStrategy::Checkpoint(_) => RecoveryMode::Checkpoint,
             RecoveryStrategy::Hybrid { .. } => RecoveryMode::Hybrid,
         }
     }
@@ -88,7 +82,6 @@ impl RecoveryStrategy {
     pub fn name(&self) -> &'static str {
         match self {
             RecoveryStrategy::Replay(_) => "replay",
-            RecoveryStrategy::Checkpoint(_) => "checkpoint",
             RecoveryStrategy::Hybrid { .. } => "hybrid",
         }
     }
@@ -98,17 +91,16 @@ impl RecoveryStrategy {
     /// exhausts the retries).
     ///
     /// * `Replay` pumps `ctx.backup`'s hot set to `ctx.target_addr`.
-    /// * `Checkpoint` bulk-loads `ctx.checkpoint` into
-    ///   `ctx.target_store`; when no pre-cut checkpoint is supplied
-    ///   (unwarned revocation) it cuts one from `ctx.backup` inside the
-    ///   restore, hottest first across shards: one frame per round, round
-    ///   r holding slice r of every shard's recency order, each loaded
-    ///   before the next is cut — the cut is part of the measured
-    ///   restore, exactly the cost an unwarned operator pays, and
-    ///   `ckpt_cut` / `ckpt` report what a whole stream would have, with
-    ///   `elapsed` summed per phase.
-    /// * `Hybrid` does the checkpoint step, then ships `ctx.tail` to
-    ///   `ctx.target_addr` as acked memcached commands.
+    /// * `Hybrid` bulk-loads `ctx.checkpoint` into `ctx.target_store`;
+    ///   when no pre-cut checkpoint is supplied (unwarned revocation) it
+    ///   cuts one from `ctx.backup` inside the restore, hottest first
+    ///   across shards: one frame per round, round r holding slice r of
+    ///   every shard's recency order, each loaded before the next is cut
+    ///   — the cut is part of the measured restore, exactly the cost an
+    ///   unwarned operator pays, and `ckpt_cut` / `ckpt` report what a
+    ///   whole stream would have, with `elapsed` summed per phase. Then
+    ///   it ships `ctx.tail` to `ctx.target_addr` as acked memcached
+    ///   commands (nothing to ship, no connection, when it is empty).
     pub fn restore(&self, ctx: &RestoreContext<'_>) -> io::Result<RestoreReport> {
         let start = Instant::now();
         match self {
@@ -128,18 +120,6 @@ impl RecoveryStrategy {
                     ckpt: None,
                     topped_up: 0,
                     pump: Some(pump),
-                    elapsed: start.elapsed(),
-                })
-            }
-            RecoveryStrategy::Checkpoint(cfg) => {
-                let (cut, restored) = self.checkpoint_step(ctx, cfg)?;
-                Ok(RestoreReport {
-                    mode: RecoveryMode::Checkpoint,
-                    items_restored: restored.items_stored,
-                    ckpt_cut: cut,
-                    ckpt: Some(restored),
-                    topped_up: 0,
-                    pump: None,
                     elapsed: start.elapsed(),
                 })
             }
@@ -230,7 +210,7 @@ pub struct RestoreContext<'a> {
     /// any. `None` means cut from `backup` now, inside the restore.
     pub checkpoint: Option<&'a [u8]>,
     /// Replication-stream tail to ship after the checkpoint lands
-    /// (Hybrid only; ignored by the other strategies).
+    /// (Hybrid only; Replay ignores it).
     pub tail: &'a [Mutation],
     /// Logical time of the restore, for TTL re-basing.
     pub now: u64,
@@ -250,7 +230,7 @@ pub struct RestoreReport {
     pub items_restored: u64,
     /// Checkpoint cut inside the restore (unwarned case), if one was.
     pub ckpt_cut: Option<CkptWriteReport>,
-    /// Checkpoint restore report (Checkpoint/Hybrid).
+    /// Checkpoint restore report (Hybrid).
     pub ckpt: Option<CkptRestoreReport>,
     /// Tail mutations shipped on top (Hybrid).
     pub topped_up: u64,
@@ -363,6 +343,15 @@ mod tests {
         }
     }
 
+    /// Hybrid with default top-up knobs; with an empty tail, a plain
+    /// checkpoint restore.
+    fn hybrid(checkpoint: CheckpointConfig) -> RecoveryStrategy {
+        RecoveryStrategy::Hybrid {
+            checkpoint,
+            top_up: TopUpConfig::default(),
+        }
+    }
+
     fn ctx<'a>(
         r: &'a Rig,
         checkpoint: Option<&'a [u8]>,
@@ -383,16 +372,10 @@ mod tests {
     #[test]
     fn modes_and_names_line_up() {
         let replay = RecoveryStrategy::Replay(WarmupConfig::default());
-        let ckpt = RecoveryStrategy::Checkpoint(CheckpointConfig::default());
-        let hybrid = RecoveryStrategy::Hybrid {
-            checkpoint: CheckpointConfig::default(),
-            top_up: TopUpConfig::default(),
-        };
+        let hybrid = hybrid(CheckpointConfig::default());
         assert_eq!(replay.mode(), RecoveryMode::Replay);
-        assert_eq!(ckpt.mode(), RecoveryMode::Checkpoint);
         assert_eq!(hybrid.mode(), RecoveryMode::Hybrid);
         assert_eq!(replay.name(), "replay");
-        assert_eq!(ckpt.name(), "checkpoint");
         assert_eq!(hybrid.name(), "hybrid");
     }
 
@@ -412,11 +395,12 @@ mod tests {
         let r = rig(200);
         let mut buf = Vec::new();
         write_checkpoint(&r.backup, 0, &mut buf, None, None).expect("cut");
-        let strategy = RecoveryStrategy::Checkpoint(CheckpointConfig::default());
+        let strategy = hybrid(CheckpointConfig::default());
         let report = strategy
             .restore(&ctx(&r, Some(&buf), &[]))
             .expect("restore");
-        assert_eq!(report.mode, RecoveryMode::Checkpoint);
+        assert_eq!(report.mode, RecoveryMode::Hybrid);
+        assert_eq!(report.topped_up, 0, "empty tail: nothing shipped");
         assert_eq!(report.items_restored, 200);
         assert!(report.ckpt_cut.is_none(), "pre-cut stream: no cut inside");
         for i in 0..200u32 {
@@ -445,7 +429,7 @@ mod tests {
         .expect("load");
 
         let obs = Obs::new();
-        let strategy = RecoveryStrategy::Checkpoint(CheckpointConfig::default());
+        let strategy = hybrid(CheckpointConfig::default());
         let report = strategy
             .restore(&RestoreContext {
                 obs: Some(&obs),
@@ -521,7 +505,7 @@ mod tests {
         }
         let recorder = Arc::new(Recorder::default());
         r.replacement.set_mutation_sink(Some(recorder.clone()));
-        let strategy = RecoveryStrategy::Checkpoint(CheckpointConfig { restore_batch: 16 });
+        let strategy = hybrid(CheckpointConfig { restore_batch: 16 });
         let report = strategy.restore(&ctx(&r, None, &[])).expect("restore");
         assert_eq!(report.items_restored, 400);
         let stored = recorder.0.lock().unwrap();
@@ -556,10 +540,7 @@ mod tests {
                 key: bytes::Bytes::from_static(b"k1"),
             },
         ];
-        let strategy = RecoveryStrategy::Hybrid {
-            checkpoint: CheckpointConfig::default(),
-            top_up: TopUpConfig::default(),
-        };
+        let strategy = hybrid(CheckpointConfig::default());
         let report = strategy
             .restore(&ctx(&r, Some(&buf), &tail))
             .expect("restore");
@@ -596,10 +577,7 @@ mod tests {
                 ttl: None,
             })
             .collect();
-        let strategy = RecoveryStrategy::Hybrid {
-            checkpoint: CheckpointConfig::default(),
-            top_up: TopUpConfig::default(),
-        };
+        let strategy = hybrid(CheckpointConfig::default());
         let ctx = RestoreContext {
             backup: &r.backup,
             target_addr: addr,
@@ -657,7 +635,7 @@ mod tests {
         write_checkpoint(&r.backup, 0, &mut buf, None, None).expect("cut");
         let mid = buf.len() / 2;
         buf[mid] ^= 0xFF;
-        let strategy = RecoveryStrategy::Checkpoint(CheckpointConfig::default());
+        let strategy = hybrid(CheckpointConfig::default());
         let err = strategy.restore(&ctx(&r, Some(&buf), &[]));
         assert!(err.is_err(), "corrupt stream must not restore");
     }

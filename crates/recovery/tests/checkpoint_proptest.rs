@@ -14,7 +14,7 @@ use spotcache_cache::store::{Store, StoreConfig};
 use spotcache_recovery::checkpoint::{
     restore_checkpoint, write_checkpoint, CheckpointConfig, CkptError,
 };
-use spotcache_recovery::strategy::{RecoveryStrategy, RestoreContext};
+use spotcache_recovery::strategy::{RecoveryStrategy, RestoreContext, TopUpConfig};
 
 fn fresh_store(shards: usize) -> Store {
     Store::new(StoreConfig {
@@ -260,7 +260,7 @@ proptest! {
 
         let inline = target();
         let addr = "127.0.0.1:9".parse().expect("an address");
-        let report = RecoveryStrategy::Checkpoint(cfg)
+        let report = RecoveryStrategy::Hybrid { checkpoint: cfg, top_up: TopUpConfig::default() }
             .restore(&RestoreContext {
                 backup: &src,
                 target_addr: addr,

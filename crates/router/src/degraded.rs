@@ -18,15 +18,13 @@
 //!   `Warning` phase is entered on the 2-minute revocation notice; it
 //!   changes nothing for clients but tells the drill harness the drain +
 //!   pre-warm window is open.
-//! * **Degraded** — the primary is gone. How reads route depends on the
-//!   [`RecoveryMode`] the recovery layer selected: under `Replay` and
-//!   `Hybrid` the replacement warms hottest-first, so reads try it first
-//!   and fall back to the stale backup; under `Checkpoint` the
-//!   replacement is *empty* until the bulk load lands atomically, so
-//!   reads go stale-from-backup first and only fall back to the
-//!   replacement (which also catches post-revocation writes). Writes go
-//!   to the replacement in every mode so fresh data lands where it will
-//!   live.
+//! * **Degraded** — the primary is gone. Reads try the replacement
+//!   first and fall back to the stale backup: both recovery strategies
+//!   fill the replacement while it serves (the pump hottest-first, the
+//!   checkpoint load frame by frame, an unwarned one the hottest slice
+//!   of every shard first), so it is worth querying from the moment it
+//!   listens. Writes go to the replacement so fresh data lands where it
+//!   will live.
 //! * **Warmed** — the replacement holds the hot set; the backup drops out
 //!   of the read path.
 //!
@@ -69,20 +67,14 @@ impl DrillPhase {
 /// Which recovery strategy is restoring the replacement, as selected by
 /// the recovery layer (`spotcache_recovery::RecoveryStrategy::mode`).
 ///
-/// The router does not run the restore; it only needs to know the serve
-/// posture that fits it — chiefly whether the replacement is worth
-/// querying *during* the Degraded phase.
+/// A label only: `/healthz` reports it, and the read plan does not
+/// depend on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RecoveryMode {
-    /// Paced hot-set replay: the replacement warms hottest-first and is
-    /// worth querying immediately. The default (the paper's §3.3 path).
+    /// Paced hot-set replay. The default (the paper's §3.3 path).
     #[default]
     Replay,
-    /// Checkpoint bulk-load: the replacement is empty until the load
-    /// lands, so the stale backup is the better first stop.
-    Checkpoint,
-    /// Checkpoint restore plus replication-tail top-up; routes like
-    /// `Replay` (the checkpoint lands early in the restore window).
+    /// Checkpoint restore plus replication-tail top-up.
     Hybrid,
 }
 
@@ -92,7 +84,6 @@ impl RecoveryMode {
     pub fn as_str(self) -> &'static str {
         match self {
             RecoveryMode::Replay => "replay",
-            RecoveryMode::Checkpoint => "checkpoint",
             RecoveryMode::Hybrid => "hybrid",
         }
     }
@@ -145,8 +136,7 @@ const P_DEGRADED: u8 = 2;
 const P_WARMED: u8 = 3;
 
 const M_REPLAY: u8 = 0;
-const M_CHECKPOINT: u8 = 1;
-const M_HYBRID: u8 = 2;
+const M_HYBRID: u8 = 1;
 
 /// The degraded-mode routing state machine; see the module docs.
 ///
@@ -209,48 +199,37 @@ impl DegradedRouter {
         self.transitions.load(Ordering::Relaxed)
     }
 
-    /// Selects the recovery mode the Degraded read plan should assume.
-    /// Normally set from `RecoveryStrategy::mode()` when the strategy is
-    /// armed (at the warning, or at the kill when unwarned).
+    /// Labels the node with the recovery strategy restoring it, normally
+    /// from `RecoveryStrategy::mode()`. The label is what `/healthz`
+    /// reports; it does not change the read plan.
     pub fn set_mode(&self, mode: RecoveryMode) {
         let m = match mode {
             RecoveryMode::Replay => M_REPLAY,
-            RecoveryMode::Checkpoint => M_CHECKPOINT,
             RecoveryMode::Hybrid => M_HYBRID,
         };
         self.mode.store(m, Ordering::Release);
     }
 
-    /// The recovery mode currently assumed by the read plan.
+    /// The recovery-strategy label last set by [`Self::set_mode`].
     pub fn mode(&self) -> RecoveryMode {
         match self.mode.load(Ordering::Acquire) {
-            M_CHECKPOINT => RecoveryMode::Checkpoint,
             M_HYBRID => RecoveryMode::Hybrid,
             _ => RecoveryMode::Replay,
         }
     }
 
-    /// Where to send a read right now.
+    /// Where to send a read right now; a function of the phase alone.
     pub fn read_plan(&self) -> ReadPlan {
         match self.phase() {
             DrillPhase::Healthy | DrillPhase::Warning => ReadPlan {
                 first: ServeTarget::Primary,
                 fallback: None,
             },
-            DrillPhase::Degraded => match self.mode() {
-                // Replay/Hybrid: the replacement warms hottest-first —
-                // query it first, fall back to the stale backup.
-                RecoveryMode::Replay | RecoveryMode::Hybrid => ReadPlan {
-                    first: ServeTarget::Replacement,
-                    fallback: Some(ServeTarget::BackupStale),
-                },
-                // Checkpoint: the replacement is empty until the bulk
-                // load lands — serve stale first; the replacement
-                // fallback still catches post-revocation writes.
-                RecoveryMode::Checkpoint => ReadPlan {
-                    first: ServeTarget::BackupStale,
-                    fallback: Some(ServeTarget::Replacement),
-                },
+            // The replacement lands the hottest keys first: query it
+            // first, fall back to the stale backup.
+            DrillPhase::Degraded => ReadPlan {
+                first: ServeTarget::Replacement,
+                fallback: Some(ServeTarget::BackupStale),
             },
             DrillPhase::Warmed => ReadPlan {
                 first: ServeTarget::Replacement,
@@ -324,30 +303,11 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_mode_serves_stale_first_while_degraded() {
-        let r = DegradedRouter::new();
-        assert_eq!(r.mode(), RecoveryMode::Replay, "replay is the default");
-        r.set_mode(RecoveryMode::Checkpoint);
-        r.on_warning();
-        // Mode changes nothing before the kill...
-        assert_eq!(r.read_plan().first, ServeTarget::Primary);
-        r.on_revoked();
-        // ...but flips the Degraded plan: stale-first, replacement as
-        // the fallback for post-revocation writes.
-        let plan = r.read_plan();
-        assert_eq!(plan.first, ServeTarget::BackupStale);
-        assert_eq!(plan.fallback, Some(ServeTarget::Replacement));
-        assert_eq!(r.write_target(), ServeTarget::Replacement);
-        // ...and once warmed, the backup drops out regardless of mode.
-        r.on_warmed();
-        assert_eq!(r.read_plan().first, ServeTarget::Replacement);
-        assert_eq!(r.read_plan().fallback, None);
-    }
-
-    #[test]
     fn hybrid_mode_routes_like_replay() {
         let r = DegradedRouter::new();
+        assert_eq!(r.mode(), RecoveryMode::Replay, "replay is the default");
         r.set_mode(RecoveryMode::Hybrid);
+        assert_eq!(r.mode(), RecoveryMode::Hybrid);
         r.on_revoked();
         let plan = r.read_plan();
         assert_eq!(plan.first, ServeTarget::Replacement);
@@ -371,7 +331,6 @@ mod tests {
         assert_eq!(DrillPhase::Degraded.as_str(), "degraded");
         assert_eq!(DrillPhase::Warmed.as_str(), "warmed");
         assert_eq!(RecoveryMode::Replay.as_str(), "replay");
-        assert_eq!(RecoveryMode::Checkpoint.as_str(), "checkpoint");
         assert_eq!(RecoveryMode::Hybrid.as_str(), "hybrid");
     }
 

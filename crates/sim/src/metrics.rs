@@ -4,6 +4,8 @@
 //! [`Substrate`]: https://docs.rs/spotcache-core
 
 use spotcache_cloud::billing::Ledger;
+use spotcache_optimizer::problem::OfferKind;
+use spotcache_optimizer::AllocationPlan;
 
 /// A geometric-bucket latency histogram over microseconds.
 ///
@@ -196,6 +198,26 @@ pub struct SlotRecord {
     pub cost: f64,
 }
 
+impl SlotRecord {
+    /// Slot `slot`'s record with `alloc`'s instance counts: the on-demand
+    /// total and each spot offer's count, in plan order, offers with no
+    /// instances skipped. Revocations, impact and cost start at zero for
+    /// the substrate to meter.
+    pub fn planned(slot: u64, alloc: &AllocationPlan) -> Self {
+        let mut record = Self {
+            slot,
+            ..Self::default()
+        };
+        for e in alloc.entries.iter().filter(|e| e.count > 0) {
+            match &e.offer.kind {
+                OfferKind::OnDemand => record.od_count += e.count,
+                OfferKind::Spot { .. } => record.spot_counts.push((e.offer.label.clone(), e.count)),
+            }
+        }
+        record
+    }
+}
+
 /// One fine-grained latency sample (the prototype's per-minute record).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LatencySample {
@@ -262,7 +284,9 @@ pub struct ControlMetrics {
     pub samples: Vec<LatencySample>,
     /// Request-serving counters (live substrate only).
     pub serve: ServeCounters,
-    /// Revocation events observed by the control loop.
+    /// Spot revocations in the run. `HourlySim` and the live fleet count
+    /// revoked instances; `MinutePrototype` counts revoked offers (one per
+    /// failed allocation entry, whatever its instance count).
     pub revocations: u32,
     /// Reactive-controller interventions.
     pub reactions: u32,

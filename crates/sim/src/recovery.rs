@@ -173,8 +173,6 @@ pub struct WarmupModel {
 impl WarmupModel {
     /// Builds `n_bins` geometric popularity bins over `total_items` items
     /// carrying `total_mass` of the workload's accesses, skewed by `theta`.
-    /// Builds `n_bins` geometric popularity bins over `total_items` items
-    /// carrying `total_mass` of the workload's accesses, skewed by `theta`.
     pub fn new(total_items: f64, total_mass: f64, theta: f64, n_bins: usize) -> Self {
         if total_items < 1.0 || total_mass <= 0.0 {
             return Self {
