@@ -234,7 +234,9 @@ echo "    results gate: ${gate_s} s wall (measured 14-16 s on the 2-core host, b
 # revocation also holds the unwarned restore to its order: recovery.recovery_s
 # (kill -> fresh-hit rate back) at most 0.7 x recovery.restore_s, both
 # printed. Landing the hottest slice of every shard first reads about 0.4-0.5;
-# cutting and loading one whole shard at a time read about 0.9.
+# cutting and loading one whole shard at a time read about 0.9. Beside them
+# recovery.ckpt_write_mb_per_s and recovery.ckpt_restore_items_per_s are
+# printed, not asserted (both follow the checkpoint CRC's speed).
 # pipelined_mix holds the read path to the same count (0.0999 per command,
 # all of it the 10 % sets' values: staging a hit's bytes must not
 # allocate) and to a touch log that never overflows. plan_90d holds seed
@@ -267,6 +269,9 @@ if sys.argv[1] == "revocation":
     rec, res = (doc["metrics"][m]["value"] for m in ("recovery.recovery_s", "recovery.restore_s"))
     print("    revocation: recovery.recovery_s %.3f, recovery.restore_s %.3f (%.2f x)"
           % (rec, res, rec / res))
+    print("    revocation: recovery.ckpt_write_mb_per_s %.0f, recovery.ckpt_restore_items_per_s %.0f"
+          % tuple(doc["metrics"][m]["value"] for m in (
+              "recovery.ckpt_write_mb_per_s", "recovery.ckpt_restore_items_per_s")))
     assert rec <= 0.7 * res, "revocation: fresh again only after %.2f of the restore; " \
         "the unwarned restore should land the hottest slice of every shard first" % (rec / res)
 if sys.argv[1] == "pipelined_mix":

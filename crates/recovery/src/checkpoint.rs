@@ -106,10 +106,20 @@
 //! the hot set; and since the rounds are as many frames as a whole
 //! stream has, the reports read what a whole stream's would.
 //!
-//! **CRC32** is slice-by-16: sixteen `const` tables (16 KiB), sixteen
-//! bytes per step, a bytewise tail, safe Rust. The polynomial is the IEEE
-//! one the format has always used (not the Castagnoli polynomial of the
-//! hardware CRC32C instruction), so every stream ever cut still verifies.
+//! **CRC32** runs over every payload twice, once at the cut and once at
+//! the load, so [`crc32`] has two kernels behind one entry point. On an
+//! x86_64 host with PCLMULQDQ and SSE4.1 (checked with
+//! `is_x86_feature_detected!` on every call), a buffer of 64 bytes or
+//! more is folded by carry-less multiplication: four 128-bit lanes take
+//! 64 bytes per step, single 16-byte folds follow, a Barrett reduction
+//! yields the 32-bit register, and the tables finish the 0–15-byte tail.
+//! Every shorter buffer, and every buffer on any other host, goes through
+//! slice-by-16: sixteen `const` tables (16 KiB), sixteen bytes per step,
+//! a bytewise tail, safe Rust. The tests hold both kernels to the
+//! one-table loop. Nothing selects a kernel but the host and the length.
+//! The polynomial is the IEEE one the format has always used (not the
+//! Castagnoli polynomial of the hardware CRC32C instruction), so every
+//! stream ever cut still verifies.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -256,13 +266,34 @@ const CRC_TABLES: [[u32; 256]; 16] = {
     t
 };
 
-/// CRC32 (IEEE 802.3, reflected) over `bytes`, sixteen bytes per step
-/// (slice-by-16) with a bytewise tail. Same polynomial and same values as
-/// the one-table loop it replaced; the tests keep that loop as the
-/// reference.
+/// CRC32 (IEEE 802.3, reflected) over `bytes`. On an x86_64 host with
+/// PCLMULQDQ and SSE4.1, a buffer of at least 64 bytes is folded by
+/// carry-less multiplication (`clmul::crc32`); every shorter buffer,
+/// and every buffer on any other host, goes through the slice-by-16
+/// tables (`crc32_portable`). Both give the same value for every input.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if bytes.len() >= clmul::MIN_LEN
+        && is_x86_feature_detected!("pclmulqdq")
+        && is_x86_feature_detected!("sse4.1")
+    {
+        // SAFETY: `clmul::crc32` needs `pclmulqdq` and `sse4.1`, and
+        // `is_x86_feature_detected!` found both on this host just above.
+        return unsafe { clmul::crc32(bytes) };
+    }
+    crc32_portable(bytes)
+}
+
+/// [`crc32`] without the dispatch: slice-by-16 on every host and length.
+fn crc32_portable(bytes: &[u8]) -> u32 {
+    !slice16(!0, bytes)
+}
+
+/// Advances the CRC register `crc` (not inverted) over `bytes`, sixteen
+/// bytes per step with a bytewise tail. Same values as the one-table loop
+/// it replaced; the tests keep that loop as the reference.
+fn slice16(mut crc: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut crc = !0u32;
     let mut words = bytes.chunks_exact(16);
     for w in &mut words {
         let mut w: [u8; 16] = w.try_into().expect("16 bytes");
@@ -274,7 +305,97 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in words.remainder() {
         crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
-    !crc
+    crc
+}
+
+/// CRC32 by carry-less multiplication (Gopal et al., "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ Instruction",
+/// Intel, 2009), bit-reflected. Four 128-bit lanes fold 64 bytes per
+/// step; the lanes fold into one, which then folds 16 bytes per step;
+/// the last 128 bits reduce to 64, a Barrett reduction takes those to the
+/// 32-bit register, and the slice-by-16 tables finish the 0–15-byte tail.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::*;
+
+    /// The shortest buffer [`crc32`] takes: one 64-byte step.
+    pub(super) const MIN_LEN: usize = 64;
+
+    // Fold constants: x^n mod P(x) for the IEEE polynomial P, bit-reflected
+    // and shifted left by one (reflection puts a product one bit low).
+    // x^(4·128+32) and x^(4·128−32) mod P: fold a lane 64 bytes forward.
+    const K1: i64 = 0x1_5444_2bd4;
+    const K2: i64 = 0x1_c6e4_1596;
+    // x^(128+32) and x^(128−32) mod P: fold 16 bytes forward.
+    const K3: i64 = 0x1_7519_97d0;
+    const K4: i64 = 0x0_ccaa_009e;
+    // x^64 mod P: 96 bits to 64.
+    const K5: i64 = 0x1_63cd_6124;
+    // P(x) itself and μ = ⌊x^64 / P(x)⌋, reflected: the Barrett pair.
+    const P_X: i64 = 0x1_db71_0641;
+    const MU: i64 = 0x1_f701_1641;
+
+    /// CRC32 of `bytes`, which must be at least [`MIN_LEN`] long. Call it
+    /// only where both target features were detected.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn crc32(bytes: &[u8]) -> u32 {
+        let (blocks, tail) = bytes.as_chunks::<16>();
+        let (first, rest) = blocks
+            .split_first_chunk::<4>()
+            .expect("crc32 dispatches only buffers of MIN_LEN bytes or more");
+        let mut x = first.map(|b| load(&b));
+        x[0] = _mm_xor_si128(x[0], _mm_cvtsi32_si128(!0)); // the initial register
+
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        let mut quads = rest.chunks_exact(4);
+        for quad in &mut quads {
+            for (lane, b) in x.iter_mut().zip(quad) {
+                *lane = fold16(*lane, load(b), k1k2);
+            }
+        }
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut acc = fold16(fold16(fold16(x[0], x[1], k3k4), x[2], k3k4), x[3], k3k4);
+        for b in quads.remainder() {
+            acc = fold16(acc, load(b), k3k4);
+        }
+
+        // 128 bits to 96 (the low half times K4), then 96 to 64 (the low
+        // 32 bits times K5).
+        let lo32 = _mm_set_epi32(0, 0, 0, !0);
+        let acc = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x10>(acc, k3k4),
+            _mm_srli_si128::<8>(acc),
+        );
+        let acc = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(acc, lo32), _mm_set_epi64x(0, K5)),
+            _mm_srli_si128::<4>(acc),
+        );
+        // Barrett: T1 = (R mod x^32)·μ, T2 = (T1 mod x^32)·P, and the
+        // register is the upper half of R ^ T2 (reflected).
+        let pu = _mm_set_epi64x(MU, P_X);
+        let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(acc, lo32), pu);
+        let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, lo32), pu);
+        let reg = _mm_extract_epi32::<1>(_mm_xor_si128(acc, t2)) as u32;
+        !super::slice16(reg, tail)
+    }
+
+    /// `acc` carried 128 bits forward (its two halves times the two
+    /// constants in `k`), folded into `next`.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    #[inline]
+    fn fold16(acc: __m128i, next: __m128i, k: __m128i) -> __m128i {
+        _mm_xor_si128(
+            _mm_xor_si128(next, _mm_clmulepi64_si128::<0x00>(acc, k)),
+            _mm_clmulepi64_si128::<0x11>(acc, k),
+        )
+    }
+
+    #[inline]
+    fn load(block: &[u8; 16]) -> __m128i {
+        // SAFETY: `block` is 16 readable bytes and `loadu` takes any
+        // alignment; SSE2 is part of the x86_64 baseline.
+        unsafe { _mm_loadu_si128(block.as_ptr().cast()) }
+    }
 }
 
 /// Knobs for checkpoint restore.
@@ -878,29 +999,44 @@ mod tests {
         assert!(dst.get_at(b"k", 1_031).is_none(), "should expire at 1030");
     }
 
+    /// A flipped payload byte is caught before any record is applied: in
+    /// the first 64-byte block, and where the carry-less fold reads (from
+    /// offset 64 up to the last whole 16-byte block).
     #[test]
     fn corrupted_frame_is_rejected_before_apply() {
-        let src = store(2);
-        fill(&src, 100);
-        let (mut buf, _) = cut(&src, 0);
-        // Flip a byte inside the first shard's payload (past the 24-byte
-        // header and the 24-byte frame header).
-        buf[60] ^= 0xFF;
-        let dst = store(2);
-        let err = restore_checkpoint(
-            &mut buf.as_slice(),
-            &dst,
-            0,
-            &CheckpointConfig::default(),
-            None,
-            None,
-        )
-        .expect_err("must reject");
-        assert!(
-            matches!(err, CkptError::CrcMismatch { .. }),
-            "unexpected error: {err}"
-        );
-        assert_eq!(dst.len(), 0, "corrupt frame must not half-apply");
+        let src = store(1);
+        fill(&src, 300);
+        let (buf, _) = cut(&src, 0);
+        let payload_len = u64::from_le_bytes(
+            buf[HEADER_LEN + 16..HEADER_LEN + FRAME_HEAD_LEN]
+                .try_into()
+                .expect("8 bytes"),
+        ) as usize;
+        assert!(payload_len >= 4096, "payload of {payload_len} B");
+        let last_block = payload_len - payload_len % 16 - 1;
+        for off in [12, 64, payload_len / 2, last_block] {
+            let mut bad = buf.clone();
+            bad[HEADER_LEN + FRAME_HEAD_LEN + off] ^= 0xFF;
+            let dst = store(1);
+            let err = restore_checkpoint(
+                &mut bad.as_slice(),
+                &dst,
+                0,
+                &CheckpointConfig::default(),
+                None,
+                None,
+            )
+            .expect_err("must reject");
+            assert!(
+                matches!(err, CkptError::CrcMismatch { shard: 0, .. }),
+                "payload offset {off}: unexpected error: {err}"
+            );
+            assert_eq!(
+                dst.len(),
+                0,
+                "payload offset {off}: corrupt frame half-applied"
+            );
+        }
     }
 
     #[test]
@@ -1002,25 +1138,49 @@ mod tests {
         !crc
     }
 
+    type Kernel = fn(&[u8]) -> u32;
+
+    /// Both kernels: the dispatched entry point (the carry-less fold on a
+    /// PCLMULQDQ host) and the portable slice-by-16 path.
+    const KERNELS: [(&str, Kernel); 2] = [("crc32", crc32), ("crc32_portable", crc32_portable)];
+
     #[test]
     fn crc32_matches_known_vectors() {
         // IEEE CRC32 check value for "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+        for (name, f) in KERNELS {
+            assert_eq!(f(b"123456789"), 0xCBF4_3926, "{name}");
+            assert_eq!(f(b""), 0, "{name}");
+        }
     }
 
+    /// Lengths 0..=320 at 16 alignments: bytewise only (< 64), one 64-byte
+    /// block, the four-lane loop, single 16-byte folds, every 1–15-byte
+    /// tail.
     #[test]
     fn crc32_matches_bytewise_at_every_length_and_alignment() {
-        let bytes: Vec<u8> = (0..64 + 16).map(|i| (i * 37 + 11) as u8).collect();
+        let bytes: Vec<u8> = (0..320 + 16).map(|i| (i * 37 + 11) as u8).collect();
         for align in 0..16 {
-            for len in 0..=64 {
+            for len in 0..=320 {
                 let slice = &bytes[align..align + len];
-                assert_eq!(
-                    crc32(slice),
-                    crc32_bytewise(slice),
-                    "len {len} at offset {align}"
-                );
+                let want = crc32_bytewise(slice);
+                for (name, f) in KERNELS {
+                    assert_eq!(f(slice), want, "{name}: len {len} at offset {align}");
+                }
+            }
+        }
+    }
+
+    /// CRC32 detects every single-bit error; so must each kernel.
+    #[test]
+    fn crc32_changes_on_every_single_bit_flip() {
+        let mut bytes: Vec<u8> = (0..4096u32).map(|i| (i * 131 + 7) as u8).collect();
+        for (name, f) in KERNELS {
+            let clean = f(&bytes);
+            for bit in 0..bytes.len() * 8 {
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(f(&bytes), clean, "{name}: flip of bit {bit} went unseen");
+                bytes[bit / 8] ^= 1 << (bit % 8);
             }
         }
     }
@@ -1028,11 +1188,14 @@ mod tests {
     proptest::proptest! {
         #[test]
         fn crc32_matches_bytewise_on_random_buffers(
-            bytes in proptest::collection::vec(0u8..=255u8, 0..2_000),
-            skip in 0usize..8,
+            bytes in proptest::collection::vec(0u8..=255u8, 0..16 * 1024),
+            skip in 0usize..16,
         ) {
             let slice = &bytes[skip.min(bytes.len())..];
-            proptest::prop_assert_eq!(crc32(slice), crc32_bytewise(slice));
+            let want = crc32_bytewise(slice);
+            for (name, f) in KERNELS {
+                proptest::prop_assert_eq!(f(slice), want, "{}", name);
+            }
         }
     }
 
