@@ -193,27 +193,56 @@ for ex in cost_simulation failure_recovery hotcold_mixing memcached_protocol spo
 done
 echo "    root examples: $(( ($(date +%s%N) - examples_start) / 1000000 )) ms wall"
 
-echo "==> results byte-identity (every experiment in 'repro --list' vs results/<name>.txt)"
+echo "==> results byte-identity and paper claims (every experiment in 'repro --list')"
 # The hourly simulator and the spot models are bit-deterministic, so every
 # checked-in table must reproduce exactly: a changed pivot, rounding or
-# prediction anywhere in the planner shows up here as a diff. Runs
-# $(nproc) experiments at a time; fig13 alone is 12-13 s of the measured
-# wall time below, and the budget leaves a loaded host about five times
-# that.
+# prediction anywhere in the planner shows up here as a diff. Each
+# experiment also decides the paper claims about its own numbers, one
+# `claim <id> holds|BREAKS: ...` line each on stderr, and exits 1 if one
+# broke. Runs $(nproc) experiments at a time; fig13 alone is 12-13 s of
+# the measured wall time below, and the budget leaves a loaded host about
+# five times that.
 cargo build --release -q -p spotcache-bench --bin repro
 repro=target/release/repro
+claims="$tmp/claims"
+mkdir -p "$claims"
 gate_start=$(date +%s)
 "$repro" --list | xargs -P "$(nproc)" -I{} bash -c '
     set -o pipefail
     t0=$(date +%s%N)
-    if delta=$("$0" "$1" | diff - "results/$1.txt"); then verdict=ok; else verdict="results/$1.txt no longer reproduces"; fi
+    err="$2/$1.err"
+    if delta=$("$0" "$1" 2>"$err" | diff - "results/$1.txt"); then
+        verdict=ok
+    elif [ -n "$delta" ]; then
+        verdict="results/$1.txt no longer reproduces"
+    elif broken=$(sed -n "s/^claim \([^ ]*\) BREAKS: .*/\1/p" "$err" | paste -sd " " -) \
+            && [ -n "$broken" ]; then
+        verdict="claim $broken breaks"
+    else
+        verdict="repro $1 failed"
+    fi
     ms=$(( ($(date +%s%N) - t0) / 1000000 ))
     printf "    %-20s %3d.%d s  %s\n" "$1" $((ms / 1000)) $((ms % 1000 / 100)) "$verdict"
-    [ "$verdict" = ok ] || { printf "%s\n" "$delta"; exit 1; }
-' "$repro" {} || { echo "results/ no longer reproduces (files named above)"; exit 1; }
+    [ "$verdict" = ok ] && exit 0
+    [ -z "$delta" ] || printf "%s\n" "$delta"
+    grep -v "^claim [^ ]* holds: " "$err"
+    exit 1
+' "$repro" {} "$claims" || { echo "results/ no longer reproduces or a claim breaks (named above)"; exit 1; }
 gate_s=$(( $(date +%s) - gate_start ))
 echo "    results gate: ${gate_s} s wall (measured 14-16 s on the 2-core host, budget 80 s)"
 [ "$gate_s" -le 80 ] || { echo "results gate took ${gate_s} s, over its 80 s budget"; exit 1; }
+# Every claim the gate decided is cited in EXPERIMENTS.md as `<id>`, and
+# every id EXPERIMENTS.md cites was decided.
+python3 - "$claims" <<'PY'
+import pathlib, re, sys
+seen = set()
+for err in pathlib.Path(sys.argv[1]).glob("*.err"):
+    seen |= set(re.findall(r"^claim (\S+) (?:holds|BREAKS): ", err.read_text(), re.M))
+cited = set(re.findall(r"`([a-z0-9_]+:[a-z0-9_]+)`", open("EXPERIMENTS.md").read()))
+assert seen - cited == set(), f"claims not cited in EXPERIMENTS.md: {sorted(seen - cited)}"
+assert cited - seen == set(), f"EXPERIMENTS.md cites claims no experiment decides: {sorted(cited - seen)}"
+print(f"    {len(seen)} claims decided, each cited in EXPERIMENTS.md")
+PY
 
 # One short traced run per benchmark workload: the output check passes
 # and no operation failed. paced_get / pipelined_mix / write_evict drive a

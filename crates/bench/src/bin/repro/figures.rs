@@ -1,6 +1,8 @@
 //! Paper Figures 1, 2, 5 and 7–13 (Figure 4's recovery cases ride with
 //! Figure 11).
 
+use std::collections::HashMap;
+
 use spotcache_bench::{dollars, heading, pct, print_table};
 use spotcache_cloud::billing::CostCategory;
 use spotcache_cloud::burstable::{BurstableCpu, BurstableNet, BurstableState};
@@ -9,13 +11,13 @@ use spotcache_cloud::spot::Bid;
 use spotcache_cloud::{SpotTrace, DAY};
 use spotcache_core::controller::ControllerConfig;
 use spotcache_core::prototype::{run_prototype, PrototypeConfig, PrototypeResult};
-use spotcache_core::simulation::SimConfig;
+use spotcache_core::simulation::{SimConfig, SimResult};
 use spotcache_core::Approach;
 use spotcache_sim::recovery::{simulate_recovery, BackupChoice, RecoveryConfig};
 use spotcache_sim::SlotRecord;
 use spotcache_spotmodel::{below_bid_runs, CdfPredictor, SpotPredictor, TemporalPredictor};
 
-use crate::{market, markets, od_only_cost, run, zipf_theta, PAPER_DAYS};
+use crate::{claim, market, markets, od_only_cost, run, zipf_theta, PAPER_DAYS};
 
 /// **Figure 1**: the lifetime `L(b)` and average-price `p(b)` definitions,
 /// demonstrated by extracting the below-bid runs of one week of one trace.
@@ -175,6 +177,7 @@ pub fn fig7() {
     println!("workload: 500 kops peak, 100 GB, Zipf 2.0, {PAPER_DAYS} days\n");
 
     let mut rows = Vec::new();
+    let (mut fewer, mut ratios) = (0, Vec::new());
     for trace in &markets(PAPER_DAYS) {
         let single = std::slice::from_ref(trace);
         let sim = |approach| {
@@ -195,6 +198,11 @@ pub fn fig7() {
             prop.revocations.to_string(),
             cdf.revocations.to_string(),
         ]);
+        fewer += usize::from(
+            prop.violated_day_frac() <= cdf.violated_day_frac()
+                && prop.revocations <= cdf.revocations,
+        );
+        ratios.push(prop.total_cost() / cdf.total_cost());
     }
     print_table(
         &[
@@ -212,6 +220,18 @@ pub fn fig7() {
     println!("costs normalized by ODOnly in the same market.");
     println!("paper: Prop_NoBackup matches OD+Spot_CDF cost within ~5% while violating the");
     println!("performance target on far fewer days (fewer spot revocations).");
+
+    let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
+    let worst = ratios.iter().copied().fold(0.0, f64::max);
+    claim(
+        "fig7:fewer_violations_at_comparable_cost",
+        fewer == ratios.len() && worst < 1.8 && mean < 1.35,
+        format!(
+            "Prop_NB violates no more days and is revoked no more often than CDF in {fewer}/{} \
+             markets; its cost / CDF's: worst {worst:.3} (< 1.8), mean {mean:.3} (< 1.35)",
+            ratios.len()
+        ),
+    );
 }
 
 /// **Figure 8**: the spot price of market `m4.XL-c` alongside the
@@ -513,8 +533,10 @@ fn figure11a() {
     ];
 
     let mut summary = Vec::new();
+    let mut p95 = Vec::new();
     for (name, cfg) in &scenarios {
         let tl = simulate_recovery(cfg, None, None);
+        p95.push(tl.overall_p95());
         let sample_points = [0u64, 30, 60, 120, 180, 300, 450, 600, 899];
         let rows: Vec<Vec<String>> = sample_points
             .iter()
@@ -547,6 +569,19 @@ fn figure11a() {
     println!("paper: copying finishes around t=300 for t2.medium; t2.medium matches the ~2x");
     println!("pricier c3.large and beats m3.medium (p95 during recovery ~25% better);");
     println!("OD+Spot_Sep loses no hot data and degrades least; no backup degrades most.");
+
+    let [t2, _, m3, none, _] = p95[..] else {
+        unreachable!("five scenarios")
+    };
+    let better = 1.0 - t2 / m3;
+    claim(
+        "fig11:burstable_backup_p95",
+        (0.10..=0.60).contains(&better) && none > m3,
+        format!(
+            "p95 t2.medium {t2:.0} us, m3.medium {m3:.0} us ({better:.3} better, 0.10-0.60), \
+             no backup {none:.0} us"
+        ),
+    );
 }
 
 fn figure11b() {
@@ -633,27 +668,34 @@ pub fn fig12() {
 
     heading("Figure 12: long-term cost breakdown (500 kops, 100 GB)");
 
+    let mut by_zipf = Vec::new();
     for zipf in [1.0f64, 2.0] {
         let theta = zipf_theta(zipf);
         heading(&format!("Zipf = {zipf}"));
-        let od_only_total = od_only_cost(500_000.0, 100.0, theta, &traces);
-        let mut rows = Vec::new();
-        for approach in Approach::ALL {
-            let r = run(
-                &SimConfig::paper_default(approach, 500_000.0, 100.0, theta),
-                &traces,
-            );
-            let total = r.total_cost();
-            rows.push(vec![
-                approach.to_string(),
-                dollars(r.ledger.total(CostCategory::OnDemand)),
-                dollars(r.ledger.total(CostCategory::Spot)),
-                dollars(r.ledger.total(CostCategory::Backup)),
-                dollars(total),
-                format!("{:.2}", total / od_only_total),
-                pct(r.violated_day_frac()),
-            ]);
-        }
+        let runs: HashMap<Approach, SimResult> = Approach::ALL
+            .into_iter()
+            .map(|a| {
+                let cfg = SimConfig::paper_default(a, 500_000.0, 100.0, theta);
+                (a, run(&cfg, &traces))
+            })
+            .collect();
+        let od_only_total = runs[&Approach::OdOnly].total_cost();
+        let rows: Vec<Vec<String>> = Approach::ALL
+            .iter()
+            .map(|approach| {
+                let r = &runs[approach];
+                let total = r.total_cost();
+                vec![
+                    approach.to_string(),
+                    dollars(r.ledger.total(CostCategory::OnDemand)),
+                    dollars(r.ledger.total(CostCategory::Spot)),
+                    dollars(r.ledger.total(CostCategory::Backup)),
+                    dollars(total),
+                    format!("{:.2}", total / od_only_total),
+                    pct(r.violated_day_frac()),
+                ]
+            })
+            .collect();
         print_table(
             &[
                 "approach",
@@ -666,11 +708,52 @@ pub fn fig12() {
             ],
             &rows,
         );
+        by_zipf.push(runs);
     }
     println!();
     println!("paper: Prop_NoBackup/Prop save 50-80% vs ODOnly; the backup's cost share is");
     println!("visible at Zipf 1.0 and negligible at Zipf 2.0; OD+Spot_Sep wastes resources");
     println!("at high skew (hot set tiny but needs all the CPU/network).");
+
+    let (low, high) = (&by_zipf[0], &by_zipf[1]);
+    let cost = |runs: &HashMap<Approach, SimResult>, a| runs[&a].total_cost();
+    let saving = |runs| 1.0 - cost(runs, Approach::PropNoBackup) / cost(runs, Approach::OdOnly);
+    let (saving_1, saving_2) = (saving(low), saving(high));
+    claim(
+        "fig12:saving_50_80",
+        (0.5..=0.8).contains(&saving_1) && (0.5..=0.8).contains(&saving_2),
+        format!("Prop_NoBackup saves {saving_1:.3} at Zipf 1, {saving_2:.3} at Zipf 2 (0.5-0.8)"),
+    );
+    let peak_most = |runs: &HashMap<_, SimResult>| {
+        let peak = cost(runs, Approach::OdPeak);
+        runs.values().all(|r| r.total_cost() <= peak)
+    };
+    claim(
+        "fig12:od_peak_costs_most",
+        peak_most(low) && peak_most(high),
+        "ODPeak's total is the highest at Zipf 1 and at Zipf 2",
+    );
+    let sep = cost(high, Approach::OdSpotSep);
+    let (sep_norm, prop_nb) = (
+        sep / cost(high, Approach::OdOnly),
+        cost(high, Approach::PropNoBackup) / sep,
+    );
+    claim(
+        "fig12:sep_backfires_zipf2",
+        sep_norm >= 0.95 && prop_nb < 0.5,
+        format!("OD+Spot_Sep {sep_norm:.3} x ODOnly (>= 0.95), Prop_NoBackup {prop_nb:.3} x Sep (< 0.5)"),
+    );
+    let share = |runs: &HashMap<_, SimResult>| {
+        runs[&Approach::Prop].ledger.total(CostCategory::Backup) / cost(runs, Approach::Prop)
+    };
+    let (share_1, share_2) = (share(low), share(high));
+    claim(
+        "fig12:backup_share_shrinks_with_skew",
+        share_1 > 2.0 * share_2 && share_2 < 0.10,
+        format!(
+            "Prop's backup share {share_1:.3} at Zipf 1 (> 2x), {share_2:.3} at Zipf 2 (< 0.10)"
+        ),
+    );
 }
 
 /// **Figure 13**: normalized long-term costs across the full 18-workload
@@ -691,6 +774,8 @@ pub fn fig13() {
         Approach::Prop,
     ];
     let mut rows = Vec::new();
+    // (zipf, OD+Spot_Sep, Prop_NoBackup) per cell, normalized and unrounded.
+    let mut cells = Vec::new();
     for zipf in [1.0f64, 2.0] {
         let theta = zipf_theta(zipf);
         for wss in [10.0f64, 100.0, 500.0] {
@@ -701,11 +786,16 @@ pub fn fig13() {
                     format!("{:.0}", wss),
                     format!("{:.0}k", rate / 1000.0),
                 ];
-                for a in approaches {
-                    let r = run(&SimConfig::paper_default(a, rate, wss, theta), &traces);
-                    row.push(format!("{:.2}", r.total_cost() / base));
-                }
+                let norm: Vec<f64> = approaches
+                    .iter()
+                    .map(|&a| {
+                        let r = run(&SimConfig::paper_default(a, rate, wss, theta), &traces);
+                        r.total_cost() / base
+                    })
+                    .collect();
+                row.extend(norm.iter().map(|n| format!("{n:.2}")));
                 rows.push(row);
+                cells.push((zipf, norm[1], norm[3]));
             }
         }
     }
@@ -727,4 +817,27 @@ pub fn fig13() {
     println!("OD+Spot_CDF; OD+Spot_Sep can exceed 1.0 (worse than ODOnly) at Zipf 2.0;");
     println!("normalized costs barely move with arrival rate at fixed WSS but move a lot");
     println!("with WSS at fixed rate; high rate/WSS ratios benefit most from mixing.");
+
+    let under = cells
+        .iter()
+        .filter(|&&(_, sep, prop_nb)| prop_nb <= sep.min(1.0))
+        .count();
+    claim(
+        "fig13:prop_nb_under_sep_and_od_only",
+        under == cells.len(),
+        format!(
+            "Prop_NoBackup <= min(OD+Spot_Sep, ODOnly) in {under}/{} cells",
+            cells.len()
+        ),
+    );
+    let over: Vec<f64> = cells
+        .iter()
+        .filter(|&&(zipf, sep, _)| zipf == 2.0 && sep > 1.0)
+        .map(|cell| cell.1)
+        .collect();
+    claim(
+        "fig13:sep_exceeds_od_only_zipf2",
+        !over.is_empty(),
+        format!("OD+Spot_Sep / ODOnly in the Zipf-2 cells over 1: {over:.3?}"),
+    );
 }

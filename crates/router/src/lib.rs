@@ -7,7 +7,8 @@
 //!
 //! * [`sketch`] — count-min sketch and Bloom filter primitives,
 //! * [`partitioner`] — access-frequency hot-key tracking that assigns each
-//!   key its [`Pool`] (paper Section 4.2, "Key partitioner"),
+//!   key its [`Pool`] (paper Section 4.2, "Key partitioner"); neither it
+//!   nor [`sketch`] has a request-path caller (ROADMAP item 9),
 //! * [`hashring`] — weighted consistent hashing (mcrouter's
 //!   `WeightedCh3`-style pools),
 //! * [`balancer`] — the load balancer: hot and cold *virtual pools* over

@@ -12,11 +12,14 @@
 //! * [`spotmodel`] — spot lifetime/price predictors and their CDF baseline.
 //! * [`cache`] — the memcached substrate (sharded LRU store).
 //! * [`router`] — the mcrouter substrate (consistent hashing, hot/cold
-//!   pools, hot-key partitioning, failover).
+//!   pools, the revocation-time degraded read plan); its `sketch` and
+//!   `partitioner` have no request-path caller (ROADMAP item 9).
 //! * [`workload`] — YCSB-style Zipfian and Wikipedia-shaped workloads.
 //! * [`optimizer`] — the paper's online cost-minimizing procurement problem.
 //! * [`sim`] — cluster simulation and recovery timelines.
 //! * [`core`] — the global controller and the six procurement approaches.
+//! * [`recovery`] — a replacement node's restore path: replication,
+//!   checkpoints, and the Replay and Hybrid strategies.
 //! * [`obs`] — metrics registry, structured event journal, and exporters.
 //!
 //! # Examples
@@ -36,6 +39,7 @@ pub use spotcache_cloud as cloud;
 pub use spotcache_core as core;
 pub use spotcache_obs as obs;
 pub use spotcache_optimizer as optimizer;
+pub use spotcache_recovery as recovery;
 pub use spotcache_router as router;
 pub use spotcache_sim as sim;
 pub use spotcache_spotmodel as spotmodel;
