@@ -267,8 +267,11 @@ PY
 # recovery.ckpt_write_mb_per_s and recovery.ckpt_restore_items_per_s are
 # printed, not asserted (both follow the checkpoint CRC's speed).
 # pipelined_mix holds the read path to the same count (0.0999 per command,
-# all of it the 10 % sets' values: staging a hit's bytes must not
-# allocate) and to a touch log that never overflows. plan_90d holds seed
+# all of it the 10 % sets' values: writing a hit's bytes into the reply
+# must not allocate) and to a touch log that never overflows, and prints
+# store.get_ns_per_key and protocol.self_ns_per_cmd, not asserted (≈ 260-300
+# and ≈ 145-230 ns with batched gets prefetched across shards, ≈ 305-320 and
+# ≈ 180-200 ns before). plan_90d holds seed
 # 42's normalised cost to the bit: the harness only checks a run against
 # itself, so a planner that is wrong the same way every repetition (a
 # look-ahead that misses a trace's last sample read 0.40316) is `correct`.
@@ -308,6 +311,8 @@ if sys.argv[1] == "pipelined_mix":
     assert allocs <= 0.11, "pipelined_mix: %.4f allocations per command, over 0.11" % allocs
     dropped = doc["metrics"]["store.touch_dropped"]["value"]
     assert dropped == 0, "pipelined_mix: %d touch records dropped" % dropped
+    print("    pipelined_mix: store.get_ns_per_key %.0f, protocol.self_ns_per_cmd %.0f" % tuple(
+        doc["metrics"][m]["value"] for m in ("store.get_ns_per_key", "protocol.self_ns_per_cmd")))
 if sys.argv[1] == "plan_90d":
     norm = doc["metrics"]["sim.cost_norm"]["value"]
     assert norm == 0.4015145357049416, "plan_90d: sim.cost_norm %r moved" % norm

@@ -22,6 +22,11 @@
 //! The caller supplies the tag (the store passes the finalised key hash),
 //! which is what lets the model tests below force collisions.
 //!
+//! A batched lookup walks [`Arena::prefetch_home`] and
+//! [`Arena::prefetch_entry`] over a group of keys before it probes any of
+//! them, so the lines a probe reads (bucket, then entry and stamp) are
+//! already on their way; [`prefetch`] is the arena's one `unsafe` block.
+//!
 //! Slots are reused, so a bare slot can dangle. `gen` is bumped by every
 //! insert, overwrite and removal, and its low bit is the **live bit** (odd
 //! while the slot holds an item). A `(slot, gen)` pair taken from a live
@@ -57,6 +62,22 @@ const NEVER: u32 = u32::MAX;
 
 /// Index buckets of a fresh arena (a power of two).
 const MIN_INDEX: usize = 8;
+
+/// Asks the CPU to start loading the cache line that holds `p` into every
+/// cache level, so a later read of it need not wait on memory. x86_64
+/// only; a no-op elsewhere.
+#[inline(always)]
+pub(crate) fn prefetch<T>(p: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: PREFETCHT0 is a hint: it never faults and writes nothing, so
+    // any address, even a dangling one, is sound.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(p.cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
 
 /// One stored item. Dead slots hold the empty default.
 #[derive(Default)]
@@ -138,6 +159,35 @@ impl Arena {
             }
             if b.tag == tag && *self.items[b.slot as usize].key == *key {
                 return Some(b.slot);
+            }
+            i = (i + 1) & self.mask;
+        }
+    }
+
+    /// First prefetch stage of a batched lookup: starts loading the home
+    /// bucket of `tag`'s probe.
+    #[inline]
+    pub(crate) fn prefetch_home(&self, tag: u32) {
+        prefetch(&self.index[tag as usize & self.mask]);
+    }
+
+    /// Second prefetch stage: probes to the first bucket whose tag matches
+    /// and starts loading that slot's entry and stamp — the lines
+    /// [`find`](Self::find) and [`first_read_in`](Self::first_read_in)
+    /// read next. A tag that matches a different key costs one wasted
+    /// prefetch; the lookup itself stays [`find`](Self::find)'s.
+    #[inline]
+    pub(crate) fn prefetch_entry(&self, tag: u32) {
+        let mut i = tag as usize & self.mask;
+        loop {
+            let b = self.index[i];
+            if b.slot == NIL {
+                return;
+            }
+            if b.tag == tag {
+                prefetch(&self.items[b.slot as usize]);
+                prefetch(&self.stamps[b.slot as usize]);
+                return;
             }
             i = (i + 1) & self.mask;
         }

@@ -8,7 +8,7 @@
 //!
 //! * `arena` (private) — the per-shard item arena: key index, LRU links
 //!   and entries addressed by one `u32` slot with a per-slot generation
-//!   (no `unsafe`), and
+//!   (one `unsafe` block: the prefetch hint of the batched lookup), and
 //! * `touch` (private) — the per-shard recency log of the shared-lock
 //!   read path: pushed to under the shard's read lock, drained under its write
 //!   lock, drop-oldest by overwrite, and
@@ -34,8 +34,10 @@
 //! The data plane is built for pipelined batches: [`protocol::parse_request`]
 //! borrows keys and data from the input buffer, [`protocol::serve_into`]
 //! appends responses to a reusable output buffer, and runs of pipelined
-//! `get`s execute through [`store::Store::get_many_with`] taking each
-//! shard lock once per batch (see DESIGN.md §"data plane").
+//! `get`s execute through [`store::Store::get_many_with`]: one in-order
+//! pass under the read locks of every shard the batch names, its lookups
+//! prefetched in groups, each hit serialised straight into the reply (see
+//! DESIGN.md §"data plane").
 
 mod arena;
 pub mod protocol;

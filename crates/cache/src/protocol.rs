@@ -30,11 +30,12 @@
 //!   caller-owned `&mut Vec<u8>`, so a connection reuses one output
 //!   buffer for its whole lifetime.
 //! * Consecutive pipelined `get` commands are executed **as one batch**
-//!   through [`Store::get_many_with`], which takes each shard lock once
-//!   per batch instead of once per key. Each hit's bytes are copied out
-//!   under that lock into a per-thread staging buffer — no refcount is
-//!   taken, so a hit executes no locked instruction on the value's line —
-//!   and serialised from there in command order.
+//!   through [`Store::get_many_with`], which read-locks each shard the
+//!   batch names once and visits the keys in input order. Each hit's
+//!   `VALUE` line and each command's `END` are written into the reply
+//!   from inside that visit — the value is copied once, store → reply,
+//!   and no refcount is taken, so a hit executes no locked instruction on
+//!   the value's line.
 //! * Response encoding never heap-allocates for hits, misses, `STORED`,
 //!   `DELETED`, or error lines: integers are formatted through a stack
 //!   buffer and all sentinel lines are static. (`stats` and the rare
@@ -47,7 +48,6 @@ use std::time::Instant;
 use bytes::Bytes;
 use spotcache_obs::{Counter, Histogram, Obs, SpanGuard, TraceContext, Tracer};
 
-use crate::server::BUF_RETAIN_MAX;
 use crate::store::{SetOutcome, SetPolicy, Store};
 
 /// Opens a span when a tracer is attached; a `None` tracer costs one
@@ -654,11 +654,8 @@ impl ProtocolObs {
 }
 
 /// Reusable per-thread scratch for the pipelined serving loop: pending
-/// `get` key ranges, per-command key counts, and the batched lookup
-/// results. Kept thread-local so steady-state serving allocates nothing.
-/// The staging buffer is bounded like the connection buffers: capacity
-/// over [`BUF_RETAIN_MAX`] is released after each batch, so one burst of
-/// large values does not pin its high-water mark to the thread.
+/// `get` key ranges, per-command key counts and hit counts. Kept
+/// thread-local so steady-state serving allocates nothing.
 #[derive(Default)]
 struct ServeScratch {
     /// `(offset, len)` of each pending get key, relative to the input.
@@ -667,13 +664,6 @@ struct ServeScratch {
     cmd_keys: Vec<usize>,
     /// Per-command hit counts of the last flushed batch.
     cmd_hits: Vec<usize>,
-    /// The raw stored bytes of the batch's hits, copied out under the
-    /// shard locks in lookup (shard) order.
-    staged: Vec<u8>,
-    /// `(offset, len)` into `staged` of each key's value, in input order.
-    /// A miss is the empty span, which [`decode_value`] refuses like any
-    /// value too short to carry flags.
-    spans: Vec<(usize, usize)>,
 }
 
 thread_local! {
@@ -681,8 +671,9 @@ thread_local! {
 }
 
 /// Flushes the pending pipelined `get` batch: one [`Store::get_many_with`]
-/// sweep (each shard lock taken once per batch) staging the hits' bytes,
-/// then responses appended in command order.
+/// pass under the batch's shard locks that visits the keys in input order,
+/// so each hit's `VALUE` line and each command's `END` are written straight
+/// into `out` as the pass reaches them.
 fn flush_gets(
     store: &Store,
     input: &[u8],
@@ -699,53 +690,40 @@ fn flush_gets(
     let start = obs.map(|_| Instant::now());
     {
         let _lookup_span = maybe_span(tracer, "protocol", "store_lookup");
-        let (staged, spans) = (&mut scratch.staged, &mut scratch.spans);
-        spans.resize(scratch.key_ranges.len(), (0, 0));
-        store.get_many_with(
-            scratch.key_ranges.iter().map(|&(o, l)| &input[o..o + l]),
-            now,
-            |i, hit| {
-                if let Some(raw) = hit {
-                    spans[i] = (staged.len(), raw.len());
-                    staged.extend_from_slice(raw);
-                }
-            },
-        );
+        let ServeScratch {
+            key_ranges,
+            cmd_keys,
+            cmd_hits,
+        } = &mut *scratch;
+        cmd_hits.clear();
+        let mut sizes = cmd_keys.iter().copied();
+        let (mut left, mut hits) = (sizes.next().unwrap_or(0), 0);
+        let key = |i: usize| &input[key_ranges[i].0..key_ranges[i].0 + key_ranges[i].1];
+        store.get_many_with((0..key_ranges.len()).map(key), now, |i, hit| {
+            if let Some((flags, data)) = hit.and_then(decode_value) {
+                write_value_line(out, key(i), flags, data);
+                hits += 1;
+            }
+            left -= 1;
+            if left == 0 {
+                out.extend_from_slice(b"END\r\n");
+                cmd_hits.push(hits);
+                (left, hits) = (sizes.next().unwrap_or(0), 0);
+            }
+        });
     }
     let serialize_start = obs.map(|_| Instant::now());
     if let (Some(po), Some(t0)) = (obs, start) {
-        // Batch start to serialize start: the shard-lock stage of the
-        // request's latency attribution.
+        // Batch start to the locks' release: the shard-lock stage of the
+        // request's latency attribution, lookups and serialisation both.
         po.stage_lock_us.record(t0.elapsed().as_secs_f64() * 1e6);
     }
     let serialize_span = maybe_span(tracer, "protocol", "serialize");
-    scratch.cmd_hits.clear();
-    let mut vi = 0;
-    for &nk in &scratch.cmd_keys {
-        let mut hits = 0;
-        for _ in 0..nk {
-            let (o, l) = scratch.spans[vi];
-            if let Some((flags, data)) = decode_value(&scratch.staged[o..o + l]) {
-                let (o, l) = scratch.key_ranges[vi];
-                write_value_line(out, &input[o..o + l], flags, data);
-                hits += 1;
-            }
-            vi += 1;
-        }
-        out.extend_from_slice(b"END\r\n");
-        scratch.cmd_hits.push(hits);
-    }
-    drop(serialize_span);
-    if let (Some(po), Some(t0)) = (obs, serialize_start) {
-        po.stage_serialize_us
-            .record(t0.elapsed().as_secs_f64() * 1e6);
-    }
     if let (Some(po), Some(start)) = (obs, start) {
         // The batch is timed as a unit; each command is attributed an
         // equal share so latency sums stay meaningful.
         let share = start.elapsed().as_secs_f64() * 1e6 / scratch.cmd_keys.len() as f64;
-        for (i, &nk) in scratch.cmd_keys.iter().enumerate() {
-            let hits = scratch.cmd_hits[i];
+        for (&nk, &hits) in scratch.cmd_keys.iter().zip(&scratch.cmd_hits) {
             po.hits.add(hits as u64);
             po.misses.add((nk - hits) as u64);
             po.record("get", share);
@@ -753,10 +731,10 @@ fn flush_gets(
     }
     scratch.key_ranges.clear();
     scratch.cmd_keys.clear();
-    scratch.spans.clear();
-    scratch.staged.clear();
-    if scratch.staged.capacity() > BUF_RETAIN_MAX {
-        scratch.staged.shrink_to(BUF_RETAIN_MAX);
+    drop(serialize_span);
+    if let (Some(po), Some(t0)) = (obs, serialize_start) {
+        po.stage_serialize_us
+            .record(t0.elapsed().as_secs_f64() * 1e6);
     }
 }
 
@@ -1246,11 +1224,10 @@ mod tests {
     }
 
     #[test]
-    fn staging_buffer_releases_a_burst_of_large_values() {
-        // Eight pipelined gets over 1 MiB values stage 8 MiB in one batch.
-        // The replies are the bytes a value-by-value writer produces, and
-        // the thread keeps no more of the burst than a connection buffer
-        // would.
+    fn a_burst_of_large_values_round_trips() {
+        // Eight pipelined gets over 1 MiB values serve 8 MiB in one batch,
+        // written straight into the reply: the bytes a value-by-value
+        // writer produces.
         let s = Store::with_capacity(64 << 20);
         let value = |i: usize| vec![b'a' + i as u8; 1 << 20];
         let (mut gets, mut want) = (Vec::new(), Vec::new());
@@ -1266,8 +1243,6 @@ mod tests {
         let (out, consumed) = serve(&s, &gets, 0);
         assert_eq!(consumed, gets.len());
         assert!(out == want, "large values must round-trip byte for byte");
-        let kept = SCRATCH.with(|scratch| scratch.borrow().staged.capacity());
-        assert!(kept <= BUF_RETAIN_MAX, "{kept} bytes of staging kept");
         // Small values afterwards are served as before.
         run(&s, "set k 0 0 1\r\nv\r\n");
         assert_eq!(run(&s, "get k\r\n"), "VALUE k 0 1\r\nv\r\nEND\r\n");

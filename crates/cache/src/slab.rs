@@ -18,8 +18,9 @@
 //! It is **accounting only**: nothing here hands out memory. The store's
 //! values are individual heap blocks budgeted by the `key + value + 56`
 //! model ([`crate::store`] §"Layout and accounting"); carving them out of
-//! these chunks is the open half of ROADMAP 1(a) — allocator calls were
-//! ≈ 0.1 of 1.24 µs per `write_evict` command, so size it by RAM, not CPU.
+//! these chunks is ROADMAP item 10 — allocator calls were ≈ 0.1 of
+//! 1.24 µs per `write_evict` command, and an O(1) size-class allocator in
+//! their place left a `set` unmoved, so size it by RAM, not CPU.
 
 /// Page size (memcached's slab page).
 pub const PAGE_SIZE: usize = 1 << 20;

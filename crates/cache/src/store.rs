@@ -18,9 +18,12 @@
 //! `bytes::INLINE_CAP` is still its own heap block, and `used_bytes` is
 //! still the `key + value + ITEM_OVERHEAD` **model** that picks victims,
 //! not the bytes held. Making the two agree (slab chunks in the arena)
-//! changes what is evicted; it is the open half of ROADMAP 1(a). Measured
-//! for whoever sizes it: `malloc` + `free` were ≈ 0.1 of `write_evict`'s
-//! 1.24 µs per command, the rest of a `set` dependent cache misses.
+//! changes what is evicted; it is ROADMAP item 10. Measured for whoever
+//! sizes it: `malloc` + `free` were ≈ 0.1 of `write_evict`'s 1.24 µs per
+//! command, the rest of a `set` dependent cache misses; an O(1)
+//! size-class allocator in place of the system one left a
+//! `write_evict`-shaped `set` unmoved (1 012 / 935 against 914 / 1 113
+//! ns), so the item buys RAM, not CPU.
 //!
 //! # Read-path concurrency
 //!
@@ -33,10 +36,21 @@
 //! `ITEM_UPDATE_INTERVAL` rule with the interval fixed at one tick of
 //! `now`; the per-slot stamp lives in `cache::arena`). Hit, miss and lock
 //! counters are tallied per lock scope and added once, and the value is
-//! lent to the caller under the lock — [`Store::get_many_with`] copies
-//! it out, [`Store::get_at`] / [`Store::get_many_into`] clone it — so a
-//! repeat hit executes no locked instruction of its own and a tick's
-//! first hit one (the `fetch_add` that claims its log position).
+//! lent to the caller under the lock — the protocol serialises it from
+//! [`Store::get_many_with`]'s visitor straight into its reply,
+//! [`Store::get_at`] / [`Store::get_many_into`] clone it — so a repeat
+//! hit executes no locked instruction of its own and a tick's first hit
+//! one (the `fetch_add` that claims its log position).
+//!
+//! A **batch** of gets is one lock scope: it read-locks every shard it
+//! names, then walks its keys in input order with their lookups
+//! prefetched in groups, so the dependent misses of different keys
+//! overlap across shards (see [`Store::get_many_with`]). The **lock
+//! order** that keeps this deadlock-free: a reader takes shard locks in
+//! ascending shard order, and no thread takes a shard lock while it
+//! holds a shard's write lock — every writer holds exactly one. A writer
+//! therefore waits at most for the batches that hold its shard, never in
+//! a cycle.
 //!
 //! The log is drained **in batches under the write lock** —
 //! opportunistically by every writer before its own mutation, and by the
@@ -69,10 +83,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use spotcache_obs::{Counter, Gauge, Obs, Tracer};
 
-use crate::arena::{Arena, Item};
+use crate::arena::{prefetch, Arena, Item};
 use crate::touch::{TouchLog, TouchRec};
 use crate::wheel::{TimerWheel, WheelRec};
 
@@ -101,9 +115,18 @@ pub const ITEM_OVERHEAD: usize = 56;
 pub struct StoreConfig {
     /// Memory budget across all shards, bytes.
     pub capacity_bytes: usize,
-    /// Number of shards (each with its own lock); clamped to at least 1.
+    /// Number of shards (each with its own lock); clamped to
+    /// `1..=`[`MAX_SHARDS`].
     pub shards: usize,
 }
+
+/// Most shards a store has: a batch names its shards in one `u64` mask.
+pub const MAX_SHARDS: usize = 64;
+
+/// Keys a batched lookup carries through each prefetch stage before it
+/// serves them: enough misses in flight to overlap, few enough that the
+/// first stage's lines are still cached when the last stage reads them.
+const PREFETCH_GROUP: usize = 16;
 
 impl Default for StoreConfig {
     fn default() -> Self {
@@ -320,6 +343,22 @@ impl ShardData {
         Some(slot)
     }
 
+    /// Third prefetch stage of a batched lookup: finds the key and starts
+    /// loading every line its value's first 128 bytes touch — the bytes a
+    /// hit copies first; a 100-byte value off a line boundary spans three.
+    #[inline]
+    fn prefetch_value(&self, tag: u32, key: &[u8]) {
+        if let Some(slot) = self.arena.find(tag, key) {
+            let value = &self.arena.item(slot).value;
+            let head = value[..value.len().min(128)].as_ptr_range();
+            let mut line = head.start.wrapping_sub(head.start as usize % 64);
+            while line < head.end {
+                prefetch(line);
+                line = line.wrapping_add(64);
+            }
+        }
+    }
+
     /// Applies a policy-checked store under the one lock the caller holds:
     /// one index probe decides presence (TTL-aware, see
     /// [`find_live`](Self::find_live)) and names the slot to overwrite.
@@ -460,8 +499,8 @@ impl ShardData {
     }
 }
 
-/// What the GETs of one lock scope add to their shard's counters.
-#[derive(Default)]
+/// What one lock scope's GETs add to one shard's counters.
+#[derive(Clone, Copy, Default)]
 struct GetTally {
     hits: u64,
     misses: u64,
@@ -552,23 +591,9 @@ impl Shard {
         Some(&item.value)
     }
 
-    /// Looks up each `(token, tag, key)` under one acquisition of the
-    /// shard's read lock and hands `put` the token and the value, lent for
-    /// the call: `put` runs under the lock and copies or clones what it
-    /// keeps. The scope's counters are tallied locally and added once,
-    /// after the lock is released.
-    fn get_each<'k, T>(
-        &self,
-        now: u64,
-        keys: impl Iterator<Item = (T, u32, &'k [u8])>,
-        mut put: impl FnMut(T, Option<&Bytes>),
-    ) {
-        let mut tally = GetTally::default();
-        let d = self.data.read();
-        keys.for_each(|(t, tag, k)| {
-            put(t, Self::get_shared(&self.log, &d, tag, k, now, &mut tally))
-        });
-        drop(d);
+    /// Adds one lock scope's GETs to the shard's counters, after its read
+    /// lock is released.
+    fn add_tally(&self, tally: &GetTally) {
         let add = |counter: &AtomicU64, n: u64| {
             if n != 0 {
                 counter.fetch_add(n, Ordering::Relaxed);
@@ -765,7 +790,7 @@ thread_local! {
 impl Store {
     /// Creates a store from a configuration.
     pub fn new(config: StoreConfig) -> Self {
-        let n = config.shards.max(1);
+        let n = config.shards.clamp(1, MAX_SHARDS);
         let per_shard = config.capacity_bytes / n;
         Self {
             shards: (0..n).map(|_| Shard::new(per_shard)).collect(),
@@ -844,9 +869,9 @@ impl Store {
     /// shard's **read** lock.
     pub fn get_at(&self, key: &[u8], now: u64) -> Option<Bytes> {
         let (sh, tag) = self.shard_for(key);
-        let mut found = None;
-        let one = std::iter::once(((), tag, key));
-        sh.get_each(now, one, |(), v| found = v.cloned());
+        let mut tally = GetTally::default();
+        let found = Shard::get_shared(&sh.log, &sh.data.read(), tag, key, now, &mut tally).cloned();
+        sh.add_tally(&tally);
         found
     }
 
@@ -855,28 +880,77 @@ impl Store {
         self.get_at(key, 0)
     }
 
-    /// The batched lookup: groups `keys` by shard so each shard lock is
-    /// taken **once per batch** rather than once per key, and hands
-    /// `visit` each key's input position and its value, lent under that
-    /// shard's lock. Shard by shard, so positions arrive out of order
-    /// across shards; within a shard, keys are processed in input order,
-    /// so hit/miss accounting, TTL behaviour and recency order are
-    /// identical to issuing the gets one at a time (a key named twice is
-    /// served twice and, like any second read in a tick, bumped once). The
-    /// per-shard lock is the **read** lock.
-    fn visit_many<'k, K>(&self, keys: K, now: u64, mut visit: impl FnMut(usize, Option<&Bytes>))
+    /// The batched lookup: read-locks every shard the batch names, each
+    /// once and in ascending order, and walks `keys` **in input order**
+    /// under those locks, handing `visit` each key's input position and
+    /// its value, lent for the call. Each shard therefore sees its keys in
+    /// input order, as if the gets were issued one at a time: hit/miss
+    /// accounting, TTL behaviour and recency order are identical (a key
+    /// named twice is served twice and, like any second read in a tick,
+    /// bumped once).
+    ///
+    /// The walk goes in groups of [`PREFETCH_GROUP`] keys and four passes
+    /// per group — prefetch each home bucket, probe to the first tag match
+    /// and prefetch its entry and stamp, find the key and prefetch its
+    /// value, then serve — so a group's chains of dependent misses
+    /// (bucket → entry → value) overlap across shards instead of running
+    /// one after another. The counters of each shard are tallied locally
+    /// and added once, after every lock is released.
+    fn visit_many<'k, K>(&self, keys: K, now: u64, visit: impl FnMut(usize, Option<&Bytes>))
     where
         K: Iterator<Item = &'k [u8]> + Clone,
     {
-        if let [sh] = &self.shards[..] {
-            let tagged = keys.enumerate().map(|(i, k)| (i, tag_of(fnv1a(k)), k));
-            return sh.get_each(now, tagged, visit);
+        // The guard and tally tables are built and dropped whole on every
+        // batch: sized for every store's shard count, a one-key batch of a
+        // cached key would cost twice what it does sized for eight.
+        if self.shards.len() <= 8 {
+            self.visit_locked::<8, K>(keys, now, visit)
+        } else {
+            self.visit_locked::<MAX_SHARDS, K>(keys, now, visit)
         }
+    }
+
+    /// [`visit_many`](Self::visit_many) on a store of at most `N` shards.
+    fn visit_locked<'k, const N: usize, K>(
+        &self,
+        mut keys: K,
+        now: u64,
+        mut visit: impl FnMut(usize, Option<&Bytes>),
+    ) where
+        K: Iterator<Item = &'k [u8]> + Clone,
+    {
         let (ids, named) = self.by_shard(keys.clone());
-        for s in (0..self.shards.len() as u32).filter(|&s| named & (1 << s.min(63)) != 0) {
-            let mine = keys.clone().zip(ids.iter()).enumerate();
-            let mine = mine.filter_map(|(i, (k, &(id, tag)))| (id == s).then_some((i, tag, k)));
-            self.shards[s as usize].get_each(now, mine, &mut visit);
+        let mut held: [Option<RwLockReadGuard<'_, ShardData>>; N] = [const { None }; N];
+        for s in shards_in(named) {
+            held[s] = Some(self.shards[s].data.read());
+        }
+        let mut tally = [GetTally::default(); N];
+        let data = |s: u32| {
+            held[s as usize]
+                .as_deref()
+                .expect("a named shard is locked")
+        };
+        for (g, group) in ids.chunks(PREFETCH_GROUP).enumerate() {
+            for &(s, tag) in group {
+                data(s).arena.prefetch_home(tag);
+            }
+            for &(s, tag) in group {
+                data(s).arena.prefetch_entry(tag);
+            }
+            for (&(s, tag), k) in group.iter().zip(keys.clone()) {
+                data(s).prefetch_value(tag, k);
+            }
+            // The group comes first in the zip, so a key past it is not
+            // taken from `keys`.
+            for (j, (&(s, tag), k)) in group.iter().zip(&mut keys).enumerate() {
+                let log = &self.shards[s as usize].log;
+                let hit = Shard::get_shared(log, data(s), tag, k, now, &mut tally[s as usize]);
+                visit(g * PREFETCH_GROUP + j, hit);
+            }
+        }
+        drop(held);
+        for s in shards_in(named) {
+            self.shards[s].add_tally(&tally[s]);
         }
         SHARD_SCRATCH.with(|s| *s.borrow_mut() = ids);
     }
@@ -884,27 +958,26 @@ impl Store {
     /// Each key's `(shard, tag)` in input order, in this thread's
     /// `SHARD_SCRATCH` (the caller hands it back), and the batch's shard
     /// mask: bit `s` is set when some key lives in shard `s`, so a shard
-    /// the batch does not name costs one test. Shards past 63 share bit 63
-    /// (a pass over one of them may then find nothing).
+    /// the batch does not name costs one test.
     fn by_shard<'k>(&self, keys: impl Iterator<Item = &'k [u8]>) -> (Vec<(u32, u32)>, u64) {
         let mut ids = SHARD_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
         ids.clear();
         let mut named = 0u64;
         ids.extend(keys.map(|k| {
             let id = self.locate(k);
-            named |= 1 << id.0.min(63);
+            named |= 1 << id.0;
             id
         }));
         (ids, named)
     }
 
-    /// Batched fetch by visitor: `visit(i, value)` is called once for the
-    /// `i`-th key of `keys`, with the raw stored bytes on a hit — grouped
-    /// by shard as [`get_many_into`](Self::get_many_into) describes, so
-    /// not in input order. `visit` runs **under the shard's lock** and
-    /// must not call back into the store; it copies what it keeps. No
-    /// refcount is taken on the way out, which is why the protocol's
-    /// `get` path reads through here.
+    /// Batched fetch by visitor: `visit(i, value)` is called exactly once
+    /// for the `i`-th key of `keys`, **in input order** (`i` = 0, 1, …),
+    /// with the raw stored bytes on a hit. `visit` runs **under the read
+    /// locks of every shard the batch names** and must not call back into
+    /// the store; it copies what it keeps. No refcount is taken on the way
+    /// out, which is why the protocol's `get` path reads through here and
+    /// writes each reply line from inside `visit`.
     pub fn get_many_with<'k, K>(
         &self,
         keys: K,
@@ -916,23 +989,19 @@ impl Store {
         self.visit_many(keys, now, |i, v| visit(i, v.map(|raw| &raw[..])));
     }
 
-    /// Batched fetch: looks up every key of a pipelined batch, grouping
-    /// keys by shard so each shard lock is taken **once per batch** rather
-    /// than once per key. Results land in `out` (cleared first) in input
-    /// order; values are refcounted [`Bytes`] clones, so the bytes stay
-    /// zero-copy for a caller that keeps them.
-    ///
-    /// Within a shard, keys are processed in input order, so hit/miss
-    /// accounting, TTL behaviour, and recency order are identical to
-    /// issuing the gets one at a time. The per-shard lock taken is the
-    /// **read** lock.
+    /// Batched fetch: looks up every key of a pipelined batch, taking each
+    /// named shard's **read** lock once per batch rather than once per
+    /// key. Results land in `out` (cleared first) in input order; values
+    /// are refcounted [`Bytes`] clones, so the bytes stay zero-copy for a
+    /// caller that keeps them. Keys are processed in input order, so
+    /// hit/miss accounting, TTL behaviour, and recency order are identical
+    /// to issuing the gets one at a time.
     pub fn get_many_into<'k, K>(&self, keys: K, now: u64, out: &mut Vec<Option<Bytes>>)
     where
         K: Iterator<Item = &'k [u8]> + Clone,
     {
         out.clear();
-        out.extend(keys.clone().map(|_| None));
-        self.visit_many(keys, now, |i, v| out[i] = v.cloned());
+        self.visit_many(keys, now, |_, v| out.push(v.cloned()));
     }
 
     /// Drains every shard's touch log and advances every TTL wheel to
@@ -1021,11 +1090,11 @@ impl Store {
             let mut slots: Vec<Option<(Bytes, Bytes, Option<u64>)>> =
                 items.into_iter().map(Some).collect();
             let mut stored = 0usize;
-            for s in (0..self.shards.len() as u32).filter(|&s| named & (1 << s.min(63)) != 0) {
-                stored += self.shards[s as usize].write_op(now, |d| {
+            for s in shards_in(named) {
+                stored += self.shards[s].write_op(now, |d| {
                     let mut stored = 0usize;
                     for (slot, &(id, tag)) in slots.iter_mut().zip(ids.iter()) {
-                        if id == s {
+                        if id as usize == s {
                             let item = slot.take().expect("each slot is taken exactly once");
                             stored += put(d, tag, item);
                         }
@@ -1418,6 +1487,15 @@ impl Store {
             sh.publish_wheel(&d);
         }
     }
+}
+
+/// The shards a batch's mask names, in ascending order.
+fn shards_in(mut named: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let s = (named != 0).then(|| named.trailing_zeros() as usize)?;
+        named &= named - 1;
+        Some(s)
+    })
 }
 
 /// Per-shard collection caps for [`Store::hot_snapshot_at`]: simulates
@@ -1820,6 +1898,31 @@ mod tests {
             });
             t.stats()
         });
+    }
+
+    #[test]
+    fn shards_clamp_to_the_mask_and_a_wide_store_batches_alike() {
+        let wide = |shards| {
+            let s = Store::new(StoreConfig {
+                capacity_bytes: 1 << 20,
+                shards,
+            });
+            for i in 0..300u32 {
+                s.set_at(i.to_be_bytes().to_vec(), i.to_le_bytes().to_vec(), 0, None);
+            }
+            s
+        };
+        let (s, t) = (wide(100), wide(MAX_SHARDS));
+        assert_eq!(s.shard_count(), MAX_SHARDS);
+        assert_eq!(wide(0).shard_count(), 1);
+        let keys: Vec<[u8; 4]> = (0..320u32).rev().map(u32::to_be_bytes).collect();
+        let mut seen = Vec::new();
+        s.get_many_with(keys.iter().map(|k| &k[..]), 0, |i, v| {
+            seen.push((i, v.map(<[u8]>::to_vec)))
+        });
+        let want = keys.iter().map(|k| t.get_at(k, 0).map(|v| v.to_vec()));
+        assert_eq!(seen, want.enumerate().collect::<Vec<_>>());
+        assert_eq!(s.stats(), t.stats());
     }
 
     #[test]

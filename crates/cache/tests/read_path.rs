@@ -22,9 +22,16 @@
 //! * **Every hit accounted for.** With readers and a flusher running
 //!   together, each hit either skipped its record (not the key's first in
 //!   the tick), or its record was drained, or it was counted dropped.
+//! * **Batched gets are gets in input order.** A batch visits each key
+//!   once, in input order, and leaves the counters and every shard's
+//!   recency exactly where the same keys read one at a time leave them.
+//! * **The lock order holds.** Batched readers, which hold every shard
+//!   their batch names at once, finish beside a writer that runs every
+//!   write path.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Barrier;
+use std::sync::{mpsc, Arc, Barrier};
+use std::time::{Duration, Instant};
 
 mod common;
 
@@ -349,4 +356,150 @@ fn eviction_respects_flushed_recency() {
         );
     }
     assert_eq!(d.stats().evictions, i.snapshot_at(0).stats.evictions);
+}
+
+/// A batched store and a one-get-at-a-time twin of `shards` shards, filled
+/// alike: keys 0..40 of `key_of`, every fourth with a TTL of 1–4 ticks.
+fn batched_and_sequential(shards: usize) -> [(Store, Obs); 2] {
+    [(); 2].map(|()| {
+        let s = Store::new(StoreConfig {
+            capacity_bytes: 1 << 20,
+            shards,
+        });
+        let obs = Obs::new();
+        s.attach_telemetry(&obs, None);
+        for k in 0..40u8 {
+            let ttl = (k % 4 == 0).then_some(1 + k as u64 % 5);
+            s.set_at(key_of(k), vec![k; 30 + k as usize], 0, ttl);
+        }
+        (s, obs)
+    })
+}
+
+proptest! {
+    /// `get_many_with` visits each key exactly once and in input order,
+    /// serves what `get_at` serves, and — once both are flushed — leaves
+    /// every counter and every shard's recency where the same keys read
+    /// one `get_at` at a time leave them. Keys 40.. miss, repeats within a
+    /// batch and within a tick are drawn, and the clock moves between
+    /// batches far enough to expire the TTL'd keys.
+    #[test]
+    fn a_batch_reads_like_its_keys_in_input_order(
+        batches in proptest::collection::vec(
+            (proptest::collection::vec(0u8..48, 1..40), 0u8..3),
+            1..12,
+        ),
+        pick in 0usize..3,
+    ) {
+        let shards = [1, 3, 8][pick];
+        let [(b, b_obs), (q, q_obs)] = batched_and_sequential(shards);
+        let mut now = 0u64;
+        for (batch, dt) in &batches {
+            now += *dt as u64;
+            let keys: Vec<Vec<u8>> = batch.iter().map(|&k| key_of(k)).collect();
+            let mut seen = Vec::new();
+            b.get_many_with(keys.iter().map(|k| &k[..]), now, |i, v| {
+                seen.push((i, v.map(<[u8]>::to_vec)));
+            });
+            let want: Vec<_> = keys
+                .iter()
+                .enumerate()
+                .map(|(i, k)| (i, q.get_at(k, now).map(|v| v.to_vec())))
+                .collect();
+            prop_assert_eq!(seen, want);
+        }
+        prop_assert_eq!(b.flush_touches(now), q.flush_touches(now));
+        prop_assert_eq!(b.stats(), q.stats());
+        for name in ["store_rlock_gets_total", "store_touch_skipped_total"] {
+            prop_assert_eq!(b_obs.counter(name).get(), q_obs.counter(name).get(), "{}", name);
+        }
+        for shard in 0..shards {
+            prop_assert_eq!(b.recency_order_at(shard, now), q.recency_order_at(shard, now));
+        }
+    }
+}
+
+/// The store's lock order — readers lock shards in ascending order, and
+/// no thread takes a shard lock while it holds a write lock — keeps
+/// batched readers that hold several read locks at once from deadlocking
+/// against a writer that runs every write path. Two readers send
+/// mixed-shard batches while one writer loops `set`, `delete`, a
+/// mixed-shard `set_many_at`, `flush_touches` and `hot_snapshot_at` on an
+/// 8-shard store; all three must finish within the watchdog's bound,
+/// which is ample for work that takes well under a second.
+#[test]
+fn batched_readers_and_a_writer_finish_within_the_bound() {
+    const ROUNDS: u64 = 3_000;
+    const KEYS: u64 = 256;
+    const BOUND: Duration = Duration::from_secs(60);
+    fn read(s: &Store, now: &AtomicU64, seed: u64) {
+        let mut rng = seed;
+        for _ in 0..ROUNDS {
+            let keys: Vec<[u8; 8]> = (0..12)
+                .map(|_| {
+                    rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    ((rng >> 33) % KEYS).to_be_bytes()
+                })
+                .collect();
+            let mut next = 0;
+            let tick = now.load(Ordering::Relaxed);
+            s.get_many_with(keys.iter().map(|k| &k[..]), tick, |i, _| {
+                assert_eq!(i, next, "keys are visited in input order");
+                next += 1;
+            });
+            assert_eq!(next, keys.len());
+        }
+    }
+    fn write(s: &Store, now: &AtomicU64, _: u64) {
+        for round in 0..ROUNDS {
+            let tick = now.fetch_add(1, Ordering::Relaxed);
+            let key = (round % KEYS).to_be_bytes().to_vec();
+            s.delete_at(&key, tick);
+            s.set_at(key, "w", tick, None);
+            let items = (0..6)
+                .map(|j| ((round * 7 + j) % KEYS).to_be_bytes().to_vec())
+                .map(|k| (k.into(), Bytes::from("m"), None))
+                .collect();
+            s.set_many_at(items, tick);
+            s.flush_touches(tick);
+            assert!(!s.hot_snapshot_at(16, tick).is_empty());
+        }
+    }
+    let s = Arc::new(Store::new(StoreConfig {
+        capacity_bytes: 1 << 20,
+        shards: 8,
+    }));
+    for k in 0..KEYS {
+        s.set(k.to_be_bytes().to_vec(), "v");
+    }
+    let now = Arc::new(AtomicU64::new(0));
+    // All three leave the barrier together, so the batches overlap the
+    // writes rather than run before them.
+    let start = Arc::new(Barrier::new(3));
+    let (done, finished) = mpsc::channel();
+    let spawn = |work: fn(&Store, &AtomicU64, u64), seed: u64| {
+        let (s, now, start, done) = (s.clone(), now.clone(), start.clone(), done.clone());
+        std::thread::spawn(move || {
+            start.wait();
+            work(&s, &now, seed);
+            done.send(()).expect("the watchdog waits for every worker");
+        })
+    };
+    let workers = [spawn(read, 1), spawn(read, 2), spawn(write, 0)];
+    drop(done);
+    let deadline = Instant::now() + BOUND;
+    for _ in &workers {
+        let left = deadline.saturating_duration_since(Instant::now());
+        match finished.recv_timeout(left) {
+            Ok(()) => {}
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                panic!("readers and writer did not all finish within {BOUND:?}: a lock-order cycle")
+            }
+            // A worker panicked before it reported; its join says why.
+            Err(mpsc::RecvTimeoutError::Disconnected) => break,
+        }
+    }
+    for w in workers {
+        w.join().expect("a worker panicked");
+    }
 }
