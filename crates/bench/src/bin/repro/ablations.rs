@@ -1,6 +1,6 @@
 //! Ablations of the design's free parameters (DESIGN.md §5).
 
-use spotcache_bench::{dollars, heading, pct, print_table};
+use spotcache_bench::{claim, dollars, heading, pct, print_table};
 use spotcache_cloud::billing::CostCategory;
 use spotcache_cloud::spot::{Bid, MarketId};
 use spotcache_cloud::{SpotTrace, DAY, HOUR};
@@ -28,10 +28,13 @@ pub fn percentile() {
     let base = od_only_cost(500_000.0, 100.0, 2.0, &spiky);
 
     let mut rows = Vec::new();
+    // (norm cost, violated-day share) per percentile.
+    let mut swept = Vec::new();
     for percentile in [0.01, 0.05, 0.10, 0.25, 0.50] {
         let mut cfg = SimConfig::paper_default(Approach::PropNoBackup, 500_000.0, 100.0, 2.0);
         cfg.controller.lifetime_percentile = percentile;
         let r = run(&cfg, &spiky);
+        swept.push((r.total_cost() / base, r.violated_day_frac()));
         rows.push(vec![
             format!("{percentile}"),
             format!("{:.3}", r.total_cost() / base),
@@ -48,6 +51,26 @@ pub fn percentile() {
     println!("the optimizer barely touches spot (cost ~ ODOnly, no failures); aggressive");
     println!("percentiles add failures without saving much more — the paper's 5th");
     println!("percentile sits at the knee.");
+
+    let [(scared_cost, scared_viol), (fifth_cost, fifth_viol), ref bolder @ ..] = swept[..] else {
+        unreachable!("five percentiles")
+    };
+    let bolder_cost = bolder.iter().map(|p| p.0).fold(f64::INFINITY, f64::min);
+    let bolder_viol = bolder.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
+    claim(
+        "ablation_percentile:fifth_at_the_knee",
+        scared_cost >= 0.95
+            && scared_viol == 0.0
+            && fifth_cost <= 0.5
+            && fifth_cost - bolder_cost <= 0.05
+            && bolder_viol >= fifth_viol,
+        format!(
+            "0.01: cost {scared_cost:.3} (>= 0.95), violated days {scared_viol:.3} (0); 0.05: \
+             cost {fifth_cost:.3} (<= 0.5), violated {fifth_viol:.3}; 0.1-0.5 save at most \
+             {:.3} more (<= 0.05) and violate at least {bolder_viol:.3} (>= 0.05's)",
+            fifth_cost - bolder_cost
+        ),
+    );
 }
 
 /// The hot-set definition (DESIGN.md §5.2).
@@ -62,6 +85,8 @@ pub fn hotdef() {
     heading("Ablation: hot-set access-mass threshold (Prop, all markets, 90 days)");
 
     let mut rows = Vec::new();
+    // (threshold, H, F(H), backup dollars, total dollars) per threshold.
+    let mut swept = Vec::new();
     for hot_mass in [0.80, 0.90, 0.95, 0.99] {
         // Report the resulting H for the reference working set.
         let mut ctl_cfg = ControllerConfig::paper_default(Approach::Prop);
@@ -71,6 +96,13 @@ pub fn hotdef() {
         let mut cfg = SimConfig::paper_default(Approach::Prop, 500_000.0, 100.0, 0.99);
         cfg.controller.hot_mass = hot_mass;
         let r = run(&cfg, &traces);
+        swept.push((
+            hot_mass,
+            h,
+            f_h,
+            r.ledger.total(CostCategory::Backup),
+            r.total_cost(),
+        ));
         rows.push(vec![
             format!("{hot_mass}"),
             format!("{:.4}", h),
@@ -95,6 +127,20 @@ pub fn hotdef() {
     println!("expected: the hot set (and the backup bill) grows steeply with the threshold");
     println!("at moderate skew; 0.9 keeps the replicated volume small while still covering");
     println!("the traffic that matters during a revocation.");
+
+    let rising = swept
+        .windows(2)
+        .all(|w| w[0].1 < w[1].1 && w[0].3 < w[1].3 && w[0].4 < w[1].4);
+    let covered = swept.iter().all(|s| (s.2 - s.0).abs() <= 0.001);
+    let at_90 = swept[1].1;
+    claim(
+        "ablation_hotdef:hot_set_grows_with_threshold",
+        rising && covered && at_90 <= 0.25,
+        format!(
+            "H, backup and total dollars strictly rising with the threshold {rising}; F(H) within \
+             0.001 of it {covered}; H at 0.9 {at_90:.4} (<= 0.25)"
+        ),
+    );
 }
 
 /// The deallocation damping `η` (DESIGN.md §5.3).
@@ -121,10 +167,13 @@ pub fn dealloc() {
     let base = od_only_cost(500_000.0, 100.0, 0.99, &traces);
 
     let mut rows = Vec::new();
+    // (eta, norm cost, instances released) per eta.
+    let mut swept = Vec::new();
     for eta in [0.0, 0.005, 0.01, 0.05, 0.2] {
         let mut cfg = SimConfig::paper_default(Approach::PropNoBackup, 500_000.0, 100.0, 0.99);
         cfg.controller.cost.dealloc = eta;
         let r = run(&cfg, &traces);
+        swept.push((eta, r.total_cost() / base, scale_down_events(&r)));
         rows.push(vec![
             format!("{eta}"),
             format!("{:.3}", r.total_cost() / base),
@@ -144,12 +193,56 @@ pub fn dealloc() {
     println!();
     println!("expected: higher eta smooths the allocation (fewer releases, less eviction");
     println!("churn) at a mild cost premium; eta = 0 tracks the diurnal curve tightly.");
+
+    let fewer = swept.windows(2).all(|w| w[0].2 >= w[1].2);
+    let churn = |keep: fn(f64) -> bool| swept.iter().filter(move |s| keep(s.0)).map(|s| s.2);
+    let (low_min, high_max) = (
+        churn(|eta| eta <= 0.01).min().unwrap_or(0),
+        churn(|eta| eta >= 0.05).max().unwrap_or(0),
+    );
+    let (first, last) = (swept[0].1, swept[swept.len() - 1].1);
+    claim(
+        "ablation_dealloc:damping_trades_cost_for_churn",
+        fewer && low_min >= 1_000 && high_max == 0 && last > first,
+        format!(
+            "releases never rise with eta {fewer}; at eta <= 0.01 at least {low_min} (>= 1000), \
+             at eta >= 0.05 at most {high_max} (0); norm cost {first:.3} at eta 0, {last:.3} at \
+             eta 0.2 (higher)"
+        ),
+    );
 }
 
-/// One ζ-sweep table of `Prop_NoBackup` at the reference workload (Zipf
-/// 2.0) over `traces`: normalized cost, violated days, revocations and the
-/// worst single-hour affected fraction — the exposure the floor caps.
-pub fn zeta_sweep(traces: &[SpotTrace], zetas: &[f64]) -> Vec<[String; 5]> {
+/// One row of a ζ sweep of `Prop_NoBackup` at the reference workload
+/// (Zipf 2.0).
+pub struct ZetaRow {
+    /// The availability floor.
+    pub zeta: f64,
+    /// Total cost over `ODOnly`'s.
+    pub norm_cost: f64,
+    /// Share of days the performance target was violated.
+    pub violated: f64,
+    /// Spot revocations.
+    pub revocations: u32,
+    /// Worst single-hour affected fraction: the exposure the floor caps.
+    pub worst_hour: f64,
+}
+
+impl ZetaRow {
+    /// The printed cells: ζ, normalized cost, violated days, revocations,
+    /// worst hour.
+    pub fn cells(&self) -> [String; 5] {
+        [
+            format!("{}", self.zeta),
+            format!("{:.3}", self.norm_cost),
+            pct(self.violated),
+            self.revocations.to_string(),
+            format!("{:.3}", self.worst_hour),
+        ]
+    }
+}
+
+/// One ζ sweep of `Prop_NoBackup` at the reference workload over `traces`.
+pub fn zeta_sweep(traces: &[SpotTrace], zetas: &[f64]) -> Vec<ZetaRow> {
     let base = od_only_cost(500_000.0, 100.0, 2.0, traces);
     zetas
         .iter()
@@ -157,13 +250,13 @@ pub fn zeta_sweep(traces: &[SpotTrace], zetas: &[f64]) -> Vec<[String; 5]> {
             let mut cfg = SimConfig::paper_default(Approach::PropNoBackup, 500_000.0, 100.0, 2.0);
             cfg.controller.cost.zeta = zeta;
             let r = run(&cfg, traces);
-            [
-                format!("{zeta}"),
-                format!("{:.3}", r.total_cost() / base),
-                pct(r.violated_day_frac()),
-                r.revocations.to_string(),
-                format!("{:.3}", worst_hour_affected(&r)),
-            ]
+            ZetaRow {
+                zeta,
+                norm_cost: r.total_cost() / base,
+                violated: r.violated_day_frac(),
+                revocations: r.revocations,
+                worst_hour: worst_hour_affected(&r),
+            }
         })
         .collect()
 }
@@ -179,9 +272,13 @@ pub fn zeta() {
 
     heading("Ablation: availability floor zeta (Prop_NoBackup, 90 days)");
 
-    let rows: Vec<Vec<String>> = zeta_sweep(&traces, &[0.0, 0.05, 0.1, 0.3, 0.5])
-        .into_iter()
-        .map(|[zeta, cost, viol, _revocations, worst]| vec![zeta, cost, viol, worst])
+    let swept = zeta_sweep(&traces, &[0.0, 0.05, 0.1, 0.3, 0.5]);
+    let rows: Vec<Vec<String>> = swept
+        .iter()
+        .map(|row| {
+            let [zeta, cost, viol, _revocations, worst] = row.cells();
+            vec![zeta, cost, viol, worst]
+        })
         .collect();
     print_table(
         &["zeta", "norm cost", "viol days", "worst-hour affected frac"],
@@ -192,6 +289,21 @@ pub fn zeta() {
     println!("simultaneous multi-market failures are rare, so the floor buys little");
     println!("measured availability — consistent with the paper keeping zeta small; its");
     println!("value is insurance against correlated failures the history cannot predict.");
+
+    let costs: Vec<f64> = swept.iter().map(|r| r.norm_cost).collect();
+    let floor_costs = costs[1..].iter().all(|&c| c > costs[0]);
+    let span = costs[costs.len() - 1] - costs[0];
+    let same_violations = swept.iter().all(|r| r.violated == swept[0].violated);
+    claim(
+        "ablation_zeta:floor_costs_without_moving_violations",
+        floor_costs && span >= 0.1 && same_violations,
+        format!(
+            "norm cost {costs:.4?}: every floor above zeta 0's {floor_costs}, zeta 0.5 costs \
+             {span:.3} more (>= 0.1); violated days the same ({:.3}) at every zeta \
+             {same_violations}",
+            swept[0].violated
+        ),
+    );
 }
 
 /// The integer plan the solver hands the controller (DESIGN.md §5.5).
@@ -211,6 +323,8 @@ pub fn solver() {
     heading("Ablation: the solver's integer plan (modeled slot cost vs resource dollars)");
 
     let mut rows = Vec::new();
+    // (instances, plan cost, resource cost) per workload.
+    let mut plans = Vec::new();
     for (rate, wss, theta) in [
         (100_000.0, 10.0, 0.99),
         (320_000.0, 60.0, 0.99),
@@ -221,6 +335,7 @@ pub fn solver() {
             .problem(&refs, 10 * DAY, theta, rate, wss)
             .solve()
             .expect("solvable");
+        plans.push((plan.total_instances(), plan.cost, plan.resource_cost()));
         rows.push(vec![
             format!("{:.0}k/{:.0}GB/z{theta}", rate / 1000.0, wss),
             plan.total_instances().to_string(),
@@ -241,6 +356,21 @@ pub fn solver() {
     println!("plan cost minus resource cost is what the plan expects to pay in penalties");
     println!("(bid-failure exposure over predicted lifetime, deallocation damping): the");
     println!("risk the optimizer accepts in exchange for spot prices.");
+
+    let (first, last) = (plans[0], plans[plans.len() - 1]);
+    let penalised = plans.iter().all(|&(_, cost, resources)| cost >= resources);
+    claim(
+        "ablation_solver:penalties_on_top_of_resources",
+        penalised && first.0 < last.0 && first.1 - first.2 < last.1 - last.2,
+        format!(
+            "plan cost >= resource cost in every plan {penalised}; smallest to largest \
+             workload: {} -> {} instances, penalty {:.2} -> {:.2} $/slot (both rising)",
+            first.0,
+            last.0,
+            first.1 - first.2,
+            last.1 - last.2
+        ),
+    );
 }
 
 /// Time-of-day-conditioned lifetime prediction (the paper's footnote-1
@@ -320,6 +450,8 @@ pub fn diurnal() {
     let paper = markets(days);
 
     let mut rows = Vec::new();
+    // (f base, f diurnal, mean L base, mean L diurnal) per market.
+    let mut scored = Vec::new();
     let bid = Bid(0.12);
     let start = 7 * DAY;
     for (market, trace) in std::iter::once(("diurnal synthetic", &diurnal_market))
@@ -329,6 +461,7 @@ pub fn diurnal() {
         let (f_diur, _) = over_rate(trace, bid, start, |t| diurnal.predict(trace, t, bid));
         let m_base = mean_pred(trace, start, |t| base.predict(trace, t, bid));
         let m_diur = mean_pred(trace, start, |t| diurnal.predict(trace, t, bid));
+        scored.push((f_base, f_diur, m_base, m_diur));
         rows.push(vec![
             format!("{market} ({})", trace.market.short_label()),
             format!("{f_base:.3}"),
@@ -357,4 +490,20 @@ pub fn diurnal() {
     println!("over-fits (f rises from ~0.04 to ~0.11): condition only when the market");
     println!("actually shows diurnal structure — which is why the paper leaves this as a");
     println!("footnote rather than a default.");
+
+    let (f_base, f_diur, m_base, m_diur) = scored[0];
+    let gain = m_diur / m_base;
+    let over_fits = scored[1..].iter().all(|&(base, diur, ..)| diur > base);
+    claim(
+        "ablation_diurnal:condition_only_on_diurnal_markets",
+        gain >= 6.0 && f_diur <= f_base && over_fits,
+        format!(
+            "diurnal market: mean L x{gain:.2} (>= 6) at f {f_diur:.3} (<= base's {f_base:.3}); \
+             paper markets: f rises when conditioned {over_fits} ({:.3?})",
+            scored[1..]
+                .iter()
+                .map(|&(base, diur, ..)| (base, diur))
+                .collect::<Vec<_>>()
+        ),
+    );
 }

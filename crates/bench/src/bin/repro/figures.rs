@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use spotcache_bench::{dollars, heading, pct, print_table};
+use spotcache_bench::{claim, dollars, heading, pct, print_table};
 use spotcache_cloud::billing::CostCategory;
 use spotcache_cloud::burstable::{BurstableCpu, BurstableNet, BurstableState};
 use spotcache_cloud::catalog::find_type;
@@ -17,7 +17,7 @@ use spotcache_sim::recovery::{simulate_recovery, BackupChoice, RecoveryConfig};
 use spotcache_sim::SlotRecord;
 use spotcache_spotmodel::{below_bid_runs, CdfPredictor, SpotPredictor, TemporalPredictor};
 
-use crate::{claim, market, markets, od_only_cost, run, zipf_theta, PAPER_DAYS};
+use crate::{market, markets, od_only_cost, run, zipf_theta, PAPER_DAYS};
 
 /// **Figure 1**: the lifetime `L(b)` and average-price `p(b)` definitions,
 /// demonstrated by extracting the below-bid runs of one week of one trace.
@@ -45,6 +45,25 @@ pub fn fig1() {
         t.market.short_label(),
         bid.dollars()
     );
+
+    let complete = runs.iter().filter(|r| !r.censored).count();
+    let ordered = runs.windows(2).all(|w| w[0].start + w[0].len <= w[1].start);
+    let inside = runs
+        .iter()
+        .all(|r| r.start >= 30 * DAY && r.start + r.len <= 37 * DAY);
+    let over_bid = runs
+        .iter()
+        .filter(|r| r.len == 0 || r.avg_price > bid.dollars())
+        .count();
+    claim(
+        "fig1:runs_lie_below_the_bid",
+        complete > 0 && ordered && inside && over_bid == 0,
+        format!(
+            "{} runs ({complete} complete, > 0) in days 30-37: disjoint and in order {ordered}, \
+             inside the week {inside}, {over_bid} empty or averaging over the bid",
+            runs.len()
+        ),
+    );
 }
 
 /// **Figure 2**: the 90-day spot price traces of the four evaluation
@@ -53,6 +72,8 @@ pub fn fig2() {
     let traces = markets(PAPER_DAYS);
 
     heading("Figure 2: 90-day spot price traces (summary)");
+    // (median, share of samples above OD, maximum), each relative to OD.
+    let mut signature = Vec::new();
     let rows: Vec<Vec<String>> = traces
         .iter()
         .map(|t| {
@@ -62,6 +83,11 @@ pub fn fig2() {
             let mean = t.prices.iter().sum::<f64>() / t.prices.len() as f64;
             let above =
                 t.prices.iter().filter(|&&p| p > t.od_price).count() as f64 / t.prices.len() as f64;
+            signature.push((
+                med / t.od_price,
+                above,
+                sorted[sorted.len() - 1] / t.od_price,
+            ));
             vec![
                 t.market.short_label(),
                 format!("{:.4}", t.od_price),
@@ -97,6 +123,17 @@ pub fn fig2() {
         }
         println!("{line}  (every 5th day)");
     }
+
+    claim(
+        "fig2:cheap_with_rare_spikes",
+        signature.iter().all(|&(med, above, max)| {
+            (0.15..=0.30).contains(&med) && (0.001..=0.02).contains(&above) && max >= 3.0
+        }),
+        format!(
+            "per market (median / OD, share above OD, max / OD): {signature:.3?} \
+             (0.15-0.30, 0.001-0.02, >= 3)"
+        ),
+    );
 }
 
 /// **Figure 5**: the deterministic token-bucket dynamics of a t2.micro's
@@ -111,16 +148,17 @@ pub fn fig5() {
     heading("Figure 5a: t2.micro CPU under sustained 100% demand, then idle");
     let mut cpu = BurstableCpu::new(&spec);
     let mut rows = Vec::new();
+    let (mut cpu_after, mut credits_after) = (0.0, 0.0);
     // 60 minutes of full demand, sampled every 5 minutes.
     for min in (0..=60).step_by(5) {
-        let achieved = if min == 0 {
+        cpu_after = if min == 0 {
             spec.peak_vcpus
         } else {
             cpu.run(spec.peak_vcpus, 300.0)
         };
         rows.push(vec![
             format!("{min} min"),
-            format!("{achieved:.2} vCPU"),
+            format!("{cpu_after:.2} vCPU"),
             format!("{:.1}", cpu.credits()),
         ]);
     }
@@ -128,6 +166,9 @@ pub fn fig5() {
     let mut last_min = 60u64;
     for min in [120u64, 180, 360] {
         cpu.idle(((min - last_min) * 60) as f64);
+        if last_min == 60 {
+            credits_after = cpu.credits();
+        }
         last_min = min;
         rows.push(vec![
             format!("{min} min (idle)"),
@@ -146,15 +187,16 @@ pub fn fig5() {
     heading("Figure 5b: t2.micro network under sustained peak demand");
     let mut net = BurstableNet::new(&spec);
     let mut rows = Vec::new();
+    let mut net_after = 0.0;
     for sec in (0..=600).step_by(60) {
-        let achieved = if sec == 0 {
+        net_after = if sec == 0 {
             spec.peak_net_mbps
         } else {
             net.transmit(spec.peak_net_mbps, 60.0)
         };
         rows.push(vec![
             format!("{sec} s"),
-            format!("{achieved:.0} Mbps"),
+            format!("{net_after:.0} Mbps"),
             format!("{:.0} Mbit", net.bucket().level),
         ]);
     }
@@ -165,6 +207,23 @@ pub fn fig5() {
         BurstableNet::new(&spec).endurance(spec.peak_net_mbps),
         spec.peak_net_mbps,
         spec.base_net_mbps
+    );
+
+    let cpu_burst = BurstableCpu::new(&spec).endurance(1.0);
+    let net_burst = BurstableNet::new(&spec).endurance(spec.peak_net_mbps);
+    claim(
+        "fig5:burst_then_baseline",
+        (cpu_burst / 2_000.0 - 1.0).abs() <= 0.01
+            && (cpu_after - spec.base_vcpus).abs() < 1e-9
+            && (credits_after - 6.0).abs() < 0.01
+            && (380.0..=395.0).contains(&net_burst)
+            && (net_after - spec.base_net_mbps).abs() < 1e-9,
+        format!(
+            "CPU bursts {cpu_burst:.0} s (2000 +- 1%), then {cpu_after:.3} vCPU (base {}), and \
+             earns {credits_after:.2} credits in an idle hour (6); network bursts {net_burst:.0} s \
+             (380-395), then {net_after:.1} Mbps (base {})",
+            spec.base_vcpus, spec.base_net_mbps
+        ),
     );
 }
 
@@ -293,20 +352,34 @@ pub fn fig8() {
     };
     println!();
     let bid1 = bids[0];
-    println!(
-        "mean predicted L(1d), days 30-60 (spiky): ours {:.1} h, cdf {:.1} h",
+    let (ours_spiky, cdf_spiky) = (
         mean_pred(&ours, bid1, 30, 60),
-        mean_pred(&cdf, bid1, 30, 60)
+        mean_pred(&cdf, bid1, 30, 60),
+    );
+    let (ours_calm, cdf_calm) = (
+        mean_pred(&ours, bid1, 60, 90),
+        mean_pred(&cdf, bid1, 60, 90),
     );
     println!(
-        "mean predicted L(1d), days 60-90 (calm):  ours {:.1} h, cdf {:.1} h",
-        mean_pred(&ours, bid1, 60, 90),
-        mean_pred(&cdf, bid1, 60, 90)
+        "mean predicted L(1d), days 30-60 (spiky): ours {ours_spiky:.1} h, cdf {cdf_spiky:.1} h"
+    );
+    println!(
+        "mean predicted L(1d), days 60-90 (calm):  ours {ours_calm:.1} h, cdf {cdf_calm:.1} h"
     );
     println!();
     println!("paper: in the failure-heavy interval the CDF baseline still predicts long");
     println!("lifetimes for the low bid (its price CDF barely moves), while our predictor");
     println!("collapses, steering the optimizer away from bid 1.");
+
+    let cdf_moves = cdf_spiky / cdf_calm;
+    claim(
+        "fig8:cdf_keeps_believing_the_low_bid",
+        ours_spiky < 0.1 * cdf_spiky && ours_spiky < ours_calm && (0.9..=1.1).contains(&cdf_moves),
+        format!(
+            "mean L(1d) in days 30-60: ours {ours_spiky:.2} h (< 0.1 x CDF's {cdf_spiky:.1} h, \
+             < ours' {ours_calm:.2} h in days 60-90); CDF's spiky / calm {cdf_moves:.3} (0.9-1.1)"
+        ),
+    );
 }
 
 /// One 24-hour prototype day of the Figure 9/10 workload (320 kops peak,
@@ -414,6 +487,30 @@ pub fn fig9() {
     println!("paper: with OD+Spot_CDF the tenant suffers three partial bid failures; with");
     println!("Prop_NoBackup none (or fewer). Averages are similar; the tail is better under");
     println!("Prop_NoBackup owing to fewer spot revocations.");
+
+    let [(_, ours), (_, cdf)] = &results[..] else {
+        unreachable!("two approaches")
+    };
+    let spikes = |r: &PrototypeResult| r.samples.iter().filter(|m| m.p95_us > 5_000.0).count();
+    let (tail_ours, tail_cdf) = (ours.latency.quantile(0.999), cdf.latency.quantile(0.999));
+    let mean_ratio = ours.latency.mean() / cdf.latency.mean();
+    claim(
+        "fig9:fewer_failures_better_tail",
+        ours.revocations < cdf.revocations
+            && cdf.revocations >= 2
+            && spikes(ours) < spikes(cdf)
+            && tail_ours <= tail_cdf
+            && (0.5..=2.0).contains(&mean_ratio),
+        format!(
+            "bid failures {} vs CDF's {} (fewer; CDF >= 2), tail spikes {} vs {} (fewer), \
+             p99.9 {tail_ours:.0} vs {tail_cdf:.0} us (no worse), mean ratio {mean_ratio:.3} \
+             (0.5-2)",
+            ours.revocations,
+            cdf.revocations,
+            spikes(ours),
+            spikes(cdf)
+        ),
+    );
 }
 
 /// **Figure 10**: the 24-hour prototype experiment on spot market
@@ -456,15 +553,16 @@ pub fn fig10() {
     }
 
     heading("Summary");
+    let max_at =
+        |r: &PrototypeResult, suffix| r.slots.iter().map(|s| at_bid(s, suffix)).max().unwrap_or(0);
     let rows: Vec<Vec<String>> = results
         .iter()
         .map(|(a, r)| {
-            let max_at = |suffix| r.slots.iter().map(|s| at_bid(s, suffix)).max().unwrap_or(0);
             vec![
                 a.to_string(),
                 r.revocations.to_string(),
-                max_at("@1d").to_string(),
-                max_at("@5d").to_string(),
+                max_at(r, "@1d").to_string(),
+                max_at(r, "@5d").to_string(),
                 format!("{:.0}", r.latency.mean()),
                 format!("{:.0}", r.latency.quantile(0.95)),
                 format!("{:.0}", r.latency.quantile(0.99)),
@@ -489,6 +587,27 @@ pub fn fig10() {
     println!("than the higher one, offers comparable average latency (occasionally worse");
     println!("tail from its more aggressive resource usage), and costs 20-95% less than");
     println!("OD+Spot_Sep (see fig12/fig13).");
+
+    let [(_, prop), (_, sep)] = &results[..] else {
+        unreachable!("two approaches")
+    };
+    let mean_ratio = prop.latency.mean() / sep.latency.mean();
+    claim(
+        "fig10:fewer_low_bid_instances",
+        max_at(prop, "@1d") < max_at(sep, "@1d")
+            && max_at(prop, "@5d") > 0
+            && prop.revocations <= sep.revocations
+            && (mean_ratio - 1.0).abs() <= 0.1,
+        format!(
+            "most bid-1 instances {} vs Sep's {} (fewer), bid-2 {} (> 0), bid failures {} vs {} \
+             (no more), mean latency ratio {mean_ratio:.3} (within 0.1 of 1)",
+            max_at(prop, "@1d"),
+            max_at(sep, "@1d"),
+            max_at(prop, "@5d"),
+            prop.revocations,
+            sep.revocations
+        ),
+    );
 }
 
 /// **Figure 11**: recovery latency after a spot revocation — (a) the
@@ -588,7 +707,10 @@ fn figure11b() {
     heading("Figure 11(b): warm-up time vs popularity skew and burstable type");
 
     let mut rows = Vec::new();
+    // Warm-up seconds per type (rows) and Zipf 0.5 / 0.99 / 2 (columns).
+    let mut warm_up = Vec::new();
     for itype_name in ["t2.small", "t2.medium", "t2.large"] {
+        warm_up.push(Vec::new());
         let itype = find_type(itype_name).unwrap();
         for theta in [0.5, 0.99, 2.0] {
             let mut cfg = backed_by(itype_name);
@@ -602,6 +724,7 @@ fn figure11b() {
             // time to earn them.
             let spec = itype.burst.unwrap();
             let warm = tl.recovered_at.unwrap_or(cfg.horizon_secs) as f64;
+            warm_up.last_mut().expect("a row per type").push(warm);
             let tokens_needed = (spec.peak_vcpus - spec.base_vcpus) * warm;
             let bucket = BurstableState::for_type(&itype).unwrap();
             let mut empty = bucket.cpu;
@@ -627,11 +750,25 @@ fn figure11b() {
     println!("paper: warm-up is longer for flatter popularity (more keys needed before");
     println!("latency normalizes) and shorter for larger burstable types; the credit-earn");
     println!("column bounds how often the backup could absorb a failure.");
+
+    // High skew warms fastest; below it, a bigger type's RAM-sized dataset
+    // takes longer when its burst vCPUs do not grow with it.
+    let skew_first = warm_up.iter().all(|w| w[2] < w[1] && w[2] < w[0]);
+    let grows = (0..2).all(|z| warm_up.windows(2).all(|t| t[0][z] < t[1][z]));
+    claim(
+        "fig11:warmup_by_skew_and_dataset",
+        skew_first && grows,
+        format!(
+            "warm-up s per type (zipf 0.5, 0.99, 2): {warm_up:?}; Zipf 2 fastest for every \
+             type {skew_first}, growing small -> medium -> large below Zipf 2 {grows}"
+        ),
+    );
 }
 
 fn figure4_cases() {
     heading("Figure 4 cases: replacement timing");
     let mut rows = Vec::new();
+    let mut recovered = Vec::new();
     for (name, ready_at, serve) in [
         (
             "case 1(a)/1(b): R ready at revocation, B pumps",
@@ -645,6 +782,7 @@ fn figure4_cases() {
         cfg.replacement_ready_at = ready_at;
         cfg.serve_from_backup = serve;
         let tl = simulate_recovery(&cfg, None, None);
+        recovered.push(tl.recovered_at);
         rows.push(vec![
             name.to_string(),
             tl.recovered_at
@@ -656,6 +794,18 @@ fn figure4_cases() {
     print_table(
         &["case", "recovered at", "avg us @ t=10s", "mean p95 (us)"],
         &rows,
+    );
+
+    let [pumps, serves, late] = recovered[..] else {
+        unreachable!("three cases")
+    };
+    claim(
+        "fig11:fig4_cases_order",
+        matches!((serves, pumps, late), (Some(s), Some(p), Some(l)) if s < p && p < l),
+        format!(
+            "recovered at: backup serving reads {serves:?} s < replacement ready at revocation \
+             {pumps:?} s < replacement 120 s late {late:?} s"
+        ),
     );
 }
 
@@ -774,7 +924,8 @@ pub fn fig13() {
         Approach::Prop,
     ];
     let mut rows = Vec::new();
-    // (zipf, OD+Spot_Sep, Prop_NoBackup) per cell, normalized and unrounded.
+    // (zipf, OD+Spot_Sep, OD+Spot_CDF, Prop_NoBackup) per cell, normalized
+    // and unrounded.
     let mut cells = Vec::new();
     for zipf in [1.0f64, 2.0] {
         let theta = zipf_theta(zipf);
@@ -795,7 +946,7 @@ pub fn fig13() {
                     .collect();
                 row.extend(norm.iter().map(|n| format!("{n:.2}")));
                 rows.push(row);
-                cells.push((zipf, norm[1], norm[3]));
+                cells.push((zipf, norm[1], norm[2], norm[3]));
             }
         }
     }
@@ -820,7 +971,7 @@ pub fn fig13() {
 
     let under = cells
         .iter()
-        .filter(|&&(_, sep, prop_nb)| prop_nb <= sep.min(1.0))
+        .filter(|&&(_, sep, _, prop_nb)| prop_nb <= sep.min(1.0))
         .count();
     claim(
         "fig13:prop_nb_under_sep_and_od_only",
@@ -832,12 +983,22 @@ pub fn fig13() {
     );
     let over: Vec<f64> = cells
         .iter()
-        .filter(|&&(zipf, sep, _)| zipf == 2.0 && sep > 1.0)
+        .filter(|&&(zipf, sep, ..)| zipf == 2.0 && sep > 1.0)
         .map(|cell| cell.1)
         .collect();
     claim(
         "fig13:sep_exceeds_od_only_zipf2",
         !over.is_empty(),
         format!("OD+Spot_Sep / ODOnly in the Zipf-2 cells over 1: {over:.3?}"),
+    );
+    let ratios: Vec<f64> = cells.iter().map(|&(_, _, cdf, nb)| nb / cdf).collect();
+    let parity = ratios.iter().filter(|&&r| r <= 1.5).count();
+    claim(
+        "fig13:near_parity_with_cdf",
+        parity >= 14,
+        format!(
+            "Prop_NoBackup <= 1.5 x OD+Spot_CDF in {parity}/{} cells (>= 14); ratios {ratios:.2?}",
+            cells.len()
+        ),
     );
 }

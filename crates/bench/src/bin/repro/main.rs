@@ -5,9 +5,10 @@
 //! 2 and lists them.
 //!
 //! An experiment also decides the paper's claims about the numbers it
-//! computes: each [`claim`] writes `claim <id> holds: …` or
+//! computes: each [`claim`](spotcache_bench::claim) writes `claim <id> holds: …` or
 //! `claim <id> BREAKS: …` to standard error, and `repro` exits 1 after the
-//! experiment if any claim broke. EXPERIMENTS.md cites every id.
+//! experiment if any claim broke. EXPERIMENTS.md cites every id; the two
+//! live drills decide theirs through the same library function.
 //!
 //! Experiments are plain functions in [`EXPERIMENTS`]. What they share is
 //! written once, here: the market traces ([`markets`] is the only place
@@ -20,9 +21,7 @@ mod extensions;
 mod figures;
 mod tables;
 
-use std::fmt::Display;
-use std::sync::atomic::{AtomicBool, Ordering};
-
+use spotcache_bench::claims_hold;
 use spotcache_cloud::tracegen::paper_traces;
 use spotcache_cloud::SpotTrace;
 use spotcache_core::simulation::{simulate, SimConfig, SimResult};
@@ -80,26 +79,6 @@ fn main() {
     }
 }
 
-/// Set by a [`claim`] that breaks; read and cleared by [`claims_hold`].
-static BROKEN: AtomicBool = AtomicBool::new(false);
-
-/// Decides one paper claim: `id` is `<experiment>:<slug>`, `detail` the
-/// numbers the verdict read. Writes one line to standard error and, if
-/// the claim does not hold, fails the run.
-fn claim(id: &str, holds: bool, detail: impl Display) {
-    eprintln!(
-        "claim {id} {}: {detail}",
-        if holds { "holds" } else { "BREAKS" }
-    );
-    BROKEN.fetch_or(!holds, Ordering::Relaxed);
-}
-
-/// Runs `experiment` and reports whether every claim it decided held.
-fn claims_hold(experiment: fn()) -> bool {
-    experiment();
-    !BROKEN.swap(false, Ordering::Relaxed)
-}
-
 /// The paper's evaluation horizon, days.
 const PAPER_DAYS: u64 = 90;
 
@@ -145,20 +124,5 @@ fn zipf_theta(label: f64) -> f64 {
         0.99
     } else {
         label
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::{claim, claims_hold};
-
-    #[test]
-    fn a_claim_that_breaks_fails_the_run() {
-        assert!(claims_hold(|| claim("test:holds", true, "1 < 2")));
-        assert!(!claims_hold(|| {
-            claim("test:holds", true, "1 < 2");
-            claim("test:breaks", false, "2 < 1");
-        }));
-        assert!(claims_hold(|| {}), "a broken claim outlived its run");
     }
 }

@@ -1,6 +1,6 @@
 //! Paper Tables 1–4.
 
-use spotcache_bench::{heading, print_table};
+use spotcache_bench::{claim, heading, print_table};
 use spotcache_cloud::catalog::{BURSTABLE_TYPES, REGULAR_TYPES};
 use spotcache_cloud::pricing::{fit_burstable_model, fit_price_model};
 use spotcache_cloud::spot::Bid;
@@ -9,7 +9,7 @@ use spotcache_core::Approach;
 use spotcache_spotmodel::assess::assess_hourly;
 use spotcache_spotmodel::{CdfPredictor, TemporalPredictor};
 
-use crate::{claim, markets, PAPER_DAYS};
+use crate::{markets, PAPER_DAYS};
 
 /// **Table 1**: per-unit resource prices from the linear regression over
 /// the instance catalog, smallest sizes, and CPU/network per unit RAM
@@ -103,6 +103,27 @@ pub fn table1() {
 
     println!();
     println!("paper: 0.0397 $/vCPU·h, 0.0057 $/GB·h, R² = 0.99; burstable 0.013 $/GB·h (exact).");
+
+    let off = |fit: f64, paper: f64| (fit / paper - 1.0).abs();
+    claim(
+        "table1:regression_matches_paper",
+        off(reg.vcpu_unit, 0.0397) <= 0.05
+            && off(reg.ram_unit, 0.0057) <= 0.05
+            && reg.r_squared >= 0.99
+            && (burst.ram_unit - 0.013).abs() < 1e-6
+            && burst.r_squared > 0.9999,
+        format!(
+            "$/vCPU·h {:.5} ({:.3} off 0.0397), $/GB·h {:.5} ({:.3} off 0.0057), both <= 0.05; \
+             R² {:.4} (>= 0.99); burstable $/GB·h {:.7} (0.013 +- 1e-6), R² {:.6} (> 0.9999)",
+            reg.vcpu_unit,
+            off(reg.vcpu_unit, 0.0397),
+            reg.ram_unit,
+            off(reg.ram_unit, 0.0057),
+            reg.r_squared,
+            burst.ram_unit,
+            burst.r_squared
+        ),
+    );
 }
 
 /// **Table 2**: the spot predictor assessment — lifetime over-estimation
@@ -171,10 +192,14 @@ pub fn table3() {
     heading("Table 3: burstable price vs peak-capacity OD-equivalent price");
 
     let model = fit_price_model(REGULAR_TYPES).expect("regression");
+    let od_eqs: Vec<f64> = BURSTABLE_TYPES
+        .iter()
+        .map(|t| t.od_equivalent_price(model.vcpu_unit, model.ram_unit))
+        .collect();
     let rows: Vec<Vec<String>> = BURSTABLE_TYPES
         .iter()
-        .map(|t| {
-            let od_eq = t.od_equivalent_price(model.vcpu_unit, model.ram_unit);
+        .zip(&od_eqs)
+        .map(|(t, &od_eq)| {
             vec![
                 t.name.to_string(),
                 format!("{:.4}", t.od_price),
@@ -191,6 +216,29 @@ pub fn table3() {
     println!();
     println!("paper: t2.nano 0.0065 vs 0.0425, t2.micro 0.013 vs 0.0454, t2.small 0.026 vs");
     println!("0.0511, t2.medium 0.052 vs 0.1022, t2.large 0.104 vs 0.125.");
+
+    const PAPER_OD_EQ: [f64; 5] = [0.0425, 0.0454, 0.0511, 0.1022, 0.125];
+    let worst_off = od_eqs
+        .iter()
+        .zip(PAPER_OD_EQ)
+        .map(|(od_eq, paper)| (od_eq / paper - 1.0).abs())
+        .fold(0.0, f64::max);
+    let discounts: Vec<f64> = BURSTABLE_TYPES
+        .iter()
+        .zip(&od_eqs)
+        .map(|(t, od_eq)| od_eq / t.od_price)
+        .collect();
+    claim(
+        "table3:burstable_beats_its_peak_price",
+        BURSTABLE_TYPES.len() == PAPER_OD_EQ.len()
+            && worst_off <= 0.02
+            && discounts.iter().all(|&d| d > 1.0)
+            && discounts[0] >= 6.0,
+        format!(
+            "OD-equivalent prices within {worst_off:.4} of the paper's (<= 0.02); discounts \
+             {discounts:.2?} (each > 1, t2.nano >= 6)"
+        ),
+    );
 }
 
 /// **Table 4**: the feature matrix of the procurement approaches compared
@@ -198,6 +246,15 @@ pub fn table3() {
 pub fn table4() {
     heading("Table 4: procurement approaches");
 
+    // (approach, spot modeling, mixing, backup): the paper's Table 4.
+    use Approach::*;
+    let paper = [
+        (OdOnly, false, false, false),
+        (OdSpotSep, true, false, false),
+        (OdSpotCdf, false, true, false),
+        (PropNoBackup, true, true, false),
+        (Prop, true, true, true),
+    ];
     let mark = |b: bool| if b { "yes" } else { "no" }.to_string();
     let rows: Vec<Vec<String>> = Approach::ALL
         .iter()
@@ -222,4 +279,22 @@ pub fn table4() {
     );
     println!();
     println!("(ODPeak — static peak provisioning — is the additional strawman of Section 2.3.)");
+
+    let differ: Vec<&str> = paper
+        .iter()
+        .filter(|(a, modeling, mixing, backup)| {
+            (a.uses_our_spot_modeling(), a.uses_mixing(), a.has_backup())
+                != (*modeling, *mixing, *backup)
+        })
+        .map(|(a, ..)| a.name())
+        .collect();
+    claim(
+        "table4:feature_matrix_is_the_papers",
+        differ.is_empty() && rows.len() == paper.len(),
+        format!(
+            "{} of {} rows as in the paper; differing: {differ:?}",
+            paper.len() - differ.len(),
+            rows.len()
+        ),
+    );
 }

@@ -18,11 +18,11 @@
 //!    hit-rate curves for every run;
 //! 2. races the two restore mechanisms head to head on the **full** hot
 //!    set: the pump at its burstable-governed rate versus a checkpoint
-//!    cut + restore, asserting the checkpoint path is faster;
+//!    cut + restore, claiming the checkpoint path is faster;
 //! 3. drives a replication link through a fault-injectable proxy and the
-//!    **failure matrix** (sever, stall, corrupt) mid-traffic, asserting
-//!    the link never panics, surfaces every fault as `repl_*` counters
-//!    and drill spans, and converges once healed;
+//!    **failure matrix** (sever, stall, corrupt) mid-traffic: the link
+//!    must never panic, and the drill claims it surfaces every fault as
+//!    `repl_*` counters and drill spans and converges once healed;
 //! 4. compares the measured no-warning Replay recovery against the Fig. 4
 //!    [`WarmupModel`] prediction.
 //!
@@ -31,23 +31,30 @@
 //! (scaled-down CI run), `--out PATH`, `--seed N`, `--trace-out PATH`
 //! (Chrome trace with `drill` / `replication` / `checkpoint` spans).
 //!
-//! Asserted invariants: steady-state mostly hits; every warned drill
-//! recovers ≥90% of the steady fresh hit rate within the (scaled)
-//! warning window; the unwarned Replay drill is measurably slower than
-//! its warned twin; unwarned Hybrid recovery is no slower than unwarned
-//! Replay; the full-set checkpoint restore beats the full-set
-//! pump; every injected link fault is observed and healed.
+//! Claims (`drill:<slug>`, one [`claim`] line each on standard error,
+//! cited in EXPERIMENTS.md): steady state mostly hits; every run
+//! recovers and restores items; every warned drill recovers ≥90% of the
+//! steady fresh hit rate within the (scaled) warning window; the
+//! unwarned Replay drill is measurably slower than its warned twin;
+//! unwarned Hybrid recovery is no slower than unwarned Replay; the
+//! full-set checkpoint restore beats the full-set pump; every injected
+//! link fault is observed and healed; the stitched trace spans the
+//! primary, backup and replicator lanes; and, on full runs only, the
+//! unwarned Replay recovery lands within 6× of the Fig. 4 model. The
+//! artifact and trace are written whatever the verdicts; the drill then
+//! exits 1 if a claim broke.
 
 use std::collections::BTreeSet;
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use spotcache_bench::faults::{FaultMode, FaultProxy, StormEvent};
 use spotcache_bench::fleet::{
-    register_lanes, Fleet, FleetConfig, FleetRun, RECOVERY_FRACTION, THETA, VALUE_LEN,
+    lane_name, register_lanes, Fleet, FleetConfig, FleetRun, RECOVERY_FRACTION, THETA, VALUE_LEN,
 };
-use spotcache_bench::heading;
 use spotcache_bench::live::{prefill_hot, start_server, write_artifact, write_trace, Flags};
+use spotcache_bench::{claim, claims_hold, heading};
 use spotcache_cache::replication::{ReplicationConfig, ReplicationQueue, Replicator};
 use spotcache_cache::store::{Store, StoreConfig};
 use spotcache_obs::export::validate_prometheus_text;
@@ -353,7 +360,7 @@ struct LinkFaultOutcome {
 }
 
 /// Drives the replication link through the failure matrix while writes
-/// flow, asserting each fault is observed and healed.
+/// flow, recording whether each fault was observed and healed.
 fn run_link_faults(obs: &Arc<Obs>, tracer: &Arc<Tracer>) -> Vec<LinkFaultOutcome> {
     heading("replication link-fault matrix");
     let store_cfg = StoreConfig {
@@ -402,8 +409,6 @@ fn run_link_faults(obs: &Arc<Obs>, tracer: &Arc<Tracer>) -> Vec<LinkFaultOutcome
             repl.flush(Duration::from_secs(30)) && backup.get(sentinel.as_bytes()).is_some();
         let errors_seen = repl.stats().link_errors - errors_before;
         println!("{fault}: {errors_seen} link errors observed, healed={healed}");
-        assert!(errors_seen > 0, "{fault} fault must surface as link errors");
-        assert!(healed, "{fault}: stream must converge once the link heals");
         outcomes.push(LinkFaultOutcome {
             fault,
             errors_seen,
@@ -492,7 +497,17 @@ fn drill_json(strategy: &str, r: &FleetRun, cfg: &FleetConfig) -> String {
     )
 }
 
-fn main() {
+fn main() -> ExitCode {
+    if !claims_hold(run) {
+        return ExitCode::FAILURE;
+    }
+    println!("revocation drill OK");
+    ExitCode::SUCCESS
+}
+
+/// The whole drill: every claim is decided before the artifact and the
+/// trace are written, and none of them stops the run.
+fn run() {
     let cfg = Config::from_args();
     let f = &cfg.fleet;
     heading("Revocation drill (both recovery strategies)");
@@ -529,62 +544,100 @@ fn main() {
         .filter(|s| s.trace_id == STITCH_TRACE_ID)
         .map(|s| s.pid)
         .collect();
+    let stitched: Vec<&str> = stitched_pids.iter().filter_map(|&p| lane_name(p)).collect();
     println!(
-        "stitched trace {STITCH_TRACE_ID:#018x}: spans from {} logical processes {stitched_pids:?}",
+        "stitched trace {STITCH_TRACE_ID:#018x}: spans from {} logical processes {stitched:?}",
         stitched_pids.len()
     );
-    assert!(
-        stitched_pids.len() >= 3,
-        "stitched drill trace must span >=3 logical processes, got {stitched_pids:?}"
+    claim(
+        "drill:stitched_trace",
+        stitched_pids.len() >= 3
+            && ["primary-server", "backup-server", "replicator"]
+                .iter()
+                .all(|lane| stitched.contains(lane)),
+        format!(
+            "trace {STITCH_TRACE_ID:#018x} spans {stitched:?} (>= 3 processes, among them \
+             primary-server, backup-server and replicator)"
+        ),
     );
     let race = run_full_set_race(&cfg, &obs, &tracer);
     let faults = run_link_faults(&obs, &tracer);
     let model_s = model_recovery_secs(f);
 
     let warning_s = f.warning_windows as f64 * f.window.as_secs_f64();
-    let recovery = |strategy: &str, r: &FleetRun, label: &str| -> f64 {
-        recovery_secs(r, f.window).unwrap_or_else(|| {
-            panic!("{strategy} {label} drill must recover within the observation period")
-        })
-    };
+    let secs = |r: &FleetRun| recovery_secs(r, f.window);
+    let show = |s: Option<f64>| s.map_or("never".to_string(), |s| format!("{s:.2}s"));
     println!();
     for (strategy, warned, unwarned) in &results {
-        let w = recovery(strategy, warned, "warned");
-        let u = recovery(strategy, unwarned, "unwarned");
+        let (w, u) = (secs(warned), secs(unwarned));
         println!(
-            "{strategy}: recovery to {:.0}% of steady state: warned {w:.2}s, unwarned {u:.2}s",
-            RECOVERY_FRACTION * 100.0
+            "{strategy}: recovery to {:.0}% of steady state: warned {}, unwarned {}",
+            RECOVERY_FRACTION * 100.0,
+            show(w),
+            show(u)
         );
-        obs.gauge(&format!("drill_{strategy}_warned_recovery_s"))
-            .set(w);
-        obs.gauge(&format!("drill_{strategy}_unwarned_recovery_s"))
-            .set(u);
-
-        // Invariants that hold for every strategy.
-        assert!(
-            warned.steady_fresh >= 0.8 && unwarned.steady_fresh >= 0.8,
-            "{strategy}: steady state must mostly hit, got {:.3}/{:.3}",
-            warned.steady_fresh,
-            unwarned.steady_fresh
-        );
-        assert!(
-            w <= warning_s,
-            "{strategy}: warned recovery ({w:.2}s) must fit the warning window ({warning_s:.2}s)"
-        );
+        for (label, s) in [("warned", w), ("unwarned", u)] {
+            if let Some(s) = s {
+                obs.gauge(&format!("drill_{strategy}_{label}_recovery_s"))
+                    .set(s);
+            }
+        }
     }
     println!("Fig.4 model (no warning, replay): {model_s:.2}s");
+    let runs = || {
+        results
+            .iter()
+            .flat_map(|(s, w, u)| [(*s, "warned", w), (*s, "unwarned", u)])
+    };
+    let each = |cell: &dyn Fn(&FleetRun) -> String| {
+        runs()
+            .map(|(s, label, r)| format!("{s} {label} {}", cell(r)))
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
+    claim(
+        "drill:steady_state_hits",
+        runs().all(|(_, _, r)| r.steady_fresh >= 0.8),
+        format!(
+            "steady fresh rate {} (>= 0.8)",
+            each(&|r| format!("{:.3}", r.steady_fresh))
+        ),
+    );
+    let restored = |r: &FleetRun| r.restores.get(&0).map_or(0, |rep| rep.items_restored);
+    claim(
+        "drill:every_run_recovers",
+        runs().all(|(_, _, r)| secs(r).is_some() && restored(r) > 0),
+        format!(
+            "recovered in {} (within the observation period, > 0 items restored)",
+            each(&|r| format!("{} with {} items", show(secs(r)), restored(r)))
+        ),
+    );
+    claim(
+        "drill:warned_within_warning",
+        results
+            .iter()
+            .all(|(_, w, _)| secs(w).is_some_and(|s| s <= warning_s)),
+        format!(
+            "warned recovery {} (<= the {warning_s:.2}s warning window)",
+            results
+                .iter()
+                .map(|(s, w, _)| format!("{s} {}", show(secs(w))))
+                .collect::<Vec<_>>()
+                .join(", ")
+        ),
+    );
 
     let (_, replay_w, replay_u) = &results[0];
-    let replay_warned_s = recovery("replay", replay_w, "warned");
-    let replay_unwarned_s = recovery("replay", replay_u, "unwarned");
-    let hybrid_unwarned_s = recovery("hybrid", &results[1].2, "unwarned");
+    let (replay_warned, replay_unwarned) = (secs(replay_w), secs(replay_u));
+    let hybrid_unwarned = secs(&results[1].2);
 
     // v1-compatible summary gauges (replay is the paper's §3.3 path).
     obs.gauge("drill_steady_fresh_rate")
         .set(replay_w.steady_fresh);
-    obs.gauge("drill_warned_recovery_s").set(replay_warned_s);
-    obs.gauge("drill_unwarned_recovery_s")
-        .set(replay_unwarned_s);
+    if let (Some(w), Some(u)) = (replay_warned, replay_unwarned) {
+        obs.gauge("drill_warned_recovery_s").set(w);
+        obs.gauge("drill_unwarned_recovery_s").set(u);
+    }
     obs.gauge("drill_model_recovery_s").set(model_s);
     obs.gauge("drill_warning_window_s").set(warning_s);
     obs.gauge("drill_full_set_replay_s")
@@ -592,34 +645,64 @@ fn main() {
     obs.gauge("drill_full_set_checkpoint_s")
         .set((race.ckpt_write + race.ckpt_restore).as_secs_f64());
 
-    // The paper's claim, asserted live: a warned Replay revocation hides
+    // The paper's claim, measured live: a warned Replay revocation hides
     // nearly the whole outage inside the warning window; an unwarned one
     // pays the paced copy time in degraded service.
-    assert!(
-        replay_unwarned_s >= replay_warned_s + 2.0 * f.window.as_secs_f64(),
-        "no-warning replay recovery ({replay_unwarned_s:.2}s) must be measurably slower \
-         than warned ({replay_warned_s:.2}s)"
+    let margin = 2.0 * f.window.as_secs_f64();
+    claim(
+        "drill:unwarned_replay_pays_the_copy",
+        matches!((replay_warned, replay_unwarned), (Some(w), Some(u)) if u >= w + margin),
+        format!(
+            "replay unwarned {} vs warned {} (>= {margin:.2}s slower)",
+            show(replay_unwarned),
+            show(replay_warned)
+        ),
     );
-    // ADR-003's claim, asserted live: bulk-loading full state beats
+    // ADR-003's claim, measured live: bulk-loading full state beats
     // replaying it at the pump rate.
-    assert!(
-        hybrid_unwarned_s <= replay_unwarned_s,
-        "unwarned hybrid recovery ({hybrid_unwarned_s:.2}s) must not lose to \
-         unwarned replay ({replay_unwarned_s:.2}s)"
+    claim(
+        "drill:unwarned_hybrid_not_slower",
+        matches!((hybrid_unwarned, replay_unwarned), (Some(h), Some(r)) if h <= r),
+        format!(
+            "unwarned hybrid {} vs unwarned replay {}",
+            show(hybrid_unwarned),
+            show(replay_unwarned)
+        ),
     );
     let ckpt_total = race.ckpt_write + race.ckpt_restore;
-    assert!(
+    claim(
+        "drill:full_set_checkpoint_beats_replay",
         ckpt_total < race.replay,
-        "full-set checkpoint ({:.3}s) must beat replay-at-pump-rate ({:.3}s)",
-        ckpt_total.as_secs_f64(),
-        race.replay.as_secs_f64()
+        format!(
+            "{} items: checkpoint {:.4}s vs replay at the pump rate {:.3}s",
+            race.items,
+            ckpt_total.as_secs_f64(),
+            race.replay.as_secs_f64()
+        ),
+    );
+    claim(
+        "drill:link_faults_heal",
+        faults.iter().all(|o| o.errors_seen > 0 && o.healed),
+        faults
+            .iter()
+            .map(|o| {
+                format!(
+                    "{}: {} link errors, healed {}",
+                    o.fault, o.errors_seen, o.healed
+                )
+            })
+            .collect::<Vec<_>>()
+            .join("; "),
     );
     if !cfg.smoke {
-        let ratio = replay_unwarned_s / model_s.max(1e-9);
-        assert!(
+        let ratio = replay_unwarned.map_or(f64::INFINITY, |u| u / model_s.max(1e-9));
+        claim(
+            "drill:replay_near_fig4_model",
             (1.0 / 6.0..=6.0).contains(&ratio),
-            "no-warning replay recovery {replay_unwarned_s:.2}s strays from Fig.4 \
-             model {model_s:.2}s (x{ratio:.2})"
+            format!(
+                "unwarned replay {} vs the Fig. 4 model's {model_s:.2}s (x{ratio:.2}, 1/6-6)",
+                show(replay_unwarned)
+            ),
         );
     }
 
@@ -677,5 +760,4 @@ fn main() {
     if let Some(path) = &cfg.trace_out {
         write_trace(path, &tracer, &["drill", "replication", "checkpoint"]);
     }
-    println!("revocation drill OK");
 }

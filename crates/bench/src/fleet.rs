@@ -364,16 +364,24 @@ pub struct Fleet {
     curves: Curves,
 }
 
+/// The fleet's trace lanes: logical pid and process name.
+const LANES: [(u32, &str); 5] = [
+    (PID_DRIVER, "drill-router"),
+    (PID_PRIMARY, "primary-server"),
+    (PID_BACKUP, "backup-server"),
+    (PID_REPLACEMENT, "replacement-server"),
+    (PID_REPLICATOR, "replicator"),
+];
+
+/// The process name [`register_lanes`] gives logical pid `pid`.
+pub fn lane_name(pid: u32) -> Option<&'static str> {
+    LANES.iter().find(|(p, _)| *p == pid).map(|(_, name)| *name)
+}
+
 /// Registers the fleet's trace lanes on `tracer` and puts the calling
 /// thread in the router lane.
 pub fn register_lanes(tracer: &Tracer) {
-    for (pid, name) in [
-        (PID_DRIVER, "drill-router"),
-        (PID_PRIMARY, "primary-server"),
-        (PID_BACKUP, "backup-server"),
-        (PID_REPLACEMENT, "replacement-server"),
-        (PID_REPLICATOR, "replicator"),
-    ] {
+    for (pid, name) in LANES {
         tracer.register_process(pid, name);
     }
     trace::set_thread_pid(PID_DRIVER);

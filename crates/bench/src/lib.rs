@@ -18,10 +18,42 @@
 //! fault-injecting TCP proxy behind
 //! `revocation_drill`'s link-fault matrix plus the correlated-storm
 //! scheduler.
+//!
+//! [`claim`] is how every binary decides a verdict: `repro`'s experiments
+//! and both drills write one `claim <id> holds|BREAKS: …` line to
+//! standard error per claim, finish their output, and exit 1 if one
+//! broke ([`claims_hold`]). EXPERIMENTS.md cites every id.
 
 pub mod faults;
 pub mod fleet;
 pub mod live;
+
+use std::fmt::Display;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// Set by a [`claim`] that breaks; read and cleared by [`claims_hold`].
+static BROKEN: AtomicBool = AtomicBool::new(false);
+
+/// Decides one claim about the numbers a run computed: `id` is
+/// `<source>:<slug>` (an experiment's name, or `drill` / `storm` for the
+/// two live drills), `detail` the numbers the verdict read. Writes one
+/// line to standard error and, if the claim does not hold, fails the run
+/// that [`claims_hold`] wraps. It never stops the run, so what the run
+/// writes after it (the artifact, the trace) is still written.
+pub fn claim(id: &str, holds: bool, detail: impl Display) {
+    eprintln!(
+        "claim {id} {}: {detail}",
+        if holds { "holds" } else { "BREAKS" }
+    );
+    BROKEN.fetch_or(!holds, Ordering::Relaxed);
+}
+
+/// Runs `run` and reports whether every claim it decided held; the
+/// binary exits 1 when one did not.
+pub fn claims_hold(run: impl FnOnce()) -> bool {
+    run();
+    !BROKEN.swap(false, Ordering::Relaxed)
+}
 
 /// Prints a fixed-width text table: a header row, a rule, then rows.
 ///
@@ -73,6 +105,16 @@ pub fn pct(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_claim_that_breaks_fails_the_run() {
+        assert!(claims_hold(|| claim("test:holds", true, "1 < 2")));
+        assert!(!claims_hold(|| {
+            claim("test:holds", true, "1 < 2");
+            claim("test:breaks", false, "2 < 1");
+        }));
+        assert!(claims_hold(|| {}), "a broken claim outlived its run");
+    }
 
     #[test]
     fn formatting_helpers() {

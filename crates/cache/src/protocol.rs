@@ -282,7 +282,7 @@ pub fn parse_request(input: &[u8]) -> Result<(Request<'_>, usize), ParseError> {
     }
 }
 
-fn find_crlf(input: &[u8]) -> Option<usize> {
+pub(crate) fn find_crlf(input: &[u8]) -> Option<usize> {
     input.windows(2).position(|w| w == b"\r\n")
 }
 
@@ -290,22 +290,15 @@ fn parse_u64(b: &[u8]) -> Option<u64> {
     std::str::from_utf8(b).ok()?.parse().ok()
 }
 
-/// Wire format of a stored value: 4-byte big-endian flags then the data.
-/// (Flags are opaque to memcached but must round-trip.)
+/// Wire format of a stored value: 4-byte big-endian flags then the data,
+/// built straight into the store's value type: one allocation and one
+/// copy of `data` (none at all when the value fits inline). (Flags are
+/// opaque to memcached but must round-trip.)
 ///
 /// Public because the replication shipper and the warm-up pump read raw
 /// store values and must re-frame them as protocol `set`s (see
 /// [`crate::replication`]).
-pub fn encode_value(flags: u32, data: &[u8]) -> Vec<u8> {
-    let mut v = Vec::with_capacity(4 + data.len());
-    v.extend_from_slice(&flags.to_be_bytes());
-    v.extend_from_slice(data);
-    v
-}
-
-/// [`encode_value`] straight into the store's value type: one allocation
-/// and one copy of `data` (none at all when the value fits inline).
-fn stored_value(flags: u32, data: &[u8]) -> Bytes {
+pub fn encode_value(flags: u32, data: &[u8]) -> Bytes {
     Bytes::from_parts(&flags.to_be_bytes(), data)
 }
 
@@ -471,7 +464,7 @@ fn exec_mutation(
             // Presence check and insertion happen under one shard lock.
             let outcome = store.set_policy_at(
                 Bytes::copy_from_slice(key),
-                stored_value(flags, data),
+                encode_value(flags, data),
                 now,
                 ttl_from_exptime(exptime, now),
                 policy,
@@ -517,7 +510,7 @@ fn exec_mutation(
                 } else {
                     value.saturating_sub(delta)
                 }));
-                Some(stored_value(flags, d.as_slice()))
+                Some(encode_value(flags, d.as_slice()))
             });
             if !noreply {
                 match (outcome, &digits) {
@@ -951,10 +944,10 @@ mod tests {
     #[test]
     fn incr_keeps_the_exptime() {
         #[derive(Default)]
-        struct Tap(parking_lot::Mutex<Vec<(Vec<u8>, Option<u64>)>>);
+        struct Tap(parking_lot::Mutex<Vec<(Bytes, Option<u64>)>>);
         impl crate::store::MutationSink for Tap {
             fn on_set(&self, _: &Bytes, raw: &Bytes, ttl: Option<u64>) {
-                self.0.lock().push((raw.to_vec(), ttl));
+                self.0.lock().push((raw.clone(), ttl));
             }
             fn on_delete(&self, _: &[u8]) {}
         }

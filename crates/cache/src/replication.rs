@@ -713,7 +713,7 @@ mod tests {
                     let data = vec![b'x'; len];
                     let batch = [Mutation::Set {
                         key: Bytes::from_static(b"k"),
-                        raw_value: Bytes::from(crate::protocol::encode_value(flags, &data)),
+                        raw_value: crate::protocol::encode_value(flags, &data),
                         ttl,
                     }];
                     assert_eq!(serialize_batch(&batch, &mut out, None), 1);

@@ -48,7 +48,7 @@ use std::time::{Duration, Instant};
 use spotcache_obs::http::standard_routes;
 use spotcache_obs::{trace, AdminServer, Counter, Obs, TraceContext, Tracer};
 
-use crate::protocol::{serve_instrumented_into, ProtocolObs};
+use crate::protocol::{find_crlf, serve_instrumented_into, ProtocolObs};
 use crate::reactor::{Events, Interest, PollWindow, Poller, WakeFd, Woke};
 use crate::store::Store;
 
@@ -204,9 +204,16 @@ struct Conn {
     /// The interest currently armed in the poller (readable, writable).
     armed_read: bool,
     armed_write: bool,
+    /// Whether `pending_in` holds a CRLF: a complete command line whose
+    /// data block is still arriving, which new bytes can finish (or
+    /// prove malformed) without bringing a CRLF of their own.
+    line_waiting: bool,
     /// `write` calls the kernel refused (`WouldBlock`).
     #[cfg(test)]
     refused_writes: usize,
+    /// Times the read loop handed `pending_in` to the protocol.
+    #[cfg(test)]
+    serve_passes: usize,
 }
 
 enum ConnState {
@@ -227,8 +234,11 @@ impl Conn {
             eof: false,
             armed_read: true,
             armed_write: false,
+            line_waiting: false,
             #[cfg(test)]
             refused_writes: 0,
+            #[cfg(test)]
+            serve_passes: 0,
         }
     }
 
@@ -341,16 +351,29 @@ impl Conn {
             match read_result {
                 Ok(0) => self.eof = true,
                 Ok(n) => {
+                    let seam = self.pending_in.len().saturating_sub(1);
                     self.pending_in.extend_from_slice(&buf[..n]);
-                    let consumed = serve_instrumented_into(
-                        store,
-                        &self.pending_in,
-                        now,
-                        obs,
-                        tracer,
-                        &mut self.pending_out,
-                    );
-                    self.pending_in.drain(..consumed);
+                    // Bytes that end no line cannot complete a command
+                    // unless a line already waits for its data: serving
+                    // them would only rescan the unfinished line from its
+                    // first byte, O(n²) over a long one.
+                    let mut consumed = 0;
+                    if self.line_waiting || find_crlf(&self.pending_in[seam..]).is_some() {
+                        #[cfg(test)]
+                        {
+                            self.serve_passes += 1;
+                        }
+                        consumed = serve_instrumented_into(
+                            store,
+                            &self.pending_in,
+                            now,
+                            obs,
+                            tracer,
+                            &mut self.pending_out,
+                        );
+                        self.pending_in.drain(..consumed);
+                        self.line_waiting = find_crlf(&self.pending_in).is_some();
+                    }
                     if self.pending_in.is_empty() && self.pending_in.capacity() > BUF_RETAIN_MAX {
                         // Same retention rule as the output side: a burst
                         // of pipelined input must not pin its high-water
@@ -1553,6 +1576,103 @@ mod tests {
         // Into write-pending, into backpressure: yields re-arm nothing.
         assert_eq!(rearms, 2);
         assert_eq!(armed, (false, true));
+    }
+
+    /// Every reply byte that has reached `peer` so far, appended to `got`.
+    fn drain_replies(peer: &mut TcpStream, got: &mut Vec<u8>) {
+        let mut chunk = [0u8; 64 * 1024];
+        loop {
+            match peer.read(&mut chunk) {
+                Ok(0) => panic!("server closed mid-stream"),
+                Ok(n) => got.extend_from_slice(&chunk[..n]),
+                Err(e) if retriable_io(&e) => break,
+                Err(e) => panic!("peer read failed: {e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn an_endless_line_is_not_rescanned_on_every_read() {
+        // 16 KiB writes of one line that never ends: the connection is cut
+        // once more than MAX_PENDING_IN waits, and no read before that
+        // serves, since none brings a CRLF (each pass used to rescan the
+        // whole line: ~512 passes over up to 8 MiB).
+        let (mut conn, mut peer) = conn_and_peer();
+        let store = Store::with_capacity(1 << 20);
+        let cfg = ServerConfig::default();
+        let mut buf = vec![0u8; READ_CHUNK];
+        let chunk = vec![b'x'; 16 * 1024];
+        let mut sent = 0usize;
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            assert!(Instant::now() < deadline, "the endless line was never cut");
+            sent += write_until_refused(&mut peer, &chunk);
+            if let ConnState::Closed = conn.tick(&store, 0, None, None, &cfg, &mut buf, None) {
+                break;
+            }
+        }
+        assert!(sent > MAX_PENDING_IN, "cut after {sent} bytes");
+        assert!(
+            conn.serve_passes <= 4,
+            "{} serve passes over one unterminated line",
+            conn.serve_passes
+        );
+    }
+
+    #[test]
+    fn a_line_split_across_reads_is_answered_as_one_serve() {
+        // A ~100 KiB `get` of 10 000 keys, written 1 000 bytes at a time,
+        // then a `set` whose data block turns out malformed in a read that
+        // brings no CRLF: replies match one serve_into over all the bytes.
+        let (mut conn, mut peer) = conn_and_peer();
+        let (store, reference) = (Store::with_capacity(8 << 20), Store::with_capacity(8 << 20));
+        for i in (0..10_000).step_by(3) {
+            let value = format!("value-{i}");
+            prefill(&store, &format!("key-{i:06}"), value.as_bytes());
+            prefill(&reference, &format!("key-{i:06}"), value.as_bytes());
+        }
+        let keys: Vec<String> = (0..10_000).map(|i| format!("key-{i:06}")).collect();
+        let mut input = format!("get {}\r\n", keys.join(" ")).into_bytes();
+        assert!(input.len() > 100 * 1024);
+        let line_end = input.len();
+        input.extend_from_slice(b"set k 0 0 3\r\nabcXY");
+        let mut expect = Vec::new();
+        assert_eq!(
+            crate::protocol::serve_into(&reference, &input, 0, &mut expect),
+            input.len() - 5,
+            "the malformed block's bytes wait for a line end"
+        );
+
+        let cfg = ServerConfig::default();
+        let mut buf = vec![0u8; READ_CHUNK];
+        let mut got = Vec::new();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        for piece in input[..line_end]
+            .chunks(1_000)
+            .chain([&input[line_end..line_end + 13], &input[line_end + 13..]])
+        {
+            let mut sent = 0;
+            while sent < piece.len() {
+                assert!(Instant::now() < deadline, "the peer could not send");
+                sent += write_until_refused(&mut peer, &piece[sent..]);
+                // Let the bytes arrive, so every piece is its own read.
+                std::thread::sleep(Duration::from_millis(1));
+                let state = conn.tick(&store, 0, None, None, &cfg, &mut buf, None);
+                assert!(matches!(state, ConnState::Open { .. }), "connection closed");
+            }
+        }
+        while got.len() < expect.len() {
+            assert!(Instant::now() < deadline, "replies lost in flight");
+            let state = conn.tick(&store, 0, None, None, &cfg, &mut buf, None);
+            assert!(matches!(state, ConnState::Open { .. }), "connection closed");
+            drain_replies(&mut peer, &mut got);
+        }
+        assert!(got == expect, "replies diverged from one serve_into call");
+        assert!(
+            conn.serve_passes <= 4,
+            "{} serve passes for one get line and one set",
+            conn.serve_passes
+        );
     }
 
     #[test]

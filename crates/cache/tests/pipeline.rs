@@ -50,6 +50,70 @@ fn build_stream(ops: &[(u8, u8, u8)]) -> Vec<u8> {
     buf
 }
 
+/// Renders op tuples into bytes no client should send, mixed with valid
+/// commands: truncated commands, data blocks of the wrong length, runs of
+/// bare CR and LF, and pseudo-random bytes.
+fn build_hostile(ops: &[(u8, u8, u8)]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    for &(op, kid, x) in ops {
+        match op % 6 {
+            0 | 1 => buf.extend_from_slice(&build_stream(&[(x, kid, x.rotate_left(3))])),
+            2 => {
+                let cmd = build_stream(&[(x, kid, x)]);
+                buf.extend_from_slice(&cmd[..x as usize % cmd.len()]);
+            }
+            3 => {
+                let (claimed, sent) = (x % 9, (x / 9) % 9);
+                buf.extend_from_slice(format!("set key{} 0 0 {claimed}\r\n", kid % 12).as_bytes());
+                buf.extend_from_slice(&vec![b'd'; sent as usize]);
+                if x & 1 == 0 {
+                    buf.extend_from_slice(b"\r\n");
+                }
+            }
+            4 => buf.extend((0..x % 8).map(|i| if (x >> i) & 1 == 1 { b'\r' } else { b'\n' })),
+            _ => {
+                let mut state = u32::from(x) << 8 | u32::from(kid);
+                buf.extend((0..x % 24).map(|_| {
+                    state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                    (state >> 24) as u8
+                }));
+            }
+        }
+    }
+    buf
+}
+
+/// Serves `input` in the pieces `points` cut it into, carrying the
+/// unconsumed tail from one call to the next as a connection does. With
+/// `skip_unended`, a piece is served only when it (with the byte before
+/// it) holds a CRLF or the tail already did: the server's rule for
+/// skipping reads that cannot complete a command. Returns the replies,
+/// the bytes consumed in all, and the store.
+fn serve_in_pieces(input: &[u8], points: &[usize], skip_unended: bool) -> (Vec<u8>, usize, Store) {
+    let crlf = |b: &[u8]| b.windows(2).any(|w| w == b"\r\n");
+    let store = fresh_store();
+    let mut pending: Vec<u8> = Vec::new();
+    let mut out = Vec::new();
+    let (mut fed, mut line_waiting) = (0usize, false);
+    for &p in points {
+        let seam = pending.len().saturating_sub(1);
+        pending.extend_from_slice(&input[fed..p.max(fed)]);
+        fed = fed.max(p);
+        if skip_unended && !line_waiting && !crlf(&pending[seam..]) {
+            continue;
+        }
+        let n = serve_into(&store, &pending, 0, &mut out);
+        assert!(
+            n <= pending.len(),
+            "consumed {n} of {} bytes",
+            pending.len()
+        );
+        pending.drain(..n);
+        line_waiting = crlf(&pending);
+    }
+    (out, input.len() - pending.len(), store)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -208,6 +272,40 @@ proptest! {
         prop_assert_eq!(store.stats(), s1.stats());
         prop_assert_eq!(store.len(), s1.len());
         prop_assert_eq!(store.used_bytes(), s1.used_bytes());
+    }
+
+    /// Bytes no client should send never panic the protocol or make it
+    /// consume more than it was given, and serving them in arbitrary
+    /// pieces (a CRLF split between two included) gives the replies, the
+    /// consumed count and the store of one call over all of them, whether
+    /// every piece is served or only those the server would serve.
+    #[test]
+    fn hostile_bytes_serve_alike_in_any_pieces(
+        ops in proptest::collection::vec((0u8..6, 0u8..12, 0u8..=255u8), 1..60),
+        cuts in proptest::collection::vec(0u32..1000, 0..12),
+    ) {
+        let input = build_hostile(&ops);
+        let single = fresh_store();
+        let (expect, consumed) = serve(&single, &input, 0);
+        prop_assert!(consumed <= input.len());
+
+        let mut points: Vec<usize> = cuts
+            .iter()
+            .map(|&c| c as usize * input.len() / 1000)
+            .collect();
+        // Cut inside the first CRLF too, so its halves arrive apart.
+        if let Some(at) = input.windows(2).position(|w| w == b"\r\n") {
+            points.push(at + 1);
+        }
+        points.push(input.len());
+        points.sort_unstable();
+        for skip_unended in [false, true] {
+            let (out, total, store) = serve_in_pieces(&input, &points, skip_unended);
+            prop_assert_eq!(&out, &expect, "replies diverged (skip_unended {})", skip_unended);
+            prop_assert_eq!(total, consumed);
+            prop_assert_eq!(store.stats(), single.stats());
+            prop_assert_eq!(store.len(), single.len());
+        }
     }
 }
 

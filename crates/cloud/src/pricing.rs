@@ -103,31 +103,7 @@ pub fn fit_burstable_model(types: &[InstanceType]) -> Option<PriceModel> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::{BURSTABLE_TYPES, REGULAR_TYPES};
-
-    #[test]
-    fn regular_fit_matches_paper_coefficients() {
-        let m = fit_price_model(REGULAR_TYPES).unwrap();
-        // Paper: 0.0397 $/vCPU·h, 0.0057 $/GB·h, R² = 0.99.
-        assert!(
-            (m.vcpu_unit - 0.0397).abs() < 0.004,
-            "vcpu unit {}",
-            m.vcpu_unit
-        );
-        assert!(
-            (m.ram_unit - 0.0057).abs() < 0.002,
-            "ram unit {}",
-            m.ram_unit
-        );
-        assert!(m.r_squared > 0.98, "r² {}", m.r_squared);
-    }
-
-    #[test]
-    fn burstable_fit_is_perfect_ram_proportionality() {
-        let m = fit_burstable_model(BURSTABLE_TYPES).unwrap();
-        assert!((m.ram_unit - 0.013).abs() < 1e-6);
-        assert!(m.r_squared > 0.9999);
-    }
+    use crate::catalog::REGULAR_TYPES;
 
     #[test]
     fn predict_is_linear() {

@@ -85,24 +85,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn table4_feature_matrix() {
-        use Approach::*;
-        // (approach, spot modeling, mixing, backup) — the paper's Table 4.
-        let rows = [
-            (OdOnly, false, false, false),
-            (OdSpotSep, true, false, false),
-            (OdSpotCdf, false, true, false),
-            (PropNoBackup, true, true, false),
-            (Prop, true, true, true),
-        ];
-        for (a, modeling, mixing, backup) in rows {
-            assert_eq!(a.uses_our_spot_modeling(), modeling, "{a}");
-            assert_eq!(a.uses_mixing(), mixing, "{a}");
-            assert_eq!(a.has_backup(), backup, "{a}");
-        }
-    }
-
-    #[test]
     fn od_baselines_avoid_spot() {
         assert!(!Approach::OdPeak.uses_spot());
         assert!(!Approach::OdOnly.uses_spot());

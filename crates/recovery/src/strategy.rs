@@ -528,12 +528,12 @@ mod tests {
         let tail = vec![
             Mutation::Set {
                 key: bytes::Bytes::from_static(b"k0"),
-                raw_value: bytes::Bytes::from(encode_value(0, b"fresher")),
+                raw_value: encode_value(0, b"fresher"),
                 ttl: None,
             },
             Mutation::Set {
                 key: bytes::Bytes::from_static(b"tail-key"),
-                raw_value: bytes::Bytes::from(encode_value(0, b"tail-val")),
+                raw_value: encode_value(0, b"tail-val"),
                 ttl: None,
             },
             Mutation::Delete {
@@ -546,10 +546,7 @@ mod tests {
             .expect("restore");
         assert_eq!(report.topped_up, 3);
         assert_eq!(report.items_restored, 100 + 3);
-        assert_eq!(
-            r.replacement.get(b"k0"),
-            Some(bytes::Bytes::from(encode_value(0, b"fresher")))
-        );
+        assert_eq!(r.replacement.get(b"k0"), Some(encode_value(0, b"fresher")));
         assert!(r.replacement.get(b"tail-key").is_some());
         assert!(r.replacement.get(b"k1").is_none(), "tail delete applied");
         assert_eq!(r.replacement.get(b"k2"), r.backup.get(b"k2"));
@@ -573,7 +570,7 @@ mod tests {
         let tail: Vec<Mutation> = (0..5)
             .map(|i| Mutation::Set {
                 key: bytes::Bytes::from(format!("t{i}")),
-                raw_value: bytes::Bytes::from(encode_value(0, b"v")),
+                raw_value: encode_value(0, b"v"),
                 ttl: None,
             })
             .collect();
@@ -605,7 +602,7 @@ mod tests {
         };
         let tail = vec![Mutation::Set {
             key: bytes::Bytes::from_static(b"t"),
-            raw_value: bytes::Bytes::from(encode_value(0, b"v")),
+            raw_value: encode_value(0, b"v"),
             ttl: None,
         }];
         let strategy = RecoveryStrategy::Hybrid {
