@@ -280,13 +280,22 @@ done
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> *.rs lines per crate (informational, not a gate: a PR reports its net change from here)"
+# Beside each crate's lines, the lines of its library sources that open
+# with `pub ` (not `pub(crate)`): items, fields, modules and re-exports
+# another crate can name.
+echo "==> *.rs lines and pub lines per crate (informational, not a gate: a PR reports its net change from here)"
 total=0
+pubs=0
 for d in crates/* src tests examples; do
     n=$(find "$d" -name '*.rs' -exec cat {} + | wc -l)
+    lib="$d/src"
+    [ "$d" = src ] && lib=src
+    p=0
+    [ -d "$lib" ] && p=$(find "$lib" -name '*.rs' -exec cat {} + | grep -cE '^\s*pub ' || true)
     total=$((total + n))
-    printf "    %-20s %6d\n" "$d" "$n"
+    pubs=$((pubs + p))
+    printf "    %-20s %6d %5d\n" "$d" "$n" "$p"
 done
-printf "    %-20s %6d\n" total "$total"
+printf "    %-20s %6d %5d\n" total "$total" "$pubs"
 
 echo "CI OK"

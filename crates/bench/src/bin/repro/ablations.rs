@@ -20,7 +20,7 @@ use crate::{market, markets, od_only_cost, run, worst_hour_affected, PAPER_DAYS}
 /// (cheaper plans, more failures); more conservative ones under-promise
 /// (fewer failures, more on-demand spend). This sweep quantifies the
 /// trade-off on the spiky `m4.XL-c` market.
-pub fn percentile() {
+pub(crate) fn percentile() {
     let spiky = [market("m4.XL-c")];
 
     heading("Ablation: lifetime percentile (Prop_NoBackup, m4.XL-c, 90 days)");
@@ -79,7 +79,7 @@ pub fn percentile() {
 /// accesses. Sweeping that mass threshold changes the hot-set size `H`,
 /// the amount of data the passive backup must replicate, and the mixing
 /// optimizer's degrees of freedom.
-pub fn hotdef() {
+pub(crate) fn hotdef() {
     let traces = markets(PAPER_DAYS);
 
     heading("Ablation: hot-set access-mass threshold (Prop, all markets, 90 days)");
@@ -149,7 +149,7 @@ pub fn hotdef() {
 /// so the paper adds `η·max(0, −Ñ)` to damp scale-downs. This sweep counts
 /// scale-down *thrash* (instances released across consecutive hours) and
 /// the cost of keeping them instead.
-pub fn dealloc() {
+pub(crate) fn dealloc() {
     /// Total instances released across consecutive hourly plans.
     fn scale_down_events(r: &SimResult) -> i64 {
         let totals: Vec<i64> = r
@@ -214,23 +214,23 @@ pub fn dealloc() {
 
 /// One row of a ζ sweep of `Prop_NoBackup` at the reference workload
 /// (Zipf 2.0).
-pub struct ZetaRow {
+pub(crate) struct ZetaRow {
     /// The availability floor.
-    pub zeta: f64,
+    pub(crate) zeta: f64,
     /// Total cost over `ODOnly`'s.
-    pub norm_cost: f64,
+    pub(crate) norm_cost: f64,
     /// Share of days the performance target was violated.
-    pub violated: f64,
+    pub(crate) violated: f64,
     /// Spot revocations.
-    pub revocations: u32,
+    pub(crate) revocations: u32,
     /// Worst single-hour affected fraction: the exposure the floor caps.
-    pub worst_hour: f64,
+    pub(crate) worst_hour: f64,
 }
 
 impl ZetaRow {
     /// The printed cells: ζ, normalized cost, violated days, revocations,
     /// worst hour.
-    pub fn cells(&self) -> [String; 5] {
+    pub(crate) fn cells(&self) -> [String; 5] {
         [
             format!("{}", self.zeta),
             format!("{:.3}", self.norm_cost),
@@ -242,7 +242,7 @@ impl ZetaRow {
 }
 
 /// One ζ sweep of `Prop_NoBackup` at the reference workload over `traces`.
-pub fn zeta_sweep(traces: &[SpotTrace], zetas: &[f64]) -> Vec<ZetaRow> {
+pub(crate) fn zeta_sweep(traces: &[SpotTrace], zetas: &[f64]) -> Vec<ZetaRow> {
     let base = od_only_cost(500_000.0, 100.0, 2.0, traces);
     zetas
         .iter()
@@ -267,7 +267,7 @@ pub fn zeta_sweep(traces: &[SpotTrace], zetas: &[f64]) -> Vec<ZetaRow> {
 /// set on on-demand instances so simultaneous bid failures cannot take the
 /// whole cache down. This sweep shows what the floor costs and what it
 /// buys.
-pub fn zeta() {
+pub(crate) fn zeta() {
     let traces = markets(PAPER_DAYS);
 
     heading("Ablation: availability floor zeta (Prop_NoBackup, 90 days)");
@@ -316,7 +316,7 @@ pub fn zeta() {
 /// bid-failure and deallocation penalties) and the resource dollars alone. How long the solve takes is
 /// a host measurement, so it is not printed here: see `optimizer.solve_us`
 /// in the benchmark ledger.
-pub fn solver() {
+pub(crate) fn solver() {
     let traces = markets(30);
     let refs: Vec<&SpotTrace> = traces.iter().collect();
 
@@ -381,7 +381,7 @@ pub fn solver() {
 /// spike schedule — where conditioning is decisive — and (b) the paper's
 /// evaluation markets, whose regime-switching process has *no* diurnal
 /// structure, so conditioning must cost (almost) nothing.
-pub fn diurnal() {
+pub(crate) fn diurnal() {
     /// Walk-forward over-estimation rate for an arbitrary predict closure.
     fn over_rate(
         trace: &SpotTrace,

@@ -25,7 +25,7 @@ use crate::{markets, run, worst_hour_affected, PAPER_DAYS};
 /// Injects a 3× rate surge the forecasters cannot see coming and compares
 /// predictive-only control against predictive+reactive: affected requests,
 /// violated days, and the emergency-capacity bill.
-pub fn flash_crowd() {
+pub(crate) fn flash_crowd() {
     let traces = markets(30);
 
     heading("Flash crowd: predictive-only vs predictive+reactive (Prop_NoBackup)");
@@ -99,7 +99,7 @@ pub fn flash_crowd() {
 /// have shared demand shocks; this regenerates the ζ sweep over markets
 /// coupled by a regional shock schedule, where the on-demand floor becomes
 /// genuine insurance.
-pub fn correlated_failures() {
+pub(crate) fn correlated_failures() {
     let mut sweeps = Vec::new();
     for (name, traces) in [
         ("independent markets", markets(PAPER_DAYS)),
@@ -158,7 +158,7 @@ pub fn correlated_failures() {
 /// (highly available) to serve write requests". This quantifies that trade
 /// across write fractions: the extra on-demand tier's cost versus the
 /// mean-latency relief of absorbing writes at cache speed.
-pub fn write_tier() {
+pub(crate) fn write_tier() {
     let traces = markets(30);
     let refs: Vec<&SpotTrace> = traces.iter().collect();
     let profile = LatencyProfile::paper_default();
@@ -243,7 +243,7 @@ pub fn write_tier() {
 /// Runs the paper's system and a k-replica active-replication baseline
 /// over the same markets and workloads, across RAM-bound and rate-bound
 /// operating points, showing when each design wins.
-pub fn replication_compare() {
+pub(crate) fn replication_compare() {
     let traces = markets(PAPER_DAYS);
 
     heading("Hot-cold mixing (Prop) vs active replication (related work [50])");
@@ -325,7 +325,7 @@ pub fn replication_compare() {
 /// Preemptible VMs trade bidding complexity for a fixed discount, a fixed
 /// hazard, and a hard 24-hour lifetime cap. This compares the
 /// lifetime/price characteristics the optimizer would see from each class.
-pub fn preemptible_compare() {
+pub(crate) fn preemptible_compare() {
     heading("Revocable capacity classes: EC2 spot vs GCE preemptible");
 
     let traces = markets(PAPER_DAYS);
@@ -370,7 +370,7 @@ pub fn preemptible_compare() {
         ("typical zone", 0.05),
         ("busy zone", 0.15),
     ] {
-        let mut m = PreemptibleMarket::typical(name, 0.12, 7);
+        let mut m = PreemptibleMarket::typical(0.12);
         m.preemption_hazard_per_hour = hazard;
         zones.push((m.lifetime_quantile_hours(0.05), m.discount()));
         rows.push(vec![
@@ -421,7 +421,7 @@ pub fn preemptible_compare() {
 ///
 /// Prints the latency curves side by side and the per-instance rate caps
 /// each model would hand the optimizer at the paper's targets.
-pub fn queueing_compare() {
+pub(crate) fn queueing_compare() {
     let profile = LatencyProfile::paper_default();
     let analytic = MmcModel::paper_default();
     // A CPU-bound instance so both models describe the same resource.

@@ -21,7 +21,7 @@ use crate::{market, markets, od_only_cost, run, zipf_theta, PAPER_DAYS};
 
 /// **Figure 1**: the lifetime `L(b)` and average-price `p(b)` definitions,
 /// demonstrated by extracting the below-bid runs of one week of one trace.
-pub fn fig1() {
+pub(crate) fn fig1() {
     heading("Figure 1 demo: below-bid runs (lifetime L(b), avg price p(b))");
     let t = market("m4.XL-c");
     let bid = Bid(t.od_price);
@@ -68,7 +68,7 @@ pub fn fig1() {
 
 /// **Figure 2**: the 90-day spot price traces of the four evaluation
 /// markets, printed as summary statistics plus a daily-resolution series.
-pub fn fig2() {
+pub(crate) fn fig2() {
     let traces = markets(PAPER_DAYS);
 
     heading("Figure 2: 90-day spot price traces (summary)");
@@ -139,7 +139,7 @@ pub fn fig2() {
 /// **Figure 5**: the deterministic token-bucket dynamics of a t2.micro's
 /// CPU capacity and network bandwidth — burst from a full bucket, collapse
 /// to baseline, then recovery while idle.
-pub fn fig5() {
+pub(crate) fn fig5() {
     let spec = find_type("t2.micro")
         .expect("catalog")
         .burst
@@ -231,7 +231,7 @@ pub fn fig5() {
 /// of days the performance target is violated, for `Prop_NoBackup` versus
 /// `OD+Spot_CDF`, with the tenant restricted to a single spot market at a
 /// time. Paper setup: 500 kops peak, 100 GB working set, Zipf 2.0.
-pub fn fig7() {
+pub(crate) fn fig7() {
     heading("Figure 7: per-market normalized cost and violated days");
     println!("workload: 500 kops peak, 100 GB, Zipf 2.0, {PAPER_DAYS} days\n");
 
@@ -298,7 +298,7 @@ pub fn fig7() {
 /// predictor and the CDF baseline — showing how the CDF approach keeps
 /// believing in the low bid through the spiky interval (days 30–60) while
 /// ours collapses its prediction.
-pub fn fig8() {
+pub(crate) fn fig8() {
     let trace = market("m4.XL-c");
 
     heading("Figure 8: price and predicted residual lifetime, market m4.XL-c");
@@ -405,7 +405,7 @@ fn prototype_day(
 /// `m4.XL-c`, day 51 — hourly instance allocations and the per-minute
 /// average / p95 latency series for `Prop_NoBackup` versus `OD+Spot_CDF`
 /// (impact of spot prediction).
-pub fn fig9() {
+pub(crate) fn fig9() {
     let market = market("m4.XL-c");
 
     heading("Figure 9: 24-hour prototype, m4.XL-c day 51 (impact of spot prediction)");
@@ -516,7 +516,7 @@ pub fn fig9() {
 /// **Figure 10**: the 24-hour prototype experiment on spot market
 /// `m4.L-d`, day 45 — instance allocation per bid and latency for
 /// `Prop_NoBackup` versus `OD+Spot_Sep` (impact of hot-cold mixing).
-pub fn fig10() {
+pub(crate) fn fig10() {
     let market = market("m4.L-d");
 
     heading("Figure 10: 24-hour prototype, m4.L-d day 45 (impact of hot-cold mixing)");
@@ -617,7 +617,7 @@ pub fn fig10() {
 /// burst-credit-earn time across popularity skews and burstable types;
 /// then the **Figure 4** recovery cases (replacement ready before / after
 /// revocation).
-pub fn fig11() {
+pub(crate) fn fig11() {
     figure11a();
     figure11b();
     figure4_cases();
@@ -813,7 +813,7 @@ fn figure4_cases() {
 /// spot vs backup dollars — for every approach, at the paper's reference
 /// workload (500 kops peak, 100 GB working set), for Zipf 1.0 and 2.0,
 /// with all four spot markets available.
-pub fn fig12() {
+pub(crate) fn fig12() {
     let traces = markets(PAPER_DAYS);
 
     heading("Figure 12: long-term cost breakdown (500 kops, 100 GB)");
@@ -910,7 +910,7 @@ pub fn fig12() {
 /// grid — peak arrival rate ∈ {100k, 500k, 1000k} ops × maximum working
 /// set ∈ {10, 100, 500} GB × Zipf ∈ {1.0, 2.0} — for every approach,
 /// normalized by `ODOnly`.
-pub fn fig13() {
+pub(crate) fn fig13() {
     let traces = markets(PAPER_DAYS);
 
     heading("Figure 13: normalized long-term costs across 18 workloads");

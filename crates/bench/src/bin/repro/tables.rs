@@ -14,7 +14,7 @@ use crate::{markets, PAPER_DAYS};
 /// **Table 1**: per-unit resource prices from the linear regression over
 /// the instance catalog, smallest sizes, and CPU/network per unit RAM
 /// ratios for regular, spot, and burstable offerings.
-pub fn table1() {
+pub(crate) fn table1() {
     heading("Table 1: per-unit resource prices (linear regression)");
 
     let reg = fit_price_model(REGULAR_TYPES).expect("regression over 25 types");
@@ -130,7 +130,7 @@ pub fn table1() {
 /// rate `f^s(b)` and relative price deviation `ξ^s(b)` for our
 /// temporal-locality predictor versus the CDF baseline, over two markets
 /// and five bids with a 7-day history window.
-pub fn table2() {
+pub(crate) fn table2() {
     heading("Table 2: f^s(b) and xi^s(b), ours vs CDF baseline (7-day window)");
 
     let traces = markets(PAPER_DAYS);
@@ -188,7 +188,7 @@ pub fn table2() {
 /// **Table 3**: the cost of each t2 burstable type versus the on-demand
 /// price of its *peak* capacity at the Table 1 unit prices — the arbitrage
 /// the passive backup exploits.
-pub fn table3() {
+pub(crate) fn table3() {
     heading("Table 3: burstable price vs peak-capacity OD-equivalent price");
 
     let model = fit_price_model(REGULAR_TYPES).expect("regression");
@@ -243,7 +243,7 @@ pub fn table3() {
 
 /// **Table 4**: the feature matrix of the procurement approaches compared
 /// in the evaluation.
-pub fn table4() {
+pub(crate) fn table4() {
     heading("Table 4: procurement approaches");
 
     // (approach, spot modeling, mixing, backup): the paper's Table 4.

@@ -24,7 +24,7 @@
 //! the memcached text protocol does not carry. The drill therefore
 //! asserts detection of link corruption, not payload integrity.
 //!
-//! The module also hosts the *storm scheduler* ([`schedule_storm`]):
+//! The module also hosts the *storm scheduler* (`schedule_storm`):
 //! fleet-level fault timelines for the `storm_drill` bin, where the
 //! failure is not one flaky link but a correlated revocation wave —
 //! a kill-set drawn as a contiguous arc of the hashring (spot-market
@@ -36,7 +36,7 @@ use rand::Rng;
 use spotcache_router::hashring::{HashRing, NodeId};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -59,23 +59,9 @@ const M_SEVER: u8 = 1;
 const M_STALL: u8 = 2;
 const M_CORRUPT: u8 = 3;
 
-/// Link-level event counts, snapshot by [`FaultProxy::stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Connections accepted and relayed.
-    pub connections: u64,
-    /// Connections dropped by [`FaultMode::Sever`].
-    pub severed: u64,
-    /// Response chunks corrupted by [`FaultMode::Corrupt`].
-    pub corrupted_chunks: u64,
-}
-
 struct Shared {
     mode: AtomicU8,
     shutdown: AtomicBool,
-    connections: AtomicU64,
-    severed: AtomicU64,
-    corrupted: AtomicU64,
 }
 
 /// The fault-injecting TCP proxy; see the module docs.
@@ -111,7 +97,6 @@ fn relay(mut from: TcpStream, mut to: TcpStream, shared: Arc<Shared>, corruptibl
                 if corruptible && shared.mode.load(Ordering::Relaxed) == M_CORRUPT {
                     // One flipped bit per chunk is enough to break an ack.
                     chunk[0] ^= 0x40;
-                    shared.corrupted.fetch_add(1, Ordering::Relaxed);
                 }
                 if to.write_all(&chunk[..n]).is_err() {
                     return;
@@ -138,9 +123,6 @@ impl FaultProxy {
         let shared = Arc::new(Shared {
             mode: AtomicU8::new(M_FORWARD),
             shutdown: AtomicBool::new(false),
-            connections: AtomicU64::new(0),
-            severed: AtomicU64::new(0),
-            corrupted: AtomicU64::new(0),
         });
         let accept_handle = {
             let shared = Arc::clone(&shared);
@@ -151,7 +133,6 @@ impl FaultProxy {
                         match listener.accept() {
                             Ok((client, _)) => {
                                 if shared.mode.load(Ordering::Relaxed) == M_SEVER {
-                                    shared.severed.fetch_add(1, Ordering::Relaxed);
                                     drop(client); // accept-then-drop
                                     continue;
                                 }
@@ -160,7 +141,6 @@ impl FaultProxy {
                                 else {
                                     continue;
                                 };
-                                shared.connections.fetch_add(1, Ordering::Relaxed);
                                 let (Ok(c2), Ok(s2)) = (client.try_clone(), server.try_clone())
                                 else {
                                     continue;
@@ -204,15 +184,6 @@ impl FaultProxy {
         self.shared.mode.store(m, Ordering::Relaxed);
     }
 
-    /// Event counts so far.
-    pub fn stats(&self) -> FaultStats {
-        FaultStats {
-            connections: self.shared.connections.load(Ordering::Relaxed),
-            severed: self.shared.severed.load(Ordering::Relaxed),
-            corrupted_chunks: self.shared.corrupted.load(Ordering::Relaxed),
-        }
-    }
-
     /// Stops accepting; relay threads notice within one tick.
     pub fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
@@ -247,7 +218,7 @@ pub struct StormEvent {
     pub restart_at: u64,
 }
 
-/// Shape of one correlated revocation wave; see [`schedule_storm`].
+/// Shape of one correlated revocation wave; see `schedule_storm`.
 #[derive(Debug, Clone, Copy)]
 pub struct StormSpec {
     /// Fraction of the fleet revoked, of the *whole* ring (a 0.33 storm
@@ -273,14 +244,14 @@ pub struct StormSpec {
 
 /// A storm's full timeline: events sorted by kill time.
 #[derive(Debug, Clone, Default)]
-pub struct StormSchedule {
+pub(crate) struct StormSchedule {
     /// Per-node timelines, ordered by `kill_at` (ties by node id).
-    pub events: Vec<StormEvent>,
+    pub(crate) events: Vec<StormEvent>,
 }
 
 impl StormSchedule {
     /// The doomed nodes, in kill order.
-    pub fn nodes(&self) -> Vec<NodeId> {
+    pub(crate) fn nodes(&self) -> Vec<NodeId> {
         self.events.iter().map(|e| e.node).collect()
     }
 }
@@ -302,7 +273,7 @@ impl StormSchedule {
 /// warned, so a warned and an unwarned run from the same seed revoke
 /// the *same nodes at the same times* — the property the drill's
 /// recovery-ordering invariant (warned ≤ unwarned) leans on.
-pub fn schedule_storm<R: Rng + ?Sized>(
+pub(crate) fn schedule_storm<R: Rng + ?Sized>(
     ring: &HashRing,
     exclude: &[NodeId],
     spec: &StormSpec,
@@ -377,7 +348,6 @@ mod tests {
         let upstream = echo_server();
         let proxy = FaultProxy::start(upstream).unwrap();
         assert_eq!(roundtrip(proxy.addr(), b"hello").unwrap(), b"hello");
-        assert_eq!(proxy.stats().connections, 1);
     }
 
     #[test]
@@ -386,7 +356,6 @@ mod tests {
         let proxy = FaultProxy::start(upstream).unwrap();
         proxy.set_mode(FaultMode::Sever);
         assert!(roundtrip(proxy.addr(), b"hello").is_err());
-        assert!(proxy.stats().severed >= 1);
         proxy.set_mode(FaultMode::Forward);
         assert_eq!(roundtrip(proxy.addr(), b"back").unwrap(), b"back");
     }
@@ -409,7 +378,6 @@ mod tests {
         proxy.set_mode(FaultMode::Corrupt);
         let got = roundtrip(proxy.addr(), b"hello").unwrap();
         assert_ne!(got, b"hello");
-        assert!(proxy.stats().corrupted_chunks >= 1);
     }
 }
 

@@ -20,7 +20,7 @@
 //! * [`Fleet::run`] replays a list of [`StormEvent`]s (warn / kill /
 //!   restart per node and window) over a fixed membership.
 //!   `storm_drill` runs [`run_scenario`]: correlated storms whose
-//!   timeline comes from [`crate::faults::schedule_storm`] (a contiguous
+//!   timeline comes from `crate::faults::schedule_storm` (a contiguous
 //!   hot-ring arc killed within a short spread, restarts decorrelated by
 //!   jitter). `revocation_drill` runs one node per strategy, warned and
 //!   unwarned, with one explicit event each.
@@ -148,10 +148,10 @@ pub struct Scenario {
     /// The first wave (kill fraction, timing, notice).
     pub storm: StormSpec,
     /// Whether a second, unwarned spike hits the survivors while the
-    /// first wave's replacements still warm (see [`scenario_events`]).
+    /// first wave's replacements still warm (see `scenario_events`).
     pub cascade: bool,
     /// Seed salt: scenarios sharing a salt face the *same* kill-set and
-    /// kill times (see [`crate::faults::schedule_storm`]).
+    /// kill times (see `crate::faults::schedule_storm`).
     pub salt: u64,
 }
 
@@ -967,7 +967,7 @@ fn new_store(cfg: &FleetConfig) -> Arc<Store> {
 /// later, while the first wave's replacements still warm. The schedule's
 /// RNG is seeded by `seed ^ salt`, so scenarios sharing a salt revoke the
 /// same nodes at the same times.
-pub fn scenario_events(ring: &HashRing, seed: u64, sc: &Scenario) -> Vec<StormEvent> {
+pub(crate) fn scenario_events(ring: &HashRing, seed: u64, sc: &Scenario) -> Vec<StormEvent> {
     let mut rng = StdRng::seed_from_u64(seed ^ sc.salt);
     let wave1 = schedule_storm(ring, &[], &sc.storm, &mut rng);
     let mut events = wave1.events.clone();

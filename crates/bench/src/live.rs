@@ -2,11 +2,11 @@
 //! a flag parser ([`Flags`]), artifact writing ([`write_artifact`],
 //! [`write_trace`]), a loopback server ([`start_server`]), the hot-set
 //! prefill ([`prefill_hot`]), lazily connected per-[`ServeTarget`] clients
-//! behind a [`DegradedRouter`] ([`RoutedTiers`]), and the paced
+//! behind a [`DegradedRouter`] (`RoutedTiers`), and the paced
 //! read-through-the-router window with write-through refill
-//! ([`read_window`]), which [`crate::fleet`] drives. Nothing here knows
+//! (`read_window`), which [`crate::fleet`] drives. Nothing here knows
 //! which bin is calling; the caller passes its own SLO scoring into
-//! [`read_window`].
+//! `read_window`.
 
 use std::net::SocketAddr;
 use std::str::FromStr;
@@ -22,7 +22,7 @@ use spotcache_router::degraded::{DegradedRouter, ServeTarget};
 
 /// The process's command-line flags, consumed as they are asked for.
 ///
-/// Each bin takes the flags it knows ([`switch`](Self::switch),
+/// Each bin takes the flags it knows (`switch`,
 /// [`value`](Self::value)) and then calls [`finish`](Self::finish),
 /// which panics on whatever is left — so a typo fails loudly instead of
 /// silently running the default.
@@ -46,7 +46,7 @@ impl Flags {
     }
 
     /// Whether the value-less flag `name` was given.
-    pub fn switch(&mut self, name: &str) -> bool {
+    pub(crate) fn switch(&mut self, name: &str) -> bool {
         let before = self.0.len();
         self.0.retain(|a| a != name);
         self.0.len() != before
@@ -146,9 +146,9 @@ pub fn prefill_hot(
 /// per [`ServeTarget`]. Any transport error reads as a miss and drops
 /// the connection (the next call reconnects), so a dead server can
 /// never wedge the driver.
-pub struct RoutedTiers {
+pub(crate) struct RoutedTiers {
     /// The node's phase machine; picks the read plan and write target.
-    pub router: Arc<DegradedRouter>,
+    pub(crate) router: Arc<DegradedRouter>,
     /// Each target's server; `None` = nothing there (not launched yet,
     /// or revoked), so every read misses.
     tiers: [Option<SocketAddr>; 3],
@@ -168,7 +168,7 @@ fn slot(t: ServeTarget) -> usize {
 
 impl RoutedTiers {
     /// A node with no server behind any target.
-    pub fn new(router: Arc<DegradedRouter>, ctx: Option<TraceContext>) -> Self {
+    pub(crate) fn new(router: Arc<DegradedRouter>, ctx: Option<TraceContext>) -> Self {
         Self {
             router,
             tiers: [None; 3],
@@ -179,7 +179,7 @@ impl RoutedTiers {
 
     /// Points target `t` at the server on `addr` (`None` = no server),
     /// dropping any connection to the old one.
-    pub fn set_tier(&mut self, t: ServeTarget, addr: Option<SocketAddr>) {
+    pub(crate) fn set_tier(&mut self, t: ServeTarget, addr: Option<SocketAddr>) {
         self.tiers[slot(t)] = addr;
         self.conns[slot(t)] = None;
     }
@@ -229,13 +229,13 @@ impl RoutedTiers {
 /// What one [`read_window`] saw; `fresh + stale + missed` is the
 /// window's op count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WindowTally {
+pub(crate) struct WindowTally {
     /// Reads answered by a primary or a replacement.
-    pub fresh: usize,
+    pub(crate) fresh: usize,
     /// Reads answered stale by a backup.
-    pub stale: usize,
+    pub(crate) stale: usize,
     /// Reads nobody answered (refilled at the write target).
-    pub missed: usize,
+    pub(crate) missed: usize,
 }
 
 /// Drives one window of `ops` reads, then sleeps out the rest of the
@@ -249,7 +249,7 @@ pub struct WindowTally {
 /// from the backend. Fresh or stale follows the *answering* target, not
 /// the plan order. `score` is the caller's SLO:
 /// it sees every read's answering target (`None` = missed).
-pub fn read_window(
+pub(crate) fn read_window(
     fleet: &mut [RoutedTiers],
     ops: usize,
     mut next: impl FnMut() -> Option<(usize, String)>,

@@ -12,7 +12,7 @@
 //! * `touch` (private) — the per-shard recency log of the shared-lock
 //!   read path: pushed to under the shard's read lock, drained under its write
 //!   lock, drop-oldest by overwrite, and
-//! * [`wheel`] — a hierarchical timer wheel for proactive TTL expiry,
+//! * `wheel` — a hierarchical timer wheel for proactive TTL expiry,
 //!   advanced on the touch-flush cadence, and
 //! * [`store`] — a sharded store whose steady-state GETs take only a
 //!   **shared** lock (recency is recorded into a touch log and applied in
@@ -21,7 +21,7 @@
 //!   hit/miss/eviction statistics, and
 //! * [`protocol`] — the memcached text protocol (parse / execute / encode)
 //!   so a node can be driven with real wire traffic, and
-//! * [`reactor`] — a raw-syscall epoll/eventfd readiness layer:
+//! * `reactor` — a raw-syscall epoll/eventfd readiness layer:
 //!   `Poller` + `WakeFd`, no external deps (Linux system calls; the
 //!   constructors return `Unsupported` elsewhere), and
 //! * [`server`] — a TCP server multiplexing nonblocking connections over
@@ -41,24 +41,13 @@
 
 mod arena;
 pub mod protocol;
-pub mod reactor;
+mod reactor;
 pub mod replication;
 pub mod server;
 pub mod slab;
 pub mod store;
 mod touch;
-pub mod wheel;
+mod wheel;
 
-pub use protocol::{
-    parse_request, serve, serve_instrumented_into, serve_into, ParseError, ProtocolObs, Request,
-    StoreVerb,
-};
-pub use replication::{
-    Link, Mutation, ReplicationConfig, ReplicationQueue, ReplicationStats, Replicator,
-};
-pub use server::{CacheClient, CacheServer, Clock, LogicalClock, ServerConfig, SystemClock};
-pub use slab::{slab_efficiency, SlabAllocator, SlabClasses, SlabError};
-pub use store::{
-    CacheStats, FlushReport, MutationSink, SetOutcome, SetPolicy, Store, StoreConfig,
-    StoreSnapshot, TOUCH_LOG_CAPACITY,
-};
+pub use protocol::serve;
+pub use store::{Store, StoreConfig};

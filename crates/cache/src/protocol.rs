@@ -63,11 +63,11 @@ fn maybe_span<'a>(
 }
 
 /// Maximum key length accepted (memcached's limit).
-pub const MAX_KEY_LEN: usize = 250;
+pub(crate) const MAX_KEY_LEN: usize = 250;
 
 /// Exptime values above this are absolute Unix timestamps, not relative
 /// TTLs (the memcached text protocol's 30-day cutoff).
-pub const EXPTIME_ABSOLUTE_CUTOFF: u64 = 60 * 60 * 24 * 30;
+pub(crate) const EXPTIME_ABSOLUTE_CUTOFF: u64 = 60 * 60 * 24 * 30;
 
 /// Storage command semantics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,7 +85,7 @@ pub enum StoreVerb {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Request<'a> {
     /// `get`/`gets`: the raw space-separated key list (already validated;
-    /// iterate it with [`request_keys`]).
+    /// iterate it with `request_keys`).
     Get {
         /// Raw key-list tail of the command line.
         keys: &'a [u8],
@@ -142,7 +142,7 @@ pub enum Request<'a> {
 
 /// Iterates the keys of a `get` key-list tail (as produced by
 /// [`Request::Get`]), skipping runs of spaces.
-pub fn request_keys(raw: &[u8]) -> impl Iterator<Item = &[u8]> + Clone {
+pub(crate) fn request_keys(raw: &[u8]) -> impl Iterator<Item = &[u8]> + Clone {
     raw.split(|&b| b == b' ').filter(|p| !p.is_empty())
 }
 
@@ -305,7 +305,7 @@ pub fn encode_value(flags: u32, data: &[u8]) -> Bytes {
 /// Splits a raw stored value into its client flags and data payload; `None`
 /// when the value was stored without the protocol's flag prefix (a direct
 /// [`Store`] write).
-pub fn decode_value(raw: &[u8]) -> Option<(u32, &[u8])> {
+pub(crate) fn decode_value(raw: &[u8]) -> Option<(u32, &[u8])> {
     if raw.len() < 4 {
         return None;
     }
@@ -624,7 +624,7 @@ impl ProtocolObs {
     }
 
     /// The underlying bundle (for snapshotting).
-    pub fn bundle(&self) -> &Arc<Obs> {
+    pub(crate) fn bundle(&self) -> &Arc<Obs> {
         &self.obs
     }
 

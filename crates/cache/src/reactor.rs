@@ -47,48 +47,47 @@ use std::time::{Duration, Instant};
 mod sys {
     use std::os::raw::{c_int, c_void};
 
-    pub const EPOLL_CLOEXEC: c_int = 0o2000000;
-    pub const EPOLL_CTL_ADD: c_int = 1;
-    pub const EPOLL_CTL_DEL: c_int = 2;
-    pub const EPOLL_CTL_MOD: c_int = 3;
-    pub const EPOLLIN: u32 = 0x001;
-    pub const EPOLLOUT: u32 = 0x004;
-    pub const EPOLLERR: u32 = 0x008;
-    pub const EPOLLHUP: u32 = 0x010;
-    pub const EPOLLRDHUP: u32 = 0x2000;
-    pub const EFD_CLOEXEC: c_int = 0o2000000;
-    pub const EFD_NONBLOCK: c_int = 0o4000;
+    pub(crate) const EPOLL_CLOEXEC: c_int = 0o2000000;
+    pub(crate) const EPOLL_CTL_ADD: c_int = 1;
+    pub(crate) const EPOLL_CTL_DEL: c_int = 2;
+    pub(crate) const EPOLL_CTL_MOD: c_int = 3;
+    pub(crate) const EPOLLIN: u32 = 0x001;
+    pub(crate) const EPOLLOUT: u32 = 0x004;
+    pub(crate) const EPOLLRDHUP: u32 = 0x2000;
+    pub(crate) const EFD_CLOEXEC: c_int = 0o2000000;
+    pub(crate) const EFD_NONBLOCK: c_int = 0o4000;
 
     /// The kernel's `struct epoll_event`. On x86-64 the ABI packs it
     /// (4-byte aligned u64); elsewhere it uses natural alignment.
     #[cfg(target_arch = "x86_64")]
     #[repr(C, packed)]
     #[derive(Clone, Copy)]
-    pub struct EpollEvent {
-        pub events: u32,
-        pub data: u64,
+    pub(crate) struct EpollEvent {
+        pub(crate) events: u32,
+        pub(crate) data: u64,
     }
 
     /// The kernel's `struct epoll_event` (naturally aligned variant).
     #[cfg(not(target_arch = "x86_64"))]
     #[repr(C)]
     #[derive(Clone, Copy)]
-    pub struct EpollEvent {
-        pub events: u32,
-        pub data: u64,
+    pub(crate) struct EpollEvent {
+        pub(crate) events: u32,
+        pub(crate) data: u64,
     }
 
     #[cfg(target_os = "linux")]
     extern "C" {
-        pub fn epoll_create1(flags: c_int) -> c_int;
-        pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        pub fn epoll_wait(
+        pub(crate) fn epoll_create1(flags: c_int) -> c_int;
+        pub(crate) fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent)
+            -> c_int;
+        pub(crate) fn epoll_wait(
             epfd: c_int,
             events: *mut EpollEvent,
             maxevents: c_int,
             timeout: c_int,
         ) -> c_int;
-        pub fn eventfd(initval: u32, flags: c_int) -> c_int;
+        pub(crate) fn eventfd(initval: u32, flags: c_int) -> c_int;
     }
 
     /// Off Linux the four symbols above do not exist. These stand-ins keep
@@ -98,41 +97,41 @@ mod sys {
     mod absent {
         use super::{c_int, EpollEvent};
 
-        pub unsafe fn epoll_create1(_: c_int) -> c_int {
+        pub(crate) unsafe fn epoll_create1(_: c_int) -> c_int {
             -1
         }
-        pub unsafe fn epoll_ctl(_: c_int, _: c_int, _: c_int, _: *mut EpollEvent) -> c_int {
+        pub(crate) unsafe fn epoll_ctl(_: c_int, _: c_int, _: c_int, _: *mut EpollEvent) -> c_int {
             -1
         }
-        pub unsafe fn epoll_wait(_: c_int, _: *mut EpollEvent, _: c_int, _: c_int) -> c_int {
+        pub(crate) unsafe fn epoll_wait(_: c_int, _: *mut EpollEvent, _: c_int, _: c_int) -> c_int {
             -1
         }
-        pub unsafe fn eventfd(_: u32, _: c_int) -> c_int {
+        pub(crate) unsafe fn eventfd(_: u32, _: c_int) -> c_int {
             -1
         }
     }
     #[cfg(not(target_os = "linux"))]
-    pub use absent::*;
+    pub(crate) use absent::*;
 
     extern "C" {
-        pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-        pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-        pub fn close(fd: c_int) -> c_int;
+        pub(crate) fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
+        pub(crate) fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
+        pub(crate) fn close(fd: c_int) -> c_int;
     }
 }
 
 /// What a registered fd should be watched for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Interest {
+pub(crate) struct Interest {
     /// Notify when the fd has input to read (or the peer hung up).
-    pub readable: bool,
+    pub(crate) readable: bool,
     /// Notify when the fd can accept more output.
-    pub writable: bool,
+    pub(crate) writable: bool,
 }
 
 impl Interest {
     /// Read-only interest (the state of a freshly adopted connection).
-    pub const READ: Interest = Interest {
+    pub(crate) const READ: Interest = Interest {
         readable: true,
         writable: false,
     };
@@ -158,24 +157,20 @@ impl Interest {
 
 /// One readiness notification out of [`Poller::wait`].
 #[derive(Debug, Clone, Copy)]
-pub struct Event {
+pub(crate) struct Event {
     /// The token the fd was registered with.
-    pub token: u64,
-    /// The fd is readable, hung up, or in error (a read will not block).
-    pub readable: bool,
-    /// The fd is writable or in error (a write will not block).
-    pub writable: bool,
+    pub(crate) token: u64,
 }
 
 /// A reusable batch buffer for [`Poller::wait`] results.
-pub struct Events {
+pub(crate) struct Events {
     raw: Vec<sys::EpollEvent>,
     len: usize,
 }
 
 impl Events {
     /// Creates a buffer receiving at most `capacity` events per wait.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         Self {
             raw: vec![sys::EpollEvent { events: 0, data: 0 }; capacity],
@@ -184,34 +179,23 @@ impl Events {
     }
 
     /// Events delivered by the last wait.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    /// Whether the last wait delivered nothing (timeout).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// The `i`-th event of the last wait.
-    pub fn get(&self, i: usize) -> Option<Event> {
+    pub(crate) fn get(&self, i: usize) -> Option<Event> {
         if i >= self.len {
             return None;
         }
         // Copy out of the (possibly packed) raw struct before reading
-        // fields, so no unaligned reference is ever formed.
+        // the field, so no unaligned reference is ever formed.
         let e = self.raw[i];
-        let bits = { e.events };
-        let token = { e.data };
-        Some(Event {
-            token,
-            readable: bits & (sys::EPOLLIN | sys::EPOLLHUP | sys::EPOLLRDHUP | sys::EPOLLERR) != 0,
-            writable: bits & (sys::EPOLLOUT | sys::EPOLLHUP | sys::EPOLLERR) != 0,
-        })
+        Some(Event { token: { e.data } })
     }
 
     /// Iterates the events of the last wait.
-    pub fn iter(&self) -> impl Iterator<Item = Event> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = Event> + '_ {
         (0..self.len).filter_map(move |i| self.get(i))
     }
 }
@@ -225,7 +209,7 @@ impl Events {
 /// the wakeup fd *is* written from foreign threads, which is the whole
 /// point).
 #[derive(Debug)]
-pub struct Poller {
+pub(crate) struct Poller {
     epfd: RawFd,
 }
 
@@ -255,7 +239,7 @@ fn cvt(ret: i32) -> io::Result<i32> {
 
 impl Poller {
     /// Creates an epoll instance (close-on-exec).
-    pub fn new() -> io::Result<Self> {
+    pub(crate) fn new() -> io::Result<Self> {
         require_linux()?;
         let epfd = cvt(unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) })?;
         Ok(Self { epfd })
@@ -270,18 +254,18 @@ impl Poller {
     }
 
     /// Registers `fd` under `token` with the given interest.
-    pub fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+    pub(crate) fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         self.ctl(sys::EPOLL_CTL_ADD, fd, token, interest)
     }
 
     /// Changes the interest of an already registered fd (a *rearm*).
-    pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+    pub(crate) fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         self.ctl(sys::EPOLL_CTL_MOD, fd, token, interest)
     }
 
     /// Removes `fd` from the poller. Closing an fd removes it implicitly,
     /// but explicit removal keeps the sequencing obvious.
-    pub fn delete(&self, fd: RawFd) -> io::Result<()> {
+    pub(crate) fn delete(&self, fd: RawFd) -> io::Result<()> {
         self.ctl(sys::EPOLL_CTL_DEL, fd, 0, Interest::READ)
     }
 
@@ -289,7 +273,7 @@ impl Poller {
     /// registered on this poller is poked, or `timeout_ms` elapses
     /// (negative = wait forever). Fills `events` and returns the count;
     /// `Interrupted` (signal) is retried internally.
-    pub fn wait(&self, events: &mut Events, timeout_ms: i32) -> io::Result<usize> {
+    pub(crate) fn wait(&self, events: &mut Events, timeout_ms: i32) -> io::Result<usize> {
         events.len = 0;
         loop {
             let n = unsafe {
@@ -317,7 +301,11 @@ impl Poller {
     /// window has elapsed without events; a closed window is exactly that
     /// blocking wait. Then feeds the wait's idle time (its start to its
     /// events) to `window`'s rule.
-    pub fn wait_polled(&self, events: &mut Events, window: &mut PollWindow) -> io::Result<Woke> {
+    pub(crate) fn wait_polled(
+        &self,
+        events: &mut Events,
+        window: &mut PollWindow,
+    ) -> io::Result<Woke> {
         let start = Instant::now();
         let limit = window.get();
         let mut polled = Duration::ZERO;
@@ -348,11 +336,11 @@ impl Drop for Poller {
 
 /// Longest a [`PollWindow`] grows to, and the idle gap past which it
 /// shrinks: the guest haltpoll governor's `guest_halt_poll_ns`.
-pub const POLL_MAX: Duration = Duration::from_micros(200);
+pub(crate) const POLL_MAX: Duration = Duration::from_micros(200);
 
 /// What a closed [`PollWindow`] opens to, and below which a shrinking one
 /// closes: haltpoll's `guest_halt_poll_grow_start`.
-pub const POLL_GROW_START: Duration = Duration::from_micros(50);
+pub(crate) const POLL_GROW_START: Duration = Duration::from_micros(50);
 
 /// How long a worker polls before it parks: the guest haltpoll
 /// governor's `adjust_poll_limit` (grow ×2, shrink ÷2), moved into user
@@ -369,16 +357,16 @@ pub const POLL_GROW_START: Duration = Duration::from_micros(50);
 ///   KVM halt polling does), so three long gaps close a full window;
 /// * otherwise (a poll caught the events) it stays.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PollWindow(Duration);
+pub(crate) struct PollWindow(Duration);
 
 impl PollWindow {
     /// The current window; zero when closed.
-    pub fn get(self) -> Duration {
+    pub(crate) fn get(self) -> Duration {
         self.0
     }
 
     /// Applies the rule to one wait's idle time.
-    pub fn observe(&mut self, idle: Duration) {
+    pub(crate) fn observe(&mut self, idle: Duration) {
         if idle > POLL_MAX {
             let halved = self.0 / 2;
             self.0 = if halved < POLL_GROW_START {
@@ -394,7 +382,7 @@ impl PollWindow {
 
 /// How a [`Poller::wait_polled`] found its events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Woke {
+pub(crate) enum Woke {
     /// A zero-timeout poll inside the window caught them: no park, no
     /// wake-up.
     Polled,
@@ -410,7 +398,7 @@ pub enum Woke {
 /// read-side on the poller; any thread may [`wake`](Self::wake) it to
 /// make the owning loop's `epoll_wait` return.
 #[derive(Debug)]
-pub struct WakeFd {
+pub(crate) struct WakeFd {
     fd: RawFd,
 }
 
@@ -419,21 +407,21 @@ unsafe impl Sync for WakeFd {}
 
 impl WakeFd {
     /// Creates a nonblocking eventfd.
-    pub fn new() -> io::Result<Self> {
+    pub(crate) fn new() -> io::Result<Self> {
         require_linux()?;
         let fd = cvt(unsafe { sys::eventfd(0, sys::EFD_CLOEXEC | sys::EFD_NONBLOCK) })?;
         Ok(Self { fd })
     }
 
     /// The fd to register on a poller (readable interest).
-    pub fn raw_fd(&self) -> RawFd {
+    pub(crate) fn raw_fd(&self) -> RawFd {
         self.fd
     }
 
     /// Makes the next (or current) wait on the registered poller return.
     /// Wakes coalesce; failure is impossible short of fd closure (a full
     /// counter still leaves the fd readable, which is all we need).
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         let one: u64 = 1;
         unsafe {
             sys::write(self.fd, (&one as *const u64).cast(), 8);
@@ -444,7 +432,7 @@ impl WakeFd {
     /// per delivered wake event, before processing the reasons for it
     /// (shutdown flag, injection queue): a wake arriving *after* the drain
     /// re-readies the fd rather than being lost.
-    pub fn drain(&self) {
+    pub(crate) fn drain(&self) {
         let mut buf = 0u64;
         unsafe {
             sys::read(self.fd, (&mut buf as *mut u64).cast(), 8);
@@ -594,7 +582,6 @@ mod tests {
             assert_eq!(poller.wait(&mut events, 1_000).unwrap(), 1);
             let ev = events.get(0).unwrap();
             assert_eq!(ev.token, 1);
-            assert!(ev.readable);
         }
         // Rearm for writability only: the pending input stops reporting,
         // and the idle socket reports writable immediately.
@@ -609,8 +596,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(poller.wait(&mut events, 1_000).unwrap(), 1);
-        let ev = events.get(0).unwrap();
-        assert!(ev.writable && !ev.readable);
+        assert_eq!(events.get(0).unwrap().token, 1);
         // Deregister: silence.
         poller.delete(fd).unwrap();
         assert_eq!(poller.wait(&mut events, 0).unwrap(), 0);
@@ -618,7 +604,7 @@ mod tests {
     }
 
     #[test]
-    fn peer_hangup_reports_readable() {
+    fn peer_hangup_delivers_the_token() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (mut server, _) = listener.accept().unwrap();
@@ -628,7 +614,7 @@ mod tests {
         drop(client);
         let mut events = Events::with_capacity(4);
         assert_eq!(poller.wait(&mut events, 2_000).unwrap(), 1);
-        assert!(events.get(0).unwrap().readable, "hangup must wake readers");
+        assert_eq!(events.get(0).unwrap().token, 9, "hangup must wake readers");
         let mut buf = [0u8; 8];
         assert_eq!(server.read(&mut buf).unwrap(), 0, "EOF after hangup");
     }

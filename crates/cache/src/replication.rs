@@ -4,7 +4,7 @@
 //! holding every hot item that lives on revocable spot nodes. This module
 //! is the streaming leg of the unified recovery layer (the simulated
 //! geo-replication baseline lives separately in
-//! `spotcache_core::geo_baseline`): a source [`Store`] tails its hot-key
+//! `spotcache_core::geo_baseline`): a source [`Store`](crate::Store) tails its hot-key
 //! mutations through a [`MutationSink`] tap into a bounded
 //! [`ReplicationQueue`], and a [`Replicator`] thread ships them to a real
 //! backup server as memcached `set`/`delete` commands over TCP.
@@ -50,7 +50,7 @@ use parking_lot::Mutex;
 use spotcache_obs::{trace, Obs, TraceContext, Tracer};
 
 use crate::protocol::{decode_value, EXPTIME_ABSOLUTE_CUTOFF};
-use crate::store::{MutationSink, Store};
+use crate::store::MutationSink;
 
 /// Mutations shipped per batch (one write + one ack read per batch).
 const BATCH_MAX: usize = 64;
@@ -112,35 +112,10 @@ pub enum Mutation {
     },
 }
 
-impl Mutation {
-    /// The mutation's key.
-    pub fn key(&self) -> &Bytes {
-        match self {
-            Mutation::Set { key, .. } | Mutation::Delete { key } => key,
-        }
-    }
-
-    /// Applies the mutation directly to a store at logical time `now` —
-    /// the loopback equivalent of shipping it over the wire. Used by the
-    /// replay-convergence tests; the live path always ships TCP.
-    pub fn apply(&self, store: &Store, now: u64) {
-        match self {
-            Mutation::Set {
-                key,
-                raw_value,
-                ttl,
-            } => store.set_at(key.clone(), raw_value.clone(), now, *ttl),
-            Mutation::Delete { key } => {
-                store.delete(key);
-            }
-        }
-    }
-}
-
 /// The bounded drop-oldest mutation queue between the tap and the shipper.
 ///
 /// Install it as a store's [`MutationSink`] (via
-/// [`Store::set_mutation_sink`]) to tail writes; an optional hot-key
+/// [`Store::set_mutation_sink`](crate::Store::set_mutation_sink)) to tail writes; an optional hot-key
 /// prefix restricts replication to the hot tier, matching the paper's
 /// "backup holds hot content only".
 #[derive(Debug)]
@@ -173,7 +148,7 @@ impl ReplicationQueue {
     }
 
     /// Enqueues a mutation, dropping the oldest entry when full.
-    pub fn push(&self, m: Mutation) {
+    pub(crate) fn push(&self, m: Mutation) {
         let mut q = self.inner.lock();
         if q.len() >= self.capacity {
             q.pop_front();
@@ -191,13 +166,8 @@ impl ReplicationQueue {
     }
 
     /// Mutations currently queued.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Mutations accepted since creation (excludes filtered keys).
@@ -206,7 +176,7 @@ impl ReplicationQueue {
     }
 
     /// Mutations dropped by the drop-oldest policy.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 }
@@ -241,9 +211,9 @@ pub struct ReplicationStats {
     /// Mutations dropped after exhausting batch retries.
     pub batch_dropped: u64,
     /// Failed ship attempts (each is followed by a backoff).
-    pub retries: u64,
+    pub(crate) retries: u64,
     /// Successful link (re)connects after the first.
-    pub reconnects: u64,
+    pub(crate) reconnects: u64,
     /// I/O errors and bad acks observed on the link.
     pub link_errors: u64,
 }
@@ -505,14 +475,14 @@ impl Link {
     }
 
     /// Whether a connection is open (as far as this side knows).
-    pub fn is_up(&self) -> bool {
+    pub(crate) fn is_up(&self) -> bool {
         self.conn.is_some()
     }
 
     /// Opens the connection if it is down; a fresh connection restarts
     /// the back-off schedule. [`ship`](Self::ship) does this itself — call
     /// it separately only to tell a refused connect from a failed ship.
-    pub fn connect(&mut self) -> std::io::Result<()> {
+    pub(crate) fn connect(&mut self) -> std::io::Result<()> {
         if self.conn.is_none() {
             let timeout = self.cfg.io_timeout;
             let s = TcpStream::connect_timeout(&self.addr, timeout)?;
@@ -684,7 +654,7 @@ fn bump_attempts(
 mod tests {
     use super::*;
     use crate::server::{CacheServer, LogicalClock};
-    use crate::store::StoreConfig;
+    use crate::store::{Store, StoreConfig};
 
     fn store() -> Arc<Store> {
         Arc::new(Store::new(StoreConfig {
@@ -807,8 +777,10 @@ mod tests {
         let mut out = Vec::new();
         q.drain_into(&mut out, 10);
         // The two oldest (0, 1) are gone.
-        assert_eq!(out[0].key().as_ref(), &[2]);
-        assert_eq!(out[2].key().as_ref(), &[4]);
+        let delete = |k: u8| Mutation::Delete {
+            key: Bytes::copy_from_slice(&[k]),
+        };
+        assert_eq!(out, [delete(2), delete(3), delete(4)]);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! A TCP memcached server over the text-protocol codec.
 //!
 //! The data plane is a **readiness-driven reactor**: each worker owns an
-//! epoll instance ([`crate::reactor`]) and a shard of the connections,
+//! epoll instance (`crate::reactor`) and a shard of the connections,
 //! blocks in `epoll_wait` until a socket is actually readable or
 //! writable, and rearms per-connection interest to follow its
 //! backpressure state — an idle connection costs zero CPU, and ten
 //! thousand idle connections cost the same. Before it blocks, a worker
 //! whose idle gaps have stayed at or under 200 µs polls for up to its
-//! [`PollWindow`] (the guest haltpoll rule), so a ping-pong client's next
+//! `PollWindow` (the guest haltpoll rule), so a ping-pong client's next
 //! request finds it awake instead of waking a halted CPU; a worker fed
 //! more than 200 µs apart never polls, and the window closes by itself
 //! once the gaps grow. The accept loop blocks in its
@@ -17,7 +17,7 @@
 //!
 //! epoll and eventfd are Linux system calls and the server has no other
 //! data plane: elsewhere [`CacheServer::start_full`] returns
-//! [`std::io::ErrorKind::Unsupported`] (from [`Poller::new`]). The store,
+//! [`std::io::ErrorKind::Unsupported`] (from `Poller::new`). The store,
 //! the in-process [`crate::protocol::serve_into`] path and everything
 //! built on them do not depend on it.
 //!
@@ -56,19 +56,6 @@ use crate::store::Store;
 pub trait Clock: Send + Sync + 'static {
     /// Current time, seconds.
     fn now(&self) -> u64;
-}
-
-/// Wall-clock seconds since the Unix epoch.
-#[derive(Debug, Default)]
-pub struct SystemClock;
-
-impl Clock for SystemClock {
-    fn now(&self) -> u64 {
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0)
-    }
 }
 
 /// A settable logical clock for tests and simulations.
@@ -134,7 +121,7 @@ pub struct ServerConfig {
     /// Worker event loops. `0` (the default) auto-sizes to the machine:
     /// `available_parallelism`, clamped above by the store's shard count
     /// (more workers than shards only adds lock contention, never
-    /// parallelism — see [`ServerConfig::effective_workers_for`]).
+    /// parallelism — see `ServerConfig::effective_workers_for`).
     /// Nonzero values are taken literally.
     pub workers: usize,
     /// Cap on unflushed response bytes per connection; past it the
@@ -159,7 +146,7 @@ impl ServerConfig {
     /// `available_parallelism` clamped to `1..=shards`: one event loop
     /// per core up to the point where every worker can hold a distinct
     /// shard lock.
-    pub fn effective_workers_for(&self, shards: usize) -> usize {
+    pub(crate) fn effective_workers_for(&self, shards: usize) -> usize {
         if self.workers > 0 {
             return self.workers;
         }
@@ -908,18 +895,14 @@ impl CacheServer {
         Ok(addr)
     }
 
-    /// The admin endpoint's bound address, when one is attached.
-    pub fn admin_addr(&self) -> Option<SocketAddr> {
-        self.admin.as_ref().map(|a| a.addr())
-    }
-
     /// Connections currently owned by workers (monitoring/test hook).
     pub fn active_connections(&self) -> usize {
         self.active.load(Ordering::SeqCst)
     }
 
-    /// The resolved worker count (monitoring/bench-metadata hook).
-    pub fn workers(&self) -> usize {
+    /// The resolved worker count.
+    #[cfg(test)]
+    pub(crate) fn workers(&self) -> usize {
         self.worker_handles.len()
     }
 
@@ -1855,7 +1838,6 @@ mod tests {
         )
         .unwrap();
         let admin = server.start_admin("127.0.0.1:0", None).unwrap();
-        assert_eq!(server.admin_addr(), Some(admin));
         let mut client = CacheClient::connect(server.addr()).unwrap();
         client.set("k", b"v", 0).unwrap();
         assert!(client.get("k").unwrap().is_some());

@@ -27,7 +27,7 @@ pub const PAGE_SIZE: usize = 1 << 20;
 
 /// Smallest chunk size (memcached default: 96 bytes with 48-byte item
 /// overhead included).
-pub const MIN_CHUNK: usize = 96;
+pub(crate) const MIN_CHUNK: usize = 96;
 
 /// A slab-class ladder with a geometric growth factor.
 #[derive(Debug, Clone)]
@@ -47,7 +47,7 @@ impl SlabClasses {
     /// # Panics
     ///
     /// Panics if `factor <= 1.0`.
-    pub fn with_growth_factor(factor: f64) -> Self {
+    pub(crate) fn with_growth_factor(factor: f64) -> Self {
         assert!(factor > 1.0, "growth factor must exceed 1");
         let mut sizes = Vec::new();
         let mut size = MIN_CHUNK;
@@ -73,16 +73,18 @@ impl SlabClasses {
         (idx < self.sizes.len()).then_some(idx)
     }
 
+    // ROADMAP 10: slab geometry the chunk allocator will use.
     /// Chunk size of a class.
     pub fn chunk_size(&self, class: usize) -> usize {
         self.sizes[class]
     }
 
     /// Chunks per page for a class.
-    pub fn chunks_per_page(&self, class: usize) -> usize {
+    pub(crate) fn chunks_per_page(&self, class: usize) -> usize {
         PAGE_SIZE / self.sizes[class]
     }
 
+    // ROADMAP 10: slab geometry the chunk allocator will use.
     /// Internal fragmentation of an item of `bytes` in its class, bytes.
     pub fn waste(&self, bytes: usize) -> Option<usize> {
         self.class_for(bytes).map(|c| self.sizes[c] - bytes)
@@ -125,13 +127,14 @@ impl SlabAllocator {
         }
     }
 
+    // ROADMAP 10: slab geometry the chunk allocator will use.
     /// The ladder.
     pub fn classes(&self) -> &SlabClasses {
         &self.classes
     }
 
     /// Unassigned pages remaining.
-    pub fn free_pages(&self) -> usize {
+    pub(crate) fn free_pages(&self) -> usize {
         self.total_pages - self.assigned_pages.iter().sum::<usize>()
     }
 
@@ -152,6 +155,7 @@ impl SlabAllocator {
         Err(SlabError::NeedsEviction { class })
     }
 
+    // ROADMAP 10: slab geometry the chunk allocator will use.
     /// Frees one chunk in `class`.
     ///
     /// # Panics
@@ -162,6 +166,7 @@ impl SlabAllocator {
         self.used_chunks[class] -= 1;
     }
 
+    // ROADMAP 10: slab geometry the chunk allocator will use.
     /// Bytes actually usable for items of `bytes` size each, given the
     /// current page assignment (capacity-planning helper).
     pub fn effective_capacity_items(&self, bytes: usize) -> Option<usize> {
@@ -171,6 +176,7 @@ impl SlabAllocator {
         Some(assigned - self.used_chunks[class] + from_free)
     }
 
+    // ROADMAP 10: slab geometry the chunk allocator will use.
     /// Overall memory efficiency: fraction of assigned bytes holding used
     /// chunks (1.0 when nothing is assigned).
     pub fn occupancy(&self) -> f64 {

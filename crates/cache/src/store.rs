@@ -59,7 +59,7 @@
 //! order. Pushes happen only under the read guard and drains only under
 //! the write guard, so the lock itself keeps the two apart and the drain
 //! costs no locked instruction. TTL expiry is driven by a per-shard
-//! [hierarchical timer wheel](crate::wheel) advanced on the same flush
+//! hierarchical timer wheel advanced on the same flush
 //! cadence, so expired entries stop occupying LRU slots and memory without
 //! waiting for an unlucky GET.
 //!
@@ -116,12 +116,12 @@ pub struct StoreConfig {
     /// Memory budget across all shards, bytes.
     pub capacity_bytes: usize,
     /// Number of shards (each with its own lock); clamped to
-    /// `1..=`[`MAX_SHARDS`].
+    /// `1..=MAX_SHARDS`.
     pub shards: usize,
 }
 
 /// Most shards a store has: a batch names its shards in one `u64` mask.
-pub const MAX_SHARDS: usize = 64;
+pub(crate) const MAX_SHARDS: usize = 64;
 
 /// Keys a batched lookup carries through each prefetch stage before it
 /// serves them: enough misses in flight to overlap, few enough that the
@@ -166,7 +166,7 @@ impl FlushReport {
     }
 
     /// Whether the sweep did any work at all.
-    pub fn any(&self) -> bool {
+    pub(crate) fn any(&self) -> bool {
         self.drained != 0 || self.expired != 0
     }
 }
@@ -1411,8 +1411,8 @@ impl Store {
     /// (`now` earlier than a previous flush) are filtered from the counts
     /// during the sweep.
     ///
-    /// Prefer this over separate [`stats`](Self::stats) /
-    /// [`used_bytes`](Self::used_bytes) / [`len`](Self::len) calls when
+    /// Prefer this over separate `stats` / `used_bytes`
+    /// / [`len`](Self::len) calls when
     /// more than one field is needed (e.g. obs sampling, the protocol's
     /// `stats` command).
     pub fn snapshot_at(&self, now: u64) -> StoreSnapshot {
@@ -1436,12 +1436,12 @@ impl Store {
     /// [`snapshot_at`](Self::snapshot_at) at logical time 0 — i.e. the raw
     /// occupancy view, where only never-valid (TTL 0 at time 0) items are
     /// filtered.
-    pub fn snapshot(&self) -> StoreSnapshot {
+    pub(crate) fn snapshot(&self) -> StoreSnapshot {
         self.snapshot_at(0)
     }
 
     /// Total bytes accounted to items, ignoring TTLs (logical time 0).
-    pub fn used_bytes(&self) -> usize {
+    pub(crate) fn used_bytes(&self) -> usize {
         self.snapshot().used_bytes
     }
 
@@ -1469,7 +1469,8 @@ impl Store {
     }
 
     /// Aggregated statistics across shards.
-    pub fn stats(&self) -> CacheStats {
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> CacheStats {
         self.snapshot().stats
     }
 
@@ -1477,7 +1478,7 @@ impl Store {
     /// records and wheel entries are discarded; slot generations advance,
     /// so records still in flight on other threads can never act on
     /// post-clear items.
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         for sh in &self.shards {
             let mut d = sh.data.write();
             sh.log.drain(|_| {});

@@ -49,11 +49,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct TouchRec {
     /// Arena slot within the shard.
-    pub idx: u32,
+    pub(crate) idx: u32,
     /// Slot generation observed by the reader; the flush validates it so a
     /// record can never touch a slot that was freed, reused or overwritten
     /// since.
-    pub gen: u32,
+    pub(crate) gen: u32,
 }
 
 impl TouchRec {
@@ -87,7 +87,7 @@ pub(crate) struct TouchLog {
 impl TouchLog {
     /// Creates a log holding `capacity` records, rounded up to a power of
     /// two (minimum 2).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         let cap = capacity.max(2).next_power_of_two();
         Self {
             recs: (0..cap).map(|_| AtomicU64::new(0)).collect(),
@@ -98,13 +98,13 @@ impl TouchLog {
     }
 
     /// Capacity in records.
-    pub fn capacity(&self) -> u64 {
+    pub(crate) fn capacity(&self) -> u64 {
         self.mask + 1
     }
 
     /// Whether no record is pending. Readable without any lock (the
     /// flush's skip test); exact when no pusher is running.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.pushed.load(Ordering::Relaxed) == self.drained.load(Ordering::Relaxed)
     }
 
@@ -123,7 +123,7 @@ impl TouchLog {
     /// Appends one record, overwriting the oldest when the log is full.
     /// Call only under the shard's **read** guard.
     #[inline]
-    pub fn push(&self, rec: TouchRec) {
+    pub(crate) fn push(&self, rec: TouchRec) {
         self.fill(self.claim(), rec);
     }
 
@@ -132,7 +132,7 @@ impl TouchLog {
     /// records `f` saw and how many older ones were overwritten before
     /// this drain got to them. Stores nothing when nothing is pending.
     /// Call only under the shard's **write** guard.
-    pub fn drain(&self, mut f: impl FnMut(TouchRec)) -> (u64, u64) {
+    pub(crate) fn drain(&self, mut f: impl FnMut(TouchRec)) -> (u64, u64) {
         let end = self.pushed.load(Ordering::Relaxed);
         let pending = end - self.drained.load(Ordering::Relaxed);
         if pending == 0 {

@@ -30,21 +30,21 @@
 //! exactly like a lazy-expiry hit.
 
 /// Number of radix levels; `64^11 > 2^64`, so every `u64` deadline fits.
-pub const LEVELS: usize = 11;
+pub(crate) const LEVELS: usize = 11;
 
 /// Slots per level.
-pub const SLOTS: usize = 64;
+pub(crate) const SLOTS: usize = 64;
 
 /// One pending expiry: the deadline plus the arena slot coordinates used to
 /// validate the record at reap time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WheelRec {
+pub(crate) struct WheelRec {
     /// Absolute logical time at which the entry expires (`expires_at`).
-    pub expires_at: u64,
+    pub(crate) expires_at: u64,
     /// Arena slot within the shard.
-    pub idx: u32,
+    pub(crate) idx: u32,
     /// Slot generation when the deadline was filed.
-    pub gen: u32,
+    pub(crate) gen: u32,
 }
 
 struct Level {
@@ -62,7 +62,7 @@ impl Level {
 }
 
 /// The hierarchical timer wheel. See the module docs for the tick math.
-pub struct TimerWheel {
+pub(crate) struct TimerWheel {
     levels: Vec<Level>,
     /// Logical time the wheel has been advanced to; all records with
     /// `expires_at <= last_tick` have been delivered.
@@ -84,7 +84,7 @@ fn rotation_base(t: u64, level: usize) -> u64 {
 
 impl TimerWheel {
     /// Creates an empty wheel positioned at logical time 0.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             levels: (0..LEVELS).map(|_| Level::new()).collect(),
             last_tick: 0,
@@ -93,23 +93,13 @@ impl TimerWheel {
     }
 
     /// Number of pending (not yet delivered) records, stale ones included.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.pending
-    }
-
-    /// Whether no records are pending.
-    pub fn is_empty(&self) -> bool {
-        self.pending == 0
-    }
-
-    /// The wheel's current logical time.
-    pub fn now(&self) -> u64 {
-        self.last_tick
     }
 
     /// Schedules a record. A deadline at or before `last_tick` is clamped
     /// to `last_tick + 1` so it fires on the next advance.
-    pub fn insert(&mut self, rec: WheelRec) {
+    pub(crate) fn insert(&mut self, rec: WheelRec) {
         let e = rec.expires_at.max(self.last_tick.saturating_add(1));
         let level = Self::level_for(e ^ self.last_tick);
         let slot = ((e >> (6 * level)) & 63) as usize;
@@ -155,14 +145,14 @@ impl TimerWheel {
     /// Lower bound on the earliest pending deadline (`None` when empty).
     /// The store mirrors this into a per-shard atomic so readers can skip
     /// flushes that would have nothing to reap.
-    pub fn next_deadline(&self) -> Option<u64> {
+    pub(crate) fn next_deadline(&self) -> Option<u64> {
         self.next_slot().map(|(_, _, start)| start)
     }
 
     /// Advances the wheel to `now`, appending every due `(idx, gen)` pair
     /// to `due`. Records not yet due that lived in a processed coarse slot
     /// cascade down to finer levels. Returns the number delivered.
-    pub fn advance(&mut self, now: u64, due: &mut Vec<(u32, u32)>) -> usize {
+    pub(crate) fn advance(&mut self, now: u64, due: &mut Vec<(u32, u32)>) -> usize {
         let mut delivered = 0usize;
         while self.pending > 0 {
             let Some((level, slot, start)) = self.next_slot() else {
@@ -241,7 +231,7 @@ mod tests {
         w.insert(rec(10, 1));
         assert_eq!(drain(&mut w, 9), Vec::<u32>::new());
         assert_eq!(drain(&mut w, 10), vec![1]);
-        assert!(w.is_empty());
+        assert_eq!(w.len(), 0);
     }
 
     #[test]
@@ -257,7 +247,7 @@ mod tests {
         assert_eq!(drain(&mut w, base + 5), vec![1]);
         assert_eq!(drain(&mut w, base + 100), vec![2]);
         assert_eq!(drain(&mut w, base + 10_000), vec![3]);
-        assert!(w.is_empty());
+        assert_eq!(w.len(), 0);
         assert_eq!(w.next_deadline(), None);
     }
 

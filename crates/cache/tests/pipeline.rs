@@ -152,9 +152,9 @@ proptest! {
 
         prop_assert_eq!(&out, &expect, "response bytes diverged");
         prop_assert_eq!(input.len() - pending.len(), consumed_single);
-        prop_assert_eq!(s2.stats(), s1.stats());
+        prop_assert_eq!(s2.snapshot_at(0).stats, s1.snapshot_at(0).stats);
         prop_assert_eq!(s2.len(), s1.len());
-        prop_assert_eq!(s2.used_bytes(), s1.used_bytes());
+        prop_assert_eq!(s2.snapshot_at(0).used_bytes, s1.snapshot_at(0).used_bytes);
     }
 
     /// The same chunk-boundary property through the instrumented entry
@@ -202,9 +202,9 @@ proptest! {
                 "obs={} tracer={} perturbed the wire output", observed, traced
             );
             prop_assert_eq!(input.len() - pending.len(), consumed_single);
-            prop_assert_eq!(s2.stats(), s1.stats());
+            prop_assert_eq!(s2.snapshot_at(0).stats, s1.snapshot_at(0).stats);
             prop_assert_eq!(s2.len(), s1.len());
-            prop_assert_eq!(s2.used_bytes(), s1.used_bytes());
+            prop_assert_eq!(s2.snapshot_at(0).used_bytes, s1.snapshot_at(0).used_bytes);
             if let Some(tracer) = &tracer {
                 prop_assert!(!tracer.is_empty(), "enabled tracer recorded nothing");
                 prop_assert!(tracer.spans().iter().all(|r| r.cat == "protocol"));
@@ -269,9 +269,9 @@ proptest! {
         server.stop();
 
         prop_assert_eq!(&got, &expect, "reactor diverged from serve()");
-        prop_assert_eq!(store.stats(), s1.stats());
+        prop_assert_eq!(store.snapshot_at(0).stats, s1.snapshot_at(0).stats);
         prop_assert_eq!(store.len(), s1.len());
-        prop_assert_eq!(store.used_bytes(), s1.used_bytes());
+        prop_assert_eq!(store.snapshot_at(0).used_bytes, s1.snapshot_at(0).used_bytes);
     }
 
     /// Bytes no client should send never panic the protocol or make it
@@ -303,7 +303,7 @@ proptest! {
             let (out, total, store) = serve_in_pieces(&input, &points, skip_unended);
             prop_assert_eq!(&out, &expect, "replies diverged (skip_unended {})", skip_unended);
             prop_assert_eq!(total, consumed);
-            prop_assert_eq!(store.stats(), single.stats());
+            prop_assert_eq!(store.snapshot_at(0).stats, single.snapshot_at(0).stats);
             prop_assert_eq!(store.len(), single.len());
         }
     }

@@ -131,7 +131,7 @@ proptest! {
             let ri = apply_op(&mut i, op, 0);
             prop_assert_eq!(rd, ri);
         }
-        prop_assert_eq!(d.stats(), i.snapshot_at(0).stats, "all counters identical without TTLs");
+        prop_assert_eq!(d.snapshot_at(0).stats, i.snapshot_at(0).stats, "all counters identical without TTLs");
         // Final contents identical too, shard by shard in recency order:
         // one tick, so the once-per-tick rule holds both to the same LRU.
         for shard in 0..2 {
@@ -160,7 +160,7 @@ proptest! {
         }
         // Reap everything reapable, then compare within the bound.
         d.flush_touches(clock + 1000);
-        let (sd, si) = (d.stats(), i.snapshot_at(0).stats);
+        let (sd, si) = (d.snapshot_at(0).stats, i.snapshot_at(0).stats);
         prop_assert_eq!(sd.hits, si.hits);
         prop_assert_eq!(sd.misses, si.misses);
         prop_assert_eq!(sd.sets, si.sets);
@@ -313,7 +313,7 @@ fn four_readers_and_a_flusher_account_for_every_hit() {
     let drained = count("store_touch_flush_records_total");
     let dropped = count("store_touch_dropped_total");
     let skipped = count("store_touch_skipped_total");
-    let hits = s.stats().hits;
+    let hits = s.snapshot_at(0).stats.hits;
     assert_eq!(hits, READERS as u64 * READS);
     assert_eq!(hits, drained + dropped + skipped);
     assert_eq!(
@@ -355,7 +355,10 @@ fn eviction_respects_flushed_recency() {
             "touched key {k} must share its fate in store and model"
         );
     }
-    assert_eq!(d.stats().evictions, i.snapshot_at(0).stats.evictions);
+    assert_eq!(
+        d.snapshot_at(0).stats.evictions,
+        i.snapshot_at(0).stats.evictions
+    );
 }
 
 /// A batched store and a one-get-at-a-time twin of `shards` shards, filled
@@ -409,7 +412,7 @@ proptest! {
             prop_assert_eq!(seen, want);
         }
         prop_assert_eq!(b.flush_touches(now), q.flush_touches(now));
-        prop_assert_eq!(b.stats(), q.stats());
+        prop_assert_eq!(b.snapshot_at(0).stats, q.snapshot_at(0).stats);
         for name in ["store_rlock_gets_total", "store_touch_skipped_total"] {
             prop_assert_eq!(b_obs.counter(name).get(), q_obs.counter(name).get(), "{}", name);
         }

@@ -195,13 +195,16 @@ fn response_path_is_allocation_free_in_steady_state() {
     let mut before = (0, 0);
     for pass in 0..58 {
         if pass == 8 {
-            before = (allocs(), small.stats().evictions);
+            before = (allocs(), small.snapshot_at(0).stats.evictions);
         }
         out.clear();
         serve_into(&small, &batches[pass % 4], 0, &mut out);
     }
     assert_eq!(
-        (allocs() - before.0, small.stats().evictions - before.1),
+        (
+            allocs() - before.0,
+            small.snapshot_at(0).stats.evictions - before.1
+        ),
         (800, 800),
         "an evicting set allocates its value only"
     );
@@ -210,7 +213,7 @@ fn response_path_is_allocation_free_in_steady_state() {
     // the next pass's first write per shard reaps that shard's share
     // before inserting. The warm-up turns the wheel past a level-0
     // rotation, so every slot the measured ticks use has its capacity.
-    let before_expired = store.stats().expirations;
+    let before_expired = store.snapshot_at(0).stats.expirations;
     let mut spent = 0;
     for now in 0..120u64 {
         let batch = sets("ttl", 1, &big, " noreply");
@@ -221,7 +224,10 @@ fn response_path_is_allocation_free_in_steady_state() {
         }
     }
     assert_eq!(spent, 800, "a wheel reap must not allocate");
-    assert_eq!(store.stats().expirations - before_expired, 119 * 16);
+    assert_eq!(
+        store.snapshot_at(0).stats.expirations - before_expired,
+        119 * 16
+    );
 
     // Touch flushes: each pass is a tick of its own, in which 32 gets read
     // 16 keys twice (no writer in between to drain them). A key's first

@@ -32,13 +32,13 @@ pub struct TokenBucket {
     /// Current token level.
     pub level: f64,
     /// Maximum banked tokens.
-    pub capacity: f64,
+    pub(crate) capacity: f64,
     /// Tokens earned per second.
-    pub earn_rate: f64,
+    pub(crate) earn_rate: f64,
     /// Rate sustainable with an empty bucket (units/second).
-    pub base_rate: f64,
+    pub(crate) base_rate: f64,
     /// Rate achievable while tokens remain (units/second).
-    pub peak_rate: f64,
+    pub(crate) peak_rate: f64,
 }
 
 impl TokenBucket {
@@ -60,7 +60,7 @@ impl TokenBucket {
     }
 
     /// Lets the bucket idle for `dt` seconds, banking tokens.
-    pub fn idle(&mut self, dt: f64) {
+    pub(crate) fn idle(&mut self, dt: f64) {
         self.level = (self.level + self.earn_rate * dt).min(self.capacity);
     }
 
@@ -131,7 +131,7 @@ impl TokenBucket {
 /// telemetry samples the bucket after each step:
 /// [`sample_consume`](Self::sample_consume) after a
 /// [`TokenBucket::consume`], [`sample_level`](Self::sample_level) after a
-/// [`TokenBucket::idle`].
+/// `TokenBucket::idle`.
 pub struct BucketObserver {
     level: Gauge,
     achieved: Gauge,
@@ -167,11 +167,6 @@ impl BucketObserver {
     /// Whether `achieved` falls short of the peak-clamped `demand`.
     pub fn throttled(&self, bucket: &TokenBucket, demand: f64, achieved: f64) -> bool {
         achieved + 1e-12 < demand.max(0.0).min(bucket.peak_rate)
-    }
-
-    /// Throttle count so far.
-    pub fn throttle_count(&self) -> u64 {
-        self.throttles.get()
     }
 }
 
@@ -256,7 +251,7 @@ impl BurstableNet {
     }
 
     /// Banks allowance for `dt` idle seconds.
-    pub fn idle(&mut self, dt: f64) {
+    pub(crate) fn idle(&mut self, dt: f64) {
         self.bucket.idle(dt);
     }
 
@@ -412,13 +407,13 @@ mod tests {
         let a = b.consume(1.0, 1.0);
         observer.sample_consume(&b, 1.0, a);
         assert_eq!(a, 1.0);
-        assert_eq!(observer.throttle_count(), 0);
+        assert_eq!(obs.counter("bucket_cpu_throttles_total").get(), 0);
         assert_eq!(obs.gauge("bucket_cpu_level").get(), b.level);
         assert_eq!(obs.gauge("bucket_cpu_achieved_rate").get(), 1.0);
         // Drain past exhaustion: throttled.
         let a = b.consume(1.0, 1_000.0);
         observer.sample_consume(&b, 1.0, a);
-        assert_eq!(observer.throttle_count(), 1);
+        assert_eq!(obs.counter("bucket_cpu_throttles_total").get(), 1);
         assert_eq!(obs.gauge("bucket_cpu_level").get(), 0.0);
         assert_eq!(obs.gauge("bucket_cpu_achieved_rate").get(), a);
         // Idling refills and re-samples the level gauge.

@@ -7,7 +7,7 @@
 
 /// First-order instance classification used by the paper (Section 2.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum InstanceClass {
+pub(crate) enum InstanceClass {
     /// Conventional on-demand / reserved instances: high availability,
     /// near-fixed capacity. Also the class spot instances are drawn from.
     Regular,
@@ -30,17 +30,17 @@ pub struct BurstSpec {
     /// CPU capacity while bursting, in vCPUs.
     pub peak_vcpus: f64,
     /// CPU credits earned per hour (credits are vCPU-minutes).
-    pub credits_per_hour: f64,
+    pub(crate) credits_per_hour: f64,
     /// Maximum banked CPU credits (24 h of accrual on EC2).
-    pub max_credits: f64,
+    pub(crate) max_credits: f64,
     /// Credits granted at launch.
-    pub initial_credits: f64,
+    pub(crate) initial_credits: f64,
     /// Sustainable baseline network bandwidth, Mbps.
     pub base_net_mbps: f64,
     /// Network bandwidth while bursting, Mbps.
     pub peak_net_mbps: f64,
     /// Network token bucket depth, in megabits.
-    pub net_bucket_mbits: f64,
+    pub(crate) net_bucket_mbits: f64,
 }
 
 /// A single EC2 instance type.
@@ -49,7 +49,7 @@ pub struct InstanceType {
     /// EC2 API name, e.g. `"m4.large"`.
     pub name: &'static str,
     /// Instance class (regular vs burstable).
-    pub class: InstanceClass,
+    pub(crate) class: InstanceClass,
     /// Advertised vCPU count. For burstables this is the *peak* count; the
     /// sustainable share lives in [`BurstSpec::base_vcpus`].
     pub vcpus: f64,
@@ -193,15 +193,6 @@ pub const BURSTABLE_TYPES: &[InstanceType] = &[
     t2("t2.medium", 2.0, 4.0, 0.40, 24.0, 60.0, 1000.0, 0.052),
     t2("t2.large", 2.0, 8.0, 0.60, 36.0, 60.0, 1000.0, 0.104),
 ];
-
-/// The full catalog: regular types followed by burstable types.
-pub fn catalog() -> Vec<InstanceType> {
-    REGULAR_TYPES
-        .iter()
-        .chain(BURSTABLE_TYPES.iter())
-        .copied()
-        .collect()
-}
 
 /// Looks up an instance type by its EC2 API name.
 pub fn find_type(name: &str) -> Option<InstanceType> {

@@ -30,21 +30,12 @@ pub mod preemptible;
 pub mod pricing;
 pub mod provider;
 pub mod spot;
+// ROADMAP 13(b): the price-history loader that gains stale/gap checks.
 pub mod tracefile;
 pub mod tracegen;
 
-pub use billing::{CostCategory, Ledger};
-pub use burstable::{BurstableCpu, BurstableNet, TokenBucket};
-pub use catalog::{
-    catalog, find_type, InstanceClass, InstanceType, BURSTABLE_TYPES, REGULAR_TYPES,
-};
-pub use preemptible::PreemptibleMarket;
-pub use provider::{CloudProvider, Instance, InstanceId, InstanceState, Lease, ProviderEvent};
-pub use spot::{Bid, MarketId, SpotTrace};
-pub use tracefile::{parse_csv, to_csv, TraceFileError};
-pub use tracegen::{
-    correlated_paper_traces, paper_traces, MarketProfile, RegionalSpikes, TraceGenerator,
-};
+pub use catalog::InstanceType;
+pub use spot::{Bid, SpotTrace};
 
 /// One hour, in simulated seconds.
 pub const HOUR: u64 = 3_600;
@@ -53,7 +44,7 @@ pub const DAY: u64 = 24 * HOUR;
 /// Spot price trace resolution used throughout the repo (5 minutes).
 pub const TRACE_STEP: u64 = 300;
 /// Advance warning EC2 gives before revoking a spot instance (2 minutes).
-pub const REVOCATION_WARNING: u64 = 120;
+pub(crate) const REVOCATION_WARNING: u64 = 120;
 /// Typical launch latency of a small/medium on-demand instance (~100 s,
 /// per the measurement studies the paper cites).
-pub const LAUNCH_DELAY: u64 = 100;
+pub(crate) const LAUNCH_DELAY: u64 = 100;

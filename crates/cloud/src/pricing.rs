@@ -20,13 +20,6 @@ pub struct PriceModel {
     pub r_squared: f64,
 }
 
-impl PriceModel {
-    /// Predicted hourly price for `vcpus` cores and `ram_gb` GiB.
-    pub fn predict(&self, vcpus: f64, ram_gb: f64) -> f64 {
-        self.vcpu_unit * vcpus + self.ram_unit * ram_gb
-    }
-}
-
 /// Fits the two-predictor zero-intercept linear model over `types` by
 /// ordinary least squares (normal equations).
 ///
@@ -104,17 +97,6 @@ pub fn fit_burstable_model(types: &[InstanceType]) -> Option<PriceModel> {
 mod tests {
     use super::*;
     use crate::catalog::REGULAR_TYPES;
-
-    #[test]
-    fn predict_is_linear() {
-        let m = PriceModel {
-            vcpu_unit: 0.04,
-            ram_unit: 0.006,
-            r_squared: 1.0,
-        };
-        assert!((m.predict(2.0, 8.0) - 0.128).abs() < 1e-12);
-        assert_eq!(m.predict(0.0, 0.0), 0.0);
-    }
 
     #[test]
     fn degenerate_fits_return_none() {

@@ -4,13 +4,12 @@
 //! The provider is a discrete-event model driven by [`CloudProvider::advance_to`].
 //! Spot instances follow the one EC2 spot rule, [`SpotTrace::lease`]: a
 //! [`ProviderEvent::RevocationWarning`] fires at the first price sample
-//! above the bid, [`crate::REVOCATION_WARNING`] seconds before the actual
+//! above the bid, `crate::REVOCATION_WARNING` seconds before the actual
 //! [`ProviderEvent::Revoked`], and spot time is billed per price step.
 
 use std::collections::{BTreeMap, HashMap};
 
 use crate::billing::{CostCategory, Ledger};
-use crate::burstable::BurstableState;
 use crate::catalog::InstanceType;
 use crate::spot::{Bid, MarketId, SpotLease, SpotTrace};
 use crate::{LAUNCH_DELAY, REVOCATION_WARNING};
@@ -62,19 +61,15 @@ impl InstanceState {
 #[derive(Debug, Clone)]
 pub struct Instance {
     /// Identifier.
-    pub id: InstanceId,
+    pub(crate) id: InstanceId,
     /// Catalog type.
     pub itype: InstanceType,
     /// Procurement lease.
     pub lease: Lease,
     /// Lifecycle state.
     pub state: InstanceState,
-    /// Launch request time.
-    pub launched_at: u64,
     /// Billing category.
-    pub category: CostCategory,
-    /// Token-bucket state for burstable types.
-    pub burst: Option<BurstableState>,
+    pub(crate) category: CostCategory,
     /// When a spot instance's revocation warning fires, decided at launch.
     warn_at: Option<u64>,
 }
@@ -105,17 +100,6 @@ pub enum ProviderEvent {
         /// Event time.
         at: u64,
     },
-}
-
-impl ProviderEvent {
-    /// The event's timestamp.
-    pub fn at(&self) -> u64 {
-        match self {
-            ProviderEvent::Ready { at, .. }
-            | ProviderEvent::RevocationWarning { at, .. }
-            | ProviderEvent::Revoked { at, .. } => *at,
-        }
-    }
 }
 
 /// The simulated cloud: spot markets, instances, clock, ledger.
@@ -153,24 +137,9 @@ impl CloudProvider {
         self.now
     }
 
-    /// The configured launch delay.
-    pub fn launch_delay(&self) -> u64 {
-        self.launch_delay
-    }
-
     /// The cost ledger so far.
     pub fn ledger(&self) -> &Ledger {
         &self.ledger
-    }
-
-    /// The price trace of a market.
-    pub fn trace(&self, market: &MarketId) -> Option<&SpotTrace> {
-        self.traces.get(market)
-    }
-
-    /// All known markets.
-    pub fn markets(&self) -> impl Iterator<Item = &MarketId> {
-        self.traces.keys()
     }
 
     /// Requests an instance.
@@ -203,7 +172,6 @@ impl CloudProvider {
         }
         let id = self.next_id;
         self.next_id += 1;
-        let burst = BurstableState::for_type(&itype);
         let state = if self.launch_delay == 0 {
             InstanceState::Running
         } else {
@@ -218,9 +186,7 @@ impl CloudProvider {
                 itype,
                 lease,
                 state,
-                launched_at: self.now,
                 category,
-                burst,
                 warn_at,
             },
         );
@@ -586,26 +552,5 @@ mod tests {
         let want = 0.5 * (revoke_at - ready_at) as f64 / 3_600.0;
         let got = p.ledger().total(CostCategory::Spot);
         assert!((got - want).abs() < 1e-12, "got {got}, want {want}");
-    }
-
-    #[test]
-    fn burstable_instances_carry_token_state() {
-        let mut p = spiky_provider().with_launch_delay(0);
-        let id = p
-            .launch(
-                find_type("t2.medium").unwrap(),
-                Lease::OnDemand,
-                CostCategory::Backup,
-            )
-            .unwrap();
-        assert!(p.instance(id).unwrap().burst.is_some());
-        let od = p
-            .launch(
-                find_type("m3.medium").unwrap(),
-                Lease::OnDemand,
-                CostCategory::Backup,
-            )
-            .unwrap();
-        assert!(p.instance(od).unwrap().burst.is_none());
     }
 }

@@ -16,7 +16,7 @@ pub struct MarketId {
     /// EC2 instance type name, e.g. `"m4.xlarge"`.
     pub instance_type: String,
     /// Availability zone suffix, e.g. `"us-east-1c"`.
-    pub zone: String,
+    pub(crate) zone: String,
 }
 
 impl MarketId {
@@ -104,7 +104,7 @@ impl SpotLease {
 
     /// How a lease taken at `from` loses its instance within its window: a
     /// refused one at `from`, unwarned; a warned one at its revocation,
-    /// [`REVOCATION_WARNING`] seconds after the warning. `None` while the
+    /// `REVOCATION_WARNING` seconds after the warning. `None` while the
     /// bid holds.
     pub fn loss(&self, from: u64) -> Option<Loss> {
         match self {
@@ -134,8 +134,8 @@ pub struct Loss {
 ///
 /// Sample `i` carries the timestamp `start + i * step`, and a read over
 /// `[from, to)` — [`samples`](Self::samples), [`prices_in`](Self::prices_in),
-/// [`mean_price`](Self::mean_price), [`availability`](Self::availability),
-/// [`dollars`](Self::dollars), [`lease`](Self::lease) — sees exactly the samples
+/// [`mean_price`](Self::mean_price), `dollars`,
+/// [`lease`](Self::lease) — sees exactly the samples
 /// whose timestamp lies in that half-open interval, in trace order. The
 /// window's two indices come from arithmetic on `start` and `step`, so a read
 /// costs O(samples in the window) and never O(trace): an hour slot's 7-day
@@ -257,7 +257,7 @@ impl SpotTrace {
     /// mean price times the hours. A whole sample weighs exactly one, so
     /// over whole samples this is [`mean_price`](Self::mean_price) times
     /// the hours, to the bit.
-    pub fn dollars(&self, from: u64, to: u64) -> f64 {
+    pub(crate) fn dollars(&self, from: u64, to: u64) -> f64 {
         let Some(mut price) = self.price_at(from).filter(|_| to > from) else {
             return 0.0;
         };
@@ -277,7 +277,7 @@ impl SpotTrace {
     /// The EC2 spot rule for one instance held over `[from, to)` at `bid`:
     /// refused when the price at `from` is already above the bid;
     /// otherwise warned at the first sample above it, revoked
-    /// [`REVOCATION_WARNING`] seconds later, and billed up to that
+    /// `REVOCATION_WARNING` seconds later, and billed up to that
     /// revocation or the window's end, so the warning window is paid for.
     /// Every substrate decides and bills its spot leases through this.
     pub fn lease(&self, bid: Bid, from: u64, to: u64) -> SpotLease {
@@ -293,7 +293,8 @@ impl SpotTrace {
     }
 
     /// Fraction of samples in `[from, to)` with price at or below `bid`.
-    pub fn availability(&self, from: u64, to: u64, bid: Bid) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn availability(&self, from: u64, to: u64, bid: Bid) -> f64 {
         let prices = self.window(from, to).1;
         if prices.is_empty() {
             return 0.0;

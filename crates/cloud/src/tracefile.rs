@@ -22,7 +22,7 @@ use crate::TRACE_STEP;
 
 /// Most samples a parsed trace may hold after resampling: 2^24, which is
 /// 159 years at the 5-minute step, 194 days at one second, 128 MiB of prices.
-pub const MAX_SAMPLES: usize = 1 << 24;
+pub(crate) const MAX_SAMPLES: usize = 1 << 24;
 
 /// Errors from [`parse_csv`].
 #[derive(Debug, Clone, PartialEq)]
@@ -46,7 +46,7 @@ pub enum TraceFileError {
     Empty,
     /// The resampling step was zero.
     ZeroStep,
-    /// The rows span more than [`MAX_SAMPLES`] steps.
+    /// The rows span more than `MAX_SAMPLES` steps.
     TooLong,
 }
 
@@ -80,7 +80,7 @@ pub fn parse_csv(
 }
 
 /// Parses CSV content, resampling to `step` seconds.
-pub fn parse_csv_with_step(
+pub(crate) fn parse_csv_with_step(
     market: MarketId,
     od_price: f64,
     content: &str,

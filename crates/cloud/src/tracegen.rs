@@ -28,26 +28,26 @@ use crate::{DAY, TRACE_STEP};
 #[derive(Debug, Clone)]
 pub struct MarketProfile {
     /// Market identity.
-    pub market: MarketId,
+    pub(crate) market: MarketId,
     /// On-demand reference price for this instance type.
-    pub od_price: f64,
+    pub(crate) od_price: f64,
     /// Quiet-regime mean price, as a fraction of on-demand.
-    pub quiet_mean_frac: f64,
+    pub(crate) quiet_mean_frac: f64,
     /// Stationary standard deviation of the quiet-regime log price.
-    pub quiet_sigma: f64,
+    pub(crate) quiet_sigma: f64,
     /// Per-step mean-reversion strength of the OU recursion (0, 1].
-    pub mean_reversion: f64,
+    pub(crate) mean_reversion: f64,
     /// Expected spike-regime entries per hour in normal periods.
-    pub spike_hazard_per_hour: f64,
+    pub(crate) spike_hazard_per_hour: f64,
     /// Median spike height as a multiple of the on-demand price.
-    pub spike_median_mult: f64,
+    pub(crate) spike_median_mult: f64,
     /// Log-normal sigma of spike heights.
-    pub spike_sigma: f64,
+    pub(crate) spike_sigma: f64,
     /// Mean spike duration, in trace steps.
-    pub spike_mean_steps: f64,
+    pub(crate) spike_mean_steps: f64,
     /// `(start_day, end_day, hazard_multiplier)` windows of elevated spike
     /// hazard.
-    pub hot_windows: Vec<(u64, u64, f64)>,
+    pub(crate) hot_windows: Vec<(u64, u64, f64)>,
     /// RNG seed; the whole trace is a pure function of the profile.
     pub seed: u64,
 }
@@ -61,20 +61,20 @@ pub struct MarketProfile {
 /// diversity helps — but less than independence would suggest. This is
 /// what makes the paper's `ζ` on-demand floor worth paying for.
 #[derive(Debug, Clone)]
-pub struct RegionalSpikes {
+pub(crate) struct RegionalSpikes {
     /// Shared seed: every market in the region sees the same schedule.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Regional shock arrivals per hour.
-    pub hazard_per_hour: f64,
+    pub(crate) hazard_per_hour: f64,
     /// Mean shock duration, in trace steps.
-    pub mean_steps: f64,
+    pub(crate) mean_steps: f64,
     /// Probability a given market joins a given shock.
-    pub coupling: f64,
+    pub(crate) coupling: f64,
 }
 
 impl RegionalSpikes {
     /// A typical region: one shock every ~4 days, ~2 h long, 70% coupling.
-    pub fn typical(seed: u64) -> Self {
+    pub(crate) fn typical(seed: u64) -> Self {
         Self {
             seed,
             hazard_per_hour: 0.01,
@@ -123,7 +123,7 @@ impl TraceGenerator {
 
     /// Generates a trace whose spikes additionally include the region's
     /// shared shocks (when `region` is given).
-    pub fn generate_in_region(
+    pub(crate) fn generate_in_region(
         profile: &MarketProfile,
         days: u64,
         region: Option<&RegionalSpikes>,

@@ -7,10 +7,10 @@
 //! more peak vCPUs and network per node, shortening recovery. The paper's
 //! prototype uses t2.medium.
 
-use spotcache_cloud::catalog::{find_type, InstanceType, BURSTABLE_TYPES};
+use spotcache_cloud::catalog::{find_type, InstanceType};
 
 /// Fraction of a backup node's RAM usable for replicated items.
-pub const BACKUP_USABLE_FRACTION: f64 = 0.85;
+pub(crate) const BACKUP_USABLE_FRACTION: f64 = 0.85;
 
 /// A sized backup fleet.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,7 +25,7 @@ pub struct BackupPlan {
 
 impl BackupPlan {
     /// An empty plan (nothing to back up).
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Self {
             itype: find_type("t2.medium").expect("catalog type"),
             count: 0,
@@ -35,7 +35,7 @@ impl BackupPlan {
 }
 
 /// Sizes a backup fleet of `itype` for `hot_gb` of replicated content.
-pub fn size_backup_with(itype: &InstanceType, hot_gb: f64) -> BackupPlan {
+pub(crate) fn size_backup_with(itype: &InstanceType, hot_gb: f64) -> BackupPlan {
     if hot_gb <= 0.0 {
         return BackupPlan {
             itype: *itype,
@@ -53,32 +53,8 @@ pub fn size_backup_with(itype: &InstanceType, hot_gb: f64) -> BackupPlan {
 }
 
 /// Sizes a backup fleet using the paper's default type (t2.medium).
-pub fn size_backup(hot_gb: f64) -> BackupPlan {
+pub(crate) fn size_backup(hot_gb: f64) -> BackupPlan {
     size_backup_with(&find_type("t2.medium").expect("catalog type"), hot_gb)
-}
-
-/// Picks the cheapest burstable fleet for `hot_gb`, breaking near-ties
-/// (within 2%) toward bigger nodes for their higher per-node burst
-/// capacity.
-pub fn cheapest_burstable_backup(hot_gb: f64) -> BackupPlan {
-    let mut best: Option<BackupPlan> = None;
-    for t in BURSTABLE_TYPES {
-        let plan = size_backup_with(t, hot_gb);
-        best = Some(match best {
-            None => plan,
-            Some(b) => {
-                if plan.hourly_cost < 0.98 * b.hourly_cost
-                    || (plan.hourly_cost <= 1.02 * b.hourly_cost
-                        && plan.itype.ram_gb > b.itype.ram_gb)
-                {
-                    plan
-                } else {
-                    b
-                }
-            }
-        });
-    }
-    best.expect("catalog has burstable types")
 }
 
 #[cfg(test)]
@@ -110,15 +86,6 @@ mod tests {
             let cap = p.count as f64 * p.itype.ram_gb * BACKUP_USABLE_FRACTION;
             assert!(cap >= gb, "{gb} GB in {cap} GB of backup");
         }
-    }
-
-    #[test]
-    fn cheapest_prefers_larger_nodes_on_ties() {
-        // RAM-proportional pricing → costs tie → t2.large wins for burst.
-        let p = cheapest_burstable_backup(6.8);
-        assert_eq!(p.itype.name, "t2.large");
-        let cap = p.count as f64 * p.itype.ram_gb * BACKUP_USABLE_FRACTION;
-        assert!(cap >= 6.8);
     }
 
     #[test]

@@ -27,27 +27,27 @@ use crate::backup::{size_backup, BackupPlan};
 #[derive(Debug, Clone)]
 pub struct ControllerConfig {
     /// The procurement approach driving offer construction.
-    pub approach: Approach,
+    pub(crate) approach: Approach,
     /// Bid multiples of the on-demand price (paper: `{1, 5}`).
-    pub bid_multiples: Vec<f64>,
+    pub(crate) bid_multiples: Vec<f64>,
     /// Optimizer cost coefficients.
     pub cost: CostModel,
     /// Performance profile.
-    pub profile: LatencyProfile,
+    pub(crate) profile: LatencyProfile,
     /// Mean-latency target, µs (paper: 800).
-    pub target_avg_us: f64,
+    pub(crate) target_avg_us: f64,
     /// p95 latency target, µs (paper: 1000).
-    pub target_p95_us: f64,
+    pub(crate) target_p95_us: f64,
     /// Fraction of the working set kept memory-resident (`α`).
-    pub alpha: f64,
+    pub(crate) alpha: f64,
     /// Access mass defining the hot set (paper: 0.9).
     pub hot_mass: f64,
     /// Predictor sliding window, seconds (paper: 7 days).
-    pub window: u64,
+    pub(crate) window: u64,
     /// Lifetime percentile for the temporal predictor (paper: 0.05).
     pub lifetime_percentile: f64,
     /// Cache item size, bytes.
-    pub item_bytes: f64,
+    pub(crate) item_bytes: f64,
 }
 
 impl ControllerConfig {
@@ -107,15 +107,15 @@ impl GlobalController {
             cfg,
             temporal,
             cdf,
-            rate_model: Ar2::with_max_history(168),
-            wss_model: Ar2::with_max_history(168),
+            rate_model: Ar2::default(),
+            wss_model: Ar2::default(),
             existing: HashMap::new(),
             hot_frac_cache: HashMap::new(),
         }
     }
 
     /// The configuration.
-    pub fn config(&self) -> &ControllerConfig {
+    pub(crate) fn config(&self) -> &ControllerConfig {
         &self.cfg
     }
 
@@ -126,20 +126,20 @@ impl GlobalController {
     }
 
     /// One-slot-ahead workload forecast; `None` before any observation.
-    pub fn forecast(&self) -> Option<(f64, f64)> {
+    pub(crate) fn forecast(&self) -> Option<(f64, f64)> {
         Some((self.rate_model.forecast()?, self.wss_model.forecast()?))
     }
 
     /// Records that `count` instances of `label` were revoked (so the next
     /// slot's deallocation damping does not bill for them).
-    pub fn on_revocation(&mut self, label: &str, count: u32) {
+    pub(crate) fn on_revocation(&mut self, label: &str, count: u32) {
         if let Some(n) = self.existing.get_mut(label) {
             *n = n.saturating_sub(count);
         }
     }
 
     /// Current running count for an offer label.
-    pub fn existing(&self, label: &str) -> u32 {
+    pub(crate) fn existing(&self, label: &str) -> u32 {
         self.existing.get(label).copied().unwrap_or(0)
     }
 
@@ -150,7 +150,7 @@ impl GlobalController {
     /// head of the key space (single keys cannot be spread across nodes by
     /// consistent hashing), so the hot set is floored here and its actual
     /// access mass `F(H)` recomputed.
-    pub const MIN_HOT_ITEMS: u64 = 4_096;
+    pub(crate) const MIN_HOT_ITEMS: u64 = 4_096;
 
     /// The hot working-set fraction `H` and its access mass `F(H)` for
     /// `wss_gb` at skew `theta` (cached).
@@ -298,7 +298,7 @@ impl GlobalController {
     /// Plans the next slot: solves [`Self::problem`] and sizes the backup.
     ///
     /// `rate`/`wss_gb` are the *forecasts* to plan against (callers decide
-    /// whether those come from [`Self::forecast`] or from ground truth, as
+    /// whether those come from `Self::forecast` or from ground truth, as
     /// the offline baselines do).
     pub fn plan(
         &mut self,

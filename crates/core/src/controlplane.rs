@@ -17,7 +17,7 @@
 //!   time order, applies the per-approach planning policy (forecast vs.
 //!   reported demand, the fixed peak plan), and forwards revocations back
 //!   into the controller's predictors.
-//! * [`hot_access_mass`] / [`cold_access_mass`] — the shared helpers that
+//! * `hot_access_mass` / `cold_access_mass` — the shared helpers that
 //!   convert placement fractions into access mass under a
 //!   [`WorkloadForecast`], previously re-derived independently by the
 //!   simulation and the prototype.
@@ -87,7 +87,7 @@ pub struct Schedule {
 
 impl Schedule {
     /// A slot-granularity schedule (no intra-slot steps).
-    pub fn slotted(start: u64, slots: u64, slot_secs: u64) -> Self {
+    pub(crate) fn slotted(start: u64, slots: u64, slot_secs: u64) -> Self {
         Self {
             start,
             slots,
@@ -102,7 +102,7 @@ impl Schedule {
 /// The loop calls, per slot `t`: [`observe`](Substrate::observe), then
 /// [`act`](Substrate::act) with the solved plan, then each intra-slot
 /// [`step`](Substrate::step). Revocations returned from any of these are
-/// forwarded to [`GlobalController::on_revocation`]; all other metering is
+/// forwarded to `GlobalController::on_revocation`; all other metering is
 /// the substrate's own business, accumulated into the
 /// [`ControlMetrics`] it returns from [`finish`](Substrate::finish).
 pub trait Substrate {
@@ -488,14 +488,14 @@ impl ControlLoop {
 /// Access mass carried by a cold-placement fraction `cold_frac` of the
 /// working set, under forecast `f` (linear interpolation of the Zipf mass
 /// between `F(H)` and `F(alpha)`).
-pub fn cold_access_mass(cold_frac: f64, f: &WorkloadForecast) -> f64 {
+pub(crate) fn cold_access_mass(cold_frac: f64, f: &WorkloadForecast) -> f64 {
     cold_frac / (f.alpha - f.hot_frac).max(1e-12) * (f.f_alpha - f.f_hot)
 }
 
 /// Access mass carried by a hot-placement fraction `hot_frac` of the
 /// working set whose hot set carries `hot_set_mass` of all traffic
 /// (`F(H)` from the forecast, or the controller's configured target).
-pub fn hot_access_mass(hot_frac: f64, f: &WorkloadForecast, hot_set_mass: f64) -> f64 {
+pub(crate) fn hot_access_mass(hot_frac: f64, f: &WorkloadForecast, hot_set_mass: f64) -> f64 {
     hot_frac / f.hot_frac.max(1e-12) * hot_set_mass
 }
 

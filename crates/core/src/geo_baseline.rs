@@ -45,13 +45,13 @@ const SEED: u64 = 0xF00D;
 #[derive(Debug, Clone)]
 pub struct GeoBaselineConfig {
     /// Number of full replicas (the related work uses 2–3).
-    pub replicas: usize,
+    pub(crate) replicas: usize,
     /// Simulated days (the first seven are price history only, not billed).
-    pub days: u64,
+    pub(crate) days: u64,
     /// Workload scale.
-    pub peak_rate: f64,
+    pub(crate) peak_rate: f64,
     /// Maximum working-set size, GiB.
-    pub max_wss_gb: f64,
+    pub(crate) max_wss_gb: f64,
 }
 
 impl GeoBaselineConfig {
@@ -70,10 +70,10 @@ impl GeoBaselineConfig {
 #[derive(Debug)]
 pub struct GeoBaselineResult {
     /// Cost ledger.
-    pub ledger: Ledger,
+    pub(crate) ledger: Ledger,
     /// Violation accounting (a day is violated only when *all* replicas
     /// were simultaneously unavailable for long enough).
-    pub violations: ViolationTracker,
+    pub(crate) violations: ViolationTracker,
     /// Replica-loss events (one market failing).
     pub replica_losses: u32,
     /// Total-blackout events (all markets failing at once).

@@ -4,7 +4,7 @@
 //! procurement approaches, backup sizing, and the simulation drivers behind
 //! every evaluation figure.
 //!
-//! * [`approaches`] — `ODPeak`, `ODOnly`, `OD+Spot_Sep`, `OD+Spot_CDF`,
+//! * `approaches` — `ODPeak`, `ODOnly`, `OD+Spot_Sep`, `OD+Spot_CDF`,
 //!   `Prop_NoBackup`, `Prop` (paper Table 4),
 //! * [`controller`] — forecast → predict → optimize → publish, once per
 //!   control slot (paper Section 4.2),
@@ -22,23 +22,16 @@
 //! `spotcache_bench::fleet::FleetSubstrate`: reactor servers with
 //! replicated backups, restored through `spotcache_recovery`'s strategies.
 
-pub mod approaches;
+mod approaches;
 pub mod backup;
 pub mod controller;
 pub mod controlplane;
 pub mod geo_baseline;
 pub mod prototype;
-pub mod reactive;
+mod reactive;
 pub mod simulation;
 
 pub use approaches::Approach;
-pub use backup::{cheapest_burstable_backup, size_backup, BackupPlan};
 pub use controller::{ControllerConfig, GlobalController, SlotPlan};
-pub use controlplane::{
-    cold_access_mass, hot_access_mass, ControlLoop, Demand, Observation, Schedule, Substrate,
-    SubstrateEvent,
-};
-pub use geo_baseline::{simulate_geo_baseline, GeoBaselineConfig, GeoBaselineResult};
-pub use prototype::{run_prototype, MinutePrototype, PrototypeConfig, PrototypeResult};
-pub use reactive::ReactiveController;
-pub use simulation::{simulate, FlashCrowd, HourlySim, SimConfig, SimResult};
+pub use controlplane::{ControlLoop, Demand, Observation, Schedule, Substrate, SubstrateEvent};
+pub use simulation::SimResult;

@@ -5,7 +5,7 @@
 //! latencies from the cluster's queueing model so average and tail latency
 //! time series can be compared across approaches. The shared
 //! [`ControlLoop`] replans hourly and
-//! drives the [`MinutePrototype`] substrate's sixty per-minute steps
+//! drives the `MinutePrototype` substrate's sixty per-minute steps
 //! between replans. Bid failures interrupt live nodes mid-day; the
 //! affected content then re-warms on the replacement node — organically
 //! for approaches without a backup, and via the backup's hottest-first
@@ -65,7 +65,7 @@ pub type PrototypeResult = ControlMetrics;
 /// ring, and attaches the replacement before any refill can start. (The
 /// paper's Figure 9/10 latency spikes at failure instants are exactly this
 /// transient.)
-pub const REDIRECT_TRANSIENT_SECS: u64 = 60;
+pub(crate) const REDIRECT_TRANSIENT_SECS: u64 = 60;
 
 /// A warm-up in progress after a bid failure.
 struct ActiveRecovery {
@@ -99,7 +99,7 @@ struct HourState {
 
 /// The per-minute substrate: latency-samples a single day against one
 /// spot market.
-pub struct MinutePrototype {
+pub(crate) struct MinutePrototype {
     cfg: PrototypeConfig,
     market: SpotTrace,
     workload: WikipediaTrace,
@@ -119,7 +119,7 @@ pub struct MinutePrototype {
 
 impl MinutePrototype {
     /// Builds the substrate from a configuration and one spot market.
-    pub fn new(cfg: PrototypeConfig, market: SpotTrace) -> Self {
+    pub(crate) fn new(cfg: PrototypeConfig, market: SpotTrace) -> Self {
         // The workload covers the whole trace so day indices line up.
         let total_days = market.end() / DAY;
         let workload = WikipediaTrace::generate(

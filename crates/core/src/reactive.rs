@@ -32,28 +32,28 @@ const MAX_BURST_INSTANCES: u32 = 64;
 
 /// An emergency scale-out order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReactiveAction {
+pub(crate) struct ReactiveAction {
     /// Additional on-demand instances to launch right now.
-    pub extra_instances: u32,
+    pub(crate) extra_instances: u32,
     /// When the reaction fired.
-    pub at: u64,
+    pub(crate) at: u64,
 }
 
 /// The reactive controller.
 #[derive(Debug, Clone, Default)]
-pub struct ReactiveController {
+pub(crate) struct ReactiveController {
     last_fired: Option<u64>,
     reactions: u32,
 }
 
 impl ReactiveController {
     /// Creates a controller that has not fired yet.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Number of reactions fired so far.
-    pub fn reactions(&self) -> u32 {
+    pub(crate) fn reactions(&self) -> u32 {
         self.reactions
     }
 
@@ -67,7 +67,7 @@ impl ReactiveController {
     ///
     /// Returns an action when the overload trigger fires and the cooldown
     /// has elapsed.
-    pub fn observe(
+    pub(crate) fn observe(
         &mut self,
         now: u64,
         observed_rate: f64,
@@ -97,7 +97,7 @@ impl ReactiveController {
     }
 
     /// Resets the cooldown (a new predictive plan has absorbed the level).
-    pub fn absorb(&mut self) {
+    pub(crate) fn absorb(&mut self) {
         self.last_fired = None;
     }
 }

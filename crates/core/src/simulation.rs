@@ -52,7 +52,7 @@ pub struct FlashCrowd {
 
 impl FlashCrowd {
     /// Whether the crowd is active during `hour`.
-    pub fn active(&self, hour: u64) -> bool {
+    pub(crate) fn active(&self, hour: u64) -> bool {
         hour >= self.start_hour && hour < self.start_hour + self.duration_hours
     }
 }
@@ -67,9 +67,9 @@ pub struct SimConfig {
     /// Days of spot history consumed before the simulation starts billing.
     pub training_days: u64,
     /// Peak arrival rate of the scaled Wikipedia workload, ops/sec.
-    pub peak_rate: f64,
+    pub(crate) peak_rate: f64,
     /// Maximum working-set size, GiB.
-    pub max_wss_gb: f64,
+    pub(crate) max_wss_gb: f64,
     /// Popularity skew.
     pub theta: f64,
     /// Workload seed.

@@ -14,7 +14,7 @@ use crate::journal::{Event, EventKind, Journal};
 use crate::registry::{Metric, Registry};
 
 /// Quantiles reported for every histogram.
-pub const SUMMARY_QUANTILES: [f64; 3] = [0.5, 0.95, 0.99];
+pub(crate) const SUMMARY_QUANTILES: [f64; 3] = [0.5, 0.95, 0.99];
 
 fn fmt_f64(v: f64) -> String {
     if v.is_nan() {
@@ -34,7 +34,7 @@ fn fmt_f64(v: f64) -> String {
 ///
 /// Counters and gauges become single samples; histograms become
 /// summaries (`{quantile="..."}` samples plus `_sum`/`_count`/`_max`).
-pub fn prometheus_text(registry: &Registry) -> String {
+pub(crate) fn prometheus_text(registry: &Registry) -> String {
     let mut out = String::new();
     for (name, metric) in registry.metrics() {
         match metric {
@@ -189,7 +189,7 @@ pub fn json_snapshot(registry: &Registry, journal: &Journal) -> String {
 /// Renders the journal as NDJSON: one event object per line, oldest
 /// first, each line independently `validate_json`-clean. The `/journal`
 /// scrape route serves this so operators can `tail`/`grep` it directly.
-pub fn journal_ndjson(journal: &Journal) -> String {
+pub(crate) fn journal_ndjson(journal: &Journal) -> String {
     let events = journal.events();
     let mut out = String::new();
     for ev in &events {
@@ -199,26 +199,10 @@ pub fn journal_ndjson(journal: &Journal) -> String {
     out
 }
 
-/// Escapes a Prometheus label *value* per the text exposition format:
-/// backslash, double quote, and newline are escaped; everything else
-/// passes through verbatim.
-pub fn escape_label_value(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Validates Prometheus text exposition syntax: every line must be a
 /// comment (`# ...`, with `# TYPE <name> <kind>` checked strictly) or a
-/// sample `name[{labels}] value`, where label values use
-/// [`escape_label_value`] escaping and the value is a float, `NaN`, or
+/// sample `name[{labels}] value`, where label values escape backslash,
+/// double quote and newline, and the value is a float, `NaN`, or
 /// `±Inf`. Returns `Err(byte offset)` of the first violation — the
 /// scrape-gate twin of [`validate_json`].
 pub fn validate_prometheus_text(input: &str) -> Result<(), usize> {
@@ -596,20 +580,19 @@ mod tests {
     }
 
     #[test]
-    fn label_value_escaping_edge_cases_validate() {
-        for raw in [
+    fn escaped_label_values_validate() {
+        for escaped in [
             "plain",
-            "with \"quotes\"",
-            "back\\slash",
-            "new\nline",
-            "all\\three\"\n",
+            "with \\\"quotes\\\"",
+            "back\\\\slash",
+            "new\\nline",
+            "all\\\\three\\\"\\n",
             "",
         ] {
-            let line = format!("series{{label=\"{}\"}} 1", escape_label_value(raw));
+            let line = format!("series{{label=\"{escaped}\"}} 1");
             validate_prometheus_text(&line)
-                .unwrap_or_else(|at| panic!("escaped {raw:?} invalid at {at}: {line}"));
+                .unwrap_or_else(|at| panic!("{escaped:?} invalid at {at}: {line}"));
         }
-        assert_eq!(escape_label_value("a\\b\"c\nd"), "a\\\\b\\\"c\\nd");
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub struct Route {
 impl Route {
     /// Builds a route serving `content_type` bodies from `handler` at
     /// exactly `path` (query strings are ignored when matching).
-    pub fn new(
+    pub(crate) fn new(
         path: &'static str,
         content_type: &'static str,
         handler: impl Fn() -> String + Send + Sync + 'static,

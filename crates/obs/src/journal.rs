@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 use parking_lot::Mutex;
 
 /// Default journal capacity (events retained before drop-oldest).
-pub const DEFAULT_JOURNAL_CAPACITY: usize = 8192;
+pub(crate) const DEFAULT_JOURNAL_CAPACITY: usize = 8192;
 
 /// What happened, structurally.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,7 +116,7 @@ impl Journal {
     }
 
     /// Creates a journal retaining at most `capacity` events (min 1).
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         Self {
             ring: Mutex::new(Ring {
                 events: VecDeque::new(),
@@ -148,7 +148,7 @@ impl Journal {
     }
 
     /// How many events have been dropped to stay within capacity.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.ring.lock().dropped
     }
 
@@ -160,11 +160,6 @@ impl Journal {
     /// Whether no events are retained.
     pub fn is_empty(&self) -> bool {
         self.ring.lock().events.is_empty()
-    }
-
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 }
 
@@ -220,7 +215,6 @@ mod tests {
     #[test]
     fn capacity_floor_is_one() {
         let j = Journal::with_capacity(0);
-        assert_eq!(j.capacity(), 1);
         j.record(
             1,
             EventKind::BucketThrottled {

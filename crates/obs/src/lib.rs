@@ -6,16 +6,16 @@
 //!
 //! The crate has five parts:
 //!
-//! * [`Registry`] — named [`Counter`]/[`Gauge`]/[`Histogram`] series with
+//! * `Registry` — named [`Counter`]/[`Gauge`]/[`Histogram`] series with
 //!   lock-free recording and name-ordered (deterministic) enumeration.
-//! * [`Journal`] — a bounded ring of structured [`Event`]s
+//! * [`Journal`] — a bounded ring of structured `Event`s
 //!   ([`EventKind`]: bids, revocations, node launches, warm-up progress,
 //!   bucket throttles, cache ops) with drop-oldest overflow.
 //! * [`trace`] — sampled spans ([`Tracer`]/[`SpanGuard`]) collected into
 //!   a bounded lock-free buffer and exported as Chrome trace-event JSON
 //!   (Perfetto-loadable); near-zero cost and provably allocation-free on
 //!   the cache read path when sampling is off.
-//! * [`timeseries`] — fixed-size sliding windows over counters/gauges
+//! * `timeseries` — fixed-size sliding windows over counters/gauges
 //!   ([`SlidingWindow`]), ζ burn-rate accounting ([`SloWindow`]), a
 //!   windowed revocation-storm detector with trigger-latency latching
 //!   ([`StormDetector`]), strictly-monotone decay curves
@@ -44,19 +44,16 @@ mod registry;
 
 pub mod export;
 pub mod http;
-pub mod timeseries;
+mod timeseries;
 pub mod trace;
 
 pub use http::AdminServer;
-pub use journal::{Event, EventKind, Journal, DEFAULT_JOURNAL_CAPACITY};
-pub use registry::{Counter, Gauge, Histogram, Metric, Registry};
-pub use timeseries::{
-    BreachTracker, DecaySeries, SlidingWindow, SloWindow, StormDetector, WindowStats,
-};
-pub use trace::{
-    SpanGuard, SpanRecord, TraceConfig, TraceContext, Tracer, DEFAULT_TRACE_CAPACITY,
-    TRACE_CONTEXT_LEN,
-};
+pub(crate) use journal::DEFAULT_JOURNAL_CAPACITY;
+pub use journal::{EventKind, Journal};
+pub(crate) use registry::Registry;
+pub use registry::{Counter, Gauge, Histogram, Metric};
+pub use timeseries::{BreachTracker, DecaySeries, SlidingWindow, SloWindow, StormDetector};
+pub use trace::{SpanGuard, TraceConfig, TraceContext, Tracer, DEFAULT_TRACE_CAPACITY};
 
 /// The bundle an instrumented layer holds: one registry + one journal.
 pub struct Obs {
@@ -81,7 +78,7 @@ impl Obs {
     }
 
     /// Creates a bundle whose journal retains at most `capacity` events.
-    pub fn with_journal_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_journal_capacity(capacity: usize) -> Self {
         let registry = Registry::new();
         let journal_dropped = registry.counter("journal_dropped_total");
         Self {
@@ -126,7 +123,7 @@ impl Obs {
 
     /// The journal as NDJSON, one event object per line (the `/journal`
     /// scrape route's body).
-    pub fn journal_ndjson(&self) -> String {
+    pub(crate) fn journal_ndjson(&self) -> String {
         export::journal_ndjson(&self.journal)
     }
 

@@ -24,7 +24,7 @@ pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
     /// Creates a free-standing counter (not registered anywhere).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -56,7 +56,7 @@ impl Default for Gauge {
 
 impl Gauge {
     /// Creates a free-standing gauge (not registered anywhere).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -78,11 +78,11 @@ impl Gauge {
 /// `[HIST_MIN, HIST_MAX]` a [`Histogram::quantile`] is within a factor
 /// √r ≈ 1.0243 of the exact order statistic it names — ample for
 /// p50/p95/p99 reporting.
-pub const HIST_BUCKETS: usize = 480;
+pub(crate) const HIST_BUCKETS: usize = 480;
 /// Smallest representable histogram value.
-pub const HIST_MIN: f64 = 1e-3;
+pub(crate) const HIST_MIN: f64 = 1e-3;
 /// Largest representable histogram value.
-pub const HIST_MAX: f64 = 1e7;
+pub(crate) const HIST_MAX: f64 = 1e7;
 
 #[derive(Debug)]
 struct HistogramCore {
@@ -125,7 +125,7 @@ fn bucket_value(idx: usize) -> f64 {
 
 impl Histogram {
     /// Creates a free-standing histogram (not registered anywhere).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -242,7 +242,7 @@ pub struct Registry {
 
 impl Registry {
     /// Creates an empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -251,7 +251,7 @@ impl Registry {
     /// # Panics
     ///
     /// Panics if `name` is already registered as a different metric kind.
-    pub fn counter(&self, name: &str) -> Counter {
+    pub(crate) fn counter(&self, name: &str) -> Counter {
         let mut m = self.metrics.write();
         match m
             .entry(name.to_string())
@@ -267,7 +267,7 @@ impl Registry {
     /// # Panics
     ///
     /// Panics if `name` is already registered as a different metric kind.
-    pub fn gauge(&self, name: &str) -> Gauge {
+    pub(crate) fn gauge(&self, name: &str) -> Gauge {
         let mut m = self.metrics.write();
         match m
             .entry(name.to_string())
@@ -283,7 +283,7 @@ impl Registry {
     /// # Panics
     ///
     /// Panics if `name` is already registered as a different metric kind.
-    pub fn histogram(&self, name: &str) -> Histogram {
+    pub(crate) fn histogram(&self, name: &str) -> Histogram {
         let mut m = self.metrics.write();
         match m
             .entry(name.to_string())

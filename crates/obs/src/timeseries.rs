@@ -45,21 +45,21 @@ use crate::export::json_f64;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowStats {
     /// Samples currently retained.
-    pub len: usize,
+    pub(crate) len: usize,
     /// Mean of retained values (0 when empty).
     pub mean: f64,
     /// Smallest retained value (0 when empty).
-    pub min: f64,
+    pub(crate) min: f64,
     /// Largest retained value (0 when empty).
-    pub max: f64,
+    pub(crate) max: f64,
     /// Median of retained values (0 when empty).
-    pub p50: f64,
+    pub(crate) p50: f64,
     /// 95th percentile of retained values (0 when empty).
     pub p95: f64,
     /// Sliding rate: `(v_last − v_first) / (t_last − t_first)`, the
     /// per-second rate of a cumulative counter over the window (0 when
     /// fewer than two samples or no time elapsed).
-    pub rate: f64,
+    pub(crate) rate: f64,
 }
 
 impl WindowStats {
@@ -115,21 +115,6 @@ impl SlidingWindow {
             w.samples.pop_front();
         }
         w.samples.push_back((t, v));
-    }
-
-    /// Retained sample count.
-    pub fn len(&self) -> usize {
-        self.inner.lock().samples.len()
-    }
-
-    /// Whether the window holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Maximum retained samples.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// All aggregates in one pass.
@@ -217,16 +202,6 @@ impl SloWindow {
         }
         bad / budget
     }
-
-    /// Windowed slot count.
-    pub fn len(&self) -> usize {
-        self.outcomes.lock().len()
-    }
-
-    /// Whether no slots are recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// Windowed revocation counting with a storm threshold.
@@ -295,7 +270,7 @@ impl StormDetector {
     }
 
     /// Revocations within the trailing window ending at `now`.
-    pub fn windowed_count(&self, now: u64) -> u64 {
+    pub(crate) fn windowed_count(&self, now: u64) -> u64 {
         let mut s = self.inner.lock();
         Self::evict(&mut s.batches, now, self.window_secs);
         s.batches.iter().map(|&(_, c)| c).sum()
@@ -309,16 +284,6 @@ impl StormDetector {
     /// Whether the trailing window is at or past the storm threshold.
     pub fn is_storm(&self, now: u64) -> bool {
         self.windowed_count(now) >= self.threshold
-    }
-
-    /// The configured threshold.
-    pub fn threshold(&self) -> u64 {
-        self.threshold
-    }
-
-    /// The configured window length, seconds.
-    pub fn window_secs(&self) -> u64 {
-        self.window_secs
     }
 
     /// When the trailing window first reached the threshold (the
@@ -409,11 +374,6 @@ impl DecaySeries {
         self.len() == 0
     }
 
-    /// The most recent retained point.
-    pub fn last(&self) -> Option<(u64, f64)> {
-        self.inner.lock().points.last().copied()
-    }
-
     /// Pushes rejected for violating monotonicity or finiteness.
     pub fn dropped(&self) -> u64 {
         self.inner.lock().dropped
@@ -475,11 +435,6 @@ impl BreachTracker {
         }
     }
 
-    /// The configured threshold.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
     /// Records the signal's value at time `t`: a rising edge opens an
     /// interval at `t`, a falling edge closes the open interval at `t`.
     pub fn observe(&self, t: u64, value: f64) {
@@ -496,11 +451,6 @@ impl BreachTracker {
     /// All breach intervals, oldest first; an open interval ends `None`.
     pub fn intervals(&self) -> Vec<(u64, Option<u64>)> {
         self.inner.lock().clone()
-    }
-
-    /// Start of the first breach, if any.
-    pub fn first_breach(&self) -> Option<u64> {
-        self.inner.lock().first().map(|&(s, _)| s)
     }
 }
 
@@ -544,7 +494,7 @@ mod tests {
         assert_eq!(w.stats(), WindowStats::empty());
         w.observe(0, f64::NAN);
         w.observe(1, f64::INFINITY);
-        assert!(w.is_empty());
+        assert_eq!(w.stats(), WindowStats::empty());
     }
 
     #[test]
@@ -640,7 +590,6 @@ mod tests {
         assert!(s.push(8, 0.8));
         assert_eq!(s.len(), 3);
         assert_eq!(s.dropped(), 3);
-        assert_eq!(s.last(), Some((8, 0.8)));
         assert_eq!(s.points(), vec![(1, 1.0), (5, 0.5), (8, 0.8)]);
         assert_eq!(s.json(), "[[1,1],[5,0.5],[8,0.8]]");
         validate_json(&s.json()).unwrap();
@@ -670,7 +619,6 @@ mod tests {
         b.observe(3, 0.5); // falling edge
         b.observe(4, 1.5); // second breach, still open
         assert_eq!(b.intervals(), vec![(1, Some(3)), (4, None)]);
-        assert_eq!(b.first_breach(), Some(1));
         // Exactly-at-threshold is not a breach; NaN never breaches.
         let c = BreachTracker::new(1.0);
         c.observe(0, 1.0);

@@ -80,12 +80,12 @@ pub struct TraceContext {
 
 /// Encoded length of a [`TraceContext`] token
 /// (`<16 hex>-<16 hex>-<0|1>`).
-pub const TRACE_CONTEXT_LEN: usize = 35;
+pub(crate) const TRACE_CONTEXT_LEN: usize = 35;
 
 impl TraceContext {
     /// Renders the context as its fixed-width wire token:
     /// `tttttttttttttttt-pppppppppppppppp-s` (hex trace id, hex parent
-    /// span id, `1`/`0` sampled flag; [`TRACE_CONTEXT_LEN`] bytes).
+    /// span id, `1`/`0` sampled flag; `TRACE_CONTEXT_LEN` bytes).
     pub fn encode(&self) -> String {
         format!(
             "{:016x}-{:016x}-{}",
@@ -131,12 +131,12 @@ pub struct SpanRecord {
     /// spans; caller-supplied logical time for [`Tracer::record_at`]).
     pub ts_us: f64,
     /// Duration, microseconds.
-    pub dur_us: f64,
+    pub(crate) dur_us: f64,
     /// Track id: small per-thread integer for RAII spans, caller-chosen
     /// for logical spans.
-    pub tid: u32,
+    pub(crate) tid: u32,
     /// Nesting depth within its thread's span stack (0 = root).
-    pub depth: u32,
+    pub(crate) depth: u32,
     /// The trace (request tree) this span belongs to; shared across
     /// processes when a [`TraceContext`] was propagated.
     pub trace_id: u64,
@@ -247,7 +247,7 @@ pub struct Tracer {
     cursor: AtomicUsize,
     dropped: AtomicU64,
     /// `sample_every == 0` ⇒ disabled; cached as a bool for the hot path.
-    enabled: AtomicBool,
+    enabled: bool,
     sample_every: u64,
     sample_counter: AtomicU64,
     /// Allocator for span ids (and trace ids: a fresh root's trace id is
@@ -284,7 +284,7 @@ impl Tracer {
                 .collect(),
             cursor: AtomicUsize::new(0),
             dropped: AtomicU64::new(0),
-            enabled: AtomicBool::new(cfg.sample_every > 0),
+            enabled: cfg.sample_every > 0,
             sample_every: cfg.sample_every.max(1),
             sample_counter: AtomicU64::new(0),
             next_id: AtomicU64::new(1),
@@ -313,13 +313,7 @@ impl Tracer {
 
     /// Whether any recording can happen.
     pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turns recording on/off at runtime (sampling rate is fixed at
-    /// construction).
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
+        self.enabled
     }
 
     /// Names a logical process lane for the Chrome export
@@ -526,7 +520,7 @@ impl Tracer {
     /// scrape endpoint's drain — concurrent writers racing a reset may
     /// lose (or double-report) a handful of in-flight spans, which is
     /// acceptable for telemetry; quiesce writers for exact drains.
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         // Park the cursor at capacity so racing writers drop cleanly
         // while the ready flags are cleared, then reopen at 0.
         self.cursor.store(self.slots.len(), Ordering::SeqCst);
@@ -540,7 +534,7 @@ impl Tracer {
     /// [`chrome_trace_json`](Self::chrome_trace_json), then
     /// [`reset`](Self::reset) — the `/trace` scrape endpoint's
     /// read-and-drain step.
-    pub fn drain_chrome_trace_json(&self) -> String {
+    pub(crate) fn drain_chrome_trace_json(&self) -> String {
         let out = self.chrome_trace_json();
         self.reset();
         out
@@ -798,21 +792,6 @@ mod tests {
         tids.sort_unstable();
         tids.dedup();
         assert_eq!(tids.len(), 4);
-    }
-
-    #[test]
-    fn runtime_toggle() {
-        let t = Tracer::all(16);
-        t.set_enabled(false);
-        {
-            let _s = t.span("x", "off");
-        }
-        assert!(t.is_empty());
-        t.set_enabled(true);
-        {
-            let _s = t.span("x", "on");
-        }
-        assert_eq!(t.len(), 1);
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub struct LatencyProfile {
     /// AZ plus service time).
     pub base_latency_us: f64,
     /// Queueing scale `s` in `l = l₀ + s·ρ/(1−ρ)`, microseconds.
-    pub service_scale_us: f64,
+    pub(crate) service_scale_us: f64,
     /// Peak sustainable ops/sec per vCPU (profiled).
     pub ops_per_vcpu: f64,
     /// Cores beyond this count contribute nothing (memcached scaling wall).
@@ -99,7 +99,7 @@ impl LatencyProfile {
     /// The largest per-instance rate keeping the p95 hit latency at or
     /// below `p95_us` (the paper's 1 ms tail target, enforced alongside the
     /// mean target).
-    pub fn max_rate_for_p95(&self, itype: &InstanceType, p95_us: f64, peak: bool) -> f64 {
+    pub(crate) fn max_rate_for_p95(&self, itype: &InstanceType, p95_us: f64, peak: bool) -> f64 {
         // p95 <= target  ⇔  mean <= l0 + (target − l0)/ln 20.
         let mean_budget = self.base_latency_us + (p95_us - self.base_latency_us) / 20f64.ln();
         self.max_rate_for_latency(itype, mean_budget, peak)
@@ -116,13 +116,6 @@ impl LatencyProfile {
     ) -> f64 {
         self.max_rate_for_latency(itype, mean_us, peak)
             .min(self.max_rate_for_p95(itype, p95_us, peak))
-    }
-
-    /// Mean request latency given a hit rate and the hit latency (µs).
-    ///
-    /// Paper: `F(α)·l_HIT + (1−F(α))·(l_HIT + l_MISS)`.
-    pub fn mean_latency_us(&self, hit_rate: f64, hit_latency_us: f64) -> f64 {
-        hit_latency_us + (1.0 - hit_rate.clamp(0.0, 1.0)) * self.miss_penalty_us
     }
 
     /// The hit-latency budget `l^HIT` implied by an overall mean-latency
@@ -224,13 +217,6 @@ mod tests {
         let peak = prof.capacity_ops(&t2, true);
         let base = prof.capacity_ops(&t2, false);
         assert!(peak > 3.0 * base, "peak {peak}, base {base}");
-    }
-
-    #[test]
-    fn mean_latency_mixes_miss_penalty() {
-        let prof = p();
-        assert_eq!(prof.mean_latency_us(1.0, 300.0), 300.0);
-        assert!((prof.mean_latency_us(0.9, 300.0) - 1_300.0).abs() < 1e-9);
     }
 
     #[test]

@@ -16,17 +16,14 @@
 //! * [`problem`] — the formulation (Eq. 1–2, bid-failure penalty,
 //!   deallocation damping, `ζ` availability floor) and the
 //!   relax-round-repair solve strategy.
-//! * [`plan`] — the resulting allocation plan and its per-instance weight
+//! * `plan` — the resulting allocation plan and its per-instance weight
 //!   expansion for the load balancer.
 
 pub mod latency;
-pub mod plan;
+mod plan;
 pub mod problem;
 pub mod queueing;
 pub mod simplex;
 
-pub use latency::LatencyProfile;
-pub use plan::{AllocationPlan, PlanEntry};
-pub use problem::{CostModel, Offer, OfferKind, ProcurementProblem, SolveError, WorkloadForecast};
-pub use queueing::MmcModel;
-pub use simplex::{Constraint, LinearProgram, LpError, LpSolution, Rel};
+pub use plan::AllocationPlan;
+pub use problem::{OfferKind, SolveError, WorkloadForecast};

@@ -50,10 +50,10 @@ pub struct AllocationPlan {
     /// Modeled slot cost (resources + penalties), dollars.
     pub cost: f64,
     /// Slot length, hours.
-    pub slot_hours: f64,
+    pub(crate) slot_hours: f64,
     /// LPs the solve ran: the relaxation, the rounded-up counts and every
     /// count-walk step it did not skip. 0 for a plan built with
-    /// [`Self::new`].
+    /// `Self::new`.
     pub lps_solved: u32,
     /// Count-walk steps the solve skipped unsolved because their counts'
     /// RAM or rate, in total or on the on-demand or spot offers, fell short
@@ -62,13 +62,13 @@ pub struct AllocationPlan {
     pub lps_skipped: u32,
     /// Simplex pivots summed over the plan's feasible solves (the
     /// relaxation and every fixed-count LP that came back with a
-    /// placement; [`crate::simplex::LpSolution::pivots`]).
+    /// placement; `crate::simplex::LpSolution::pivots`).
     pub lp_pivots: u32,
 }
 
 impl AllocationPlan {
     /// Creates a plan.
-    pub fn new(entries: Vec<PlanEntry>, cost: f64, slot_hours: f64) -> Self {
+    pub(crate) fn new(entries: Vec<PlanEntry>, cost: f64, slot_hours: f64) -> Self {
         Self {
             entries,
             cost,

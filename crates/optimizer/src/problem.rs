@@ -110,7 +110,7 @@ pub struct CostModel {
     /// relative to `α`).
     pub zeta: f64,
     /// Slot length `Δ`, hours.
-    pub slot_hours: f64,
+    pub(crate) slot_hours: f64,
 }
 
 impl CostModel {
@@ -241,7 +241,7 @@ impl ProcurementProblem {
     ///
     /// Variable layout (k = offers): `[X_0..X_k, Y_0..Y_k, n_0..n_k,
     /// d_0..d_k]`.
-    pub fn relaxation(&self) -> LinearProgram {
+    pub(crate) fn relaxation(&self) -> LinearProgram {
         let k = self.offers.len();
         let w = &self.workload;
         let (r_h, r_c) = self.rate_coefficients();

@@ -13,11 +13,11 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MmcModel {
     /// Number of servers (worker threads; memcached defaults to 4).
-    pub servers: u32,
+    pub(crate) servers: u32,
     /// Mean service time per request, microseconds.
-    pub service_us: f64,
+    pub(crate) service_us: f64,
     /// Network/stack latency added to every request, microseconds.
-    pub base_us: f64,
+    pub(crate) base_us: f64,
 }
 
 impl MmcModel {
@@ -32,13 +32,13 @@ impl MmcModel {
     }
 
     /// Total service capacity, ops/sec.
-    pub fn capacity_ops(&self) -> f64 {
+    pub(crate) fn capacity_ops(&self) -> f64 {
         self.servers as f64 * 1e6 / self.service_us
     }
 
     /// The Erlang-C probability that an arrival has to wait, at offered
     /// load `rate` ops/sec. Returns 1.0 at or beyond saturation.
-    pub fn erlang_c(&self, rate: f64) -> f64 {
+    pub(crate) fn erlang_c(&self, rate: f64) -> f64 {
         let c = self.servers as f64;
         let lambda = rate.max(0.0) / 1e6; // per µs
         let mu = 1.0 / self.service_us;

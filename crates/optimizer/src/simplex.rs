@@ -49,11 +49,11 @@ pub enum Rel {
 #[derive(Debug, Clone)]
 pub struct Constraint {
     /// Coefficients over the structural variables.
-    pub coeffs: Vec<f64>,
+    pub(crate) coeffs: Vec<f64>,
     /// Relation.
-    pub rel: Rel,
+    pub(crate) rel: Rel,
     /// Right-hand side.
-    pub rhs: f64,
+    pub(crate) rhs: f64,
 }
 
 impl Constraint {
@@ -67,7 +67,7 @@ impl Constraint {
     }
 
     /// Builds an `=` constraint.
-    pub fn eq(coeffs: Vec<f64>, rhs: f64) -> Self {
+    pub(crate) fn eq(coeffs: Vec<f64>, rhs: f64) -> Self {
         Self {
             coeffs,
             rel: Rel::Eq,
@@ -102,21 +102,21 @@ impl Constraint {
 #[derive(Debug, Clone, Default)]
 pub struct LinearProgram {
     /// Objective coefficients (minimization).
-    pub objective: Vec<f64>,
+    pub(crate) objective: Vec<f64>,
     /// Constraint rows.
-    pub constraints: Vec<Constraint>,
+    pub(crate) constraints: Vec<Constraint>,
 }
 
 /// A solved program.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LpSolution {
     /// Optimal structural variable values.
-    pub x: Vec<f64>,
+    pub(crate) x: Vec<f64>,
     /// Optimal objective value.
     pub objective: f64,
     /// Pivots the solve took: both phases, and driving degenerate
     /// artificials out between them.
-    pub pivots: u32,
+    pub(crate) pivots: u32,
 }
 
 /// Solver failure modes.
@@ -969,5 +969,56 @@ mod tests {
         assert!(x[1] + x[2] + x[3] >= 7.0 - 1e-6);
         assert!(x[0] + x[3] <= 9.0 + 1e-6);
         assert!((x[0] + x[2] - 6.0).abs() < 1e-6);
+    }
+
+    /// Reads a program captured as TSV: a `min` row of objective
+    /// coefficients, then one `rel rhs coeffs..` row per constraint.
+    fn load_tsv(tsv: &str) -> LinearProgram {
+        let mut lines = tsv.lines();
+        let head = lines.next().expect("objective line");
+        let mut fields = head.split('\t');
+        assert_eq!(fields.next(), Some("min"));
+        let objective: Vec<f64> = fields.map(|v| v.parse().unwrap()).collect();
+        let mut lp = LinearProgram::minimize(objective);
+        for line in lines {
+            if line.trim().is_empty() {
+                continue;
+            }
+            let mut fields = line.split('\t');
+            let rel = match fields.next().unwrap() {
+                "le" => Rel::Le,
+                "ge" => Rel::Ge,
+                "eq" => Rel::Eq,
+                other => panic!("bad rel {other}"),
+            };
+            let rhs: f64 = fields.next().unwrap().parse().unwrap();
+            let coeffs: Vec<f64> = fields.map(|v| v.parse().unwrap()).collect();
+            lp = lp.subject_to(Constraint { coeffs, rel, rhs });
+        }
+        lp
+    }
+
+    /// A procurement-relaxation LP captured from a 90-day simulation where
+    /// the simplex once returned an infeasible "optimum" (big-M
+    /// contamination / degenerate-pivot fallout): the solver must return a
+    /// point satisfying every constraint.
+    #[test]
+    fn captured_procurement_lp_solves_feasibly() {
+        let lp = load_tsv(include_str!("../tests/data_fail_lp.tsv"));
+        let sol = lp.solve().expect("the LP is feasible");
+        for (i, con) in lp.constraints.iter().enumerate() {
+            let lhs: f64 = con.coeffs.iter().zip(&sol.x).map(|(a, x)| a * x).sum();
+            let ok = match con.rel {
+                Rel::Le => lhs <= con.rhs + 1e-5,
+                Rel::Ge => lhs >= con.rhs - 1e-5,
+                Rel::Eq => (lhs - con.rhs).abs() <= 1e-5,
+            };
+            assert!(
+                ok,
+                "constraint {i} violated: lhs {lhs}, rhs {} ({:?})",
+                con.rhs, con.rel
+            );
+        }
+        assert!(sol.x.iter().all(|&v| v >= -1e-9), "negative variable");
     }
 }

@@ -32,10 +32,10 @@
 //!   early still holds the hottest prefix of every framed shard.
 //! * `slab_class` is the index in [`SlabClasses::default_ladder`] that
 //!   the item (key + value + [`ITEM_OVERHEAD`]) lands in, or
-//!   [`NO_SLAB_CLASS`] for oversized items; it is advisory sizing
+//!   `NO_SLAB_CLASS` for oversized items; it is advisory sizing
 //!   metadata (per-class histograms in the reports), not required for
 //!   decoding.
-//! * `ttl` is the TTL *remaining at snapshot time*, or [`NO_TTL`] for
+//! * `ttl` is the TTL *remaining at snapshot time*, or `NO_TTL` for
 //!   items with no expiry. On restore, TTLs are re-based against the
 //!   restorer's `now`, so a checkpoint is position-independent in time.
 //! * Each shard payload carries its own CRC32 (IEEE); the restorer
@@ -107,7 +107,7 @@
 //! stream has, the reports read what a whole stream's would.
 //!
 //! **CRC32** runs over every payload twice, once at the cut and once at
-//! the load, so [`crc32`] has two kernels behind one entry point. On an
+//! the load, so `crc32` has two kernels behind one entry point. On an
 //! x86_64 host with PCLMULQDQ and SSE4.1 (checked with
 //! `is_x86_feature_detected!` on every call), a buffer of 64 bytes or
 //! more is folded by carry-less multiplication: four 128-bit lanes take
@@ -131,17 +131,17 @@ use spotcache_cache::store::{SetPolicy, Store, ITEM_OVERHEAD};
 use spotcache_obs::{Counter, Obs, Tracer};
 
 /// Checkpoint stream magic, first bytes of the header.
-pub const MAGIC: &[u8; 6] = b"SPCKPT";
+pub(crate) const MAGIC: &[u8; 6] = b"SPCKPT";
 /// Per-shard frame magic.
-pub const SHARD_MAGIC: &[u8; 4] = b"SHRD";
+pub(crate) const SHARD_MAGIC: &[u8; 4] = b"SHRD";
 /// Trailer magic.
-pub const TRAILER_MAGIC: &[u8; 8] = b"CKPT_END";
+pub(crate) const TRAILER_MAGIC: &[u8; 8] = b"CKPT_END";
 /// Format version written and accepted by this codec.
-pub const VERSION: u16 = 1;
+pub(crate) const VERSION: u16 = 1;
 /// `slab_class` sentinel for items too large for any slab class.
-pub const NO_SLAB_CLASS: u16 = u16::MAX;
+pub(crate) const NO_SLAB_CLASS: u16 = u16::MAX;
 /// `ttl` sentinel for items with no expiry.
-pub const NO_TTL: u64 = u64::MAX;
+pub(crate) const NO_TTL: u64 = u64::MAX;
 
 /// Decode/IO failures. Every corrupt-input path surfaces as a clean
 /// error — the codec never panics on untrusted bytes, and the restorer
@@ -152,7 +152,7 @@ pub enum CkptError {
     Io(io::Error),
     /// Stream or shard-frame magic did not match.
     BadMagic,
-    /// Header version is not [`VERSION`].
+    /// Header version is not `VERSION`.
     BadVersion(u16),
     /// A frame header is self-inconsistent (e.g. payload shorter than
     /// its declared records, or a record overruns the payload).
@@ -271,7 +271,7 @@ const CRC_TABLES: [[u32; 256]; 16] = {
 /// carry-less multiplication (`clmul::crc32`); every shorter buffer,
 /// and every buffer on any other host, goes through the slice-by-16
 /// tables (`crc32_portable`). Both give the same value for every input.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     if bytes.len() >= clmul::MIN_LEN
         && is_x86_feature_detected!("pclmulqdq")
@@ -416,14 +416,14 @@ impl Default for CheckpointConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CkptWriteReport {
     /// Shards framed.
-    pub shards: u32,
+    pub(crate) shards: u32,
     /// Records written across all shards.
     pub items: u64,
     /// Total stream size, bytes (header + frames + trailer).
     pub bytes: u64,
     /// Records per slab class (index = class in the default ladder;
     /// the final slot counts oversized / classless items).
-    pub per_class: Vec<u64>,
+    pub(crate) per_class: Vec<u64>,
     /// Wall-clock duration of the write.
     pub elapsed: Duration,
 }
@@ -432,7 +432,7 @@ pub struct CkptWriteReport {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CkptRestoreReport {
     /// Shard frames decoded.
-    pub shards: u32,
+    pub(crate) shards: u32,
     /// Records decoded from the stream.
     pub items_decoded: u64,
     /// Records stored in the target. A record is not stored when the
@@ -442,7 +442,7 @@ pub struct CkptRestoreReport {
     /// Stream bytes consumed.
     pub bytes: u64,
     /// Records per slab class, as declared in the stream.
-    pub per_class: Vec<u64>,
+    pub(crate) per_class: Vec<u64>,
     /// Wall-clock duration of the restore.
     pub elapsed: Duration,
 }

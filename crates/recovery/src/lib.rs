@@ -20,9 +20,9 @@
 //! * [`checkpoint`] — the new `spotcache-ckpt-v1` streaming codec:
 //!   slab-class-aware, CRC-framed full-state snapshots with TTLs
 //!   re-based on restore.
-//! * [`strategy`] — [`RecoveryStrategy`] (Replay | Hybrid) selecting
-//!   between them, and labelling the in-flight restore for
-//!   `router::degraded`.
+//! * [`strategy`] — [`RecoveryStrategy`](strategy::RecoveryStrategy)
+//!   (Replay | Hybrid) selecting between them, and labelling the in-flight
+//!   restore for `router::degraded`.
 //!
 //! The `revocation_drill` bench bin drills both strategies against
 //! real servers and link faults; `BENCH_drill.json`
@@ -32,10 +32,3 @@
 pub mod checkpoint;
 pub mod replay;
 pub mod strategy;
-
-pub use checkpoint::{
-    restore_checkpoint, write_checkpoint, CheckpointConfig, CkptError, CkptRestoreReport,
-    CkptWriteReport,
-};
-pub use replay::{pump_hot_set, WarmupConfig, WarmupReport};
-pub use strategy::{RecoveryStrategy, RestoreContext, RestoreReport, TopUpConfig};

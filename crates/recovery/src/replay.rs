@@ -1,7 +1,7 @@
 //! The warm-up pump: replaying a backup's hot set into a replacement
 //! server at a burstable-governed rate (paper §3.3, Fig. 4).
 //!
-//! This is the [`RecoveryStrategy::Replay`](crate::RecoveryStrategy)
+//! This is the [`RecoveryStrategy::Replay`](crate::strategy::RecoveryStrategy)
 //! restore path. When a spot node is revoked, its passive backup holds
 //! the hot set but is too small to serve the full load; the paper's
 //! recovery copies that hot set into the replacement node, pacing the
@@ -73,7 +73,7 @@ impl Default for WarmupConfig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WarmupReport {
     /// Hot items found in the backup (≤ `max_items`).
-    pub items_total: usize,
+    pub(crate) items_total: usize,
     /// Items acked by the replacement.
     pub items_pumped: usize,
     /// Link errors survived along the way (reconnect + re-ship).

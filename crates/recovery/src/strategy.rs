@@ -38,9 +38,9 @@ const TOP_UP_BATCH_MAX: usize = 128;
 #[derive(Debug, Clone)]
 pub struct TopUpConfig {
     /// Per-link read/write timeout.
-    pub io_timeout: Duration,
+    pub(crate) io_timeout: Duration,
     /// Connect/ship attempts before the top-up gives up with an error.
-    pub max_retries: u32,
+    pub(crate) max_retries: u32,
 }
 
 impl Default for TopUpConfig {
@@ -69,7 +69,7 @@ pub enum RecoveryStrategy {
 }
 
 impl RecoveryStrategy {
-    /// The label [`spotcache_router::DegradedRouter`] reports while this
+    /// The label [`spotcache_router::degraded::DegradedRouter`] reports while this
     /// strategy's restore runs.
     pub fn mode(&self) -> RecoveryMode {
         match self {
@@ -114,7 +114,6 @@ impl RecoveryStrategy {
                     ctx.tracer,
                 )?;
                 Ok(RestoreReport {
-                    mode: RecoveryMode::Replay,
                     items_restored: pump.items_pumped as u64,
                     ckpt_cut: None,
                     ckpt: None,
@@ -127,7 +126,6 @@ impl RecoveryStrategy {
                 let (cut, restored) = self.checkpoint_step(ctx, checkpoint)?;
                 let topped_up = ship_tail(ctx.tail, ctx.target_addr, top_up, ctx.tracer)?;
                 Ok(RestoreReport {
-                    mode: RecoveryMode::Hybrid,
                     items_restored: restored.items_stored + topped_up,
                     ckpt_cut: cut,
                     ckpt: Some(restored),
@@ -223,8 +221,6 @@ pub struct RestoreContext<'a> {
 /// What a [`RecoveryStrategy::restore`] run accomplished.
 #[derive(Debug, Clone)]
 pub struct RestoreReport {
-    /// Which strategy ran.
-    pub mode: RecoveryMode,
     /// Items landed in the replacement (pumped, bulk-loaded, and/or
     /// topped up).
     pub items_restored: u64,
@@ -384,7 +380,6 @@ mod tests {
         let r = rig(150);
         let strategy = RecoveryStrategy::Replay(fast_pump());
         let report = strategy.restore(&ctx(&r, None, &[])).expect("restore");
-        assert_eq!(report.mode, RecoveryMode::Replay);
         assert_eq!(report.items_restored, 150);
         assert!(report.pump.is_some());
         assert_eq!(r.replacement.get(b"k0"), r.backup.get(b"k0"));
@@ -399,7 +394,6 @@ mod tests {
         let report = strategy
             .restore(&ctx(&r, Some(&buf), &[]))
             .expect("restore");
-        assert_eq!(report.mode, RecoveryMode::Hybrid);
         assert_eq!(report.topped_up, 0, "empty tail: nothing shipped");
         assert_eq!(report.items_restored, 200);
         assert!(report.ckpt_cut.is_none(), "pre-cut stream: no cut inside");

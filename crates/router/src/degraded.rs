@@ -189,11 +189,6 @@ impl DegradedRouter {
         self.advance(P_WARMED);
     }
 
-    /// Back to `Healthy` (the replacement became the new primary).
-    pub fn reset(&self) {
-        self.advance(P_HEALTHY);
-    }
-
     /// Phase transitions so far.
     pub fn transitions(&self) -> u64 {
         self.transitions.load(Ordering::Relaxed)
@@ -297,9 +292,7 @@ mod tests {
         assert_eq!(r.read_plan().fallback, None);
         assert_eq!(r.write_target(), ServeTarget::Replacement);
 
-        r.reset();
-        assert_eq!(r.phase(), DrillPhase::Healthy);
-        assert_eq!(r.transitions(), 4);
+        assert_eq!(r.transitions(), 3);
     }
 
     #[test]

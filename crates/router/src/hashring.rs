@@ -67,11 +67,6 @@ impl HashRing {
         self.nodes.iter().filter(|&&(_, w)| w > 0.0).count()
     }
 
-    /// Whether the ring has no points.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
     /// The node owning `key`, or `None` on an empty ring.
     pub fn lookup(&self, key: &[u8]) -> Option<NodeId> {
         if self.points.is_empty() {
@@ -115,11 +110,6 @@ impl HashRing {
         }
         out
     }
-
-    /// The `(node, weight)` pairs this ring was built from.
-    pub fn weights(&self) -> &[(NodeId, f64)] {
-        &self.nodes
-    }
 }
 
 // Independent hash domains for ring points vs keys.
@@ -144,7 +134,7 @@ mod tests {
     #[test]
     fn empty_ring_returns_none() {
         let ring = HashRing::build(&[]);
-        assert!(ring.is_empty());
+        assert_eq!(ring.node_count(), 0);
         assert_eq!(ring.lookup(b"k"), None);
     }
 

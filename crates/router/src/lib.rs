@@ -5,10 +5,11 @@
 //! The paper implements its load balancer and key partitioner inside
 //! Facebook's mcrouter; this crate provides the same mechanisms:
 //!
-//! * [`sketch`] — count-min sketch and Bloom filter primitives,
+//! * [`CountMinSketch`] and [`BloomFilter`] — the sketch primitives,
 //! * [`partitioner`] — access-frequency hot-key tracking that assigns each
-//!   key its [`Pool`] (paper Section 4.2, "Key partitioner"); neither it
-//!   nor [`sketch`] has a request-path caller (ROADMAP item 9),
+//!   key its [`Pool`](balancer::Pool) (paper Section 4.2, "Key
+//!   partitioner"); neither it nor the sketches has a request-path caller
+//!   (ROADMAP item 9),
 //! * [`hashring`] — weighted consistent hashing (mcrouter's
 //!   `WeightedCh3`-style pools),
 //! * [`balancer`] — the load balancer: hot and cold *virtual pools* over
@@ -20,20 +21,18 @@
 pub mod balancer;
 pub mod degraded;
 pub mod hashring;
+// ROADMAP 9: the measured hot set gives these a request-path caller or deletes them.
 pub mod partitioner;
-pub mod sketch;
+mod sketch;
 
-pub use balancer::{LoadBalancer, NodeWeights, Pool};
-pub use degraded::{DegradedRouter, DrillPhase, ReadPlan, RecoveryMode, ServeCounts, ServeTarget};
-pub use hashring::{HashRing, NodeId};
-pub use partitioner::KeyPartitioner;
+// ROADMAP 9: the sketches the measured hot set may count with.
 pub use sketch::{BloomFilter, CountMinSketch};
 
 /// A fast, seedable 64-bit hash (FNV-1a finished with a splitmix64 mix).
 ///
 /// Deterministic across processes and Rust versions, which keeps every
 /// simulation reproducible.
-pub fn hash64(seed: u64, data: &[u8]) -> u64 {
+pub(crate) fn hash64(seed: u64, data: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ seed;
     for &b in data {
         h ^= b as u64;

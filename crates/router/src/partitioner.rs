@@ -46,6 +46,7 @@ impl KeyPartitioner {
         self.hot.contains(key)
     }
 
+    // ROADMAP 9: no caller until the measured hot set lands.
     /// The pool a key belongs to.
     pub fn pool(&self, key: &[u8]) -> Pool {
         if self.is_hot(key) {
@@ -55,6 +56,7 @@ impl KeyPartitioner {
         }
     }
 
+    // ROADMAP 9: no caller until the measured hot set lands.
     /// Estimated windowed access count of a key.
     pub fn estimate(&self, key: &[u8]) -> u64 {
         self.sketch.estimate(key)

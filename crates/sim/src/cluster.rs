@@ -21,17 +21,6 @@ pub struct NodeLoad {
     pub capacity: f64,
 }
 
-impl NodeLoad {
-    /// Utilization (unclamped; ≥ 1 means saturated).
-    pub fn utilization(&self) -> f64 {
-        if self.capacity <= 0.0 {
-            f64::INFINITY
-        } else {
-            self.rate / self.capacity
-        }
-    }
-}
-
 /// Samples `samples` request latencies from the cluster into `hist`.
 ///
 /// `hit_rate` is the cluster-wide cache hit probability; misses pay the
@@ -72,7 +61,7 @@ pub fn sample_cluster_latency<R: Rng + ?Sized>(
 }
 
 /// Samples one hit latency from a node's queueing model.
-pub fn sample_node_latency<R: Rng + ?Sized>(
+pub(crate) fn sample_node_latency<R: Rng + ?Sized>(
     node: &NodeLoad,
     profile: &LatencyProfile,
     rng: &mut R,
@@ -183,25 +172,5 @@ mod tests {
         }];
         sample_cluster_latency(&idle, 1.0, &profile(), &mut rng, 100, &mut hist);
         assert_eq!(hist.count(), 0);
-    }
-
-    #[test]
-    fn utilization_handles_zero_capacity() {
-        assert!(NodeLoad {
-            rate: 1.0,
-            capacity: 0.0
-        }
-        .utilization()
-        .is_infinite());
-        assert!(
-            (NodeLoad {
-                rate: 1.0,
-                capacity: 2.0
-            }
-            .utilization()
-                - 0.5)
-                .abs()
-                < 1e-12
-        );
     }
 }

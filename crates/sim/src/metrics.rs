@@ -52,12 +52,12 @@ impl LatencyHistogram {
     }
 
     /// Records one latency observation (µs).
-    pub fn record(&mut self, us: f64) {
+    pub(crate) fn record(&mut self, us: f64) {
         self.record_n(us, 1);
     }
 
     /// Records `n` identical observations (µs).
-    pub fn record_n(&mut self, us: f64, n: u64) {
+    pub(crate) fn record_n(&mut self, us: f64, n: u64) {
         if n == 0 || !us.is_finite() || us < 0.0 {
             return;
         }
@@ -79,11 +79,6 @@ impl LatencyHistogram {
         } else {
             self.sum_us / self.count as f64
         }
-    }
-
-    /// Maximum recorded latency (µs).
-    pub fn max(&self) -> f64 {
-        self.max_us
     }
 
     /// The `q`-quantile (µs); 0 when empty.
@@ -110,14 +105,6 @@ impl LatencyHistogram {
         self.count += other.count;
         self.sum_us += other.sum_us;
         self.max_us = self.max_us.max(other.max_us);
-    }
-
-    /// Empties the histogram.
-    pub fn clear(&mut self) {
-        self.buckets.fill(0);
-        self.count = 0;
-        self.sum_us = 0.0;
-        self.max_us = 0.0;
     }
 }
 
@@ -159,7 +146,7 @@ impl ViolationTracker {
     }
 
     /// Whether `day` is violated at the given threshold (paper: 1%).
-    pub fn is_violated(&self, day: usize, threshold: f64) -> bool {
+    pub(crate) fn is_violated(&self, day: usize, threshold: f64) -> bool {
         self.days
             .get(day)
             .is_some_and(|d| d.requests > 0 && d.affected as f64 > threshold * d.requests as f64)
@@ -336,7 +323,6 @@ mod tests {
         assert!((p95 - 950.0).abs() / 950.0 < 0.05, "p95 {p95}");
         assert!((h.mean() - 500.5).abs() < 1.0);
         assert_eq!(h.count(), 1000);
-        assert_eq!(h.max(), 1000.0);
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub struct RecoveryConfig {
     /// Fraction of all accesses that target the lost cold content.
     pub cold_mass_lost: f64,
     /// Backup configuration.
-    pub backup: BackupChoice,
+    pub(crate) backup: BackupChoice,
     /// Whether the backup also serves reads while warming `R` (Figure 4
     /// events 4–7) or only pumps (events 6′–7′).
     pub serve_from_backup: bool,

@@ -6,51 +6,28 @@
 //! least squares over the observed history and refresh them on every
 //! observation.
 
-/// An online AR(2) forecaster.
+/// Observations a forecaster fits over: one week of hourly slots.
+const MAX_HISTORY: usize = 168;
+
+/// An online AR(2) forecaster over the last week (168 observations).
 #[derive(Debug, Clone, Default)]
 pub struct Ar2 {
     history: Vec<f64>,
-    /// Maximum history retained for fitting (0 = unbounded).
-    max_history: usize,
 }
 
 impl Ar2 {
-    /// Creates an empty forecaster with unbounded history.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a forecaster that fits over at most the last `n`
-    /// observations.
-    pub fn with_max_history(n: usize) -> Self {
-        Self {
-            history: Vec::new(),
-            max_history: n,
-        }
-    }
-
-    /// Records an observation.
+    /// Records an observation, dropping the oldest beyond the last week.
     pub fn observe(&mut self, x: f64) {
         self.history.push(x);
-        if self.max_history > 0 && self.history.len() > self.max_history {
-            let excess = self.history.len() - self.max_history;
+        if self.history.len() > MAX_HISTORY {
+            let excess = self.history.len() - MAX_HISTORY;
             self.history.drain(..excess);
         }
     }
 
-    /// Number of recorded observations.
-    pub fn len(&self) -> usize {
-        self.history.len()
-    }
-
-    /// Whether no observations have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.history.is_empty()
-    }
-
     /// Fits `(γ₁, γ₂)` by least squares; `None` with fewer than 4
     /// observations or a singular design.
-    pub fn coefficients(&self) -> Option<(f64, f64)> {
+    pub(crate) fn coefficients(&self) -> Option<(f64, f64)> {
         let h = &self.history;
         if h.len() < 4 {
             return None;
@@ -91,26 +68,6 @@ impl Ar2 {
             }
         }
     }
-
-    /// Forecast `k` steps ahead by iterating the model on its own output.
-    pub fn forecast_k(&self, k: usize) -> Option<f64> {
-        if k == 0 {
-            return self.history.last().copied();
-        }
-        let mut x1 = *self.history.last()?;
-        let mut x2 = if self.history.len() >= 2 {
-            self.history[self.history.len() - 2]
-        } else {
-            x1
-        };
-        let (g1, g2) = self.coefficients().unwrap_or((1.0, 0.0));
-        for _ in 0..k {
-            let next = (g1 * x1 + g2 * x2).max(0.0);
-            x2 = x1;
-            x1 = next;
-        }
-        Some(x1)
-    }
 }
 
 #[cfg(test)]
@@ -119,12 +76,12 @@ mod tests {
 
     #[test]
     fn empty_has_no_forecast() {
-        assert!(Ar2::new().forecast().is_none());
+        assert!(Ar2::default().forecast().is_none());
     }
 
     #[test]
     fn short_history_uses_persistence() {
-        let mut m = Ar2::new();
+        let mut m = Ar2::default();
         m.observe(10.0);
         assert_eq!(m.forecast(), Some(10.0));
         m.observe(20.0);
@@ -133,7 +90,7 @@ mod tests {
 
     #[test]
     fn constant_series_forecasts_the_constant() {
-        let mut m = Ar2::new();
+        let mut m = Ar2::default();
         for _ in 0..20 {
             m.observe(42.0);
         }
@@ -144,7 +101,7 @@ mod tests {
     #[test]
     fn linear_trend_is_tracked() {
         // x_t = t satisfies x_t = 2x_{t-1} - x_{t-2} exactly.
-        let mut m = Ar2::new();
+        let mut m = Ar2::default();
         for t in 1..=30 {
             m.observe(t as f64);
         }
@@ -156,7 +113,7 @@ mod tests {
     fn sinusoid_is_fit_exactly() {
         // cos(wt) satisfies an exact AR(2) recurrence with g1 = 2cos(w).
         let w = 0.3f64;
-        let mut m = Ar2::new();
+        let mut m = Ar2::default();
         for t in 0..200 {
             m.observe(100.0 + 50.0 * (w * t as f64).cos());
         }
@@ -169,7 +126,7 @@ mod tests {
 
     #[test]
     fn forecasts_are_non_negative() {
-        let mut m = Ar2::new();
+        let mut m = Ar2::default();
         for x in [100.0, 50.0, 10.0, 1.0, 0.5, 0.1] {
             m.observe(x);
         }
@@ -178,21 +135,11 @@ mod tests {
 
     #[test]
     fn bounded_history_drops_old_samples() {
-        let mut m = Ar2::with_max_history(5);
-        for t in 0..100 {
+        let mut m = Ar2::default();
+        for t in 0..2 * MAX_HISTORY {
             m.observe(t as f64);
         }
-        assert_eq!(m.len(), 5);
-    }
-
-    #[test]
-    fn multi_step_forecast_iterates() {
-        let mut m = Ar2::new();
-        for t in 1..=30 {
-            m.observe(t as f64);
-        }
-        let f = m.forecast_k(5).unwrap();
-        assert!((f - 35.0).abs() < 0.1, "{f}");
-        assert_eq!(m.forecast_k(0), Some(30.0));
+        assert_eq!(m.history.len(), MAX_HISTORY);
+        assert_eq!(m.history[0], MAX_HISTORY as f64, "the oldest go first");
     }
 }

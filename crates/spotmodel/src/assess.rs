@@ -22,11 +22,11 @@ use crate::SpotPredictor;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Assessment {
     /// Market short label (paper style, e.g. `"m4.XL-c"`).
-    pub market: String,
+    pub(crate) market: String,
     /// The assessed bid, $/hour.
-    pub bid: f64,
+    pub(crate) bid: f64,
     /// Predictor name.
-    pub predictor: &'static str,
+    pub(crate) predictor: &'static str,
     /// Number of scored predictions.
     pub samples: usize,
     /// Over-estimation rate `f^s(b)`.
@@ -41,7 +41,7 @@ pub struct Assessment {
 /// instants where the bid is under water (no procurement possible) and
 /// instants whose ground-truth lifetime is right-censored by the trace end
 /// are skipped. Returns `None` when nothing could be scored.
-pub fn assess(
+pub(crate) fn assess(
     predictor: &dyn SpotPredictor,
     trace: &SpotTrace,
     bid: Bid,

@@ -22,7 +22,7 @@ use crate::{SpotFeatures, SpotPredictor};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CdfPredictor {
     /// History window `H`, seconds (paper: 7 days).
-    pub window: u64,
+    pub(crate) window: u64,
 }
 
 impl CdfPredictor {

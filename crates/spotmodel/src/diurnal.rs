@@ -26,11 +26,11 @@ use crate::runs::below_bid_runs;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiurnalLifetimeModel {
     /// The unconditioned model (window, percentile, fallback).
-    pub base: LifetimeModel,
+    pub(crate) base: LifetimeModel,
     /// Number of equal time-of-day buckets (e.g. 24 for hourly).
-    pub buckets: u32,
+    pub(crate) buckets: u32,
     /// Minimum per-bucket run segments before conditioning is trusted.
-    pub min_samples: usize,
+    pub(crate) min_samples: usize,
 }
 
 impl DiurnalLifetimeModel {
@@ -50,7 +50,7 @@ impl DiurnalLifetimeModel {
     }
 
     /// The bucket index of a timestamp.
-    pub fn bucket_of(&self, t: u64) -> u32 {
+    pub(crate) fn bucket_of(&self, t: u64) -> u32 {
         ((t % DAY) / (DAY / self.buckets as u64)) as u32
     }
 

@@ -21,24 +21,22 @@
 //!
 //! [`mod@assess`] implements the paper's walk-forward validation producing the
 //! over-estimation rate `f^s(b)` and relative price deviation `ξ^s(b)` of
-//! Table 2, and [`arima`] the AR(2) workload predictors the optimizer
+//! Table 2, and `arima` the AR(2) workload predictors the optimizer
 //! consumes.
 
-pub mod arima;
+mod arima;
 pub mod assess;
-pub mod cdf;
+mod cdf;
 pub mod diurnal;
 pub mod lifetime;
-pub mod price;
+mod price;
 pub mod runs;
 
 pub use arima::Ar2;
-pub use assess::{assess, Assessment};
 pub use cdf::CdfPredictor;
-pub use diurnal::DiurnalLifetimeModel;
-pub use lifetime::LifetimeModel;
+pub(crate) use lifetime::LifetimeModel;
 pub use price::AvgPriceModel;
-pub use runs::{below_bid_runs, Run};
+pub use runs::below_bid_runs;
 
 use spotcache_cloud::spot::{Bid, SpotTrace};
 
@@ -70,9 +68,9 @@ pub trait SpotPredictor {
 #[derive(Debug, Clone, Copy)]
 pub struct TemporalPredictor {
     /// Lifetime model (percentile of the per-run length distribution).
-    pub lifetime: LifetimeModel,
+    pub(crate) lifetime: LifetimeModel,
     /// Average-price model (mean of per-run average prices).
-    pub price: AvgPriceModel,
+    pub(crate) price: AvgPriceModel,
 }
 
 impl TemporalPredictor {

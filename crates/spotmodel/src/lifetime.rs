@@ -21,10 +21,10 @@ use crate::runs::{below_bid_runs, Run};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LifetimeModel {
     /// Sliding history window, seconds (paper: 7 days).
-    pub window: u64,
+    pub(crate) window: u64,
     /// Quantile of the residual-lifetime distribution to report
     /// (paper: 0.05).
-    pub percentile: f64,
+    pub(crate) percentile: f64,
 }
 
 impl LifetimeModel {
@@ -56,13 +56,6 @@ impl LifetimeModel {
         }
         let lens: Vec<f64> = runs.iter().map(|r| r.len as f64).collect();
         Some(residual_quantile(&lens, self.percentile))
-    }
-
-    /// Number of distinct below-bid runs in the current window (useful as a
-    /// stability signal: many short runs = flapping market).
-    pub fn run_count(&self, trace: &SpotTrace, now: u64, bid: Bid) -> usize {
-        let from = now.saturating_sub(self.window);
-        below_bid_runs(trace, from, now, bid).len()
     }
 }
 
@@ -232,16 +225,5 @@ mod tests {
         let pf = m.predict(&tf, tf.end(), Bid(0.1)).unwrap();
         let pc = m.predict(&tc, tc.end(), Bid(0.1)).unwrap();
         assert!(pc > 10.0 * pf, "calm {pc} vs flapping {pf}");
-    }
-
-    #[test]
-    fn run_count_reflects_flapping() {
-        let mut prices = Vec::new();
-        for _ in 0..10 {
-            prices.extend([0.05, 0.9]);
-        }
-        let t = trace(prices);
-        let m = LifetimeModel::new(t.duration(), 0.05);
-        assert_eq!(m.run_count(&t, t.end(), Bid(0.1)), 10);
     }
 }

@@ -17,9 +17,9 @@ use crate::runs::{below_bid_runs, Run};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AvgPriceModel {
     /// Sliding history window, seconds (paper: 7 days).
-    pub window: u64,
+    pub(crate) window: u64,
     /// Exponential recency half-life, seconds (default: window / 4).
-    pub half_life: u64,
+    pub(crate) half_life: u64,
 }
 
 impl AvgPriceModel {
@@ -32,7 +32,8 @@ impl AvgPriceModel {
     }
 
     /// Overrides the recency half-life.
-    pub fn with_half_life(mut self, half_life: u64) -> Self {
+    #[cfg(test)]
+    fn with_half_life(mut self, half_life: u64) -> Self {
         self.half_life = half_life.max(1);
         self
     }

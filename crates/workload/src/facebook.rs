@@ -33,9 +33,9 @@ pub struct FacebookWorkload {
 
 impl FacebookWorkload {
     /// Published read fraction of the USR pool.
-    pub const USR_READ_FRACTION: f64 = 0.998;
+    pub(crate) const USR_READ_FRACTION: f64 = 0.998;
     /// Approximate read fraction of the ETC pool.
-    pub const ETC_READ_FRACTION: f64 = 0.97;
+    pub(crate) const ETC_READ_FRACTION: f64 = 0.97;
 
     /// Creates a generator over `n` keys.
     pub fn new(pool: FacebookPool, n: u64) -> Self {
@@ -51,13 +51,8 @@ impl FacebookWorkload {
         }
     }
 
-    /// The emulated pool.
-    pub fn pool(&self) -> FacebookPool {
-        self.pool
-    }
-
     /// Read fraction of this pool.
-    pub fn read_fraction(&self) -> f64 {
+    pub(crate) fn read_fraction(&self) -> f64 {
         match self.pool {
             FacebookPool::Usr => Self::USR_READ_FRACTION,
             FacebookPool::Etc => Self::ETC_READ_FRACTION,
@@ -76,36 +71,6 @@ impl FacebookWorkload {
             key,
             is_read,
             value_size,
-        }
-    }
-
-    /// Mean value size of the pool, bytes (analytic, for capacity math).
-    pub fn mean_value_size(&self) -> f64 {
-        match self.pool {
-            FacebookPool::Usr => 2.0,
-            // Empirical mean of the sampler below.
-            FacebookPool::Etc => {
-                // Integrate the discrete mixture exactly.
-                ETC_SIZE_TABLE
-                    .iter()
-                    .map(|&(p, lo, hi)| p * (lo + hi) as f64 / 2.0)
-                    .sum()
-            }
-        }
-    }
-
-    /// Key size in bytes for a given key id (USR uses two fixed key sizes;
-    /// ETC varies 16-40).
-    pub fn key_size(&self, key: u64) -> usize {
-        match self.pool {
-            FacebookPool::Usr => {
-                if key.is_multiple_of(2) {
-                    16
-                } else {
-                    21
-                }
-            }
-            FacebookPool::Etc => 16 + (key % 25) as usize,
         }
     }
 }
@@ -152,15 +117,6 @@ mod tests {
         }
         let frac = reads as f64 / 50_000.0;
         assert!((frac - 0.998).abs() < 0.003, "{frac}");
-        assert_eq!(w.mean_value_size(), 2.0);
-    }
-
-    #[test]
-    fn usr_key_sizes_are_16_or_21() {
-        let w = FacebookWorkload::new(FacebookPool::Usr, 1_000);
-        for k in 0..100 {
-            assert!(matches!(w.key_size(k), 16 | 21));
-        }
     }
 
     #[test]
@@ -192,8 +148,6 @@ mod tests {
     fn pools_report_their_parameters() {
         let usr = FacebookWorkload::new(FacebookPool::Usr, 10);
         let etc = FacebookWorkload::new(FacebookPool::Etc, 10);
-        assert_eq!(usr.pool(), FacebookPool::Usr);
         assert!(usr.read_fraction() > etc.read_fraction());
-        assert!(etc.mean_value_size() > 1_000.0);
     }
 }

@@ -11,18 +11,15 @@
 //!   analytic [`zipf::PopularityModel`] (`F(·)` in the paper's optimizer),
 //! * [`wikipedia`] — a seeded diurnal arrival-rate / working-set trace with
 //!   the Wikipedia trace's shape, rescalable to any peak, and
-//! * [`ycsb`] — read-heavy request streams binding the two together.
+//! * [`facebook`] — the Facebook USR/ETC request mixes over scrambled
+//!   Zipfian keys.
 
-pub mod churn;
+// ROADMAP 9: the churning key population the measured hot set must follow.
+mod churn;
 pub mod facebook;
-pub mod tracefile;
 pub mod wikipedia;
-pub mod ycsb;
+mod ycsb;
 pub mod zipf;
 
 pub use churn::ChurnWorkload;
-pub use facebook::{FacebookPool, FacebookWorkload};
-pub use tracefile::{parse_hourly_csv, WorkloadFileError};
 pub use wikipedia::WikipediaTrace;
-pub use ycsb::{Request, RequestGenerator};
-pub use zipf::{PopularityModel, ScrambledZipfian, Zipfian};

@@ -16,9 +16,9 @@ use rand::{Rng, SeedableRng};
 #[derive(Debug, Clone)]
 pub struct WikipediaTrace {
     /// Request arrival rate per hour slot, ops/sec.
-    pub hourly_rates: Vec<f64>,
+    pub(crate) hourly_rates: Vec<f64>,
     /// Working-set size per hour slot, GiB.
-    pub hourly_wss_gb: Vec<f64>,
+    pub(crate) hourly_wss_gb: Vec<f64>,
 }
 
 impl WikipediaTrace {
@@ -65,7 +65,7 @@ impl WikipediaTrace {
     }
 
     /// Number of hour slots.
-    pub fn hours(&self) -> usize {
+    pub(crate) fn hours(&self) -> usize {
         self.hourly_rates.len()
     }
 
@@ -80,27 +80,25 @@ impl WikipediaTrace {
         let idx = ((t / 3_600) as usize).min(self.hours() - 1);
         self.hourly_wss_gb[idx]
     }
-
-    /// Peak arrival rate over the whole trace.
-    pub fn peak_rate(&self) -> f64 {
-        self.hourly_rates.iter().copied().fold(f64::MIN, f64::max)
-    }
-
-    /// Maximum working-set size over the whole trace.
-    pub fn max_wss(&self) -> f64 {
-        self.hourly_wss_gb.iter().copied().fold(f64::MIN, f64::max)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn peak_rate(t: &WikipediaTrace) -> f64 {
+        t.hourly_rates.iter().copied().fold(f64::MIN, f64::max)
+    }
+
+    fn max_wss(t: &WikipediaTrace) -> f64 {
+        t.hourly_wss_gb.iter().copied().fold(f64::MIN, f64::max)
+    }
+
     #[test]
     fn scales_to_requested_peaks() {
         let t = WikipediaTrace::generate(30, 320_000.0, 60.0, 1);
-        assert!((t.peak_rate() - 320_000.0).abs() < 1.0);
-        assert!((t.max_wss() - 60.0).abs() < 1e-6);
+        assert!((peak_rate(&t) - 320_000.0).abs() < 1.0);
+        assert!((max_wss(&t) - 60.0).abs() < 1e-6);
         assert_eq!(t.hours(), 720);
     }
 
@@ -108,7 +106,7 @@ mod tests {
     fn diurnal_swing_is_realistic() {
         let t = WikipediaTrace::generate(7, 100_000.0, 100.0, 2);
         let min = t.hourly_rates.iter().copied().fold(f64::MAX, f64::min);
-        let ratio = t.peak_rate() / min;
+        let ratio = peak_rate(&t) / min;
         assert!((1.5..=3.5).contains(&ratio), "peak/trough {ratio}");
     }
 

@@ -35,7 +35,6 @@ pub struct Zipfian {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2: f64,
 }
 
 impl Zipfian {
@@ -62,18 +61,7 @@ impl Zipfian {
             alpha,
             zetan,
             eta,
-            zeta2,
         }
-    }
-
-    /// Number of items.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
-    /// The skew parameter.
-    pub fn theta(&self) -> f64 {
-        self.theta
     }
 
     /// Draws a rank (0 = most popular).
@@ -88,20 +76,6 @@ impl Zipfian {
         }
         let rank = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
         rank.min(self.n - 1)
-    }
-
-    /// Probability of drawing rank `k` (0-based).
-    pub fn pmf(&self, k: u64) -> f64 {
-        if k >= self.n {
-            return 0.0;
-        }
-        1.0 / ((k + 1) as f64).powf(self.theta) / self.zetan
-    }
-
-    /// Access to `zeta(2, θ)` (for tests).
-    #[doc(hidden)]
-    pub fn zeta2(&self) -> f64 {
-        self.zeta2
     }
 }
 
@@ -155,7 +129,7 @@ const HARMONIC_CUTOFF: u64 = 100_000;
 ///
 /// Exact summation up to a cutoff, then an Euler–Maclaurin integral tail —
 /// accurate to ~1e-9 relative error, fast for `n` in the billions.
-pub fn generalized_harmonic(n: u64, theta: f64) -> f64 {
+pub(crate) fn generalized_harmonic(n: u64, theta: f64) -> f64 {
     harmonic_with_tail(harmonic_head(n.min(HARMONIC_CUTOFF), theta), n, theta)
 }
 
@@ -189,9 +163,9 @@ fn harmonic_with_tail(head: f64, n: u64, theta: f64) -> f64 {
 #[derive(Debug, Clone, Copy)]
 pub struct PopularityModel {
     /// Number of distinct items in the working set.
-    pub n: u64,
+    pub(crate) n: u64,
     /// Zipf skew.
-    pub theta: f64,
+    pub(crate) theta: f64,
     /// Exact sum of the first `min(n, HARMONIC_CUTOFF)` terms, summed once
     /// here and shared by every `H_{k,θ}` with `k` at or past the cutoff.
     head: f64,
@@ -268,6 +242,14 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Probability of drawing rank `k` (0-based).
+    fn pmf(z: &Zipfian, k: u64) -> f64 {
+        if k >= z.n {
+            return 0.0;
+        }
+        1.0 / ((k + 1) as f64).powf(z.theta) / z.zetan
+    }
+
     #[test]
     fn harmonic_matches_brute_force() {
         for theta in [0.5, 0.99, 1.0, 1.5, 2.0] {
@@ -293,9 +275,9 @@ mod tests {
     #[test]
     fn zipf_pmf_sums_to_one() {
         let z = Zipfian::new(1000, 0.99);
-        let total: f64 = (0..1000).map(|k| z.pmf(k)).sum();
+        let total: f64 = (0..1000).map(|k| pmf(&z, k)).sum();
         assert!((total - 1.0).abs() < 1e-9, "{total}");
-        assert_eq!(z.pmf(1000), 0.0);
+        assert_eq!(pmf(&z, 1000), 0.0);
     }
 
     #[test]
@@ -310,7 +292,7 @@ mod tests {
         // The Gray et al. algorithm is exact for ranks 0-1 and approximate
         // beyond; check the head accordingly and the tail in aggregate.
         for k in 0..5 {
-            let want = z.pmf(k) * samples as f64;
+            let want = pmf(&z, k) * samples as f64;
             let got = counts[k as usize] as f64;
             let tol = if k < 2 { 0.1 } else { 0.25 };
             assert!(
