@@ -11,7 +11,7 @@ use spotcache_spotmodel::diurnal::DiurnalLifetimeModel;
 use spotcache_spotmodel::lifetime::LifetimeModel;
 use spotcache_spotmodel::runs::residual_run;
 
-use crate::{market, markets, od_only_cost, run, worst_hour_affected, PAPER_DAYS};
+use crate::{market, markets, od_only_cost, run, worst_hour_affected, zipf_theta, PAPER_DAYS};
 
 /// The lifetime-prediction percentile (DESIGN.md §5.1).
 ///
@@ -369,6 +369,93 @@ pub(crate) fn solver() {
             last.0,
             first.1 - first.2,
             last.1 - last.2
+        ),
+    );
+}
+
+/// The worst certified gap `solver_gap:worst_slot_bounded` allows a slot
+/// of any of Fig. 13's workloads, and of Fig. 12's two.
+const GAP_BOUND: f64 = 0.65;
+const FIG12_GAP_BOUND: f64 = 0.05;
+
+/// How far the integer plan can be from the best one (ROADMAP item 16).
+///
+/// The relaxation's optimum `z_LP` bounds every integer plan's cost from
+/// below, so a plan's certified gap `cost / z_LP − 1` bounds its distance
+/// from the optimum. This prints the gap's max, p99 and mean over every
+/// slot of `Prop`'s 90 days in each of Fig. 13's 18 workloads (Fig. 12's
+/// two are the 100 GB, 500 kops rows) and over all of them.
+pub(crate) fn solver_gap() {
+    let traces = markets(PAPER_DAYS);
+
+    heading("Solver gap: Prop's integer plans against their LP relaxation (90 days)");
+    println!("certified gap = plan cost / relaxation optimum - 1, every slot\n");
+
+    /// (max, p99, mean) of `gaps`, sorted in place.
+    fn summary(gaps: &mut [f64]) -> (f64, f64, f64) {
+        gaps.sort_by(f64::total_cmp);
+        let p99 = gaps[(gaps.len() * 99).div_ceil(100) - 1];
+        let mean = gaps.iter().sum::<f64>() / gaps.len() as f64;
+        (gaps[gaps.len() - 1], p99, mean)
+    }
+    let gap = |g: f64| format!("{:.3}%", 100.0 * g);
+
+    let mut rows = Vec::new();
+    let mut all = Vec::new();
+    let mut fig12_max = 0.0f64;
+    for zipf in [1.0f64, 2.0] {
+        for wss in [10.0f64, 100.0, 500.0] {
+            for rate in [100_000.0f64, 500_000.0, 1_000_000.0] {
+                let cfg = SimConfig::paper_default(Approach::Prop, rate, wss, zipf_theta(zipf));
+                let slots = run(&cfg, &traces).slots;
+                let mut gaps: Vec<f64> = slots.iter().map(|s| s.plan_gap).collect();
+                all.extend_from_slice(&gaps);
+                let (max, p99, mean) = summary(&mut gaps);
+                if wss == 100.0 && rate == 500_000.0 {
+                    fig12_max = fig12_max.max(max);
+                }
+                rows.push(vec![
+                    format!("{zipf}"),
+                    format!("{wss:.0}"),
+                    format!("{:.0}k", rate / 1000.0),
+                    gaps.len().to_string(),
+                    gap(max),
+                    gap(p99),
+                    gap(mean),
+                ]);
+            }
+        }
+    }
+    let (max, p99, mean) = summary(&mut all);
+    rows.push(vec![
+        "all".into(),
+        String::new(),
+        String::new(),
+        all.len().to_string(),
+        gap(max),
+        gap(p99),
+        gap(mean),
+    ]);
+    print_table(
+        &["zipf", "WSS GB", "rate", "slots", "max", "p99", "mean"],
+        &rows,
+    );
+    println!();
+    println!("no slot's plan is further from the optimum than its gap. The gap is an upper");
+    println!("bound: it also counts what the relaxation saves with fractional instances,");
+    println!("which weighs most where a fleet is a few instances (10 GB at 100 kops).");
+
+    claim(
+        "solver_gap:worst_slot_bounded",
+        max <= GAP_BOUND && fig12_max <= FIG12_GAP_BOUND,
+        format!(
+            "worst slot's certified gap {} over {} slots of 18 workloads (<= {}), {} in \
+             Fig. 12's two (<= {})",
+            gap(max),
+            all.len(),
+            gap(GAP_BOUND),
+            gap(fig12_max),
+            gap(FIG12_GAP_BOUND)
         ),
     );
 }

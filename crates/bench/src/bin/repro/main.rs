@@ -48,6 +48,7 @@ const EXPERIMENTS: &[(&str, fn())] = &[
     ("ablation_dealloc", ablations::dealloc),
     ("ablation_zeta", ablations::zeta),
     ("ablation_solver", ablations::solver),
+    ("solver_gap", ablations::solver_gap),
     ("ablation_diurnal", ablations::diurnal),
     ("flash_crowd", extensions::flash_crowd),
     ("correlated_failures", extensions::correlated_failures),

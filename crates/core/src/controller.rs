@@ -10,15 +10,15 @@
 
 use std::collections::HashMap;
 
-use spotcache_cloud::catalog::{find_type, memcached_od_candidates};
-use spotcache_cloud::spot::{Bid, SpotTrace};
+use spotcache_cloud::catalog::{find_type, memcached_od_candidates, InstanceType};
+use spotcache_cloud::spot::{Bid, MarketId, SpotTrace};
 use spotcache_optimizer::latency::LatencyProfile;
 use spotcache_optimizer::problem::{
     CostModel, Offer, OfferKind, ProcurementProblem, SolveError, WorkloadForecast,
 };
 use spotcache_optimizer::AllocationPlan;
 use spotcache_spotmodel::{Ar2, CdfPredictor, SpotPredictor, TemporalPredictor};
-use spotcache_workload::zipf::PopularityModel;
+use spotcache_workload::zipf::{PopularityModel, ZipfHead};
 
 use crate::approaches::Approach;
 use crate::backup::{size_backup, BackupPlan};
@@ -82,6 +82,79 @@ pub struct SlotPlan {
     pub forecast: WorkloadForecast,
 }
 
+/// What an offer is whatever the slot: its label, instance type,
+/// per-instance rate under the configured latency targets (`λ^{sb}`) and
+/// usable RAM. A slot's offer is this with its predicted price and
+/// lifetime and its running count stamped on.
+#[derive(Debug)]
+struct OfferTemplate {
+    label: String,
+    itype: InstanceType,
+    max_rate: f64,
+    usable_ram_gb: f64,
+}
+
+impl OfferTemplate {
+    fn new(label: String, itype: InstanceType, cfg: &ControllerConfig) -> Self {
+        let hit_budget = cfg
+            .profile
+            .hit_budget_us(cfg.target_avg_us, 1.0)
+            .unwrap_or(cfg.target_avg_us);
+        Self {
+            label,
+            itype,
+            max_rate: cfg.profile.max_rate_for_targets(
+                &itype,
+                hit_budget,
+                cfg.target_p95_us,
+                false,
+            ),
+            usable_ram_gb: itype.ram_gb * 0.85,
+        }
+    }
+
+    fn offer(&self, kind: OfferKind, price: f64, lifetime_hours: f64, existing: u32) -> Offer {
+        Offer {
+            label: self.label.clone(),
+            itype: self.itype,
+            kind,
+            price,
+            lifetime_hours,
+            existing,
+            max_rate: self.max_rate,
+            usable_ram_gb: self.usable_ram_gb,
+        }
+    }
+}
+
+/// A spot market's offer templates, one per bid multiple (none when the
+/// catalog does not know its instance type).
+#[derive(Debug)]
+struct SpotMarketOffers {
+    market: MarketId,
+    bids: Vec<OfferTemplate>,
+}
+
+impl SpotMarketOffers {
+    fn new(market: &MarketId, cfg: &ControllerConfig) -> Self {
+        let bids = match find_type(&market.instance_type) {
+            Some(itype) => cfg
+                .bid_multiples
+                .iter()
+                .map(|mult| {
+                    let label = format!("{}@{}d", market.short_label(), mult);
+                    OfferTemplate::new(label, itype, cfg)
+                })
+                .collect(),
+            None => Vec::new(),
+        };
+        Self {
+            market: market.clone(),
+            bids,
+        }
+    }
+}
+
 /// The global controller.
 #[derive(Debug)]
 pub struct GlobalController {
@@ -92,10 +165,16 @@ pub struct GlobalController {
     wss_model: Ar2,
     /// Running instance counts per offer label (`N_t` in the paper).
     existing: HashMap<String, u32>,
+    /// The on-demand offers' templates, in catalog order.
+    od_offers: Vec<OfferTemplate>,
+    /// The spot offers' templates of every market planned against so far.
+    spot_offers: Vec<SpotMarketOffers>,
     /// Cache of hot-fraction computations keyed by (rounded item count,
-    /// theta in millis) — each miss builds a `PopularityModel`, which sums
-    /// a 100 000-term harmonic head. Values are `(H, F(H))`.
+    /// θ's bits). Values are `(H, F(H))`.
     hot_frac_cache: HashMap<(u64, u64), (f64, f64)>,
+    /// The Zipf head of each θ a hot-fraction miss has needed, keyed by
+    /// θ's bits: summed once, it is most of building a `PopularityModel`.
+    zipf_heads: HashMap<u64, ZipfHead>,
 }
 
 impl GlobalController {
@@ -103,6 +182,10 @@ impl GlobalController {
     pub fn new(cfg: ControllerConfig) -> Self {
         let temporal = TemporalPredictor::new(cfg.window, cfg.lifetime_percentile);
         let cdf = CdfPredictor::new(cfg.window);
+        let od_offers = memcached_od_candidates()
+            .into_iter()
+            .map(|itype| OfferTemplate::new(format!("od:{}", itype.name), itype, &cfg))
+            .collect();
         Self {
             cfg,
             temporal,
@@ -110,7 +193,10 @@ impl GlobalController {
             rate_model: Ar2::default(),
             wss_model: Ar2::default(),
             existing: HashMap::new(),
+            od_offers,
+            spot_offers: Vec::new(),
             hot_frac_cache: HashMap::new(),
+            zipf_heads: HashMap::new(),
         }
     }
 
@@ -164,11 +250,13 @@ impl GlobalController {
             rounded /= 10;
             scale *= 10;
         }
-        let key = (rounded * scale, (theta * 1000.0) as u64);
+        let key = (rounded * scale, theta.to_bits());
         let hot_mass = self.cfg.hot_mass;
+        let heads = &mut self.zipf_heads;
         *self.hot_frac_cache.entry(key).or_insert_with(|| {
             let n = key.0.max(1);
-            let model = PopularityModel::new(n, theta);
+            let head = heads.entry(key.1).or_insert_with(|| ZipfHead::new(theta));
+            let model = PopularityModel::with_head(n, head);
             let floor = (Self::MIN_HOT_ITEMS.min(n) as f64 / n as f64).min(1.0);
             let h = model.hot_fraction(hot_mass).max(floor);
             let f_h = model.access_mass(h).max(hot_mass.min(1.0));
@@ -177,31 +265,24 @@ impl GlobalController {
     }
 
     /// Builds the offer set for the current slot.
-    pub fn build_offers(&self, traces: &[&SpotTrace], now: u64) -> Vec<Offer> {
-        let hit_budget = self
-            .cfg
-            .profile
-            .hit_budget_us(self.cfg.target_avg_us, 1.0)
-            .unwrap_or(self.cfg.target_avg_us);
-        let p95_budget = self.cfg.target_p95_us;
-        let mut offers = Vec::new();
-        for itype in memcached_od_candidates() {
-            let label = format!("od:{}", itype.name);
-            offers.push(Offer {
-                existing: self.existing(&label),
-                label,
-                kind: OfferKind::OnDemand,
-                price: itype.od_price,
-                lifetime_hours: f64::INFINITY,
-                max_rate: self
-                    .cfg
-                    .profile
-                    .max_rate_for_targets(&itype, hit_budget, p95_budget, false),
-                usable_ram_gb: itype.ram_gb * 0.85,
-                itype,
-            });
+    pub fn build_offers(&mut self, traces: &[&SpotTrace], now: u64) -> Vec<Offer> {
+        let uses_spot = self.cfg.approach.uses_spot();
+        let spot_offers = if uses_spot {
+            traces.len() * self.cfg.bid_multiples.len()
+        } else {
+            0
+        };
+        let mut offers = Vec::with_capacity(self.od_offers.len() + spot_offers);
+        for t in &self.od_offers {
+            let existing = self.existing(&t.label);
+            offers.push(t.offer(
+                OfferKind::OnDemand,
+                t.itype.od_price,
+                f64::INFINITY,
+                existing,
+            ));
         }
-        if !self.cfg.approach.uses_spot() {
+        if !uses_spot {
             return offers;
         }
         let predictor: &dyn SpotPredictor = if self.cfg.approach.uses_our_spot_modeling() {
@@ -210,10 +291,20 @@ impl GlobalController {
             &self.cdf
         };
         for trace in traces {
-            let Some(itype) = find_type(&trace.market.instance_type) else {
-                continue;
+            let market = match self
+                .spot_offers
+                .iter()
+                .position(|m| m.market == trace.market)
+            {
+                Some(i) => i,
+                None => {
+                    let market = SpotMarketOffers::new(&trace.market, &self.cfg);
+                    self.spot_offers.push(market);
+                    self.spot_offers.len() - 1
+                }
             };
-            for &mult in &self.cfg.bid_multiples {
+            let templates = self.spot_offers[market].bids.iter();
+            for (t, &mult) in templates.zip(&self.cfg.bid_multiples) {
                 let bid = Bid::times_od(mult, trace.od_price);
                 let Some(features) = predictor.predict(trace, now, bid) else {
                     continue;
@@ -222,23 +313,12 @@ impl GlobalController {
                 if lifetime_hours <= 0.0 {
                     continue;
                 }
-                let label = format!("{}@{}d", trace.market.short_label(), mult);
-                offers.push(Offer {
-                    existing: self.existing(&label),
-                    label,
-                    kind: OfferKind::Spot {
-                        market: trace.market.clone(),
-                        bid,
-                    },
-                    price: features.avg_price,
-                    lifetime_hours,
-                    max_rate: self
-                        .cfg
-                        .profile
-                        .max_rate_for_targets(&itype, hit_budget, p95_budget, false),
-                    usable_ram_gb: itype.ram_gb * 0.85,
-                    itype,
-                });
+                let kind = OfferKind::Spot {
+                    market: trace.market.clone(),
+                    bid,
+                };
+                let existing = self.existing(&t.label);
+                offers.push(t.offer(kind, features.avg_price, lifetime_hours, existing));
             }
         }
         offers
@@ -311,12 +391,17 @@ impl GlobalController {
         let problem = self.problem(traces, now, theta, rate, wss_gb);
         let forecast = problem.workload;
         let alloc = problem.solve()?;
-        // Publish the new counts as next slot's `N_t`.
-        self.existing = alloc
-            .entries
-            .iter()
-            .map(|e| (e.offer.label.clone(), e.count))
-            .collect();
+        // Publish the new counts as next slot's `N_t`; a label the plan
+        // leaves out runs none.
+        self.existing.values_mut().for_each(|n| *n = 0);
+        for e in &alloc.entries {
+            match self.existing.get_mut(&e.offer.label) {
+                Some(n) => *n = e.count,
+                None => {
+                    self.existing.insert(e.offer.label.clone(), e.count);
+                }
+            }
+        }
         let backup = if self.cfg.approach.has_backup() {
             size_backup(alloc.hot_on_spot() * wss_gb)
         } else {
@@ -346,7 +431,7 @@ mod tests {
 
     #[test]
     fn od_only_builds_only_od_offers() {
-        let c = controller(Approach::OdOnly);
+        let mut c = controller(Approach::OdOnly);
         let tr = traces();
         let refs: Vec<&SpotTrace> = tr.iter().collect();
         let offers = c.build_offers(&refs, 10 * spotcache_cloud::DAY);
@@ -356,7 +441,7 @@ mod tests {
 
     #[test]
     fn prop_builds_spot_offers_per_market_and_bid() {
-        let c = controller(Approach::Prop);
+        let mut c = controller(Approach::Prop);
         let tr = traces();
         let refs: Vec<&SpotTrace> = tr.iter().collect();
         let offers = c.build_offers(&refs, 10 * spotcache_cloud::DAY);
@@ -459,6 +544,91 @@ mod tests {
         assert_eq!(c.hot_fraction(60.0, 2.0), (h2, f2));
     }
 
+    /// The hot-set cache keys the skew by its bits: 0.99 and then 0.9905
+    /// on one controller, less than 0.001 apart, each get the (H, F(H))
+    /// a fresh controller computes.
+    #[test]
+    fn hot_fraction_keys_the_skew_by_its_bits() {
+        let mut warm = controller(Approach::Prop);
+        let both = [
+            warm.hot_fraction(60.0, 0.99),
+            warm.hot_fraction(60.0, 0.9905),
+        ];
+        let fresh =
+            [0.99, 0.9905].map(|theta| controller(Approach::Prop).hot_fraction(60.0, theta));
+        let bits = |(h, f): (f64, f64)| (h.to_bits(), f.to_bits());
+        assert_eq!(both.map(bits), fresh.map(bits));
+        assert_ne!(bits(both[0]), bits(both[1]));
+    }
+
+    /// A controller that has planned for weeks builds the offers a fresh
+    /// one builds, field by field — its templates are the slot's offers —
+    /// and each offer's running count is what the previous plan published
+    /// for its label, less the revocations since (0 for a label it left
+    /// out): hourly over 21 days of the paper's traces, demand varying so
+    /// the plans change, and every seventh hour planned without the market
+    /// the previous plan ran most spot instances on, so its offers drop
+    /// out of the plan.
+    #[test]
+    fn a_warm_controllers_offers_equal_a_fresh_ones() {
+        let tr = paper_traces(21);
+        let refs: Vec<&SpotTrace> = tr.iter().collect();
+        for approach in [Approach::Prop, Approach::OdSpotCdf, Approach::OdOnly] {
+            let mut warm = controller(approach);
+            let mut published: HashMap<String, u32> = HashMap::new();
+            let mut busiest = None;
+            for hour in 7 * 24..21 * 24 {
+                let now = hour * spotcache_cloud::HOUR;
+                let refs: Vec<&SpotTrace> = refs
+                    .iter()
+                    .copied()
+                    .filter(|t| hour % 7 != 0 || busiest.as_ref() != Some(&t.market))
+                    .collect();
+                let offers = warm.build_offers(&refs, now);
+                let fresh = controller(approach).build_offers(&refs, now);
+                assert_eq!(offers.len(), fresh.len(), "{approach:?} hour {hour}");
+                for (w, f) in offers.iter().zip(&fresh) {
+                    assert_eq!(w.label, f.label);
+                    assert_eq!(w.itype, f.itype);
+                    assert_eq!(w.kind, f.kind);
+                    for (a, b) in [
+                        (w.price, f.price),
+                        (w.lifetime_hours, f.lifetime_hours),
+                        (w.max_rate, f.max_rate),
+                        (w.usable_ram_gb, f.usable_ram_gb),
+                    ] {
+                        assert_eq!(a.to_bits(), b.to_bits(), "{} hour {hour}", w.label);
+                    }
+                    assert_eq!(f.existing, 0);
+                    let want = published.get(&w.label).copied().unwrap_or(0);
+                    assert_eq!(w.existing, want, "{} hour {hour}", w.label);
+                }
+                let rate = 150_000.0 + 40_000.0 * (hour % 9) as f64;
+                let wss = 40.0 + 10.0 * (hour % 5) as f64;
+                let plan = warm.plan(&refs, now, 0.99, rate, wss).unwrap();
+                published = plan
+                    .alloc
+                    .entries
+                    .iter()
+                    .map(|e| (e.offer.label.clone(), e.count))
+                    .collect();
+                let spot = plan.alloc.entries.iter().filter(|e| e.offer.kind.is_spot());
+                if let Some(e) = spot.max_by_key(|e| e.count) {
+                    if let OfferKind::Spot { market, .. } = &e.offer.kind {
+                        busiest = Some(market.clone());
+                    }
+                    // Every fifth hour the busiest spot entry loses two
+                    // instances.
+                    if hour % 5 == 0 {
+                        warm.on_revocation(&e.offer.label, 2);
+                        let n = published.get_mut(&e.offer.label).unwrap();
+                        *n = n.saturating_sub(2);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn hot_fraction_is_floored_at_extreme_skew() {
         let mut c = controller(Approach::Prop);
@@ -478,8 +648,8 @@ mod tests {
             .iter()
             .find(|t| t.market.short_label() == "m4.XL-c")
             .unwrap();
-        let ours = controller(Approach::PropNoBackup);
-        let cdf = controller(Approach::OdSpotCdf);
+        let mut ours = controller(Approach::PropNoBackup);
+        let mut cdf = controller(Approach::OdSpotCdf);
         let now = 12 * spotcache_cloud::DAY; // before the hot window
         let o1 = ours.build_offers(&[xl_c], now);
         let o2 = cdf.build_offers(&[xl_c], now);

@@ -356,9 +356,10 @@ impl ControlLoop {
         Ok(substrate.finish())
     }
 
-    /// Plans one slot with the controller and counts the LPs its solve ran
+    /// Plans one slot with the controller, counts the LPs its solve ran
     /// and skipped, and their pivots, into `control_lp_solves_total` /
-    /// `control_lp_skipped_total` / `control_lp_pivots_total`.
+    /// `control_lp_skipped_total` / `control_lp_pivots_total`, and sets
+    /// `control_plan_gap` to the plan's certified gap.
     fn plan(
         &mut self,
         traces: &[&SpotTrace],
@@ -374,6 +375,7 @@ impl ControlLoop {
                 .add(u64::from(plan.alloc.lps_skipped));
             o.counter("control_lp_pivots_total")
                 .add(u64::from(plan.alloc.lp_pivots));
+            o.gauge("control_plan_gap").set(plan.alloc.certified_gap());
         }
         Ok(plan)
     }

@@ -523,6 +523,31 @@ mod tests {
         }
     }
 
+    /// The relaxation's optimum bounds every plan from below (its
+    /// certified gap is not negative) on every slot of the same 21-day
+    /// runs of the five planning approaches.
+    #[test]
+    fn no_plan_costs_less_than_its_relaxation() {
+        for approach in [
+            Approach::Prop,
+            Approach::PropNoBackup,
+            Approach::OdSpotSep,
+            Approach::OdSpotCdf,
+            Approach::OdOnly,
+        ] {
+            let mut cfg = SimConfig::paper_default(approach, 500_000.0, 100.0, 0.99);
+            cfg.days = 21;
+            let least_gap = simulate(&cfg, &paper_traces(21))
+                .unwrap()
+                .slots
+                .iter()
+                .map(|s| s.plan_gap)
+                .fold(f64::INFINITY, f64::min);
+            println!("{approach:?}: least certified gap {least_gap:e}");
+            assert!(least_gap >= 0.0, "{approach:?}: {least_gap:e}");
+        }
+    }
+
     #[test]
     fn od_only_never_revokes_and_costs_run_daily() {
         let r = quick(Approach::OdOnly);

@@ -49,6 +49,11 @@ pub struct AllocationPlan {
     pub entries: Vec<PlanEntry>,
     /// Modeled slot cost (resources + penalties), dollars.
     pub cost: f64,
+    /// The optimum `z_LP` of the LP relaxation the solve started from,
+    /// dollars: no plan with integer counts costs less, so
+    /// [`Self::certified_gap`] bounds how far `cost` is from the best
+    /// plan. 0 for a plan built with `Self::new`.
+    pub(crate) relaxed_cost: f64,
     /// Slot length, hours.
     pub(crate) slot_hours: f64,
     /// LPs the solve ran: the relaxation, the rounded-up counts and every
@@ -72,10 +77,22 @@ impl AllocationPlan {
         Self {
             entries,
             cost,
+            relaxed_cost: 0.0,
             slot_hours,
             lps_solved: 0,
             lps_skipped: 0,
             lp_pivots: 0,
+        }
+    }
+
+    /// `cost / relaxed_cost − 1`: an upper bound on the plan's relative
+    /// distance from the cheapest integer plan. 0 when the relaxation costs
+    /// nothing.
+    pub fn certified_gap(&self) -> f64 {
+        if self.relaxed_cost > 0.0 {
+            self.cost / self.relaxed_cost - 1.0
+        } else {
+            0.0
         }
     }
 

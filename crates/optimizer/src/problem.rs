@@ -334,8 +334,9 @@ impl ProcurementProblem {
     }
 
     /// Solves [`Self::relaxation`], converting the normalized placement
-    /// variables back to `x`, `y`; also returns the pivots it took.
-    fn solve_relaxation(&self) -> Result<(Vec<f64>, u32), SolveError> {
+    /// variables back to `x`, `y`; also returns its optimum `z_LP` and the
+    /// pivots it took.
+    fn solve_relaxation(&self) -> Result<(Vec<f64>, f64, u32), SolveError> {
         let k = self.offers.len();
         let w = &self.workload;
         let cold_span = (w.alpha - w.hot_frac).max(0.0);
@@ -346,7 +347,7 @@ impl ProcurementProblem {
                     out[o] *= w.hot_frac;
                     out[k + o] *= if cold_span > 1e-12 { cold_span } else { 0.0 };
                 }
-                Ok((out, s.pivots))
+                Ok((out, s.objective, s.pivots))
             }
             Err(LpError::Infeasible) => Err(SolveError::Infeasible),
             Err(e) => Err(SolveError::BadInput(format!("LP failed: {e}"))),
@@ -531,11 +532,11 @@ impl ProcurementProblem {
         c
     }
 
-    /// Solves the procurement problem.
-    pub fn solve(&self) -> Result<AllocationPlan, SolveError> {
+    /// Solves the procurement problem; the plan's entries take its offers.
+    pub fn solve(self) -> Result<AllocationPlan, SolveError> {
         self.validate()?;
         let k = self.offers.len();
-        let (relaxed, mut lp_pivots) = self.solve_relaxation()?;
+        let (relaxed, relaxed_cost, mut lp_pivots) = self.solve_relaxation()?;
         let mut counts: Vec<u32> = (0..k)
             .map(|o| (relaxed[2 * k + o] - 1e-9).ceil().max(0.0) as u32)
             .collect();
@@ -588,15 +589,19 @@ impl ProcurementProblem {
             }
         }
 
-        let entries = (0..k)
-            .map(|o| PlanEntry {
-                offer: self.offers[o].clone(),
+        let entries = self
+            .offers
+            .into_iter()
+            .enumerate()
+            .map(|(o, offer)| PlanEntry {
+                offer,
                 count: counts[o],
                 hot_frac: x[o].max(0.0),
                 cold_frac: y[o].max(0.0),
             })
             .collect();
         Ok(AllocationPlan {
+            relaxed_cost,
             lps_solved,
             lps_skipped,
             lp_pivots,

@@ -183,16 +183,19 @@ pub struct SlotRecord {
     pub affected_frac: f64,
     /// Cost accrued this slot (all categories).
     pub cost: f64,
+    /// The plan's certified gap (`AllocationPlan::certified_gap`).
+    pub plan_gap: f64,
 }
 
 impl SlotRecord {
-    /// Slot `slot`'s record with `alloc`'s instance counts: the on-demand
+    /// Slot `slot`'s record with `alloc`'s instance counts — the on-demand
     /// total and each spot offer's count, in plan order, offers with no
-    /// instances skipped. Revocations, impact and cost start at zero for
-    /// the substrate to meter.
+    /// instances skipped — and certified gap. Revocations, impact and cost
+    /// start at zero for the substrate to meter.
     pub fn planned(slot: u64, alloc: &AllocationPlan) -> Self {
         let mut record = Self {
             slot,
+            plan_gap: alloc.certified_gap(),
             ..Self::default()
         };
         for e in alloc.entries.iter().filter(|e| e.count > 0) {

@@ -158,6 +158,26 @@ fn harmonic_with_tail(head: f64, n: u64, theta: f64) -> f64 {
     }
 }
 
+/// The exact sum `Σ_{k=1..HARMONIC_CUTOFF} k^{-θ}` every [`PopularityModel`]
+/// over at least that many items at skew `θ` is built from — nearly all of
+/// the work of building one. A caller that builds many such models at one
+/// skew sums it once here and passes it to [`PopularityModel::with_head`].
+#[derive(Debug, Clone, Copy)]
+pub struct ZipfHead {
+    theta: f64,
+    sum: f64,
+}
+
+impl ZipfHead {
+    /// Sums the head at skew `theta`.
+    pub fn new(theta: f64) -> Self {
+        Self {
+            theta,
+            sum: harmonic_head(HARMONIC_CUTOFF, theta),
+        }
+    }
+}
+
 /// Closed-form popularity CDF over a Zipfian working set — the paper's
 /// `F(·)` and the source of its hot-data definition.
 #[derive(Debug, Clone, Copy)]
@@ -166,8 +186,8 @@ pub struct PopularityModel {
     pub(crate) n: u64,
     /// Zipf skew.
     pub(crate) theta: f64,
-    /// Exact sum of the first `min(n, HARMONIC_CUTOFF)` terms, summed once
-    /// here and shared by every `H_{k,θ}` with `k` at or past the cutoff.
+    /// Exact sum of the first `min(n, HARMONIC_CUTOFF)` terms, shared by
+    /// every `H_{k,θ}` with `k` at or past the cutoff.
     head: f64,
     h_n: f64,
 }
@@ -179,9 +199,27 @@ impl PopularityModel {
     ///
     /// Panics if `n == 0` or `theta < 0`.
     pub fn new(n: u64, theta: f64) -> Self {
+        Self::from_head_sum(n, theta, harmonic_head(n.min(HARMONIC_CUTOFF), theta))
+    }
+
+    /// `Self::new(n, θ)` at `head`'s skew `θ`, to the bit, without summing
+    /// the head again when `n` reaches the cutoff.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::new`].
+    pub fn with_head(n: u64, head: &ZipfHead) -> Self {
+        if n >= HARMONIC_CUTOFF {
+            Self::from_head_sum(n, head.theta, head.sum)
+        } else {
+            Self::new(n, head.theta)
+        }
+    }
+
+    /// The model whose first `min(n, HARMONIC_CUTOFF)` terms sum to `head`.
+    fn from_head_sum(n: u64, theta: f64, head: f64) -> Self {
         assert!(n > 0, "empty working set");
         assert!(theta >= 0.0, "negative skew");
-        let head = harmonic_head(n.min(HARMONIC_CUTOFF), theta);
         Self {
             n,
             theta,
@@ -219,7 +257,7 @@ impl PopularityModel {
     pub fn hot_fraction(&self, mass: f64) -> f64 {
         let target = mass.clamp(0.0, 1.0);
         let (mut lo, mut hi) = (0u64, self.n);
-        while lo < hi {
+        while lo < hi && hi > HARMONIC_CUTOFF {
             let mid = lo + (hi - lo) / 2;
             let m = if mid == 0 {
                 0.0
@@ -230,6 +268,18 @@ impl PopularityModel {
                 hi = mid;
             } else {
                 lo = mid + 1;
+            }
+        }
+        // Below the cutoff `harmonic(k)` is the head's partial sum (0 at
+        // `k = 0`), which never falls as `k` grows, so the first `k` in
+        // `[lo, hi)` that reaches the target is what bisecting would find.
+        // Summing up to it once, in `harmonic_head`'s order, gives the same
+        // sums without summing a prefix again for every midpoint.
+        if lo < hi {
+            let mut sum = harmonic_head(lo, self.theta);
+            while lo < hi && sum / self.h_n < target {
+                lo += 1;
+                sum += 1.0 / (lo as f64).powf(self.theta);
             }
         }
         lo as f64 / self.n as f64
@@ -341,7 +391,8 @@ mod tests {
     }
 
     /// The bisection of `hot_fraction` with every harmonic number summed
-    /// from scratch — what the model did before it kept its head sum.
+    /// from scratch — what the model did before it kept its head sum and
+    /// summed the partial sums below the cutoff once.
     fn from_scratch_hot_fraction(n: u64, theta: f64, mass: f64) -> f64 {
         let h_n = generalized_harmonic(n, theta);
         let (mut lo, mut hi) = (0u64, n);
@@ -384,6 +435,63 @@ mod tests {
                         "θ {theta} n {n} mass {mass}"
                     );
                 }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        /// `hot_fraction`, which sums the head's partial sums once below
+        /// the cutoff, finds what bisecting over from-scratch harmonic
+        /// numbers finds, to the bit: `n` up to four cutoffs (1 and around
+        /// the cutoff drawn exactly), `θ` over [0, 3] with 1 and 2 drawn
+        /// exactly, any mass with 0, 0.9 and 1 drawn exactly.
+        #[test]
+        fn hot_fraction_is_the_from_scratch_bisection(
+            (n_kind, any_n) in (0u8..5, 1u64..=4 * HARMONIC_CUTOFF),
+            (theta_kind, any_theta) in (0u8..4, 0.0f64..=3.0),
+            (mass_kind, any_mass) in (0u8..5, 0.0f64..=1.0),
+        ) {
+            const C: u64 = HARMONIC_CUTOFF;
+            let n = [1, C - 1, C, C + 1, any_n][n_kind as usize];
+            let theta = [1.0, 2.0, any_theta, any_theta][theta_kind as usize];
+            let mass = [0.0, 0.9, 1.0, any_mass, any_mass][mass_kind as usize];
+            proptest::prop_assert_eq!(
+                PopularityModel::new(n, theta).hot_fraction(mass).to_bits(),
+                from_scratch_hot_fraction(n, theta, mass).to_bits(),
+                "n {} θ {} mass {}", n, theta, mass
+            );
+        }
+
+        /// A model built from a shared [`ZipfHead`] is the model
+        /// [`PopularityModel::new`] builds, to the bit: `n` at 1, around
+        /// the cutoff and up to 1e9, `θ` over [0, 3] with 1 (the
+        /// logarithmic tail) and 2 drawn exactly.
+        #[test]
+        fn a_shared_head_builds_the_same_model(
+            (n_kind, any_n) in (0u8..6, 1u64..=1_000_000_000),
+            (theta_kind, any_theta) in (0u8..4, 0.0f64..=3.0),
+        ) {
+            const C: u64 = HARMONIC_CUTOFF;
+            let n = [1, C - 1, C, C + 1, 1_000_000_000, any_n][n_kind as usize];
+            let theta = [1.0, 2.0, any_theta, any_theta][theta_kind as usize];
+            let (shared, own) = (
+                PopularityModel::with_head(n, &ZipfHead::new(theta)),
+                PopularityModel::new(n, theta),
+            );
+            for x in [0.0, 1e-9, 1e-6, 0.001, 0.1, 0.5, 0.9, 1.0] {
+                proptest::prop_assert_eq!(
+                    shared.access_mass(x).to_bits(),
+                    own.access_mass(x).to_bits(),
+                    "n {} θ {} x {}", n, theta, x
+                );
+            }
+            for mass in [0.5, 0.9, 0.99] {
+                proptest::prop_assert_eq!(
+                    shared.hot_fraction(mass).to_bits(),
+                    own.hot_fraction(mass).to_bits(),
+                    "n {} θ {} mass {}", n, theta, mass
+                );
             }
         }
     }

@@ -85,6 +85,7 @@ fn snapshot_covers_all_instrumented_layers() {
         "control_lp_solves_total",
         "control_lp_skipped_total",
         "control_lp_pivots_total",
+        "control_plan_gap",
         "control_plan_cost_dollars",
         "control_zeta",
         "control_bids_total",
