@@ -18,15 +18,19 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc --no-deps --workspace (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
-# same_names FRESH PINNED BIN: a checked-in artifact names every series its
-# bin's registry holds and every field the bin writes, so a fresh smoke run
-# must name the same counters, gauges and histograms (the `obs` snapshot,
-# or the whole document for BENCH_obs.json) and the same key paths outside
-# `obs`. A change that adds or removes one regenerates the file:
-# `cargo run --release -p spotcache-bench --bin BIN` from the repo root.
+# same_names FRESH PINNED BIN [LOGICAL]: a checked-in artifact names every
+# series its bin's registry holds and every field the bin writes, so a fresh
+# smoke run must name the same counters, gauges and histograms (the `obs`
+# snapshot, or the whole document for BENCH_obs.json) and the same key paths
+# outside `obs`. With LOGICAL, a regex over series names, the series it
+# matches and the journal sample (`events`, `events_dropped`) must also hold
+# the same values: they run on logical clocks, so two runs write them alike.
+# A change that adds or removes one, or moves a logical value, regenerates
+# the file: `cargo run --release -p spotcache-bench --bin BIN` from the repo
+# root.
 same_names() {
 python3 - "$@" <<'PY'
-import json, sys
+import json, re, sys
 def split(doc):
     if "obs" not in doc:
         return doc, {}
@@ -46,6 +50,13 @@ sets.append(("key paths", set(paths(fresh_rest)), set(paths(pinned_rest))))
 for kind, new, old in sets:
     assert new == old, f"{sys.argv[2]} {kind} are stale: new {sorted(new - old)}, " \
         f"gone {sorted(old - new)}; regenerate it with --bin {sys.argv[3]}"
+if len(sys.argv) > 4:
+    moved = [f"{kind} {name}" for kind in ("counters", "gauges", "histograms")
+             for name in sorted(pinned[kind]) if re.match(sys.argv[4], name)
+             and fresh[kind][name] != pinned[kind][name]]
+    moved += [key for key in ("events", "events_dropped") if fresh[key] != pinned[key]]
+    assert not moved, f"{sys.argv[2]} logical values are stale: {moved}; " \
+        f"regenerate it with --bin {sys.argv[3]}"
 PY
 }
 
@@ -77,11 +88,14 @@ echo "==> observability run (every layer once; admin endpoint scraped under load
 # one registry and one tracer, scrapes /metrics while a client sends, then
 # /healthz, /journal and /trace, and checks every body itself (the /trace
 # body must hold spans of all four layers). Here: the snapshot names the
-# checked-in series.
+# checked-in series, and the control loop's, the simulators' and their
+# journal's values equal the checked-in ones. The data plane's series follow
+# the wall clock (how many client rounds fit before the scrapes) and are
+# checked by name only.
 snap="$tmp/obs_snapshot.json"
 cargo run --release -q -p spotcache-bench --bin obs_snapshot -- --metrics-out "$snap" \
     | grep -q "snapshot OK"
-same_names "$snap" BENCH_obs.json obs_snapshot
+same_names "$snap" BENCH_obs.json obs_snapshot '(control|sim|recovery|bucket|journal)_'
 
 echo "==> revocation drill smoke test (both strategies + link faults)"
 # The bin decides its `drill:` claims itself (recovery orderings, restore

@@ -82,7 +82,7 @@ pub const VALUE_LEN: usize = 64;
 pub const RECOVERY_FRACTION: f64 = 0.9;
 
 /// Hot-key prefix: only these replicate to a backup (the paper's key
-/// partitioner marks hot keys `h`, §4.2).
+/// partitioner marks hot keys `h`, §4.2; here the plan's rank cut does).
 const HOT_PREFIX: &str = "h";
 
 /// Cold-key prefix.

@@ -67,7 +67,7 @@
 //! this order: the CRC is verified; the whole payload is walked checking
 //! every record's bounds and the absence of trailing bytes, which
 //! allocates nothing; and only a frame that passed both is decoded front
-//! to back, `restore_batch` records at a time, straight into the `Vec`
+//! to back, `RESTORE_BATCH` records at a time, straight into the `Vec`
 //! handed to [`Store::set_many_policy_at`], which moves keys and values
 //! into the shard. Stored values are copies: nothing in the store aliases
 //! the frame buffer, so eviction keeps freeing what the accounting says
@@ -398,19 +398,14 @@ mod clmul {
     }
 }
 
-/// Knobs for checkpoint restore.
-#[derive(Debug, Clone)]
-pub struct CheckpointConfig {
-    /// Items per [`Store::set_many_policy_at`] bulk-load batch on restore.
-    /// Bounds how long each shard lock is held during the load.
-    pub restore_batch: usize,
-}
+/// Checkpoint restore settings. It has none left; the type stays because
+/// callers still pass it (ROADMAP 14(d) drops it).
+#[derive(Debug, Clone, Default)]
+pub struct CheckpointConfig {}
 
-impl Default for CheckpointConfig {
-    fn default() -> Self {
-        Self { restore_batch: 512 }
-    }
-}
+/// Items per [`Store::set_many_policy_at`] bulk-load batch on restore.
+/// Bounds how long each shard lock is held during the load.
+const RESTORE_BATCH: usize = 512;
 
 /// What a checkpoint write accomplished.
 #[derive(Debug, Clone, PartialEq)]
@@ -712,7 +707,6 @@ pub fn write_checkpoint(
 pub(crate) struct Loader<'a> {
     store: &'a Store,
     now: u64,
-    batch_cap: usize,
     tracer: Option<&'a Tracer>,
     c_items: Option<Counter>,
     c_bytes: Option<Counter>,
@@ -725,7 +719,6 @@ impl<'a> Loader<'a> {
         header: &[u8; HEADER_LEN],
         store: &'a Store,
         now: u64,
-        cfg: &CheckpointConfig,
         obs: Option<&Obs>,
         tracer: Option<&'a Tracer>,
     ) -> Result<Self, CkptError> {
@@ -733,7 +726,6 @@ impl<'a> Loader<'a> {
         let mut loader = Self {
             store,
             now,
-            batch_cap: cfg.restore_batch.max(1),
             tracer,
             c_items: obs.map(|o| o.counter("ckpt_items_restored_total")),
             c_bytes: obs.map(|o| o.counter("ckpt_bytes_restored_total")),
@@ -757,8 +749,8 @@ impl<'a> Loader<'a> {
 
     /// Loads one frame: verifies `declared_crc` over `payload`, walks the
     /// whole payload checking every record's bounds (allocating nothing),
-    /// and only then stores the records in frame order, `restore_batch` at
-    /// a time, with [`SetPolicy::Fill`]: each behind the ones before it,
+    /// and only then stores the records in frame order, `RESTORE_BATCH`
+    /// at a time, with [`SetPolicy::Fill`]: each behind the ones before it,
     /// only where the target holds no live item under the key and only
     /// if it fits. A frame that fails any check leaves the target
     /// untouched.
@@ -806,7 +798,7 @@ impl<'a> Loader<'a> {
         let mut remaining = head.records as usize;
         let mut off = 0usize;
         while remaining > 0 {
-            let n = remaining.min(self.batch_cap);
+            let n = remaining.min(RESTORE_BATCH);
             remaining -= n;
             let mut batch = Vec::with_capacity(n);
             for _ in 0..n {
@@ -868,7 +860,7 @@ fn read_array<const N: usize>(r: &mut impl Read) -> Result<[u8; N], CkptError> {
 
 /// Restores a `spotcache-ckpt-v1` stream from `input` into `store`,
 /// bulk-loading via [`Store::set_many_policy_at`] in batches of
-/// `cfg.restore_batch`.
+/// `RESTORE_BATCH` (512) records. `_cfg` holds no setting.
 ///
 /// Each frame is read into one reused buffer, its CRC verified and its
 /// whole structure validated before any of its records is applied; on any
@@ -896,12 +888,12 @@ pub fn restore_checkpoint(
     input: &mut impl Read,
     store: &Store,
     now: u64,
-    cfg: &CheckpointConfig,
+    _cfg: &CheckpointConfig,
     obs: Option<&Obs>,
     tracer: Option<&Tracer>,
 ) -> Result<CkptRestoreReport, CkptError> {
     let start = Instant::now();
-    let mut loader = Loader::new(&read_array(input)?, store, now, cfg, obs, tracer)?;
+    let mut loader = Loader::new(&read_array(input)?, store, now, obs, tracer)?;
     let mut payload = Vec::new();
     for _ in 0..loader.shards() {
         let head = FrameHead::parse(&read_array(input)?)?;
@@ -1215,25 +1207,27 @@ mod tests {
             &mut &buf[..],
             dst,
             0,
-            &CheckpointConfig { restore_batch: 7 },
+            &CheckpointConfig::default(),
             None,
             None,
         )
         .expect("restore")
     }
 
-    /// `n` keys, then reads that pull every third one back to the front.
+    /// `n` keys, then reads that pull every third one back to the front;
+    /// every shard must end up applied in more than one restore batch.
     fn fill_and_touch(s: &Store, n: u32) {
         fill(s, n);
         for i in (0..n).step_by(3) {
             assert!(s.get(format!("key-{i}").as_bytes()).is_some());
         }
+        assert!(recency(s).iter().all(|keys| keys.len() > RESTORE_BATCH));
     }
 
     #[test]
     fn restore_keeps_each_shards_recency_order() {
         let src = store(4);
-        fill_and_touch(&src, 200);
+        fill_and_touch(&src, 2_400);
         let (buf, _) = cut(&src, 0);
         let dst = store(4);
         restore(&buf, &dst);
@@ -1243,7 +1237,7 @@ mod tests {
     #[test]
     fn restore_into_more_shards_keeps_relative_order() {
         let src = store(4);
-        fill_and_touch(&src, 200);
+        fill_and_touch(&src, 2_400);
         let (buf, _) = cut(&src, 0);
         let dst = store(8);
         restore(&buf, &dst);
@@ -1263,28 +1257,31 @@ mod tests {
 
     #[test]
     fn restore_into_half_the_memory_keeps_the_hottest_prefix() {
-        // Equal-sized items, so a shard's budget is a whole number of them.
-        let item = 6 + 10 + ITEM_OVERHEAD;
+        // Equal-sized items, so a shard's budget is a whole number of them;
+        // a source frame spans two restore batches, and the target refuses
+        // records in both.
+        let item = 7 + 10 + ITEM_OVERHEAD;
         let sized = |items_per_shard: usize| {
             Store::new(StoreConfig {
                 capacity_bytes: 2 * items_per_shard * item,
                 shards: 2,
             })
         };
-        let src = sized(100);
-        for i in 100..300u32 {
+        let src = sized(700);
+        for i in 1_000..2_200u32 {
             src.set(format!("key{i}").into_bytes(), vec![i as u8; 10]);
         }
-        for i in (100..300u32).step_by(3) {
+        for i in (1_000..2_200u32).step_by(3) {
             assert!(src.get(format!("key{i}").as_bytes()).is_some());
         }
-        let (buf, _) = cut(&src, 0);
-        let dst = sized(40);
-        let restored = restore(&buf, &dst);
-        assert_eq!(restored.items_stored, 2 * 40, "refused, not evicted");
         let src_order = recency(&src);
+        assert!(src_order.iter().all(|keys| keys.len() > RESTORE_BATCH));
+        let (buf, _) = cut(&src, 0);
+        let dst = sized(300);
+        let restored = restore(&buf, &dst);
+        assert_eq!(restored.items_stored, 2 * 300, "refused, not evicted");
         for (shard, got) in recency(&dst).iter().enumerate() {
-            assert_eq!(got.len(), 40.min(src_order[shard].len()));
+            assert_eq!(got.len(), 300.min(src_order[shard].len()));
             assert_eq!(got[..], src_order[shard][..got.len()], "shard {shard}");
         }
     }

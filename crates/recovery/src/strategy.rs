@@ -61,7 +61,7 @@ pub enum RecoveryStrategy {
     /// Bulk-load a `spotcache-ckpt-v1` checkpoint into the replacement,
     /// then ship the replication tail on top.
     Hybrid {
-        /// Checkpoint restore knobs.
+        /// Checkpoint restore settings (none left).
         checkpoint: CheckpointConfig,
         /// Tail-shipping knobs.
         top_up: TopUpConfig,
@@ -122,8 +122,8 @@ impl RecoveryStrategy {
                     elapsed: start.elapsed(),
                 })
             }
-            RecoveryStrategy::Hybrid { checkpoint, top_up } => {
-                let (cut, restored) = self.checkpoint_step(ctx, checkpoint)?;
+            RecoveryStrategy::Hybrid { top_up, .. } => {
+                let (cut, restored) = self.checkpoint_step(ctx)?;
                 let topped_up = ship_tail(ctx.tail, ctx.target_addr, top_up, ctx.tracer)?;
                 Ok(RestoreReport {
                     items_restored: restored.items_stored + topped_up,
@@ -140,14 +140,13 @@ impl RecoveryStrategy {
     fn checkpoint_step(
         &self,
         ctx: &RestoreContext<'_>,
-        cfg: &CheckpointConfig,
     ) -> io::Result<(Option<CkptWriteReport>, CkptRestoreReport)> {
         if let Some(mut stream) = ctx.checkpoint {
             let restored = restore_checkpoint(
                 &mut stream,
                 ctx.target_store,
                 ctx.now,
-                cfg,
+                &CheckpointConfig::default(),
                 ctx.obs,
                 ctx.tracer,
             )?;
@@ -170,7 +169,6 @@ impl RecoveryStrategy {
             &cutter.header(),
             ctx.target_store,
             ctx.now,
-            cfg,
             ctx.obs,
             ctx.tracer,
         )?;
@@ -341,9 +339,9 @@ mod tests {
 
     /// Hybrid with default top-up knobs; with an empty tail, a plain
     /// checkpoint restore.
-    fn hybrid(checkpoint: CheckpointConfig) -> RecoveryStrategy {
+    fn hybrid() -> RecoveryStrategy {
         RecoveryStrategy::Hybrid {
-            checkpoint,
+            checkpoint: CheckpointConfig::default(),
             top_up: TopUpConfig::default(),
         }
     }
@@ -368,7 +366,7 @@ mod tests {
     #[test]
     fn modes_and_names_line_up() {
         let replay = RecoveryStrategy::Replay(WarmupConfig::default());
-        let hybrid = hybrid(CheckpointConfig::default());
+        let hybrid = hybrid();
         assert_eq!(replay.mode(), RecoveryMode::Replay);
         assert_eq!(hybrid.mode(), RecoveryMode::Hybrid);
         assert_eq!(replay.name(), "replay");
@@ -390,7 +388,7 @@ mod tests {
         let r = rig(200);
         let mut buf = Vec::new();
         write_checkpoint(&r.backup, 0, &mut buf, None, None).expect("cut");
-        let strategy = hybrid(CheckpointConfig::default());
+        let strategy = hybrid();
         let report = strategy
             .restore(&ctx(&r, Some(&buf), &[]))
             .expect("restore");
@@ -423,7 +421,7 @@ mod tests {
         .expect("load");
 
         let obs = Obs::new();
-        let strategy = hybrid(CheckpointConfig::default());
+        let strategy = hybrid();
         let report = strategy
             .restore(&RestoreContext {
                 obs: Some(&obs),
@@ -479,8 +477,11 @@ mod tests {
             }
             fn on_delete(&self, _: &[u8]) {}
         }
-        let r = rig(400);
-        for i in (0..400u32).step_by(7) {
+        // Four rounds of about 600 records each: every frame is applied
+        // in more than one 512-record restore batch.
+        const ITEMS: u32 = 2_400;
+        let r = rig(ITEMS);
+        for i in (0..ITEMS).step_by(7) {
             assert!(r.backup.get(format!("k{i}").as_bytes()).is_some());
         }
         // Each key's round: its rank in its shard's recency order, the
@@ -499,12 +500,11 @@ mod tests {
         }
         let recorder = Arc::new(Recorder::default());
         r.replacement.set_mutation_sink(Some(recorder.clone()));
-        let strategy = hybrid(CheckpointConfig { restore_batch: 16 });
-        let report = strategy.restore(&ctx(&r, None, &[])).expect("restore");
-        assert_eq!(report.items_restored, 400);
+        let report = hybrid().restore(&ctx(&r, None, &[])).expect("restore");
+        assert_eq!(report.items_restored, u64::from(ITEMS));
         let stored = recorder.0.lock().unwrap();
         let seq: Vec<usize> = stored.iter().map(|k| round_of[k]).collect();
-        assert_eq!(seq.len(), 400);
+        assert_eq!(seq.len(), ITEMS as usize);
         assert!(
             seq.windows(2).all(|w| w[0] <= w[1]),
             "a later round landed before an earlier one: {seq:?}"
@@ -534,7 +534,7 @@ mod tests {
                 key: bytes::Bytes::from_static(b"k1"),
             },
         ];
-        let strategy = hybrid(CheckpointConfig::default());
+        let strategy = hybrid();
         let report = strategy
             .restore(&ctx(&r, Some(&buf), &tail))
             .expect("restore");
@@ -568,7 +568,7 @@ mod tests {
                 ttl: None,
             })
             .collect();
-        let strategy = hybrid(CheckpointConfig::default());
+        let strategy = hybrid();
         let ctx = RestoreContext {
             backup: &r.backup,
             target_addr: addr,
@@ -626,7 +626,7 @@ mod tests {
         write_checkpoint(&r.backup, 0, &mut buf, None, None).expect("cut");
         let mid = buf.len() / 2;
         buf[mid] ^= 0xFF;
-        let strategy = hybrid(CheckpointConfig::default());
+        let strategy = hybrid();
         let err = strategy.restore(&ctx(&r, Some(&buf), &[]));
         assert!(err.is_err(), "corrupt stream must not restore");
     }

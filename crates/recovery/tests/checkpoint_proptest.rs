@@ -55,6 +55,23 @@ fn recency(store: &Store, now: u64) -> Recency {
     shards.map(walk).collect()
 }
 
+/// `per_shard` × the store's shard count keys more (`bulk-<i>`, no TTL):
+/// at least one shard, and so one whole-shard frame, then holds more than
+/// the loader's 512-record restore batch when `per_shard` exceeds it.
+fn load_bulk(store: &Store, per_shard: usize, now: u64) {
+    for i in 0..per_shard * store.shard_count() {
+        store.set_at(
+            format!("bulk-{i}").into_bytes(),
+            i.to_le_bytes().to_vec(),
+            now,
+            None,
+        );
+    }
+}
+
+/// What a frame must exceed to be applied in more than one batch.
+const RESTORE_BATCH: usize = 512;
+
 fn cut(store: &Store, now: u64) -> Vec<u8> {
     let mut buf = Vec::new();
     write_checkpoint(store, now, &mut buf, None, None).expect("write_checkpoint");
@@ -99,32 +116,46 @@ fn round_trip_across_slab_classes_from_4_to_8_shards() {
     }
 }
 
+// Each property runs 64 cases; in about a quarter of the two round trips'
+// cases a frame is over one restore batch. The whole file runs in about
+// 0.2 s in a debug build on a 2-core x86_64 host.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Round trip: restore(write(store)) reproduces every live item —
     /// same raw value bytes, same residual TTL — across arbitrary item
-    /// sets, shard counts, and restore batch sizes.
+    /// sets and shard counts, with frames on both sides of one restore
+    /// batch.
     #[test]
     fn round_trip_reproduces_every_item(
         items in proptest::collection::vec(
             (0u16..200, 0u8..=255u8, 0u8..64, 0u16..100), 0..120),
         src_shards in 1usize..6,
         dst_shards in 1usize..6,
-        batch in 1usize..300,
+        bulk in 0u8..4,
     ) {
         let now = 50u64;
         let src = fresh_store(src_shards);
         load(&src, &items, now);
+        if bulk == 0 {
+            load_bulk(&src, RESTORE_BATCH + 88, now);
+        }
         let buf = cut(&src, now);
 
         let dst = fresh_store(dst_shards);
-        let cfg = CheckpointConfig { restore_batch: batch };
+        let cfg = CheckpointConfig::default();
         let report = restore_checkpoint(&mut buf.as_slice(), &dst, now, &cfg, None, None)
             .expect("restore must succeed on a pristine stream");
         prop_assert_eq!(report.items_decoded, src.len() as u64);
         prop_assert_eq!(report.items_stored, report.items_decoded);
         prop_assert_eq!(dst.len(), src.len());
+        // Every item, the bulk ones too, by key: the shard counts differ.
+        let sorted = |store: &Store| {
+            let mut items = recency(store, now).concat();
+            items.sort();
+            items
+        };
+        prop_assert_eq!(sorted(&dst), sorted(&src));
         for &(kid, ..) in &items {
             let key = format!("key-{kid}");
             // Value equality now, and TTL equality probed at the far
@@ -226,7 +257,8 @@ proptest! {
     /// `restore_checkpoint`) leave the same target: the same items in the
     /// same per-shard recency order, whatever the shard count, the TTLs,
     /// the reads that reordered the source, the classless values over a
-    /// slab page, and a target too small to take everything.
+    /// slab page, a target too small to take everything, and frames on
+    /// both sides of one restore batch.
     #[test]
     fn inline_unwarned_restore_equals_a_whole_stream(
         items in proptest::collection::vec(
@@ -234,10 +266,15 @@ proptest! {
         reads in proptest::collection::vec((0u16..150, 0u64..3), 0..80),
         shards in 1usize..=8,
         shard_room in 0usize..3,
-        batch in 1usize..40,
+        bulk in 0u8..4,
     ) {
         let now = 20u64;
         let src = fresh_store(shards);
+        if bulk == 0 {
+            // Each of the inline restore's rounds holds a slice of every
+            // shard, so these frames are over one restore batch too.
+            load_bulk(&src, RESTORE_BATCH + 88, 0);
+        }
         for &(kid, vbyte, size, ttl) in &items {
             let len = if size == 15 { PAGE_SIZE + 100 } else { size as usize * 37 };
             let ttl = (ttl > 0).then_some(ttl as u64);
@@ -252,7 +289,7 @@ proptest! {
             capacity_bytes: shards * [2 << 10, 8 << 10, 16 << 20][shard_room],
             shards,
         });
-        let cfg = CheckpointConfig { restore_batch: batch };
+        let cfg = CheckpointConfig::default();
 
         let streamed = target();
         let whole = restore_checkpoint(&mut cut(&src, now).as_slice(), &streamed, now, &cfg, None, None)

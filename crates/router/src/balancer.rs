@@ -14,7 +14,7 @@
 
 use crate::hashring::{HashRing, NodeId};
 
-/// The two popularity pools, as the key partitioner assigns them.
+/// The two popularity pools, as the plan's rank cut assigns them.
 ///
 /// The paper notes the scheme "can be easily generalized to additional
 /// popularity levels"; two levels are what the evaluation uses.

@@ -3,13 +3,8 @@
 //! The mcrouter substrate: request routing for the spot/burstable cache.
 //!
 //! The paper implements its load balancer and key partitioner inside
-//! Facebook's mcrouter; this crate provides the same mechanisms:
+//! Facebook's mcrouter; this crate provides the load balancer's half:
 //!
-//! * [`CountMinSketch`] and [`BloomFilter`] — the sketch primitives,
-//! * [`partitioner`] — access-frequency hot-key tracking that assigns each
-//!   key its [`Pool`](balancer::Pool) (paper Section 4.2, "Key
-//!   partitioner"); neither it nor the sketches has a request-path caller
-//!   (ROADMAP item 9),
 //! * [`hashring`] — weighted consistent hashing (mcrouter's
 //!   `WeightedCh3`-style pools),
 //! * [`balancer`] — the load balancer: hot and cold *virtual pools* over
@@ -17,16 +12,14 @@
 //!   controller deciding which node owns each key, and
 //! * [`degraded`] — the revocation-time state machine that serves
 //!   stale-from-backup until the replacement is warmed (paper §3.3).
+//!
+//! Which keys are hot is not decided here: the plan's rank cut (the top
+//! `hot_frac` of the Zipf ranks) assigns each key its
+//! [`Pool`](balancer::Pool).
 
 pub mod balancer;
 pub mod degraded;
 pub mod hashring;
-// ROADMAP 9: the measured hot set gives these a request-path caller or deletes them.
-pub mod partitioner;
-mod sketch;
-
-// ROADMAP 9: the sketches the measured hot set may count with.
-pub use sketch::{BloomFilter, CountMinSketch};
 
 /// A fast, seedable 64-bit hash (FNV-1a finished with a splitmix64 mix).
 ///

@@ -2,9 +2,10 @@
 //!
 //! The paper's workloads vary in *size* (the Wikipedia trace's 25–60 GB
 //! sweep); real cache populations also vary in *identity* — new content is
-//! created, old content fades — which is what forces the key partitioner's
-//! periodic refresh (Section 4.2: "if certain cold data becomes hot ...
-//! re-assign prefixes"). This module models identity churn: a sliding
+//! created, old content fades — which is what forces the paper's key
+//! partitioner to re-mark hot keys (Section 4.2: "if certain cold data
+//! becomes hot ... re-assign prefixes"), and what a measured hot-set
+//! estimate has to follow. This module models identity churn: a sliding
 //! window of live keys advances at a configurable rate, and the Zipfian
 //! popularity ranks are assigned to positions *within* the window, so
 //! today's hottest key is gone from the hot set tomorrow.
@@ -14,6 +15,9 @@ use rand::Rng;
 use crate::ycsb::Request;
 use crate::zipf::Zipfian;
 
+/// Every request's value size.
+const VALUE_SIZE: usize = 4 * 1024;
+
 /// A churning Zipfian workload.
 #[derive(Debug, Clone)]
 pub struct ChurnWorkload {
@@ -21,7 +25,6 @@ pub struct ChurnWorkload {
     window: u64,
     /// Keys entering (and leaving) the window per second.
     keys_per_sec: f64,
-    value_size: usize,
 }
 
 impl ChurnWorkload {
@@ -39,14 +42,7 @@ impl ChurnWorkload {
             ranks: Zipfian::new(window, theta),
             window,
             keys_per_sec: churn_per_hour * window as f64 / 3_600.0,
-            value_size: 4 * 1024,
         }
-    }
-
-    /// Overrides the value size.
-    pub fn with_value_size(mut self, bytes: usize) -> Self {
-        self.value_size = bytes;
-        self
     }
 
     /// The first live key id at time `t` (seconds).
@@ -73,13 +69,13 @@ impl ChurnWorkload {
         Request {
             key: self.key_for_rank(rank, t),
             is_read: true,
-            value_size: self.value_size,
+            value_size: VALUE_SIZE,
         }
     }
 
     /// Fraction of the hot set (top `hot_ranks` ranks) whose key ids are
-    /// shared between times `t0` and `t1` — the survival rate the
-    /// partitioner's refresh has to track.
+    /// shared between times `t0` and `t1` — the survival rate a hot-set
+    /// estimate has to track.
     pub fn hot_set_overlap(&self, hot_ranks: u64, t0: u64, t1: u64) -> f64 {
         if hot_ranks == 0 {
             return 1.0;
@@ -152,34 +148,6 @@ mod tests {
             keys.len() > 990,
             "{} distinct of 1000 (mix collisions)",
             keys.len()
-        );
-    }
-
-    #[test]
-    fn partitioner_tracks_churn_across_refreshes() {
-        // End-to-end with the router's partitioner: after the window moves
-        // and refreshes run, newly-hot keys get classified hot.
-        use spotcache_router::partitioner::KeyPartitioner;
-        let w = ChurnWorkload::new(10_000, 1.5, 2.0); // 200%/hour: fast churn
-        let mut p = KeyPartitioner::new(50_000, 20);
-        let mut rng = StdRng::seed_from_u64(9);
-        let hot_at = |w: &ChurnWorkload, t: u64| w.key_for_rank(0, t);
-        // Phase 1 at t=0.
-        for _ in 0..5_000 {
-            let r = w.next_request(&mut rng, 0);
-            p.observe(&r.key.to_be_bytes());
-        }
-        assert!(p.is_hot(&hot_at(&w, 0).to_be_bytes()));
-        // Window moves an hour on; refresh twice and re-observe.
-        p.refresh();
-        p.refresh();
-        for _ in 0..5_000 {
-            let r = w.next_request(&mut rng, 3_600);
-            p.observe(&r.key.to_be_bytes());
-        }
-        assert!(
-            p.is_hot(&hot_at(&w, 3_600).to_be_bytes()),
-            "new hot key classified"
         );
     }
 

@@ -257,14 +257,15 @@ impl PopularityModel {
     pub fn hot_fraction(&self, mass: f64) -> f64 {
         let target = mass.clamp(0.0, 1.0);
         let (mut lo, mut hi) = (0u64, self.n);
+        // Above the cutoff each probe is the head plus a closed-form tail.
+        // A midpoint below it probes the cutoff instead, whose sum is the
+        // head itself: the predicate never falls as `k` grows, so any probe
+        // in `[lo, hi)` narrows to the same first `k`. Either the search
+        // stays above the cutoff, or `[lo, cutoff]` is left to the pass
+        // below.
         while lo < hi && hi > HARMONIC_CUTOFF {
-            let mid = lo + (hi - lo) / 2;
-            let m = if mid == 0 {
-                0.0
-            } else {
-                self.harmonic(mid) / self.h_n
-            };
-            if m >= target {
+            let mid = (lo + (hi - lo) / 2).max(HARMONIC_CUTOFF);
+            if self.harmonic(mid) / self.h_n >= target {
                 hi = mid;
             } else {
                 lo = mid + 1;

@@ -12,8 +12,7 @@
 //! * [`spotmodel`] — spot lifetime/price predictors and their CDF baseline.
 //! * [`cache`] — the memcached substrate (sharded LRU store).
 //! * [`router`] — the mcrouter substrate (consistent hashing, hot/cold
-//!   pools, the revocation-time degraded read plan); its `sketch` and
-//!   `partitioner` have no request-path caller (ROADMAP item 9).
+//!   pools, the revocation-time degraded read plan).
 //! * [`workload`] — YCSB-style Zipfian and Wikipedia-shaped workloads.
 //! * [`optimizer`] — the paper's online cost-minimizing procurement problem.
 //! * [`sim`] — cluster simulation and recovery timelines.
