@@ -9,6 +9,15 @@ cargo build --release
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+tmp="$(mktemp -d)"
+# Every build of the benchmark harness rewrites benchmark/Cargo.lock while
+# the checked-in one is stale (ROADMAP 14(d)). The harness steps run on a
+# snapshot of it that is copied back after them (and on any exit), so CI
+# leaves the file as it found it; a copy, not `git checkout`, so an edit
+# to the lock under review survives.
+cp benchmark/Cargo.lock "$tmp/benchmark.Cargo.lock"
+trap 'cp "$tmp/benchmark.Cargo.lock" benchmark/Cargo.lock; rm -rf "$tmp"' EXIT
+
 echo "==> benchmark harness tests (the library signatures benchmark/ pins)"
 cargo test --manifest-path benchmark/Cargo.toml --offline -q
 
@@ -59,9 +68,6 @@ if len(sys.argv) > 4:
         f"regenerate it with --bin {sys.argv[3]}"
 PY
 }
-
-tmp="$(mktemp -d)"
-trap 'rm -rf "$tmp"' EXIT
 
 # Every binary that decides a verdict writes one `claim <id> holds|BREAKS:
 # ...` line per claim to stderr, finishes its output, and exits 1 if one
@@ -291,6 +297,10 @@ if sys.argv[1] == "plan_90d":
               "spotmodel.predict_us_per_call", "optimizer.solve_us", "core.plan_ms_per_slot")))
 ' "$w"
 done
+if ! cmp -s "$tmp/benchmark.Cargo.lock" benchmark/Cargo.lock; then
+    echo "    benchmark/Cargo.lock is stale (ROADMAP 14(d)): the harness builds rewrote it; put the checked-in copy back"
+    cp "$tmp/benchmark.Cargo.lock" benchmark/Cargo.lock
+fi
 
 echo "==> cargo fmt --check"
 cargo fmt --check

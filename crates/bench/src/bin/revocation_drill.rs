@@ -576,12 +576,6 @@ fn run() {
             show(w),
             show(u)
         );
-        for (label, s) in [("warned", w), ("unwarned", u)] {
-            if let Some(s) = s {
-                obs.gauge(&format!("drill_{strategy}_{label}_recovery_s"))
-                    .set(s);
-            }
-        }
     }
     println!("Fig.4 model (no warning, replay): {model_s:.2}s");
     let runs = || {
@@ -630,20 +624,6 @@ fn run() {
     let (_, replay_w, replay_u) = &results[0];
     let (replay_warned, replay_unwarned) = (secs(replay_w), secs(replay_u));
     let hybrid_unwarned = secs(&results[1].2);
-
-    // v1-compatible summary gauges (replay is the paper's §3.3 path).
-    obs.gauge("drill_steady_fresh_rate")
-        .set(replay_w.steady_fresh);
-    if let (Some(w), Some(u)) = (replay_warned, replay_unwarned) {
-        obs.gauge("drill_warned_recovery_s").set(w);
-        obs.gauge("drill_unwarned_recovery_s").set(u);
-    }
-    obs.gauge("drill_model_recovery_s").set(model_s);
-    obs.gauge("drill_warning_window_s").set(warning_s);
-    obs.gauge("drill_full_set_replay_s")
-        .set(race.replay.as_secs_f64());
-    obs.gauge("drill_full_set_checkpoint_s")
-        .set((race.ckpt_write + race.ckpt_restore).as_secs_f64());
 
     // The paper's claim, measured live: a warned Replay revocation hides
     // nearly the whole outage inside the warning window; an unwarned one

@@ -22,11 +22,13 @@
 //!   desynchronized link is *detected* (→ reconnect + retry) instead of
 //!   silently diverging. Sets are idempotent, so re-shipping a batch after
 //!   a failed ack is safe.
-//! * **Retry with exponential backoff, bounded.** A dead link backs off
-//!   from [`ReplicationConfig::backoff_base`] to
-//!   [`ReplicationConfig::backoff_max`]; after
-//!   [`ReplicationConfig::max_batch_retries`] failed attempts the batch is
-//!   dropped (counted), keeping memory bounded through long partitions.
+//! * **Retry with exponential backoff, bounded.** [`Link::deliver`] is the
+//!   one delivery loop every sender of hot state calls: a dead link backs
+//!   off from [`ReplicationConfig::backoff_base`] to
+//!   [`ReplicationConfig::backoff_max`] and re-ships the batch in flight;
+//!   the shipper drops it (counted) after
+//!   [`ReplicationConfig::max_batch_retries`] failed attempts, keeping
+//!   memory bounded through long partitions.
 //! * **Everything is counted.** Shipped, queue-dropped, batch-dropped,
 //!   retries, reconnects and link errors surface as `repl_*` obs series
 //!   and as `replication.*` trace spans; faults never panic the source.
@@ -47,7 +49,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use spotcache_obs::{trace, Obs, TraceContext, Tracer};
+use spotcache_obs::{trace, Counter, Obs, TraceContext, Tracer};
 
 use crate::protocol::{decode_value, EXPTIME_ABSOLUTE_CUTOFF};
 use crate::store::MutationSink;
@@ -218,20 +220,38 @@ pub struct ReplicationStats {
     pub link_errors: u64,
 }
 
-#[derive(Default)]
-struct LinkShared {
-    shipped: AtomicU64,
-    batch_dropped: AtomicU64,
-    retries: AtomicU64,
-    reconnects: AtomicU64,
-    link_errors: AtomicU64,
+/// One count of link activity: the link's own, which
+/// [`Replicator::stats`] and [`Replicator::flush`] read, and with an
+/// [`Obs`] its `repl_*` series. The series is no substitute: every
+/// replicator given one `Obs` (a fleet's nodes, a drill's runs) adds
+/// into the same series.
+#[derive(Clone, Default)]
+struct Tally(Counter, Option<Counter>);
+
+impl Tally {
+    fn add(&self, n: u64) {
+        self.0.add(n);
+        if let Some(series) = &self.1 {
+            series.add(n);
+        }
+    }
+}
+
+/// The shipper's counts, shared between its thread and its handle.
+#[derive(Clone)]
+struct Tallies {
+    shipped: Tally,
+    batch_dropped: Tally,
+    retries: Tally,
+    reconnects: Tally,
+    link_errors: Tally,
 }
 
 /// The shipper: drains a [`ReplicationQueue`] to a backup server.
 pub struct Replicator {
     shutdown: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
-    shared: Arc<LinkShared>,
+    counts: Tallies,
     queue: Arc<ReplicationQueue>,
 }
 
@@ -335,10 +355,17 @@ impl Replicator {
         tracer: Option<Arc<Tracer>>,
     ) -> Self {
         let shutdown = Arc::new(AtomicBool::new(false));
-        let shared = Arc::new(LinkShared::default());
+        let tally = |series| Tally(Counter::default(), obs.as_ref().map(|o| o.counter(series)));
+        let counts = Tallies {
+            shipped: tally("repl_shipped_total"),
+            batch_dropped: tally("repl_batch_dropped_total"),
+            retries: tally("repl_retries_total"),
+            reconnects: tally("repl_reconnects_total"),
+            link_errors: tally("repl_link_errors_total"),
+        };
         let handle = {
             let shutdown = Arc::clone(&shutdown);
-            let shared = Arc::clone(&shared);
+            let counts = counts.clone();
             let queue = Arc::clone(&queue);
             // The shipper inherits the spawner's logical pid and ambient
             // trace context so its spans land on the right process lane
@@ -353,14 +380,14 @@ impl Replicator {
                     if let Some(t) = tracer.as_deref() {
                         t.register_current_thread("repl-shipper");
                     }
-                    ship_loop(addr, queue, cfg, obs, tracer, shutdown, shared)
+                    ship_loop(addr, queue, cfg, obs, tracer, shutdown, counts)
                 })
                 .expect("spawn replication shipper")
         };
         Self {
             shutdown,
             handle: Some(handle),
-            shared,
+            counts,
             queue,
         }
     }
@@ -368,12 +395,12 @@ impl Replicator {
     /// Current link statistics.
     pub fn stats(&self) -> ReplicationStats {
         ReplicationStats {
-            shipped: self.shared.shipped.load(Ordering::Relaxed),
+            shipped: self.counts.shipped.0.get(),
             queue_dropped: self.queue.dropped(),
-            batch_dropped: self.shared.batch_dropped.load(Ordering::Relaxed),
-            retries: self.shared.retries.load(Ordering::Relaxed),
-            reconnects: self.shared.reconnects.load(Ordering::Relaxed),
-            link_errors: self.shared.link_errors.load(Ordering::Relaxed),
+            batch_dropped: self.counts.batch_dropped.0.get(),
+            retries: self.counts.retries.0.get(),
+            reconnects: self.counts.reconnects.0.get(),
+            link_errors: self.counts.link_errors.0.get(),
         }
     }
 
@@ -440,14 +467,12 @@ fn jittered_backoff(base: Duration, state: &mut u64) -> Duration {
     base.mul_f64(1.0 + BACKOFF_JITTER * (2.0 * unit - 1.0))
 }
 
-/// One outgoing link to a backup or replacement server, with the
-/// discipline every shipper shares: bounded connect, no Nagle delay, an
-/// I/O timeout so a stalled peer trips an error instead of hanging the
-/// shipper, acked batches, reconnect after any error, and a jittered,
-/// doubling back-off between failed attempts. What differs between the
-/// replication shipper, the warm-up pump and the Hybrid top-up — where
-/// batches come from, pacing, what exhausting the retries means — stays
-/// with the caller.
+/// One outgoing link to a backup or replacement server, and the one loop
+/// that delivers hot state over it ([`deliver`](Self::deliver)): bounded
+/// connect, no Nagle delay, an I/O timeout so a stalled peer trips an
+/// error instead of hanging the sender, acked batches, and a jittered,
+/// doubling back-off before the batch in flight is shipped again. Where
+/// batches come from, pacing, and when to give up stay with the caller.
 pub struct Link {
     addr: SocketAddr,
     /// Read for `io_timeout` and the `backoff_*` schedule.
@@ -458,6 +483,10 @@ pub struct Link {
     /// The next [`back_off`](Self::back_off) sleep, before jitter.
     backoff: Duration,
     jitter_state: u64,
+    /// Whether a connection was ever opened: the next one is a reconnect.
+    connected_once: bool,
+    /// Successful connects after the first.
+    reconnects: Tally,
 }
 
 impl Link {
@@ -471,53 +500,82 @@ impl Link {
             ack_buf: Vec::new(),
             backoff: cfg.backoff_base,
             jitter_state: next_jitter_seed(),
+            connected_once: false,
+            reconnects: Tally::default(),
         }
     }
 
-    /// Whether a connection is open (as far as this side knows).
-    pub(crate) fn is_up(&self) -> bool {
-        self.conn.is_some()
+    /// Ships `batch` as replying memcached commands until one attempt is
+    /// acked in full, connecting first whenever the link is down. After a
+    /// failed attempt it hands `go_on` the fault's marker
+    /// (`connect_failed`, `link_io_error`, or `corrupt_ack` for a bad ack):
+    /// `false` returns that attempt's error at once; `true` sleeps out the
+    /// back-off and ships the same batch again, which is safe because
+    /// mutations are idempotent. With `span` = `(tracer, category, name)`
+    /// every attempt is a span whose context the batch carries to the peer
+    /// on a `trace` line (the ambient context when the span is unsampled),
+    /// and every connect a `replication` `connect` span.
+    pub fn deliver(
+        &mut self,
+        batch: &[Mutation],
+        span: Option<(&Tracer, &'static str, &'static str)>,
+        mut go_on: impl FnMut(&'static str) -> bool,
+    ) -> std::io::Result<()> {
+        loop {
+            match self.attempt(batch, span) {
+                Ok(()) => return Ok(()),
+                Err((e, fault)) if !go_on(fault) => return Err(e),
+                Err(_) => self.back_off(),
+            }
+        }
     }
 
-    /// Opens the connection if it is down; a fresh connection restarts
-    /// the back-off schedule. [`ship`](Self::ship) does this itself — call
-    /// it separately only to tell a refused connect from a failed ship.
-    pub(crate) fn connect(&mut self) -> std::io::Result<()> {
+    /// One attempt. A corrupt or truncated link is an error, never silent
+    /// divergence, and drops the connection: its state is unknown.
+    fn attempt(
+        &mut self,
+        batch: &[Mutation],
+        span: Option<(&Tracer, &'static str, &'static str)>,
+    ) -> Result<(), (std::io::Error, &'static str)> {
         if self.conn.is_none() {
+            let _span = span.map(|(t, ..)| t.span("replication", "connect"));
             let timeout = self.cfg.io_timeout;
-            let s = TcpStream::connect_timeout(&self.addr, timeout)?;
+            let s = TcpStream::connect_timeout(&self.addr, timeout)
+                .map_err(|e| (e, "connect_failed"))?;
             let _ = s.set_nodelay(true);
             let _ = s.set_read_timeout(Some(timeout));
             let _ = s.set_write_timeout(Some(timeout));
             self.conn = Some(s);
+            // A fresh connection restarts the back-off schedule.
             self.backoff = self.cfg.backoff_base;
+            if std::mem::replace(&mut self.connected_once, true) {
+                self.reconnects.add(1);
+            }
         }
-        Ok(())
-    }
-
-    /// Ships `batch` as replying memcached commands (after `ctx`'s `trace`
-    /// line, if any) and validates every ack, connecting first if the link
-    /// is down. A corrupt or truncated link is an `Err` (`InvalidData` for
-    /// a bad ack), never silent divergence, and drops the connection: its
-    /// state is unknown, and mutations being idempotent the caller resyncs
-    /// by shipping the same batch again.
-    pub fn ship(&mut self, batch: &[Mutation], ctx: Option<TraceContext>) -> std::io::Result<()> {
-        self.connect()?;
-        let stream = self.conn.as_mut().expect("connect() left the link up");
+        let span = span.map(|(t, cat, name)| t.span(cat, name));
+        let ctx = span
+            .as_ref()
+            .and_then(|s| s.context())
+            .or_else(trace::thread_context);
+        let stream = self.conn.as_mut().expect("connected above");
         let expected = serialize_batch(batch, &mut self.req, ctx);
-        let result = stream
+        stream
             .write_all(&self.req)
-            .and_then(|()| read_acks(stream, expected, &mut self.ack_buf));
-        if result.is_err() {
-            self.conn = None;
-        }
-        result
+            .and_then(|()| read_acks(stream, expected, &mut self.ack_buf))
+            .map_err(|e| {
+                self.conn = None;
+                let fault = match e.kind() {
+                    std::io::ErrorKind::InvalidData => "corrupt_ack",
+                    _ => "link_io_error",
+                };
+                (e, fault)
+            })
     }
 
     /// Sleeps out the current back-off (jittered) and doubles the next one
     /// up to the ceiling — a peer whose listener is a few milliseconds
     /// late must not burn every retry before it is up.
-    pub fn back_off(&mut self) {
+    fn back_off(&mut self) {
         std::thread::sleep(jittered_backoff(self.backoff, &mut self.jitter_state));
         self.backoff = (self.backoff * 2).min(self.cfg.backoff_max);
     }
@@ -530,36 +588,12 @@ fn ship_loop(
     obs: Option<Arc<Obs>>,
     tracer: Option<Arc<Tracer>>,
     shutdown: Arc<AtomicBool>,
-    shared: Arc<LinkShared>,
+    counts: Tallies,
 ) {
-    let c_shipped = obs.as_ref().map(|o| o.counter("repl_shipped_total"));
-    let c_retries = obs.as_ref().map(|o| o.counter("repl_retries_total"));
-    let c_reconn = obs.as_ref().map(|o| o.counter("repl_reconnects_total"));
-    let c_errors = obs.as_ref().map(|o| o.counter("repl_link_errors_total"));
-    let c_bdrop = obs.as_ref().map(|o| o.counter("repl_batch_dropped_total"));
     let c_qdrop = obs.as_ref().map(|o| o.counter("repl_queue_dropped_total"));
     let g_depth = obs.as_ref().map(|o| o.gauge("repl_queue_depth"));
     let mut qdrop_seen = 0u64;
-
-    let fault = |kind: &'static str| {
-        shared.link_errors.fetch_add(1, Ordering::Relaxed);
-        if let Some(c) = &c_errors {
-            c.inc();
-        }
-        if let Some(t) = tracer.as_deref() {
-            if t.is_enabled() {
-                // Zero-length marker span: faults show on the timeline.
-                t.record_at("replication", kind, t.now_us(), 0.0);
-            }
-        }
-    };
-
-    let mut link = Link::new(addr, &cfg);
-    let mut ever_connected = false;
-    let mut batch: Vec<Mutation> = Vec::new();
-    let mut attempts: u32 = 0;
-
-    while !shutdown.load(Ordering::SeqCst) {
+    let mut publish_queue = || {
         if let (Some(g), Some(c)) = (&g_depth, &c_qdrop) {
             g.set(queue.len() as f64);
             let d = queue.dropped();
@@ -568,86 +602,44 @@ fn ship_loop(
                 qdrop_seen = d;
             }
         }
-        if batch.is_empty() {
-            queue.drain_into(&mut batch, BATCH_MAX);
-            if batch.is_empty() {
-                std::thread::sleep(POLL_INTERVAL);
-                continue;
-            }
-        }
-        // One attempt. Connecting apart from the ship tells a refused
-        // connect from a failed ship and lets reconnects be counted.
-        let attempt = (|| {
-            if !link.is_up() {
-                let _span = tracer.as_deref().map(|t| t.span("replication", "connect"));
-                link.connect().map_err(|_| "connect_failed")?;
-                if std::mem::replace(&mut ever_connected, true) {
-                    shared.reconnects.fetch_add(1, Ordering::Relaxed);
-                    if let Some(c) = &c_reconn {
-                        c.inc();
-                    }
-                }
-            }
-            let span = tracer
-                .as_deref()
-                .map(|t| t.span("replication", "ship_batch"));
-            // Propagate this ship's span as the batch's parent context;
-            // when the span is unsampled (or tracing is off) fall back to
-            // the ambient context so a drill-driven shipper still stitches.
-            let ctx = span
-                .as_ref()
-                .and_then(|s| s.context())
-                .or_else(trace::thread_context);
-            link.ship(&batch, ctx).map_err(|e| match e.kind() {
-                std::io::ErrorKind::InvalidData => "corrupt_ack",
-                _ => "link_io_error",
-            })
-        })();
-        match attempt {
-            Ok(()) => {
-                shared
-                    .shipped
-                    .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                if let Some(c) = &c_shipped {
-                    c.add(batch.len() as u64);
-                }
-                batch.clear();
-                attempts = 0;
-            }
-            Err(kind) => {
-                fault(kind);
-                attempts = bump_attempts(attempts, &cfg, &mut batch, &shared, &c_bdrop, &c_retries);
-                link.back_off();
-            }
-        }
-    }
-}
+    };
+    let tracer = tracer.as_deref();
+    let mut link = Link {
+        reconnects: counts.reconnects.clone(),
+        ..Link::new(addr, &cfg)
+    };
+    let mut batch: Vec<Mutation> = Vec::new();
 
-/// Counts a failed attempt; drops the batch once retries are exhausted.
-fn bump_attempts(
-    attempts: u32,
-    cfg: &ReplicationConfig,
-    batch: &mut Vec<Mutation>,
-    shared: &LinkShared,
-    c_bdrop: &Option<spotcache_obs::Counter>,
-    c_retries: &Option<spotcache_obs::Counter>,
-) -> u32 {
-    shared.retries.fetch_add(1, Ordering::Relaxed);
-    if let Some(c) = c_retries {
-        c.inc();
-    }
-    let attempts = attempts + 1;
-    if attempts > cfg.max_batch_retries {
-        shared
-            .batch_dropped
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        if let Some(c) = c_bdrop {
-            c.add(batch.len() as u64);
+    while !shutdown.load(Ordering::SeqCst) {
+        publish_queue();
+        queue.drain_into(&mut batch, BATCH_MAX);
+        if batch.is_empty() {
+            std::thread::sleep(POLL_INTERVAL);
+            continue;
+        }
+        let mut attempts: u32 = 0;
+        let span = tracer.map(|t| (t, "replication", "ship_batch"));
+        let delivered = link.deliver(&batch, span, |fault| {
+            counts.link_errors.add(1);
+            if let Some(t) = tracer.filter(|t| t.is_enabled()) {
+                // Zero-length marker span: faults show on the timeline.
+                t.record_at("replication", fault, t.now_us(), 0.0);
+            }
+            counts.retries.add(1);
+            publish_queue();
+            attempts += 1;
+            attempts <= cfg.max_batch_retries && !shutdown.load(Ordering::SeqCst)
+        });
+        match delivered {
+            Ok(()) => counts.shipped.add(batch.len() as u64),
+            Err(_) if attempts > cfg.max_batch_retries => {
+                counts.batch_dropped.add(batch.len() as u64);
+            }
+            // Shutting down: abandoned with the rest of the queue.
+            Err(_) => {}
         }
         batch.clear();
-        return 0;
     }
-    attempts
 }
 
 #[cfg(test)]
@@ -819,11 +811,7 @@ mod tests {
     #[test]
     fn dead_link_retries_then_drops_batches_without_panicking() {
         let q = ReplicationQueue::new(64, None);
-        // Nothing listens here: grab an ephemeral port and close it.
-        let addr = {
-            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap()
-        };
+        let addr = dead_port();
         let cfg = ReplicationConfig {
             io_timeout: Duration::from_millis(50),
             backoff_base: Duration::from_millis(1),
@@ -841,6 +829,106 @@ mod tests {
         assert!(s.retries >= 3, "retries before dropping: {}", s.retries);
         assert!(s.link_errors >= 3);
         repl.stop();
+    }
+
+    /// A port nothing listens on: bound, read and freed.
+    fn dead_port() -> SocketAddr {
+        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        l.local_addr().unwrap()
+    }
+
+    fn one_set() -> [Mutation; 1] {
+        [Mutation::Set {
+            key: Bytes::from_static(b"k"),
+            raw_value: Bytes::from_static(b"v"),
+            ttl: None,
+        }]
+    }
+
+    #[test]
+    fn deliver_reships_through_a_refused_connect_and_a_garbage_ack() {
+        // The peer listens only once the first connect has been refused,
+        // answers the first batch with garbage and acks the second.
+        let addr = dead_port();
+        let (refused_tx, refused_rx) = std::sync::mpsc::channel();
+        let (bound_tx, bound_rx) = std::sync::mpsc::channel();
+        let peer = std::thread::spawn(move || {
+            refused_rx.recv().unwrap();
+            let listener = std::net::TcpListener::bind(addr).unwrap();
+            bound_tx.send(()).unwrap();
+            let mut buf = [0u8; 1024];
+            for reply in [&b"GARBAGE\r\n"[..], b"STORED\r\n"] {
+                let (mut s, _) = listener.accept().unwrap();
+                let n = s.read(&mut buf).unwrap();
+                assert!(buf[..n].starts_with(b"set k 0 0 1\r\n"));
+                s.write_all(reply).unwrap();
+            }
+        });
+        let mut link = Link::new(addr, &ReplicationConfig::default());
+        let mut faults = Vec::new();
+        link.deliver(&one_set(), None, |fault| {
+            faults.push(fault);
+            if faults.len() == 1 {
+                refused_tx.send(()).unwrap();
+                bound_rx.recv().unwrap();
+            }
+            true
+        })
+        .expect("the third attempt is acked");
+        peer.join().unwrap();
+        assert_eq!(faults, ["connect_failed", "corrupt_ack"]);
+        assert_eq!(link.reconnects.0.get(), 1, "the second connection");
+    }
+
+    #[test]
+    fn a_caller_that_says_stop_gets_the_error_without_a_back_off() {
+        let cfg = ReplicationConfig {
+            backoff_base: Duration::from_secs(10),
+            backoff_max: Duration::from_secs(10),
+            ..ReplicationConfig::default()
+        };
+        let mut link = Link::new(dead_port(), &cfg);
+        let mut asked = Vec::new();
+        let start = Instant::now();
+        let result = link.deliver(&one_set(), None, |fault| {
+            asked.push(fault);
+            false
+        });
+        assert!(result.is_err());
+        assert_eq!(asked, ["connect_failed"]);
+        // One back-off would have slept at least 7.5 s.
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "{:?}",
+            start.elapsed()
+        );
+    }
+
+    #[test]
+    fn stop_abandons_a_dead_link_within_one_back_off_and_one_io_timeout() {
+        // The revocation drill's link-fault settings: a batch is retried
+        // for minutes before it drops, so only the shutdown check ends it.
+        let cfg = ReplicationConfig {
+            io_timeout: Duration::from_millis(100),
+            backoff_base: Duration::from_millis(2),
+            backoff_max: Duration::from_millis(20),
+            max_batch_retries: 1_000,
+        };
+        let bound = cfg.backoff_max.mul_f64(1.0 + BACKOFF_JITTER) + cfg.io_timeout;
+        let q = ReplicationQueue::new(64, None);
+        let mut repl = Replicator::start(dead_port(), q.clone(), cfg, None, None);
+        q.push(Mutation::Delete {
+            key: Bytes::from_static(b"k"),
+        });
+        // Long enough to climb to the back-off ceiling.
+        std::thread::sleep(Duration::from_millis(200));
+        let start = Instant::now();
+        repl.stop();
+        let took = start.elapsed();
+        let s = repl.stats();
+        assert!(s.retries >= 5, "retries before the stop: {}", s.retries);
+        assert_eq!((s.shipped, s.batch_dropped), (0, 0));
+        assert!(took <= bound, "stop took {took:?}, over {bound:?}");
     }
 
     #[test]

@@ -23,31 +23,36 @@ use spotcache_workload::zipf::{PopularityModel, ZipfHead};
 use crate::approaches::Approach;
 use crate::backup::{size_backup, BackupPlan};
 
-/// Controller configuration.
+/// Bid multiples of the on-demand price (paper: `{1, 5}`).
+const BID_MULTIPLES: [f64; 2] = [1.0, 5.0];
+
+/// Performance profile; its `item_bytes` (4 KiB) is also the cache item
+/// size the hot set is counted in.
+pub(crate) const PROFILE: LatencyProfile = LatencyProfile::paper_default();
+
+/// Mean-latency target, µs (paper: 800).
+pub(crate) const TARGET_AVG_US: f64 = 800.0;
+
+/// p95 latency target, µs (paper: 1000).
+const TARGET_P95_US: f64 = 1_000.0;
+
+/// Fraction of the working set kept memory-resident (`α`).
+const ALPHA: f64 = 1.0;
+
+/// Predictor sliding window, seconds (paper: 7 days).
+const WINDOW: u64 = 7 * spotcache_cloud::DAY;
+
+/// Controller configuration: what an approach or an ablation sets.
 #[derive(Debug, Clone)]
 pub struct ControllerConfig {
     /// The procurement approach driving offer construction.
     pub(crate) approach: Approach,
-    /// Bid multiples of the on-demand price (paper: `{1, 5}`).
-    pub(crate) bid_multiples: Vec<f64>,
     /// Optimizer cost coefficients.
     pub cost: CostModel,
-    /// Performance profile.
-    pub(crate) profile: LatencyProfile,
-    /// Mean-latency target, µs (paper: 800).
-    pub(crate) target_avg_us: f64,
-    /// p95 latency target, µs (paper: 1000).
-    pub(crate) target_p95_us: f64,
-    /// Fraction of the working set kept memory-resident (`α`).
-    pub(crate) alpha: f64,
     /// Access mass defining the hot set (paper: 0.9).
     pub hot_mass: f64,
-    /// Predictor sliding window, seconds (paper: 7 days).
-    pub(crate) window: u64,
     /// Lifetime percentile for the temporal predictor (paper: 0.05).
     pub lifetime_percentile: f64,
-    /// Cache item size, bytes.
-    pub(crate) item_bytes: f64,
 }
 
 impl ControllerConfig {
@@ -55,16 +60,9 @@ impl ControllerConfig {
     pub fn paper_default(approach: Approach) -> Self {
         Self {
             approach,
-            bid_multiples: vec![1.0, 5.0],
             cost: CostModel::paper_default(),
-            profile: LatencyProfile::paper_default(),
-            target_avg_us: 800.0,
-            target_p95_us: 1_000.0,
-            alpha: 1.0,
             hot_mass: 0.9,
-            window: 7 * spotcache_cloud::DAY,
             lifetime_percentile: 0.05,
-            item_bytes: 4_096.0,
         }
     }
 }
@@ -95,20 +93,14 @@ struct OfferTemplate {
 }
 
 impl OfferTemplate {
-    fn new(label: String, itype: InstanceType, cfg: &ControllerConfig) -> Self {
-        let hit_budget = cfg
-            .profile
-            .hit_budget_us(cfg.target_avg_us, 1.0)
-            .unwrap_or(cfg.target_avg_us);
+    fn new(label: String, itype: InstanceType) -> Self {
+        let hit_budget = PROFILE
+            .hit_budget_us(TARGET_AVG_US, 1.0)
+            .unwrap_or(TARGET_AVG_US);
         Self {
             label,
             itype,
-            max_rate: cfg.profile.max_rate_for_targets(
-                &itype,
-                hit_budget,
-                cfg.target_p95_us,
-                false,
-            ),
+            max_rate: PROFILE.max_rate_for_targets(&itype, hit_budget, TARGET_P95_US, false),
             usable_ram_gb: itype.ram_gb * 0.85,
         }
     }
@@ -136,14 +128,13 @@ struct SpotMarketOffers {
 }
 
 impl SpotMarketOffers {
-    fn new(market: &MarketId, cfg: &ControllerConfig) -> Self {
+    fn new(market: &MarketId) -> Self {
         let bids = match find_type(&market.instance_type) {
-            Some(itype) => cfg
-                .bid_multiples
+            Some(itype) => BID_MULTIPLES
                 .iter()
                 .map(|mult| {
                     let label = format!("{}@{}d", market.short_label(), mult);
-                    OfferTemplate::new(label, itype, cfg)
+                    OfferTemplate::new(label, itype)
                 })
                 .collect(),
             None => Vec::new(),
@@ -180,11 +171,11 @@ pub struct GlobalController {
 impl GlobalController {
     /// Creates a controller.
     pub fn new(cfg: ControllerConfig) -> Self {
-        let temporal = TemporalPredictor::new(cfg.window, cfg.lifetime_percentile);
-        let cdf = CdfPredictor::new(cfg.window);
+        let temporal = TemporalPredictor::new(WINDOW, cfg.lifetime_percentile);
+        let cdf = CdfPredictor::new(WINDOW);
         let od_offers = memcached_od_candidates()
             .into_iter()
-            .map(|itype| OfferTemplate::new(format!("od:{}", itype.name), itype, &cfg))
+            .map(|itype| OfferTemplate::new(format!("od:{}", itype.name), itype))
             .collect();
         Self {
             cfg,
@@ -241,7 +232,7 @@ impl GlobalController {
     /// The hot working-set fraction `H` and its access mass `F(H)` for
     /// `wss_gb` at skew `theta` (cached).
     pub fn hot_fraction(&mut self, wss_gb: f64, theta: f64) -> (f64, f64) {
-        let n_items = ((wss_gb * (1u64 << 30) as f64 / self.cfg.item_bytes).max(1.0)) as u64;
+        let n_items = ((wss_gb * (1u64 << 30) as f64 / PROFILE.item_bytes).max(1.0)) as u64;
         // Round to ~2 significant figures for cache hits across similar
         // working-set sizes.
         let mut rounded = n_items;
@@ -268,7 +259,7 @@ impl GlobalController {
     pub fn build_offers(&mut self, traces: &[&SpotTrace], now: u64) -> Vec<Offer> {
         let uses_spot = self.cfg.approach.uses_spot();
         let spot_offers = if uses_spot {
-            traces.len() * self.cfg.bid_multiples.len()
+            traces.len() * BID_MULTIPLES.len()
         } else {
             0
         };
@@ -298,13 +289,13 @@ impl GlobalController {
             {
                 Some(i) => i,
                 None => {
-                    let market = SpotMarketOffers::new(&trace.market, &self.cfg);
+                    let market = SpotMarketOffers::new(&trace.market);
                     self.spot_offers.push(market);
                     self.spot_offers.len() - 1
                 }
             };
             let templates = self.spot_offers[market].bids.iter();
-            for (t, &mult) in templates.zip(&self.cfg.bid_multiples) {
+            for (t, &mult) in templates.zip(&BID_MULTIPLES) {
                 let bid = Bid::times_od(mult, trace.od_price);
                 let Some(features) = predictor.predict(trace, now, bid) else {
                     continue;
@@ -339,11 +330,11 @@ impl GlobalController {
     ) -> ProcurementProblem {
         let (hot_frac_ws, f_hot) = self.hot_fraction(wss_gb, theta);
         // `H` must satisfy 0 < H <= alpha.
-        let hot_frac = hot_frac_ws.min(self.cfg.alpha).max(self.cfg.alpha * 1e-6);
+        let hot_frac = hot_frac_ws.clamp(ALPHA * 1e-6, ALPHA);
         let forecast = WorkloadForecast {
             rate,
             wss_gb,
-            alpha: self.cfg.alpha,
+            alpha: ALPHA,
             hot_frac,
             f_hot: f_hot.min(1.0),
             f_alpha: 1.0,
@@ -464,7 +455,7 @@ mod tests {
         let plan = c
             .plan(&refs, 10 * spotcache_cloud::DAY, 2.0, 320_000.0, 60.0)
             .unwrap();
-        plan.alloc.assert_feasible(&plan.forecast, 0.0);
+        plan.alloc.assert_feasible(&plan.forecast);
         assert!(plan.alloc.total_instances() > 0);
         // Existing counts published.
         let total: u32 = plan

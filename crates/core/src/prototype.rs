@@ -28,12 +28,11 @@ use spotcache_sim::{
 };
 use spotcache_workload::wikipedia::WikipediaTrace;
 
-use crate::controller::{ControllerConfig, GlobalController, SlotPlan};
+use crate::controller::{self, ControllerConfig, GlobalController, SlotPlan};
 use crate::controlplane::{
     cold_access_mass, hot_access_mass, ControlLoop, Demand, Observation, Schedule, Substrate,
     SubstrateEvent,
 };
-use spotcache_optimizer::latency::LatencyProfile;
 
 /// Prototype experiment configuration.
 #[derive(Debug, Clone)]
@@ -104,7 +103,6 @@ pub(crate) struct MinutePrototype {
     market: SpotTrace,
     workload: WikipediaTrace,
     rng: StdRng,
-    profile: LatencyProfile,
     samples_per_minute: usize,
     /// Items/second/vCPU the backup copy pump delivers (the measured
     /// constant from the recovery model; threaded here so this crate does
@@ -129,13 +127,11 @@ impl MinutePrototype {
             cfg.seed,
         );
         let rng = StdRng::seed_from_u64(cfg.seed);
-        let profile = cfg.controller.profile;
         Self {
             cfg,
             market,
             workload,
             rng,
-            profile,
             samples_per_minute: 1_200,
             copy_items_per_vcpu: COPY_ITEMS_PER_VCPU,
             backend_capacity_ops: DEFAULT_BACKEND_CAPACITY_OPS,
@@ -200,7 +196,7 @@ impl Substrate for MinutePrototype {
                 label: e.offer.label.clone(),
                 count: e.count,
                 mass,
-                capacity: self.profile.capacity_ops(&e.offer.itype, false),
+                capacity: controller::PROFILE.capacity_ops(&e.offer.itype, false),
                 hot_frac: e.hot_frac,
                 cold_frac: e.cold_frac,
                 fails_at,
@@ -236,7 +232,7 @@ impl Substrate for MinutePrototype {
                         count: e.count,
                         warned: loss.notice > 0,
                     });
-                    let item_bytes = self.profile.item_bytes;
+                    let item_bytes = controller::PROFILE.item_bytes;
                     let hot_items = e.hot_frac * state.wss * (1u64 << 30) as f64 / item_bytes;
                     let cold_items = e.cold_frac * state.wss * (1u64 << 30) as f64 / item_bytes;
                     let hot_mass = hot_access_mass(e.hot_frac, f, f.f_hot);
@@ -335,7 +331,7 @@ impl Substrate for MinutePrototype {
         sample_cluster_latency(
             &nodes,
             1.0,
-            &self.profile,
+            &controller::PROFILE,
             &mut self.rng,
             hit_samples,
             &mut hist,
@@ -351,7 +347,7 @@ impl Substrate for MinutePrototype {
             sample_cluster_latency(
                 &backend,
                 0.0,
-                &self.profile,
+                &controller::PROFILE,
                 &mut self.rng,
                 miss_samples,
                 &mut hist,

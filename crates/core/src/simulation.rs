@@ -22,7 +22,7 @@ use spotcache_sim::metrics::{ControlMetrics, SlotRecord};
 use spotcache_workload::wikipedia::WikipediaTrace;
 
 use crate::approaches::Approach;
-use crate::controller::{ControllerConfig, GlobalController, SlotPlan};
+use crate::controller::{self, ControllerConfig, GlobalController, SlotPlan};
 use crate::controlplane::{
     cold_access_mass, hot_access_mass, ControlLoop, Demand, Observation, Schedule, Substrate,
     SubstrateEvent,
@@ -133,9 +133,9 @@ impl HourlySim {
         let reactive = cfg.reactive.then(ReactiveController::new);
         // Emergency capacity uses the cheapest-per-op on-demand type.
         let emergency_type = spotcache_cloud::catalog::find_type("c3.large").expect("catalog");
-        let emergency_rate = cfg.controller.profile.max_rate_for_latency(
+        let emergency_rate = controller::PROFILE.max_rate_for_latency(
             &emergency_type,
-            cfg.controller.target_avg_us,
+            controller::TARGET_AVG_US,
             false,
         );
         let start_hour = cfg.training_days * 24;

@@ -179,7 +179,10 @@ struct Slot {
 // SAFETY: a slot's `record` is written only by the single thread that
 // reserved its index (unique `fetch_add` ticket) and read only after
 // `ready` is observed `true` with acquire ordering, which happens-after
-// the release store that published the write.
+// the release store that published the write. Tickets stay unique across
+// a [`Tracer::reset`]: it reopens the cursor only once every writer that
+// reserved a slot before it has published (`Tracer::writers`), and it
+// never runs while a reader walks the slots (`Tracer::readers`).
 unsafe impl Sync for Slot {}
 
 thread_local! {
@@ -245,6 +248,13 @@ pub fn thread_pid() -> u32 {
 pub struct Tracer {
     slots: Box<[Slot]>,
     cursor: AtomicUsize,
+    /// Writers between reserving a ticket and publishing its slot; a
+    /// reset waits for this to drain before it reopens the cursor.
+    writers: AtomicUsize,
+    /// Held by [`spans`](Self::spans) and [`reset`](Self::reset), so a
+    /// reset never clears slots a reader is copying. Recording never
+    /// takes it.
+    readers: Mutex<()>,
     dropped: AtomicU64,
     /// `sample_every == 0` ⇒ disabled; cached as a bool for the hot path.
     enabled: bool,
@@ -283,6 +293,8 @@ impl Tracer {
                 })
                 .collect(),
             cursor: AtomicUsize::new(0),
+            writers: AtomicUsize::new(0),
+            readers: Mutex::new(()),
             dropped: AtomicU64::new(0),
             enabled: cfg.sample_every > 0,
             sample_every: cfg.sample_every.max(1),
@@ -468,16 +480,21 @@ impl Tracer {
     }
 
     fn push(&self, record: SpanRecord) {
-        let idx = self.cursor.fetch_add(1, Ordering::Relaxed);
-        if idx >= self.slots.len() {
+        // Announce the write before taking a ticket (both `SeqCst`): a
+        // reset that parks the cursor and then sees no writer knows that
+        // every ticket taken before the park has been published.
+        self.writers.fetch_add(1, Ordering::SeqCst);
+        let idx = self.cursor.fetch_add(1, Ordering::SeqCst);
+        if idx < self.slots.len() {
+            let slot = &self.slots[idx];
+            // SAFETY: `idx` was reserved exclusively by this thread's
+            // `fetch_add`; nothing reads the cell until `ready` is true.
+            unsafe { (*slot.record.get()).write(record) };
+            slot.ready.store(true, Ordering::Release);
+        } else {
             self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
         }
-        let slot = &self.slots[idx];
-        // SAFETY: `idx` was reserved exclusively by this thread's
-        // `fetch_add`; nothing reads the cell until `ready` is true.
-        unsafe { (*slot.record.get()).write(record) };
-        slot.ready.store(true, Ordering::Release);
+        self.writers.fetch_sub(1, Ordering::Release);
     }
 
     /// Number of retained spans.
@@ -503,6 +520,7 @@ impl Tracer {
 
     /// Snapshot of every published span, in reservation order.
     pub fn spans(&self) -> Vec<SpanRecord> {
+        let _readers = self.readers.lock();
         let n = self.len();
         let mut out = Vec::with_capacity(n);
         for slot in self.slots.iter().take(n) {
@@ -517,13 +535,19 @@ impl Tracer {
 
     /// Resets the buffer to empty: retained spans and the dropped count
     /// are discarded; process/thread metadata is kept. Intended for the
-    /// scrape endpoint's drain — concurrent writers racing a reset may
-    /// lose (or double-report) a handful of in-flight spans, which is
-    /// acceptable for telemetry; quiesce writers for exact drains.
+    /// scrape endpoint's drain — spans recorded while it runs are
+    /// dropped, not torn; quiesce writers for exact drains. It waits for
+    /// readers and for writers that already hold a slot, never the other
+    /// way round: recording stays lock-free.
     pub(crate) fn reset(&self) {
-        // Park the cursor at capacity so racing writers drop cleanly
-        // while the ready flags are cleared, then reopen at 0.
+        let _readers = self.readers.lock();
+        // Park the cursor at capacity so new writers drop cleanly, then
+        // wait out the writers still filling a slot reserved before the
+        // park: only then may a slot be handed out again.
         self.cursor.store(self.slots.len(), Ordering::SeqCst);
+        while self.writers.load(Ordering::SeqCst) != 0 {
+            std::thread::yield_now();
+        }
         for slot in self.slots.iter() {
             slot.ready.store(false, Ordering::Release);
         }
@@ -942,5 +966,54 @@ mod tests {
         }
         assert_eq!(t.len(), 1);
         assert!(t.chrome_trace_json().contains("\"name\":\"z\""));
+    }
+
+    #[test]
+    fn drains_racing_writers_never_tear_a_span() {
+        // A small buffer fills within a drain, so every drain reopens the
+        // cursor under writers that hold tickets from before it. Names of
+        // different lengths make a torn record show as a foreign name.
+        const NAMES: [&str; 4] = ["a", "bb", "ccc", "dddd"];
+        let t = Tracer::all(64);
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for name in NAMES {
+                let (t, stop) = (&t, &stop);
+                s.spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        {
+                            let _root = t.span("stress", name);
+                            let _child = t.span("stress", name);
+                        }
+                        t.record_at("stress", name, t.now_us(), 1.0);
+                    }
+                });
+            }
+            // Stops the writers however the drains end, so a failed
+            // assertion fails the test instead of hanging its scope.
+            struct Stop<'a>(&'a AtomicBool);
+            impl Drop for Stop<'_> {
+                fn drop(&mut self) {
+                    self.0.store(true, Ordering::Relaxed);
+                }
+            }
+            let _stop = Stop(&stop);
+            let mut drained = 0;
+            let deadline = Instant::now() + std::time::Duration::from_secs(10);
+            for _ in 0..300 {
+                // Drain once the writers have put something in.
+                while t.is_empty() && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                let json = t.drain_chrome_trace_json();
+                validate_json(&json).unwrap_or_else(|at| panic!("invalid at {at}: {json}"));
+                for event in json.split("{\"name\":\"").skip(1) {
+                    let name = &event[..event.find('"').expect("a closed name")];
+                    assert!(NAMES.contains(&name), "span named {name:?}");
+                    drained += 1;
+                }
+            }
+            assert!(drained > 0, "no drain saw a span");
+        });
     }
 }

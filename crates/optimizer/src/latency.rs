@@ -35,7 +35,7 @@ impl LatencyProfile {
     /// The profile used throughout the reproduction, calibrated to the
     /// paper's setup (4 KB items, 800 µs average / 1 ms p95 targets,
     /// memcached's four-core scaling wall).
-    pub fn paper_default() -> Self {
+    pub const fn paper_default() -> Self {
         Self {
             base_latency_us: 200.0,
             service_scale_us: 150.0,

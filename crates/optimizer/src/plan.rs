@@ -129,10 +129,9 @@ impl AllocationPlan {
     }
 
     /// Panics unless the plan satisfies every constraint of `workload`
-    /// (test support; `default_rate` is unused but kept for call-site
-    /// clarity about which λ^{sb} the offers were built with).
+    /// (test support).
     #[doc(hidden)]
-    pub fn assert_feasible(&self, workload: &WorkloadForecast, _default_rate: f64) {
+    pub fn assert_feasible(&self, workload: &WorkloadForecast) {
         let hot: f64 = self.entries.iter().map(|e| e.hot_frac).sum();
         let cold: f64 = self.entries.iter().map(|e| e.cold_frac).sum();
         assert!((hot - workload.hot_frac).abs() < 1e-6, "hot mass {hot}");

@@ -1112,7 +1112,7 @@ mod tests {
                     force_cold_on_spot: false,
                 };
                 let plan = p.solve().unwrap();
-                plan.assert_feasible(&w, 12_000.0);
+                plan.assert_feasible(&w);
             }
         }
     }

@@ -47,10 +47,6 @@ pub struct WarmupConfig {
     pub initial_credits: f64,
     /// Pacing tick: credits are spent and a batch shipped once per tick.
     pub tick: Duration,
-    /// Per-link read/write timeout.
-    pub io_timeout: Duration,
-    /// Connect/ship attempts before the pump gives up with an error.
-    pub max_retries: u32,
 }
 
 impl Default for WarmupConfig {
@@ -63,8 +59,6 @@ impl Default for WarmupConfig {
             peak_rate: 1_300.0,
             initial_credits: 78_000.0,
             tick: Duration::from_millis(5),
-            io_timeout: Duration::from_millis(500),
-            max_retries: 8,
         }
     }
 }
@@ -86,10 +80,12 @@ pub struct WarmupReport {
 
 /// Replays `backup`'s hot set into the server at `target`, hottest items
 /// first, pacing by the token bucket in `cfg`. Blocks until the snapshot
-/// is fully pumped or a link fault exhausts `cfg.max_retries`, pausing
-/// after each failed attempt on the replicator's own schedule
-/// (`ReplicationConfig::default()`: 10 ms doubling to 500 ms, ±25 %
-/// jitter) so a replacement whose listener is late is waited out.
+/// is fully pumped or one batch fails more often than the replicator's
+/// own link policy allows: [`Link::deliver`] under
+/// `ReplicationConfig::default()` (500 ms I/O timeout, 8 retries, 10 ms
+/// back-off doubling to 500 ms, ±25 % jitter), so a replacement whose
+/// listener is late is waited out. Credits keep accruing while a batch
+/// backs off; the next tick spends them.
 ///
 /// `now` is the backup's logical time (used to snapshot residual TTLs).
 /// With `obs`, progress surfaces as `warmup_pumped_total`,
@@ -145,15 +141,9 @@ pub fn pump_hot_set(
         cfg.base_rate,
         cfg.peak_rate,
     );
-    let mut link = Link::new(
-        target,
-        &ReplicationConfig {
-            io_timeout: cfg.io_timeout,
-            ..ReplicationConfig::default()
-        },
-    );
+    let policy = ReplicationConfig::default();
+    let mut link = Link::new(target, &policy);
     let mut io_errors = 0u64;
-    let mut attempts = 0u32;
     let mut idx = 0usize;
     let mut carry = 0.0f64;
     let mut last = Instant::now();
@@ -169,38 +159,24 @@ pub fn pump_hot_set(
             continue;
         }
         let end = (idx + quota).min(total);
-
-        let span = tracer.map(|t| t.span("drill", "pump_batch"));
-        let ctx = span
-            .as_ref()
-            .and_then(|s| s.context())
-            .or_else(spotcache_obs::trace::thread_context);
-        let result = link.ship(&snapshot[idx..end], ctx);
-        drop(span);
-        match result {
-            Ok(()) => {
-                let n = end - idx;
-                carry -= n as f64;
-                idx = end;
-                attempts = 0;
-                if let Some(c) = &c_pumped {
-                    c.add(n as u64);
-                }
-                if let Some(g) = &g_progress {
-                    g.set(idx as f64 / total as f64);
-                }
+        let mut attempts = 0u32;
+        let span = tracer.map(|t| (t, "drill", "pump_batch"));
+        link.deliver(&snapshot[idx..end], span, |_| {
+            io_errors += 1;
+            if let Some(c) = &c_errors {
+                c.inc();
             }
-            Err(e) => {
-                io_errors += 1;
-                if let Some(c) = &c_errors {
-                    c.inc();
-                }
-                attempts += 1;
-                if attempts > cfg.max_retries {
-                    return Err(e);
-                }
-                link.back_off(); // credits keep accruing; the batch is re-shipped
-            }
+            attempts += 1;
+            attempts <= policy.max_batch_retries
+        })?;
+        let n = end - idx;
+        carry -= n as f64;
+        idx = end;
+        if let Some(c) = &c_pumped {
+            c.add(n as u64);
+        }
+        if let Some(g) = &g_progress {
+            g.set(idx as f64 / total as f64);
         }
     }
 
@@ -301,12 +277,8 @@ mod tests {
             let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap()
         };
-        let cfg = WarmupConfig {
-            io_timeout: Duration::from_millis(20),
-            max_retries: 2,
-            ..fast_cfg()
-        };
-        let err = pump_hot_set(&backup, addr, 0, &cfg, None, None);
+        // Eight retries on the default schedule: about 1.6 s of back-off.
+        let err = pump_hot_set(&backup, addr, 0, &fast_cfg(), None, None);
         assert!(err.is_err());
     }
 

@@ -34,23 +34,11 @@ use crate::replay::{pump_hot_set, WarmupConfig, WarmupReport};
 /// Mutations per shipped batch in the Hybrid top-up phase.
 const TOP_UP_BATCH_MAX: usize = 128;
 
-/// Knobs for the Hybrid top-up phase (shipping the replication tail).
-#[derive(Debug, Clone)]
-pub struct TopUpConfig {
-    /// Per-link read/write timeout.
-    pub(crate) io_timeout: Duration,
-    /// Connect/ship attempts before the top-up gives up with an error.
-    pub(crate) max_retries: u32,
-}
-
-impl Default for TopUpConfig {
-    fn default() -> Self {
-        Self {
-            io_timeout: Duration::from_millis(500),
-            max_retries: 8,
-        }
-    }
-}
+/// Settings for the Hybrid top-up phase (shipping the replication tail).
+/// None are left: the tail ships on the replicator's own link policy
+/// (`ReplicationConfig::default()`).
+#[derive(Debug, Clone, Default)]
+pub struct TopUpConfig {}
 
 /// How to bring a replacement node up to serving state after a
 /// revocation. See the module docs for the trade each arm makes.
@@ -63,7 +51,7 @@ pub enum RecoveryStrategy {
     Hybrid {
         /// Checkpoint restore settings (none left).
         checkpoint: CheckpointConfig,
-        /// Tail-shipping knobs.
+        /// Tail-shipping settings (none left).
         top_up: TopUpConfig,
     },
 }
@@ -122,9 +110,9 @@ impl RecoveryStrategy {
                     elapsed: start.elapsed(),
                 })
             }
-            RecoveryStrategy::Hybrid { top_up, .. } => {
+            RecoveryStrategy::Hybrid { .. } => {
                 let (cut, restored) = self.checkpoint_step(ctx)?;
-                let topped_up = ship_tail(ctx.tail, ctx.target_addr, top_up, ctx.tracer)?;
+                let topped_up = ship_tail(ctx.tail, ctx.target_addr, ctx.tracer)?;
                 Ok(RestoreReport {
                     items_restored: restored.items_stored + topped_up,
                     ckpt_cut: cut,
@@ -234,54 +222,27 @@ pub struct RestoreReport {
     pub elapsed: Duration,
 }
 
-/// Ships `tail` to `target` in acked batches, reconnecting on link
-/// errors up to `cfg.max_retries`, pausing between attempts on the
-/// replicator's own schedule (`ReplicationConfig::default()`: 10 ms
-/// doubling to 500 ms, ±25 % jitter) — a replacement whose listener is a
-/// few milliseconds late must not burn every retry before it is up.
-/// Returns mutations shipped.
-fn ship_tail(
-    tail: &[Mutation],
-    target: SocketAddr,
-    cfg: &TopUpConfig,
-    tracer: Option<&Tracer>,
-) -> io::Result<u64> {
+/// Ships `tail` to `target` in acked batches of `TOP_UP_BATCH_MAX`, each
+/// delivered by [`Link::deliver`] under the replicator's own link policy
+/// (`ReplicationConfig::default()`: 500 ms I/O timeout, 8 retries, 10 ms
+/// back-off doubling to 500 ms, ±25 % jitter) — a replacement whose
+/// listener is a few milliseconds late must not burn every retry before
+/// it is up. Returns mutations shipped.
+fn ship_tail(tail: &[Mutation], target: SocketAddr, tracer: Option<&Tracer>) -> io::Result<u64> {
     if tail.is_empty() {
         return Ok(0);
     }
-    let mut link = Link::new(
-        target,
-        &ReplicationConfig {
-            io_timeout: cfg.io_timeout,
-            ..ReplicationConfig::default()
-        },
-    );
-    let mut idx = 0usize;
-    let mut attempts = 0u32;
-    while idx < tail.len() {
-        let end = (idx + TOP_UP_BATCH_MAX).min(tail.len());
-        let span = tracer.map(|t| t.span("checkpoint", "top_up_batch"));
-        let ctx = span
-            .as_ref()
-            .and_then(|s| s.context())
-            .or_else(spotcache_obs::trace::thread_context);
-        let result = link.ship(&tail[idx..end], ctx);
-        drop(span);
-        match result {
-            Ok(()) => {
-                idx = end;
-                attempts = 0;
-            }
-            Err(e) => {
-                attempts += 1;
-                if attempts > cfg.max_retries {
-                    return Err(e);
-                }
-                link.back_off(); // mutations are idempotent; re-ship the batch
-            }
-        }
+    let policy = ReplicationConfig::default();
+    let mut link = Link::new(target, &policy);
+    for batch in tail.chunks(TOP_UP_BATCH_MAX) {
+        let mut attempts = 0u32;
+        let span = tracer.map(|t| (t, "checkpoint", "top_up_batch"));
+        link.deliver(batch, span, |_| {
+            attempts += 1;
+            attempts <= policy.max_batch_retries
+        })?;
     }
-    Ok(idx as u64)
+    Ok(tail.len() as u64)
 }
 
 #[cfg(test)]
@@ -337,8 +298,7 @@ mod tests {
         }
     }
 
-    /// Hybrid with default top-up knobs; with an empty tail, a plain
-    /// checkpoint restore.
+    /// Hybrid; with an empty tail, a plain checkpoint restore.
     fn hybrid() -> RecoveryStrategy {
         RecoveryStrategy::Hybrid {
             checkpoint: CheckpointConfig::default(),
@@ -599,13 +559,8 @@ mod tests {
             raw_value: encode_value(0, b"v"),
             ttl: None,
         }];
-        let strategy = RecoveryStrategy::Hybrid {
-            checkpoint: CheckpointConfig::default(),
-            top_up: TopUpConfig {
-                io_timeout: Duration::from_millis(20),
-                max_retries: 2,
-            },
-        };
+        // Eight retries on the default schedule: about 1.6 s of back-off.
+        let strategy = hybrid();
         let ctx = RestoreContext {
             backup: &r.backup,
             target_addr: addr,

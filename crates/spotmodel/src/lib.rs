@@ -64,23 +64,20 @@ pub trait SpotPredictor {
 }
 
 /// The paper's temporal-locality predictor: conservative lifetime percentile
-/// plus mean per-run price, both over a sliding window.
+/// plus mean per-run price, both over one sliding window.
 #[derive(Debug, Clone, Copy)]
 pub struct TemporalPredictor {
     /// Lifetime model (percentile of the per-run length distribution).
     pub(crate) lifetime: LifetimeModel,
-    /// Average-price model (mean of per-run average prices).
+    /// Average-price model (mean of per-run average prices), over the
+    /// lifetime model's window.
     pub(crate) price: AvgPriceModel,
 }
 
 impl TemporalPredictor {
     /// Creates the paper-default predictor: 7-day window, 5th percentile.
     pub fn paper_default() -> Self {
-        let window = 7 * spotcache_cloud::DAY;
-        Self {
-            lifetime: LifetimeModel::new(window, 0.05),
-            price: AvgPriceModel::new(window),
-        }
+        Self::new(7 * spotcache_cloud::DAY, 0.05)
     }
 
     /// Creates a predictor with a custom window and lifetime percentile.
@@ -94,16 +91,11 @@ impl TemporalPredictor {
 
 impl SpotPredictor for TemporalPredictor {
     fn predict(&self, trace: &SpotTrace, now: u64, bid: Bid) -> Option<SpotFeatures> {
-        // Both models read the same below-bid runs; extract them once
-        // unless the two windows differ.
+        // Both models read the same below-bid runs: extract them once.
         let from = now.saturating_sub(self.lifetime.window);
         let runs = below_bid_runs(trace, from, now, bid);
         let lifetime = self.lifetime.predict_from_runs(&runs)?;
-        let avg_price = if self.price.window == self.lifetime.window {
-            self.price.predict_from_runs(&runs, now)?
-        } else {
-            self.price.predict(trace, now, bid)?
-        };
+        let avg_price = self.price.predict_from_runs(&runs, now)?;
         Some(SpotFeatures {
             lifetime,
             avg_price,
@@ -153,13 +145,12 @@ mod tests {
 
         /// Extracting the runs once changes nothing: the combined
         /// predictor equals the two models called on their own, to the bit,
-        /// whether or not their windows agree, with or without a signal.
+        /// with or without a signal.
         #[test]
         fn temporal_predictor_equals_its_two_models(
             prices in proptest::collection::vec(0.01f64..0.6, 1..300),
             (bid_kind, bid_price) in (0usize..4, 0.01f64..0.7),
-            (lifetime_window, price_window) in (1u64..100_000, 1u64..100_000),
-            same_window in proptest::arbitrary::any::<bool>(),
+            window in 1u64..100_000,
             percentile in 0.0f64..=1.0,
             now_frac in 0.0f64..1.2,
         ) {
@@ -168,11 +159,7 @@ mod tests {
             let now = t.start + (now_frac * t.duration() as f64) as u64;
             // A quarter of the bids sit below every price: no run, no signal.
             let bid = Bid(if bid_kind == 0 { 0.001 } else { bid_price });
-            let price_window = if same_window { lifetime_window } else { price_window };
-            let p = TemporalPredictor {
-                lifetime: LifetimeModel::new(lifetime_window, percentile),
-                price: AvgPriceModel::new(price_window),
-            };
+            let p = TemporalPredictor::new(window, percentile);
             let apart = p
                 .lifetime
                 .predict(&t, now, bid)

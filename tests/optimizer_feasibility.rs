@@ -28,7 +28,7 @@ proptest! {
         let approach = Approach::ALL[approach_idx];
         let mut c = GlobalController::new(ControllerConfig::paper_default(approach));
         let plan = c.plan(&refs, day * DAY, theta, rate, wss).expect("feasible");
-        plan.alloc.assert_feasible(&plan.forecast, 0.0);
+        plan.alloc.assert_feasible(&plan.forecast);
         // Sep never puts hot on spot.
         if approach == Approach::OdSpotSep {
             prop_assert!(plan.alloc.hot_on_spot() < 1e-9);
