@@ -148,10 +148,9 @@ echo "==> results byte-identity and paper claims (every experiment in 'repro --l
 # prediction anywhere in the planner shows up here as a diff. Each
 # experiment also decides the paper claims about its own numbers, one
 # `claim <id> holds|BREAKS: ...` line each on stderr, and exits 1 if one
-# broke. Runs $(nproc) experiments at a time; fig13 alone is 12.6-13.7 s
-# of the measured wall time below (15.5-17.1 s while every hot-set miss
-# summed the Zipf head again), and the budget leaves a loaded host about
-# five times that.
+# broke. Runs $(nproc) experiments at a time; fig13 alone is 6.2 s of the
+# 7.7-7.8 s wall time measured below on the 2-core host, and the budget
+# leaves a loaded host about ten times that.
 cargo build --release -q -p spotcache-bench --bin repro
 repro=target/release/repro
 gate_start=$(date +%s)
@@ -177,7 +176,7 @@ gate_start=$(date +%s)
     exit 1
 ' "$repro" {} "$claims" || { echo "results/ no longer reproduces or a claim breaks (named above)"; exit 1; }
 gate_s=$(( $(date +%s) - gate_start ))
-echo "    results gate: ${gate_s} s wall (measured 15-17 s on the 2-core host, 19-21 s before the Zipf head was summed once; budget 80 s)"
+echo "    results gate: ${gate_s} s wall (measured 7.7-7.8 s on the 2-core host; budget 80 s)"
 [ "$gate_s" -le 80 ] || { echo "results gate took ${gate_s} s, over its 80 s budget"; exit 1; }
 # Every claim a source decided (each repro experiment, both drills) is
 # cited in EXPERIMENTS.md as `<id>`, no id is decided by two sources, and

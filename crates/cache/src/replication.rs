@@ -3,9 +3,9 @@
 //! The paper's robustness story (§3.3) keeps a cheap burstable *backup*
 //! holding every hot item that lives on revocable spot nodes. This module
 //! is the streaming leg of the unified recovery layer (the simulated
-//! geo-replication baseline lives separately in
-//! `spotcache_core::geo_baseline`): a source [`Store`](crate::Store) tails its hot-key
-//! mutations through a [`MutationSink`] tap into a bounded
+//! geo-replication of the related work is a planning approach,
+//! `spotcache_core::Approach::Replicated`): a source [`Store`](crate::Store)
+//! tails its hot-key mutations through a [`MutationSink`] tap into a bounded
 //! [`ReplicationQueue`], and a [`Replicator`] thread ships them to a real
 //! backup server as memcached `set`/`delete` commands over TCP.
 //!

@@ -1,5 +1,6 @@
 //! The six procurement approaches of the paper's evaluation (Table 4 plus
-//! the `ODPeak` strawman).
+//! the `ODPeak` strawman), and the active geo-replication of its closest
+//! related work.
 
 use std::fmt;
 
@@ -22,6 +23,14 @@ pub enum Approach {
     /// The full system: spot modeling, mixing, and the burstable passive
     /// backup.
     Prop,
+    /// Active geo-replication in the style of the paper's closest related
+    /// work (Xu et al., INFOCOM'16, the paper's \[50\]), with k replicas:
+    /// one full replica — the whole working set, sized for the whole rate —
+    /// in each of the k spot markets with the lowest predicted price at a
+    /// 1× bid, plus one on-demand write tier. Every replica carries the
+    /// full rate, so the fleet serves through any k − 1 replica losses.
+    /// Not one of the paper's six: [`Approach::ALL`] leaves it out.
+    Replicated(usize),
 }
 
 impl Approach {
@@ -44,6 +53,7 @@ impl Approach {
             Approach::OdSpotCdf => "OD+Spot_CDF",
             Approach::PropNoBackup => "Prop_NoBackup",
             Approach::Prop => "Prop",
+            Approach::Replicated(_) => "Replication",
         }
     }
 
@@ -52,11 +62,12 @@ impl Approach {
         !matches!(self, Approach::OdPeak | Approach::OdOnly)
     }
 
-    /// Table 4, column "Uses our spot modeling?".
+    /// Table 4, column "Uses our spot modeling?"; the replicated approach
+    /// ranks its markets by the same predictor.
     pub fn uses_our_spot_modeling(&self) -> bool {
         matches!(
             self,
-            Approach::OdSpotSep | Approach::PropNoBackup | Approach::Prop
+            Approach::OdSpotSep | Approach::PropNoBackup | Approach::Prop | Approach::Replicated(_)
         )
     }
 

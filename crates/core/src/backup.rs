@@ -9,8 +9,7 @@
 
 use spotcache_cloud::catalog::{find_type, InstanceType};
 
-/// Fraction of a backup node's RAM usable for replicated items.
-pub(crate) const BACKUP_USABLE_FRACTION: f64 = 0.85;
+use crate::controller::USABLE_RAM_FRACTION;
 
 /// A sized backup fleet.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,7 +42,7 @@ pub(crate) fn size_backup_with(itype: &InstanceType, hot_gb: f64) -> BackupPlan 
             hourly_cost: 0.0,
         };
     }
-    let per_node = itype.ram_gb * BACKUP_USABLE_FRACTION;
+    let per_node = itype.ram_gb * USABLE_RAM_FRACTION;
     let count = (hot_gb / per_node).ceil().max(1.0) as u32;
     BackupPlan {
         itype: *itype,
@@ -83,7 +82,7 @@ mod tests {
     fn fleet_capacity_always_sufficient() {
         for gb in [0.1, 1.0, 3.3, 3.5, 17.0, 100.0] {
             let p = size_backup(gb);
-            let cap = p.count as f64 * p.itype.ram_gb * BACKUP_USABLE_FRACTION;
+            let cap = p.count as f64 * p.itype.ram_gb * USABLE_RAM_FRACTION;
             assert!(cap >= gb, "{gb} GB in {cap} GB of backup");
         }
     }

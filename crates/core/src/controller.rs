@@ -6,7 +6,8 @@
 //! model, builds the [`ProcurementProblem`] and solves it, and finally
 //! sizes the passive backup (for approaches that carry one). The result is
 //! a [`SlotPlan`] — everything the load balancer and the provider need for
-//! the next slot.
+//! the next slot. The replicated approach takes the same offers and places
+//! its replicas on them by rule, without the LP.
 
 use std::collections::HashMap;
 
@@ -16,15 +17,24 @@ use spotcache_optimizer::latency::LatencyProfile;
 use spotcache_optimizer::problem::{
     CostModel, Offer, OfferKind, ProcurementProblem, SolveError, WorkloadForecast,
 };
-use spotcache_optimizer::AllocationPlan;
+use spotcache_optimizer::{AllocationPlan, PlanEntry};
 use spotcache_spotmodel::{Ar2, CdfPredictor, SpotPredictor, TemporalPredictor};
 use spotcache_workload::zipf::{PopularityModel, ZipfHead};
 
 use crate::approaches::Approach;
 use crate::backup::{size_backup, BackupPlan};
 
-/// Bid multiples of the on-demand price (paper: `{1, 5}`).
+/// Bid multiples of the on-demand price (paper: `{1, 5}`). The replicated
+/// approach bids the first only.
 const BID_MULTIPLES: [f64; 2] = [1.0, 5.0];
+
+/// Fraction of a node's RAM usable for cached items, on cache and backup
+/// nodes alike.
+pub(crate) const USABLE_RAM_FRACTION: f64 = 0.85;
+
+/// Instance type of the replicated approach's on-demand write tier (the
+/// related work's "small number of on-demand instances" for updates).
+const WRITE_TIER_TYPE: &str = "m3.medium";
 
 /// Performance profile; its `item_bytes` (4 KiB) is also the cache item
 /// size the hot set is counted in.
@@ -101,7 +111,7 @@ impl OfferTemplate {
             label,
             itype,
             max_rate: PROFILE.max_rate_for_targets(&itype, hit_budget, TARGET_P95_US, false),
-            usable_ram_gb: itype.ram_gb * 0.85,
+            usable_ram_gb: itype.ram_gb * USABLE_RAM_FRACTION,
         }
     }
 
@@ -258,8 +268,12 @@ impl GlobalController {
     /// Builds the offer set for the current slot.
     pub fn build_offers(&mut self, traces: &[&SpotTrace], now: u64) -> Vec<Offer> {
         let uses_spot = self.cfg.approach.uses_spot();
+        let bids = match self.cfg.approach {
+            Approach::Replicated(_) => &BID_MULTIPLES[..1],
+            _ => &BID_MULTIPLES[..],
+        };
         let spot_offers = if uses_spot {
-            traces.len() * BID_MULTIPLES.len()
+            traces.len() * bids.len()
         } else {
             0
         };
@@ -295,7 +309,7 @@ impl GlobalController {
                 }
             };
             let templates = self.spot_offers[market].bids.iter();
-            for (t, &mult) in templates.zip(&BID_MULTIPLES) {
+            for (t, &mult) in templates.zip(bids) {
                 let bid = Bid::times_od(mult, trace.od_price);
                 let Some(features) = predictor.predict(trace, now, bid) else {
                     continue;
@@ -366,11 +380,18 @@ impl GlobalController {
         }
     }
 
-    /// Plans the next slot: solves [`Self::problem`] and sizes the backup.
+    /// Plans the next slot: solves [`Self::problem`] (or, for the replicated
+    /// approach, places its replicas on the problem's offers) and sizes the
+    /// backup.
     ///
     /// `rate`/`wss_gb` are the *forecasts* to plan against (callers decide
     /// whether those come from `Self::forecast` or from ground truth, as
     /// the offline baselines do).
+    ///
+    /// # Errors
+    ///
+    /// The solver's error, or [`SolveError::Infeasible`] for a replicated
+    /// slot with no priced spot market to hold a replica.
     pub fn plan(
         &mut self,
         traces: &[&SpotTrace],
@@ -381,7 +402,10 @@ impl GlobalController {
     ) -> Result<SlotPlan, SolveError> {
         let problem = self.problem(traces, now, theta, rate, wss_gb);
         let forecast = problem.workload;
-        let alloc = problem.solve()?;
+        let alloc = match self.cfg.approach {
+            Approach::Replicated(k) => replicate(problem, k)?,
+            _ => problem.solve()?,
+        };
         // Publish the new counts as next slot's `N_t`; a label the plan
         // leaves out runs none.
         self.existing.values_mut().for_each(|n| *n = 0);
@@ -405,6 +429,48 @@ impl GlobalController {
             forecast,
         })
     }
+}
+
+/// The replicated approach's plan, built without the LP: one full replica
+/// in each of the `k` spot offers of `problem` with the lowest predicted
+/// price, each sized for the whole resident working set and the whole
+/// rate, plus one on-demand write tier. A slot with no priced spot offer
+/// (or `k` = 0) would have no replica to serve reads from, and is
+/// [`SolveError::Infeasible`].
+fn replicate(mut problem: ProcurementProblem, k: usize) -> Result<AllocationPlan, SolveError> {
+    let w = problem.workload;
+    let (mut replicas, od): (Vec<Offer>, Vec<Offer>) = std::mem::take(&mut problem.offers)
+        .into_iter()
+        .partition(|o| o.kind.is_spot());
+    replicas.sort_by(|a, b| a.price.total_cmp(&b.price));
+    replicas.truncate(k);
+    if replicas.is_empty() {
+        return Err(SolveError::Infeasible);
+    }
+    let write_tier = od
+        .into_iter()
+        .find(|o| o.itype.name == WRITE_TIER_TYPE)
+        .expect("the write tier's type is an on-demand candidate");
+    let mut entries: Vec<PlanEntry> = replicas
+        .into_iter()
+        .map(|offer| {
+            let for_ram = (w.alpha * w.wss_gb / offer.usable_ram_gb).ceil();
+            let for_rate = (w.rate / offer.max_rate).ceil();
+            PlanEntry {
+                count: for_ram.max(for_rate).max(1.0) as u32,
+                hot_frac: w.hot_frac,
+                cold_frac: w.alpha - w.hot_frac,
+                offer,
+            }
+        })
+        .collect();
+    entries.push(PlanEntry {
+        offer: write_tier,
+        count: 1,
+        hot_frac: 0.0,
+        cold_frac: 0.0,
+    });
+    Ok(problem.priced(entries))
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 const TRIGGER_RATIO: f64 = 1.1;
 
 /// Capacity headroom provisioned over the observed rate when reacting.
-const HEADROOM: f64 = 1.25;
+pub(crate) const HEADROOM: f64 = 1.25;
 
 /// Minimum seconds between reactions (covers instance launch time plus
 /// ramp).

@@ -8,7 +8,10 @@
 //! hour, billing every instance, detecting bid failures, and accounting
 //! the request traffic affected by them. Affected traffic is what drives
 //! the paper's "% of days the performance target is violated" metric (a
-//! day is violated when > 1% of its requests are affected).
+//! day is violated when > 1% of its requests are affected). The replicated
+//! approach runs on the same loop and bills through the same entries; only
+//! its loss accounting differs (a lost replica's traffic moves to the live
+//! ones).
 
 use std::sync::Arc;
 
@@ -27,7 +30,7 @@ use crate::controlplane::{
     cold_access_mass, hot_access_mass, ControlLoop, Demand, Observation, Schedule, Substrate,
     SubstrateEvent,
 };
-use crate::reactive::ReactiveController;
+use crate::reactive::{self, ReactiveController};
 
 /// How long (seconds) hot content lost in a failure stays degraded when a
 /// passive backup is warming the replacement (the measured ≈300 s warm-up
@@ -38,6 +41,11 @@ const BACKUP_WARMUP_SECS: f64 = 300.0;
 /// Seconds a flash crowd runs unmitigated before emergency capacity is
 /// detected, launched, and warmed (detection + ~100 s launch + ramp).
 const REACT_LAG_SECS: f64 = 300.0;
+
+/// `max_rate` targets the latency bound at ~80% of saturation, so modest
+/// forecast error only raises latency within budget; requests are
+/// *affected* only past this headroom over a fleet's capacity.
+const CAPACITY_HEADROOM: f64 = 1.2;
 
 /// An injected flash crowd: an unforecastable rate surge.
 #[derive(Debug, Clone, Copy)]
@@ -77,6 +85,8 @@ pub struct SimConfig {
     /// Injected flash crowds (invisible to the forecasters).
     pub flash_crowds: Vec<FlashCrowd>,
     /// Reactive emergency scale-out; `false` = predictive control only.
+    /// Hot-cold fleets only: `HourlySim::new` refuses it for the
+    /// replicated approach.
     pub reactive: bool,
 }
 
@@ -121,13 +131,19 @@ impl HourlySim {
     /// # Panics
     ///
     /// If `cfg.days` is less than `cfg.training_days`: the run would have
-    /// no billed slot to start from.
+    /// no billed slot to start from. If `cfg.reactive` is set for the
+    /// replicated approach, whose shortfall the reactive element does not
+    /// model.
     pub fn new(cfg: SimConfig, markets: Vec<SpotTrace>) -> Self {
         assert!(
             cfg.days >= cfg.training_days,
             "SimConfig.days ({}) must be at least SimConfig.training_days ({})",
             cfg.days,
             cfg.training_days
+        );
+        assert!(
+            !(cfg.reactive && matches!(cfg.controller.approach, Approach::Replicated(_))),
+            "the reactive element scales out hot-cold fleets only"
         );
         let workload = WikipediaTrace::generate(cfg.days, cfg.peak_rate, cfg.max_wss_gb, cfg.seed);
         let reactive = cfg.reactive.then(ReactiveController::new);
@@ -225,11 +241,15 @@ impl Substrate for HourlySim {
         obs: &Observation,
     ) -> Vec<SubstrateEvent> {
         let approach = self.cfg.controller.approach;
+        let replicated = matches!(approach, Approach::Replicated(_));
         let actual_rate = obs.actual.rate;
         let mut events = Vec::new();
         let mut hour_cost = 0.0;
         let mut affected_mass_time = 0.0; // Σ mass × degraded-fraction-of-hour
         let mut revoked_this_hour = 0u32;
+        // A replicated fleet's replicas: when each was lost, if it was, and
+        // its serving capacity.
+        let mut replicas: Vec<(Option<u64>, f64)> = Vec::new();
 
         for entry in &plan.alloc.entries {
             if entry.count == 0 {
@@ -252,13 +272,19 @@ impl Substrate for HourlySim {
                     self.metrics.ledger.record(CostCategory::Spot, c);
                     hour_cost += c;
 
-                    if let Some(loss) = lease.loss(t) {
+                    let loss = lease.loss(t);
+                    if let Some(loss) = loss {
                         revoked_this_hour += entry.count;
                         events.push(SubstrateEvent::Revoked {
                             label: entry.offer.label.clone(),
                             count: entry.count,
                             warned: loss.notice > 0,
                         });
+                    }
+                    if replicated {
+                        let capacity = entry.count as f64 * entry.offer.max_rate;
+                        replicas.push((loss.map(|l| l.at), capacity));
+                    } else if let Some(loss) = loss {
                         let remaining = (t + HOUR).saturating_sub(loss.at) as f64 / 3_600.0;
                         // Cold content on the lost instances is served
                         // from the backend for the rest of the hour.
@@ -293,19 +319,18 @@ impl Substrate for HourlySim {
         // exceed the plan's aggregate serving capacity. Without the
         // reactive element the shortfall persists all hour; with it,
         // emergency on-demand capacity covers everything past the reaction
-        // lag (billed below).
+        // lag (billed below). A replicated fleet's capacity is its live
+        // replicas', which falls at each loss within the hour.
         let plan_capacity: f64 = plan
             .alloc
             .entries
             .iter()
             .map(|e| e.count as f64 * e.offer.max_rate)
             .sum();
-        // `max_rate` targets the latency bound at ~80% of saturation, so
-        // modest forecast error only raises latency within budget; requests
-        // are *affected* only past this headroom.
-        const CAPACITY_HEADROOM: f64 = 1.2;
         let effective_capacity = CAPACITY_HEADROOM * plan_capacity;
-        if actual_rate > effective_capacity && plan_capacity > 0.0 {
+        if replicated {
+            affected_mass_time += replica_shortfall_hours(t, actual_rate, &replicas);
+        } else if actual_rate > effective_capacity && plan_capacity > 0.0 {
             let shortfall_frac = 1.0 - effective_capacity / actual_rate;
             match self.reactive.as_mut() {
                 Some(r) => {
@@ -323,7 +348,7 @@ impl Substrate for HourlySim {
                     } else {
                         // Cooldown window of a previous reaction: assume its
                         // emergency capacity is still mounted this hour.
-                        let extra = ((actual_rate * 1.25 - effective_capacity)
+                        let extra = ((actual_rate * reactive::HEADROOM - effective_capacity)
                             / self.emergency_rate)
                             .ceil()
                             .max(0.0);
@@ -373,6 +398,35 @@ impl Substrate for HourlySim {
         metrics.reactions = self.reactive.map_or(0, |r| r.reactions());
         metrics
     }
+}
+
+/// The share-weighted hours of the slot starting at `t` that a replicated
+/// fleet leaves `rate` unserved. Each replica is `(lost at, capacity)`;
+/// between the hour's loss times the live replicas serve up to
+/// `CAPACITY_HEADROOM` × their capacity, so traffic is affected only while
+/// no replica is live, or by how far the live ones fall short of `rate`.
+fn replica_shortfall_hours(t: u64, rate: f64, replicas: &[(Option<u64>, f64)]) -> f64 {
+    let end = t + HOUR;
+    let live = |at: u64| -> f64 {
+        replicas
+            .iter()
+            .filter(|(lost, _)| lost.is_none_or(|l| at < l))
+            .map(|(_, capacity)| capacity)
+            .sum()
+    };
+    let mut cuts: Vec<u64> = replicas
+        .iter()
+        .filter_map(|(lost, _)| lost.map(|l| l.min(end)))
+        .chain([t, end])
+        .collect();
+    cuts.sort_unstable();
+    cuts.dedup();
+    cuts.windows(2)
+        .map(|w| {
+            let short = (1.0 - CAPACITY_HEADROOM * live(w[0]) / rate).max(0.0);
+            (w[1] - w[0]) as f64 / 3_600.0 * short
+        })
+        .sum()
 }
 
 /// Runs the simulation of one approach over the given spot markets.
@@ -669,6 +723,105 @@ mod tests {
         assert!(c.active(5));
         assert!(c.active(6));
         assert!(!c.active(7));
+    }
+
+    /// 21 days of k-replica replication at `rate` ops/s over `wss_gb`.
+    fn replicated(k: usize, rate: f64, wss_gb: f64, markets: &[SpotTrace]) -> SimResult {
+        let mut cfg = SimConfig::paper_default(Approach::Replicated(k), rate, wss_gb, 0.99);
+        cfg.days = 21;
+        simulate(&cfg, markets).unwrap()
+    }
+
+    /// Every replica carries the full rate, so k + 1 replicas run k's
+    /// markets and one more: on every slot of the three
+    /// `replication_compare` workloads the extra replica adds cost and
+    /// never adds affected traffic.
+    #[test]
+    fn more_replicas_never_cost_less_nor_serve_worse() {
+        let markets = paper_traces(21);
+        for (rate, wss) in [(50_000.0, 200.0), (320_000.0, 60.0), (1_000_000.0, 20.0)] {
+            let runs = [1, 2, 3].map(|k| replicated(k, rate, wss, &markets));
+            for (k, pair) in (1..).zip(runs.windows(2)) {
+                for (a, b) in pair[0].slots.iter().zip(&pair[1].slots) {
+                    let at = format!("{rate} ops/s, {wss} GB, k={k}, slot {}", a.slot);
+                    assert!(b.cost >= a.cost, "{at}: ${} < ${}", b.cost, a.cost);
+                    assert!(
+                        b.affected_frac <= a.affected_frac,
+                        "{at}: affected {} > {}",
+                        b.affected_frac,
+                        a.affected_frac
+                    );
+                }
+            }
+        }
+    }
+
+    /// On a RAM-bound workload every replica pays the whole memory bill:
+    /// three replicas cost over twice one, are revoked yet violate under a
+    /// fifth of the days, two cost more than mixing's one copy, and every
+    /// slot runs one on-demand write tier, billed as on-demand.
+    #[test]
+    fn replication_pays_for_the_data_per_replica() {
+        let markets = paper_traces(21);
+        let [one, two, three] = [1, 2, 3].map(|k| replicated(k, 50_000.0, 200.0, &markets));
+        assert!(three.total_cost() > 2.0 * one.total_cost());
+        assert!(three.revocations > 0, "markets should fail sometimes");
+        assert!(
+            three.violated_day_frac() < 0.2,
+            "{}",
+            three.violated_day_frac()
+        );
+        let mut cfg = SimConfig::paper_default(Approach::PropNoBackup, 50_000.0, 200.0, 0.99);
+        cfg.days = 21;
+        let prop = simulate(&cfg, &markets).unwrap().total_cost();
+        assert!(
+            prop < two.total_cost(),
+            "prop {prop} vs {}",
+            two.total_cost()
+        );
+        let tier = spotcache_cloud::catalog::find_type("m3.medium").unwrap();
+        let want = tier.od_price * two.slots.len() as f64;
+        let od = two.ledger.total(CostCategory::OnDemand);
+        assert!((od - want).abs() < 1e-9 * want, "${od} vs ${want}");
+        assert!(two.slots.iter().all(|s| s.od_count == 1));
+    }
+
+    /// A replicated slot never plans a fleet that cannot serve a read:
+    /// with no priced spot market, or no replica asked for, the run fails
+    /// as infeasible.
+    #[test]
+    fn a_replicated_slot_without_a_replica_is_infeasible() {
+        for (k, markets) in [(2, Vec::new()), (0, paper_traces(10))] {
+            let mut cfg = SimConfig::paper_default(Approach::Replicated(k), 1_000.0, 1.0, 0.99);
+            cfg.days = 10;
+            let r = simulate(&cfg, &markets);
+            assert_eq!(r.err(), Some(SolveError::Infeasible), "k={k}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "hot-cold fleets only")]
+    fn a_replicated_fleet_takes_no_reactive_element() {
+        let mut cfg = SimConfig::paper_default(Approach::Replicated(2), 1_000.0, 1.0, 0.99);
+        cfg.reactive = true;
+        HourlySim::new(cfg, paper_traces(7));
+    }
+
+    /// A replicated fleet's shortfall over one hour: served in full while
+    /// one replica is live, by the headroom's share when the survivor is
+    /// short, and not at all once every replica is gone.
+    #[test]
+    fn replica_shortfall_integrates_over_the_losses() {
+        let (t, rate) = (10 * HOUR, 1_200.0);
+        // No loss, capacity to spare: nothing affected.
+        assert_eq!(replica_shortfall_hours(t, rate, &[(None, 1_000.0)]), 0.0);
+        // Both lost, the second at half past: the last half hour is dark.
+        let both = [(Some(t + 600), 1_000.0), (Some(t + 1_800), 1_000.0)];
+        assert_eq!(replica_shortfall_hours(t, rate, &both), 0.5);
+        // The survivor serves 1.2 × 500 = 600 of 1 200 after a loss at
+        // the quarter: half the traffic of three quarters of the hour.
+        let short = [(Some(t + 900), 1_000.0), (None, 500.0)];
+        assert_eq!(replica_shortfall_hours(t, rate, &short), 0.375);
     }
 
     #[test]

@@ -25,5 +25,5 @@ pub mod problem;
 pub mod queueing;
 pub mod simplex;
 
-pub use plan::AllocationPlan;
+pub use plan::{AllocationPlan, PlanEntry};
 pub use problem::{OfferKind, SolveError, WorkloadForecast};

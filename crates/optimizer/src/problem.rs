@@ -532,6 +532,16 @@ impl ProcurementProblem {
         c
     }
 
+    /// A plan of `entries` chosen without the LP: priced at its resource
+    /// cost over this problem's slot, with no relaxation behind it.
+    pub fn priced(&self, entries: Vec<PlanEntry>) -> AllocationPlan {
+        let plan = AllocationPlan::new(entries, 0.0, self.cost.slot_hours);
+        AllocationPlan {
+            cost: plan.resource_cost(),
+            ..plan
+        }
+    }
+
     /// Solves the procurement problem; the plan's entries take its offers.
     pub fn solve(self) -> Result<AllocationPlan, SolveError> {
         self.validate()?;

@@ -10,14 +10,14 @@
 //! * `p̄^s(b)` — the average spot price over such a period (an estimate of
 //!   what the instance will actually cost).
 //!
-//! The paper's predictor ([`lifetime::LifetimeModel`], [`price::AvgPriceModel`],
-//! combined in [`TemporalPredictor`]) builds the empirical distribution of
-//! these per-run quantities over a sliding history window and predicts a
-//! conservative low percentile of lifetime and the mean per-run price. The
-//! commonly used baseline ([`cdf::CdfPredictor`]) instead uses the plain CDF
-//! of historical prices — which discards run-continuity information and is
-//! shown (paper Table 2, Figure 8) to over-estimate lifetimes badly in
-//! spiky markets.
+//! The paper's predictor ([`lifetime::LifetimeModel`] and the `price`
+//! module's `AvgPriceModel`, combined in [`TemporalPredictor`]) builds the
+//! empirical distribution of these per-run quantities over a sliding
+//! history window and predicts a conservative low percentile of lifetime
+//! and the mean per-run price. The commonly used baseline
+//! ([`cdf::CdfPredictor`]) instead uses the plain CDF of historical prices
+//! — which discards run-continuity information and is shown (paper Table
+//! 2, Figure 8) to over-estimate lifetimes badly in spiky markets.
 //!
 //! [`mod@assess`] implements the paper's walk-forward validation producing the
 //! over-estimation rate `f^s(b)` and relative price deviation `ξ^s(b)` of
@@ -35,7 +35,7 @@ pub mod runs;
 pub use arima::Ar2;
 pub use cdf::CdfPredictor;
 pub(crate) use lifetime::LifetimeModel;
-pub use price::AvgPriceModel;
+use price::AvgPriceModel;
 pub use runs::below_bid_runs;
 
 use spotcache_cloud::spot::{Bid, SpotTrace};
@@ -163,7 +163,7 @@ mod tests {
             let apart = p
                 .lifetime
                 .predict(&t, now, bid)
-                .zip(p.price.predict(&t, now, bid))
+                .zip(p.price.predict(&t, now, bid, window))
                 .map(|(l, a)| (l.to_bits(), a.to_bits()));
             let together = p
                 .predict(&t, now, bid)

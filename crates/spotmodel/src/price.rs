@@ -9,24 +9,21 @@
 //! drifts over days, and the next run will look like the latest runs, not
 //! like the window average.
 
-use spotcache_cloud::spot::{Bid, SpotTrace};
-
-use crate::runs::{below_bid_runs, Run};
+use crate::runs::Run;
 
 /// Recency- and length-weighted per-run average-price predictor.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AvgPriceModel {
-    /// Sliding history window, seconds (paper: 7 days).
-    pub(crate) window: u64,
-    /// Exponential recency half-life, seconds (default: window / 4).
-    pub(crate) half_life: u64,
+pub(crate) struct AvgPriceModel {
+    /// Exponential recency half-life, seconds (default: a quarter of the
+    /// history window).
+    half_life: u64,
 }
 
 impl AvgPriceModel {
-    /// Creates a model with the default half-life of a quarter window.
-    pub fn new(window: u64) -> Self {
+    /// Creates a model for a `window`-second history (paper: 7 days), with
+    /// the default half-life of a quarter window.
+    pub(crate) fn new(window: u64) -> Self {
         Self {
-            window,
             half_life: (window / 4).max(1),
         }
     }
@@ -42,12 +39,22 @@ impl AvgPriceModel {
     /// from history in `[now - window, now)`.
     ///
     /// Returns `None` when the window contains no below-bid run.
-    pub fn predict(&self, trace: &SpotTrace, now: u64, bid: Bid) -> Option<f64> {
-        let from = now.saturating_sub(self.window);
-        self.predict_from_runs(&below_bid_runs(trace, from, now, bid), now)
+    #[cfg(test)]
+    pub(crate) fn predict(
+        &self,
+        trace: &spotcache_cloud::spot::SpotTrace,
+        now: u64,
+        bid: spotcache_cloud::spot::Bid,
+        window: u64,
+    ) -> Option<f64> {
+        let from = now.saturating_sub(window);
+        let runs = crate::runs::below_bid_runs(trace, from, now, bid);
+        self.predict_from_runs(&runs, now)
     }
 
-    /// [`Self::predict`] over the window's already-extracted `runs`.
+    /// Predicts the average hourly price a bid placed at `now` will pay,
+    /// from the below-bid `runs` of its history window; `None` when the
+    /// window holds none.
     pub(crate) fn predict_from_runs(&self, runs: &[Run], now: u64) -> Option<f64> {
         if runs.is_empty() {
             return None;
@@ -66,7 +73,7 @@ impl AvgPriceModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spotcache_cloud::spot::MarketId;
+    use spotcache_cloud::spot::{Bid, MarketId, SpotTrace};
 
     fn trace(prices: Vec<f64>) -> SpotTrace {
         SpotTrace::new(MarketId::new("m4.large", "us-east-1c"), 0.12, prices)
@@ -76,7 +83,7 @@ mod tests {
     fn single_run_predicts_its_average() {
         let t = trace(vec![0.02, 0.04, 0.9]);
         let m = AvgPriceModel::new(t.duration());
-        let pred = m.predict(&t, t.end(), Bid(0.2)).unwrap();
+        let pred = m.predict(&t, t.end(), Bid(0.2), t.duration()).unwrap();
         assert!((pred - 0.03).abs() < 1e-12, "{pred}");
     }
 
@@ -86,7 +93,7 @@ mod tests {
         // 0.10), adjacent in time: length-weighting pulls toward 0.02.
         let t = trace(vec![0.02, 0.02, 0.02, 0.02, 0.9, 0.10, 0.9]);
         let m = AvgPriceModel::new(t.duration()).with_half_life(u64::MAX / 4);
-        let pred = m.predict(&t, t.end(), Bid(0.2)).unwrap();
+        let pred = m.predict(&t, t.end(), Bid(0.2), t.duration()).unwrap();
         assert!((pred - 0.036).abs() < 1e-9, "{pred}");
     }
 
@@ -103,7 +110,7 @@ mod tests {
         }
         let t = trace(prices);
         let m = AvgPriceModel::new(t.duration());
-        let pred = m.predict(&t, t.end(), Bid(0.2)).unwrap();
+        let pred = m.predict(&t, t.end(), Bid(0.2), t.duration()).unwrap();
         assert!(pred < 0.04, "{pred}");
     }
 
@@ -111,7 +118,7 @@ mod tests {
     fn no_runs_yields_none() {
         let t = trace(vec![0.9; 10]);
         assert!(AvgPriceModel::new(t.duration())
-            .predict(&t, t.end(), Bid(0.2))
+            .predict(&t, t.end(), Bid(0.2), t.duration())
             .is_none());
     }
 
@@ -121,7 +128,7 @@ mod tests {
         // is too.
         let t = trace(vec![0.05, 0.19, 0.9, 0.12, 0.03, 0.9, 0.2]);
         let m = AvgPriceModel::new(t.duration());
-        let pred = m.predict(&t, t.end(), Bid(0.2)).unwrap();
+        let pred = m.predict(&t, t.end(), Bid(0.2), t.duration()).unwrap();
         assert!(pred <= 0.2 + 1e-12);
     }
 
@@ -132,7 +139,7 @@ mod tests {
         prices.extend(vec![0.02; 20]);
         let t = trace(prices);
         let m = AvgPriceModel::new(20 * 300);
-        let pred = m.predict(&t, t.end(), Bid(0.3)).unwrap();
+        let pred = m.predict(&t, t.end(), Bid(0.3), 20 * 300).unwrap();
         assert!((pred - 0.02).abs() < 1e-12, "{pred}");
     }
 }

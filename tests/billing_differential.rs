@@ -94,11 +94,11 @@ impl Substrate for Provisioned {
 
 /// The simulator bills what a provider leasing the same plans bills:
 /// over 90 days of the paper's traces at `plan_90d`'s workload, for
-/// every approach, each cost category of the two ledgers agrees to
-/// summation order.
+/// every approach and two-replica replication, each cost category of the
+/// two ledgers agrees to summation order.
 #[test]
 fn the_simulator_bills_what_the_provider_bills() {
-    for approach in Approach::ALL {
+    for approach in Approach::ALL.into_iter().chain([Approach::Replicated(2)]) {
         let mut cfg = SimConfig::paper_default(approach, 500_000.0, 100.0, 0.99);
         cfg.days = 90;
         let markets = paper_traces(90);
