@@ -33,6 +33,7 @@ use spotcache_cache::server::CacheClient;
 use spotcache_cache::store::{Store, StoreConfig};
 use spotcache_cloud::catalog::find_type;
 use spotcache_cloud::tracegen::paper_traces;
+use spotcache_core::controller::USABLE_RAM_FRACTION;
 use spotcache_core::simulation::{HourlySim, SimConfig};
 use spotcache_core::{Approach, ControlLoop, GlobalController};
 use spotcache_obs::export::{json_snapshot, validate_json, validate_prometheus_text};
@@ -144,7 +145,7 @@ fn main() {
     );
     let small = find_type("t2.small").expect("t2.small in catalog");
     let mut rcfg2 = RecoveryConfig::figure11(BackupChoice::Instance(small));
-    rcfg2.lost_hot_gb = small.ram_gb * 0.85;
+    rcfg2.lost_hot_gb = small.ram_gb * USABLE_RAM_FRACTION;
     rcfg2.backup_credits_fraction = 0.01;
     let tl2 = simulate_recovery(&rcfg2, Some(&obs), Some(&tracer));
     println!(

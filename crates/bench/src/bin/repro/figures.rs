@@ -9,7 +9,7 @@ use spotcache_cloud::burstable::{BurstableCpu, BurstableNet, BurstableState};
 use spotcache_cloud::catalog::find_type;
 use spotcache_cloud::spot::Bid;
 use spotcache_cloud::{SpotTrace, DAY};
-use spotcache_core::controller::ControllerConfig;
+use spotcache_core::controller::{ControllerConfig, USABLE_RAM_FRACTION};
 use spotcache_core::prototype::{run_prototype, PrototypeConfig, PrototypeResult};
 use spotcache_core::simulation::{SimConfig, SimResult};
 use spotcache_core::Approach;
@@ -717,7 +717,7 @@ fn figure11b() {
             cfg.theta = theta;
             // Dataset sized to the backup's RAM (paper: "closest to their
             // RAM capacities").
-            cfg.lost_hot_gb = itype.ram_gb * 0.85;
+            cfg.lost_hot_gb = itype.ram_gb * USABLE_RAM_FRACTION;
             cfg.horizon_secs = 3_600;
             let tl = simulate_recovery(&cfg, None, None);
             // Credits needed to burst for the whole warm-up, and the idle

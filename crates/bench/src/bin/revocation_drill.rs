@@ -24,7 +24,7 @@
 //!    must never panic, and the drill claims it surfaces every fault as
 //!    `repl_*` counters and drill spans and converges once healed;
 //! 4. compares the measured no-warning Replay recovery against the Fig. 4
-//!    [`WarmupModel`] prediction.
+//!    prediction: `sim::recovery`'s [`Warmup`] stepped at the pump's rate.
 //!
 //! Results land in `BENCH_drill.json` (schema `spotcache-drill-v3`,
 //! checked in; see docs/RUNBOOK.md for the field guide). Flags: `--smoke`
@@ -63,7 +63,7 @@ use spotcache_obs::{DecaySeries, Obs, TraceConfig, TraceContext, Tracer, DEFAULT
 use spotcache_recovery::checkpoint::{restore_checkpoint, write_checkpoint, CheckpointConfig};
 use spotcache_recovery::replay::{pump_hot_set, WarmupConfig};
 use spotcache_recovery::strategy::{RecoveryStrategy, TopUpConfig};
-use spotcache_sim::recovery::WarmupModel;
+use spotcache_sim::recovery::{BackupChoice, Warmup};
 
 /// Trace id of the designated stitched drill (the warned Hybrid run):
 /// the driver installs this as the root [`TraceContext`], and every
@@ -427,16 +427,26 @@ fn run_link_faults(obs: &Arc<Obs>, tracer: &Arc<Tracer>) -> Vec<LinkFaultOutcome
 }
 
 /// Fig. 4 model prediction: seconds until warm mass reaches the recovery
-/// threshold, with the pump copying hottest-first and misses refilling
-/// organically — the same two processes the live Replay drill runs.
+/// threshold, with the pump copying hottest-first at its paced rate and
+/// misses refilling organically — the same two processes the live Replay
+/// drill runs. The drill refills a miss at once, with no back-end to
+/// queue behind, so nothing throttles the model's refill either.
 fn model_recovery_secs(f: &FleetConfig) -> f64 {
-    let mut model = WarmupModel::new(f.key_space as f64, 1.0, THETA, 64);
+    let mut model = Warmup::new(
+        (f.key_space as f64, 1.0),
+        (0.0, 0.0),
+        THETA,
+        64,
+        None,
+        &BackupChoice::None,
+        false,
+        0,
+    );
     let read_rate = f.ops_per_window as f64 / f.window.as_secs_f64();
     let dt = 0.01;
     let mut t = 0.0;
     while model.warmed_mass() < RECOVERY_FRACTION && t < 120.0 {
-        model.copy_step(f.pump.base_rate * dt);
-        model.organic_step(read_rate, dt);
+        model.step(f.pump.base_rate * dt, read_rate, f64::INFINITY, dt);
         t += dt;
     }
     t

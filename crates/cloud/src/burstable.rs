@@ -149,24 +149,21 @@ impl BucketObserver {
         }
     }
 
-    /// Records a consume outcome; counts a throttle when the achieved
-    /// rate fell short of the (peak-clamped) demand.
-    pub fn sample_consume(&self, bucket: &TokenBucket, demand: f64, achieved: f64) {
+    /// Records a consume outcome; counts a throttle, and returns `true`,
+    /// when the achieved rate fell short of the (peak-clamped) demand.
+    pub fn sample_consume(&self, bucket: &TokenBucket, demand: f64, achieved: f64) -> bool {
         self.level.set(bucket.level);
         self.achieved.set(achieved);
-        if self.throttled(bucket, demand, achieved) {
+        let throttled = achieved + 1e-12 < demand.max(0.0).min(bucket.peak_rate);
+        if throttled {
             self.throttles.inc();
         }
+        throttled
     }
 
     /// Records the current token level.
     pub fn sample_level(&self, bucket: &TokenBucket) {
         self.level.set(bucket.level);
-    }
-
-    /// Whether `achieved` falls short of the peak-clamped `demand`.
-    pub fn throttled(&self, bucket: &TokenBucket, demand: f64, achieved: f64) -> bool {
-        achieved + 1e-12 < demand.max(0.0).min(bucket.peak_rate)
     }
 }
 
@@ -405,14 +402,14 @@ mod tests {
         let mut b = TokenBucket::new(10.0, 10.0, 0.1, 0.1, 1.0);
         // Plenty of tokens: no throttle.
         let a = b.consume(1.0, 1.0);
-        observer.sample_consume(&b, 1.0, a);
+        assert!(!observer.sample_consume(&b, 1.0, a));
         assert_eq!(a, 1.0);
         assert_eq!(obs.counter("bucket_cpu_throttles_total").get(), 0);
         assert_eq!(obs.gauge("bucket_cpu_level").get(), b.level);
         assert_eq!(obs.gauge("bucket_cpu_achieved_rate").get(), 1.0);
         // Drain past exhaustion: throttled.
         let a = b.consume(1.0, 1_000.0);
-        observer.sample_consume(&b, 1.0, a);
+        assert!(observer.sample_consume(&b, 1.0, a));
         assert_eq!(obs.counter("bucket_cpu_throttles_total").get(), 1);
         assert_eq!(obs.gauge("bucket_cpu_level").get(), 0.0);
         assert_eq!(obs.gauge("bucket_cpu_achieved_rate").get(), a);

@@ -30,7 +30,7 @@ const BID_MULTIPLES: [f64; 2] = [1.0, 5.0];
 
 /// Fraction of a node's RAM usable for cached items, on cache and backup
 /// nodes alike.
-pub(crate) const USABLE_RAM_FRACTION: f64 = 0.85;
+pub const USABLE_RAM_FRACTION: f64 = 0.85;
 
 /// Instance type of the replicated approach's on-demand write tier (the
 /// related work's "small number of on-demand instances" for updates).

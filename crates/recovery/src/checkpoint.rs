@@ -33,8 +33,7 @@
 //! * `slab_class` is the index in [`SlabClasses::default_ladder`] that
 //!   the item (key + value + [`ITEM_OVERHEAD`]) lands in, or
 //!   `NO_SLAB_CLASS` for oversized items; it is advisory sizing
-//!   metadata (per-class histograms in the reports), not required for
-//!   decoding.
+//!   metadata the restorer skips, not required for decoding.
 //! * `ttl` is the TTL *remaining at snapshot time*, or `NO_TTL` for
 //!   items with no expiry. On restore, TTLs are re-based against the
 //!   restorer's `now`, so a checkpoint is position-independent in time.
@@ -416,9 +415,6 @@ pub struct CkptWriteReport {
     pub items: u64,
     /// Total stream size, bytes (header + frames + trailer).
     pub bytes: u64,
-    /// Records per slab class (index = class in the default ladder;
-    /// the final slot counts oversized / classless items).
-    pub(crate) per_class: Vec<u64>,
     /// Wall-clock duration of the write.
     pub elapsed: Duration,
 }
@@ -436,8 +432,6 @@ pub struct CkptRestoreReport {
     pub items_stored: u64,
     /// Stream bytes consumed.
     pub bytes: u64,
-    /// Records per slab class, as declared in the stream.
-    pub(crate) per_class: Vec<u64>,
     /// Wall-clock duration of the restore.
     pub elapsed: Duration,
 }
@@ -539,12 +533,6 @@ impl FrameHead {
     }
 }
 
-/// Slot of `class` in a `per_class` histogram of `slots` entries (the
-/// last one counts classless items).
-fn class_slot(class: u16, slots: usize) -> usize {
-    (class as usize).min(slots - 1)
-}
-
 /// The cut side: encodes one frame at a time, from slices of shards'
 /// recency orders, into a reused payload buffer and keeps the running
 /// [`CkptWriteReport`]. The report counts the bytes of the stream the
@@ -569,7 +557,6 @@ impl<'a> Cutter<'a> {
         obs: Option<&Obs>,
         tracer: Option<&'a Tracer>,
     ) -> Self {
-        let classes = SlabClasses::default_ladder();
         let mut cutter = Self {
             store,
             now,
@@ -581,10 +568,9 @@ impl<'a> Cutter<'a> {
                 shards: store.shard_count() as u32,
                 items: 0,
                 bytes: 0,
-                per_class: vec![0; classes.count() + 1],
                 elapsed: Duration::ZERO,
             },
-            classes,
+            classes: SlabClasses::default_ladder(),
         };
         cutter.account(HEADER_LEN as u64);
         cutter
@@ -605,8 +591,7 @@ impl<'a> Cutter<'a> {
         slices: impl IntoIterator<Item = (usize, &'o [u32])>,
     ) -> ([u8; FRAME_HEAD_LEN], u32) {
         let _span = self.tracer.map(|t| t.span("checkpoint", "write_shard"));
-        let (classes, per_class) = (&self.classes, &mut self.report.per_class);
-        let slots = per_class.len();
+        let classes = &self.classes;
         let payload = &mut self.payload;
         payload.clear();
         let mut records = 0u64;
@@ -617,7 +602,6 @@ impl<'a> Cutter<'a> {
                     let class = classes
                         .class_for(key.len() + value.len() + ITEM_OVERHEAD)
                         .map_or(NO_SLAB_CLASS, |c| c as u16);
-                    per_class[class_slot(class, slots)] += 1;
                     payload.extend_from_slice(&(key.len() as u32).to_le_bytes());
                     payload.extend_from_slice(&(value.len() as u32).to_le_bytes());
                     payload.extend_from_slice(&class.to_le_bytes());
@@ -734,7 +718,6 @@ impl<'a> Loader<'a> {
                 items_decoded: 0,
                 items_stored: 0,
                 bytes: 0,
-                per_class: vec![0; SlabClasses::default_ladder().count() + 1],
                 elapsed: Duration::ZERO,
             },
         };
@@ -773,20 +756,17 @@ impl<'a> Loader<'a> {
             });
         }
 
-        let slots = self.report.per_class.len();
         let mut off = 0usize;
         for _ in 0..head.records {
             if payload.len() - off < RECORD_HEAD_LEN {
                 return Err(CkptError::BadFrame("record header overruns payload"));
             }
             let body = u64::from(u32_at(payload, off)) + u64::from(u32_at(payload, off + 4));
-            let class = u16::from_le_bytes([payload[off + 8], payload[off + 9]]);
             off += RECORD_HEAD_LEN;
             if ((payload.len() - off) as u64) < body {
                 return Err(CkptError::BadFrame("record body overruns payload"));
             }
             off += body as usize;
-            self.report.per_class[class_slot(class, slots)] += 1;
         }
         if off != payload.len() {
             return Err(CkptError::BadFrame("trailing bytes after last record"));
@@ -947,7 +927,6 @@ mod tests {
         let (buf, wrote) = cut(&src, 0);
         assert_eq!(wrote.items, 300);
         assert_eq!(wrote.bytes, buf.len() as u64);
-        assert_eq!(wrote.per_class.iter().sum::<u64>(), 300);
 
         let dst = store(8); // shard count need not match
         let restored = restore_checkpoint(

@@ -12,13 +12,14 @@
 //! the pump starts *before* the kill and the replacement is nearly warm
 //! at cutover; without it, warming starts cold at revocation and the
 //! miss window is the full copy time. The `revocation_drill` bench bin
-//! measures both against `spotcache_sim::recovery::WarmupModel`, and
-//! measures this pump against the [`checkpoint`](crate::checkpoint)
-//! tier's bulk restore.
+//! measures both against the Fig. 4 model (`spotcache_sim::recovery::Warmup`
+//! stepped at this pump's rate), and measures this pump against the
+//! [`checkpoint`](crate::checkpoint) tier's bulk restore.
 //!
-//! Rate derivation: `sim::recovery::COPY_ITEMS_PER_VCPU` (1 300 items/s
-//! per vCPU) bounds the CPU side; a t2-class backup sustains its baseline
-//! fraction of a core indefinitely and a full core while credits last, so
+//! Rate derivation: 1 300 items/s per vCPU, the per-vCPU rate of
+//! `sim::recovery`'s backup pump, bounds the CPU side; a t2-class backup
+//! sustains its baseline fraction of a core indefinitely and a full core
+//! while credits last, so
 //! the pump's defaults are `peak = 1 300`, `base = baseline × peak`, with
 //! enough initial credits for a one-minute burst. Network framing is
 //! identical to live replication ([`spotcache_cache::replication`]): acked memcached
@@ -40,8 +41,8 @@ pub struct WarmupConfig {
     pub max_items: usize,
     /// Sustained pump rate, items/second (the burstable baseline).
     pub base_rate: f64,
-    /// Burst pump rate, items/second (full-core copy speed,
-    /// `COPY_ITEMS_PER_VCPU` per vCPU).
+    /// Burst pump rate, items/second (full-core copy speed, 1 300 per
+    /// vCPU as in `sim::recovery`'s backup pump).
     pub peak_rate: f64,
     /// Initial credit, in items, available for bursting above baseline.
     pub initial_credits: f64,

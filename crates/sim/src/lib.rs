@@ -4,8 +4,10 @@
 //!
 //! * [`metrics`] — latency histograms and per-day violation accounting,
 //! * `cluster` — request-level latency sampling over loaded nodes, and
-//! * [`recovery`] — spot-revocation recovery timelines (paper Figure 4),
-//!   including burstable-backup token dynamics (Figure 11).
+//! * [`recovery`] — the one warm-up model of a revoked node
+//!   ([`Warmup`]: backup pump through the burstable token buckets,
+//!   back-end-throttled organic refill) and the recovery timelines
+//!   (paper Figures 4 and 11) that step it.
 
 mod cluster;
 pub mod metrics;
@@ -14,6 +16,5 @@ pub mod recovery;
 pub use cluster::{sample_cluster_latency, NodeLoad};
 pub use metrics::{ControlMetrics, LatencyHistogram, SlotRecord, ViolationTracker};
 pub use recovery::{
-    simulate_recovery, BackupChoice, RecoveryConfig, WarmupModel, COPY_ITEMS_PER_VCPU,
-    DEFAULT_BACKEND_CAPACITY_OPS,
+    simulate_recovery, BackupChoice, RecoveryConfig, Warmup, DEFAULT_BACKEND_CAPACITY_OPS,
 };

@@ -9,16 +9,19 @@
 //! * **copy**: `B` pumps the lost hot items into `R`, hottest-first. The
 //!   pump rate is the minimum of a per-vCPU item rate (the copy is a small
 //!   get/set loop) and the network bandwidth — for burstable backups both
-//!   are read from the instance's token buckets each second, so a backup
+//!   are read from the instance's token buckets each step, so a backup
 //!   with depleted credits degrades mid-recovery exactly as on EC2.
 //! * **organic fill**: any missed request installs its key into `R`
 //!   write-through, so popular keys also warm at the rate they are asked
 //!   for (this is the *only* warm-up path for `Prop_NoBackup` and for cold
-//!   content).
+//!   content). Misses beyond the back-end's capacity queue rather than
+//!   install.
 //!
-//! The simulation tracks the warmed access mass over popularity-binned
-//! content and reports per-second average and p95 latency over the whole
-//! workload.
+//! [`Warmup`] is that process, one lost node at a time, over
+//! popularity-binned content: the minute prototype (Figures 9 and 10) and
+//! the revocation drill's prediction step it, and [`simulate_recovery`]
+//! steps it once a second and reports average and p95 latency over the
+//! whole workload.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -34,7 +37,11 @@ use crate::metrics::LatencyHistogram;
 
 /// Items per second one vCPU can pump in the warm-up copy loop (profiled:
 /// a pipelined get-from-B/set-to-R loop over 4 KB items).
-pub const COPY_ITEMS_PER_VCPU: f64 = 1_300.0;
+const COPY_ITEMS_PER_VCPU: f64 = 1_300.0;
+
+/// The latency profile recovery samples against; its `item_bytes` is the
+/// size of each item the pump ships.
+const PROFILE: LatencyProfile = LatencyProfile::paper_default();
 
 /// Back-end throughput, ops/sec. The paper provisions its back-end
 /// for worst-case *normal* miss traffic; a revocation's miss flood (most of
@@ -155,11 +162,8 @@ impl RecoveryTimeline {
 }
 
 /// Popularity-binned warm-up tracker over a set of lost items.
-///
-/// Public so higher layers (the prototype emulator) can model organic
-/// cache refill and hottest-first copy without re-deriving the math.
-#[derive(Debug, Clone)]
-pub struct WarmupModel {
+#[derive(Debug, Clone, Default)]
+struct WarmupModel {
     /// Per-bin access mass relative to the whole workload.
     mass: Vec<f64>,
     /// Per-bin item counts.
@@ -173,14 +177,9 @@ pub struct WarmupModel {
 impl WarmupModel {
     /// Builds `n_bins` geometric popularity bins over `total_items` items
     /// carrying `total_mass` of the workload's accesses, skewed by `theta`.
-    pub fn new(total_items: f64, total_mass: f64, theta: f64, n_bins: usize) -> Self {
+    fn new(total_items: f64, total_mass: f64, theta: f64, n_bins: usize) -> Self {
         if total_items < 1.0 || total_mass <= 0.0 {
-            return Self {
-                mass: vec![],
-                items: vec![],
-                organic: vec![],
-                copied_items: 0.0,
-            };
+            return Self::default();
         }
         let model = PopularityModel::new(total_items.ceil() as u64, theta);
         let mut mass = Vec::with_capacity(n_bins);
@@ -205,13 +204,13 @@ impl WarmupModel {
     }
 
     /// Total access mass this model covers.
-    pub fn total_mass(&self) -> f64 {
+    fn total_mass(&self) -> f64 {
         self.mass.iter().sum()
     }
 
     /// Advances organic fill: items in bin `b` warm at per-item request
     /// rate `total_rate · mass_b / items_b`.
-    pub fn organic_step(&mut self, total_rate: f64, dt: f64) {
+    fn organic_step(&mut self, total_rate: f64, dt: f64) {
         for b in 0..self.mass.len() {
             if self.items[b] < 1e-9 {
                 self.organic[b] = 1.0;
@@ -222,15 +221,10 @@ impl WarmupModel {
         }
     }
 
-    /// Advances the hottest-first copy by `items` items.
-    pub fn copy_step(&mut self, items: f64) {
-        self.copied_items += items;
-    }
-
     /// Warm access mass: fully-copied bins count whole; the bin the copy
     /// frontier is inside counts proportionally; everything else counts its
     /// organic fraction.
-    pub fn warmed_mass(&self) -> f64 {
+    fn warmed_mass(&self) -> f64 {
         let mut warm = 0.0;
         let mut frontier = self.copied_items;
         for b in 0..self.mass.len() {
@@ -247,14 +241,181 @@ impl WarmupModel {
     }
 
     /// Whether every item has been copied.
-    pub fn fully_copied(&self) -> bool {
+    fn fully_copied(&self) -> bool {
         self.copied_items >= self.items.iter().sum::<f64>() - 1e-6
+    }
+}
+
+/// One lost node's warm-up (Figure 4): the lost hot and cold content, the
+/// countdown until the replacement `R` is usable, and the backup's pump,
+/// which copies `COPY_ITEMS_PER_VCPU` items per second per vCPU the backup
+/// achieves (through its token buckets if it is burstable), capped by what
+/// its achieved bandwidth carries.
+#[derive(Debug, Clone)]
+pub struct Warmup {
+    hot: WarmupModel,
+    cold: WarmupModel,
+    /// Access mass the unwarmed share is measured against, hot and cold.
+    lost: [f64; 2],
+    /// Seconds until `R` is usable; nothing copies into or refills it
+    /// before.
+    not_ready_secs: f64,
+    /// Whether the backup serves the lost hot reads (Figure 4 events
+    /// 4–7), whose refills then bypass the back-end.
+    backup_serves: bool,
+    /// The backup's type, and its token buckets if it is burstable.
+    backup: Option<InstanceType>,
+    burst: Option<BurstableState>,
+    /// Average vCPUs and Mbps the backup achieved in its last pump step.
+    achieved: [f64; 2],
+}
+
+impl Warmup {
+    /// The warm-up of the lost `hot` and `cold` content, each `(items,
+    /// access mass)`, skewed by `theta` over `bins` popularity bins, with
+    /// its unwarmed share measured against `lost`, hot and cold (`None`:
+    /// the bins' own sums). `backup` pumps with fully banked buckets into
+    /// an `R` usable after `ready_after` seconds, and serves the lost hot
+    /// reads meanwhile if `backup_serves`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        hot: (f64, f64),
+        cold: (f64, f64),
+        theta: f64,
+        bins: usize,
+        lost: Option<[f64; 2]>,
+        backup: &BackupChoice,
+        backup_serves: bool,
+        ready_after: u64,
+    ) -> Self {
+        let hot = WarmupModel::new(hot.0, hot.1, theta, bins);
+        let cold = WarmupModel::new(cold.0, cold.1, theta, bins);
+        let backup = match backup {
+            BackupChoice::None => None,
+            BackupChoice::Instance(t) => Some(*t),
+        };
+        Self {
+            lost: lost.unwrap_or([hot.total_mass(), cold.total_mass()]),
+            hot,
+            cold,
+            not_ready_secs: ready_after as f64,
+            backup_serves: backup_serves && backup.is_some(),
+            burst: backup.as_ref().and_then(BurstableState::for_type),
+            backup,
+            achieved: [0.0; 2],
+        }
+    }
+
+    /// A warned loss: the backup pumps through the `secs` of warning.
+    pub fn precopy(&mut self, secs: f64) {
+        self.hot.copied_items += self.pump(secs);
+    }
+
+    /// Advances `dt` seconds at `read_rate` reads per second against a
+    /// back-end of `backend_ops` ops/sec, and returns the lost access mass
+    /// still unwarmed, all of it while `R` is not usable (then nothing
+    /// copies or refills). The step copies `copied` items hottest-first
+    /// (what [`Warmup::pump_step`] pumped, or a caller's own rate); then
+    /// `R` refills organically at the rate the back-end lets through:
+    /// misses beyond it queue rather than install.
+    pub fn step(&mut self, copied: f64, read_rate: f64, backend_ops: f64, dt: f64) -> f64 {
+        if self.not_ready_secs > 0.0 {
+            self.not_ready_secs -= dt;
+            return self.lost[0] + self.lost[1];
+        }
+        self.hot.copied_items += copied;
+        let (hot_unwarm, cold_unwarm) = self.unwarmed();
+        let backend_mass = if self.backup_serves {
+            cold_unwarm
+        } else {
+            hot_unwarm + cold_unwarm
+        };
+        let demand = backend_mass * read_rate;
+        let throttle = if demand > backend_ops {
+            backend_ops / demand
+        } else {
+            1.0
+        };
+        // Backup-served hot reads install into R without touching the
+        // back-end, so they fill at full rate.
+        let hot_throttle = if self.backup_serves { 1.0 } else { throttle };
+        self.hot.organic_step(read_rate * hot_throttle, dt);
+        self.cold.organic_step(read_rate * throttle, dt);
+        let (hot, cold) = self.unwarmed();
+        hot + cold
+    }
+
+    /// Warm access mass, hot plus cold.
+    pub fn warmed_mass(&self) -> f64 {
+        self.hot.warmed_mass() + self.cold.warmed_mass()
+    }
+
+    /// Lost access mass not yet warm, hot and cold.
+    fn unwarmed(&self) -> (f64, f64) {
+        (
+            (self.lost[0] - self.hot.warmed_mass()).max(0.0),
+            (self.lost[1] - self.cold.warmed_mass()).max(0.0),
+        )
+    }
+
+    /// Pumps for `dt` seconds while `R` is usable and hot items remain,
+    /// returning the items pumped; idles (`None`), banking tokens,
+    /// otherwise.
+    pub fn pump_step(&mut self, dt: f64) -> Option<f64> {
+        if self.not_ready_secs <= 0.0 && !self.hot.fully_copied() {
+            return Some(self.pump(dt));
+        }
+        if let Some(b) = self.burst.as_mut() {
+            b.idle(dt);
+        }
+        None
+    }
+
+    /// Items the backup pumps over `dt` seconds.
+    fn pump(&mut self, dt: f64) -> f64 {
+        let Some(t) = self.backup else { return 0.0 };
+        self.achieved = match self.burst.as_mut() {
+            Some(b) => [b.cpu.run(t.vcpus, dt), b.net.transmit(t.net_mbps, dt)],
+            None => [t.vcpus, t.net_mbps],
+        };
+        let [vcpus, net_mbps] = self.achieved;
+        (vcpus * COPY_ITEMS_PER_VCPU).min(net_mbps * 1e6 / 8.0 / PROFILE.item_bytes) * dt
+    }
+
+    /// Spends all but `fraction` of both buckets' banked tokens at peak
+    /// (a backup that recently absorbed another failure).
+    fn keep_credits(&mut self, fraction: f64) {
+        let (Some(b), Some(s)) = (self.burst.as_mut(), self.backup.and_then(|t| t.burst)) else {
+            return;
+        };
+        let spent = 1.0 - fraction.clamp(0.0, 1.0);
+        let cpu_secs = b.cpu.bucket().level * spent / (s.peak_vcpus - s.base_vcpus).max(1e-9);
+        b.cpu.run(s.peak_vcpus, cpu_secs);
+        let net_secs = b.net.bucket().level * spent / (s.peak_net_mbps - s.base_net_mbps).max(1e-9);
+        b.net.transmit(s.peak_net_mbps, net_secs);
+    }
+
+    /// Reads per second the backup serves at what its buckets allow now.
+    fn serve_capacity(&self) -> f64 {
+        match (&self.backup, &self.burst) {
+            (Some(_), Some(b)) => {
+                let vcpus = b.cpu.bucket().current_rate();
+                let net = b.net.bucket().current_rate();
+                let cpu_ops = vcpus.min(PROFILE.max_effective_cores) * PROFILE.ops_per_vcpu;
+                cpu_ops.min(net * 1e6 / 8.0 / PROFILE.item_bytes)
+            }
+            (Some(t), None) => PROFILE.capacity_ops(t, false),
+            (None, _) => 0.0,
+        }
     }
 }
 
 /// Seconds between `BackupWarmupProgress` journal events in an observed
 /// recovery run.
 const WARMUP_PROGRESS_EVERY_SECS: u64 = 30;
+
+/// The backup's CPU and network buckets, as observed series name them.
+const BUCKETS: [&str; 2] = ["backup_cpu", "backup_net"];
 
 /// Runs the recovery simulation; `obs` and `tracer` instrument it and
 /// never change the timeline. `obs` records per-second
@@ -282,42 +443,22 @@ pub fn simulate_recovery(
             );
         }
     };
-    let observers = obs.map(|o| {
-        (
-            BucketObserver::new(o, "backup_cpu"),
-            BucketObserver::new(o, "backup_net"),
-        )
-    });
-    let profile = LatencyProfile::paper_default();
+    let observers = obs.map(|o| BUCKETS.map(|name| BucketObserver::new(o, name)));
     let mut rng = StdRng::seed_from_u64(SEED);
-    let item_bytes = profile.item_bytes;
-    let hot_items = cfg.lost_hot_gb * (1u64 << 30) as f64 / item_bytes;
-    let cold_items = cfg.lost_cold_gb * (1u64 << 30) as f64 / item_bytes;
-    let mut hot = WarmupModel::new(hot_items, cfg.hot_mass_lost, cfg.theta, 64);
-    let mut cold = WarmupModel::new(cold_items, cfg.cold_mass_lost, cfg.theta, 64);
-
-    let mut burst = match &cfg.backup {
-        BackupChoice::Instance(t) => BurstableState::for_type(t).map(|mut b| {
-            let f = cfg.backup_credits_fraction.clamp(0.0, 1.0);
-            // Scale both buckets' banked tokens.
-            let cpu_deficit = b.cpu.bucket().level * (1.0 - f);
-            b.cpu.run(
-                t.burst.map_or(0.0, |s| s.peak_vcpus),
-                cpu_deficit.max(0.0)
-                    / (t.burst
-                        .map_or(1.0, |s| (s.peak_vcpus - s.base_vcpus).max(1e-9))),
-            );
-            let net_deficit = b.net.bucket().level * (1.0 - f);
-            b.net.transmit(
-                t.burst.map_or(0.0, |s| s.peak_net_mbps),
-                net_deficit.max(0.0)
-                    / (t.burst
-                        .map_or(1.0, |s| (s.peak_net_mbps - s.base_net_mbps).max(1e-9))),
-            );
-            b
-        }),
-        BackupChoice::None => None,
-    };
+    let items = |gb: f64| gb * (1u64 << 30) as f64 / PROFILE.item_bytes;
+    // Unwarmed mass is measured against the configured lost mass, not the
+    // bins' sum, which differs from it by rounding.
+    let mut rec = Warmup::new(
+        (items(cfg.lost_hot_gb), cfg.hot_mass_lost),
+        (items(cfg.lost_cold_gb), cfg.cold_mass_lost),
+        cfg.theta,
+        64,
+        Some([cfg.hot_mass_lost, cfg.cold_mass_lost]),
+        &cfg.backup,
+        cfg.serve_from_backup,
+        cfg.replacement_ready_at,
+    );
+    rec.keep_credits(cfg.backup_credits_fraction);
 
     // Healthy baseline: the unaffected portion of the cluster.
     let healthy_capacity = 100_000.0;
@@ -327,7 +468,7 @@ pub fn simulate_recovery(
     };
     let healthy_avg_us = {
         let mut h = LatencyHistogram::new();
-        sample_cluster_latency(&[healthy_node], 1.0, &profile, &mut rng, 20_000, &mut h);
+        sample_cluster_latency(&[healthy_node], 1.0, &PROFILE, &mut rng, 20_000, &mut h);
         h.mean()
     };
 
@@ -336,153 +477,70 @@ pub fn simulate_recovery(
     let samples_per_step = 1_500usize;
 
     for t in 0..cfg.horizon_secs {
-        let r_ready = t >= cfg.replacement_ready_at;
-
         // Copy pump (only once R is up and a backup exists).
-        let mut pump_items_per_sec = 0.0;
         let phase_start = std::time::Instant::now();
-        if r_ready && !hot.fully_copied() {
-            match &cfg.backup {
-                BackupChoice::None => {}
-                BackupChoice::Instance(itype) => {
-                    let (vcpus, net_mbps) = match burst.as_mut() {
-                        Some(b) => {
-                            let v = b.cpu.run(itype.vcpus, 1.0);
-                            let n = b.net.transmit(itype.net_mbps, 1.0);
-                            if let (Some(o), Some((cpu_ob, net_ob))) = (obs, observers.as_ref()) {
-                                cpu_ob.sample_consume(b.cpu.bucket(), itype.vcpus, v);
-                                net_ob.sample_consume(b.net.bucket(), itype.net_mbps, n);
-                                if cpu_ob.throttled(b.cpu.bucket(), itype.vcpus, v) {
-                                    o.event(
-                                        t,
-                                        EventKind::BucketThrottled {
-                                            bucket: "backup_cpu".into(),
-                                            demand: itype.vcpus,
-                                            achieved: v,
-                                        },
-                                    );
-                                }
-                                if net_ob.throttled(b.net.bucket(), itype.net_mbps, n) {
-                                    o.event(
-                                        t,
-                                        EventKind::BucketThrottled {
-                                            bucket: "backup_net".into(),
-                                            demand: itype.net_mbps,
-                                            achieved: n,
-                                        },
-                                    );
-                                }
-                            }
-                            (v, n)
-                        }
-                        None => (itype.vcpus, itype.net_mbps),
-                    };
-                    let cpu_items = vcpus * COPY_ITEMS_PER_VCPU;
-                    let net_items = net_mbps * 1e6 / 8.0 / item_bytes;
-                    pump_items_per_sec = cpu_items.min(net_items);
-                    hot.copy_step(pump_items_per_sec);
+        let pumped = rec.pump_step(1.0);
+        let (copying, pumped) = (pumped.is_some(), pumped.unwrap_or(0.0));
+        if let (Some(o), Some(obs), Some(b), Some(itype)) =
+            (obs, observers.as_ref(), rec.burst.as_ref(), rec.backup)
+        {
+            let demand = [itype.vcpus, itype.net_mbps];
+            for (i, bucket) in [b.cpu.bucket(), b.net.bucket()].into_iter().enumerate() {
+                let (demand, achieved) = (demand[i], rec.achieved[i]);
+                if !copying {
+                    obs[i].sample_level(bucket);
+                } else if obs[i].sample_consume(bucket, demand, achieved) {
+                    let bucket = BUCKETS[i].into();
+                    o.event(
+                        t,
+                        EventKind::BucketThrottled {
+                            bucket,
+                            demand,
+                            achieved,
+                        },
+                    );
                 }
             }
+        }
+        if copying {
             trace_phase("warmup_pump", t, phase_start);
-        } else if let Some(b) = burst.as_mut() {
-            b.idle(1.0);
-            if let Some((cpu_ob, net_ob)) = observers.as_ref() {
-                cpu_ob.sample_level(b.cpu.bucket());
-                net_ob.sample_level(b.net.bucket());
-            }
+        } else if rec.burst.is_some() {
             trace_phase("token_refill", t, phase_start);
         }
 
-        // Organic fill (needs R to be up to hold the refills) is throttled
-        // by the back-end: misses beyond its capacity queue rather than
-        // install new items.
+        // Copy, then organic fill (needs R to be up to hold the refills).
+        let (r_ready, fill_start) = (rec.not_ready_secs <= 0.0, std::time::Instant::now());
+        rec.step(pumped, TOTAL_RATE, DEFAULT_BACKEND_CAPACITY_OPS, 1.0);
         if r_ready {
-            let backup_serves =
-                cfg.serve_from_backup && matches!(cfg.backup, BackupChoice::Instance(_));
-            let hot_unwarm_now = (cfg.hot_mass_lost - hot.warmed_mass()).max(0.0);
-            let cold_unwarm_now = (cfg.cold_mass_lost - cold.warmed_mass()).max(0.0);
-            let backend_demand_mass = if backup_serves {
-                cold_unwarm_now
-            } else {
-                hot_unwarm_now + cold_unwarm_now
-            };
-            let demand = backend_demand_mass * TOTAL_RATE;
-            let throttle = if demand > DEFAULT_BACKEND_CAPACITY_OPS {
-                DEFAULT_BACKEND_CAPACITY_OPS / demand
-            } else {
-                1.0
-            };
-            // Backup-served hot reads install into R without touching the
-            // back-end, so they fill at full rate.
-            let fill_start = std::time::Instant::now();
-            hot.organic_step(TOTAL_RATE * if backup_serves { 1.0 } else { throttle }, 1.0);
-            cold.organic_step(TOTAL_RATE * throttle, 1.0);
             trace_phase("organic_fill", t, fill_start);
         }
 
-        let hot_warm = hot.warmed_mass();
-        let cold_warm = cold.warmed_mass();
-        let warmed = hot_warm + cold_warm;
-        let lost_total = cfg.hot_mass_lost + cfg.cold_mass_lost;
-
-        // Latency mixture for this step.
-        let mut hist = LatencyHistogram::new();
-        let healthy_mass = (1.0 - lost_total) + warmed;
-        let backup_serves =
-            cfg.serve_from_backup && matches!(cfg.backup, BackupChoice::Instance(_));
-        let cold_miss_mass = (cfg.cold_mass_lost - cold_warm).max(0.0);
-        let hot_unwarm = (cfg.hot_mass_lost - hot_warm).max(0.0);
-        let (backup_mass, backend_mass) = if backup_serves {
+        // Latency mixture for this step: the healthy cluster, the backup
+        // serving at whatever capacity its buckets allow, and misses
+        // queueing on the finitely-provisioned back-end (the lookup miss
+        // penalty plus the back-end's own load-latency curve under the
+        // miss flood).
+        let warmed = rec.warmed_mass();
+        let healthy_mass = (1.0 - (cfg.hot_mass_lost + cfg.cold_mass_lost)) + warmed;
+        let (hot_unwarm, cold_miss_mass) = rec.unwarmed();
+        let (backup_mass, backend_mass) = if rec.backup_serves {
             (hot_unwarm, cold_miss_mass)
         } else {
             (0.0, hot_unwarm + cold_miss_mass)
         };
-
-        let n = |mass: f64| ((mass / 1.0) * samples_per_step as f64) as usize;
-        sample_cluster_latency(
-            &[healthy_node],
-            1.0,
-            &profile,
-            &mut rng,
-            n(healthy_mass),
-            &mut hist,
-        );
+        let mut hist = LatencyHistogram::new();
+        let mut sample = |hit: f64, mass: f64, rate: f64, capacity: f64| {
+            let (node, n) = (NodeLoad { rate, capacity }, mass * samples_per_step as f64);
+            sample_cluster_latency(&[node], hit, &PROFILE, &mut rng, n as usize, &mut hist);
+        };
+        sample(1.0, healthy_mass, healthy_node.rate, healthy_node.capacity);
         if backup_mass > 0.0 {
-            // The backup serves at whatever capacity its buckets allow.
-            let cap = match (&cfg.backup, burst.as_ref()) {
-                (BackupChoice::Instance(t), Some(b)) => {
-                    let vcpus = b.cpu.bucket().current_rate();
-                    let net = b.net.bucket().current_rate();
-                    let cpu_ops = vcpus.min(profile.max_effective_cores) * profile.ops_per_vcpu;
-                    let net_ops = net * 1e6 / 8.0 / item_bytes;
-                    let _ = t;
-                    cpu_ops.min(net_ops)
-                }
-                (BackupChoice::Instance(t), None) => profile.capacity_ops(t, false),
-                _ => 0.0,
-            };
-            let node = NodeLoad {
-                rate: backup_mass * TOTAL_RATE,
-                capacity: cap,
-            };
-            sample_cluster_latency(&[node], 1.0, &profile, &mut rng, n(backup_mass), &mut hist);
+            let capacity = rec.serve_capacity();
+            sample(1.0, backup_mass, backup_mass * TOTAL_RATE, capacity);
         }
         if backend_mass > 0.0 {
-            // Misses queue on the finitely-provisioned back-end: the
-            // lookup miss penalty plus the back-end's own load-latency
-            // curve under the miss flood.
-            let backend_node = NodeLoad {
-                rate: backend_mass * TOTAL_RATE,
-                capacity: DEFAULT_BACKEND_CAPACITY_OPS,
-            };
-            sample_cluster_latency(
-                &[backend_node],
-                0.0,
-                &profile,
-                &mut rng,
-                n(backend_mass),
-                &mut hist,
-            );
+            let capacity = DEFAULT_BACKEND_CAPACITY_OPS;
+            sample(0.0, backend_mass, backend_mass * TOTAL_RATE, capacity);
         }
 
         let avg = hist.mean();
@@ -492,7 +550,7 @@ pub fn simulate_recovery(
         }
         if let Some(o) = obs {
             o.gauge("recovery_warmed_mass").set(warmed);
-            o.gauge("recovery_pump_items_per_s").set(pump_items_per_sec);
+            o.gauge("recovery_pump_items_per_s").set(pumped);
             o.gauge("recovery_avg_us").set(avg);
             o.histogram("recovery_step_avg_us_hist").record(avg);
             // Journal a warm-up progress line periodically and at the
@@ -502,7 +560,7 @@ pub fn simulate_recovery(
                     t,
                     EventKind::BackupWarmupProgress {
                         warmed_mass: warmed,
-                        pump_items_per_sec,
+                        pump_items_per_sec: pumped,
                     },
                 );
             }
@@ -664,7 +722,7 @@ mod tests {
                 if kind == 0 {
                     m.organic_step(amount, 1.0);
                 } else {
-                    m.copy_step(amount);
+                    m.copied_items += amount;
                 }
                 let w = m.warmed_mass();
                 prop_assert!(w + 1e-9 >= prev, "warmed mass regressed: {prev} -> {w}");
@@ -694,6 +752,42 @@ mod tests {
             assert!(s.ts_us < cfg.horizon_secs as f64 * 1e6);
         }
         spotcache_obs::export::validate_json(&tracer.chrome_trace_json()).unwrap();
+    }
+
+    #[test]
+    fn t2_medium_pump_bursts_on_its_credits_then_falls_to_base() {
+        // 60 initial credits = 3 600 vCPU·s, spent at 2 − 0.4 vCPU/s: 2 vCPUs
+        // × 1 300 items for 2 250 s, then the 0.4 vCPU baseline. The
+        // network never binds (its 280 Mbps base carries 8 545 items/s).
+        let t2 = BackupChoice::Instance(find_type("t2.medium").unwrap());
+        let mut warmup = Warmup::new((1e6, 0.9), (0.0, 0.0), 0.99, 64, None, &t2, false, 0);
+        let items: Vec<f64> = (0..2_400).map(|_| warmup.pump(1.0)).collect();
+        assert!(items[..2_249].iter().all(|&i| i == 2_600.0));
+        let burst: f64 = items[..2_250].iter().sum();
+        assert!((burst - 2_600.0 * 2_250.0).abs() < 1e-6, "{burst}");
+        // (The bucket's running level carries ~1e-10 of rounding into the
+        // first second at base.)
+        assert!(items[2_250..].iter().all(|&i| (i - 520.0).abs() < 1e-6));
+    }
+
+    #[test]
+    fn warned_loss_precopies_the_warning_at_the_burst_rate() {
+        let t2 = BackupChoice::Instance(find_type("t2.medium").unwrap());
+        let mut warned = Warmup::new((1e6, 0.9), (0.0, 0.0), 2.0, 48, None, &t2, false, 60);
+        warned.precopy(120.0);
+        assert_eq!(warned.hot.copied_items, 120.0 * 2_600.0);
+        // Until R is usable the whole lost mass misses; the pre-copied
+        // items count from its first usable step.
+        for _ in 0..60 {
+            let copied = warned.pump_step(1.0).unwrap_or(0.0);
+            assert_eq!(warned.step(copied, 40_000.0, 1e4, 1.0), warned.lost[0]);
+        }
+        let copied = warned.pump_step(1.0).unwrap_or(0.0);
+        assert!(warned.step(copied, 40_000.0, 1e4, 1.0) < 0.5 * warned.lost[0]);
+        let none = BackupChoice::None;
+        let mut unbacked = Warmup::new((1e6, 0.9), (0.0, 0.0), 2.0, 48, None, &none, false, 60);
+        unbacked.precopy(120.0);
+        assert_eq!(unbacked.hot.copied_items, 0.0);
     }
 
     #[test]
