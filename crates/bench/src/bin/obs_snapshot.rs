@@ -39,7 +39,7 @@ use spotcache_core::{Approach, ControlLoop, GlobalController};
 use spotcache_obs::export::{json_snapshot, validate_json, validate_prometheus_text};
 use spotcache_obs::http::http_get;
 use spotcache_obs::{Journal, Obs, TraceContext, Tracer, DEFAULT_TRACE_CAPACITY};
-use spotcache_sim::recovery::{simulate_recovery, BackupChoice, RecoveryConfig};
+use spotcache_sim::recovery::{simulate_recovery, RecoveryConfig};
 
 /// Events of each kind the artifact keeps.
 const JOURNAL_SAMPLE: u64 = 8;
@@ -134,9 +134,7 @@ fn main() {
     );
 
     // 2. Recovery.
-    let rcfg = RecoveryConfig::figure11(BackupChoice::Instance(
-        find_type("t2.medium").expect("t2.medium in catalog"),
-    ));
+    let rcfg = RecoveryConfig::figure11(find_type("t2.medium"));
     let tl = simulate_recovery(&rcfg, Some(&obs), Some(&tracer));
     println!(
         "recovery: recovered_at={:?}, overall p95 {:.0} us",
@@ -144,7 +142,7 @@ fn main() {
         tl.overall_p95()
     );
     let small = find_type("t2.small").expect("t2.small in catalog");
-    let mut rcfg2 = RecoveryConfig::figure11(BackupChoice::Instance(small));
+    let mut rcfg2 = RecoveryConfig::figure11(Some(small));
     rcfg2.lost_hot_gb = small.ram_gb * USABLE_RAM_FRACTION;
     rcfg2.backup_credits_fraction = 0.01;
     let tl2 = simulate_recovery(&rcfg2, Some(&obs), Some(&tracer));

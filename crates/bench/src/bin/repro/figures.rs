@@ -13,7 +13,7 @@ use spotcache_core::controller::{ControllerConfig, USABLE_RAM_FRACTION};
 use spotcache_core::prototype::{run_prototype, PrototypeConfig, PrototypeResult};
 use spotcache_core::simulation::{SimConfig, SimResult};
 use spotcache_core::Approach;
-use spotcache_sim::recovery::{simulate_recovery, BackupChoice, RecoveryConfig};
+use spotcache_sim::recovery::{simulate_recovery, RecoveryConfig};
 use spotcache_sim::SlotRecord;
 use spotcache_spotmodel::{below_bid_runs, CdfPredictor, SpotPredictor, TemporalPredictor};
 
@@ -625,7 +625,7 @@ pub(crate) fn fig11() {
 
 /// The Figure 11 scenario backed up by the instance type `name`.
 fn backed_by(name: &str) -> RecoveryConfig {
-    RecoveryConfig::figure11(BackupChoice::Instance(find_type(name).unwrap()))
+    RecoveryConfig::figure11(find_type(name))
 }
 
 fn figure11a() {
@@ -637,12 +637,9 @@ fn figure11a() {
         ("t2.medium", backed_by("t2.medium")),
         ("c3.large", backed_by("c3.large")),
         ("m3.medium", backed_by("m3.medium")),
-        (
-            "Prop_NoBackup",
-            RecoveryConfig::figure11(BackupChoice::None),
-        ),
+        ("Prop_NoBackup", RecoveryConfig::figure11(None)),
         ("OD+Spot_Sep", {
-            let mut c = RecoveryConfig::figure11(BackupChoice::None);
+            let mut c = RecoveryConfig::figure11(None);
             c.hot_mass_lost = 0.0;
             c.lost_hot_gb = 0.0;
             c.cold_mass_lost = 0.05;

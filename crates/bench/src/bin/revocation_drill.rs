@@ -60,10 +60,11 @@ use spotcache_cache::store::{Store, StoreConfig};
 use spotcache_obs::export::validate_prometheus_text;
 use spotcache_obs::http::http_get;
 use spotcache_obs::{DecaySeries, Obs, TraceConfig, TraceContext, Tracer, DEFAULT_TRACE_CAPACITY};
+use spotcache_optimizer::latency::LatencyProfile;
 use spotcache_recovery::checkpoint::{restore_checkpoint, write_checkpoint, CheckpointConfig};
 use spotcache_recovery::replay::{pump_hot_set, WarmupConfig};
 use spotcache_recovery::strategy::{RecoveryStrategy, TopUpConfig};
-use spotcache_sim::recovery::{BackupChoice, Warmup};
+use spotcache_sim::recovery::Warmup;
 
 /// Trace id of the designated stitched drill (the warned Hybrid run):
 /// the driver installs this as the root [`TraceContext`], and every
@@ -90,53 +91,11 @@ impl Config {
         let (smoke, out, seed) = flags.artifact_run("BENCH_drill.json");
         let trace_out: Option<String> = flags.value("--trace-out", "a path");
         flags.finish();
-        // The 2-minute warning is time-scaled: full mode compresses 120 s
-        // to 2 s (60×), smoke to 0.6 s. The pump rate is chosen so an
-        // unwarned copy takes noticeably longer than one warning window
-        // but still completes inside the observation period.
-        let pump = |max_items, rate| WarmupConfig {
-            max_items,
-            base_rate: rate,
-            peak_rate: rate,
-            initial_credits: 0.0,
-            ..WarmupConfig::default()
-        };
-        let full = FleetConfig {
-            nodes: 1,
-            key_space: 2_000,
-            ops_per_window: 400,
-            window: Duration::from_millis(100),
-            steady_windows: 10,
-            warning_windows: 20, // 2 s scaled warning
-            observe_windows: 60, // 6 s
-            slo_target: 0.99,
-            slo_window_factor: 10,
-            pump: pump(4_000, 1_000.0),
-            store_bytes: 64 << 20,
-            store_shards: 8,
-            seed,
-            detector_window: 1,
-            detector_threshold: 1,
-        };
-        let fleet = if smoke {
-            FleetConfig {
-                key_space: 400,
-                ops_per_window: 150,
-                window: Duration::from_millis(50),
-                steady_windows: 6,
-                warning_windows: 12, // 0.6 s scaled warning
-                observe_windows: 40, // 2 s
-                pump: pump(1_000, 600.0),
-                ..full
-            }
-        } else {
-            full
-        };
         Self {
             smoke,
             out,
             trace_out,
-            fleet,
+            fleet: fleet_config(smoke, seed),
         }
     }
 
@@ -149,6 +108,52 @@ impl Config {
                 top_up: TopUpConfig::default(),
             },
         ]
+    }
+}
+
+/// The drilled fleet, scaled down for `smoke`.
+fn fleet_config(smoke: bool, seed: u64) -> FleetConfig {
+    // The 2-minute warning is time-scaled: full mode compresses 120 s
+    // to 2 s (60×), smoke to 0.6 s. The pump rate is chosen so an
+    // unwarned copy takes noticeably longer than one warning window
+    // but still completes inside the observation period.
+    let pump = |max_items, rate| WarmupConfig {
+        max_items,
+        base_rate: rate,
+        peak_rate: rate,
+        initial_credits: 0.0,
+        ..WarmupConfig::default()
+    };
+    let full = FleetConfig {
+        nodes: 1,
+        key_space: 2_000,
+        ops_per_window: 400,
+        window: Duration::from_millis(100),
+        steady_windows: 10,
+        warning_windows: 20, // 2 s scaled warning
+        observe_windows: 60, // 6 s
+        slo_target: 0.99,
+        slo_window_factor: 10,
+        pump: pump(4_000, 1_000.0),
+        store_bytes: 64 << 20,
+        store_shards: 8,
+        seed,
+        detector_window: 1,
+        detector_threshold: 1,
+    };
+    if smoke {
+        FleetConfig {
+            key_space: 400,
+            ops_per_window: 150,
+            window: Duration::from_millis(50),
+            steady_windows: 6,
+            warning_windows: 12, // 0.6 s scaled warning
+            observe_windows: 40, // 2 s
+            pump: pump(1_000, 600.0),
+            ..full
+        }
+    } else {
+        full
     }
 }
 
@@ -430,23 +435,18 @@ fn run_link_faults(obs: &Arc<Obs>, tracer: &Arc<Tracer>) -> Vec<LinkFaultOutcome
 /// threshold, with the pump copying hottest-first at its paced rate and
 /// misses refilling organically — the same two processes the live Replay
 /// drill runs. The drill refills a miss at once, with no back-end to
-/// queue behind, so nothing throttles the model's refill either.
+/// queue behind; its few thousand reads a second never reach the model's
+/// back-end capacity, so nothing throttles the model's refill either.
 fn model_recovery_secs(f: &FleetConfig) -> f64 {
-    let mut model = Warmup::new(
-        (f.key_space as f64, 1.0),
-        (0.0, 0.0),
-        THETA,
-        64,
-        None,
-        &BackupChoice::None,
-        false,
-        0,
-    );
+    // The key space as GiB of the model's items.
+    let item_bytes = LatencyProfile::paper_default().item_bytes;
+    let gib = f.key_space as f64 * item_bytes / (1u64 << 30) as f64;
+    let mut model = Warmup::new((gib, 1.0), (0.0, 0.0), THETA, 64, None, 0);
     let read_rate = f.ops_per_window as f64 / f.window.as_secs_f64();
     let dt = 0.01;
     let mut t = 0.0;
     while model.warmed_mass() < RECOVERY_FRACTION && t < 120.0 {
-        model.step(f.pump.base_rate * dt, read_rate, f64::INFINITY, dt);
+        model.step(f.pump.base_rate * dt, read_rate, dt);
         t += dt;
     }
     t
@@ -749,5 +749,26 @@ fn run() {
     write_artifact(&cfg.out, &json);
     if let Some(path) = &cfg.trace_out {
         write_trace(path, &tracer, &["drill", "replication", "checkpoint"]);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The Fig. 4 prediction of both drill sizes, bit for bit as the
+    /// drill's own stepping loop computed it before it stepped `Warmup`: a
+    /// change to the warm-up model that moves either moves the artifact's
+    /// `model_recovery_s`.
+    #[test]
+    fn model_recovery_secs_is_pinned() {
+        assert_eq!(
+            model_recovery_secs(&fleet_config(true, 0)),
+            0.24000000000000007
+        );
+        assert_eq!(
+            model_recovery_secs(&fleet_config(false, 0)),
+            0.6900000000000004
+        );
     }
 }

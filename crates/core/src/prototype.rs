@@ -18,14 +18,14 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use spotcache_cloud::catalog::InstanceType;
 use spotcache_cloud::spot::{Loss, SpotTrace};
 use spotcache_cloud::{DAY, HOUR};
 use spotcache_obs::Obs;
-use spotcache_optimizer::problem::{OfferKind, SolveError, WorkloadForecast};
+use spotcache_optimizer::problem::{OfferKind, SolveError};
 use spotcache_sim::metrics::{ControlMetrics, LatencySample, SlotRecord};
 use spotcache_sim::{
-    sample_cluster_latency, BackupChoice, LatencyHistogram, NodeLoad, Warmup,
-    DEFAULT_BACKEND_CAPACITY_OPS,
+    sample_backend_misses, sample_cluster_latency, LatencyHistogram, NodeLoad, Warmup,
 };
 use spotcache_workload::wikipedia::WikipediaTrace;
 
@@ -79,19 +79,17 @@ struct LiveEntry {
     count: u32,
     mass: f64, // access mass served by this entry
     capacity: f64,
-    hot_frac: f64,
-    cold_frac: f64,
+    /// The entry's hot and cold content, each `(GiB, access mass)`.
+    content: [(f64, f64); 2],
     fails_at: Option<Loss>,
 }
 
 /// Per-hour state established by the replan, consumed by minute steps.
 struct HourState {
     rate: f64,
-    wss: f64,
-    forecast: WorkloadForecast,
     live: Vec<LiveEntry>,
     /// The slot's sized backup, which pumps each loss's hot set.
-    backup: BackupChoice,
+    backup: Option<InstanceType>,
     recoveries: Vec<Warmup>,
 }
 
@@ -167,16 +165,14 @@ impl Substrate for MinutePrototype {
         plan: &SlotPlan,
         obs: &Observation,
     ) -> Vec<SubstrateEvent> {
-        let f = plan.forecast;
-        let r_h_total = f.f_hot; // access mass of the whole hot set
-
+        let (f, wss) = (plan.forecast, obs.actual.wss_gb);
         let mut live: Vec<LiveEntry> = Vec::new();
         for e in &plan.alloc.entries {
             if e.count == 0 {
                 continue;
             }
-            let mass =
-                hot_access_mass(e.hot_frac, &f, r_h_total) + cold_access_mass(e.cold_frac, &f);
+            let hot = (e.hot_frac * wss, hot_access_mass(e.hot_frac, &f, f.f_hot));
+            let cold = (e.cold_frac * wss, cold_access_mass(e.cold_frac, &f));
             let fails_at = match &e.offer.kind {
                 OfferKind::OnDemand => None,
                 OfferKind::Spot { bid, .. } => self.market.lease(*bid, t0, t0 + HOUR).loss(t0),
@@ -184,10 +180,9 @@ impl Substrate for MinutePrototype {
             live.push(LiveEntry {
                 label: e.offer.label.clone(),
                 count: e.count,
-                mass,
+                mass: hot.1 + cold.1,
                 capacity: controller::PROFILE.capacity_ops(&e.offer.itype, false),
-                hot_frac: e.hot_frac,
-                cold_frac: e.cold_frac,
+                content: [hot, cold],
                 fails_at,
             });
         }
@@ -197,14 +192,8 @@ impl Substrate for MinutePrototype {
 
         self.hour = Some(HourState {
             rate: obs.actual.rate,
-            wss: obs.actual.wss_gb,
-            forecast: f,
             live,
-            backup: if plan.backup.count > 0 {
-                BackupChoice::Instance(plan.backup.itype)
-            } else {
-                BackupChoice::None
-            },
+            backup: (plan.backup.count > 0).then_some(plan.backup.itype),
             recoveries: Vec::new(),
         });
         Vec::new()
@@ -212,7 +201,6 @@ impl Substrate for MinutePrototype {
 
     fn step(&mut self, t: u64, step: u64) -> Vec<SubstrateEvent> {
         let state = self.hour.as_mut().expect("step before first replan");
-        let f = &state.forecast;
         let rate = state.rate;
         let mut events = Vec::new();
 
@@ -226,17 +214,13 @@ impl Substrate for MinutePrototype {
                         count: e.count,
                         warned: loss.notice > 0,
                     });
-                    let item_bytes = controller::PROFILE.item_bytes;
-                    let hot_items = e.hot_frac * state.wss * (1u64 << 30) as f64 / item_bytes;
-                    let cold_items = e.cold_frac * state.wss * (1u64 << 30) as f64 / item_bytes;
+                    let [hot, cold] = e.content;
                     let mut warmup = Warmup::new(
-                        (hot_items, hot_access_mass(e.hot_frac, f, f.f_hot)),
-                        (cold_items, cold_access_mass(e.cold_frac, f)),
+                        hot,
+                        cold,
                         self.cfg.theta,
                         WARMUP_BINS,
-                        None,
-                        &state.backup,
-                        false,
+                        state.backup,
                         REDIRECT_TRANSIENT_SECS,
                     );
                     // The backup starts copying at the warning.
@@ -258,7 +242,7 @@ impl Substrate for MinutePrototype {
             let acc: f64 = (0..60)
                 .map(|_| {
                     let copied = r.pump_step(1.0).unwrap_or(0.0);
-                    r.step(copied, rate, DEFAULT_BACKEND_CAPACITY_OPS, 1.0)
+                    r.step(copied, rate, 1.0)
                 })
                 .sum();
             unwarmed += acc / 60.0;
@@ -306,23 +290,8 @@ impl Substrate for MinutePrototype {
             hit_samples,
             &mut hist,
         );
-        if miss_samples > 0 {
-            // Unwarmed content: backend round-trips, queueing on the
-            // finitely-provisioned back-end when the miss flood exceeds
-            // its capacity.
-            let backend = [NodeLoad {
-                rate: unwarmed * rate,
-                capacity: DEFAULT_BACKEND_CAPACITY_OPS,
-            }];
-            sample_cluster_latency(
-                &backend,
-                0.0,
-                &controller::PROFILE,
-                &mut self.rng,
-                miss_samples,
-                &mut hist,
-            );
-        }
+        // Unwarmed content: back-end round trips under the miss flood.
+        sample_backend_misses(unwarmed * rate, miss_samples, &mut self.rng, &mut hist);
         self.metrics.latency.merge(&hist);
         let minute = (t - self.cfg.start_day * DAY) / 60;
         debug_assert_eq!(minute % 60, step);

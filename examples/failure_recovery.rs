@@ -9,7 +9,7 @@
 
 use spotcache::cloud::burstable::BurstableState;
 use spotcache::cloud::catalog::find_type;
-use spotcache::sim::{simulate_recovery, BackupChoice, RecoveryConfig};
+use spotcache::sim::{simulate_recovery, RecoveryConfig};
 
 fn main() {
     let t2 = find_type("t2.medium").expect("catalog");
@@ -31,8 +31,8 @@ fn main() {
     );
 
     for (name, backup) in [
-        ("t2.medium passive backup", BackupChoice::Instance(t2)),
-        ("no backup (Prop_NoBackup)", BackupChoice::None),
+        ("t2.medium passive backup", Some(t2)),
+        ("no backup (Prop_NoBackup)", None),
     ] {
         let cfg = RecoveryConfig::figure11(backup);
         let tl = simulate_recovery(&cfg, None, None);

@@ -12,7 +12,7 @@ use spotcache::core::simulation::{simulate, HourlySim, SimConfig};
 use spotcache::core::{
     Approach, ControlLoop, Demand, Observation, Schedule, SlotPlan, Substrate, SubstrateEvent,
 };
-use spotcache::sim::{simulate_recovery, BackupChoice, ControlMetrics, RecoveryConfig};
+use spotcache::sim::{simulate_recovery, ControlMetrics, RecoveryConfig};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -192,7 +192,7 @@ fn control_loop_refuses_steps_that_do_not_divide_the_slot() {
 #[test]
 fn recovery_timeline_is_deterministic() {
     let run = || {
-        let cfg = RecoveryConfig::figure11(BackupChoice::Instance(find_type("t2.medium").unwrap()));
+        let cfg = RecoveryConfig::figure11(find_type("t2.medium"));
         let tl = simulate_recovery(&cfg, None, None);
         (
             tl.recovered_at,

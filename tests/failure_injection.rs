@@ -6,7 +6,7 @@ use spotcache::cloud::catalog::find_type;
 use spotcache::cloud::tracegen::{correlated_paper_traces, paper_traces};
 use spotcache::core::simulation::{simulate, FlashCrowd, SimConfig};
 use spotcache::core::Approach;
-use spotcache::sim::{simulate_recovery, BackupChoice, RecoveryConfig};
+use spotcache::sim::{simulate_recovery, RecoveryConfig};
 
 /// Correlated regional shocks take several markets down at once; every
 /// approach must still complete its 90 days without error, and the cost
@@ -56,12 +56,8 @@ fn correlated_failures_hurt_more_than_independent() {
 #[test]
 fn depleted_backup_degrades_gracefully() {
     let t2 = find_type("t2.medium").unwrap();
-    let fresh = simulate_recovery(
-        &RecoveryConfig::figure11(BackupChoice::Instance(t2)),
-        None,
-        None,
-    );
-    let mut drained_cfg = RecoveryConfig::figure11(BackupChoice::Instance(t2));
+    let fresh = simulate_recovery(&RecoveryConfig::figure11(Some(t2)), None, None);
+    let mut drained_cfg = RecoveryConfig::figure11(Some(t2));
     drained_cfg.backup_credits_fraction = 0.0;
     let drained = simulate_recovery(&drained_cfg, None, None);
     let f = fresh.recovered_at.expect("fresh backup recovers");

@@ -11,7 +11,7 @@ use spotcache::core::simulation::{HourlySim, SimConfig, SimResult};
 use spotcache::core::{Approach, ControlLoop, GlobalController};
 use spotcache::obs::export::validate_json;
 use spotcache::obs::Obs;
-use spotcache::sim::recovery::{simulate_recovery, BackupChoice, RecoveryConfig};
+use spotcache::sim::recovery::{simulate_recovery, RecoveryConfig};
 
 fn assert_close(got: f64, want: f64, what: &str) {
     let tol = 1e-9 * want.abs().max(1.0);
@@ -59,7 +59,7 @@ fn observed_snapshots_are_deterministic() {
         let obs = Arc::new(Obs::new());
         let sim = observed_golden_run(Arc::clone(&obs));
         assert_eq!(sim.revocations, 315);
-        let rcfg = RecoveryConfig::figure11(BackupChoice::None);
+        let rcfg = RecoveryConfig::figure11(None);
         simulate_recovery(&rcfg, Some(&obs), None);
         (obs.prometheus_text(), obs.json_snapshot())
     };
@@ -75,9 +75,7 @@ fn observed_snapshots_are_deterministic() {
 fn snapshot_covers_all_instrumented_layers() {
     let obs = Arc::new(Obs::new());
     observed_golden_run(Arc::clone(&obs));
-    let rcfg = RecoveryConfig::figure11(BackupChoice::Instance(
-        spotcache::cloud::catalog::find_type("t2.medium").unwrap(),
-    ));
+    let rcfg = RecoveryConfig::figure11(spotcache::cloud::catalog::find_type("t2.medium"));
     simulate_recovery(&rcfg, Some(&obs), None);
     let prom = obs.prometheus_text();
     for series in [
