@@ -77,7 +77,6 @@ const WARMUP_BINS: usize = 48;
 struct LiveEntry {
     label: String,
     count: u32,
-    mass: f64, // access mass served by this entry
     capacity: f64,
     /// The entry's hot and cold content, each `(GiB, access mass)`.
     content: [(f64, f64); 2],
@@ -90,7 +89,8 @@ struct HourState {
     live: Vec<LiveEntry>,
     /// The slot's sized backup, which pumps each loss's hot set.
     backup: Option<InstanceType>,
-    recoveries: Vec<Warmup>,
+    /// Each loss's warm-up, with the second the loss struck.
+    recoveries: Vec<(u64, Warmup)>,
 }
 
 /// The per-minute substrate: latency-samples a single day against one
@@ -180,7 +180,6 @@ impl Substrate for MinutePrototype {
             live.push(LiveEntry {
                 label: e.offer.label.clone(),
                 count: e.count,
-                mass: hot.1 + cold.1,
                 capacity: controller::PROFILE.capacity_ops(&e.offer.itype, false),
                 content: [hot, cold],
                 fails_at,
@@ -204,42 +203,40 @@ impl Substrate for MinutePrototype {
         let rate = state.rate;
         let mut events = Vec::new();
 
-        // Trigger failures that occur within this minute.
-        for e in &mut state.live {
-            if let Some(loss) = e.fails_at {
-                if loss.at < t + 60 {
-                    self.metrics.revocations += 1;
-                    events.push(SubstrateEvent::Revoked {
-                        label: e.label.clone(),
-                        count: e.count,
-                        warned: loss.notice > 0,
-                    });
-                    let [hot, cold] = e.content;
-                    let mut warmup = Warmup::new(
-                        hot,
-                        cold,
-                        self.cfg.theta,
-                        WARMUP_BINS,
-                        state.backup,
-                        REDIRECT_TRANSIENT_SECS,
-                    );
-                    // The backup starts copying at the warning.
-                    warmup.precopy(loss.notice as f64);
-                    state.recoveries.push(warmup);
-                    e.mass = 0.0;
-                    e.count = 0;
-                    e.fails_at = None;
-                }
-            }
+        // Trigger failures that strike within this minute.
+        for e in &state.live {
+            let Some(loss) = e.fails_at.filter(|l| (t..t + 60).contains(&l.at)) else {
+                continue;
+            };
+            self.metrics.revocations += 1;
+            events.push(SubstrateEvent::Revoked {
+                label: e.label.clone(),
+                count: e.count,
+                warned: loss.notice > 0,
+            });
+            let [hot, cold] = e.content;
+            let mut warmup = Warmup::new(
+                hot,
+                cold,
+                self.cfg.theta,
+                WARMUP_BINS,
+                state.backup,
+                REDIRECT_TRANSIENT_SECS,
+            );
+            // The backup starts copying at the warning.
+            warmup.precopy(loss.notice as f64);
+            state.recoveries.push((loss.at, warmup));
         }
 
-        // Step the warm-ups through the minute at 1-second resolution,
-        // tracking the *time-averaged* unwarmed mass: organic refill of
-        // a skewed working set moves fast enough that sampling only the
-        // end-of-minute state would hide the miss burst entirely.
+        // Step each warm-up through the minute at 1-second resolution
+        // from the second its loss struck, tracking the *time-averaged*
+        // unwarmed mass: organic refill of a skewed working set moves
+        // fast enough that sampling only the end-of-minute state would
+        // hide the miss burst entirely.
         let mut unwarmed = 0.0;
-        for r in &mut state.recoveries {
-            let acc: f64 = (0..60)
+        for (lost_at, r) in &mut state.recoveries {
+            let acc: f64 = (t..t + 60)
+                .filter(|now| now >= lost_at)
                 .map(|_| {
                     let copied = r.pump_step(1.0).unwrap_or(0.0);
                     r.step(copied, rate, 1.0)
@@ -250,15 +247,18 @@ impl Substrate for MinutePrototype {
 
         // Build the node set: surviving entries plus an implicit
         // replacement pool serving warmed recovered mass at healthy
-        // utilization.
+        // utilization. An entry lost in this minute serves its mass for
+        // the minute's share before its loss.
         let mut nodes = Vec::new();
         let mut served_mass = 0.0;
         for e in &state.live {
-            if e.count == 0 || e.mass <= 0.0 {
+            let live_secs = e.fails_at.map_or(60, |l| l.at.saturating_sub(t).min(60));
+            let mass = (e.content[0].1 + e.content[1].1) * (live_secs as f64 / 60.0);
+            if mass <= 0.0 {
                 continue;
             }
-            served_mass += e.mass;
-            let per_instance = e.mass * rate / e.count as f64;
+            served_mass += mass;
+            let per_instance = mass * rate / e.count as f64;
             for _ in 0..e.count {
                 nodes.push(NodeLoad {
                     rate: per_instance,
@@ -379,6 +379,39 @@ mod tests {
         let nb = xl_c_day30(Approach::PropNoBackup);
         assert!(prop.revocations > 0 && nb.revocations > 0);
         assert!(prop.latency.quantile(0.99) <= nb.latency.quantile(0.99) * 1.2);
+    }
+
+    /// A loss strikes at its own second, not at the start of its minute:
+    /// an entry lost 30 s into a minute serves that minute's first half,
+    /// and its replacement stays unusable through the next minute's first
+    /// half.
+    #[test]
+    fn a_loss_strikes_at_its_own_second() {
+        let minutes = |lost_after: u64| {
+            let mut proto = MinutePrototype::new(config(Approach::PropNoBackup, 45), l_d());
+            let t0 = proto.schedule().start;
+            proto.hour = Some(HourState {
+                rate: 100_000.0,
+                live: vec![LiveEntry {
+                    label: "spot".into(),
+                    count: 4,
+                    capacity: 100_000.0,
+                    content: [(1.0, 0.5), (1.0, 0.5)],
+                    fails_at: Some(Loss {
+                        at: t0 + lost_after,
+                        notice: 0,
+                    }),
+                }],
+                backup: None,
+                recoveries: Vec::new(),
+            });
+            proto.step(t0, 0);
+            proto.step(t0 + 60, 1);
+            [0, 1].map(|minute| proto.metrics.samples[minute].avg_us)
+        };
+        let (at_0, at_30) = (minutes(0), minutes(30));
+        assert!(at_30[0] < 0.75 * at_0[0], "{at_30:?} vs {at_0:?}");
+        assert!(at_30[1] > 2.0 * at_0[1], "{at_30:?} vs {at_0:?}");
     }
 
     /// `Prop`'s losses on [`xl_c_day30`] are each re-warmed by the

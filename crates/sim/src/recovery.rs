@@ -735,8 +735,7 @@ mod tests {
         // 60 initial credits = 3 600 vCPU·s, spent at 2 − 0.4 vCPU/s: 2 vCPUs
         // × 1 300 items for 2 250 s, then the 0.4 vCPU baseline. The
         // network never binds (its 280 Mbps base carries 8 545 items/s).
-        let t2 = find_type("t2.medium");
-        let mut warmup = Warmup::new((4.0, 0.9), (0.0, 0.0), 0.99, 64, t2, 0);
+        let mut warmup = Warmup::new((4.0, 0.9), (0.0, 0.0), 0.99, 64, find_type("t2.medium"), 0);
         let items: Vec<f64> = (0..2_400).map(|_| warmup.pump(1.0)).collect();
         assert!(items[..2_249].iter().all(|&i| i == 2_600.0));
         let burst: f64 = items[..2_250].iter().sum();
@@ -748,8 +747,7 @@ mod tests {
 
     #[test]
     fn warned_loss_precopies_the_warning_at_the_burst_rate() {
-        let t2 = find_type("t2.medium");
-        let mut warned = Warmup::new((4.0, 0.9), (0.0, 0.0), 2.0, 48, t2, 60);
+        let mut warned = Warmup::new((4.0, 0.9), (0.0, 0.0), 2.0, 48, find_type("t2.medium"), 60);
         warned.precopy(120.0);
         assert_eq!(warned.hot.copied_items, 120.0 * 2_600.0);
         // Until R is usable the whole lost mass misses; the pre-copied

@@ -19,6 +19,11 @@
 //! `0x4078d529d8f39348`; Fig. 9 1 727 975 samples at a mean of
 //! 5.190_127_820_741_940_92e2 µs.
 //!
+//! Not re-pinned when a prototype loss began to strike at its own second
+//! rather than at the start of its minute: the generated traces warn on
+//! their 300 s grid, 120 s ahead, so every loss here already fell on a
+//! whole minute and no figure moved.
+//!
 //! Literals are kept exactly as captured (`{:.17e}`, full f64 round-trip
 //! precision), even where fewer digits would denote the same value.
 #![allow(clippy::excessive_precision)]
